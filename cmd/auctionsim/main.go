@@ -124,6 +124,8 @@ func main() {
 			total := st.NodesMaterialized + st.NodesCached
 			fmt.Printf("cache hits:              %d of %d node demands (%.1f%%)\n",
 				st.NodesCached, total, 100*float64(st.NodesCached)/float64(max(1, total)))
+			fmt.Printf("cache bypassed:          %d of %d rounds (cold cache: full plan runs)\n",
+				st.CacheBypassedRounds, st.Rounds)
 		}
 		fmt.Printf("ads displayed:           %d\n", st.AdsDisplayed)
 		fmt.Printf("clicks charged/forgiven: %d / %d\n", st.ClicksCharged, st.ClicksForgiven)

@@ -293,6 +293,20 @@ func ExactThrottledBid(bid, budget float64, auctions int, ads []OutstandingAd) f
 // additionally rounds by at most unit/2, giving |DP − exact| ≤
 // (l+1)·unit/(2m). The result is always in [0, bid].
 func ExactThrottledBidDP(bid, budget float64, auctions int, ads []OutstandingAd, unit float64) float64 {
+	return new(ThrottleDP).Bid(bid, budget, auctions, ads, unit)
+}
+
+// ThrottleDP holds the two grid buffers of ExactThrottledBidDP so a caller
+// that throttles many advertisers a round (the engine's leaf scoring, one
+// per worker) reuses them: Bid is ExactThrottledBidDP, bit for bit, without
+// its 1 + len(ads) allocations once the buffers have grown to the largest
+// grid seen. The zero value is ready to use; not safe for concurrent use.
+type ThrottleDP struct {
+	dist, next []float64
+}
+
+// Bid computes b̂ on the currency grid; see ExactThrottledBidDP.
+func (d *ThrottleDP) Bid(bid, budget float64, auctions int, ads []OutstandingAd, unit float64) float64 {
 	if auctions < 1 || unit <= 0 {
 		panic("budget: invalid auctions or unit")
 	}
@@ -303,11 +317,16 @@ func ExactThrottledBidDP(bid, budget float64, auctions int, ads []OutstandingAd,
 		omega += ad.Price
 	}
 	cap := int(math.Round(math.Min(budget, omega) / unit))
-	dist := make([]float64, cap+1)
+	if len(d.dist) <= cap {
+		d.dist = make([]float64, 2*(cap+1))
+		d.next = make([]float64, 2*(cap+1))
+	}
+	dist, next := d.dist[:cap+1], d.next[:cap+1]
+	clear(dist)
 	dist[0] = 1
 	for _, ad := range ads {
 		step := int(math.Round(ad.Price / unit))
-		next := make([]float64, cap+1)
+		clear(next)
 		for s, p := range dist {
 			if p == 0 {
 				continue
@@ -319,7 +338,7 @@ func ExactThrottledBidDP(bid, budget float64, auctions int, ads []OutstandingAd,
 			next[hit] += p * ad.CTR
 			next[s] += p * (1 - ad.CTR)
 		}
-		dist = next
+		dist, next = next, dist
 	}
 	m := float64(auctions)
 	total := 0.0

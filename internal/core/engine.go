@@ -187,22 +187,27 @@ type Engine struct {
 	runner *plan.Runner
 	pool   *plan.Pool
 
-	// exec owns the per-node *topk.List slab of the original slab
-	// executor, kept as a reference strategy for the equivalence tests.
-	exec   *plan.Executor[*topk.List]
-	leafFn func(prev *topk.List, v int) *topk.List
-	opFn   func(prev, a, b *topk.List) *topk.List
+	// gov switches the dirty-cone cache off while it is losing
+	// (IncrementalCache engines only; see cacheGovernor).
+	gov cacheGovernor
 
 	// forceMemo routes shared-mode winner determination through the
 	// original map-memo plan.Execute; forceSlab through the generic slab
 	// executor. Both exist purely as reference strategies for the
-	// equivalence tests — the compiled runner is the production path.
+	// equivalence tests — the compiled runner is the production path — so
+	// the slab executor (ref) is built on first forceSlab use, not in every
+	// production engine.
 	forceMemo bool
 	forceSlab bool
+	ref       *slabReference
 
 	clicks *workload.ClickSim
-	spent  []float64 // realized payments per advertiser
-	round  int
+	// out is the round's outstanding ads bucketed by advertiser, filled
+	// once per Step before leaf scoring (Throttled engines only; nil
+	// otherwise).
+	out   *workload.OutstandingBuckets
+	spent []float64 // realized payments per advertiser
+	round int
 
 	// active[i] is advertiser i's lifecycle participation flag; lifeCursor
 	// tracks schedule consumption and lifeFn is the pinned event-apply
@@ -242,16 +247,17 @@ type roundScratch struct {
 	indep     []*topk.List   // Independent-mode per-phrase lists
 }
 
-// throttleScratch is one worker's outstanding-ad buffers for the throttled
-// bid computation. The engine owns one per pool worker (index 0 doubles as
-// the sequential path's scratch), so parallel leaf scoring never shares
-// append targets; the pad keeps adjacent workers' slice headers — rewritten
-// on every AppendOutstanding — off each other's cache lines.
+// throttleScratch is one worker's buffers for the throttled bid
+// computation: the advertiser's outstanding ads in the shape budget wants
+// them, and the DP grid. The engine owns one per pool worker (index 0
+// doubles as the sequential path's scratch), so parallel leaf scoring never
+// shares an append target; the pad keeps adjacent workers' slice headers —
+// rewritten whenever a bid is actually throttled — off each other's cache
+// lines.
 type throttleScratch struct {
-	outPrices []float64
-	outCTRs   []float64
-	ads       []budget.OutstandingAd
-	_         [56]byte
+	ads []budget.OutstandingAd
+	dp  budget.ThrottleDP
+	_   [56]byte
 }
 
 // scoreGrain is the advertiser-range claim unit for parallel leaf scoring:
@@ -276,10 +282,16 @@ type Stats struct {
 	// NodesCached counts plan nodes served from the cross-round cache
 	// instead of being recomputed (IncrementalCache mode only).
 	// NodesMaterialized + NodesCached equals what NodesMaterialized would
-	// be with the cache off.
-	NodesCached   int     `json:"nodes_cached"`
-	Revenue       float64 `json:"revenue"`
-	ClicksCharged int     `json:"clicks_charged"`
+	// be with the cache off — also across rounds the engine resolved on the
+	// full-run fallback, which add their whole cone to NodesMaterialized.
+	NodesCached int `json:"nodes_cached"`
+	// CacheBypassedRounds counts rounds an IncrementalCache engine resolved
+	// with a full plan run because its dirty-cone cache was cold (hit share
+	// under the break-even; see cacheGovernor). A vanishing share of Rounds
+	// on steady bids, nearly all of them when every bid moves every round.
+	CacheBypassedRounds int     `json:"cache_bypassed_rounds"`
+	Revenue             float64 `json:"revenue"`
+	ClicksCharged       int     `json:"clicks_charged"`
 	// ClicksForgiven counts clicks whose price exceeded the advertiser's
 	// remaining budget and could not be charged — the paper's lost revenue.
 	ClicksForgiven int     `json:"clicks_forgiven"`
@@ -294,6 +306,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.AuctionsResolved += o.AuctionsResolved
 	s.NodesMaterialized += o.NodesMaterialized
 	s.NodesCached += o.NodesCached
+	s.CacheBypassedRounds += o.CacheBypassedRounds
 	s.Revenue += o.Revenue
 	s.ClicksCharged += o.ClicksCharged
 	s.ClicksForgiven += o.ClicksForgiven
@@ -344,6 +357,9 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	if cfg.ClickOutcome != nil {
 		e.clicks.SetOutcome(cfg.ClickOutcome)
 	}
+	if cfg.Policy == Throttled {
+		e.out = new(workload.OutstandingBuckets)
+	}
 	e.scr.mCount = make([]int, len(w.Advertisers))
 	e.scr.roundBid = make([]float64, len(w.Advertisers))
 	e.scr.score = make([]float64, len(w.Advertisers))
@@ -389,32 +405,11 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("core: %w", perr)
 		}
 		e.runner = plan.NewRunner(e.prog, k+1)
-		e.exec = plan.NewExecutor[*topk.List](e.plan)
 		if cfg.Workers > 1 {
 			e.pool = plan.NewPool(cfg.Workers)
 			e.runner.SetPool(e.pool)
-			e.exec.SetPool(e.pool)
 		}
-		// The leaf and op closures are built once so steady-state rounds
-		// never allocate func values; both recycle the slab slot's previous
-		// list instead of allocating a new one.
-		e.leafFn = func(prev *topk.List, v int) *topk.List {
-			if prev == nil {
-				prev = topk.New(k + 1)
-			} else {
-				prev.Reset()
-			}
-			if s := e.scr.score[v]; s > 0 {
-				prev.Push(topk.Entry{ID: v, Score: s})
-			}
-			return prev
-		}
-		e.opFn = func(prev, a, b *topk.List) *topk.List {
-			if prev == nil {
-				prev = topk.New(k + 1)
-			}
-			return topk.MergeInto(prev, a, b)
-		}
+		e.gov.reset()
 	} else {
 		e.scr.indep = make([]*topk.List, len(w.Interests))
 	}
@@ -432,11 +427,13 @@ func (e *Engine) PlanInstance() *plan.Instance { return e.inst }
 // (Lemma 1), swapping changes only the cost of winner determination, never
 // its results; the swap is therefore safe at any round boundary.
 //
-// The swap installs a fresh Runner and Executor, which starts a clean
-// incremental-cache epoch: every node of the new plan is invalid until its
-// first materialization, and the lastScore tags are zeroed to match the
-// empty cache. Must be called from the engine's owning goroutine, between
-// Steps — the server's round loop does exactly that.
+// The swap installs a fresh Runner, which starts a clean incremental-cache
+// epoch: every node of the new plan is invalid until its first
+// materialization, the lastScore tags are zeroed to match the empty cache,
+// and the cache governor starts over on the incremental path (what it
+// learned about the old plan's hit share does not carry). Must be called
+// from the engine's owning goroutine, between Steps — the server's round
+// loop does exactly that.
 func (e *Engine) InstallPlan(inst *plan.Instance, p *plan.Plan, prog *plan.Program) error {
 	if e.cfg.Sharing != SharedAggregation {
 		return fmt.Errorf("core: InstallPlan on a %v engine", e.cfg.Sharing)
@@ -455,14 +452,12 @@ func (e *Engine) InstallPlan(inst *plan.Instance, p *plan.Plan, prog *plan.Progr
 	e.plan = p
 	e.prog = prog
 	e.runner = plan.NewRunner(prog, k+1)
-	e.exec = plan.NewExecutor[*topk.List](p)
+	e.ref = nil // rebuilt over the new plan on the next forceSlab round
 	if e.pool != nil {
 		e.runner.SetPool(e.pool)
-		e.exec.SetPool(e.pool)
 	}
-	for i := range e.scr.lastScore {
-		e.scr.lastScore[i] = 0
-	}
+	clear(e.scr.lastScore)
+	e.gov.reset()
 	return nil
 }
 
@@ -477,7 +472,9 @@ func (e *Engine) Close() {
 		e.pool.Close()
 		e.pool = nil
 		e.runner.SetPool(nil)
-		e.exec.SetPool(nil)
+		if e.ref != nil {
+			e.ref.exec.SetPool(nil)
+		}
 	}
 }
 
@@ -618,13 +615,20 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 		roundBid[i] = 0
 		score[i] = 0
 	}
+	if e.out != nil {
+		// Section IV needs every participating advertiser's outstanding
+		// ads: bucket the pending list once, O(pending + advertisers),
+		// rather than scan all of it per advertiser.
+		e.clicks.BucketOutstanding(e.out, len(e.w.Advertisers), e.round)
+	}
 	if e.pool != nil && e.cfg.Policy == Throttled {
 		// Parallel leaf scoring: per-advertiser work under the throttled
 		// policy is an exact enumeration or DP over the outstanding-ad
 		// set, so the pool claims advertiser ranges from a shared cursor
-		// and each worker appends into its own padded scratch. Writes per
-		// advertiser are disjoint and every bid is a pure function of
-		// round-start state, so scores are bit-identical to sequential.
+		// and each worker appends into its own padded scratch (the buckets
+		// are only read). Writes per advertiser are disjoint and every bid
+		// is a pure function of round-start state, so scores are
+		// bit-identical to sequential.
 		e.pool.RunRange(len(e.w.Advertisers), scoreGrain, e.scoreFn)
 	} else {
 		for i, a := range e.w.Advertisers {
@@ -662,20 +666,38 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 				memoResults, rep.Materialized = plan.Execute(e.plan, leaf, topk.Merge, occurring)
 			}
 		case e.forceSlab:
+			ref := e.slabReference()
 			if e.cfg.IncrementalCache {
-				e.invalidateChangedScores(mCount, e.exec.Invalidate)
-				rep.Materialized, rep.Cached = e.exec.ExecuteIncremental(e.leafFn, e.opFn, occurring)
+				e.invalidateChangedScores(mCount, ref.exec.Invalidate)
+				rep.Materialized, rep.Cached = ref.exec.ExecuteIncremental(ref.leaf, ref.op, occurring)
 			} else {
-				rep.Materialized = e.exec.Execute(e.leafFn, e.opFn, occurring)
+				rep.Materialized = ref.exec.Execute(ref.leaf, ref.op, occurring)
 			}
-			slabResults = e.exec.Results()
+			slabResults = ref.exec.Results()
 		default:
-			// Production path: the flat-compiled instruction stream.
-			if e.cfg.IncrementalCache {
+			// Production path: the flat-compiled instruction stream, through
+			// the dirty-cone cache unless it is off or has switched itself
+			// off.
+			switch {
+			case !e.cfg.IncrementalCache:
+				rep.Materialized = e.runner.Run(score, occurring)
+			case e.gov.bypass > 0:
+				rep.Materialized = e.runner.Run(score, occurring)
+				if rep.Materialized == 0 {
+					break // nothing aggregated: not a round either path resolved
+				}
+				e.stats.CacheBypassedRounds++
+				if e.gov.endBypassRound() {
+					// Probe next round. Run left the validity flags and the
+					// lastScore tags stale, so re-enter through the clean
+					// epoch InstallPlan uses.
+					e.runner.InvalidateAll()
+					clear(e.scr.lastScore)
+				}
+			default:
 				e.invalidateChangedScores(mCount, e.runner.Invalidate)
 				rep.Materialized, rep.Cached = e.runner.RunIncremental(score, occurring)
-			} else {
-				rep.Materialized = e.runner.Run(score, occurring)
+				e.gov.observe(rep.Materialized, rep.Cached)
 			}
 			compiled = true
 		}
@@ -853,8 +875,7 @@ func (e *Engine) policyBid(i int, bid float64, m int, ts *throttleScratch) float
 		}
 		return remaining
 	case Throttled:
-		prices, ctrs := e.clicks.AppendOutstanding(ts.outPrices[:0], ts.outCTRs[:0], i, e.round)
-		ts.outPrices, ts.outCTRs = prices, ctrs
+		prices, ctrs := e.out.Advertiser(i)
 		omega := 0.0
 		for _, p := range prices {
 			omega += p
@@ -872,7 +893,7 @@ func (e *Engine) policyBid(i int, bid float64, m int, ts *throttleScratch) float
 		if len(ads) <= e.cfg.ThrottleEnumLimit {
 			return budget.ExactThrottledBid(bid, remaining, m, ads)
 		}
-		return budget.ExactThrottledBidDP(bid, remaining, m, ads, e.cfg.ThrottleUnit)
+		return ts.dp.Bid(bid, remaining, m, ads, e.cfg.ThrottleUnit)
 	default:
 		panic(fmt.Sprintf("core: unknown budget policy %d", e.cfg.Policy))
 	}

@@ -22,36 +22,21 @@ import (
 // Materialized + Cached, which must equal the cache-off cost exactly
 // (Independent uses a different cost metric and is exempt from that check,
 // but its winners, prices, clicks, and revenue must still match).
+//
+// The cold-steady sub-tests drive the compiled-incremental strategies
+// across the cache governor's fallback in both directions: the bid stream
+// alternates stretches where every bid moves every round with stretches
+// where about 1 % of bids move, each long enough for the engine to drop to
+// full runs and to probe its way back, and every round must still match the
+// slab reference (which never leaves its cache).
 func TestEngineStrategyEquivalence(t *testing.T) {
-	scenarios := []struct {
-		name    string
-		rule    pricing.Rule
-		policy  BudgetPolicy
-		reserve float64
-	}{
+	scenarios := []equivScenario{
 		{"gsp-naive", pricing.GSP, Naive, 0},
 		{"vcg-naive", pricing.VCG, Naive, 0},
 		{"gsp-throttled", pricing.GSP, Throttled, 0},
 		{"vcg-throttled-reserve", pricing.VCG, Throttled, 0.4},
 	}
-	type variant struct {
-		name        string
-		workers     int
-		incremental bool
-		memo        bool
-		slab        bool
-		independent bool
-		// frontier drops the pooled runner's sequential cutoff to 0, so
-		// every dirty cone — even the small cached-steady-state ones —
-		// exercises the dependency-release scheduler.
-		frontier bool
-		// swap hot-swaps a freshly compiled plan (rotated rates) into the
-		// engine every 20 rounds; results must be unchanged (Lemma 1), and
-		// the swap must reset the new runner's frontier state, not just the
-		// score slab.
-		swap bool
-	}
-	variants := []variant{
+	variants := []equivVariant{
 		{name: "slab", workers: 1, slab: true}, // reference
 		{name: "memo", workers: 1, memo: true},
 		{name: "compiled", workers: 1},
@@ -69,131 +54,249 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 		{name: "independent", workers: 1, independent: true},
 	}
 	for si, sc := range scenarios {
-		sc := sc
+		sc, seed := sc, int64(100+si)
 		t.Run(sc.name, func(t *testing.T) {
-			wcfg := workload.DefaultConfig()
-			wcfg.NumAdvertisers = 120
-			wcfg.NumPhrases = 16
-			wcfg.NumTopics = 4
-			wcfg.MinBudget = 2 // small: many advertisers exhaust mid-run
-			wcfg.MaxBudget = 20
-			wcfg.Seed = int64(100 + si)
-
-			base := DefaultConfig()
-			base.Pricing = sc.rule
-			base.Policy = sc.policy
-			base.Reserve = sc.reserve
-			base.Sharing = SharedAggregation
-
-			engines := make([]*Engine, len(variants))
-			worlds := make([]*workload.Workload, len(variants))
-			for i, v := range variants {
-				cfg := base
-				cfg.Workers = v.workers
-				cfg.IncrementalCache = v.incremental
-				if v.independent {
-					cfg.Sharing = Independent
-				}
-				// Each engine gets its own same-seed workload so identical
-				// stepping consumes identical random streams.
-				worlds[i] = workload.Generate(wcfg)
-				eng, err := New(worlds[i], cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.forceMemo = v.memo
-				eng.forceSlab = v.slab
-				if v.frontier {
-					eng.runner.SetSequentialCutoff(0)
-				}
-				engines[i] = eng
-				defer eng.Close()
-			}
-
-			rng := rand.New(rand.NewSource(wcfg.Seed * 7))
-			occ := make([]bool, wcfg.NumPhrases)
-			const rounds = 60
-			for round := 0; round < rounds; round++ {
-				for q := range occ {
-					occ[q] = rng.Float64() < 0.6
-				}
-				ref := engines[0].Step(occ)
-				refFull := ref.Materialized + ref.Cached
-				for i := 1; i < len(engines); i++ {
-					rep := engines[i].Step(occ)
-					compareReports(t, variants[i].name, round, ref, rep)
-					// Swap variants run a structurally different (but
-					// A-equivalent) plan after their first hot-swap, so
-					// their aggregation cost legitimately diverges; results
-					// above must still match exactly.
-					exemptCost := variants[i].independent || (variants[i].swap && round >= 20)
-					if got := rep.Materialized + rep.Cached; got != refFull && !exemptCost {
-						t.Fatalf("%s round %d: materialized %d + cached %d, want %d total",
-							variants[i].name, round, rep.Materialized, rep.Cached, refFull)
-					}
-					if !variants[i].incremental && rep.Cached != 0 {
-						t.Fatalf("%s round %d: non-incremental engine reported %d cached nodes",
-							variants[i].name, round, rep.Cached)
-					}
-					if t.Failed() {
-						t.FailNow()
-					}
-				}
+			// Small budgets: many advertisers exhaust mid-run.
+			runEquivalence(t, sc, seed, 2, 20, variants, 60, func(round int, w *workload.Workload, _ *rand.Rand) {
 				if round%3 == 2 {
-					for _, w := range worlds {
-						w.PerturbBids(0.15)
-					}
+					w.PerturbBids(0.15)
 				}
-				// Hot-swap a replan into the swap variants mid-run: a plan
-				// rebuilt under rotated rates has different structure but,
-				// being A-equivalent, must not perturb any later report.
-				if round%20 == 19 {
-					for i, v := range variants {
-						if !v.swap {
-							continue
-						}
-						base := engines[i].PlanInstance()
-						rates := make([]float64, len(base.Queries))
-						for q := range rates {
-							rates[q] = base.Queries[(q+round)%len(rates)].Rate + 0.01
-						}
-						inst2, p2, prog2, err := sharedagg.BuildCompiledWithRates(base, rates)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := engines[i].InstallPlan(inst2, p2, prog2); err != nil {
-							t.Fatal(err)
-						}
-						if v.frontier {
-							engines[i].runner.SetSequentialCutoff(0)
-						}
-					}
-				}
-			}
+			}, nil)
+		})
+	}
 
-			for _, e := range engines {
-				e.Drain()
+	fallbackVariants := []equivVariant{
+		{name: "slab-incremental", workers: 1, slab: true, incremental: true}, // reference
+		{name: "compiled-incremental", workers: 1, incremental: true},
+		{name: "compiled-pool-incremental-frontier", workers: 4, incremental: true, frontier: true},
+	}
+	const cold, steady = 48, 112 // rounds per stretch; cold, steady, cold, steady
+	for si, sc := range scenarios {
+		if sc.name == "vcg-naive" {
+			continue
+		}
+		sc, seed := sc, int64(200+si)
+		t.Run(sc.name+"/cold-steady", func(t *testing.T) {
+			isCold := func(round int) bool { return round%(cold+steady) < cold }
+			// Naive budgets exhaust through the run. Throttled budgets must
+			// not bind: a constrained advertiser's b̂ moves every round with
+			// its ageing outstanding ads and its m, so a binding throttled
+			// engine is cold whatever the bid stream does (the 60-round
+			// scenarios above cover binding budgets).
+			minBudget, maxBudget := 10.0, 100.0
+			if sc.policy == Throttled {
+				minBudget, maxBudget = 2000, 4000
 			}
-			refStats := engines[0].Stats()
-			for i := 1; i < len(engines); i++ {
-				es := engines[i].Stats()
-				if es.NodesMaterialized+es.NodesCached != refStats.NodesMaterialized && !variants[i].independent && !variants[i].swap {
-					t.Errorf("%s: lifetime materialized %d + cached %d, want %d",
-						variants[i].name, es.NodesMaterialized, es.NodesCached, refStats.NodesMaterialized)
-				}
-				es.NodesMaterialized, es.NodesCached = refStats.NodesMaterialized, refStats.NodesCached
-				if es != refStats {
-					t.Errorf("%s: final stats %+v, want %+v", variants[i].name, es, refStats)
-				}
-				for a := range worlds[0].Advertisers {
-					if got, want := engines[i].Spent(a), engines[0].Spent(a); got != want {
-						t.Errorf("%s: advertiser %d spent %v, want %v", variants[i].name, a, got, want)
-						break
+			// bypassedAt[i][r]: variant i resolved round r on the fallback.
+			bypassedAt := make([][]bool, len(fallbackVariants))
+			bypassedBefore := make([]int, len(fallbackVariants))
+			engines := runEquivalence(t, sc, seed, minBudget, maxBudget, fallbackVariants, 2*(cold+steady),
+				func(round int, w *workload.Workload, pick *rand.Rand) {
+					if isCold(round) {
+						w.PerturbBids(0.15)
+						return
 					}
+					for i := range w.Advertisers {
+						if pick.Float64() < 0.01 {
+							w.Advertisers[i].Bid *= 1 + 0.15*(pick.Float64()*2-1)
+						}
+					}
+				},
+				func(round int, engines []*Engine) {
+					for i, e := range engines {
+						bypassedAt[i] = append(bypassedAt[i], e.Stats().CacheBypassedRounds > bypassedBefore[i])
+						bypassedBefore[i] = e.Stats().CacheBypassedRounds
+					}
+				})
+			for i, v := range fallbackVariants[1:] {
+				at := bypassedAt[i+1]
+				for start := 0; start < len(at); start += cold + steady {
+					n := 0
+					for _, bypassed := range at[start : start+cold] {
+						if bypassed {
+							n++
+						}
+					}
+					if n < cold/2 {
+						t.Errorf("%s: %d of the %d cold rounds from %d ran on the fallback, want most", v.name, n, cold, start)
+					}
+					// The engine is back on its cache well before the steady
+					// stretch ends, and stays there.
+					for r := start + cold + steady/2; r < start+cold+steady; r++ {
+						if at[r] {
+							t.Errorf("%s: steady round %d still on the fallback", v.name, r)
+							break
+						}
+					}
+				}
+				if st := engines[i+1].Stats(); st.CacheBypassedRounds == 0 || st.NodesCached == 0 {
+					t.Errorf("%s: %d bypassed rounds, %d cached nodes — the stream did not exercise both paths",
+						v.name, st.CacheBypassedRounds, st.NodesCached)
 				}
 			}
 		})
 	}
+}
+
+type equivScenario struct {
+	name    string
+	rule    pricing.Rule
+	policy  BudgetPolicy
+	reserve float64
+}
+
+type equivVariant struct {
+	name        string
+	workers     int
+	incremental bool
+	memo        bool
+	slab        bool
+	independent bool
+	// frontier drops the pooled runner's sequential cutoff to 0, so
+	// every dirty cone — even the small cached-steady-state ones —
+	// exercises the dependency-release scheduler.
+	frontier bool
+	// swap hot-swaps a freshly compiled plan (rotated rates) into the
+	// engine every 20 rounds; results must be unchanged (Lemma 1), and
+	// the swap must reset the new runner's frontier state, not just the
+	// score slab.
+	swap bool
+}
+
+// runEquivalence steps one engine per variant over the same randomized
+// rounds and fails on the first report, counter or account that differs
+// from variants[0]'s. mutate moves one world's bids after each round; it is
+// called once per variant with an identically seeded rng, so every world
+// sees the same bid stream. after, when non-nil, observes the engines once
+// every variant has stepped the round. The drained engines are returned
+// (closed by the test's cleanup).
+func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBudget float64, variants []equivVariant,
+	rounds int, mutate func(round int, w *workload.Workload, pick *rand.Rand), after func(round int, engines []*Engine)) []*Engine {
+	wcfg := workload.DefaultConfig()
+	wcfg.NumAdvertisers = 120
+	wcfg.NumPhrases = 16
+	wcfg.NumTopics = 4
+	wcfg.MinBudget = minBudget
+	wcfg.MaxBudget = maxBudget
+	wcfg.Seed = seed
+
+	base := DefaultConfig()
+	base.Pricing = sc.rule
+	base.Policy = sc.policy
+	base.Reserve = sc.reserve
+	base.Sharing = SharedAggregation
+
+	engines := make([]*Engine, len(variants))
+	worlds := make([]*workload.Workload, len(variants))
+	picks := make([]*rand.Rand, len(variants))
+	for i, v := range variants {
+		cfg := base
+		cfg.Workers = v.workers
+		cfg.IncrementalCache = v.incremental
+		if v.independent {
+			cfg.Sharing = Independent
+		}
+		// Each engine gets its own same-seed workload so identical
+		// stepping consumes identical random streams.
+		worlds[i] = workload.Generate(wcfg)
+		picks[i] = rand.New(rand.NewSource(seed * 13))
+		eng, err := New(worlds[i], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.forceMemo = v.memo
+		eng.forceSlab = v.slab
+		if v.frontier {
+			eng.runner.SetSequentialCutoff(0)
+		}
+		engines[i] = eng
+		t.Cleanup(eng.Close)
+	}
+
+	rng := rand.New(rand.NewSource(wcfg.Seed * 7))
+	occ := make([]bool, wcfg.NumPhrases)
+	for round := 0; round < rounds; round++ {
+		for q := range occ {
+			occ[q] = rng.Float64() < 0.6
+		}
+		ref := engines[0].Step(occ)
+		refFull := ref.Materialized + ref.Cached
+		for i := 1; i < len(engines); i++ {
+			rep := engines[i].Step(occ)
+			compareReports(t, variants[i].name, round, ref, rep)
+			// Swap variants run a structurally different (but
+			// A-equivalent) plan after their first hot-swap, so
+			// their aggregation cost legitimately diverges; results
+			// above must still match exactly.
+			exemptCost := variants[i].independent || (variants[i].swap && round >= 20)
+			if got := rep.Materialized + rep.Cached; got != refFull && !exemptCost {
+				t.Fatalf("%s round %d: materialized %d + cached %d, want %d total",
+					variants[i].name, round, rep.Materialized, rep.Cached, refFull)
+			}
+			if !variants[i].incremental && rep.Cached != 0 {
+				t.Fatalf("%s round %d: non-incremental engine reported %d cached nodes",
+					variants[i].name, round, rep.Cached)
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		}
+		if after != nil {
+			after(round, engines)
+		}
+		for i, w := range worlds {
+			mutate(round, w, picks[i])
+		}
+		// Hot-swap a replan into the swap variants mid-run: a plan
+		// rebuilt under rotated rates has different structure but,
+		// being A-equivalent, must not perturb any later report.
+		if round%20 == 19 {
+			for i, v := range variants {
+				if !v.swap {
+					continue
+				}
+				base := engines[i].PlanInstance()
+				rates := make([]float64, len(base.Queries))
+				for q := range rates {
+					rates[q] = base.Queries[(q+round)%len(rates)].Rate + 0.01
+				}
+				inst2, p2, prog2, err := sharedagg.BuildCompiledWithRates(base, rates)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := engines[i].InstallPlan(inst2, p2, prog2); err != nil {
+					t.Fatal(err)
+				}
+				if v.frontier {
+					engines[i].runner.SetSequentialCutoff(0)
+				}
+			}
+		}
+	}
+
+	for _, e := range engines {
+		e.Drain()
+	}
+	refStats := engines[0].Stats()
+	for i := 1; i < len(engines); i++ {
+		es := engines[i].Stats()
+		if es.NodesMaterialized+es.NodesCached != refStats.NodesMaterialized+refStats.NodesCached && !variants[i].independent && !variants[i].swap {
+			t.Errorf("%s: lifetime materialized %d + cached %d, want %d",
+				variants[i].name, es.NodesMaterialized, es.NodesCached, refStats.NodesMaterialized+refStats.NodesCached)
+		}
+		// How the aggregation cost splits is the strategy's own business.
+		es.NodesMaterialized, es.NodesCached, es.CacheBypassedRounds = refStats.NodesMaterialized, refStats.NodesCached, refStats.CacheBypassedRounds
+		if es != refStats {
+			t.Errorf("%s: final stats %+v, want %+v", variants[i].name, es, refStats)
+		}
+		for a := range worlds[0].Advertisers {
+			if got, want := engines[i].Spent(a), engines[0].Spent(a); got != want {
+				t.Errorf("%s: advertiser %d spent %v, want %v", variants[i].name, a, got, want)
+				break
+			}
+		}
+	}
+	return engines
 }
 
 func compareReports(t *testing.T, name string, round int, want, got RoundReport) {

@@ -16,6 +16,13 @@ import (
 // structs, and the frontier scheduler's per-round state is preallocated —
 // AllocsPerRun counts every goroutine's allocations, so a single stray
 // worker-side allocation would fail the Workers > 1 cases.
+//
+// The throttled cases hold every advertiser's remaining budget at three of
+// its bids, so Section IV binds in every round: the outstanding-ad buckets,
+// each worker's ad buffer and DP grid all have to reach a high-water mark
+// and stay there, with both the enumeration and the DP path running. The
+// cold case moves every bid every round, so the measured rounds run on the
+// cache governor's full-run fallback and through its probes.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -27,10 +34,16 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 		// cones exercise the full frontier scheduler, not the inline path.
 		workers       int
 		forceParallel bool
+		throttled     bool
+		cold          bool
 	}{
-		{"workers=1", 1, false},
-		{"workers=4", 4, false},
-		{"workers=4/frontier", 4, true},
+		{name: "workers=1", workers: 1},
+		{name: "workers=4", workers: 4},
+		{name: "workers=4/frontier", workers: 4, forceParallel: true},
+		{name: "throttled/workers=1", workers: 1, throttled: true},
+		{name: "throttled/workers=4", workers: 4, throttled: true},
+		{name: "cold/workers=1", workers: 1, cold: true},
+		{name: "cold/workers=4", workers: 4, cold: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,6 +56,10 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 
 			cfg := DefaultConfig()
 			cfg.Policy = Naive
+			if tc.throttled {
+				cfg.Policy = Throttled
+				cfg.ThrottleEnumLimit = 3 // four outstanding ads already take the DP
+			}
 			cfg.Sharing = SharedAggregation
 			cfg.Workers = tc.workers
 			cfg.IncrementalCache = true
@@ -59,17 +76,74 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 			for q := range occ {
 				occ[q] = q%2 == 0
 			}
+			enum, dp := 0, 0
+			step := func() {
+				if tc.throttled {
+					for i := range w.Advertisers {
+						a := &w.Advertisers[i]
+						a.Budget = eng.Spent(i) + 3*a.Bid
+					}
+				}
+				eng.Step(occ)
+				if tc.throttled {
+					e, d := throttlePaths(eng)
+					enum, dp = enum+e, dp+d
+				}
+				if tc.cold {
+					w.PerturbBids(0.05)
+				}
+			}
 			// Warm-up: past the click horizon several times over, so the
 			// pending-ad and scratch buffers reach their steady-state
 			// high-water capacities.
 			for i := 0; i < 300; i++ {
-				eng.Step(occ)
+				step()
 			}
-			if avg := testing.AllocsPerRun(200, func() { eng.Step(occ) }); avg != 0 {
+			enum, dp = 0, 0
+			before := eng.Stats()
+			if avg := testing.AllocsPerRun(200, step); avg != 0 {
 				t.Fatalf("steady-state Step allocates %v times per round, want 0", avg)
+			}
+			if tc.throttled && (enum == 0 || dp == 0) {
+				t.Fatalf("measured rounds throttled %d bids by enumeration and %d by DP; want both paths", enum, dp)
+			}
+			bypassed := eng.Stats().CacheBypassedRounds - before.CacheBypassedRounds
+			if tc.cold && bypassed < 100 {
+				t.Fatalf("%d of the measured cold rounds ran on the fallback, want most", bypassed)
+			}
+			if !tc.cold && !tc.throttled && bypassed != 0 {
+				t.Fatalf("%d steady rounds ran on the fallback", bypassed)
 			}
 		})
 	}
+}
+
+// throttlePaths reports how many of the round Step just resolved's bids
+// Section IV actually throttled, by path: exact enumeration (outstanding
+// ads within ThrottleEnumLimit) and the currency-grid DP (beyond it). It
+// re-derives policyBid's branch from the round's scratch, which Step leaves
+// in place: displays register ads but charge nothing, so every remaining
+// budget is still what scoring saw.
+func throttlePaths(e *Engine) (enum, dp int) {
+	for i, a := range e.w.Advertisers {
+		m := e.scr.mCount[i]
+		if m == 0 || !e.active[i] || e.Remaining(i) <= 0 {
+			continue
+		}
+		prices, _ := e.out.Advertiser(i)
+		omega := 0.0
+		for _, p := range prices {
+			omega += p
+		}
+		switch {
+		case omega <= e.Remaining(i)-float64(m)*a.Bid:
+		case len(prices) <= e.cfg.ThrottleEnumLimit:
+			enum++
+		default:
+			dp++
+		}
+	}
+	return enum, dp
 }
 
 // TestStepSteadyStateZeroAllocPaced extends the guarantee to the pacing

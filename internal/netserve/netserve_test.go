@@ -84,7 +84,7 @@ func (b *fakeBackend) Metrics() server.Metrics {
 		Submitted: 100, Answered: 80, Unmatched: 10, Shed: 5, TimedOut: 3, Expired: 2,
 		QueueDepth: 4, QueueCap: 64,
 		Rounds: 50, EmptyRounds: 20,
-		Engine: core.Stats{Rounds: 30, AuctionsResolved: 75, Revenue: 12.5},
+		Engine: core.Stats{Rounds: 30, AuctionsResolved: 75, NodesCached: 40, CacheBypassedRounds: 6, Revenue: 12.5},
 	}
 	for i := 0; i < 100; i++ {
 		m.TotalLatency.Summary.Add(float64(i) / 1000)
@@ -227,6 +227,9 @@ func TestStatsRoundTrip(t *testing.T) {
 		got.Engine != want.Engine {
 		t.Fatalf("decoded metrics differ: got %+v want %+v", got, want)
 	}
+	if got.Engine.CacheBypassedRounds != 6 || !strings.Contains(w.Body.String(), `"cache_bypassed_rounds":6`) {
+		t.Fatalf("cache_bypassed_rounds did not round-trip: %+v in %s", got.Engine, w.Body.String())
+	}
 	if got.TotalLatency.Count() != want.TotalLatency.Count() ||
 		got.TotalLatency.Mean() != want.TotalLatency.Mean() {
 		t.Fatalf("latency distribution did not round-trip: got n=%d mean=%v",
@@ -306,6 +309,10 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if got := samples["sharedwd_engine_auctions_resolved_total"]; got != "75" {
 		t.Fatalf("sharedwd_engine_auctions_resolved_total = %q, want 75", got)
+	}
+	if got := samples["sharedwd_engine_cache_bypassed_rounds_total"]; got != "6" || types["sharedwd_engine_cache_bypassed_rounds_total"] != "counter" {
+		t.Fatalf("sharedwd_engine_cache_bypassed_rounds_total = %q (%s), want counter 6",
+			got, types["sharedwd_engine_cache_bypassed_rounds_total"])
 	}
 	if got := samples["sharedwd_total_latency_seconds_count"]; got != "100" {
 		t.Fatalf("sharedwd_total_latency_seconds_count = %q, want 100", got)

@@ -73,6 +73,7 @@ func writeProm(w io.Writer, m server.Metrics, edge edgeStats) {
 	promCounter(w, "sharedwd_engine_auctions_resolved_total", "Auctions resolved.", float64(m.Engine.AuctionsResolved))
 	promCounter(w, "sharedwd_engine_nodes_materialized_total", "Top-k aggregation operations performed.", float64(m.Engine.NodesMaterialized))
 	promCounter(w, "sharedwd_engine_nodes_cached_total", "Plan nodes served from the cross-round cache.", float64(m.Engine.NodesCached))
+	promCounter(w, "sharedwd_engine_cache_bypassed_rounds_total", "Rounds resolved by a full plan run because the cross-round cache was cold.", float64(m.Engine.CacheBypassedRounds))
 	promCounter(w, "sharedwd_engine_revenue_total", "Revenue from charged clicks.", m.Engine.Revenue)
 	promCounter(w, "sharedwd_engine_clicks_charged_total", "Clicks charged against budgets.", float64(m.Engine.ClicksCharged))
 	promCounter(w, "sharedwd_engine_clicks_forgiven_total", "Clicks forgiven because the budget was exhausted.", float64(m.Engine.ClicksForgiven))

@@ -279,6 +279,7 @@ func TestSwapEquivalence(t *testing.T) {
 	// replanning — same answers, different cost).
 	sSwap.NodesMaterialized, sNative.NodesMaterialized = 0, 0
 	sSwap.NodesCached, sNative.NodesCached = 0, 0
+	sSwap.CacheBypassedRounds, sNative.CacheBypassedRounds = 0, 0 // a swap restarts the cache governor
 	if sSwap != sNative {
 		t.Fatalf("lifetime stats diverged:\nswap:   %+v\nnative: %+v", sSwap, sNative)
 	}

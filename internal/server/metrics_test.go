@@ -59,13 +59,13 @@ func TestMetricsMerge(t *testing.T) {
 		Uptime: 2 * time.Second, Submitted: 10, Answered: 8, Unmatched: 1,
 		Shed: 1, Rounds: 4, EmptyRounds: 1, QueueDepth: 2, QueueCap: 16,
 		TotalLatency: distOf(0, 1, 0.1, 0.2),
-		Engine:       core.Stats{Rounds: 4, Revenue: 3.5, ClicksCharged: 2},
+		Engine:       core.Stats{Rounds: 4, Revenue: 3.5, ClicksCharged: 2, CacheBypassedRounds: 3},
 	}
 	b := Metrics{
 		Uptime: 3 * time.Second, Submitted: 20, Answered: 19, TimedOut: 1,
 		Rounds: 6, QueueDepth: 1, QueueCap: 16,
 		TotalLatency: distOf(0, 1, 0.4),
-		Engine:       core.Stats{Rounds: 6, Revenue: 1.5, AdsDisplayed: 7},
+		Engine:       core.Stats{Rounds: 6, Revenue: 1.5, AdsDisplayed: 7, CacheBypassedRounds: 4},
 	}
 	m := a.Merge(b)
 	if m.Uptime != 3*time.Second {
@@ -87,7 +87,7 @@ func TestMetricsMerge(t *testing.T) {
 		t.Fatalf("TotalLatency.Count = %d, want 3", m.TotalLatency.Count())
 	}
 	if m.Engine.Rounds != 10 || math.Abs(m.Engine.Revenue-5) > 1e-12 ||
-		m.Engine.ClicksCharged != 2 || m.Engine.AdsDisplayed != 7 {
+		m.Engine.ClicksCharged != 2 || m.Engine.AdsDisplayed != 7 || m.Engine.CacheBypassedRounds != 7 {
 		t.Fatalf("engine stats wrong: %+v", m.Engine)
 	}
 
@@ -108,7 +108,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		TotalLatency:        distOf(0, 1, 0.01, 0.02, 0.03, 0.9),
 		Engine: core.Stats{
 			Rounds: 40, AuctionsResolved: 75, NodesMaterialized: 1234,
-			NodesCached: 56, Revenue: 78.25, ClicksCharged: 31,
+			NodesCached: 56, CacheBypassedRounds: 9, Revenue: 78.25, ClicksCharged: 31,
 			ClicksForgiven: 2, ForgivenValue: 1.5, AdsDisplayed: 200,
 		},
 		Observed:     []RateSample{{Phrase: 0, Rate: 0.25}, {Phrase: 3, Rate: 0.75}},
@@ -133,7 +133,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		`"uptime_ns":90000000000`, `"submitted":100`, `"timed_out":3`,
 		`"queue_depth":7`, `"queries_per_sec":0.88`, `"admission_wait"`,
 		`"winner_determination"`, `"total_latency"`, `"auctions_resolved":75`,
-		`"nodes_materialized":1234`, `"plan_swaps":2`, `"observed"`,
+		`"nodes_materialized":1234`, `"cache_bypassed_rounds":9`, `"plan_swaps":2`, `"observed"`,
 		`"pacing"`, `"enabled":true`, `"target_spend":55.5`,
 		`"actual_spend":54.25`, `"factor_sum":120.5`, `"throttled":33`,
 		`"abs_error"`,

@@ -131,6 +131,10 @@ type builder struct {
 	// (any query containing the leaf contains the whole fragment), so they
 	// are excluded.
 	active []int
+	// size[a] is active node a's variable count, kept beside active so the
+	// cover sort compares ints rather than popcounting two variable sets
+	// per comparison.
+	size []int
 	// activeIdx maps active variable-set keys to their index in active,
 	// both to suppress duplicates and for exact-complement lookups.
 	activeIdx map[string]int
@@ -216,7 +220,7 @@ func (b *builder) initCovers() {
 
 func (b *builder) sortCover(cover []int) {
 	sort.Slice(cover, func(i, j int) bool {
-		ci, cj := b.vars(cover[i]).Count(), b.vars(cover[j]).Count()
+		ci, cj := b.size[cover[i]], b.size[cover[j]]
 		if ci != cj {
 			return ci > cj
 		}
@@ -225,13 +229,15 @@ func (b *builder) sortCover(cover []int) {
 }
 
 func (b *builder) addActive(id int) int {
-	k := b.p.Nodes[id].Vars.Key()
+	vars := b.p.Nodes[id].Vars
+	k := vars.Key()
 	if a, ok := b.activeIdx[k]; ok {
 		return a
 	}
 	a := len(b.active)
 	b.activeIdx[k] = a
 	b.active = append(b.active, id)
+	b.size = append(b.size, vars.Count())
 	if b.membership != nil {
 		b.membership = append(b.membership, bitset.New(len(b.inst.Queries)))
 	}

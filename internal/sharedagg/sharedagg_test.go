@@ -208,6 +208,34 @@ func TestQuickHeuristicValidAndBounded(t *testing.T) {
 	}
 }
 
+// TestQuickActiveSizesMatchPopcount: the cover sort orders by builder.size,
+// so every active node's recorded size must be its variable count — for
+// fragment roots and for every aggregate stage 2 adds — or plans drift from
+// the paper's largest-first cover order.
+func TestQuickActiveSizesMatchPopcount(t *testing.T) {
+	f := func(seed int64, disjoint bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		inst := plan.RandomCoinFlipInstance(rng, 4+rng.Intn(40), 2+rng.Intn(10), 0.1+0.9*rng.Float64())
+		b := newBuilder(inst)
+		b.disjoint = disjoint
+		b.identifyFragments()
+		b.initCovers()
+		b.completeGreedy()
+		if len(b.size) != len(b.active) {
+			return false
+		}
+		for a := range b.active {
+			if b.size[a] != b.vars(a).Count() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQuickHeuristicNearExact: the heuristic cannot beat the exact planner
 // and should be close on tiny instances.
 func TestQuickHeuristicNearExact(t *testing.T) {

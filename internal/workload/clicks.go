@@ -150,20 +150,14 @@ func (cs *ClickSim) Advance(round int) []Click {
 
 // Outstanding returns, for budget throttling, every pending ad of the given
 // advertiser as (price, remaining click probability at the current round).
+// It scans the whole pending list; a round that needs every advertiser's
+// ads buckets them once with BucketOutstanding instead.
 func (cs *ClickSim) Outstanding(advertiser, round int) (prices, ctrs []float64) {
-	return cs.AppendOutstanding(nil, nil, advertiser, round)
-}
-
-// AppendOutstanding is Outstanding appending into caller-owned buffers, so
-// the per-round throttling loop can reuse its scratch instead of allocating
-// per advertiser.
-func (cs *ClickSim) AppendOutstanding(prices, ctrs []float64, advertiser, round int) ([]float64, []float64) {
 	for _, p := range cs.pending {
 		if p.advertiser != advertiser {
 			continue
 		}
-		age := round - p.displayed
-		rem := RemainingCTR(p.ctr0, age, cs.Hazard, cs.Horizon)
+		rem := RemainingCTR(p.ctr0, round-p.displayed, cs.Hazard, cs.Horizon)
 		if rem <= 0 || p.price <= 0 {
 			continue
 		}
@@ -171,6 +165,90 @@ func (cs *ClickSim) AppendOutstanding(prices, ctrs []float64, advertiser, round 
 		ctrs = append(ctrs, rem)
 	}
 	return prices, ctrs
+}
+
+// OutstandingBuckets is one round's outstanding ads grouped by advertiser
+// in CSR form: advertiser i's ads are prices[start[i]:start[i+1]] with the
+// matching remaining click probabilities in ctrs, in pending-list (display)
+// order. The caller owns it and passes it to BucketOutstanding every round,
+// which reuses its storage.
+type OutstandingBuckets struct {
+	start  []int32
+	prices []float64
+	ctrs   []float64
+	// decay[a] = (1−hazard)^a for ages below the horizon, filled with
+	// RemainingCTR's own math.Pow expression so ctr0·decay[a] is bit-for-bit
+	// RemainingCTR(ctr0, a, …); hazard is the value the table was built for.
+	decay  []float64
+	hazard float64
+}
+
+// Advertiser returns advertiser i's bucket: what Outstanding(i, round)
+// returned for the round the buckets were filled at, element for element.
+// The slices view the buckets' storage and are valid until the next fill.
+func (b *OutstandingBuckets) Advertiser(i int) (prices, ctrs []float64) {
+	lo, hi := b.start[i], b.start[i+1]
+	return b.prices[lo:hi], b.ctrs[lo:hi]
+}
+
+// BucketOutstanding fills b with every advertiser's outstanding ads at the
+// given round in one stable counting sort over the pending list —
+// O(pending + advertisers), where asking Outstanding per advertiser is
+// O(pending × advertisers). Every pending advertiser index must be below
+// numAdvertisers.
+func (cs *ClickSim) BucketOutstanding(b *OutstandingBuckets, numAdvertisers, round int) {
+	if len(b.decay) != cs.Horizon || b.hazard != cs.Hazard {
+		b.decay = make([]float64, cs.Horizon)
+		for a := range b.decay {
+			b.decay[a] = math.Pow(1-cs.Hazard, float64(a))
+		}
+		b.hazard = cs.Hazard
+	}
+	if cap(b.start) < numAdvertisers+2 {
+		b.start = make([]int32, numAdvertisers+2)
+	}
+	// Counts land two past the advertiser's index, so after the prefix sum
+	// start[i+1] is bucket i's write cursor and, once every ad is placed,
+	// bucket i's end — no separate cursor array.
+	start := b.start[:numAdvertisers+2]
+	clear(start)
+	n := 0
+	for i := range cs.pending {
+		if p := &cs.pending[i]; outstandingCTR(b.decay, p, round) > 0 {
+			start[p.advertiser+2]++
+			n++
+		}
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	if cap(b.prices) < n {
+		// Doubling reaches the pending list's high-water mark in a few
+		// rounds and then stays put (the engine's 0-alloc steady state).
+		b.prices = make([]float64, n, 2*n)
+		b.ctrs = make([]float64, n, 2*n)
+	}
+	b.prices, b.ctrs = b.prices[:n], b.ctrs[:n]
+	for i := range cs.pending {
+		p := &cs.pending[i]
+		if rem := outstandingCTR(b.decay, p, round); rem > 0 {
+			at := start[p.advertiser+1]
+			start[p.advertiser+1]++
+			b.prices[at], b.ctrs[at] = p.price, rem
+		}
+	}
+}
+
+// outstandingCTR is Outstanding's filter and RemainingCTR in one, reading
+// the decay table (whose length is the horizon): the ad's remaining click
+// probability, or 0 when Outstanding would skip it — past the horizon,
+// never clickable, or free.
+func outstandingCTR(decay []float64, p *pendingAd, round int) float64 {
+	age := max(round-p.displayed, 0)
+	if age >= len(decay) || p.ctr0 <= 0 || p.price <= 0 {
+		return 0
+	}
+	return p.ctr0 * decay[age]
 }
 
 // PendingCount returns how many ads are still awaiting resolution.

@@ -235,6 +235,69 @@ func TestClickSimOutstanding(t *testing.T) {
 	}
 }
 
+// TestQuickBucketOutstandingMatchesOutstanding is the bucketing property:
+// over random display / advance / gap sequences — zero-price ads, zero-ctr
+// ads, ads queried at age Horizon−1 and (after a gap, or one round past the
+// last Advance as Engine.Report asks) at or past the horizon — the bucketed
+// view of every advertiser equals Outstanding(i, round) element for element,
+// bit for bit, with the same buckets reused round after round.
+func TestQuickBucketOutstandingMatchesOutstanding(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		horizon := 1 + rng.Intn(12)
+		cs := NewClickSim(rng, 0.05+0.95*rng.Float64(), horizon)
+		const advertisers = 9 // advertiser 8 never displays: an empty bucket
+		var b OutstandingBuckets
+		check := func(round int) bool {
+			cs.BucketOutstanding(&b, advertisers, round)
+			for i := 0; i < advertisers; i++ {
+				wantP, wantC := cs.Outstanding(i, round)
+				gotP, gotC := b.Advertiser(i)
+				if len(gotP) != len(wantP) || len(gotC) != len(wantC) {
+					t.Logf("seed %d round %d advertiser %d: %d/%d bucketed ads, want %d", seed, round, i, len(gotP), len(gotC), len(wantP))
+					return false
+				}
+				for j := range wantP {
+					if gotP[j] != wantP[j] || gotC[j] != wantC[j] {
+						t.Logf("seed %d round %d advertiser %d ad %d: (%v, %v), want (%v, %v)", seed, round, i, j, gotP[j], gotC[j], wantP[j], wantC[j])
+						return false
+					}
+				}
+			}
+			return true
+		}
+		round := 0
+		for step := 0; step < 60; step++ {
+			cs.Advance(round)
+			// Engine order is Advance, bucket, Display; checking again after
+			// the displays covers age-0 ads, and at round+horizon−1 the
+			// oldest age that still counts.
+			if !check(round) {
+				return false
+			}
+			for n := rng.Intn(6); n > 0; n-- {
+				price := rng.Float64() * 3
+				if rng.Intn(5) == 0 {
+					price = 0
+				}
+				ctr := rng.Float64()
+				if rng.Intn(7) == 0 {
+					ctr = 0
+				}
+				cs.Display(rng.Intn(advertisers-1), price, ctr, round)
+			}
+			if !check(round) || !check(round+horizon-1) || !check(round+horizon) {
+				return false
+			}
+			round += 1 + rng.Intn(3)*rng.Intn(2) // mostly consecutive, sometimes a gap
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRemainingCTR(t *testing.T) {
 	if got := RemainingCTR(0.4, 0, 0.3, 10); got != 0.4 {
 		t.Fatalf("age 0: %v", got)
