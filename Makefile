@@ -81,12 +81,17 @@ bench-compare:
 	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep|ReplanSwap|ParallelScaling' -benchmem -benchtime=2s -run='^$$' . \
 		| $(GO) run ./tools/benchjson -compare BENCH_core.json
 
-# fuzz smoke-runs the binary-protocol fuzzers for a few seconds each: the
-# frame round-trip property and the malformed-input parser hardening (no
-# panic, no attacker-sized allocation). CI runs the same budgets.
+# fuzz smoke-runs the fuzzers for a few seconds each: the binary protocol's
+# frame round-trip property and malformed-input parser hardening (no panic,
+# no attacker-sized allocation), and the top-k kernels against their
+# reference semantics (MergeRuns and FoldRun against Merge, ScanRun against
+# a PushRun fold). CI runs the same budgets.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto
+	$(GO) test -run='^$$' -fuzz='FuzzMergeRuns' -fuzztime=10s ./internal/topk
+	$(GO) test -run='^$$' -fuzz='FuzzFoldRun' -fuzztime=10s ./internal/topk
+	$(GO) test -run='^$$' -fuzz='FuzzScanRun' -fuzztime=10s ./internal/topk
 
 # soak-pacing runs the day-in-the-life budget-pacing soak (EXPERIMENTS.md):
 # calibrate natural spend, verify the unpaced baseline front-loads, then

@@ -9,6 +9,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -232,10 +233,9 @@ func (s Set) ForEach(fn func(i int) bool) {
 func (s Set) Key() string {
 	var b strings.Builder
 	b.Grow(len(s.words) * 8)
+	var word [8]byte
 	for _, w := range s.words {
-		for i := 0; i < 8; i++ {
-			b.WriteByte(byte(w >> (8 * i)))
-		}
+		b.Write(binary.LittleEndian.AppendUint64(word[:0], w))
 	}
 	return b.String()
 }

@@ -172,6 +172,11 @@ func TestKeyDistinguishesContents(t *testing.T) {
 	if a.Key() != a.Clone().Key() {
 		t.Fatal("equal sets have distinct Key")
 	}
+	// The key is the words in little-endian byte order; plan builds
+	// enumerate maps keyed by it, so the bytes are part of the contract.
+	if got, want := FromIndices(128, 0, 9, 127).Key(), "\x01\x02\x00\x00\x00\x00\x00\x00"+"\x00\x00\x00\x00\x00\x00\x00\x80"; got != want {
+		t.Fatalf("Key = %q, want %q", got, want)
+	}
 }
 
 func TestString(t *testing.T) {

@@ -109,6 +109,9 @@ type Pacer struct {
 	baseSpend   []float64
 	epochBudget []float64
 	factor      []float64 // working copy of the published factors
+	// stepUp and stepDown are exp(±MaxStep): the multipliers of a clamped
+	// step, which is what most rounds take.
+	stepUp, stepDown float64
 
 	rounds, epochs int64
 	lastTarget     float64 // Σ target spend at the last sync
@@ -143,6 +146,8 @@ func NewPacer(auth Authority, budgets []float64, cfg PacerConfig, lc *workload.L
 		baseSpend:   make([]float64, n),
 		epochBudget: make([]float64, n),
 		factor:      make([]float64, n),
+		stepUp:      math.Exp(cfg.MaxStep),
+		stepDown:    math.Exp(-cfg.MaxStep),
 	}
 	p.synced.Store(-1)
 	for i := 0; i < n; i++ {
@@ -254,12 +259,17 @@ func (p *Pacer) step(round int) {
 			perRound = 1e-12
 		}
 		adj := -p.cfg.Gain * err / perRound
-		if adj > p.cfg.MaxStep {
-			adj = p.cfg.MaxStep
-		} else if adj < -p.cfg.MaxStep {
-			adj = -p.cfg.MaxStep
+		f := p.factor[i]
+		switch {
+		case f == 1 && adj >= 0:
+			// exp(adj) ≥ 1 would be clamped straight back to 1.
+		case adj >= p.cfg.MaxStep:
+			f *= p.stepUp
+		case adj <= -p.cfg.MaxStep:
+			f *= p.stepDown
+		default:
+			f *= math.Exp(adj)
 		}
-		f := p.factor[i] * math.Exp(adj)
 		if f < p.cfg.MinFactor {
 			f = p.cfg.MinFactor
 		} else if f > 1 {

@@ -124,6 +124,49 @@ func TestPacerConvergesToTargetCurve(t *testing.T) {
 	}
 }
 
+// TestPacerStepMatchesFormula holds step's shortcuts — exp(±MaxStep)
+// computed once for clamped steps, no exp at all for an open advertiser
+// nudged upward — to the controller's formula, factor bits and all:
+// f ← clamp(f·exp(clamp(−Gain·err/perRound, ±MaxStep)), MinFactor, 1).
+// The spend rates put advertisers in every regime (never throttled, pinned
+// at the floor, and hunting around the curve with unclamped steps).
+func TestPacerStepMatchesFormula(t *testing.T) {
+	const horizon = 200
+	cfg := DefaultPacerConfig()
+	cfg.Horizon = horizon
+	budgets := []float64{100, 100, 100, 100}
+	perRound := budgets[0] / horizon
+	rates := []float64{0.5 * perRound, 1.02 * perRound, 3 * perRound, 400 * perRound}
+	s := newPacedSim(t, budgets, rates, cfg, nil)
+	want := []float64{1, 1, 1, 1}
+	regimes := map[string]int{}
+	for r := 0; r < horizon; r++ {
+		for i := range want {
+			err := s.ledger.Spent(i) - budgets[i]*(float64(r)/horizon)
+			adj := -cfg.Gain * err / perRound
+			switch {
+			case want[i] == 1 && adj >= 0:
+				regimes["open"]++
+			case adj >= cfg.MaxStep || adj <= -cfg.MaxStep:
+				regimes["clamped"]++
+			default:
+				regimes["free"]++
+			}
+			adj = math.Max(-cfg.MaxStep, math.Min(cfg.MaxStep, adj))
+			want[i] = math.Max(cfg.MinFactor, math.Min(1, want[i]*math.Exp(adj)))
+		}
+		s.round(r)
+		for i, w := range want {
+			if got := s.pacer.Factor(i); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("round %d advertiser %d: factor %v, formula %v", r, i, got, w)
+			}
+		}
+	}
+	if regimes["open"] == 0 || regimes["clamped"] == 0 || regimes["free"] == 0 {
+		t.Fatalf("regimes visited: %v, want all three", regimes)
+	}
+}
+
 // TestPacerUnderspenderStaysOpen: an advertiser whose natural rate cannot
 // reach the target curve must never be throttled — the factor stays at 1.
 func TestPacerUnderspenderStaysOpen(t *testing.T) {

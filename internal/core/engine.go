@@ -176,6 +176,10 @@ type Engine struct {
 	cfg Config
 	w   *workload.Workload
 
+	// interest[q] lists phrase q's interested advertisers in ascending
+	// order: w.Interests[q] unpacked once, for the per-round loops.
+	interest [][]int32
+
 	inst *plan.Instance
 	plan *plan.Plan
 
@@ -244,7 +248,11 @@ type roundScratch struct {
 	prices    []float64
 	auctions  map[int][]SlotResult
 	slots     [][]SlotResult // per-phrase slot buffers backing auctions
-	indep     []*topk.List   // Independent-mode per-phrase lists
+	// indep is the Independent-mode run slab, one stride-(k+1) segment per
+	// phrase holding indepLen[q] entries — the same layout and the same scan
+	// kernel the compiled runner uses, so the two modes differ in plan only.
+	indep    []topk.Entry
+	indepLen []int32
 }
 
 // throttleScratch is one worker's buffers for the throttled bid
@@ -386,6 +394,15 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 			e.scr.score[i] = b * a.Quality
 		}
 	}
+	e.interest = make([][]int32, len(w.Interests))
+	for q, set := range w.Interests {
+		list := make([]int32, 0, set.Count())
+		set.ForEach(func(i int) bool {
+			list = append(list, int32(i))
+			return true
+		})
+		e.interest[q] = list
+	}
 	e.scr.auctions = make(map[int][]SlotResult, len(w.Interests))
 	e.scr.slots = make([][]SlotResult, len(w.Interests))
 	k := len(w.SlotFactors)
@@ -411,7 +428,8 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 		}
 		e.gov.reset()
 	} else {
-		e.scr.indep = make([]*topk.List, len(w.Interests))
+		e.scr.indep = make([]topk.Entry, len(w.Interests)*(k+1))
+		e.scr.indepLen = make([]int32, len(w.Interests))
 	}
 	return e, nil
 }
@@ -706,23 +724,11 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 			if !occ {
 				continue
 			}
-			l := e.scr.indep[q]
-			if l == nil {
-				l = topk.New(k + 1)
-				e.scr.indep[q] = l
-			} else {
-				l.Reset()
-			}
-			scanned := 0
-			e.w.Interests[q].ForEach(func(v int) bool {
-				if s := score[v]; s > 0 {
-					l.Push(topk.Entry{ID: v, Score: s})
-				}
-				scanned++
-				return true
-			})
-			if scanned > 1 {
-				rep.Materialized += scanned - 1
+			ids := e.interest[q]
+			run := e.scr.indep[q*(k+1) : (q+1)*(k+1)]
+			e.scr.indepLen[q] = int32(topk.ScanRun(run, 0, k+1, score, ids))
+			if len(ids) > 1 {
+				rep.Materialized += len(ids) - 1
 			}
 		}
 	}
@@ -736,34 +742,27 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 			continue
 		}
 		e.stats.AuctionsResolved++
+		// The round's result is a run (compiled and Independent paths) or a
+		// reference strategy's list.
+		var run []topk.Entry
+		var list *topk.List
+		switch {
+		case compiled:
+			run = e.runner.QueryRun(q)
+		case e.cfg.Sharing == Independent:
+			run = e.scr.indep[q*(k+1):][:e.scr.indepLen[q]]
+		case memoResults != nil:
+			list = memoResults[q]
+		default:
+			list = slabResults[q]
+		}
 		ranked := e.scr.ranked[:0]
-		if compiled {
-			for _, entry := range e.runner.QueryRun(q) {
-				ranked = append(ranked, pricing.Ranked{
-					ID:      entry.ID,
-					Bid:     roundBid[entry.ID],
-					Quality: e.w.Advertisers[entry.ID].Quality,
-				})
-			}
-		} else {
-			var list *topk.List
-			switch {
-			case memoResults != nil:
-				list = memoResults[q]
-			case slabResults != nil:
-				list = slabResults[q]
-			default:
-				list = e.scr.indep[q]
-			}
-			if list != nil {
-				for i, n := 0, list.Len(); i < n; i++ {
-					entry := list.At(i)
-					ranked = append(ranked, pricing.Ranked{
-						ID:      entry.ID,
-						Bid:     roundBid[entry.ID],
-						Quality: e.w.Advertisers[entry.ID].Quality,
-					})
-				}
+		for _, entry := range run {
+			ranked = append(ranked, e.candidate(entry))
+		}
+		if list != nil {
+			for i, n := 0, list.Len(); i < n; i++ {
+				ranked = append(ranked, e.candidate(list.At(i)))
 			}
 		}
 		e.scr.ranked = ranked
@@ -797,6 +796,16 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	e.stats.Rounds++
 	e.round++
 	return rep
+}
+
+// candidate is a result entry as pricing sees it: the advertiser with its
+// round bid and quality.
+func (e *Engine) candidate(entry topk.Entry) pricing.Ranked {
+	return pricing.Ranked{
+		ID:      entry.ID,
+		Bid:     e.scr.roundBid[entry.ID],
+		Quality: e.w.Advertisers[entry.ID].Quality,
+	}
 }
 
 // Drain advances rounds with no occurring auctions until every pending
@@ -840,10 +849,9 @@ func (e *Engine) auctionCounts(occurring []bool) []int {
 		if !occ {
 			continue
 		}
-		e.w.Interests[q].ForEach(func(i int) bool {
+		for _, i := range e.interest[q] {
 			m[i]++
-			return true
-		})
+		}
 	}
 	return m
 }

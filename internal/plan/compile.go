@@ -27,64 +27,61 @@ package plan
 // round's cone iff all its spanned nodes are, and Σ Span over a cone
 // equals the node count plan.Execute would materialize — invariants the
 // compile property tests assert on random plans.
+//
+// An instruction names its inputs in the two forms execution wants: the
+// leaves it scans out of the score slab, and the indices of the earlier
+// instructions whose runs it folds in. No execution-time array is indexed
+// by plan node, so the runner's state is sized by the instruction count.
 
 // Instruction kinds.
 const (
-	// OpMerge2 merges the runs of two materialized child nodes with the
-	// two-pointer kernel.
+	// OpMerge2 merges the runs of two producing instructions with the
+	// two-pointer kernel: an instruction with no leaves and exactly two deps.
 	OpMerge2 OpKind = iota
-	// OpFold folds an argument span — leaf scores and/or materialized
-	// runs — into the output run by insertion-merge.
+	// OpFold scans the instruction's leaves out of the score slab and folds
+	// its deps' runs into the output run.
 	OpFold
 )
 
 // OpKind discriminates the execution kernel of one instruction.
 type OpKind uint8
 
-// Program is the flat compilation of a complete Plan. All per-instruction
-// arrays are indexed by instruction; CSR spans (ArgStart, NodeStart) are
-// one longer than the instruction count. Node IDs are the Plan's.
+// Program is the flat compilation of a complete Plan. Everything execution
+// touches is indexed by instruction, not by plan node; CSR spans (LeafStart,
+// DepStart) are one longer than the instruction count.
 type Program struct {
 	NumVars  int // leaf count (advertisers)
 	NumNodes int // total plan nodes, leaves included
 
 	Kind []OpKind
-	Out  []int32 // output node ID per instruction
-	// Args[ArgStart[i]:ArgStart[i+1]] are instruction i's inputs in plan
-	// order; an argument < NumVars is a leaf read from the score slab,
-	// anything else is the output of an earlier instruction.
-	ArgStart []int32
-	Args     []int32
-	// NodeIDs[NodeStart[i]:NodeStart[i+1]] are the internal plan nodes
-	// instruction i materializes (its output plus fused descendants);
-	// Span[i] is their count — the instruction's contribution to the
-	// paper's aggregation-operation cost.
-	NodeStart []int32
-	NodeIDs   []int32
-	Span      []int32
+	Out  []int32 // output node ID (the Plan's) per instruction
+	// Leaves[LeafStart[i]:LeafStart[i+1]] are the distinct leaves instruction
+	// i reads from the score slab, in plan order.
+	LeafStart []int32
+	Leaves    []int32
+	// Deps[DepStart[i]:DepStart[i+1]] are the distinct instructions whose
+	// outputs instruction i folds in; every one is an index below i.
+	DepStart []int32
+	Deps     []int32
+	// Span[i] counts the internal plan nodes instruction i materializes
+	// (its output plus fused descendants) — the instruction's contribution
+	// to the paper's aggregation-operation cost.
+	Span []int32
 	// Level is the instruction's DAG depth (leaves sit at depth 0, so an
 	// instruction over leaves alone has level 1); instructions are ordered
 	// by (Level, Out), so each level is a contiguous index range and every
-	// argument precedes its consumer.
+	// dep precedes its consumer.
 	Level    []int32
 	MaxLevel int32
 
-	// InstrOf maps a node ID to the instruction producing it, or -1 for
-	// leaves and fused interior nodes (which no instruction outputs).
-	InstrOf []int32
-
-	// QueryNode maps each query to the node computing it (leaf IDs
-	// included); LeafQueries lists the distinct leaf nodes among them,
-	// which the runner materializes directly from the score slab.
+	// QueryNode maps each query to the plan node computing it (leaf IDs
+	// included) and QuerySlot to where the runner holds its run: the
+	// producing instruction's index, or NumInstr()+j for the leaf
+	// LeafQueries[j]. LeafQueries lists the distinct leaf nodes among the
+	// queries, which the runner materializes directly from the score slab.
 	QueryNode   []int32
+	QuerySlot   []int32
 	LeafQueries []int32
-
-	// Reverse adjacency of the *original* DAG in CSR form
-	// (Parents[ParentStart[v]:ParentStart[v+1]]), used for dirty-cone
-	// invalidation: fused interior nodes keep their edges so validity
-	// propagates through chains exactly as in the slab executor.
-	ParentStart []int32
-	Parents     []int32
 }
 
 // NumInstr returns the instruction count.
@@ -115,30 +112,33 @@ func Compile(p *Plan) *Program {
 		fused[id] = parentCount[id] == 1 && !isQuery[id]
 	}
 
-	pr := &Program{
-		NumVars:  numVars,
-		NumNodes: n,
-		InstrOf:  make([]int32, n),
-	}
+	pr := &Program{NumVars: numVars, NumNodes: n}
 
 	// Emit one instruction per materialized internal node, in node order
-	// first; the level-major permutation is applied below.
+	// first; the level-major permutation is applied below. args holds node
+	// IDs, each once: ⊕ is idempotent, so an argument reached twice through
+	// overlapping fused children is read once.
 	type instr struct {
 		out   int32
 		args  []int32
-		nodes []int32
+		span  int32
 		level int32
 	}
 	var instrs []instr
 	nodeLevel := make([]int32, n) // level of materialized nodes (leaves 0)
+	argOf := make([]int32, n)     // out+1 of the last instruction taking the node
 	var expand func(ins *instr, c int)
 	expand = func(ins *instr, c int) {
 		if c >= numVars && fused[c] {
-			ins.nodes = append(ins.nodes, int32(c))
+			ins.span++
 			expand(ins, p.Nodes[c].Left)
 			expand(ins, p.Nodes[c].Right)
 			return
 		}
+		if argOf[c] == ins.out+1 {
+			return
+		}
+		argOf[c] = ins.out + 1
 		ins.args = append(ins.args, int32(c))
 		if nodeLevel[c]+1 > ins.level {
 			ins.level = nodeLevel[c] + 1
@@ -148,7 +148,7 @@ func Compile(p *Plan) *Program {
 		if fused[id] {
 			continue
 		}
-		ins := instr{out: int32(id), nodes: []int32{int32(id)}}
+		ins := instr{out: int32(id), span: 1}
 		expand(&ins, p.Nodes[id].Left)
 		expand(&ins, p.Nodes[id].Right)
 		nodeLevel[id] = ins.level
@@ -180,56 +180,48 @@ func Compile(p *Plan) *Program {
 	pr.Out = make([]int32, len(instrs))
 	pr.Span = make([]int32, len(instrs))
 	pr.Level = make([]int32, len(instrs))
-	pr.ArgStart = make([]int32, len(instrs)+1)
-	pr.NodeStart = make([]int32, len(instrs)+1)
-	for v := range pr.InstrOf {
-		pr.InstrOf[v] = -1
-	}
+	pr.LeafStart = make([]int32, len(instrs)+1)
+	pr.DepStart = make([]int32, len(instrs)+1)
+	// instrOf resolves a materialized node to its instruction; an argument's
+	// producer sits at a lower level, so it is placed before its consumer.
+	instrOf := make([]int32, n)
 	for pos, idx := range order {
 		ins := &instrs[idx]
 		pr.Out[pos] = ins.out
-		pr.Span[pos] = int32(len(ins.nodes))
+		pr.Span[pos] = ins.span
 		pr.Level[pos] = ins.level
-		pr.InstrOf[ins.out] = int32(pos)
-		pr.ArgStart[pos+1] = pr.ArgStart[pos] + int32(len(ins.args))
-		pr.NodeStart[pos+1] = pr.NodeStart[pos] + int32(len(ins.nodes))
-		pr.Args = append(pr.Args, ins.args...)
-		pr.NodeIDs = append(pr.NodeIDs, ins.nodes...)
-		if len(ins.args) == 2 && ins.args[0] >= int32(numVars) && ins.args[1] >= int32(numVars) {
+		instrOf[ins.out] = int32(pos)
+		for _, a := range ins.args {
+			if a < int32(numVars) {
+				pr.Leaves = append(pr.Leaves, a)
+			} else {
+				pr.Deps = append(pr.Deps, instrOf[a])
+			}
+		}
+		pr.LeafStart[pos+1] = int32(len(pr.Leaves))
+		pr.DepStart[pos+1] = int32(len(pr.Deps))
+		pr.Kind[pos] = OpFold
+		if len(ins.args) == 2 && pr.DepStart[pos+1]-pr.DepStart[pos] == 2 {
 			pr.Kind[pos] = OpMerge2
-		} else {
-			pr.Kind[pos] = OpFold
 		}
 	}
 
 	pr.QueryNode = make([]int32, len(p.QueryNode))
-	seenLeaf := make(map[int32]bool)
+	pr.QuerySlot = make([]int32, len(p.QueryNode))
+	leafSlot := make(map[int]int32)
 	for qi, id := range p.QueryNode {
 		pr.QueryNode[qi] = int32(id)
-		if id < numVars && !seenLeaf[int32(id)] {
-			seenLeaf[int32(id)] = true
+		if id >= numVars {
+			pr.QuerySlot[qi] = instrOf[id]
+			continue
+		}
+		slot, ok := leafSlot[id]
+		if !ok {
+			slot = int32(len(instrs) + len(pr.LeafQueries))
+			leafSlot[id] = slot
 			pr.LeafQueries = append(pr.LeafQueries, int32(id))
 		}
-	}
-
-	// Reverse adjacency CSR over the full original DAG.
-	pr.ParentStart = make([]int32, n+1)
-	for id := numVars; id < n; id++ {
-		pr.ParentStart[p.Nodes[id].Left+1]++
-		pr.ParentStart[p.Nodes[id].Right+1]++
-	}
-	for v := 1; v <= n; v++ {
-		pr.ParentStart[v] += pr.ParentStart[v-1]
-	}
-	pr.Parents = make([]int32, pr.ParentStart[n])
-	fill := make([]int32, n)
-	copy(fill, pr.ParentStart[:n])
-	for id := numVars; id < n; id++ {
-		nd := p.Nodes[id]
-		pr.Parents[fill[nd.Left]] = int32(id)
-		fill[nd.Left]++
-		pr.Parents[fill[nd.Right]] = int32(id)
-		fill[nd.Right]++
+		pr.QuerySlot[qi] = slot
 	}
 	return pr
 }

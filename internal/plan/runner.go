@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -10,57 +11,84 @@ import (
 
 // Runner executes a compiled Program over dense top-k entry slabs, round
 // after round, with zero steady-state allocations. It is the flat,
-// operator-specialized counterpart of Executor[*topk.List]: node values are
-// fixed-stride segments of one contiguous []topk.Entry slab instead of
-// heap-allocated lists, leaves are scored once per round into a caller-
-// provided score slab instead of through a closure per node, and each
-// instruction dispatches to one of two concrete merge kernels instead of a
-// generic op callback.
+// operator-specialized counterpart of Executor[*topk.List]: instruction
+// outputs are fixed-stride segments of one contiguous []topk.Entry slab
+// instead of heap-allocated lists, leaves are scored once per round into a
+// caller-provided score slab instead of through a closure per node, and each
+// instruction dispatches to concrete scan and merge kernels instead of a
+// generic op callback. All of its state is indexed by instruction.
 //
 // The three execution modes of the slab executor carry over:
 //
-//   - Run recomputes every instruction in the round's needed cone, marked
-//     by epoch stamps (a stamp write per instruction, no clearing pass).
-//   - RunIncremental additionally skips instructions whose output node is
-//     still valid — i.e. no descendant leaf score changed since it was
-//     computed (see Invalidate) — preserving the Section III-B dirty-cone
-//     caching semantics at instruction granularity.
+//   - Run evaluates the round's needed cone, marked by epoch stamps (a stamp
+//     write per instruction, no clearing pass). A sequential Run stores an
+//     instruction's run only where the round shares it — an occurring
+//     query's output, or a large enough subtree that two or more of the
+//     round's needed instructions read; every other instruction is streamed:
+//     its consumer scans the instruction's leaves and deps straight into its
+//     own run (see fold). A round without overlap therefore costs one linear
+//     scan per auction.
+//   - RunIncremental stores every instruction it computes and skips those
+//     whose output is still valid — i.e. no descendant leaf score changed
+//     since it was computed (see Invalidate) — preserving the Section III-B
+//     dirty-cone caching semantics at instruction granularity.
 //   - SetPool runs the round's dirty cone on a worker pool through a
 //     cost-aware scheduler (see DESIGN.md §11): the initial dependency-free
 //     frontier is split into chunks balanced by Span — the instruction's
 //     exact aggregation-op cost — and claimed from a shared cursor, and
-//     every later instruction is released the moment its last argument
+//     every later instruction is released the moment its last dep
 //     finishes, through per-instruction pending counters, instead of
 //     waiting for a per-level barrier. Dirty cones cheaper than the
 //     sequential cutoff run inline, so the cached steady state never pays
-//     a rendezvous.
+//     a rendezvous. A pooled runner stores every instruction it schedules,
+//     because another worker reads it.
 //
 // A Runner is not safe for concurrent use (the pool only parallelizes work
 // inside one Run call).
 type Runner struct {
 	prog *Program
-	k    int // run capacity per node (slots+1 in the engine)
+	k    int // run capacity per slot (slots+1 in the engine)
 
-	ents []topk.Entry // value slab: NumNodes segments of stride k
-	lens []int32      // entries held per node segment
+	// Value slab: one stride-k segment per instruction, then one per leaf
+	// query (Program.QuerySlot indexes both); lens holds the live lengths.
+	ents []topk.Entry
+	lens []int32
 
-	need  []uint64 // per-instruction epoch stamp: in this round's cone
+	// Per-instruction round state. need stamps the round's cone; reads
+	// counts the needed instructions reading the output this round
+	// (readsQuery and up: an occurring query's output); held says the
+	// output is in the slab rather than streamed into its consumers.
+	need  []uint64
 	epoch uint64
-	valid []bool  // per-node: value consistent with current leaf scores
+	cone  []int32 // the round's needed instructions, descending
+	reads []int32
+	held  []bool
+	// valid: RunIncremental computed the output and no leaf under it has
+	// been invalidated since. An invalid instruction's consumers are all
+	// invalid, which is what lets Invalidate prune.
+	valid []bool
 	stack []int32 // invalidation scratch
 
-	// Instruction-level consumer CSR: cons[consStart[i]:consStart[i+1]]
-	// lists the instructions reading instruction i's output, one entry per
-	// argument edge. Built once at NewRunner from Args/InstrOf.
-	consStart []int32
-	cons      []int32
+	// subLeaves[i] is the leaf count of instruction i's whole subtree (its
+	// own leaves plus its deps', shared ones counted per path): what a
+	// consumer would rescan if i were streamed. minLeaves is the storing
+	// threshold, storeMinLeaves outside tests.
+	subLeaves []int32
+	minLeaves int32
+
+	// consStart/cons is the consumer CSR (the instructions reading
+	// instruction i's output, one entry per dep edge) and leafStart/leafIns
+	// the leaf CSR (the instructions scanning leaf v). Built once at
+	// NewRunner from Deps and Leaves.
+	consStart, cons    []int32
+	leafStart, leafIns []int32
 
 	// Per-round frontier state (pool mode). dirty is the round's scheduled
 	// instructions in topological (ascending) order; live stamps them for
-	// the round; pending[i] counts i's not-yet-finished live argument
-	// edges; ready holds the initial pending==0 frontier, cut into
-	// cost-balanced chunks ending at chunkEnd; slots is the release ring
-	// late instructions flow through (holding ins+1, 0 = empty).
+	// the round; pending[i] counts i's not-yet-finished live dep edges;
+	// ready holds the initial pending==0 frontier, cut into cost-balanced
+	// chunks ending at chunkEnd; slots is the release ring late
+	// instructions flow through (holding ins+1, 0 = empty).
 	dirty     []int32
 	live      []uint64
 	pending   []atomic.Int32
@@ -80,6 +108,19 @@ type Runner struct {
 	parFn  func(worker int)
 }
 
+// storeMinLeaves is the subtree size from which a run read twice or more in
+// a round is stored rather than rescanned by each reader. Storing costs
+// about one sorted insert per two leaves while the run fills; rescanning
+// costs one compare per leaf once the reader's run is full, so small shared
+// subtrees are cheaper to rescan. BenchmarkStoreMinLeaves is the sweep
+// behind the value (DESIGN.md §8); it is a property of the two kernels, not
+// an option.
+const storeMinLeaves = 32
+
+// readsQuery marks an occurring query's output in reads: stored whatever
+// its size, since QueryRun serves it from the slab.
+const readsQuery = 1 << 30
+
 // DefaultSequentialCutoff is the dirty-cone cost (in Span units, i.e.
 // aggregation ops) below which a pooled Runner executes inline: the cached
 // steady state's dirty cones are far below it, so the 0-alloc fast path
@@ -87,20 +128,48 @@ type Runner struct {
 // far above it.
 const DefaultSequentialCutoff = 256
 
-// NewRunner builds a reusable runner for the program with per-node run
+// csr inverts the CSR adjacency (start, adj) into one over its m targets:
+// the result lists, for each target, the sources naming it, in ascending
+// order.
+func csr(start, adj []int32, m int) (rstart, radj []int32) {
+	rstart = make([]int32, m+1)
+	for _, t := range adj {
+		rstart[t+1]++
+	}
+	for t := 1; t <= m; t++ {
+		rstart[t] += rstart[t-1]
+	}
+	radj = make([]int32, len(adj))
+	fill := append([]int32(nil), rstart[:m]...)
+	for src := 0; src+1 < len(start); src++ {
+		for _, t := range adj[start[src]:start[src+1]] {
+			radj[fill[t]] = int32(src)
+			fill[t]++
+		}
+	}
+	return rstart, radj
+}
+
+// NewRunner builds a reusable runner for the program with per-slot run
 // capacity k (the engine passes slots+1, matching its top-k lists).
 func NewRunner(prog *Program, k int) *Runner {
 	if k <= 0 {
 		panic(fmt.Sprintf("plan: non-positive run capacity %d", k))
 	}
 	n := prog.NumInstr()
+	slots := n + len(prog.LeafQueries)
 	r := &Runner{
 		prog:      prog,
 		k:         k,
-		ents:      make([]topk.Entry, prog.NumNodes*k),
-		lens:      make([]int32, prog.NumNodes),
+		ents:      make([]topk.Entry, slots*k),
+		lens:      make([]int32, slots),
 		need:      make([]uint64, n),
-		valid:     make([]bool, prog.NumNodes),
+		reads:     make([]int32, n),
+		held:      make([]bool, n),
+		valid:     make([]bool, n),
+		subLeaves: make([]int32, n),
+		minLeaves: storeMinLeaves,
+		cone:      make([]int32, 0, n),
 		dirty:     make([]int32, 0, n),
 		live:      make([]uint64, n),
 		pending:   make([]atomic.Int32, n),
@@ -109,33 +178,15 @@ func NewRunner(prog *Program, k int) *Runner {
 		slots:     make([]atomic.Int32, n),
 		seqCutoff: DefaultSequentialCutoff,
 	}
-	// Consumer CSR: one edge per materialized (non-leaf) argument. The
-	// argument is always an earlier instruction's output, so InstrOf
-	// resolves it directly.
-	numVars := int32(prog.NumVars)
-	r.consStart = make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		for _, a := range prog.Args[prog.ArgStart[i]:prog.ArgStart[i+1]] {
-			if a >= numVars {
-				r.consStart[prog.InstrOf[a]+1]++
-			}
+		sub := int64(prog.LeafStart[i+1] - prog.LeafStart[i])
+		for _, d := range prog.Deps[prog.DepStart[i]:prog.DepStart[i+1]] {
+			sub += int64(r.subLeaves[d])
 		}
+		r.subLeaves[i] = int32(min(sub, math.MaxInt32))
 	}
-	for i := 1; i <= n; i++ {
-		r.consStart[i] += r.consStart[i-1]
-	}
-	r.cons = make([]int32, r.consStart[n])
-	fill := make([]int32, n)
-	copy(fill, r.consStart[:n])
-	for i := 0; i < n; i++ {
-		for _, a := range prog.Args[prog.ArgStart[i]:prog.ArgStart[i+1]] {
-			if a >= numVars {
-				p := prog.InstrOf[a]
-				r.cons[fill[p]] = int32(i)
-				fill[p]++
-			}
-		}
-	}
+	r.consStart, r.cons = csr(prog.DepStart, prog.Deps, n)
+	r.leafStart, r.leafIns = csr(prog.LeafStart, prog.Leaves, prog.NumVars)
 	r.parFn = r.parallelWorker
 	return r
 }
@@ -155,10 +206,10 @@ func (r *Runner) SetPool(p *Pool) { r.pool = p }
 // DefaultSequentialCutoff.
 func (r *Runner) SetSequentialCutoff(spans int) { r.seqCutoff = spans }
 
-// seg returns node id's slab segment (full capacity; r.lens[id] holds the
+// seg returns slab slot i's segment (full capacity; r.lens[i] holds the
 // live length).
-func (r *Runner) seg(id int32) []topk.Entry {
-	base := int(id) * r.k
+func (r *Runner) seg(i int32) []topk.Entry {
+	base := int(i) * r.k
 	return r.ents[base : base+r.k]
 }
 
@@ -166,43 +217,46 @@ func (r *Runner) seg(id int32) []topk.Entry {
 // call, in rank order. The returned slice views the slab and is overwritten
 // by the next call; it is only meaningful if qi occurred in that round.
 func (r *Runner) QueryRun(qi int) []topk.Entry {
-	id := r.prog.QueryNode[qi]
-	return r.seg(id)[:r.lens[id]]
+	slot := r.prog.QuerySlot[qi]
+	return r.seg(slot)[:r.lens[slot]]
 }
 
-// Invalidate marks leaf v's score changed: every ancestor's cached value is
-// dropped so the next RunIncremental recomputes its instruction. The walk
-// prunes at already-invalid nodes, which is sound because an invalid node's
-// ancestors are invalid by construction (fused interior nodes keep their
-// DAG edges, so validity propagates through chains).
+// Invalidate marks leaf v's score changed: the cached output of every
+// instruction above it is dropped, so the next RunIncremental recomputes
+// it. The walk starts at the instructions scanning v, climbs the consumer
+// CSR, and prunes at already-invalid instructions, whose consumers are
+// invalid by construction.
 func (r *Runner) Invalidate(v int) {
-	r.valid[v] = false
-	r.stack = append(r.stack[:0], int32(v))
-	for len(r.stack) > 0 {
-		nd := r.stack[len(r.stack)-1]
-		r.stack = r.stack[:len(r.stack)-1]
-		for _, p := range r.prog.Parents[r.prog.ParentStart[nd]:r.prog.ParentStart[nd+1]] {
-			if r.valid[p] {
-				r.valid[p] = false
-				r.stack = append(r.stack, p)
-			}
+	stack := r.invalidate(r.stack[:0], r.leafIns[r.leafStart[v]:r.leafStart[v+1]])
+	for len(stack) > 0 {
+		ins := stack[len(stack)-1]
+		stack = r.invalidate(stack[:len(stack)-1], r.cons[r.consStart[ins]:r.consStart[ins+1]])
+	}
+	r.stack = stack
+}
+
+// invalidate drops the still-valid instructions among ins and pushes them
+// for their own consumers' turn.
+func (r *Runner) invalidate(stack, ins []int32) []int32 {
+	for _, i := range ins {
+		if r.valid[i] {
+			r.valid[i] = false
+			stack = append(stack, i)
 		}
 	}
+	return stack
 }
 
 // InvalidateAll drops every cached value.
-func (r *Runner) InvalidateAll() {
-	for i := range r.valid {
-		r.valid[i] = false
-	}
-}
+func (r *Runner) InvalidateAll() { clear(r.valid) }
 
-// Run evaluates every instruction needed by the occurring queries (nil
-// means all occur), recomputing the full cone. scores[v] is leaf v's value
-// for the round (b̂_v·c_v in the engine); entries are emitted only for
-// strictly positive scores. The returned count is the number of internal
-// plan nodes materialized — identical to the memo-based Execute on the same
-// occurrence vector.
+// Run evaluates the occurring queries (nil means all occur) from the leaf
+// scores alone. scores[v] is leaf v's value for the round (b̂_v·c_v in the
+// engine); entries are emitted only for strictly positive scores. The
+// returned count is the number of internal plan nodes in the round's cone —
+// identical to the memo-based Execute on the same occurrence vector,
+// whether an instruction's run was stored or streamed. Run neither consults
+// nor updates the cache: cached values stay as valid as they were.
 func (r *Runner) Run(scores []float64, occurring []bool) (materialized int) {
 	materialized, _ = r.run(scores, occurring, false)
 	return materialized
@@ -214,7 +268,9 @@ func (r *Runner) Run(scores []float64, occurring []bool) (materialized int) {
 // how many were served from cache; recomputed+cached equals the cone size
 // Run would materialize. Fused chains cache as one unit, so the split can
 // be coarser than the node-granular slab executor's — the sum invariant is
-// what both guarantee.
+// what both guarantee. The cache is only as good as the Invalidate calls
+// behind it: after rounds whose score changes were not reported (an engine
+// on plain Run), re-enter through InvalidateAll.
 func (r *Runner) RunIncremental(scores []float64, occurring []bool) (recomputed, cached int) {
 	return r.run(scores, occurring, true)
 }
@@ -225,44 +281,48 @@ func (r *Runner) run(scores []float64, occurring []bool, incremental bool) (reco
 	}
 	r.epoch++
 	prog := r.prog
+	n := int32(prog.NumInstr())
 
 	// Leaf-assigned queries are materialized straight from the score slab;
 	// no instruction produces them.
-	for _, id := range prog.LeafQueries {
-		if s := scores[id]; s > 0 {
-			r.seg(id)[0] = topk.Entry{ID: int(id), Score: s}
-			r.lens[id] = 1
-		} else {
-			r.lens[id] = 0
+	for j, v := range prog.LeafQueries {
+		slot := n + int32(j)
+		r.lens[slot] = 0
+		if s := scores[v]; s > 0 {
+			r.seg(slot)[0] = topk.Entry{ID: int(v), Score: s}
+			r.lens[slot] = 1
 		}
 	}
 
-	// Mark the needed cone top-down. Arguments' instructions precede their
-	// consumers in the level-major order, so one descending sweep from the
-	// highest needed instruction reaches every dependency.
 	maxI := int32(-1)
-	for qi, id := range prog.QueryNode {
-		if occurring != nil && !occurring[qi] {
+	for qi, ins := range prog.QuerySlot {
+		if ins >= n || (occurring != nil && !occurring[qi]) {
 			continue
 		}
-		ins := prog.InstrOf[id]
-		if ins < 0 {
-			continue // leaf query, handled above
-		}
 		r.need[ins] = r.epoch
-		if ins > maxI {
-			maxI = ins
-		}
+		r.reads[ins] = readsQuery
+		maxI = max(maxI, ins)
 	}
-	numVars := int32(prog.NumVars)
+	// Mark the needed cone top-down. Deps precede their consumers in the
+	// level-major order, so one descending sweep from the highest needed
+	// instruction reaches every dependency — and has counted every read of
+	// an instruction by the time it gets there, which settles whether a
+	// sequential full run stores or streams it.
+	stream := !incremental && r.pool == nil
+	r.cone = r.cone[:0]
 	for ins := maxI; ins >= 0; ins-- {
 		if r.need[ins] != r.epoch {
 			continue
 		}
-		for _, a := range prog.Args[prog.ArgStart[ins]:prog.ArgStart[ins+1]] {
-			if a >= numVars {
-				r.need[prog.InstrOf[a]] = r.epoch
+		r.cone = append(r.cone, ins)
+		r.held[ins] = !stream || r.reads[ins] >= readsQuery ||
+			(r.reads[ins] >= 2 && r.subLeaves[ins] >= r.minLeaves)
+		for _, d := range prog.Deps[prog.DepStart[ins]:prog.DepStart[ins+1]] {
+			if r.need[d] != r.epoch {
+				r.need[d] = r.epoch
+				r.reads[d] = 0
 			}
+			r.reads[d]++
 		}
 	}
 
@@ -274,27 +334,29 @@ func (r *Runner) run(scores []float64, occurring []bool, incremental bool) (reco
 
 	// Schedule the cone bottom-up (ascending instruction index is a
 	// topological order). Validity is settled here, single-threaded, so the
-	// parallel pass only runs kernels.
-	for ins := int32(0); ins <= maxI; ins++ {
-		if r.need[ins] != r.epoch {
-			continue
-		}
+	// parallel pass only runs kernels. A streamed instruction has no kernel
+	// of its own — its consumers' folds do the work — but its nodes are in
+	// the cone and count.
+	for j := len(r.cone) - 1; j >= 0; j-- {
+		ins := r.cone[j]
 		span := int(prog.Span[ins])
-		if incremental && r.valid[prog.Out[ins]] {
-			cached += span
-			continue
+		if incremental {
+			if r.valid[ins] {
+				cached += span
+				continue
+			}
+			r.valid[ins] = true
 		}
 		recomputed += span
-		for _, nd := range prog.NodeIDs[prog.NodeStart[ins]:prog.NodeStart[ins+1]] {
-			r.valid[nd] = true
-		}
-		if parallel {
+		switch {
+		case !r.held[ins]: // streamed
+		case parallel:
 			r.dirty = append(r.dirty, ins)
 			r.live[ins] = r.epoch
 			dirtySpan += span
-			continue
+		default:
+			r.exec(ins, scores)
 		}
-		r.exec(ins, scores)
 	}
 	if parallel {
 		if dirtySpan < r.seqCutoff || len(r.dirty) < 2 {
@@ -317,17 +379,16 @@ func (r *Runner) run(scores []float64, occurring []bool, incremental bool) (reco
 // instructions as they unlock.
 func (r *Runner) runParallel(scores []float64) {
 	prog := r.prog
-	numVars := int32(prog.NumVars)
 
-	// Reset the frontier from this round's cone: pending[i] counts i's
-	// argument edges into live (scheduled) instructions; cached and leaf
-	// arguments are already materialized and count for nothing.
+	// Reset the frontier from this round's cone: pending[i] counts i's deps
+	// among the live (scheduled) instructions; cached deps are already
+	// materialized and count for nothing.
 	r.ready = r.ready[:0]
 	readySpan := 0
 	for _, ins := range r.dirty {
 		n := int32(0)
-		for _, a := range prog.Args[prog.ArgStart[ins]:prog.ArgStart[ins+1]] {
-			if a >= numVars && r.live[prog.InstrOf[a]] == r.epoch {
+		for _, d := range prog.Deps[prog.DepStart[ins]:prog.DepStart[ins+1]] {
+			if r.live[d] == r.epoch {
 				n++
 			}
 		}
@@ -426,27 +487,36 @@ func (r *Runner) execUnlock(ins int32, scores []float64) {
 	}
 }
 
-// exec runs one instruction's kernel.
+// exec computes one held instruction's run into its slab segment.
 func (r *Runner) exec(ins int32, scores []float64) {
 	prog := r.prog
-	out := prog.Out[ins]
-	dst := r.seg(out)
-	args := prog.Args[prog.ArgStart[ins]:prog.ArgStart[ins+1]]
+	dst := r.seg(ins)
 	if prog.Kind[ins] == OpMerge2 {
-		a, b := args[0], args[1]
-		r.lens[out] = int32(topk.MergeRuns(dst, r.k, r.seg(a)[:r.lens[a]], r.seg(b)[:r.lens[b]]))
-		return
-	}
-	numVars := int32(prog.NumVars)
-	n := 0
-	for _, a := range args {
-		if a < numVars {
-			if s := scores[a]; s > 0 {
-				n = topk.PushRun(dst, n, r.k, topk.Entry{ID: int(a), Score: s})
-			}
-			continue
+		a, b := prog.Deps[prog.DepStart[ins]], prog.Deps[prog.DepStart[ins]+1]
+		if r.held[a] && r.held[b] {
+			r.lens[ins] = int32(topk.MergeRuns(dst, r.k, r.seg(a)[:r.lens[a]], r.seg(b)[:r.lens[b]]))
+			return
 		}
-		n = topk.FoldRun(dst, n, r.k, r.seg(a)[:r.lens[a]])
 	}
-	r.lens[out] = int32(n)
+	r.lens[ins] = int32(r.fold(dst, 0, ins, scores))
+}
+
+// fold folds instruction ins's inputs into run[:n] and returns the new
+// length: its leaves through the threshold scan, a held dep's stored run
+// through FoldRun, and a streamed dep by folding that dep's own inputs into
+// the same run — top-k merge is associative, commutative and idempotent, so
+// the result equals merging the dep's run, and the consumer's threshold
+// rejects most of the dep's leaves at one compare each. The recursion is at
+// most MaxLevel deep and allocates nothing.
+func (r *Runner) fold(run []topk.Entry, n int, ins int32, scores []float64) int {
+	prog := r.prog
+	n = topk.ScanRun(run, n, r.k, scores, prog.Leaves[prog.LeafStart[ins]:prog.LeafStart[ins+1]])
+	for _, d := range prog.Deps[prog.DepStart[ins]:prog.DepStart[ins+1]] {
+		if r.held[d] {
+			n = topk.FoldRun(run, n, r.k, r.seg(d)[:r.lens[d]])
+		} else {
+			n = r.fold(run, n, d, scores)
+		}
+	}
+	return n
 }

@@ -15,10 +15,18 @@ package topk
 
 // PushRun inserts e into the run run[:n] with capacity k, keeping the top k
 // by (Score desc, ID asc) and at most one entry per ID, and returns the new
-// length. It is the kernel form of List.Push: an O(n) de-duplication scan
-// followed by an O(n) shift insertion, which beats heap bookkeeping for the
-// small k of ad slots.
+// length. It is the kernel form of List.Push: a threshold test, an O(n)
+// de-duplication scan and an O(n) shift insertion, which beats heap
+// bookkeeping for the small k of ad slots.
+//
+// The threshold comes first because it settles most pushes: an entry that
+// does not beat a full run's worst cannot enter it, and cannot improve a
+// held duplicate either — the duplicate ranks at or above the worst, so it
+// is already at least as good as e.
 func PushRun(run []Entry, n, k int, e Entry) int {
+	if n == k && !e.Less(run[n-1]) {
+		return n
+	}
 	for i := 0; i < n; i++ {
 		if run[i].ID != e.ID {
 			continue
@@ -37,10 +45,7 @@ func PushRun(run []Entry, n, k int, e Entry) int {
 		return n
 	}
 	if n == k {
-		if !e.Less(run[n-1]) {
-			return n // full, and e does not beat the worst
-		}
-		n--
+		n-- // e beats the worst, which drops out
 	}
 	j := n
 	for j > 0 && e.Less(run[j-1]) {
@@ -49,6 +54,32 @@ func PushRun(run []Entry, n, k int, e Entry) int {
 	copy(run[j+1:n+1], run[j:n])
 	run[j] = e
 	return n + 1
+}
+
+// ScanRun folds the leaves ids into run[:n], reading leaf id's score from
+// scores[id] and skipping leaves whose score is not strictly positive. It
+// equals a PushRun fold over those entries, but once the run is full a leaf
+// scoring under the run's worst costs one load and one compare; only
+// survivors and score ties go through PushRun, which keeps the ID
+// tie-break and the de-duplication.
+func ScanRun(run []Entry, n, k int, scores []float64, ids []int32) int {
+	i := 0
+	for ; n < k && i < len(ids); i++ {
+		if s := scores[ids[i]]; s > 0 {
+			n = PushRun(run, n, k, Entry{ID: int(ids[i]), Score: s})
+		}
+	}
+	if i == len(ids) {
+		return n
+	}
+	worst := run[k-1].Score
+	for _, id := range ids[i:] {
+		if s := scores[id]; s >= worst && s > 0 {
+			n = PushRun(run, n, k, Entry{ID: int(id), Score: s})
+			worst = run[k-1].Score
+		}
+	}
+	return n
 }
 
 // MergeRuns writes the top-k merge a ⊕ b into dst and returns the result

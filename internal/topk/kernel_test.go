@@ -1,7 +1,9 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -152,6 +154,75 @@ func TestKernelEdgeCases(t *testing.T) {
 	if n := PushRun(run, 3, 4, Entry{ID: 1, Score: 2}); n != 3 {
 		t.Fatalf("worse duplicate grew run: %v", run[:n])
 	}
+	// A duplicate ID arriving below a full run's threshold is rejected by the
+	// threshold test before the duplicate scan: the held copy (here the best
+	// entry) must stay, and nothing may be evicted for it.
+	full := []Entry{{ID: 1, Score: 9}, {ID: 3, Score: 7}, {ID: 2, Score: 5}}
+	for _, e := range []Entry{{ID: 1, Score: 4}, {ID: 2, Score: 5}, {ID: 2, Score: 1}} {
+		if n := PushRun(full, 3, 3, e); n != 3 ||
+			full[0] != (Entry{ID: 1, Score: 9}) || full[1] != (Entry{ID: 3, Score: 7}) || full[2] != (Entry{ID: 2, Score: 5}) {
+			t.Fatalf("below-threshold duplicate %+v changed a full run: %v", e, full[:n])
+		}
+	}
+}
+
+// scanRef is ScanRun's specification: a PushRun fold over the leaves with a
+// strictly positive score.
+func scanRef(run []Entry, n, k int, scores []float64, ids []int32) int {
+	for _, id := range ids {
+		if s := scores[id]; s > 0 {
+			n = PushRun(run, n, k, Entry{ID: int(id), Score: s})
+		}
+	}
+	return n
+}
+
+// checkScanRun folds start and then ids into two runs, one through ScanRun
+// and one through its specification, and requires identical runs.
+func checkScanRun(t *testing.T, k int, start []Entry, scores []float64, ids []int32) {
+	t.Helper()
+	got, want := make([]Entry, k), make([]Entry, k)
+	n := copy(got, start)
+	copy(want, start)
+	gn := ScanRun(got, n, k, scores, ids)
+	wn := scanRef(want, n, k, scores, ids)
+	if !slices.Equal(got[:gn], want[:wn]) {
+		t.Fatalf("k=%d start %v scores %v ids %v: ScanRun kept %v, PushRun fold %v", k, start, scores, ids, got[:gn], want[:wn])
+	}
+	checkRun(t, "ScanRun", got[:gn])
+}
+
+// TestScanRunMatchesPushRun drives ScanRun against a PushRun fold on random
+// score slabs with zeros, negatives, NaN, frequent ties and repeated IDs,
+// into runs that start empty, part-filled and full (including entries for
+// IDs the scan then revisits).
+func TestScanRunMatchesPushRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 5000; trial++ {
+		k := 1 + rng.Intn(8)
+		scores := make([]float64, 12)
+		for v := range scores {
+			scores[v] = float64(rng.Intn(7) - 2)
+		}
+		if rng.Intn(10) == 0 {
+			scores[rng.Intn(len(scores))] = math.NaN()
+		}
+		// The starting run holds leaves at their slab score (as the plan
+		// runner's do) and sometimes foreign IDs at any score.
+		l := New(k)
+		for i := rng.Intn(k + 1); i > 0; i-- {
+			if v := rng.Intn(len(scores)); scores[v] > 0 && rng.Intn(3) > 0 {
+				l.Push(Entry{ID: v, Score: scores[v]})
+			} else {
+				l.Push(Entry{ID: 100 + rng.Intn(4), Score: float64(rng.Intn(7) - 2)})
+			}
+		}
+		ids := make([]int32, rng.Intn(20))
+		for i := range ids {
+			ids[i] = int32(rng.Intn(len(scores)))
+		}
+		checkScanRun(t, k, l.Entries(), scores, ids)
+	}
 }
 
 // decodeRuns turns fuzz bytes into two valid runs plus a k, exercising the
@@ -203,5 +274,37 @@ func FuzzFoldRun(f *testing.F) {
 		if !equalRuns(run[:n], want) {
 			t.Fatalf("FoldRun(k=%d, %v, %v) = %v, want %v", k, a, b, run[:n], want)
 		}
+	})
+}
+
+// FuzzScanRun fuzzes the threshold scan against the PushRun fold: byte 0
+// picks k; byte 1's low half says how many of the following bytes are slab
+// scores (mapped to −2…5, so zeros, negatives and ties are common) and its
+// high half how many leading IDs are folded in beforehand, so the scan starts
+// from an empty, part-filled or full run; the rest are leaf IDs, repeats
+// welcome.
+func FuzzScanRun(f *testing.F) {
+	f.Add([]byte{3, 0x24, 5, 5, 0, 1, 0, 1, 2, 3, 3, 2, 1, 0})
+	f.Add([]byte{0, 0x01, 2, 0, 0, 0})
+	f.Add([]byte{7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k, ns, pre := 1+int(data[0]%8), 1+int(data[1]%16), int(data[1]>>4)
+		data = data[2:]
+		scores := make([]float64, ns)
+		for v := 0; v < ns && v < len(data); v++ {
+			scores[v] = float64(data[v]%8) - 2
+		}
+		data = data[min(ns, len(data)):]
+		ids := make([]int32, len(data))
+		for i, b := range data {
+			ids[i] = int32(int(b) % ns)
+		}
+		pre = min(pre, len(ids))
+		start := make([]Entry, k)
+		n := scanRef(start, 0, k, scores, ids[:pre])
+		checkScanRun(t, k, start[:n], scores, ids[pre:])
 	})
 }
