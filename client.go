@@ -10,11 +10,10 @@ import (
 	"sharedwd/internal/server"
 )
 
-// Backend is the canonical fleet-facing serving contract: one query
-// submission, the batched form, a metrics snapshot, and drain-on-Close.
-// Server and ShardedServer both satisfy it, and every transport — the
-// in-process client, the HTTP tier, the binary tier — programs against it
-// on both sides of the wire.
+// Backend is the one fleet-facing serving contract: callback submission
+// (SubmitAsync), a metrics snapshot, and drain-on-Close. Server and
+// ShardedServer both satisfy it, and every transport — the in-process
+// client, the HTTP tier, the binary tier — programs against it.
 type Backend = server.Backend
 
 // Client is the one query-submission surface across every transport. The
@@ -64,11 +63,12 @@ type inprocClient struct {
 }
 
 func (c *inprocClient) Submit(ctx context.Context, query string) (QueryResult, error) {
-	return c.backend.Submit(ctx, query)
+	return server.Submit(ctx, c.backend, query)
 }
 
 func (c *inprocClient) SubmitBatch(ctx context.Context, queries []string) ([]QueryResult, error) {
-	return c.backend.SubmitBatch(ctx, queries)
+	results, errs := server.SubmitBatch(ctx, c.backend, queries)
+	return results, serr.JoinBatch(errs)
 }
 
 func (c *inprocClient) Stats(context.Context) (Metrics, error) {

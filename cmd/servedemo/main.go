@@ -77,7 +77,7 @@ import (
 )
 
 // roundServer is what the load loop needs; both the single-engine server
-// and the sharded server satisfy the canonical Backend contract.
+// and the sharded server satisfy the Backend contract.
 type roundServer = server.Backend
 
 func main() {
@@ -256,7 +256,7 @@ func main() {
 				}
 				query := queries[rng.Intn(len(queries))]
 				ctx, cancel := context.WithTimeout(context.Background(), *deadline)
-				s.Submit(ctx, query) // shed/unmatched/timeout all show in the snapshot
+				server.Submit(ctx, s, query) // shed/unmatched/timeout all show in the snapshot
 				cancel()
 			}
 		}(c)

@@ -13,17 +13,14 @@ import (
 	"sharedwd/internal/workload"
 )
 
-// The tests in this file run the binary tier over a *real* server.Server —
-// which implements server.AsyncBackend — so they exercise the
-// zero-goroutine path: reader-drain coalescing into SubmitAsync, pooled
+// The tests in this file run the binary tier over a *real* server.Server,
+// so they exercise reader-drain coalescing into SubmitAsync, pooled
 // completions resolved by the round loop, and replies flushed by the
-// connection writer. The fakeBackend tests in binproto_test.go cover the
-// blocking fallback; these cover the fast path.
+// connection writer end to end. The fakeBackend tests in binproto_test.go
+// script outcomes to pin the wire-level behaviour of the same read loop.
 
 // startAsyncServer builds a one-worker round server with the given config
-// and serves it over the binary protocol. The returned release function
-// unblocks the round loop gate (idempotent via sync.Once in the caller's
-// hands — call it exactly once).
+// and serves it over the binary protocol.
 func startAsyncServer(t *testing.T, wcfg server.Config, bcfg Config) (*Server, *server.Server, *workload.Workload) {
 	t.Helper()
 	gen := workload.DefaultConfig()
@@ -62,11 +59,11 @@ func gatedConfig(depth int, hold <-chan struct{}, entered chan<- struct{}) serve
 	return cfg
 }
 
-// TestBatchPartialOverflow pins the batch overload contract on the async
-// path: a batch frame whose items straddle the admission boundary sheds
-// ONLY the overflowing items — each with a retryable overload status —
-// while the admitted item resolves normally, the connection stays alive,
-// and nothing (goroutines or pooled objects) leaks.
+// TestBatchPartialOverflow pins the batch overload contract: a batch frame
+// whose items straddle the admission boundary sheds ONLY the overflowing
+// items — each with a retryable overload status — while the admitted item
+// resolves normally, the connection stays alive, and nothing (goroutines or
+// pooled objects) leaks.
 func TestBatchPartialOverflow(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -170,11 +167,14 @@ func TestBatchPartialOverflow(t *testing.T) {
 	})
 }
 
-// TestShutdownDrainsInFlightAsync is the async-backend twin of
+// TestShutdownDrainsInFlightAsync is the real-backend twin of
 // TestShutdownDrainsInFlight: requests parked inside a held round (rather
-// than inside a blocking fakeBackend call) must be answered — not cut
-// off — by a drain, and the backend must stay open until they resolve.
+// than by the fakeBackend) must be answered — not cut off — by a drain, the
+// backend must stay open until they resolve, and no goroutine may outlive
+// the shutdown.
 func TestShutdownDrainsInFlightAsync(t *testing.T) {
+	before := runtime.NumGoroutine()
+
 	hold := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	bs, srv, w := startAsyncServer(t, gatedConfig(16, hold, entered), Config{MaxTimeout: 30 * time.Second})
@@ -221,17 +221,25 @@ func TestShutdownDrainsInFlightAsync(t *testing.T) {
 			t.Errorf("parked Submit %d = %v, want success (drain must answer admitted frames)", i, err)
 		}
 	}
-	if got := srv.Metrics().Answered; got < parked {
-		t.Errorf("backend answered %d, want at least the %d drained requests", got, parked)
+	m := srv.Metrics()
+	if m.Answered < parked {
+		t.Errorf("backend answered %d, want at least the %d drained requests", m.Answered, parked)
 	}
+	if sum := m.Answered + m.Unmatched + m.Shed + m.TimedOut + m.Expired; m.Submitted != sum {
+		t.Errorf("after drain, submitted %d != answered %d + unmatched %d + shed %d + timed out %d + expired %d",
+			m.Submitted, m.Answered, m.Unmatched, m.Shed, m.TimedOut, m.Expired)
+	}
+	c.Close()
+	waitFor(t, "goroutines to settle", func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= before+2
+	})
 }
 
-// TestAsyncConformanceSmoke runs the plain request/reply contract over the
-// async fast path — the same assertions the fakeBackend suite makes over
-// the blocking fallback — so the two read paths cannot drift apart:
-// queries resolve, junk refuses with a non-retryable no-auction status,
-// batches keep item order, and interleaved pipelining completes out of
-// order without loss.
+// TestAsyncConformanceSmoke runs the plain request/reply contract over a
+// real round server: queries resolve, junk refuses with a non-retryable
+// no-auction status, batches keep item order, and interleaved pipelining
+// completes out of order without loss.
 func TestAsyncConformanceSmoke(t *testing.T) {
 	wcfg := server.DefaultConfig()
 	wcfg.RoundInterval = 2 * time.Millisecond

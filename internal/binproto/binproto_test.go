@@ -19,9 +19,9 @@ import (
 	"sharedwd/internal/server"
 )
 
-// fakeBackend scripts Submit outcomes by query string, mirroring the
-// netserve handler tests: "slow" queries park until release is closed (or
-// their ctx expires), which is how the drain and multiplexing tests hold
+// fakeBackend scripts outcomes by query string, mirroring the netserve
+// handler tests: "slow" queries park until release is closed (or their
+// deadline passes), which is how the drain and multiplexing tests hold
 // requests in flight.
 type fakeBackend struct {
 	release chan struct{}
@@ -34,26 +34,42 @@ func newFakeBackend() *fakeBackend {
 	return &fakeBackend{release: make(chan struct{})}
 }
 
-func (b *fakeBackend) Submit(ctx context.Context, query string) (server.Result, error) {
-	b.submits.Add(1)
-	switch query {
-	case "junk":
-		return server.Result{}, serr.ErrNoAuction
-	case "overload":
-		return server.Result{}, serr.ErrOverloaded
-	case "closing":
-		return server.Result{}, serr.ErrClosed
-	case "boom":
-		return server.Result{}, errors.New("kaput")
-	case "slow":
-		b.parked.Add(1)
-		select {
-		case <-b.release:
-		case <-ctx.Done():
-			return server.Result{}, ctx.Err()
+func (b *fakeBackend) SubmitAsync(items []server.AsyncItem) {
+	for _, it := range items {
+		b.submits.Add(1)
+		switch it.Query {
+		case "junk":
+			it.Done.Complete(it.Index, server.Result{}, serr.ErrNoAuction)
+		case "overload":
+			it.Done.Complete(it.Index, server.Result{}, serr.ErrOverloaded)
+		case "closing":
+			it.Done.Complete(it.Index, server.Result{}, serr.ErrClosed)
+		case "boom":
+			it.Done.Complete(it.Index, server.Result{}, errors.New("kaput"))
+		case "slow":
+			b.parked.Add(1)
+			go b.park(it)
+		default:
+			b.answer(it)
 		}
 	}
-	return server.Result{
+}
+
+// park answers a slow item once release closes, or fails it at its
+// deadline (the tier always sets one).
+func (b *fakeBackend) park(it server.AsyncItem) {
+	expire := time.NewTimer(time.Until(it.Deadline))
+	defer expire.Stop()
+	select {
+	case <-b.release:
+		b.answer(it)
+	case <-expire.C:
+		it.Done.Complete(it.Index, server.Result{}, context.DeadlineExceeded)
+	}
+}
+
+func (b *fakeBackend) answer(it server.AsyncItem) {
+	it.Done.Complete(it.Index, server.Result{
 		Phrase: 7,
 		Shard:  1,
 		Round:  42,
@@ -62,16 +78,7 @@ func (b *fakeBackend) Submit(ctx context.Context, query string) (server.Result, 
 			{Slot: 1, Advertiser: 9, PricePaid: 0.75},
 		},
 		Latency: 3 * time.Millisecond,
-	}, nil
-}
-
-func (b *fakeBackend) SubmitBatch(ctx context.Context, queries []string) ([]server.Result, error) {
-	results := make([]server.Result, len(queries))
-	errs := make([]error, len(queries))
-	for i, q := range queries {
-		results[i], errs[i] = b.Submit(ctx, q)
-	}
-	return results, serr.JoinBatch(errs)
+	}, nil)
 }
 
 func (b *fakeBackend) Metrics() server.Metrics {
@@ -480,9 +487,8 @@ func TestServerCloseFailsClients(t *testing.T) {
 		done <- err
 	}()
 	waitFor(t, "query parked", func() bool { return b.parked.Load() == 1 })
-	// Close while the query is still parked: the abort cancels its context,
-	// so the client must see an error — a canceled-status reply or a dead
-	// connection, depending on which side of the teardown the reply races.
+	// Close while the query is still parked: the abort closes the socket
+	// under it, so the client must see its connection die.
 	s.Close()
 	if err := <-done; err == nil {
 		t.Fatal("Submit across server Close = nil, want error")
@@ -491,7 +497,7 @@ func TestServerCloseFailsClients(t *testing.T) {
 
 // TestNoGoroutineLeaks runs a multiplexed load burst, shuts everything
 // down, and requires the goroutine count to settle back — the whole tier
-// (conns, readers, writers, request goroutines) must unwind.
+// (conns, readers, writers) must unwind.
 func TestNoGoroutineLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 

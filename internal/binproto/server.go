@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sharedwd/internal/serr"
 	"sharedwd/internal/server"
 )
 
@@ -21,14 +20,10 @@ import (
 // (immediate). Drain stops the edge without closing the backend, for
 // facades that share the backend with another transport.
 //
-// When the backend also implements server.AsyncBackend (both in-process
-// servers do), requests ride the zero-goroutine fast path: the per-conn
-// reader drains every pipelined frame available in one syscall window
-// into a pooled batch, submits it with one SubmitAsync call, and pooled
-// completions enqueue replies straight onto the writer — no goroutine, no
-// context, and no channel per request. Backends without the callback path
-// fall back to the original goroutine-per-admitted-frame scheme with
-// identical wire semantics.
+// Requests take no goroutine, context or channel each: the per-conn reader
+// drains every pipelined frame available in one syscall window into one
+// item batch, submits it with one SubmitAsync call, and pooled completions
+// enqueue replies straight onto the writer.
 type Server struct {
 	cfg     Config
 	backend server.Backend
@@ -101,12 +96,12 @@ func (s *Server) detach(c *conn) {
 
 // Drain gracefully stops the binary edge without touching the backend: the
 // listener stops accepting, every connection finishes its admitted frames
-// through the normal backend path (bounded by ctx — on expiry in-flight
-// requests on the blocking path are force-canceled; async in-flight items
-// resolve at their next round close, which the still-open backend
-// guarantees), writers flush, sockets close. The backend stays open, so a
-// facade serving HTTP and binary off one backend can drain this edge first
-// and let the HTTP tier's Shutdown close the backend.
+// through the normal backend path (in-flight items resolve at their next
+// round close or their deadline, which the still-open backend guarantees),
+// writers flush, sockets close. It waits for all of that whatever ctx says,
+// and reports ctx.Err() if ctx ran out meanwhile. The backend stays open,
+// so a facade serving HTTP and binary off one backend can drain this edge
+// first and let the HTTP tier's Shutdown close the backend.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -130,7 +125,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		wg.Add(1)
 		go func(c *conn) {
 			defer wg.Done()
-			c.drain(ctx)
+			c.drain()
 		}(c)
 	}
 	wg.Wait()
@@ -194,10 +189,10 @@ func refusal(ft byte, id uint64, status byte, msg string) wireMsg {
 	return wireMsg{ft: reply, id: id, refused: true, status: status, flags: retryFlag(status), msg: msg}
 }
 
-// queryComp is the pooled completion for one ftQuery frame on the async
-// path: the round loop's Complete enqueues the reply and releases the
-// in-flight slot. Pooling a concrete type (rather than closing over c and
-// id) keeps the per-request allocation count at zero.
+// queryComp is the pooled completion for one ftQuery frame: the round
+// loop's Complete enqueues the reply and releases the in-flight slot.
+// Pooling a concrete type (rather than closing over c and id) keeps the
+// per-request allocation count at zero.
 type queryComp struct {
 	c  *conn
 	id uint64
@@ -270,15 +265,14 @@ func (b *batchComp) Complete(i int, res server.Result, err error) {
 }
 
 // conn is one multiplexed client connection: a reader goroutine parsing,
-// admitting, and (on the async path) batch-submitting frames, and a writer
-// goroutine encoding completions back — out of order, as they finish. The
-// writer's intake is a mutex-guarded double-buffered slice, so a round
-// loop delivering completions can never block on a slow connection; it is
-// naturally bounded by MaxInFlight admission.
+// admitting, and batch-submitting frames, and a writer goroutine encoding
+// completions back — out of order, as they finish. The writer's intake is a
+// mutex-guarded double-buffered slice, so a round loop delivering
+// completions can never block on a slow connection; it is naturally bounded
+// by MaxInFlight admission.
 type conn struct {
-	srv   *Server
-	netc  net.Conn
-	async server.AsyncBackend // nil: fall back to goroutine-per-request
+	srv  *Server
+	netc net.Conn
 
 	// Writer queue. wdead flips once the socket is gone or the writer has
 	// exited — after that enqueues are dropped (and their pooled carriers
@@ -299,27 +293,16 @@ type conn struct {
 	ids      map[uint64]struct{}
 	draining bool
 	inflight sync.WaitGroup
-
-	// ctx cancels blocking-path in-flight requests when the connection
-	// dies; async-path items carry deadlines instead and resolve at round
-	// close.
-	ctx    context.Context
-	cancel context.CancelFunc
 }
 
 func newConn(s *Server, netc net.Conn) *conn {
-	ctx, cancel := context.WithCancel(context.Background())
-	async, _ := s.backend.(server.AsyncBackend)
 	return &conn{
 		srv:        s,
 		netc:       netc,
-		async:      async,
 		wwake:      make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		writerDone: make(chan struct{}),
 		ids:        make(map[uint64]struct{}),
-		ctx:        ctx,
-		cancel:     cancel,
 	}
 }
 
@@ -384,10 +367,8 @@ func (c *conn) timeout(ms uint32) time.Duration {
 
 // serve runs the connection: preamble check, writer start, then the read
 // loop until the client goes away or violates the protocol. Teardown on
-// this path force-cancels blocking-path in-flight requests (the reader
-// cannot tell a hung client from a slow one) and waits out async-path
-// completions (at most one round interval away while the backend lives);
-// the graceful path is drain.
+// this path waits out the in-flight completions (at most one round interval
+// away while the backend lives); the graceful path is drain.
 func (c *conn) serve() {
 	defer c.srv.detach(c)
 
@@ -397,7 +378,6 @@ func (c *conn) serve() {
 	c.netc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := io.ReadFull(c.netc, magic[:]); err != nil ||
 		string(magic[:4]) != Magic || magic[4] != Version {
-		c.cancel()
 		c.netc.Close()
 		close(c.writerDone) // writer never started
 		return
@@ -406,28 +386,22 @@ func (c *conn) serve() {
 
 	go c.writer()
 
-	fr := newFrameReader(c.netc, c.srv.cfg.MaxFrame)
-	if c.async != nil {
-		c.readAsync(fr)
-	} else {
-		c.readBlocking(fr)
-	}
+	c.read(newFrameReader(c.netc, c.srv.cfg.MaxFrame))
 
 	// Reader-exit teardown: no new frames can arrive, so the in-flight
-	// count only decreases. Cancel the blocking path, wait everything out,
-	// release the writer, close the socket.
-	c.cancel()
+	// count only decreases. Wait everything out, release the writer, close
+	// the socket.
 	c.inflight.Wait()
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.writerDone
 	c.netc.Close()
 }
 
-// readAsync is the zero-goroutine read loop: block for one frame, then
-// drain every further frame already buffered (one syscall window's worth
-// of pipelining), ingest them all into one pooled item batch, and submit
-// the batch with a single SubmitAsync call before blocking again.
-func (c *conn) readAsync(fr *frameReader) {
+// read is the connection's one read loop: block for one frame, then drain
+// every further frame already buffered (one syscall window's worth of
+// pipelining), ingest them all into one item batch, and submit the batch
+// with a single SubmitAsync call before blocking again.
+func (c *conn) read(fr *frameReader) {
 	items := make([]server.AsyncItem, 0, 64)
 	for {
 		ft, id, payload, err := fr.next()
@@ -446,7 +420,7 @@ func (c *conn) readAsync(fr *frameReader) {
 		// Admitted items must be submitted even when a later frame just
 		// failed the connection — admission owes each one a completion.
 		if len(items) > 0 {
-			c.async.SubmitAsync(items)
+			c.srv.backend.SubmitAsync(items)
 			for i := range items {
 				items[i] = server.AsyncItem{} // drop refs for the pool's sake
 			}
@@ -458,7 +432,7 @@ func (c *conn) readAsync(fr *frameReader) {
 	}
 }
 
-// ingest admits one frame on the async path, appending its work items.
+// ingest admits one frame, appending its work items.
 // Refusals answer immediately through the writer queue. Returns false on a
 // protocol violation that must fail the connection.
 func (c *conn) ingest(ft byte, id uint64, payload []byte, items *[]server.AsyncItem) bool {
@@ -536,87 +510,6 @@ func (c *conn) answerStats(id uint64) {
 		return
 	}
 	c.send(wireMsg{ft: ftStatsReply, id: id, stats: js})
-}
-
-// readBlocking is the fallback read loop for backends without the
-// callback fast path: one goroutine per admitted frame, bounded by the
-// MaxInFlight table, with per-request contexts for cancellation.
-func (c *conn) readBlocking(fr *frameReader) {
-	for {
-		ft, id, payload, err := fr.next()
-		if err != nil {
-			return // EOF, socket error, or protocol violation — all fatal
-		}
-		if !c.handle(ft, id, payload) {
-			return
-		}
-	}
-}
-
-// handle admits and dispatches one frame on the blocking path. It returns
-// false on a protocol violation that must fail the connection.
-func (c *conn) handle(ft byte, id uint64, payload []byte) bool {
-	switch ft {
-	case ftQuery:
-		timeoutMS, query, err := parseQuery(payload)
-		if err != nil {
-			return false
-		}
-		if refuse, ok := c.admit(id); !ok {
-			c.send(refusal(ftQuery, id, refuse, ""))
-			return true
-		}
-		d := c.timeout(timeoutMS)
-		go func() {
-			defer c.finish(id)
-			ctx, cancel := context.WithTimeout(c.ctx, d)
-			res, err := c.srv.backend.Submit(ctx, query)
-			cancel()
-			c.send(wireMsg{ft: ftReply, id: id, res: res, err: err})
-		}()
-		return true
-
-	case ftBatch:
-		timeoutMS, queries, err := parseBatch(payload, c.srv.cfg.MaxBatchItems)
-		if err != nil {
-			// An oversized batch count is a semantic refusal, not a framing
-			// violation; answer it and keep the connection.
-			var pe *errProtocol
-			if errors.As(err, &pe) && len(payload) >= 6 {
-				c.send(refusal(ftBatch, id, StatusBadRequest, pe.msg))
-				return true
-			}
-			return false
-		}
-		if refuse, ok := c.admit(id); !ok {
-			c.send(refusal(ftBatch, id, refuse, ""))
-			return true
-		}
-		d := c.timeout(timeoutMS)
-		go func() {
-			defer c.finish(id)
-			ctx, cancel := context.WithTimeout(c.ctx, d)
-			results, err := c.srv.backend.SubmitBatch(ctx, queries)
-			cancel()
-			errs := serr.SplitBatch(err, len(queries))
-			c.send(wireMsg{ft: ftBatchReply, id: id, results: results, errs: errs})
-		}()
-		return true
-
-	case ftStats:
-		if len(payload) != 0 {
-			return false
-		}
-		if refuse, ok := c.admit(id); !ok {
-			c.send(refusal(ftStats, id, refuse, ""))
-			return true
-		}
-		go c.answerStats(id)
-		return true
-
-	default:
-		return false // unknown frame type: connection-fatal
-	}
 }
 
 func retryFlag(status byte) byte {
@@ -712,35 +605,22 @@ func (c *conn) writer() {
 }
 
 // drain is the graceful path: stop admitting (new frames get
-// StatusClosed), wait for in-flight requests bounded by ctx (force-cancel
-// the blocking path on expiry; async items resolve at their next round
-// close since the backend is still open), then release the writer — which
-// flushes everything queued — and close the socket.
-func (c *conn) drain(ctx context.Context) {
+// StatusClosed), wait for in-flight requests (they resolve at their next
+// round close or deadline since the backend is still open), then release
+// the writer — which flushes everything queued — and close the socket.
+func (c *conn) drain() {
 	c.idMu.Lock()
 	c.draining = true
 	c.idMu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		c.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		c.cancel() // deadline: force blocking in-flight requests to resolve as canceled
-		<-done
-	}
+	c.inflight.Wait()
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.writerDone
-	c.cancel()
 	c.netc.Close()
 }
 
-// abort is the immediate path: cancel everything and close the socket.
+// abort is the immediate path: release the writer and close the socket.
 func (c *conn) abort() {
-	c.cancel()
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.netc.Close()
 }

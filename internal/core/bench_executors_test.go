@@ -11,27 +11,22 @@ import (
 	"sharedwd/internal/workload"
 )
 
-// BenchmarkExecutorRound compares the shared-plan execution strategies —
-// original map-memo Execute, generic slab executor, flat-compiled runner
-// (sequential and pooled at 2/4/8 workers, frontier scheduling forced so
-// the parallel path is what's measured) — and the Independent baseline on
-// the same workload BenchmarkRoundResolution uses (1000 advertisers, 32
-// phrases, half occurring each round, non-exhausting budgets so every
-// round is identical). The memo/slab force flags and the sequential-cutoff
-// override are package-private, which is why this benchmark lives in
-// package core; the README's executor table is regenerated from it, and
-// tools/benchjson derives each workers=N variant's `speedup` against
-// compiled/workers=1 (an explicit alias of the historical "compiled" row,
-// kept so old BENCH_core.json records stay comparable).
+// BenchmarkExecutorRound compares the flat-compiled runner (sequential and
+// pooled at 2/4/8 workers, frontier scheduling forced so the parallel path
+// is what's measured) with the Independent baseline on the same workload
+// BenchmarkRoundResolution uses (1000 advertisers, 32 phrases, half
+// occurring each round, non-exhausting budgets so every round is
+// identical). The sequential-cutoff override is package-private, which is
+// why this benchmark lives in package core; tools/benchjson derives each
+// workers=N variant's `speedup` against compiled/workers=1 (an explicit
+// alias of the historical "compiled" row, kept so old BENCH_core.json
+// records stay comparable).
 func BenchmarkExecutorRound(b *testing.B) {
 	variants := []struct {
 		name        string
-		memo, slab  bool
 		independent bool
 		workers     int
 	}{
-		{name: "memo", memo: true},
-		{name: "slab", slab: true},
 		{name: "compiled"},
 		{name: "compiled/workers=1", workers: 1},
 		{name: "compiled/workers=2", workers: 2},
@@ -60,8 +55,6 @@ func BenchmarkExecutorRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer eng.Close()
-		eng.forceMemo = v.memo
-		eng.forceSlab = v.slab
 		if v.workers > 1 {
 			// Force the frontier scheduler so the pooled rows measure the
 			// parallel path, not the sequential cutoff's inline fallback.

@@ -184,9 +184,8 @@ type Engine struct {
 	plan *plan.Plan
 
 	// runner executes the flat-compiled instruction stream (prog) over
-	// dense entry slabs — the default shared-mode path; pool (Workers > 1)
-	// drives its cost-aware frontier scheduler and the parallel leaf
-	// scoring pass.
+	// dense entry slabs — the shared-mode path; pool (Workers > 1) drives
+	// its cost-aware frontier scheduler and the parallel leaf scoring pass.
 	prog   *plan.Program
 	runner *plan.Runner
 	pool   *plan.Pool
@@ -194,16 +193,6 @@ type Engine struct {
 	// gov switches the dirty-cone cache off while it is losing
 	// (IncrementalCache engines only; see cacheGovernor).
 	gov cacheGovernor
-
-	// forceMemo routes shared-mode winner determination through the
-	// original map-memo plan.Execute; forceSlab through the generic slab
-	// executor. Both exist purely as reference strategies for the
-	// equivalence tests — the compiled runner is the production path — so
-	// the slab executor (ref) is built on first forceSlab use, not in every
-	// production engine.
-	forceMemo bool
-	forceSlab bool
-	ref       *slabReference
 
 	clicks *workload.ClickSim
 	// out is the round's outstanding ads bucketed by advertiser, filled
@@ -237,8 +226,8 @@ type roundScratch struct {
 	mCount   []int
 	roundBid []float64
 	// score[i] is the round's effective score b̂_i·c_i, computed once per
-	// round; every execution strategy (compiled, slab, memo, independent)
-	// reads leaf values from this one slab so they score bit-identically.
+	// round; both sharing modes read leaf values from this one slab so they
+	// score bit-identically.
 	score []float64
 	// lastScore[i] is the effective score advertiser i's cached leaf value
 	// was computed from (IncrementalCache mode).
@@ -470,7 +459,6 @@ func (e *Engine) InstallPlan(inst *plan.Instance, p *plan.Plan, prog *plan.Progr
 	e.plan = p
 	e.prog = prog
 	e.runner = plan.NewRunner(prog, k+1)
-	e.ref = nil // rebuilt over the new plan on the next forceSlab round
 	if e.pool != nil {
 		e.runner.SetPool(e.pool)
 	}
@@ -490,9 +478,6 @@ func (e *Engine) Close() {
 		e.pool.Close()
 		e.pool = nil
 		e.runner.SetPool(nil)
-		if e.ref != nil {
-			e.ref.exec.SetPool(nil)
-		}
 	}
 }
 
@@ -624,8 +609,8 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 
 	// 2. Per-advertiser round bids under the budget policy, and the shared
 	// score slab: score[i] = b̂_i·c_i is computed exactly once here, so
-	// every execution strategy reads identical leaf values (no per-path
-	// float recomputation to diverge on).
+	// both sharing modes read identical leaf values (no per-path float
+	// recomputation to diverge on).
 	mCount := e.auctionCounts(occurring)
 	roundBid := e.scr.roundBid
 	score := e.scr.score
@@ -662,75 +647,14 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 		}
 	}
 
-	// 3. Winner determination across the occurring auctions.
+	// 3. Winner determination across the occurring auctions: one path per
+	// sharing mode.
 	k := len(e.w.SlotFactors)
-	var memoResults map[int]*topk.List // forceMemo reference path only
-	var slabResults []*topk.List       // forceSlab reference path only
-	compiled := false
 	switch e.cfg.Sharing {
 	case SharedAggregation:
-		switch {
-		case e.forceMemo:
-			leaf := func(v int) *topk.List {
-				l := topk.New(k + 1)
-				if s := score[v]; s > 0 {
-					l.Push(topk.Entry{ID: v, Score: s})
-				}
-				return l
-			}
-			if e.cfg.Workers > 1 {
-				memoResults, rep.Materialized = executeConcurrent(e.plan, leaf, occurring, e.cfg.Workers)
-			} else {
-				memoResults, rep.Materialized = plan.Execute(e.plan, leaf, topk.Merge, occurring)
-			}
-		case e.forceSlab:
-			ref := e.slabReference()
-			if e.cfg.IncrementalCache {
-				e.invalidateChangedScores(mCount, ref.exec.Invalidate)
-				rep.Materialized, rep.Cached = ref.exec.ExecuteIncremental(ref.leaf, ref.op, occurring)
-			} else {
-				rep.Materialized = ref.exec.Execute(ref.leaf, ref.op, occurring)
-			}
-			slabResults = ref.exec.Results()
-		default:
-			// Production path: the flat-compiled instruction stream, through
-			// the dirty-cone cache unless it is off or has switched itself
-			// off.
-			switch {
-			case !e.cfg.IncrementalCache:
-				rep.Materialized = e.runner.Run(score, occurring)
-			case e.gov.bypass > 0:
-				rep.Materialized = e.runner.Run(score, occurring)
-				if rep.Materialized == 0 {
-					break // nothing aggregated: not a round either path resolved
-				}
-				e.stats.CacheBypassedRounds++
-				if e.gov.endBypassRound() {
-					// Probe next round. Run left the validity flags and the
-					// lastScore tags stale, so re-enter through the clean
-					// epoch InstallPlan uses.
-					e.runner.InvalidateAll()
-					clear(e.scr.lastScore)
-				}
-			default:
-				e.invalidateChangedScores(mCount, e.runner.Invalidate)
-				rep.Materialized, rep.Cached = e.runner.RunIncremental(score, occurring)
-				e.gov.observe(rep.Materialized, rep.Cached)
-			}
-			compiled = true
-		}
+		rep.Materialized, rep.Cached = e.runShared(mCount, occurring)
 	case Independent:
-		for q, occ := range occurring {
-			if !occ {
-				continue
-			}
-			ids := e.interest[q]
-			run := e.scr.indep[q*(k+1) : (q+1)*(k+1)]
-			e.scr.indepLen[q] = int32(topk.ScanRun(run, 0, k+1, score, ids))
-			if len(ids) > 1 {
-				rep.Materialized += len(ids) - 1
-			}
-		}
+		rep.Materialized = e.scanIndependent(occurring)
 	}
 
 	// 4. Assign, price, display — in phrase order, so the click
@@ -742,28 +666,15 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 			continue
 		}
 		e.stats.AuctionsResolved++
-		// The round's result is a run (compiled and Independent paths) or a
-		// reference strategy's list.
 		var run []topk.Entry
-		var list *topk.List
-		switch {
-		case compiled:
-			run = e.runner.QueryRun(q)
-		case e.cfg.Sharing == Independent:
+		if e.cfg.Sharing == Independent {
 			run = e.scr.indep[q*(k+1):][:e.scr.indepLen[q]]
-		case memoResults != nil:
-			list = memoResults[q]
-		default:
-			list = slabResults[q]
+		} else {
+			run = e.runner.QueryRun(q)
 		}
 		ranked := e.scr.ranked[:0]
 		for _, entry := range run {
 			ranked = append(ranked, e.candidate(entry))
-		}
-		if list != nil {
-			for i, n := 0, list.Len(); i < n; i++ {
-				ranked = append(ranked, e.candidate(list.At(i)))
-			}
 		}
 		e.scr.ranked = ranked
 		parts, prices := pricing.AppendPricesWithReserve(e.scr.parts[:0], e.scr.prices[:0], e.cfg.Pricing, ranked, e.w.SlotFactors, e.cfg.Reserve)
@@ -817,13 +728,59 @@ func (e *Engine) Drain() {
 	}
 }
 
+// runShared resolves the round's auctions on the flat-compiled shared plan,
+// through the dirty-cone cache unless it is off or has switched itself off.
+func (e *Engine) runShared(mCount []int, occurring []bool) (materialized, cached int) {
+	score := e.scr.score
+	switch {
+	case !e.cfg.IncrementalCache:
+		materialized = e.runner.Run(score, occurring)
+	case e.gov.bypass > 0:
+		materialized = e.runner.Run(score, occurring)
+		if materialized == 0 {
+			break // nothing aggregated: not a round either path resolved
+		}
+		e.stats.CacheBypassedRounds++
+		if e.gov.endBypassRound() {
+			// Probe next round. Run left the validity flags and the
+			// lastScore tags stale, so re-enter through the clean epoch
+			// InstallPlan uses.
+			e.runner.InvalidateAll()
+			clear(e.scr.lastScore)
+		}
+	default:
+		e.invalidateChangedScores(mCount)
+		materialized, cached = e.runner.RunIncremental(score, occurring)
+		e.gov.observe(materialized, cached)
+	}
+	return materialized, cached
+}
+
+// scanIndependent resolves each occurring phrase with its own scan over its
+// interested advertisers — the unshared baseline. It reports one operation
+// per advertiser scanned beyond the first (see Stats.NodesMaterialized).
+func (e *Engine) scanIndependent(occurring []bool) (materialized int) {
+	k := len(e.w.SlotFactors)
+	for q, occ := range occurring {
+		if !occ {
+			continue
+		}
+		ids := e.interest[q]
+		run := e.scr.indep[q*(k+1) : (q+1)*(k+1)]
+		e.scr.indepLen[q] = int32(topk.ScanRun(run, 0, k+1, e.scr.score, ids))
+		if len(ids) > 1 {
+			materialized += len(ids) - 1
+		}
+	}
+	return materialized
+}
+
 // invalidateChangedScores drops cached plan values for every leaf whose
 // effective score changed since its cached value was computed
 // (IncrementalCache mode). Advertisers outside this round's auctions are
 // skipped: their leaves are not needed, and their cached values stay tagged
-// with the score they were built from. The invalidate func is the active
-// executor's (compiled runner or reference slab executor).
-func (e *Engine) invalidateChangedScores(mCount []int, invalidate func(int)) {
+// with the score they were built from.
+func (e *Engine) invalidateChangedScores(mCount []int) {
 	score := e.scr.score
 	last := e.scr.lastScore
 	for i := range mCount {
@@ -831,7 +788,7 @@ func (e *Engine) invalidateChangedScores(mCount []int, invalidate func(int)) {
 			continue
 		}
 		if s := score[i]; s != last[i] {
-			invalidate(i)
+			e.runner.Invalidate(i)
 			last[i] = s
 		}
 	}

@@ -8,9 +8,7 @@ import (
 
 	"sharedwd/internal/auction"
 	"sharedwd/internal/bitset"
-	"sharedwd/internal/plan"
 	"sharedwd/internal/pricing"
-	"sharedwd/internal/topk"
 	"sharedwd/internal/workload"
 )
 
@@ -122,63 +120,6 @@ func TestSharedMatchesIndependentOutcomes(t *testing.T) {
 		if repS.Materialized >= repI.Materialized {
 			t.Fatalf("shared materialized %d ≥ independent %d", repS.Materialized, repI.Materialized)
 		}
-	}
-}
-
-// TestConcurrentMatchesSequential: the parallel DAG executor returns
-// identical results and materialization counts across worker counts.
-func TestConcurrentMatchesSequential(t *testing.T) {
-	w := smallWorkload(7)
-	queries := make([]plan.Query, len(w.Interests))
-	for q := range w.Interests {
-		queries[q] = plan.Query{Vars: w.Interests[q], Rate: w.Rates[q]}
-	}
-	inst := plan.MustInstance(len(w.Advertisers), queries)
-	eng, err := New(w, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = inst
-	rng := rand.New(rand.NewSource(3))
-	k := len(w.SlotFactors)
-	leaf := func(v int) *topk.List {
-		l := topk.New(k + 1)
-		l.Push(topk.Entry{ID: v, Score: w.Advertisers[v].EffectiveBid()})
-		return l
-	}
-	for trial := 0; trial < 20; trial++ {
-		occ := make([]bool, len(w.Interests))
-		for q := range occ {
-			occ[q] = rng.Intn(2) == 0
-		}
-		seq, matSeq := plan.Execute(eng.plan, leaf, topk.Merge, occ)
-		for _, workers := range []int{1, 2, 8} {
-			con, matCon := executeConcurrent(eng.plan, leaf, occ, workers)
-			if matSeq != matCon {
-				t.Fatalf("materialized %d vs %d (workers=%d)", matSeq, matCon, workers)
-			}
-			if len(seq) != len(con) {
-				t.Fatalf("result sizes differ")
-			}
-			for qi, l := range seq {
-				if !l.Equal(con[qi]) {
-					t.Fatalf("query %d differs with %d workers", qi, workers)
-				}
-			}
-		}
-	}
-}
-
-func TestConcurrentEmptyRound(t *testing.T) {
-	w := smallWorkload(8)
-	eng, err := New(w, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	occ := make([]bool, len(w.Interests)) // nothing occurs
-	res, mat := executeConcurrent(eng.plan, func(v int) *topk.List { return topk.New(2) }, occ, 4)
-	if len(res) != 0 || mat != 0 {
-		t.Fatalf("empty round: %d results, %d materialized", len(res), mat)
 	}
 }
 

@@ -12,23 +12,22 @@ import (
 // TestEngineStrategyEquivalence is the engine-level equivalence property:
 // over 4 scenarios × 60 randomized rounds (random occurrence vectors, bid
 // perturbation, budgets that exhaust mid-day, GSP and VCG, naive and
-// throttled policies), every execution strategy — slab reference, memo,
-// flat-compiled, incremental variants of both slab and compiled, pooled
-// variants at 2, 4, and 8 workers (including forced-frontier scheduling and
-// mid-run plan hot-swaps), plus the unshared Independent baseline — must
-// produce identical RoundReports, Stats, and final per-advertiser
-// accounting.
-// Materialization counters for the shared strategies are normalized by
-// Materialized + Cached, which must equal the cache-off cost exactly
-// (Independent uses a different cost metric and is exempt from that check,
-// but its winners, prices, clicks, and revenue must still match).
+// throttled policies), every way of running the compiled plan — sequential,
+// incremental, pooled at 2, 4, and 8 workers (including forced-frontier
+// scheduling and mid-run plan hot-swaps) — must produce RoundReports, Stats,
+// and final per-advertiser accounting identical to the Independent engine's,
+// a naive per-phrase scan that shares no plan code with them.
+// Materialization counters are checked against the cache-off sequential
+// compiled engine: every shared variant's Materialized + Cached must equal
+// its Materialized exactly (Independent counts a different cost and takes no
+// part in that check).
 //
 // The cold-steady sub-tests drive the compiled-incremental strategies
 // across the cache governor's fallback in both directions: the bid stream
 // alternates stretches where every bid moves every round with stretches
 // where about 1 % of bids move, each long enough for the engine to drop to
 // full runs and to probe its way back, and every round must still match the
-// slab reference (which never leaves its cache).
+// two references (which have no cache to leave).
 func TestEngineStrategyEquivalence(t *testing.T) {
 	scenarios := []equivScenario{
 		{"gsp-naive", pricing.GSP, Naive, 0},
@@ -37,21 +36,16 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 		{"vcg-throttled-reserve", pricing.VCG, Throttled, 0.4},
 	}
 	variants := []equivVariant{
-		{name: "slab", workers: 1, slab: true}, // reference
-		{name: "memo", workers: 1, memo: true},
-		{name: "compiled", workers: 1},
-		{name: "slab-incremental", workers: 1, slab: true, incremental: true},
+		resultRef: {name: "independent", workers: 1, independent: true},
+		costRef:   {name: "compiled", workers: 1},
 		{name: "compiled-incremental", workers: 1, incremental: true},
-		{name: "slab-pool", workers: 4, slab: true},
 		{name: "compiled-pool", workers: 4},
-		{name: "slab-pool-incremental", workers: 4, slab: true, incremental: true},
 		{name: "compiled-pool-incremental", workers: 4, incremental: true},
 		{name: "compiled-pool2-incremental", workers: 2, incremental: true},
 		{name: "compiled-pool8-frontier", workers: 8, frontier: true},
 		{name: "compiled-pool8-incremental-frontier", workers: 8, incremental: true, frontier: true},
 		{name: "compiled-pool-swap", workers: 4, frontier: true, swap: true},
 		{name: "compiled-pool-incremental-swap", workers: 4, incremental: true, frontier: true, swap: true},
-		{name: "independent", workers: 1, independent: true},
 	}
 	for si, sc := range scenarios {
 		sc, seed := sc, int64(100+si)
@@ -66,7 +60,8 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 	}
 
 	fallbackVariants := []equivVariant{
-		{name: "slab-incremental", workers: 1, slab: true, incremental: true}, // reference
+		resultRef: variants[resultRef],
+		costRef:   variants[costRef],
 		{name: "compiled-incremental", workers: 1, incremental: true},
 		{name: "compiled-pool-incremental-frontier", workers: 4, incremental: true, frontier: true},
 	}
@@ -108,8 +103,11 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 						bypassedBefore[i] = e.Stats().CacheBypassedRounds
 					}
 				})
-			for i, v := range fallbackVariants[1:] {
-				at := bypassedAt[i+1]
+			for i, v := range fallbackVariants {
+				if !v.incremental {
+					continue
+				}
+				at := bypassedAt[i]
 				for start := 0; start < len(at); start += cold + steady {
 					n := 0
 					for _, bypassed := range at[start : start+cold] {
@@ -129,7 +127,7 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 						}
 					}
 				}
-				if st := engines[i+1].Stats(); st.CacheBypassedRounds == 0 || st.NodesCached == 0 {
+				if st := engines[i].Stats(); st.CacheBypassedRounds == 0 || st.NodesCached == 0 {
 					t.Errorf("%s: %d bypassed rounds, %d cached nodes — the stream did not exercise both paths",
 						v.name, st.CacheBypassedRounds, st.NodesCached)
 				}
@@ -137,6 +135,14 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// Every variant list starts with the two references: the Independent engine
+// every report is compared with, and the cache-off sequential compiled
+// engine every shared variant's aggregation cost is compared with.
+const (
+	resultRef = iota
+	costRef
+)
 
 type equivScenario struct {
 	name    string
@@ -149,8 +155,6 @@ type equivVariant struct {
 	name        string
 	workers     int
 	incremental bool
-	memo        bool
-	slab        bool
 	independent bool
 	// frontier drops the pooled runner's sequential cutoff to 0, so
 	// every dirty cone — even the small cached-steady-state ones —
@@ -164,8 +168,9 @@ type equivVariant struct {
 }
 
 // runEquivalence steps one engine per variant over the same randomized
-// rounds and fails on the first report, counter or account that differs
-// from variants[0]'s. mutate moves one world's bids after each round; it is
+// rounds and fails on the first report or account that differs from
+// variants[resultRef]'s, or aggregation cost that differs from
+// variants[costRef]'s. mutate moves one world's bids after each round; it is
 // called once per variant with an identically seeded rng, so every world
 // sees the same bid stream. after, when non-nil, observes the engines once
 // every variant has stepped the round. The drained engines are returned
@@ -204,8 +209,6 @@ func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBu
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.forceMemo = v.memo
-		eng.forceSlab = v.slab
 		if v.frontier {
 			eng.runner.SetSequentialCutoff(0)
 		}
@@ -219,16 +222,21 @@ func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBu
 		for q := range occ {
 			occ[q] = rng.Float64() < 0.6
 		}
-		ref := engines[0].Step(occ)
-		refFull := ref.Materialized + ref.Cached
+		// The reference's report views its own engine's scratch, so the
+		// other engines' Steps leave it intact.
+		ref := engines[resultRef].Step(occ)
+		refFull := 0
 		for i := 1; i < len(engines); i++ {
 			rep := engines[i].Step(occ)
 			compareReports(t, variants[i].name, round, ref, rep)
+			if i == costRef {
+				refFull = rep.Materialized
+			}
 			// Swap variants run a structurally different (but
 			// A-equivalent) plan after their first hot-swap, so
 			// their aggregation cost legitimately diverges; results
 			// above must still match exactly.
-			exemptCost := variants[i].independent || (variants[i].swap && round >= 20)
+			exemptCost := variants[i].swap && round >= 20
 			if got := rep.Materialized + rep.Cached; got != refFull && !exemptCost {
 				t.Fatalf("%s round %d: materialized %d + cached %d, want %d total",
 					variants[i].name, round, rep.Materialized, rep.Cached, refFull)
@@ -277,12 +285,13 @@ func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBu
 	for _, e := range engines {
 		e.Drain()
 	}
-	refStats := engines[0].Stats()
+	refStats := engines[resultRef].Stats()
+	fullCost := engines[costRef].Stats().NodesMaterialized
 	for i := 1; i < len(engines); i++ {
 		es := engines[i].Stats()
-		if es.NodesMaterialized+es.NodesCached != refStats.NodesMaterialized+refStats.NodesCached && !variants[i].independent && !variants[i].swap {
+		if es.NodesMaterialized+es.NodesCached != fullCost && !variants[i].swap {
 			t.Errorf("%s: lifetime materialized %d + cached %d, want %d",
-				variants[i].name, es.NodesMaterialized, es.NodesCached, refStats.NodesMaterialized+refStats.NodesCached)
+				variants[i].name, es.NodesMaterialized, es.NodesCached, fullCost)
 		}
 		// How the aggregation cost splits is the strategy's own business.
 		es.NodesMaterialized, es.NodesCached, es.CacheBypassedRounds = refStats.NodesMaterialized, refStats.NodesCached, refStats.CacheBypassedRounds
@@ -290,7 +299,7 @@ func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBu
 			t.Errorf("%s: final stats %+v, want %+v", variants[i].name, es, refStats)
 		}
 		for a := range worlds[0].Advertisers {
-			if got, want := engines[i].Spent(a), engines[0].Spent(a); got != want {
+			if got, want := engines[i].Spent(a), engines[resultRef].Spent(a); got != want {
 				t.Errorf("%s: advertiser %d spent %v, want %v", variants[i].name, a, got, want)
 				break
 			}

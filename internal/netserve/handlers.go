@@ -12,6 +12,7 @@ import (
 
 	"sharedwd/internal/core"
 	"sharedwd/internal/serr"
+	"sharedwd/internal/server"
 )
 
 // queryRequest is the POST /v1/query body.
@@ -37,8 +38,8 @@ type queryResponse struct {
 }
 
 // batchRequest is the POST /v1/query/batch body: many queries resolved in
-// (at most) one round per shard via the backend's SubmitBatch. One Timeout
-// covers the whole batch.
+// (at most) one round per shard via server.SubmitBatch. One Timeout covers
+// the whole batch.
 type batchRequest struct {
 	Queries []string `json:"queries"`
 	Timeout string   `json:"timeout,omitempty"`
@@ -152,7 +153,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	res, err := s.backend.Submit(ctx, req.Query)
+	res, err := server.Submit(ctx, s.backend, req.Query)
 	if err != nil {
 		code, retryable := submitStatus(err)
 		if code == http.StatusTooManyRequests {
@@ -235,8 +236,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	results, berr := s.backend.SubmitBatch(ctx, req.Queries)
-	errs := serr.SplitBatch(berr, len(req.Queries))
+	results, errs := server.SubmitBatch(ctx, s.backend, req.Queries)
 
 	resp := batchResponse{Results: make([]batchItem, len(req.Queries))}
 	for i, q := range req.Queries {

@@ -32,10 +32,11 @@ import (
 	"sharedwd/internal/server"
 )
 
-// Backend is the round server the tier fronts — the canonical fleet-facing
-// contract, promoted to internal/server so every transport (this HTTP
-// tier, the binary tier in internal/binproto, in-process clients) programs
-// against one interface. Both server.Server and shard.Server satisfy it.
+// Backend is the round server the tier fronts — the one fleet-facing
+// contract every transport (this HTTP tier, the binary tier in
+// internal/binproto, in-process clients) programs against. Both
+// server.Server and shard.Server satisfy it; the handlers block on it
+// through server.Submit and server.SubmitBatch.
 type Backend = server.Backend
 
 // Config tunes the network tier. The zero value serves on a random

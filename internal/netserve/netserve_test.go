@@ -25,10 +25,10 @@ import (
 	"sharedwd/internal/server"
 )
 
-// fakeBackend scripts Submit outcomes by query string, so handler tests
-// cover the whole error taxonomy without a real engine. "slow" queries
-// park until release is closed (or their ctx expires), which is how the
-// drain tests hold requests in flight.
+// fakeBackend scripts outcomes by query string, so handler tests cover the
+// whole error taxonomy without a real engine. "slow" queries park until
+// release is closed (or their deadline passes), which is how the drain
+// tests hold requests in flight.
 type fakeBackend struct {
 	release chan struct{}
 	submits atomic.Int64
@@ -39,23 +39,39 @@ func newFakeBackend() *fakeBackend {
 	return &fakeBackend{release: make(chan struct{})}
 }
 
-func (b *fakeBackend) Submit(ctx context.Context, query string) (server.Result, error) {
-	b.submits.Add(1)
-	switch query {
-	case "junk":
-		return server.Result{}, serr.ErrNoAuction
-	case "overload":
-		return server.Result{}, serr.ErrOverloaded
-	case "closing":
-		return server.Result{}, serr.ErrClosed
-	case "slow":
-		select {
-		case <-b.release:
-		case <-ctx.Done():
-			return server.Result{}, ctx.Err()
+func (b *fakeBackend) SubmitAsync(items []server.AsyncItem) {
+	for _, it := range items {
+		b.submits.Add(1)
+		switch it.Query {
+		case "junk":
+			it.Done.Complete(it.Index, server.Result{}, serr.ErrNoAuction)
+		case "overload":
+			it.Done.Complete(it.Index, server.Result{}, serr.ErrOverloaded)
+		case "closing":
+			it.Done.Complete(it.Index, server.Result{}, serr.ErrClosed)
+		case "slow":
+			go b.park(it)
+		default:
+			b.answer(it)
 		}
 	}
-	return server.Result{
+}
+
+// park answers a slow item once release closes, or fails it at its
+// deadline (the handlers always set one).
+func (b *fakeBackend) park(it server.AsyncItem) {
+	expire := time.NewTimer(time.Until(it.Deadline))
+	defer expire.Stop()
+	select {
+	case <-b.release:
+		b.answer(it)
+	case <-expire.C:
+		it.Done.Complete(it.Index, server.Result{}, context.DeadlineExceeded)
+	}
+}
+
+func (b *fakeBackend) answer(it server.AsyncItem) {
+	it.Done.Complete(it.Index, server.Result{
 		Phrase: 7,
 		Shard:  1,
 		Round:  42,
@@ -64,18 +80,7 @@ func (b *fakeBackend) Submit(ctx context.Context, query string) (server.Result, 
 			{Slot: 1, Advertiser: 9, PricePaid: 0.75},
 		},
 		Latency: 3 * time.Millisecond,
-	}, nil
-}
-
-// SubmitBatch follows the Backend batch contract over the same scripted
-// outcomes: one ItemError per failed query, results always len(queries).
-func (b *fakeBackend) SubmitBatch(ctx context.Context, queries []string) ([]server.Result, error) {
-	results := make([]server.Result, len(queries))
-	errs := make([]error, len(queries))
-	for i, q := range queries {
-		results[i], errs[i] = b.Submit(ctx, q)
-	}
-	return results, serr.JoinBatch(errs)
+	}, nil)
 }
 
 func (b *fakeBackend) Metrics() server.Metrics {

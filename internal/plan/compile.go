@@ -18,9 +18,8 @@ package plan
 //     individually materialized and cacheable.
 //
 //   - Linearization. Instructions are emitted level-major (DAG depth, then
-//     node ID), which is a topological order, keeps each pool level's
-//     worklist contiguous, and preserves the descending-sweep cone-marking
-//     trick of the slab executor at instruction granularity.
+//     node ID), which is a topological order, so one descending sweep from
+//     the highest needed instruction marks a round's whole cone.
 //
 // The lowering preserves the Plan's cost accounting exactly: a fused
 // instruction spans the internal nodes it absorbed, an instruction is in a

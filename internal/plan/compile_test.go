@@ -34,8 +34,7 @@ func overlapPlan(inst *plan.Instance) *plan.Plan {
 
 // randomPlans yields validated shared, naive and overlapping-children plans
 // over random overlap instances (a single-variable query appended, so leaf
-// queries are covered) — the same universe the executor equivalence test
-// runs on.
+// queries are covered).
 func randomPlans(t *testing.T, seed int64) (*plan.Instance, []*plan.Plan) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -273,8 +272,8 @@ func TestRunnerMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestRunnerIncrementalSteadyState mirrors the slab executor's caching test
-// on the compiled layout: unchanged scores and occurrence serve the whole
+// TestRunnerIncrementalSteadyState pins dirty-cone caching on the compiled
+// layout: unchanged scores and occurrence serve the whole
 // cone from cache, a single dirty leaf recomputes only part of it, and
 // InvalidateAll forces a full recompute.
 func TestRunnerIncrementalSteadyState(t *testing.T) {
@@ -320,6 +319,48 @@ func TestRunnerIncrementalSteadyState(t *testing.T) {
 	r4, _ := r.RunIncremental(scores, occ)
 	if r4 != r1 {
 		t.Fatalf("after InvalidateAll recomputed %d, want %d", r4, r1)
+	}
+}
+
+// TestRunnerValueReuse: every round's results land in the slots the runner
+// allocated at construction — a query's run views the same slab segment
+// round after round, full or incremental, whatever the scores and occurrence
+// vector — so steady-state rounds hold no per-round values to allocate.
+func TestRunnerValueReuse(t *testing.T) {
+	const k = 5
+	rng := rand.New(rand.NewSource(7))
+	inst, plans := randomPlans(t, 7)
+	for _, p := range plans {
+		pr := plan.Compile(p)
+		full, incr := plan.NewRunner(pr, k), plan.NewRunner(pr, k)
+		entries := full.SlabEntries()
+		var slots [2][]*topk.Entry // each runner's first-round segment per query
+		for round := 0; round < 10; round++ {
+			scores := randomScores(rng, inst.NumVars)
+			occ := randomOcc(rng, len(inst.Queries))
+			full.Run(scores, occ)
+			incr.InvalidateAll()
+			incr.RunIncremental(scores, occ)
+			for ri, r := range []*plan.Runner{full, incr} {
+				if slots[ri] == nil {
+					slots[ri] = make([]*topk.Entry, len(inst.Queries))
+				}
+				for qi := range inst.Queries {
+					run := r.QueryRun(qi)
+					if (occ != nil && !occ[qi]) || len(run) == 0 {
+						continue
+					}
+					if slots[ri][qi] == nil {
+						slots[ri][qi] = &run[0]
+					} else if slots[ri][qi] != &run[0] {
+						t.Fatalf("round %d: query %d's run moved to a new segment", round, qi)
+					}
+				}
+			}
+			if full.SlabEntries() != entries || incr.SlabEntries() != entries {
+				t.Fatalf("round %d: slab grew from %d entries", round, entries)
+			}
+		}
 	}
 }
 

@@ -13,20 +13,18 @@ import (
 // dynamically — helpers and caller claim cost-balanced chunks from a shared
 // atomic cursor — so a straggling chunk is stolen, not waited on.
 //
-// Three entry points share the helpers:
+// Two entry points share the helpers:
 //
 //   - Broadcast hands every worker (caller included) one call of fn with a
 //     stable worker index in [0, Workers) — the primitive the Runner's
 //     frontier executor builds on, and the hook for per-worker scratch.
-//   - Run applies fn to each id of a worklist, claiming fixed-size chunks
-//     off a shared cursor (the slab Executor's per-level scheduling).
 //   - RunRange splits [0, n) into grain-sized half-open intervals claimed
-//     the same way, for data-parallel loops such as leaf scoring.
+//     off a shared cursor, for data-parallel loops such as leaf scoring.
 //
 // Dispatch sends fixed-size task structs over per-helper buffered channels
 // and reuses pinned closures plus one WaitGroup, so a steady-state call
-// performs no allocations. None of the entry points are reentrant or safe
-// for concurrent use with each other; the engine serializes them within a
+// performs no allocations. Neither entry point is reentrant or safe for
+// concurrent use with the other; the engine serializes them within a
 // round.
 type Pool struct {
 	workers int
@@ -35,20 +33,16 @@ type Pool struct {
 	stopped sync.WaitGroup  // helper exit barrier for Close
 	closed  sync.Once
 
-	// cursor is the shared claim point of Run/RunRange, padded so helpers
-	// hammering it do not false-share the pool's cold fields.
+	// cursor is RunRange's shared claim point, padded so helpers hammering
+	// it do not false-share the pool's cold fields.
 	cursor paddedCounter
 
 	// Pinned dispatch state (set before a Broadcast, read after the
-	// channel-send happens-before edge) and pinned worker closures, so
+	// channel-send happens-before edge) and the pinned worker closure, so
 	// steady-state calls allocate nothing.
-	runIDs    []int32
-	runFn     func(id int32)
-	runChunk  int32
 	rangeN    int
 	rangeGrin int
 	rangeFn   func(worker, lo, hi int)
-	runWkr    func(worker int)
 	rangeWkr  func(worker int)
 }
 
@@ -64,14 +58,6 @@ type poolTask struct {
 	done *sync.WaitGroup
 }
 
-// minRunChunk is the smallest worklist chunk Run hands out: claiming work
-// finer than this costs more cursor traffic than the kernels it covers.
-const minRunChunk = 8
-
-// chunksPerWorker over-partitions Run worklists so an unlucky worker can
-// shed load to idle ones instead of serializing the tail.
-const chunksPerWorker = 4
-
 // NewPool starts a pool providing `workers`-way parallelism (≥ 1): the
 // caller's goroutine plus workers−1 helpers.
 func NewPool(workers int) *Pool {
@@ -79,23 +65,6 @@ func NewPool(workers int) *Pool {
 		panic(fmt.Sprintf("plan: pool needs ≥ 1 worker, got %d", workers))
 	}
 	p := &Pool{workers: workers, tasks: make([]chan poolTask, workers-1)}
-	p.runWkr = func(int) {
-		ids, fn, chunk := p.runIDs, p.runFn, int64(p.runChunk)
-		n := int64(len(ids))
-		for {
-			lo := p.cursor.v.Add(chunk) - chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for _, id := range ids[lo:hi] {
-				fn(id)
-			}
-		}
-	}
 	p.rangeWkr = func(worker int) {
 		n, grain, fn := int64(p.rangeN), int64(p.rangeGrin), p.rangeFn
 		for {
@@ -134,7 +103,7 @@ func (p *Pool) work(ch chan poolTask, worker int) {
 // helper with its fixed index — and returns when all calls finish. fn must
 // claim actual work from shared state (e.g. an atomic cursor): worker
 // indices name scratch regions, they do not partition work. Broadcast must
-// not be called concurrently with itself, Run, or RunRange.
+// not be called concurrently with itself or RunRange.
 func (p *Pool) Broadcast(fn func(worker int)) {
 	if p.workers == 1 {
 		fn(0)
@@ -148,36 +117,10 @@ func (p *Pool) Broadcast(fn func(worker int)) {
 	p.done.Wait()
 }
 
-// Run applies fn to every id and returns when all calls finish. Workers
-// claim contiguous fixed-size chunks from a shared cursor, so no worker
-// idles while another holds a long tail, and short worklists (at most one
-// chunk) run inline on the caller with no handoff at all — there are never
-// degenerate empty or singleton chunks. fn calls for distinct ids must be
-// independent.
-func (p *Pool) Run(ids []int32, fn func(id int32)) {
-	if len(ids) == 0 {
-		return
-	}
-	chunk := (len(ids) + p.workers*chunksPerWorker - 1) / (p.workers * chunksPerWorker)
-	if chunk < minRunChunk {
-		chunk = minRunChunk
-	}
-	if p.workers == 1 || len(ids) <= chunk {
-		for _, id := range ids {
-			fn(id)
-		}
-		return
-	}
-	p.runIDs, p.runFn, p.runChunk = ids, fn, int32(chunk)
-	p.cursor.v.Store(0)
-	p.Broadcast(p.runWkr)
-	p.runIDs, p.runFn = nil, nil
-}
-
 // RunRange applies fn to half-open sub-intervals covering [0, n), each at
-// most grain wide, claimed from a shared cursor like Run's chunks. fn
-// additionally receives the executing worker's index for per-worker
-// scratch. Single-worker pools and ranges of at most grain elements run as
+// most grain wide, claimed from a shared cursor, so a straggling interval
+// is stolen, not waited on. fn receives the executing worker's index for
+// per-worker scratch. Single-worker pools and ranges of at most grain elements run as
 // one inline fn(0, 0, n) call on the caller.
 func (p *Pool) RunRange(n, grain int, fn func(worker, lo, hi int)) {
 	if n <= 0 {

@@ -1,50 +1,12 @@
 package plan_test
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"sharedwd/internal/plan"
 )
-
-// TestPoolRunCoverage pins Run's contract across the chunking regimes: every
-// id is visited exactly once whether the worklist is shorter than one chunk
-// (inline path — the degenerate-chunk fix), spans a few chunks, or
-// over-partitions heavily.
-func TestPoolRunCoverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, workers := range []int{1, 2, 3, 8} {
-		pool := plan.NewPool(workers)
-		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 64, 1000} {
-			ids := make([]int32, n)
-			for i := range ids {
-				ids[i] = int32(rng.Intn(1 << 20))
-			}
-			hits := make(map[int32]int, n)
-			var mu sync.Mutex
-			pool.Run(ids, func(id int32) {
-				mu.Lock()
-				hits[id]++
-				mu.Unlock()
-			})
-			total := 0
-			for _, c := range hits {
-				total += c
-			}
-			if total != n {
-				t.Fatalf("workers=%d n=%d: %d calls", workers, n, total)
-			}
-			for _, id := range ids {
-				if hits[id] == 0 {
-					t.Fatalf("workers=%d n=%d: id %d never visited", workers, n, id)
-				}
-			}
-		}
-		pool.Close()
-	}
-}
 
 // TestPoolRunRange pins RunRange: the claimed intervals tile [0, n) exactly,
 // each at most grain wide, and worker indices stay within [0, Workers).
@@ -102,7 +64,7 @@ func TestPoolBroadcast(t *testing.T) {
 // goroutines have exited.
 func TestPoolCloseIdempotent(t *testing.T) {
 	pool := plan.NewPool(4)
-	pool.Run([]int32{1, 2, 3}, func(int32) {})
+	pool.Broadcast(func(int) {})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)

@@ -10,15 +10,14 @@ import (
 )
 
 // Runner executes a compiled Program over dense top-k entry slabs, round
-// after round, with zero steady-state allocations. It is the flat,
-// operator-specialized counterpart of Executor[*topk.List]: instruction
-// outputs are fixed-stride segments of one contiguous []topk.Entry slab
-// instead of heap-allocated lists, leaves are scored once per round into a
-// caller-provided score slab instead of through a closure per node, and each
-// instruction dispatches to concrete scan and merge kernels instead of a
-// generic op callback. All of its state is indexed by instruction.
+// after round, with zero steady-state allocations: instruction outputs are
+// fixed-stride segments of one contiguous []topk.Entry slab, leaves are
+// scored once per round into a caller-provided score slab, and each
+// instruction dispatches to concrete scan and merge kernels. All of its
+// state is indexed by instruction. (The map-memo Execute is the generic
+// reference the tests tie it to.)
 //
-// The three execution modes of the slab executor carry over:
+// It has three execution modes:
 //
 //   - Run evaluates the round's needed cone, marked by epoch stamps (a stamp
 //     write per instruction, no clearing pass). A sequential Run stores an
@@ -127,6 +126,10 @@ const readsQuery = 1 << 30
 // never pays worker rendezvous, while full recomputes on shared plans sit
 // far above it.
 const DefaultSequentialCutoff = 256
+
+// chunksPerWorker over-partitions the initial frontier so an unlucky worker
+// can shed load to idle ones instead of serializing the tail.
+const chunksPerWorker = 4
 
 // csr inverts the CSR adjacency (start, adj) into one over its m targets:
 // the result lists, for each target, the sources naming it, in ascending
@@ -266,9 +269,8 @@ func (r *Runner) Run(scores []float64, occurring []bool) (materialized int) {
 // instruction output still consistent with the leaf scores (see
 // Invalidate). It returns how many internal plan nodes were recomputed and
 // how many were served from cache; recomputed+cached equals the cone size
-// Run would materialize. Fused chains cache as one unit, so the split can
-// be coarser than the node-granular slab executor's — the sum invariant is
-// what both guarantee. The cache is only as good as the Invalidate calls
+// Run would materialize. Fused chains cache as one unit, so the split is
+// coarser than node-granular — the sum is the invariant. The cache is only as good as the Invalidate calls
 // behind it: after rounds whose score changes were not reported (an engine
 // on plain Run), re-enter through InvalidateAll.
 func (r *Runner) RunIncremental(scores []float64, occurring []bool) (recomputed, cached int) {

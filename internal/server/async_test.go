@@ -107,14 +107,16 @@ func TestIntakeRingConcurrent(t *testing.T) {
 	}
 }
 
-// --- pooled request recycling ---
+// --- pooled request and waiter recycling ---
 
-// TestPooledRequestReuseRace is the satellite regression test: requests
-// are pooled with an epoch guard, and a waiter abandoning at its deadline
-// must never race a late round-loop reply into a recycled object. The mix
-// below — tiny random deadlines against a live round loop, under -race —
-// makes the Answered/Abandoned CAS race constant; any ownership bug shows
-// up as a race report, a stuck Submit, or a reply crossing requests.
+// TestPooledRequestReuseRace: requests and the blocking adapter's waiters
+// are pooled, and a caller leaving at its deadline must never race a late
+// round-loop completion into a recycled object. The mix below — tiny
+// deadlines straddling a live round loop's interval, single queries and
+// batches, under -race — makes the caller-leaves / last-completion-arrives
+// race constant; an ownership bug shows up as a race report, a stuck
+// Submit, a result for another caller's query, or a waiter handed out
+// while a completion was still owed (its slots would not match its call).
 func TestPooledRequestReuseRace(t *testing.T) {
 	cfg := testConfig()
 	cfg.RoundInterval = 500 * time.Microsecond
@@ -126,48 +128,53 @@ func TestPooledRequestReuseRace(t *testing.T) {
 
 	const goroutines = 16
 	const perG = 300
+	check := func(query int, res Result, err error) {
+		switch {
+		case err == nil:
+			// A result for another query would betray pool corruption.
+			if res.Phrase != query {
+				t.Errorf("query for phrase %d answered with phrase %d", query, res.Phrase)
+			}
+		case !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, serr.ErrOverloaded):
+			t.Errorf("phrase %d: %v", query, err)
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				// Deadlines straddle the round interval, so some requests
-				// resolve and some abandon — both CAS outcomes exercised.
+				// Deadlines straddle the round interval, so some calls
+				// resolve and some leave first — both orders exercised.
 				d := time.Duration(i%5) * 250 * time.Microsecond
 				ctx, cancel := context.WithTimeout(context.Background(), d)
-				phrase := w.PhraseNames[(g+i)%len(w.PhraseNames)]
-				res, err := s.Submit(ctx, phrase)
-				cancel()
-				if err == nil {
-					// A delivered result must be internally consistent —
-					// a cross-request reply would betray pool corruption.
-					if res.Phrase < 0 || res.Phrase >= len(w.PhraseNames) {
-						t.Errorf("impossible phrase %d", res.Phrase)
-					}
-				} else if !errors.Is(err, context.DeadlineExceeded) &&
-					!errors.Is(err, serr.ErrOverloaded) {
-					t.Errorf("Submit: %v", err)
+				q := (g + i) % len(w.PhraseNames)
+				if i%3 == 0 {
+					q2 := (q + 1) % len(w.PhraseNames)
+					results, errs := SubmitBatch(ctx, s, []string{w.PhraseNames[q], w.PhraseNames[q2]})
+					check(q, results[0], errs[0])
+					check(q2, results[1], errs[1])
+				} else {
+					res, err := s.Submit(ctx, w.PhraseNames[q])
+					check(q, res, err)
 				}
+				cancel()
 			}
 		}(g)
 	}
 	wg.Wait()
-	s.Close()
 
-	m := s.Metrics()
-	if m.Answered+m.TimedOut+m.Shed+m.Expired == 0 {
-		t.Fatal("no traffic recorded")
-	}
+	m := closeAndCheckAccounting(t, s)
 	if m.Answered == 0 {
-		t.Fatal("every request timed out; the race never ran both CAS arms")
+		t.Fatal("every request timed out; no completion ever reached a waiting caller")
 	}
 	if m.TimedOut == 0 {
-		t.Fatal("no request abandoned; the race never ran both CAS arms")
+		t.Fatal("no caller left before its completion; the race never ran")
 	}
 }
 
-// --- callback fast path ---
+// --- SubmitAsync ---
 
 type collectComp struct {
 	mu      sync.Mutex
@@ -197,7 +204,7 @@ func (c *collectComp) Complete(i int, res Result, err error) {
 	c.wg.Done()
 }
 
-// TestSubmitAsync covers the callback fast path end to end on one server:
+// TestSubmitAsync covers SubmitAsync end to end on one server:
 // matched queries resolve through the round loop with the same results
 // Submit gives, unmatched ones refuse synchronously, and every completion
 // fires exactly once.

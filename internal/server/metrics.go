@@ -87,8 +87,13 @@ type Metrics struct {
 	// marshaled as integer nanoseconds.
 	Uptime time.Duration `json:"uptime_ns"`
 
-	// Admission counters. Submitted = Answered + in flight + Unmatched +
-	// Shed + TimedOut (+ Expired requests answered with their ctx error).
+	// Admission counters. Every submitted query has exactly one outcome:
+	// Submitted = Answered + Unmatched + Shed + TimedOut + Expired + in
+	// flight, so the five outcomes sum to Submitted once the server has
+	// drained. TimedOut requests were dropped at a round close because their
+	// blocking caller had already returned on its ctx; Expired ones because
+	// their deadline had passed. A query refused by a closed server is not
+	// counted at all.
 	Submitted int64 `json:"submitted"`
 	Answered  int64 `json:"answered"`
 	Unmatched int64 `json:"unmatched"`

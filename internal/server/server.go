@@ -8,9 +8,9 @@
 // The serving unit is Worker: one bounded admission queue feeding one
 // round loop pinned to one single-goroutine core.Engine:
 //
-//	callers ──SubmitPhrase──▶ bounded admission queue ──▶ round loop ──▶ Engine.Step
-//	   ▲                           (shed when full)         │
-//	   └─────────── per-request result channel ◀────────────┘
+//	callers ──SubmitAsync──▶ bounded admission queue ──▶ round loop ──▶ Engine.Step
+//	   ▲                          (shed when full)          │
+//	   └──────────── per-item Completion ◀──────────────────┘
 //
 // Server is the single-engine front end over one worker: raw query strings
 // are admitted concurrently, mapped to bid phrases with workload.Matcher,
@@ -277,54 +277,27 @@ func (s *Server) Pacer() *budget.Pacer { return s.pacer }
 func (s *Server) Matcher() *workload.Matcher { return s.matcher }
 
 // Submit admits one raw query and blocks until its round resolves, the
-// context is done, or the server refuses it. Errors: serr.ErrNoAuction
-// (query matches no bid phrase), serr.ErrOverloaded (admission queue full
-// — the backpressure signal), serr.ErrClosed, or ctx.Err() once the
-// deadline expires. Safe for concurrent use.
+// context is done, or the server refuses it — the package's Submit over
+// this server. Errors: serr.ErrNoAuction (query matches no bid phrase),
+// serr.ErrOverloaded (admission queue full — the backpressure signal),
+// serr.ErrClosed, or ctx.Err() once the deadline expires. Safe for
+// concurrent use.
 func (s *Server) Submit(ctx context.Context, query string) (Result, error) {
-	phrase, ok := s.matcher.Match(query)
-	if !ok {
-		s.unmatched.Add(1)
-		return Result{}, serr.ErrNoAuction
-	}
-	return s.worker.SubmitPhrase(ctx, phrase)
+	return Submit(ctx, s, query)
 }
 
 // SubmitBatch admits many raw queries at once and blocks until every one
-// resolves or fails — the Backend batch contract. The returned slice
-// always has len(queries); the error is nil when all succeeded, otherwise
-// it joins one *serr.ItemError per failed query (expand with
-// serr.SplitBatch). The whole batch is admitted in one pass and resolved
-// without per-query goroutines, so it is the efficient path for the
-// network tiers' batch frames. Safe for concurrent use.
+// resolves or fails — the package's SubmitBatch over this server. The
+// returned slice always has len(queries); the error is nil when all
+// succeeded, otherwise it joins one *serr.ItemError per failed query
+// (expand with serr.SplitBatch). Safe for concurrent use.
 func (s *Server) SubmitBatch(ctx context.Context, queries []string) ([]Result, error) {
-	results := make([]Result, len(queries))
-	errs := make([]error, len(queries))
-	phrases := make([]int, 0, len(queries))
-	at := make([]int, 0, len(queries)) // batch index of each matched query
-	for i, q := range queries {
-		phrase, ok := s.matcher.Match(q)
-		if !ok {
-			s.unmatched.Add(1)
-			errs[i] = serr.ErrNoAuction
-			continue
-		}
-		phrases = append(phrases, phrase)
-		at = append(at, i)
-	}
-	if len(phrases) > 0 {
-		sub := make([]Result, len(phrases))
-		suberrs := make([]error, len(phrases))
-		s.worker.SubmitPhrases(ctx, phrases, sub, suberrs)
-		for j, i := range at {
-			results[i], errs[i] = sub[j], suberrs[j]
-		}
-	}
+	results, errs := SubmitBatch(ctx, s, queries)
 	return results, serr.JoinBatch(errs)
 }
 
-// SubmitAsync admits a batch of queries on the callback fast path — the
-// AsyncBackend contract: no blocking, no per-query goroutine, outcomes
+// SubmitAsync admits a batch of queries — the Backend contract, and the one
+// way into the server: no blocking, no per-query goroutine, outcomes
 // delivered exactly once through each item's Completion (synchronously for
 // refusals: ErrNoAuction, ErrOverloaded, ErrClosed; from the round loop
 // otherwise). Safe for concurrent use.

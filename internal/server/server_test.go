@@ -114,9 +114,24 @@ func TestServerServesQueries(t *testing.T) {
 	}
 }
 
+// closeAndCheckAccounting closes the server and asserts the ROADMAP
+// invariant on what it leaves behind: every submitted query was counted
+// under exactly one outcome.
+func closeAndCheckAccounting(t *testing.T, s *Server) Metrics {
+	t.Helper()
+	s.Close()
+	m := s.Metrics()
+	if sum := m.Answered + m.Unmatched + m.Shed + m.TimedOut + m.Expired; m.Submitted != sum {
+		t.Errorf("submitted %d != answered %d + unmatched %d + shed %d + timed out %d + expired %d",
+			m.Submitted, m.Answered, m.Unmatched, m.Shed, m.TimedOut, m.Expired)
+	}
+	return m
+}
+
 // TestServerLifecycle covers the failure-mode table: per-request deadlines,
 // queue-full shedding, shutdown with in-flight requests, zero-traffic
-// ticks, unmatched queries, and submission after Close.
+// ticks, unmatched queries, and submission after Close. Every case ends
+// with each submitted query under exactly one outcome counter.
 func TestServerLifecycle(t *testing.T) {
 	t.Run("deadline exceeded", func(t *testing.T) {
 		cfg := testConfig()
@@ -133,8 +148,38 @@ func TestServerLifecycle(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("Submit = %v, want DeadlineExceeded", err)
 		}
-		if got := s.Metrics().TimedOut; got != 1 {
-			t.Fatalf("TimedOut = %d, want 1", got)
+		// The outcome is counted where the request is dropped — at the
+		// round the final drain closes — and counted once: the caller had
+		// left, so it timed out; it did not also expire.
+		if m := closeAndCheckAccounting(t, s); m.TimedOut != 1 || m.Expired != 0 {
+			t.Fatalf("TimedOut = %d, Expired = %d, want 1 and 0", m.TimedOut, m.Expired)
+		}
+	})
+
+	t.Run("canceled caller returns before its round", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.RoundInterval = time.Hour // no round closes while the caller waits
+		cfg.MaxBatch = 0
+		w := testWorkload(t)
+		s, err := New(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(5*time.Millisecond, cancel)
+		start := time.Now()
+		_, errs := SubmitBatch(ctx, s, w.PhraseNames[:3])
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("canceled SubmitBatch returned after %v", took)
+		}
+		for i, err := range errs {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("item %d = %v, want Canceled", i, err)
+			}
+		}
+		if m := closeAndCheckAccounting(t, s); m.TimedOut != 3 || m.Answered != 0 {
+			t.Fatalf("TimedOut = %d, Answered = %d, want 3 and 0", m.TimedOut, m.Answered)
 		}
 	})
 
@@ -189,8 +234,8 @@ func TestServerLifecycle(t *testing.T) {
 		if err := <-bDone; err != nil {
 			t.Fatalf("request B failed: %v", err)
 		}
-		if got := s.Metrics().Shed; got != 1 {
-			t.Fatalf("Shed = %d, want 1", got)
+		if m := closeAndCheckAccounting(t, s); m.Shed != 1 || m.Answered != 2 {
+			t.Fatalf("Shed = %d, Answered = %d, want 1 and 2", m.Shed, m.Answered)
 		}
 	})
 
@@ -203,35 +248,31 @@ func TestServerLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Admit synchronously (deterministic), then listen for replies.
-		reqs := make([]*request, 3)
-		for i := range reqs {
-			reqs[i] = &request{
-				phrase:    i,
-				resPhrase: i,
-				enqueued:  time.Now(),
-				done:      make(chan reply, 1),
-			}
-			if err := s.worker.admit(reqs[i]); err != nil {
-				t.Fatalf("admit %d: %v", i, err)
-			}
+		// Admission is synchronous, so all three are in the ring when
+		// SubmitAsync returns.
+		cc := newCollectComp(3)
+		items := make([]AsyncItem, 3)
+		for i := range items {
+			items[i] = AsyncItem{Query: w.PhraseNames[i], Done: cc, Index: i}
 		}
+		s.SubmitAsync(items)
 		s.Close() // must resolve all three in the final round
-		for i, req := range reqs {
-			select {
-			case r := <-req.done:
-				if r.err != nil {
-					t.Fatalf("request %d: %v", i, r.err)
-				}
-				if r.res.Phrase != i {
-					t.Fatalf("request %d: phrase %d", i, r.res.Phrase)
-				}
-			default:
+		for i := range items {
+			if cc.fired[i] != 1 {
 				t.Fatalf("request %d unresolved after Close", i)
+			}
+			if cc.errs[i] != nil {
+				t.Fatalf("request %d: %v", i, cc.errs[i])
+			}
+			if cc.results[i].Phrase != i {
+				t.Fatalf("request %d: phrase %d", i, cc.results[i].Phrase)
 			}
 		}
 		if _, err := s.Submit(context.Background(), w.PhraseNames[0]); !errors.Is(err, serr.ErrClosed) {
 			t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+		}
+		if m := closeAndCheckAccounting(t, s); m.Answered != 3 {
+			t.Fatalf("Answered = %d, want 3", m.Answered)
 		}
 	})
 
@@ -243,8 +284,7 @@ func TestServerLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		time.Sleep(25 * time.Millisecond)
-		s.Close()
-		m := s.Metrics()
+		m := closeAndCheckAccounting(t, s)
 		if m.Rounds < 5 {
 			t.Fatalf("Rounds = %d, want ≥ 5 idle ticks", m.Rounds)
 		}
@@ -269,8 +309,8 @@ func TestServerLifecycle(t *testing.T) {
 		if _, err := s.Submit(context.Background(), "zzz no such phrase"); !errors.Is(err, serr.ErrNoAuction) {
 			t.Fatalf("Submit = %v, want ErrNoAuction", err)
 		}
-		if got := s.Metrics().Unmatched; got != 1 {
-			t.Fatalf("Unmatched = %d, want 1", got)
+		if m := closeAndCheckAccounting(t, s); m.Unmatched != 1 {
+			t.Fatalf("Unmatched = %d, want 1", m.Unmatched)
 		}
 	})
 
@@ -285,6 +325,7 @@ func TestServerLifecycle(t *testing.T) {
 			go func() { defer wg.Done(); s.Close() }()
 		}
 		wg.Wait()
+		closeAndCheckAccounting(t, s)
 	})
 }
 
@@ -387,9 +428,8 @@ func TestServerConcurrentAdmissionAndMetrics(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readWG.Wait()
-	s.Close()
 
-	m := s.Metrics()
+	m := closeAndCheckAccounting(t, s)
 	if m.Submitted != submitters*perSubmitter {
 		t.Fatalf("Submitted = %d, want %d", m.Submitted, submitters*perSubmitter)
 	}

@@ -15,80 +15,38 @@ import (
 	"sharedwd/internal/workload"
 )
 
-type reply struct {
-	res Result
-	err error
-}
-
-// Request lifecycle states for the pooled-object epoch guard. A request
-// starts Waiting; exactly one side wins the CAS out of Waiting, and the
-// loser of that race is the one that recycles the object — so a late
-// round-loop reply can never touch a request that a timed-out waiter has
-// already returned to the pool, and vice versa.
-const (
-	reqWaiting   uint32 = iota
-	reqAnswered         // the loop committed a reply to done
-	reqAbandoned        // the waiter gave up (ctx done) before the loop answered
-)
-
+// request is one admitted item on its way through the intake ring and a
+// round: the worker-local phrase, the Completion that receives its outcome,
+// and the identity the answer reports.
 type request struct {
 	phrase   int
 	enqueued time.Time
 	dequeued time.Time
-	ctx      context.Context // blocking path only; nil on the callback path
-	deadline time.Time       // callback path deadline; zero means none
-	done     chan reply      // buffered(1), pooled with the request
+	deadline time.Time // zero means none
 
-	state atomic.Uint32 // reqWaiting / reqAnswered / reqAbandoned
-
-	// Callback fast path: when cb is non-nil the loop invokes
-	// cb.Complete(cbIndex, ...) instead of sending on done, then recycles
-	// the request itself — no waiter, no channel, no context.
 	cb      Completion
 	cbIndex int
 
-	// Result identity: the Phrase/Shard the answer reports. The blocking
-	// path sets resPhrase = phrase and lets the sharded front end rewrite;
-	// the async path carries the global phrase ID here so results need no
-	// post-hoc fixup.
+	// resPhrase is the Phrase the outcome reports (the global phrase ID
+	// under sharding).
 	resPhrase int
-	resShard  int
 }
 
-// requestPool recycles request objects (and their buffered done channels)
-// across submissions; the epoch guard above makes reuse safe. The pool is
+// requestPool recycles request objects across submissions. The pool is
 // shared by every worker in the process — requests carry no per-worker
 // state between uses.
-var requestPool = sync.Pool{New: func() any { return &request{done: make(chan reply, 1)} }}
+var requestPool = sync.Pool{New: func() any { return new(request) }}
 
-func getRequest() *request {
-	req := requestPool.Get().(*request)
-	req.state.Store(reqWaiting)
-	return req
+// callerGone reports whether the request came from a blocking call that has
+// since returned on its ctx (see waiter): nobody is left to read the answer.
+func (req *request) callerGone() bool {
+	w, ok := req.cb.(*waiter)
+	return ok && w.gone.Load()
 }
 
-// putRequest returns a request to the pool. The caller must guarantee the
-// done channel is empty (the lifecycle discipline: whoever receives the
-// reply — or proves none was sent — recycles).
-func putRequest(req *request) {
-	req.ctx = nil
-	req.cb = nil
-	req.deadline = time.Time{}
-	requestPool.Put(req)
-}
-
-// expired reports the deadline error for a request whose waiter is (or
-// will be) gone: the blocking path's ctx, or the async path's deadline.
-func (req *request) expired(now time.Time) error {
-	if req.ctx != nil {
-		if err := req.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if !req.deadline.IsZero() && now.After(req.deadline) {
-		return context.DeadlineExceeded
-	}
-	return nil
+// expired reports whether the request's deadline has passed.
+func (req *request) expired(now time.Time) bool {
+	return !req.deadline.IsZero() && now.After(req.deadline)
 }
 
 // Worker is one admission queue + round loop pinned to one core.Engine —
@@ -97,9 +55,9 @@ func (req *request) expired(now time.Time) error {
 // matcher. A worker speaks phrase IDs local to its workload; query-string
 // matching (and the ErrNoAuction path) belongs to the front end.
 //
-// Thread safety: SubmitPhrase, SubmitPhrases, SubmitPhraseAsync, Metrics,
-// and Close are safe for concurrent use by any number of goroutines. The
-// worker owns its workload and engine once NewWorker returns.
+// Thread safety: SubmitPhraseAsync, Metrics, and Close are safe for
+// concurrent use by any number of goroutines. The worker owns its workload
+// and engine once NewWorker returns.
 type Worker struct {
 	cfg Config
 	eng *core.Engine
@@ -123,10 +81,11 @@ type Worker struct {
 	loopDone  chan struct{}
 	closeOnce sync.Once
 
-	// Counters on the admission fast path (submit-side).
+	// Counters on the admission fast path (submit-side). Every submitted
+	// request is counted under exactly one outcome: shed here, or answered,
+	// timedOut or expired by the loop below.
 	submitted atomic.Int64
 	shed      atomic.Int64
-	timedOut  atomic.Int64
 
 	// Loop-owned observability, guarded by mu for Metrics.
 	mu            sync.Mutex
@@ -134,7 +93,8 @@ type Worker struct {
 	rounds        int64
 	emptyRounds   int64
 	answered      int64
-	expired       int64
+	timedOut      int64 // dropped at round close: the blocking caller had left
+	expired       int64 // dropped at round close: the deadline had passed
 	admissionHist *stats.Histogram
 	roundHist     *stats.Histogram
 	wdHist        *stats.Histogram
@@ -146,8 +106,8 @@ type Worker struct {
 	engStats      core.Stats
 
 	// latScratch collects per-request latency samples inside closeRound so
-	// callback requests can be recycled the moment they are answered, with
-	// the histogram updates following off the scratch copy. Loop-owned.
+	// requests can be recycled the moment they are answered, with the
+	// histogram updates following off the scratch copy. Loop-owned.
 	latScratch []latSample
 
 	// Adaptive replanning (nil planner when Config.Replan is nil). The
@@ -225,171 +185,52 @@ func (wk *Worker) wakeLoop() {
 	}
 }
 
-// SubmitPhrase admits one already-matched phrase (an ID into this worker's
-// workload) and blocks until its round resolves, the context is done, or
-// the worker refuses it. Errors: serr.ErrOverloaded (admission queue
-// full), serr.ErrClosed, or ctx.Err() once the deadline expires. Safe for
-// concurrent use.
-func (wk *Worker) SubmitPhrase(ctx context.Context, phrase int) (Result, error) {
-	wk.submitted.Add(1)
-	req := getRequest()
-	req.phrase = phrase
-	req.resPhrase = phrase
-	req.resShard = wk.cfg.ShardID
-	req.ctx = ctx
-	req.enqueued = time.Now()
-	if err := wk.admit(req); err != nil {
-		putRequest(req)
-		return Result{}, err
-	}
-	select {
-	case r := <-req.done:
-		res, err := r.res, r.err
-		putRequest(req)
-		return res, err
-	case <-ctx.Done():
-		if req.state.CompareAndSwap(reqWaiting, reqAbandoned) {
-			// The loop has not answered and now never will touch done: it
-			// sees Abandoned and recycles the request itself.
-			wk.timedOut.Add(1)
-			return Result{}, ctx.Err()
-		}
-		// The loop won the race and a reply is already (or imminently) in
-		// the buffered channel; collect it so the pooled channel is clean.
-		r := <-req.done
-		res, err := r.res, r.err
-		putRequest(req)
-		return res, err
-	}
-}
-
-// SubmitPhrases admits a batch of already-matched phrases at once and
-// blocks until every one has resolved or failed, writing outcome i into
-// results[i] / errs[i] (both must have len(phrases)). It is the fan-in
-// behind Backend.SubmitBatch: one admission pass under one lock hold, no
-// per-item goroutine — the round loop answers the whole batch at its round
-// close(s) and this call collects the replies in order. Per-item errors
-// follow SubmitPhrase's taxonomy; items shed or refused individually do
-// not fail their siblings. Safe for concurrent use.
-func (wk *Worker) SubmitPhrases(ctx context.Context, phrases []int, results []Result, errs []error) {
-	wk.submitted.Add(int64(len(phrases)))
-	reqs := make([]*request, len(phrases))
-	now := time.Now()
+// SubmitPhraseAsync admits one already-matched phrase (an ID into this
+// worker's workload) and returns immediately — the one way into a worker.
+// The outcome is delivered exactly once through done.Complete(index, ...):
+// from the round loop when the request was admitted, or synchronously from
+// this call on refusal (serr.ErrOverloaded / serr.ErrClosed). deadline zero
+// means no deadline; an expired request is answered with
+// context.DeadlineExceeded at the next round close. resPhrase is the phrase
+// ID the outcome reports (the global ID under sharding). enqueued stamps
+// admission time (callers submitting a batch pass one timestamp for the
+// whole batch). Safe for concurrent use.
+func (wk *Worker) SubmitPhraseAsync(phrase, resPhrase int, deadline, enqueued time.Time, done Completion, index int) {
 	wk.admitMu.RLock()
 	if wk.closed {
 		wk.admitMu.RUnlock()
-		for i := range errs {
-			errs[i] = serr.ErrClosed
-		}
+		done.Complete(index, Result{Phrase: resPhrase, Shard: wk.cfg.ShardID}, serr.ErrClosed)
 		return
 	}
-	admitted := false
-	for i, phrase := range phrases {
-		req := getRequest()
-		req.phrase = phrase
-		req.resPhrase = phrase
-		req.resShard = wk.cfg.ShardID
-		req.ctx = ctx
-		req.enqueued = now
-		if wk.intake.push(req) {
-			reqs[i] = req
-			admitted = true
-		} else {
-			putRequest(req)
-			wk.shed.Add(1)
-			errs[i] = serr.ErrOverloaded
-		}
-	}
-	wk.admitMu.RUnlock()
-	if admitted {
-		wk.wakeLoop()
-	}
-	for i, req := range reqs {
-		if req == nil {
-			continue // shed at admission; errs[i] already set
-		}
-		select {
-		case r := <-req.done:
-			results[i], errs[i] = r.res, r.err
-			putRequest(req)
-		case <-ctx.Done():
-			if req.state.CompareAndSwap(reqWaiting, reqAbandoned) {
-				// The loop sees Abandoned and recycles; the remaining
-				// admitted requests share this ctx and resolve the same way.
-				wk.timedOut.Add(1)
-				errs[i] = ctx.Err()
-				continue
-			}
-			r := <-req.done
-			results[i], errs[i] = r.res, r.err
-			putRequest(req)
-		}
-	}
-}
-
-// SubmitPhraseAsync admits one already-matched phrase on the callback fast
-// path and returns immediately: no goroutine, no channel, no context. The
-// outcome is delivered exactly once through done.Complete(index, ...) —
-// from the round loop when the request was admitted, or synchronously from
-// this call on refusal (serr.ErrOverloaded / serr.ErrClosed). deadline
-// zero means no deadline; an expired request is answered with
-// context.DeadlineExceeded at the next round close. resPhrase is the
-// phrase ID the Result reports (the global ID under sharding); phrase is
-// the worker-local ID. enqueued stamps admission time (callers submitting
-// a batch pass one timestamp for the whole batch). Safe for concurrent
-// use.
-//
-// Unlike the blocking path under sharding, refusals are the bare serr
-// sentinels without *serr.QueryError routing context — callback callers
-// dispatch on errors.Is, which matches either way.
-func (wk *Worker) SubmitPhraseAsync(phrase, resPhrase int, deadline, enqueued time.Time, done Completion, index int) {
 	wk.submitted.Add(1)
-	req := getRequest()
-	req.phrase = phrase
-	req.resPhrase = resPhrase
-	req.resShard = wk.cfg.ShardID
-	req.deadline = deadline
-	req.enqueued = enqueued
-	req.cb = done
-	req.cbIndex = index
-	if err := wk.admit(req); err != nil {
-		putRequest(req)
-		done.Complete(index, Result{}, err)
-	}
-}
-
-func (wk *Worker) admit(req *request) error {
-	wk.admitMu.RLock()
-	if wk.closed {
-		wk.admitMu.RUnlock()
-		return serr.ErrClosed
+	req := requestPool.Get().(*request)
+	*req = request{
+		phrase:    phrase,
+		enqueued:  enqueued,
+		deadline:  deadline,
+		cb:        done,
+		cbIndex:   index,
+		resPhrase: resPhrase,
 	}
 	ok := wk.intake.push(req)
 	wk.admitMu.RUnlock()
 	if !ok {
 		wk.shed.Add(1)
-		return serr.ErrOverloaded
+		wk.complete(req, Result{}, serr.ErrOverloaded)
+		return
 	}
 	wk.wakeLoop()
-	return nil
 }
 
-// deliver hands one outcome to its waiter or callback — the loop's only
-// reply path. The epoch guard decides who recycles the pooled request.
-func (wk *Worker) deliver(req *request, r reply) {
-	if req.cb != nil {
-		cb, idx := req.cb, req.cbIndex
-		putRequest(req)
-		cb.Complete(idx, r.res, r.err)
-		return
-	}
-	if req.state.CompareAndSwap(reqWaiting, reqAnswered) {
-		req.done <- r // buffered; the waiter receives and recycles
-		return
-	}
-	// The waiter abandoned first and will never touch req again; the loop
-	// owns the recycle.
-	putRequest(req)
+// complete stamps the outcome with the request's routing identity (all a
+// failure carries), recycles the request, and hands the outcome to its
+// Completion — the worker's only reply path.
+func (wk *Worker) complete(req *request, res Result, err error) {
+	res.Phrase, res.Shard = req.resPhrase, wk.cfg.ShardID
+	cb, idx := req.cb, req.cbIndex
+	*req = request{}
+	requestPool.Put(req)
+	cb.Complete(idx, res, err)
 }
 
 // Close stops admission, resolves every in-flight request in a final round,
@@ -483,17 +324,20 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		occ[i] = false
 	}
 	live := pending[:0]
-	expired := int64(0)
+	var timedOut, expired int64
 	for _, req := range pending {
-		if err := req.expired(closeStart); err != nil {
-			// The waiter is gone (or will be told so); skip so an abandoned
-			// query does not force an auction.
-			wk.deliver(req, reply{err: err})
+		// A request nobody waits for is skipped, so it forces no auction.
+		switch {
+		case req.callerGone():
+			wk.complete(req, Result{}, context.Canceled)
+			timedOut++
+		case req.expired(closeStart):
+			wk.complete(req, Result{}, context.DeadlineExceeded)
 			expired++
-			continue
+		default:
+			occ[req.phrase] = true
+			live = append(live, req)
 		}
-		occ[req.phrase] = true
-		live = append(live, req)
 	}
 
 	if len(live) > 0 && wk.cfg.BeforeStep != nil {
@@ -536,8 +380,7 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		}
 	}
 	// Answer first, record latencies after: the samples are captured into
-	// loop-owned scratch before deliver, because deliver recycles callback
-	// requests immediately.
+	// loop-owned scratch before complete, which recycles the request.
 	answerTime := time.Now()
 	wk.latScratch = wk.latScratch[:0]
 	for _, req := range live {
@@ -545,16 +388,13 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		rw := closeStart.Sub(req.dequeued)
 		lat := answerTime.Sub(req.enqueued)
 		wk.latScratch = append(wk.latScratch, latSample{adm.Seconds(), rw.Seconds(), lat.Seconds()})
-		res := Result{
-			Phrase:        req.resPhrase,
-			Shard:         req.resShard,
+		wk.complete(req, Result{
 			Round:         rep.Round,
 			Slots:         slotCopies[req.phrase],
 			AdmissionWait: adm,
 			RoundWait:     rw,
 			Latency:       lat,
-		}
-		wk.deliver(req, reply{res: res})
+		}, nil)
 	}
 	nlive := len(live)
 
@@ -567,6 +407,7 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		wk.wdSummary.Add(wdDur.Seconds())
 	}
 	wk.answered += int64(nlive)
+	wk.timedOut += timedOut
 	wk.expired += expired
 	for _, s := range wk.latScratch {
 		wk.admissionHist.Add(s.adm)
@@ -586,12 +427,12 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 	}
 	wk.engStats = wk.eng.Stats()
 	var summary RoundSummary
-	if wk.cfg.OnRound != nil && nlive+int(expired) > 0 {
+	if skipped := int(timedOut + expired); wk.cfg.OnRound != nil && nlive+skipped > 0 {
 		summary = RoundSummary{
 			Shard:     wk.cfg.ShardID,
 			Round:     rep.Round,
 			Queries:   nlive,
-			Expired:   int(expired),
+			Expired:   skipped,
 			Shed:      wk.shed.Load(),
 			PlanSwaps: wk.planSwaps,
 			Swapped:   swapped,
@@ -615,8 +456,8 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 }
 
 // Metrics returns the worker's current observability counters and latency
-// distributions. Safe for concurrent use with SubmitPhrase and the round
-// loop.
+// distributions. Safe for concurrent use with SubmitPhraseAsync and the
+// round loop.
 func (wk *Worker) Metrics() Metrics {
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
@@ -626,7 +467,7 @@ func (wk *Worker) Metrics() Metrics {
 		Submitted:   wk.submitted.Load(),
 		Answered:    wk.answered,
 		Shed:        wk.shed.Load(),
-		TimedOut:    wk.timedOut.Load(),
+		TimedOut:    wk.timedOut,
 		Expired:     wk.expired,
 		QueueDepth:  wk.intake.length(),
 		QueueCap:    wk.intake.capacity(),

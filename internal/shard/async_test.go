@@ -39,7 +39,7 @@ func (c *collectComp) Complete(i int, res server.Result, err error) {
 	c.wg.Done()
 }
 
-// TestShardedSubmitAsync: the callback fast path routes every phrase to
+// TestShardedSubmitAsync: SubmitAsync routes every phrase to
 // the worker owning it, results come back with global phrase IDs and the
 // serving shard (matching the routing table), and an unmatched query
 // refuses synchronously with ErrNoAuction.
@@ -89,7 +89,7 @@ func TestShardedSubmitAsync(t *testing.T) {
 		if m.Unmatched != 1 {
 			t.Errorf("%d shards: unmatched counter %d, want 1", shards, m.Unmatched)
 		}
-		s.Close()
+		closeAndCheckAccounting(t, s)
 	}
 }
 
@@ -115,4 +115,5 @@ func TestShardedSubmitAsyncAfterClose(t *testing.T) {
 			t.Fatalf("phrase %d after Close: %v, want ErrClosed", q, cc.errs[q])
 		}
 	}
+	closeAndCheckAccounting(t, s)
 }

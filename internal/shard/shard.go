@@ -28,6 +28,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -97,12 +98,8 @@ type Server struct {
 	unmatched atomic.Int64
 }
 
-// The sharded server implements the canonical fleet-facing contract and
-// the callback fast path.
-var (
-	_ server.Backend      = (*Server)(nil)
-	_ server.AsyncBackend = (*Server)(nil)
-)
+// The sharded server implements the fleet-facing contract.
+var _ server.Backend = (*Server)(nil)
 
 // New partitions the workload, builds one engine + round loop per shard,
 // and starts serving. The server takes ownership of the workload. Close
@@ -207,94 +204,48 @@ func (s *Server) Pacer() *budget.Pacer { return s.pacer }
 func (s *Server) Matcher() *workload.PartitionedMatcher { return s.matcher }
 
 // Submit admits one raw query, routes it to the shard owning its phrase,
-// and blocks until that shard's round resolves. The result carries the
-// global phrase ID and the serving shard. Failures with routing context
-// are wrapped in *serr.QueryError; errors.Is against the sentinels
-// (ErrNoAuction, ErrOverloaded, ErrClosed) and context errors matches
-// through the wrapper. Safe for concurrent use.
+// and blocks until that shard's round resolves — server.Submit over this
+// fleet. The result carries the global phrase ID and the serving shard. A
+// shard's refusal comes back as a *serr.QueryError naming that shard and
+// phrase (see routed); errors.Is against the sentinels matches through it.
+// Safe for concurrent use.
 func (s *Server) Submit(ctx context.Context, query string) (server.Result, error) {
-	sh, local, global, ok := s.matcher.Match(query)
-	if !ok {
-		s.unmatched.Add(1)
-		return server.Result{}, serr.ErrNoAuction
-	}
-	res, err := s.workers[sh].SubmitPhrase(ctx, local)
-	if err != nil {
-		return server.Result{}, serr.Wrap(sh, global, err)
-	}
-	res.Phrase = global
-	res.Shard = sh
-	return res, nil
+	res, err := server.Submit(ctx, s, query)
+	return res, routed(res, err)
 }
 
 // SubmitBatch admits many raw queries at once, routes each to the shard
-// owning its phrase, and blocks until every one resolves or fails — the
-// Backend batch contract. Queries are grouped by shard and each group is
-// admitted in one pass (one goroutine per touched shard, not per query),
-// so a batch lands in at most one round per shard. The returned slice
-// always has len(queries) with global phrase IDs and serving shards filled
-// in; the error is nil when all succeeded, otherwise it joins one
-// *serr.ItemError per failed query, each wrapping shard/phrase context as
-// *serr.QueryError (expand with serr.SplitBatch). Safe for concurrent use.
+// owning its phrase, and blocks until every one resolves or fails —
+// server.SubmitBatch over this fleet, so a batch lands in at most one round
+// per shard. The returned slice always has len(queries) with global phrase
+// IDs and serving shards filled in; the error is nil when all succeeded,
+// otherwise it joins one *serr.ItemError per failed query, refusals routed
+// as in Submit (expand with serr.SplitBatch). Safe for concurrent use.
 func (s *Server) SubmitBatch(ctx context.Context, queries []string) ([]server.Result, error) {
-	results := make([]server.Result, len(queries))
-	errs := make([]error, len(queries))
-	// Group matched queries by shard, preserving batch order within each
-	// group so replies map back positionally.
-	type group struct {
-		phrases []int // shard-local phrase IDs
-		globals []int // matching global phrase IDs
-		at      []int // batch index of each entry
+	results, errs := server.SubmitBatch(ctx, s, queries)
+	for i, err := range errs {
+		errs[i] = routed(results[i], err)
 	}
-	groups := make(map[int]*group)
-	for i, q := range queries {
-		sh, local, global, ok := s.matcher.Match(q)
-		if !ok {
-			s.unmatched.Add(1)
-			errs[i] = serr.ErrNoAuction
-			continue
-		}
-		g := groups[sh]
-		if g == nil {
-			g = &group{}
-			groups[sh] = g
-		}
-		g.phrases = append(g.phrases, local)
-		g.globals = append(g.globals, global)
-		g.at = append(g.at, i)
-	}
-	var wg sync.WaitGroup
-	for sh, g := range groups {
-		wg.Add(1)
-		go func(sh int, g *group) {
-			defer wg.Done()
-			sub := make([]server.Result, len(g.phrases))
-			suberrs := make([]error, len(g.phrases))
-			s.workers[sh].SubmitPhrases(ctx, g.phrases, sub, suberrs)
-			for j, i := range g.at {
-				if suberrs[j] != nil {
-					errs[i] = serr.Wrap(sh, g.globals[j], suberrs[j])
-					continue
-				}
-				sub[j].Phrase = g.globals[j]
-				sub[j].Shard = sh
-				results[i] = sub[j]
-			}
-		}(sh, g)
-	}
-	wg.Wait()
 	return results, serr.JoinBatch(errs)
 }
 
-// SubmitAsync admits a batch of queries on the callback fast path — the
-// server.AsyncBackend contract: each item routes straight into the worker
-// of the shard owning its phrase with no blocking, no per-query goroutine,
-// and no per-shard grouping pass; results carry the global phrase ID and
-// serving shard. Outcomes are delivered exactly once through each item's
+// routed attaches to a shard's refusal the routing context its completion
+// carried — the one place a *serr.QueryError is built. Unmatched queries
+// were never routed, and a context error is the caller's own.
+func routed(res server.Result, err error) error {
+	if errors.Is(err, serr.ErrOverloaded) || errors.Is(err, serr.ErrClosed) {
+		return serr.Wrap(res.Shard, res.Phrase, err)
+	}
+	return err
+}
+
+// SubmitAsync admits a batch of queries — the server.Backend contract, and
+// the one way into the fleet: each item routes straight into the worker of
+// the shard owning its phrase with no blocking, no per-query goroutine, and
+// no per-shard grouping pass; outcomes carry the global phrase ID and
+// serving shard, and are delivered exactly once through each item's
 // Completion — synchronously for refusals, from the owning shard's round
-// loop otherwise. Unlike Submit, refusal errors are the bare serr
-// sentinels without *serr.QueryError routing context (errors.Is matches
-// either way). Safe for concurrent use.
+// loop otherwise. Safe for concurrent use.
 func (s *Server) SubmitAsync(items []server.AsyncItem) {
 	now := time.Now()
 	for i := range items {

@@ -33,6 +33,19 @@ func testConfig(shards int) Config {
 	return cfg
 }
 
+// closeAndCheckAccounting closes the fleet and asserts that every submitted
+// query was counted under exactly one outcome.
+func closeAndCheckAccounting(t *testing.T, s *Server) server.Metrics {
+	t.Helper()
+	s.Close()
+	m := s.Metrics()
+	if sum := m.Answered + m.Unmatched + m.Shed + m.TimedOut + m.Expired; m.Submitted != sum {
+		t.Errorf("submitted %d != answered %d + unmatched %d + shed %d + timed out %d + expired %d",
+			m.Submitted, m.Answered, m.Unmatched, m.Shed, m.TimedOut, m.Expired)
+	}
+	return m
+}
+
 func TestShardedConfigValidate(t *testing.T) {
 	cfg := testConfig(0)
 	if err := cfg.Validate(); err == nil {
@@ -98,7 +111,7 @@ func TestShardedServesQueries(t *testing.T) {
 		if m.TotalLatency.Count() != len(w.PhraseNames) {
 			t.Errorf("%d shards: latency count = %d", shards, m.TotalLatency.Count())
 		}
-		s.Close()
+		closeAndCheckAccounting(t, s)
 	}
 }
 
@@ -133,6 +146,34 @@ func TestShardedErrorContract(t *testing.T) {
 	}
 	if want := s.Assignment()[3]; qe.Shard != want {
 		t.Fatalf("QueryError.Shard = %d, want %d", qe.Shard, want)
+	}
+	closeAndCheckAccounting(t, s)
+}
+
+// TestShardedDeadlineCountedOnce: a blocking batch spanning both shards
+// whose ctx expires before any round closes comes back DeadlineExceeded per
+// item, and each item is counted once — timed out, not also expired — by the
+// shard that dropped it.
+func TestShardedDeadlineCountedOnce(t *testing.T) {
+	w := testWorkload(t, 60, 8, 5)
+	cfg := testConfig(2)
+	cfg.Worker.RoundInterval = time.Hour // only Close closes a round
+	cfg.Worker.MaxBatch = 0
+	s, err := New(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	_, err = s.SubmitBatch(ctx, w.PhraseNames)
+	for i, err := range serr.SplitBatch(err, len(w.PhraseNames)) {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("item %d = %v, want DeadlineExceeded", i, err)
+		}
+	}
+	if m := closeAndCheckAccounting(t, s); m.TimedOut != int64(len(w.PhraseNames)) || m.Expired != 0 {
+		t.Fatalf("TimedOut = %d, Expired = %d, want %d and 0", m.TimedOut, m.Expired, len(w.PhraseNames))
 	}
 }
 
@@ -247,6 +288,7 @@ func TestShardedCloseIdempotent(t *testing.T) {
 		go func() { defer wg.Done(); s.Close() }()
 	}
 	wg.Wait()
+	closeAndCheckAccounting(t, s)
 }
 
 // TestRebalance: empty shards are filled by moving the lowest-rate phrases

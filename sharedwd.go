@@ -802,8 +802,8 @@ func NewServer(w *Workload, opts ...ServerOption) (*Server, error) {
 //
 // Without WithShards it uses one shard per available CPU. Submit, Metrics,
 // and Close mirror Server's; results additionally carry the serving shard,
-// and failures wrap shard + phrase context as *QueryError. The server
-// takes ownership of the workload.
+// and a shard's refusals (overloaded, closed) wrap shard + phrase context
+// as *QueryError. The server takes ownership of the workload.
 func NewShardedServer(w *Workload, opts ...ServerOption) (*ShardedServer, error) {
 	cfg := applyServerOptions(opts)
 	scfg := shard.DefaultConfig()

@@ -223,6 +223,14 @@ func TestSoakServer(t *testing.T) {
 	if _, err := s.Submit(context.Background(), w.PhraseNames[0]); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("submit after close: err = %v, want ErrServerClosed", err)
 	}
+	// Request-leak check: the drain owes every admitted request — the ones
+	// whose callers left at their deadline included — its one completion,
+	// so every submitted query is under exactly one outcome counter.
+	m = s.Metrics()
+	if sum := m.Answered + m.Unmatched + m.Shed + m.TimedOut + m.Expired; m.Submitted != sum {
+		t.Fatalf("after close: submitted %d != answered %d + unmatched %d + shed %d + timed out %d + expired %d",
+			m.Submitted, m.Answered, m.Unmatched, m.Shed, m.TimedOut, m.Expired)
+	}
 
 	// Goroutine-leak check: after Close returns, the round loop and the
 	// engine's worker pool must have exited. Poll briefly — runtime
