@@ -9,10 +9,12 @@ build:
 
 # The second line is the 0-allocs-per-round gate: the AllocsPerRun tests
 # skip under the race detector, so they only bind in a non-race run, and
-# -count=1 keeps a cached pass from standing in for one.
+# -count=1 keeps a cached pass from standing in for one. The third is the
+# same kind of gate on the plan build (allocations per sharedagg.Build).
 test:
 	$(GO) test ./...
 	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core
+	$(GO) test -count=1 -run 'TestBuildAllocBudget' ./internal/sharedagg
 
 race:
 	$(GO) test -race ./...

@@ -308,8 +308,8 @@ func main() {
 	fmt.Printf("engine: %d auctions, %d ads displayed, $%.2f revenue\n",
 		m.Engine.AuctionsResolved, m.Engine.AdsDisplayed, m.Engine.Revenue)
 	if *replanOn {
-		fmt.Printf("replan: %d builds, %d plan swaps, swap install mean %.3gms (max %.3gms)\n",
-			m.ReplanBuilds, m.PlanSwaps,
+		fmt.Printf("replan: %d builds (%d failed), %d plan swaps, background build mean %.3gms, swap install mean %.3gms (max %.3gms)\n",
+			m.ReplanBuilds, m.ReplanFailed, m.PlanSwaps, m.ReplanBuildLatency.Mean()*1e3,
 			m.PlanSwapLatency.Mean()*1e3, m.PlanSwapLatency.Max()*1e3)
 	}
 	if m.Pacing.Enabled {

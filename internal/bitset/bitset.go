@@ -36,6 +36,21 @@ func New(n int) Set {
 	return Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewBatch returns count empty sets of capacity n carved from one allocation,
+// for callers that create many sets of one capacity at a time.
+func NewBatch(n, count int) []Set {
+	if n < 0 || count < 0 {
+		panic(fmt.Sprintf("bitset: negative capacity %d or count %d", n, count))
+	}
+	words := (n + wordBits - 1) / wordBits
+	slab := make([]uint64, words*count)
+	sets := make([]Set, count)
+	for i := range sets {
+		sets[i] = Set{n: n, words: slab[i*words : (i+1)*words : (i+1)*words]}
+	}
+	return sets
+}
+
 // FromIndices returns a set of capacity n containing exactly the given
 // elements.
 func FromIndices(n int, indices ...int) Set {
@@ -224,6 +239,19 @@ func (s Set) ForEach(fn func(i int) bool) {
 				return
 			}
 			w &= w - 1
+		}
+	}
+}
+
+// ForEachCommon calls fn for each element of s ∩ t in ascending order,
+// without building the intersection. It stops early if fn returns false.
+func (s Set) ForEachCommon(t Set, fn func(i int) bool) {
+	s.checkSame(t)
+	for wi, w := range s.words {
+		for w &= t.words[wi]; w != 0; w &= w - 1 {
+			if !fn(wi*wordBits + bits.TrailingZeros64(w)) {
+				return
+			}
 		}
 	}
 }

@@ -280,6 +280,87 @@ func TestQuickIndicesRoundTrip(t *testing.T) {
 	}
 }
 
+func TestForEachCommon(t *testing.T) {
+	collect := func(a, b Set, stopAfter int) []int {
+		seen := []int{}
+		a.ForEachCommon(b, func(i int) bool {
+			seen = append(seen, i)
+			return len(seen) != stopAfter
+		})
+		return seen
+	}
+	cases := []struct {
+		name      string
+		a, b      Set
+		stopAfter int
+		want      []int
+	}{
+		{"both empty", New(130), New(130), 0, []int{}},
+		{"disjoint", FromIndices(130, 1, 64), FromIndices(130, 2, 65), 0, []int{}},
+		{"across words, ascending", FromIndices(130, 0, 63, 64, 100, 129), FromIndices(130, 129, 64, 63, 5), 0, []int{63, 64, 129}},
+		{"self", FromIndices(10, 3, 7), FromIndices(10, 3, 7), 0, []int{3, 7}},
+		{"early stop", FromIndices(130, 1, 70, 128), FromIndices(130, 1, 70, 128), 2, []int{1, 70}},
+		{"capacity zero", New(0), New(0), 0, []int{}},
+	}
+	for _, c := range cases {
+		if got := collect(c.a, c.b, c.stopAfter); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: saw %v, want %v", c.name, got, c.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on capacity mismatch")
+		}
+	}()
+	New(10).ForEachCommon(New(20), func(int) bool { return true })
+}
+
+func TestQuickForEachCommonMatchesIntersect(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(300)
+		a, _ := randomSet(rng, n)
+		b, _ := randomSet(rng, n)
+		got := []int{}
+		a.ForEachCommon(b, func(i int) bool { got = append(got, i); return true })
+		want := []int{}
+		a.Intersect(b).ForEach(func(i int) bool { want = append(want, i); return true })
+		return reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestNewBatch(t *testing.T) {
+	sets := NewBatch(70, 3)
+	if len(sets) != 3 {
+		t.Fatalf("NewBatch returned %d sets, want 3", len(sets))
+	}
+	sets[1].Add(0)
+	sets[1].Add(69)
+	for i, s := range sets {
+		if s.Cap() != 70 {
+			t.Fatalf("set %d has capacity %d, want 70", i, s.Cap())
+		}
+		if want := map[int]int{1: 2}[i]; s.Count() != want {
+			t.Fatalf("set %d holds %d elements after filling its neighbour, want %d", i, s.Count(), want)
+		}
+	}
+	if !sets[0].Union(New(70)).Equal(sets[2]) {
+		t.Fatal("a batched set must combine with a New one of the same capacity")
+	}
+	if len(NewBatch(70, 0)) != 0 {
+		t.Fatal("NewBatch(n, 0) must be empty")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on negative count")
+		}
+	}()
+	NewBatch(70, -1)
+}
+
 func BenchmarkUnion(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, _ := randomSet(rng, 4096)

@@ -89,8 +89,11 @@ func (b *fakeBackend) Metrics() server.Metrics {
 		Submitted: 100, Answered: 80, Unmatched: 10, Shed: 5, TimedOut: 3, Expired: 2,
 		QueueDepth: 4, QueueCap: 64,
 		Rounds: 50, EmptyRounds: 20,
-		Engine: core.Stats{Rounds: 30, AuctionsResolved: 75, NodesCached: 40, CacheBypassedRounds: 6, Revenue: 12.5},
+		Engine:       core.Stats{Rounds: 30, AuctionsResolved: 75, NodesCached: 40, CacheBypassedRounds: 6, Revenue: 12.5},
+		ReplanFailed: 1,
 	}
+	m.ReplanBuildLatency.Add(0.25)
+	m.ReplanBuildLatency.Add(0.5)
 	for i := 0; i < 100; i++ {
 		m.TotalLatency.Summary.Add(float64(i) / 1000)
 	}
@@ -321,6 +324,15 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if got := samples["sharedwd_total_latency_seconds_count"]; got != "100" {
 		t.Fatalf("sharedwd_total_latency_seconds_count = %q, want 100", got)
+	}
+	for name, want := range map[string]string{
+		"sharedwd_replan_failed_total":        "1",
+		"sharedwd_replan_build_seconds_total": "0.75",
+		"sharedwd_replan_build_seconds_max":   "0.5",
+	} {
+		if got := samples[name]; got != want {
+			t.Fatalf("%s = %q, want %s", name, got, want)
+		}
 	}
 }
 

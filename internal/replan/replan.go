@@ -295,6 +295,7 @@ func New(inst *plan.Instance, cfg Config) (*Planner, error) {
 // cooldown window). Must be called from the round-loop goroutine.
 func (p *Planner) Observe(occ []bool) *Build {
 	p.tracker.Observe(occ)
+	p.stats.Failed = int(p.failed.Load())
 
 	// Adopt a finished background build first: delivery *is* the round
 	// boundary the caller installs at.
@@ -305,7 +306,6 @@ func (p *Planner) Observe(occ []bool) *Build {
 		p.stats.Delivered++
 		return b
 	}
-	p.stats.Failed = int(p.failed.Load())
 
 	if p.cooldown > 0 {
 		p.cooldown--

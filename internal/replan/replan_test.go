@@ -137,6 +137,9 @@ func TestPlannerTriggersAndDelivers(t *testing.T) {
 	if build.Seq != 1 || build.Inst == nil || build.Plan == nil || build.Prog == nil {
 		t.Fatalf("malformed build: %+v", build)
 	}
+	if build.BuildTime <= 0 {
+		t.Fatalf("delivered build reports build time %v", build.BuildTime)
+	}
 	if err := eng.InstallPlan(build.Inst, build.Plan, build.Prog); err != nil {
 		t.Fatalf("installing delivered build: %v", err)
 	}

@@ -134,12 +134,18 @@ type Metrics struct {
 	Observed []RateSample `json:"observed,omitempty"`
 	// PlanSwaps counts plans hot-swapped into engines; ReplanBuilds counts
 	// background rebuilds started (a build in flight when the server closes
-	// is started but never swapped).
+	// is started but never swapped); ReplanFailed counts those that ended
+	// in an error instead of a plan (none are expected).
 	PlanSwaps    int64 `json:"plan_swaps"`
 	ReplanBuilds int64 `json:"replan_builds"`
+	ReplanFailed int64 `json:"replan_failed"`
 	// PlanSwapLatency is the distribution of in-loop swap installation
 	// times (seconds) — the round-loop stall a hot swap actually costs.
 	PlanSwapLatency stats.Summary `json:"plan_swap_latency"`
+	// ReplanBuildLatency is the distribution of background build times
+	// (seconds; heuristic plus compilation) of the plans swapped in — CPU
+	// the builder goroutine took beside the round loop, not a stall.
+	ReplanBuildLatency stats.Summary `json:"replan_build_latency"`
 
 	// Pacing is the budget-pacing controller's spend-curve view: target vs
 	// realized spend, throttle activity, and the per-round pacing-error
@@ -202,7 +208,9 @@ func (m Metrics) Merge(o Metrics) Metrics {
 	}
 	out.PlanSwaps += o.PlanSwaps
 	out.ReplanBuilds += o.ReplanBuilds
+	out.ReplanFailed += o.ReplanFailed
 	out.PlanSwapLatency.Merge(o.PlanSwapLatency)
+	out.ReplanBuildLatency.Merge(o.ReplanBuildLatency)
 	out.Pacing = m.Pacing.Merge(o.Pacing)
 	out.RoundsPerSec, out.QueriesPerSec = 0, 0
 	if sec := out.Uptime.Seconds(); sec > 0 {

@@ -114,6 +114,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		Observed:     []RateSample{{Phrase: 0, Rate: 0.25}, {Phrase: 3, Rate: 0.75}},
 		PlanSwaps:    2,
 		ReplanBuilds: 3,
+		ReplanFailed: 1,
 		Pacing: budget.PacingMetrics{
 			Enabled: true, Advertisers: 200, Active: 180, Rounds: 40, Epochs: 2,
 			TargetSpend: 55.5, ActualSpend: 54.25, FactorSum: 120.5, Throttled: 33,
@@ -121,6 +122,8 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	}
 	m.PlanSwapLatency.Add(0.0001)
 	m.PlanSwapLatency.Add(0.0002)
+	m.ReplanBuildLatency.Add(0.12)
+	m.ReplanBuildLatency.Add(0.18)
 	m.Pacing.AbsError.Add(0.4)
 	m.Pacing.AbsError.Add(0.2)
 
@@ -134,6 +137,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		`"queue_depth":7`, `"queries_per_sec":0.88`, `"admission_wait"`,
 		`"winner_determination"`, `"total_latency"`, `"auctions_resolved":75`,
 		`"nodes_materialized":1234`, `"cache_bypassed_rounds":9`, `"plan_swaps":2`, `"observed"`,
+		`"replan_failed":1`, `"replan_build_latency"`,
 		`"pacing"`, `"enabled":true`, `"target_spend":55.5`,
 		`"actual_spend":54.25`, `"factor_sum":120.5`, `"throttled":33`,
 		`"abs_error"`,
@@ -166,6 +170,9 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	if back.PlanSwapLatency != m.PlanSwapLatency {
 		t.Fatalf("PlanSwapLatency did not round-trip: %+v", back.PlanSwapLatency)
 	}
+	if back.ReplanBuildLatency != m.ReplanBuildLatency || back.ReplanFailed != m.ReplanFailed {
+		t.Fatalf("replan build metrics did not round-trip: %+v, failed %d", back.ReplanBuildLatency, back.ReplanFailed)
+	}
 	if back.Pacing != m.Pacing {
 		t.Fatalf("Pacing did not round-trip:\n got %+v\nwant %+v", back.Pacing, m.Pacing)
 	}
@@ -177,5 +184,10 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	if merged.TotalLatency.Count() != backMerged.TotalLatency.Count() ||
 		merged.TotalLatency.P95() != backMerged.TotalLatency.P95() {
 		t.Fatal("merge after round trip diverged")
+	}
+	if merged.ReplanFailed != 2 || merged.ReplanBuildLatency.N() != 4 ||
+		merged.ReplanBuildLatency.Max() != 0.18 || backMerged.ReplanBuildLatency != merged.ReplanBuildLatency {
+		t.Fatalf("replan build metrics merged to %+v (failed %d), decoded %+v",
+			merged.ReplanBuildLatency, merged.ReplanFailed, backMerged.ReplanBuildLatency)
 	}
 }

@@ -117,6 +117,7 @@ type Worker struct {
 	observed    []float64 // latest per-phrase rate estimate (local IDs)
 	planSwaps   int64
 	swapSum     stats.Summary
+	buildSum    stats.Summary // background build times of the swapped plans
 	replanStats replan.Stats
 }
 
@@ -354,7 +355,7 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 	// rate tracker and, when a background rebuild has finished, hot-swap it
 	// into the engine right here — between Steps, on the loop goroutine, so
 	// the engine's single-owner contract holds and admission never pauses.
-	var swapDur time.Duration
+	var swapDur, buildDur time.Duration
 	swapped := false
 	if wk.planner != nil {
 		if b := wk.planner.Observe(occ); b != nil {
@@ -365,7 +366,7 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 				// runtime condition to tolerate.
 				panic(fmt.Sprintf("server: installing rebuilt plan: %v", err))
 			}
-			swapDur = time.Since(swapStart)
+			swapDur, buildDur = time.Since(swapStart), b.BuildTime
 			swapped = true
 		}
 	}
@@ -421,6 +422,7 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		if swapped {
 			wk.planSwaps++
 			wk.swapSum.Add(swapDur.Seconds())
+			wk.buildSum.Add(buildDur.Seconds())
 		}
 		wk.observed = wk.planner.ObservedRatesInto(wk.observed)
 		wk.replanStats = wk.planner.Stats()
@@ -480,9 +482,11 @@ func (wk *Worker) Metrics() Metrics {
 		WinnerDetermination: LatencyDist{Summary: wk.wdSummary, Hist: wk.wdHist.Clone()},
 		TotalLatency:        LatencyDist{Summary: wk.latencySum, Hist: wk.latencyHist.Clone()},
 
-		PlanSwaps:       wk.planSwaps,
-		ReplanBuilds:    int64(wk.replanStats.Builds),
-		PlanSwapLatency: wk.swapSum,
+		PlanSwaps:          wk.planSwaps,
+		ReplanBuilds:       int64(wk.replanStats.Builds),
+		ReplanFailed:       int64(wk.replanStats.Failed),
+		PlanSwapLatency:    wk.swapSum,
+		ReplanBuildLatency: wk.buildSum,
 	}
 	if wk.planner != nil {
 		m.Observed = make([]RateSample, len(wk.observed))

@@ -399,6 +399,9 @@ func TestShardedReplanHotSwap(t *testing.T) {
 	if m.PlanSwapLatency.N() != int(m.PlanSwaps) {
 		t.Fatalf("swap latency samples %d, swaps %d", m.PlanSwapLatency.N(), m.PlanSwaps)
 	}
+	if b := m.ReplanBuildLatency; b.N() != int(m.PlanSwaps) || b.Min() <= 0 || m.ReplanFailed != 0 {
+		t.Fatalf("build latency samples %d (min %v) for %d swaps, %d failed builds", b.N(), b.Min(), m.PlanSwaps, m.ReplanFailed)
+	}
 	if m.Answered == 0 {
 		t.Fatal("nothing answered while replanning")
 	}

@@ -221,11 +221,8 @@ func TestQuickActiveSizesMatchPopcount(t *testing.T) {
 		b.identifyFragments()
 		b.initCovers()
 		b.completeGreedy()
-		if len(b.size) != len(b.active) {
-			return false
-		}
-		for a := range b.active {
-			if b.size[a] != b.vars(a).Count() {
+		for a, n := range b.active {
+			if n.size != b.vars(a).Count() {
 				return false
 			}
 		}
@@ -369,5 +366,20 @@ func BenchmarkBuildLarge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(inst)
+	}
+}
+
+// BenchmarkBuildWorkload builds the benchmark's three universes (seed 1):
+// big is what rounds-churn and serve-open pay at set-up and on every replan.
+func BenchmarkBuildWorkload(b *testing.B) {
+	for _, u := range benchmarkUniverses() {
+		b.Run(u.name, func(b *testing.B) {
+			inst := universeInstance(b, u.cfg, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Build(inst)
+			}
+		})
 	}
 }

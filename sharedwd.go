@@ -680,8 +680,8 @@ func DefaultReplanConfig() ReplanConfig { return replan.DefaultConfig() }
 // the same queries are A-equivalent — only the per-round aggregation cost
 // recovers. Requires the (default) SharedAggregation engine; under sharding
 // each shard replans independently against its own partition's traffic.
-// Metrics then reports Observed rates, PlanSwaps, ReplanBuilds, and
-// PlanSwapLatency.
+// Metrics then reports Observed rates, PlanSwaps, ReplanBuilds,
+// ReplanFailed, PlanSwapLatency and ReplanBuildLatency.
 func WithReplanner(cfg ReplanConfig) ServerOption {
 	return func(c *serveConfig) {
 		rc := cfg
