@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-shard bench-parallel bench-server bench-binary bench-json bench-compare fuzz soak-pacing fmt vet staticcheck
+.PHONY: all build test race bench bench-shard bench-server bench-binary bench-json bench-compare fuzz soak-pacing fmt vet staticcheck
 
 all: build test
 
@@ -38,15 +38,6 @@ bench:
 bench-shard:
 	$(GO) test -bench='ShardedThroughput' -benchmem -benchtime=2s -run='^$$' .
 
-# bench-parallel runs the cost-aware parallel-execution sweeps: the
-# shards × workers round-wave benchmark (same total core budget spent as
-# many small shards vs one wide pool) and the executor comparison's pooled
-# compiled/workers=N rows. tools/benchjson derives a `speedup` metric for
-# each workers=N row against its workers=1 sibling.
-bench-parallel:
-	$(GO) test -bench='ParallelScaling' -benchmem -benchtime=2s -run='^$$' .
-	$(GO) test -bench='ExecutorRound' -benchmem -benchtime=2s -run='^$$' ./internal/core
-
 # bench-server runs the serving benchmarks: in-process Submit throughput,
 # the shard sweep, and both network edges (BenchmarkHTTPThroughput,
 # BenchmarkBinaryThroughput) — the last two quantify what each wire
@@ -68,7 +59,7 @@ bench-binary:
 # throughput benchmark, the shard sweep, and both network edges (HTTP and
 # binary).
 bench-json:
-	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep|ReplanSwap|ParallelScaling' -benchmem -benchtime=2s -run='^$$' . \
+	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep|ReplanSwap' -benchmem -benchtime=2s -run='^$$' . \
 		| $(GO) run ./tools/benchjson > BENCH_core.json
 	@cat BENCH_core.json
 	$(GO) test -bench='ServerThroughput|ShardedThroughput|HTTPThroughput|BinaryThroughput' -benchmem -benchtime=2s -run='^$$' . \
@@ -77,10 +68,9 @@ bench-json:
 
 # bench-compare reruns the core round-resolution benchmarks and diffs them
 # against the committed BENCH_core.json, failing on a >20% ns/op regression
-# or a >20% drop in any workers=N row's derived parallel speedup (the CI
-# regression gate runs the same comparison).
+# (the CI regression gate runs the same comparison).
 bench-compare:
-	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep|ReplanSwap|ParallelScaling' -benchmem -benchtime=2s -run='^$$' . \
+	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep|ReplanSwap' -benchmem -benchtime=2s -run='^$$' . \
 		| $(GO) run ./tools/benchjson -compare BENCH_core.json
 
 # fuzz smoke-runs the fuzzers for a few seconds each: the binary protocol's

@@ -29,7 +29,6 @@ import (
 	"sharedwd/internal/nonsep"
 	"sharedwd/internal/plan"
 	"sharedwd/internal/server"
-	"sharedwd/internal/shard"
 	"sharedwd/internal/sharedagg"
 	"sharedwd/internal/sharedsort"
 	"sharedwd/internal/stats"
@@ -192,98 +191,6 @@ func BenchmarkRoundResolution(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelScaling is the headline sweep for cost-aware parallel
-// execution: the same total core budget spent as many small shards versus
-// one big shard with a wide worker pool, on the broad-match-heavy
-// high-overlap workload where sharing concentrates work into one deep plan.
-// Each iteration is one round wave — every shard engine steps concurrently
-// and the iteration ends when the slowest shard finishes, exactly the
-// serving layer's round cadence. Sharding pays partitioning's price (the
-// high-overlap plan fragments across shards, so total aggregation work
-// rises), while intra-shard workers split the one shared plan along its
-// cost-weighted frontier; the claim under test is that shards=1/workers=8
-// beats shards=8/workers=1 on wall-clock. tools/benchjson derives a
-// `speedup` metric for each workers=N variant against its workers=1
-// sibling, so the claim is regressible via `make bench-compare`. Runs on a
-// single core measure scheduling overhead rather than speedup; the gate
-// compares like against like because BENCH_core.json is recorded on the
-// same machine.
-func BenchmarkParallelScaling(b *testing.B) {
-	wcfg := workload.HighOverlapConfig()
-	wcfg.NumAdvertisers = 1000
-	wcfg.NumPhrases = 32
-	wcfg.NumTopics = 6
-	// Inexhaustible budgets keep rounds identical so ns/op does not depend
-	// on iteration count (same reasoning as BenchmarkRoundResolution).
-	wcfg.MinBudget = 1e6
-	wcfg.MaxBudget = 2e6
-	configs := []struct{ shards, workers int }{
-		{1, 1}, // sequential baseline: speedup denominators for workers=N
-		{8, 1}, // all parallelism between shards
-		{4, 2},
-		{2, 4},
-		{1, 8}, // all parallelism inside one shard's plan
-	}
-	for _, c := range configs {
-		b.Run(fmt.Sprintf("shards=%d/workers=%d", c.shards, c.workers), func(b *testing.B) {
-			w := workload.Generate(wcfg)
-			assign, err := shard.HashRouter{}.Assign(w, c.shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			parts, _, err := workload.Partition(w, assign, c.shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			engines := make([]*core.Engine, c.shards)
-			occs := make([][]bool, c.shards)
-			for sh, pw := range parts {
-				ecfg := core.DefaultConfig()
-				ecfg.Policy = core.Naive
-				ecfg.Workers = c.workers
-				eng, err := core.New(pw, ecfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
-				engines[sh] = eng
-				occ := make([]bool, len(pw.Interests))
-				for q := range occ {
-					occ[q] = q%2 == 0
-				}
-				occs[sh] = occ
-			}
-			var wg sync.WaitGroup
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(engines) == 1 {
-					engines[0].Step(occs[0])
-					continue
-				}
-				wg.Add(len(engines))
-				for sh := range engines {
-					go func(sh int) {
-						defer wg.Done()
-						engines[sh].Step(occs[sh])
-					}(sh)
-				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			var nodes, rounds int
-			for _, eng := range engines {
-				st := eng.Stats()
-				nodes += st.NodesMaterialized
-				rounds = st.Rounds
-			}
-			if rounds > 0 {
-				b.ReportMetric(float64(nodes)/float64(rounds), "aggOps/wave")
-			}
-		})
-	}
-}
-
 // BenchmarkIncrementalRounds measures the cross-round incremental cache in
 // the two regimes it targets: sparse occurrence (each round demands a small,
 // rotating subset of phrases, so most of the needed cone was computed in a
@@ -428,11 +335,11 @@ func BenchmarkReplanSwap(b *testing.B) {
 				b.Fatal(err)
 			}
 			if variant == "swapped" {
-				inst, p, prog, err := sharedagg.BuildCompiledWithRates(eng.PlanInstance(), drifted)
+				inst, _, prog, err := sharedagg.BuildCompiledWithRates(eng.PlanInstance(), drifted)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := eng.InstallPlan(inst, p, prog); err != nil {
+				if err := eng.InstallPlan(inst, prog); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -458,27 +365,23 @@ func BenchmarkReplanSwap(b *testing.B) {
 			b.Fatal(err)
 		}
 		original := append([]float64(nil), w.Rates...)
-		var builds [2]struct {
+		type build struct {
 			inst *plan.Instance
-			p    *plan.Plan
 			prog *plan.Program
 		}
+		var builds [2]build
 		for i, rates := range [][]float64{rotated(original), original} {
-			inst, p, prog, err := sharedagg.BuildCompiledWithRates(eng.PlanInstance(), rates)
+			inst, _, prog, err := sharedagg.BuildCompiledWithRates(eng.PlanInstance(), rates)
 			if err != nil {
 				b.Fatal(err)
 			}
-			builds[i] = struct {
-				inst *plan.Instance
-				p    *plan.Plan
-				prog *plan.Program
-			}{inst, p, prog}
+			builds[i] = build{inst, prog}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			bd := builds[i%2]
-			if err := eng.InstallPlan(bd.inst, bd.p, bd.prog); err != nil {
+			if err := eng.InstallPlan(bd.inst, bd.prog); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -584,35 +487,6 @@ func BenchmarkPacedSteadyStateStep(b *testing.B) {
 	b.StopTimer()
 	if m := pacer.Metrics(); m.Throttled == 0 {
 		b.Fatal("pacing never engaged during the benchmark")
-	}
-}
-
-// BenchmarkConcurrentRounds is ablation A2: sequential vs parallel shared-
-// plan execution in the engine.
-func BenchmarkConcurrentRounds(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		wcfg := workload.DefaultConfig()
-		wcfg.NumAdvertisers = 1000
-		wcfg.NumPhrases = 32
-		wcfg.NumTopics = 6
-		w := workload.Generate(wcfg)
-		ecfg := core.DefaultConfig()
-		ecfg.Workers = workers
-		ecfg.Policy = core.Naive
-		eng, err := core.New(w, ecfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		occ := make([]bool, len(w.Interests))
-		for q := range occ {
-			occ[q] = true
-		}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng.Step(occ)
-			}
-		})
 	}
 }
 

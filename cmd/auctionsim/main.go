@@ -7,7 +7,7 @@
 //
 //	auctionsim [-advertisers 2000] [-phrases 64] [-topics 8] [-slots 4]
 //	           [-rounds 200] [-seed 1] [-policy throttled] [-sharing shared]
-//	           [-pricing gsp] [-workers 1] [-csv]
+//	           [-pricing gsp] [-csv]
 package main
 
 import (
@@ -31,7 +31,6 @@ func main() {
 	policyName := flag.String("policy", "throttled", "budget policy: naive|throttled")
 	sharingName := flag.String("sharing", "shared", "winner determination: shared|independent")
 	pricingName := flag.String("pricing", "gsp", "pricing rule: first|gsp|vcg")
-	workers := flag.Int("workers", 1, "plan-execution workers")
 	cache := flag.Bool("cache", false, "carry plan results across rounds, re-materializing only dirty nodes")
 	perturb := flag.Float64("perturb", 0.05, "per-round bid random-walk scale (0 = static bids)")
 	csv := flag.Bool("csv", false, "emit per-round CSV instead of a summary")
@@ -52,7 +51,6 @@ func main() {
 	w := workload.Generate(wcfg)
 
 	ecfg := core.DefaultConfig()
-	ecfg.Workers = *workers
 	ecfg.IncrementalCache = *cache
 	switch *policyName {
 	case "naive":
@@ -90,7 +88,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer eng.Close()
 	buildTime := time.Since(buildStart)
 
 	if *csv {
@@ -112,8 +109,8 @@ func main() {
 	if !*csv {
 		fmt.Printf("workload: %d advertisers, %d phrases, %d slots (seed %d)\n",
 			*advertisers, *phrases, *slots, *seed)
-		fmt.Printf("engine:   %s winner determination, %s budgets, %s pricing, %d workers\n",
-			ecfg.Sharing, ecfg.Policy, ecfg.Pricing, ecfg.Workers)
+		fmt.Printf("engine:   %s winner determination, %s budgets, %s pricing\n",
+			ecfg.Sharing, ecfg.Policy, ecfg.Pricing)
 		fmt.Printf("plan build time: %v\n", buildTime)
 		fmt.Printf("simulated %d rounds in %v (%.2f ms/round)\n",
 			*rounds, simTime, float64(simTime.Milliseconds())/float64(*rounds))

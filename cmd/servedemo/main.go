@@ -13,7 +13,7 @@
 //
 //	servedemo [-advertisers 2000] [-phrases 64] [-seed 1]
 //	          [-clients 64] [-duration 10s] [-round 5ms] [-batch 256]
-//	          [-queue 4096] [-deadline 100ms] [-junk 0.05] [-workers 1]
+//	          [-queue 4096] [-deadline 100ms] [-junk 0.05]
 //	          [-shards 1] [-router hash|fragment]
 //	          [-replan] [-drift]
 //	          [-pacing 0] [-churn 0] [-refresh-every 0]
@@ -91,7 +91,6 @@ func main() {
 	queue := flag.Int("queue", 4096, "admission queue depth (per shard)")
 	deadline := flag.Duration("deadline", 100*time.Millisecond, "per-request deadline")
 	junk := flag.Float64("junk", 0.05, "fraction of junk queries matching no phrase")
-	workers := flag.Int("workers", 1, "engine plan-execution workers (per shard)")
 	shards := flag.Int("shards", 1, "engine shards (each phrase partition gets its own round loop)")
 	router := flag.String("router", "hash", "phrase-to-shard router: hash or fragment")
 	replanOn := flag.Bool("replan", false, "adaptive replanning: hot-swap the shared plan when observed rates drift")
@@ -141,7 +140,6 @@ func main() {
 	w := workload.Generate(wcfg)
 
 	cfg := server.DefaultConfig()
-	cfg.Engine.Workers = *workers
 	cfg.RoundInterval = *round
 	cfg.MaxBatch = *batch
 	cfg.QueueDepth = *queue

@@ -11,27 +11,16 @@ import (
 	"sharedwd/internal/workload"
 )
 
-// BenchmarkExecutorRound compares the flat-compiled runner (sequential and
-// pooled at 2/4/8 workers, frontier scheduling forced so the parallel path
-// is what's measured) with the Independent baseline on the same workload
-// BenchmarkRoundResolution uses (1000 advertisers, 32 phrases, half
-// occurring each round, non-exhausting budgets so every round is
-// identical). The sequential-cutoff override is package-private, which is
-// why this benchmark lives in package core; tools/benchjson derives each
-// workers=N variant's `speedup` against compiled/workers=1 (an explicit
-// alias of the historical "compiled" row, kept so old BENCH_core.json
-// records stay comparable).
+// BenchmarkExecutorRound compares the flat-compiled runner with the
+// Independent baseline on the same workload BenchmarkRoundResolution uses
+// (1000 advertisers, 32 phrases, half occurring each round, non-exhausting
+// budgets so every round is identical).
 func BenchmarkExecutorRound(b *testing.B) {
 	variants := []struct {
 		name        string
 		independent bool
-		workers     int
 	}{
 		{name: "compiled"},
-		{name: "compiled/workers=1", workers: 1},
-		{name: "compiled/workers=2", workers: 2},
-		{name: "compiled/workers=4", workers: 4},
-		{name: "compiled/workers=8", workers: 8},
 		{name: "independent", independent: true},
 	}
 	for _, v := range variants {
@@ -47,18 +36,9 @@ func BenchmarkExecutorRound(b *testing.B) {
 		if v.independent {
 			cfg.Sharing = Independent
 		}
-		if v.workers > 1 {
-			cfg.Workers = v.workers
-		}
 		eng, err := New(w, cfg)
 		if err != nil {
 			b.Fatal(err)
-		}
-		defer eng.Close()
-		if v.workers > 1 {
-			// Force the frontier scheduler so the pooled rows measure the
-			// parallel path, not the sequential cutoff's inline fallback.
-			eng.runner.SetSequentialCutoff(0)
 		}
 		occ := make([]bool, wcfg.NumPhrases)
 		for q := range occ {
@@ -107,7 +87,6 @@ func BenchmarkCacheBreakEven(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer eng.Close()
 				engs[i] = eng
 			}
 			n := len(worlds[0].Advertisers)

@@ -170,14 +170,14 @@ func TestEngineCacheFallback(t *testing.T) {
 	for q := range rates {
 		rates[q] = base.Queries[(q+1)%len(rates)].Rate
 	}
-	inst, p, prog, err := sharedagg.BuildCompiledWithRates(base, rates)
+	inst, _, prog, err := sharedagg.BuildCompiledWithRates(base, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.InstallPlan(inst, p, prog); err != nil {
+	if err := eng.InstallPlan(inst, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := engs[1].InstallPlan(inst, p, prog); err != nil {
+	if err := engs[1].InstallPlan(inst, prog); err != nil {
 		t.Fatal(err)
 	}
 	if eng.gov != (cacheGovernor{backoff: cacheMinBackoff, filling: true}) {

@@ -7,9 +7,8 @@
 //     (naive policy) or the Section-IV throttled bid b̂ that accounts for
 //     outstanding ads awaiting clicks;
 //  3. resolves every occurring bid phrase's auction by executing the shared
-//     top-(k+1) aggregation plan built offline by the Section-II heuristic
-//     (optionally in parallel across plan nodes), or an unshared per-auction
-//     scan for the baseline;
+//     top-(k+1) aggregation plan built offline by the Section-II heuristic,
+//     or an unshared per-auction scan for the baseline;
 //  4. prices the winners (first-price / GSP / laddered VCG) and displays
 //     their ads, registering them with the delayed-click simulator.
 //
@@ -91,13 +90,9 @@ type Config struct {
 	Pricing pricing.Rule
 	Policy  BudgetPolicy
 	Sharing SharingMode
-	// Workers > 1 runs each round's heavy phases on a persistent worker
-	// pool: leaf scoring (throttled-bid computation) splits the advertiser
-	// range across workers, and the compiled plan's dirty cone is executed
-	// through the cost-aware frontier scheduler — Span-balanced chunks plus
-	// dependency-release, see DESIGN.md §11 — rather than level barriers.
-	// Small dirty cones (the incremental-cache steady state) still run
-	// inline. Call Close on the engine to stop the pool's goroutines.
+	// Workers may be 0 or 1; New rejects any other value.
+	//
+	// Deprecated: an engine runs on one goroutine; use shards for more cores.
 	Workers int
 	// IncrementalCache carries plan-node results across rounds and
 	// re-materializes only the dirty cone: nodes whose descendant
@@ -154,7 +149,6 @@ func DefaultConfig() Config {
 		Pricing:           pricing.GSP,
 		Policy:            Throttled,
 		Sharing:           SharedAggregation,
-		Workers:           1,
 		ClickHazard:       0.3,
 		ClickHorizon:      20,
 		ThrottleEnumLimit: 16,
@@ -165,13 +159,13 @@ func DefaultConfig() Config {
 // Engine resolves rounds of simultaneous sponsored-search auctions over a
 // fixed workload.
 //
-// Thread safety: an Engine is single-threaded by contract. Step, Drain,
-// Stats, Spent, and Close must all be called from one goroutine (Workers > 1
-// only parallelizes work inside a Step, behind the same contract). A
-// RoundReport's Auctions field views scratch buffers that the next Step
-// overwrites; callers keeping results across rounds must copy them. The
-// server package wraps an Engine in a round loop to provide a concurrent
-// front end.
+// Thread safety: an Engine is single-threaded by contract and does all of a
+// round's work on the calling goroutine. Step, Drain, Stats, Spent, and
+// Close must all be called from one goroutine; more cores serve more shards
+// (package shard), not one engine. A RoundReport's Auctions field views
+// scratch buffers that the next Step overwrites; callers keeping results
+// across rounds must copy them. The server package wraps an Engine in a
+// round loop to provide a concurrent front end.
 type Engine struct {
 	cfg Config
 	w   *workload.Workload
@@ -181,14 +175,11 @@ type Engine struct {
 	interest [][]int32
 
 	inst *plan.Instance
-	plan *plan.Plan
 
-	// runner executes the flat-compiled instruction stream (prog) over
-	// dense entry slabs — the shared-mode path; pool (Workers > 1) drives
-	// its cost-aware frontier scheduler and the parallel leaf scoring pass.
-	prog   *plan.Program
+	// runner executes the flat-compiled instruction stream over dense entry
+	// slabs — the shared-mode path. It holds the engine's only reference to
+	// the Program; the Plan it was compiled from is not kept.
 	runner *plan.Runner
-	pool   *plan.Pool
 
 	// gov switches the dirty-cone cache off while it is losing
 	// (IncrementalCache engines only; see cacheGovernor).
@@ -209,11 +200,8 @@ type Engine struct {
 	lifeCursor int
 	lifeFn     func(workload.LifecycleEvent)
 
-	scr roundScratch
-	// tscr[w] is pool worker w's throttled-bid scratch; tscr[0] serves the
-	// sequential path. scoreFn is the pinned parallel-scoring body.
-	tscr    []throttleScratch
-	scoreFn func(worker, lo, hi int)
+	scr  roundScratch
+	tscr throttleScratch
 
 	stats Stats
 }
@@ -244,23 +232,13 @@ type roundScratch struct {
 	indepLen []int32
 }
 
-// throttleScratch is one worker's buffers for the throttled bid
-// computation: the advertiser's outstanding ads in the shape budget wants
-// them, and the DP grid. The engine owns one per pool worker (index 0
-// doubles as the sequential path's scratch), so parallel leaf scoring never
-// shares an append target; the pad keeps adjacent workers' slice headers —
-// rewritten whenever a bid is actually throttled — off each other's cache
-// lines.
+// throttleScratch is the buffers for the throttled bid computation: the
+// advertiser's outstanding ads in the shape budget wants them, and the DP
+// grid.
 type throttleScratch struct {
 	ads []budget.OutstandingAd
 	dp  budget.ThrottleDP
-	_   [56]byte
 }
-
-// scoreGrain is the advertiser-range claim unit for parallel leaf scoring:
-// coarse enough that cursor traffic is negligible, fine enough that a run
-// of expensive throttled bids (deep outstanding sets) can be stolen.
-const scoreGrain = 64
 
 // Stats accumulates engine-lifetime counters. The JSON tags are the stable
 // wire schema shared by the network tier's /v1/stats endpoint and the
@@ -321,8 +299,8 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	if cfg.ClickHazard <= 0 || cfg.ClickHazard > 1 || cfg.ClickHorizon < 1 {
 		return nil, fmt.Errorf("core: invalid click model (hazard %v, horizon %d)", cfg.ClickHazard, cfg.ClickHorizon)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("core: negative worker count %d", cfg.Workers)
+	if cfg.Workers != 0 && cfg.Workers != 1 {
+		return nil, fmt.Errorf("core: Workers = %d; an engine runs on one goroutine, use shards for more cores", cfg.Workers)
 	}
 	if cfg.ThrottleUnit <= 0 {
 		return nil, fmt.Errorf("core: non-positive throttle unit %v", cfg.ThrottleUnit)
@@ -361,28 +339,6 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	e.scr.roundBid = make([]float64, len(w.Advertisers))
 	e.scr.score = make([]float64, len(w.Advertisers))
 	e.scr.lastScore = make([]float64, len(w.Advertisers))
-	nscr := cfg.Workers
-	if nscr < 1 {
-		nscr = 1
-	}
-	e.tscr = make([]throttleScratch, nscr)
-	e.scoreFn = func(worker, lo, hi int) {
-		ts := &e.tscr[worker]
-		mCount := e.scr.mCount
-		for i := lo; i < hi; i++ {
-			if mCount[i] == 0 || !e.active[i] {
-				continue
-			}
-			a := e.w.Advertisers[i]
-			bid := e.pacedBid(i, a.Bid)
-			if bid <= 0 {
-				continue
-			}
-			b := e.policyBid(i, bid, mCount[i], ts)
-			e.scr.roundBid[i] = b
-			e.scr.score[i] = b * a.Quality
-		}
-	}
 	e.interest = make([][]int32, len(w.Interests))
 	for q, set := range w.Interests {
 		list := make([]int32, 0, set.Count())
@@ -405,16 +361,11 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("core: building plan instance: %w", err)
 		}
 		e.inst = inst
-		var perr error
-		e.plan, e.prog, perr = sharedagg.BuildCompiled(inst)
-		if perr != nil {
-			return nil, fmt.Errorf("core: %w", perr)
+		_, prog, err := sharedagg.BuildCompiled(inst)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		e.runner = plan.NewRunner(e.prog, k+1)
-		if cfg.Workers > 1 {
-			e.pool = plan.NewPool(cfg.Workers)
-			e.runner.SetPool(e.pool)
-		}
+		e.runner = plan.NewRunner(prog, k+1)
 		e.gov.reset()
 	} else {
 		e.scr.indep = make([]topk.Entry, len(w.Interests)*(k+1))
@@ -441,12 +392,12 @@ func (e *Engine) PlanInstance() *plan.Instance { return e.inst }
 // learned about the old plan's hit share does not carry). Must be called
 // from the engine's owning goroutine, between Steps — the server's round
 // loop does exactly that.
-func (e *Engine) InstallPlan(inst *plan.Instance, p *plan.Plan, prog *plan.Program) error {
+func (e *Engine) InstallPlan(inst *plan.Instance, prog *plan.Program) error {
 	if e.cfg.Sharing != SharedAggregation {
 		return fmt.Errorf("core: InstallPlan on a %v engine", e.cfg.Sharing)
 	}
-	if inst == nil || p == nil || prog == nil {
-		return fmt.Errorf("core: InstallPlan with nil instance, plan, or program")
+	if inst == nil || prog == nil {
+		return fmt.Errorf("core: InstallPlan with nil instance or program")
 	}
 	if inst.NumVars != len(e.w.Advertisers) {
 		return fmt.Errorf("core: plan instance has %d variables, engine %d advertisers", inst.NumVars, len(e.w.Advertisers))
@@ -456,30 +407,16 @@ func (e *Engine) InstallPlan(inst *plan.Instance, p *plan.Plan, prog *plan.Progr
 	}
 	k := len(e.w.SlotFactors)
 	e.inst = inst
-	e.plan = p
-	e.prog = prog
 	e.runner = plan.NewRunner(prog, k+1)
-	if e.pool != nil {
-		e.runner.SetPool(e.pool)
-	}
 	clear(e.scr.lastScore)
 	e.gov.reset()
 	return nil
 }
 
-// Close stops the engine's worker pool, if any; the engine must not be
-// stepped afterwards. Close is idempotent: repeated calls are no-ops.
-// Engines with Workers ≤ 1 need no Close. Like every Engine method it must
-// be called from the owning goroutine — the server's round loop guarantees
-// no Step is in flight (the pool's own Close is additionally safe against
-// concurrent pool.Close calls).
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-		e.runner.SetPool(nil)
-	}
-}
+// Close is an idempotent no-op: an engine owns no goroutines or other
+// resources to release. It stays so that callers written against a closable
+// engine keep compiling.
+func (e *Engine) Close() {}
 
 // Stats returns the accumulated counters.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -624,27 +561,16 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 		// rather than scan all of it per advertiser.
 		e.clicks.BucketOutstanding(e.out, len(e.w.Advertisers), e.round)
 	}
-	if e.pool != nil && e.cfg.Policy == Throttled {
-		// Parallel leaf scoring: per-advertiser work under the throttled
-		// policy is an exact enumeration or DP over the outstanding-ad
-		// set, so the pool claims advertiser ranges from a shared cursor
-		// and each worker appends into its own padded scratch (the buckets
-		// are only read). Writes per advertiser are disjoint and every bid
-		// is a pure function of round-start state, so scores are
-		// bit-identical to sequential.
-		e.pool.RunRange(len(e.w.Advertisers), scoreGrain, e.scoreFn)
-	} else {
-		for i, a := range e.w.Advertisers {
-			if mCount[i] == 0 || !e.active[i] {
-				continue
-			}
-			bid := e.pacedBid(i, a.Bid)
-			if bid <= 0 {
-				continue
-			}
-			roundBid[i] = e.policyBid(i, bid, mCount[i], &e.tscr[0])
-			score[i] = roundBid[i] * a.Quality
+	for i, a := range e.w.Advertisers {
+		if mCount[i] == 0 || !e.active[i] {
+			continue
 		}
+		bid := e.pacedBid(i, a.Bid)
+		if bid <= 0 {
+			continue
+		}
+		roundBid[i] = e.policyBid(i, bid, mCount[i])
+		score[i] = roundBid[i] * a.Quality
 	}
 
 	// 3. Winner determination across the occurring auctions: one path per
@@ -826,9 +752,8 @@ func (e *Engine) pacedBid(i int, bid float64) float64 {
 
 // policyBid computes the advertiser's bid for this round under the
 // configured budget policy, from the effective stated bid (already pacing-
-// scaled). ts is the calling worker's scratch; parallel scoring passes a
-// distinct one per worker, the sequential path tscr[0].
-func (e *Engine) policyBid(i int, bid float64, m int, ts *throttleScratch) float64 {
+// scaled).
+func (e *Engine) policyBid(i int, bid float64, m int) float64 {
 	remaining := e.Remaining(i)
 	if remaining <= 0 {
 		return 0
@@ -850,15 +775,15 @@ func (e *Engine) policyBid(i int, bid float64, m int, ts *throttleScratch) float
 		if omega <= remaining-float64(m)*bid {
 			return bid
 		}
-		ads := ts.ads[:0]
+		ads := e.tscr.ads[:0]
 		for j := range prices {
 			ads = append(ads, budget.OutstandingAd{Price: prices[j], CTR: ctrs[j]})
 		}
-		ts.ads = ads
+		e.tscr.ads = ads
 		if len(ads) <= e.cfg.ThrottleEnumLimit {
 			return budget.ExactThrottledBid(bid, remaining, m, ads)
 		}
-		return ts.dp.Bid(bid, remaining, m, ads, e.cfg.ThrottleUnit)
+		return e.tscr.dp.Bid(bid, remaining, m, ads, e.cfg.ThrottleUnit)
 	default:
 		panic(fmt.Sprintf("core: unknown budget policy %d", e.cfg.Policy))
 	}

@@ -41,6 +41,28 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsWorkers pins the deprecated Workers field: an engine runs on
+// one goroutine, so 0 and 1 are accepted and any other value is an error
+// rather than silently ignored.
+func TestNewRejectsWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		ok      bool
+	}{
+		{0, true},
+		{1, true},
+		{2, false},
+		{-1, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Workers = tc.workers
+		_, err := New(smallWorkload(1), cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("Workers = %d: err = %v, want accepted %v", tc.workers, err, tc.ok)
+		}
+	}
+}
+
 func TestStepResolvesOccurringAuctions(t *testing.T) {
 	w := smallWorkload(2)
 	eng, err := New(w, DefaultConfig())
@@ -378,33 +400,6 @@ func BenchmarkRoundSharedVsIndependent(b *testing.B) {
 			occ[q] = q%2 == 0
 		}
 		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng.Step(occ)
-			}
-		})
-	}
-}
-
-func BenchmarkRoundWorkers(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		cfg := workload.DefaultConfig()
-		cfg.NumAdvertisers = 2000
-		cfg.NumPhrases = 64
-		cfg.NumTopics = 8
-		w := workload.Generate(cfg)
-		ecfg := DefaultConfig()
-		ecfg.Workers = workers
-		ecfg.Policy = Naive
-		eng, err := New(w, ecfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		occ := make([]bool, len(w.Interests))
-		for q := range occ {
-			occ[q] = true
-		}
-		b.Run(map[int]string{1: "workers=1", 4: "workers=4"}[workers], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				eng.Step(occ)

@@ -12,12 +12,11 @@ import (
 // TestEngineStrategyEquivalence is the engine-level equivalence property:
 // over 4 scenarios × 60 randomized rounds (random occurrence vectors, bid
 // perturbation, budgets that exhaust mid-day, GSP and VCG, naive and
-// throttled policies), every way of running the compiled plan — sequential,
-// incremental, pooled at 2, 4, and 8 workers (including forced-frontier
-// scheduling and mid-run plan hot-swaps) — must produce RoundReports, Stats,
-// and final per-advertiser accounting identical to the Independent engine's,
-// a naive per-phrase scan that shares no plan code with them.
-// Materialization counters are checked against the cache-off sequential
+// throttled policies), every way of running the compiled plan — full runs and
+// the incremental cache, each with and without mid-run plan hot-swaps — must
+// produce RoundReports, Stats, and final per-advertiser accounting identical
+// to the Independent engine's, a naive per-phrase scan that shares no plan
+// code with them. Materialization counters are checked against the cache-off
 // compiled engine: every shared variant's Materialized + Cached must equal
 // its Materialized exactly (Independent counts a different cost and takes no
 // part in that check).
@@ -36,16 +35,11 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 		{"vcg-throttled-reserve", pricing.VCG, Throttled, 0.4},
 	}
 	variants := []equivVariant{
-		resultRef: {name: "independent", workers: 1, independent: true},
-		costRef:   {name: "compiled", workers: 1},
-		{name: "compiled-incremental", workers: 1, incremental: true},
-		{name: "compiled-pool", workers: 4},
-		{name: "compiled-pool-incremental", workers: 4, incremental: true},
-		{name: "compiled-pool2-incremental", workers: 2, incremental: true},
-		{name: "compiled-pool8-frontier", workers: 8, frontier: true},
-		{name: "compiled-pool8-incremental-frontier", workers: 8, incremental: true, frontier: true},
-		{name: "compiled-pool-swap", workers: 4, frontier: true, swap: true},
-		{name: "compiled-pool-incremental-swap", workers: 4, incremental: true, frontier: true, swap: true},
+		resultRef: {name: "independent", independent: true},
+		costRef:   {name: "compiled"},
+		{name: "compiled-incremental", incremental: true},
+		{name: "compiled-swap", swap: true},
+		{name: "compiled-incremental-swap", incremental: true, swap: true},
 	}
 	for si, sc := range scenarios {
 		sc, seed := sc, int64(100+si)
@@ -62,8 +56,7 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 	fallbackVariants := []equivVariant{
 		resultRef: variants[resultRef],
 		costRef:   variants[costRef],
-		{name: "compiled-incremental", workers: 1, incremental: true},
-		{name: "compiled-pool-incremental-frontier", workers: 4, incremental: true, frontier: true},
+		{name: "compiled-incremental", incremental: true},
 	}
 	const cold, steady = 48, 112 // rounds per stretch; cold, steady, cold, steady
 	for si, sc := range scenarios {
@@ -137,8 +130,7 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 }
 
 // Every variant list starts with the two references: the Independent engine
-// every report is compared with, and the cache-off sequential compiled
-// engine every shared variant's aggregation cost is compared with.
+// every report is compared with, and the cache-off compiled engine every shared variant's aggregation cost is compared with.
 const (
 	resultRef = iota
 	costRef
@@ -153,17 +145,11 @@ type equivScenario struct {
 
 type equivVariant struct {
 	name        string
-	workers     int
 	incremental bool
 	independent bool
-	// frontier drops the pooled runner's sequential cutoff to 0, so
-	// every dirty cone — even the small cached-steady-state ones —
-	// exercises the dependency-release scheduler.
-	frontier bool
 	// swap hot-swaps a freshly compiled plan (rotated rates) into the
-	// engine every 20 rounds; results must be unchanged (Lemma 1), and
-	// the swap must reset the new runner's frontier state, not just the
-	// score slab.
+	// engine every 20 rounds; results must be unchanged (Lemma 1), and an
+	// incremental engine must start the new runner's cache clean.
 	swap bool
 }
 
@@ -173,8 +159,7 @@ type equivVariant struct {
 // variants[costRef]'s. mutate moves one world's bids after each round; it is
 // called once per variant with an identically seeded rng, so every world
 // sees the same bid stream. after, when non-nil, observes the engines once
-// every variant has stepped the round. The drained engines are returned
-// (closed by the test's cleanup).
+// every variant has stepped the round. The drained engines are returned.
 func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBudget float64, variants []equivVariant,
 	rounds int, mutate func(round int, w *workload.Workload, pick *rand.Rand), after func(round int, engines []*Engine)) []*Engine {
 	wcfg := workload.DefaultConfig()
@@ -196,7 +181,6 @@ func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBu
 	picks := make([]*rand.Rand, len(variants))
 	for i, v := range variants {
 		cfg := base
-		cfg.Workers = v.workers
 		cfg.IncrementalCache = v.incremental
 		if v.independent {
 			cfg.Sharing = Independent
@@ -209,11 +193,7 @@ func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBu
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.frontier {
-			eng.runner.SetSequentialCutoff(0)
-		}
 		engines[i] = eng
-		t.Cleanup(eng.Close)
 	}
 
 	rng := rand.New(rand.NewSource(wcfg.Seed * 7))
@@ -268,15 +248,12 @@ func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBu
 				for q := range rates {
 					rates[q] = base.Queries[(q+round)%len(rates)].Rate + 0.01
 				}
-				inst2, p2, prog2, err := sharedagg.BuildCompiledWithRates(base, rates)
+				inst2, _, prog2, err := sharedagg.BuildCompiledWithRates(base, rates)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := engines[i].InstallPlan(inst2, p2, prog2); err != nil {
+				if err := engines[i].InstallPlan(inst2, prog2); err != nil {
 					t.Fatal(err)
-				}
-				if v.frontier {
-					engines[i].runner.SetSequentialCutoff(0)
 				}
 			}
 		}

@@ -11,39 +11,26 @@ import (
 // shared-mode round with the incremental cache on performs zero heap
 // allocations — every per-round structure (bids, slab values, top-k lists,
 // rankings, prices, slot results, the report's auction map, the click
-// simulator's buffers) is reused from engine scratch. The guarantee holds in
-// pool mode too: worker dispatch sends pinned closures in fixed-size task
-// structs, and the frontier scheduler's per-round state is preallocated —
-// AllocsPerRun counts every goroutine's allocations, so a single stray
-// worker-side allocation would fail the Workers > 1 cases.
+// simulator's buffers) is reused from engine scratch.
 //
-// The throttled cases hold every advertiser's remaining budget at three of
+// The throttled case holds every advertiser's remaining budget at three of
 // its bids, so Section IV binds in every round: the outstanding-ad buckets,
-// each worker's ad buffer and DP grid all have to reach a high-water mark
-// and stay there, with both the enumeration and the DP path running. The
-// cold case moves every bid every round, so the measured rounds run on the
+// the ad buffer and the DP grid all have to reach a high-water mark and stay
+// there, with both the enumeration and the DP path running. The cold case
+// moves every bid every round, so the measured rounds run on the
 // cache governor's full-run fallback and through its probes.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
 	}
 	cases := []struct {
-		name string
-		// workers is the engine pool size; forceParallel drops the runner's
-		// sequential cutoff to 0 so even the steady state's small dirty
-		// cones exercise the full frontier scheduler, not the inline path.
-		workers       int
-		forceParallel bool
-		throttled     bool
-		cold          bool
+		name      string
+		throttled bool
+		cold      bool
 	}{
-		{name: "workers=1", workers: 1},
-		{name: "workers=4", workers: 4},
-		{name: "workers=4/frontier", workers: 4, forceParallel: true},
-		{name: "throttled/workers=1", workers: 1, throttled: true},
-		{name: "throttled/workers=4", workers: 4, throttled: true},
-		{name: "cold/workers=1", workers: 1, cold: true},
-		{name: "cold/workers=4", workers: 4, cold: true},
+		{name: "naive"},
+		{name: "throttled", throttled: true},
+		{name: "cold", cold: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,15 +48,10 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 				cfg.ThrottleEnumLimit = 3 // four outstanding ads already take the DP
 			}
 			cfg.Sharing = SharedAggregation
-			cfg.Workers = tc.workers
 			cfg.IncrementalCache = true
 			eng, err := New(w, cfg)
 			if err != nil {
 				t.Fatal(err)
-			}
-			defer eng.Close()
-			if tc.forceParallel {
-				eng.runner.SetSequentialCutoff(0)
 			}
 
 			occ := make([]bool, wcfg.NumPhrases)
@@ -197,7 +179,6 @@ func TestStepSteadyStateZeroAllocPaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 
 	occ := make([]bool, wcfg.NumPhrases)
 	for q := range occ {

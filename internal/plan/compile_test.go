@@ -172,13 +172,11 @@ func TestCompileInvariants(t *testing.T) {
 
 // TestRunnerMatchesExecute is the compiled-path equivalence property: over
 // random plans and rounds of changing leaf scores and occurrence vectors,
-// the flat runner — full, incremental, and pool-driven — must reproduce the
+// the flat runner — full and incremental — must reproduce the
 // memo-based Execute's query results entry for entry, and its work counters
 // must tie out against the memo materialization count.
 func TestRunnerMatchesExecute(t *testing.T) {
 	const k = 5
-	pool := plan.NewPool(4)
-	defer pool.Close()
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed * 31))
 		inst, plans := randomPlans(t, seed)
@@ -200,17 +198,6 @@ func TestRunnerMatchesExecute(t *testing.T) {
 
 			full := plan.NewRunner(pr, k)
 			incr := plan.NewRunner(pr, k)
-			par := plan.NewRunner(pr, k)
-			par.SetPool(pool)
-			// parAll and parIncr force every cone through the frontier
-			// scheduler (cutoff 0), covering the dependency-release path
-			// even on cones the default cutoff would run inline.
-			parAll := plan.NewRunner(pr, k)
-			parAll.SetPool(pool)
-			parAll.SetSequentialCutoff(0)
-			parIncr := plan.NewRunner(pr, k)
-			parIncr.SetPool(pool)
-			parIncr.SetSequentialCutoff(0)
 
 			for round := 0; round < 30; round++ {
 				// Sparse score churn, reported to the incremental runner.
@@ -222,7 +209,6 @@ func TestRunnerMatchesExecute(t *testing.T) {
 						scores[v] = 1 + rng.Float64()*9
 					}
 					incr.Invalidate(v)
-					parIncr.Invalidate(v)
 				}
 				occ := make([]bool, len(inst.Queries))
 				for q := range occ {
@@ -263,10 +249,6 @@ func TestRunnerMatchesExecute(t *testing.T) {
 				check("full", full, full.Run(scores, occ), 0, false)
 				r, c := incr.RunIncremental(scores, occ)
 				check("incremental", incr, r, c, true)
-				check("pool", par, par.Run(scores, occ), 0, false)
-				check("pool-frontier", parAll, parAll.Run(scores, occ), 0, false)
-				r, c = parIncr.RunIncremental(scores, occ)
-				check("pool-incremental", parIncr, r, c, true)
 			}
 		}
 	}

@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 
 	"sharedwd/internal/topk"
 )
@@ -17,11 +15,11 @@ import (
 // state is indexed by instruction. (The map-memo Execute is the generic
 // reference the tests tie it to.)
 //
-// It has three execution modes:
+// It has two execution modes:
 //
 //   - Run evaluates the round's needed cone, marked by epoch stamps (a stamp
-//     write per instruction, no clearing pass). A sequential Run stores an
-//     instruction's run only where the round shares it — an occurring
+//     write per instruction, no clearing pass). It stores an instruction's
+//     run only where the round shares it — an occurring
 //     query's output, or a large enough subtree that two or more of the
 //     round's needed instructions read; every other instruction is streamed:
 //     its consumer scans the instruction's leaves and deps straight into its
@@ -31,19 +29,10 @@ import (
 //     whose output is still valid — i.e. no descendant leaf score changed
 //     since it was computed (see Invalidate) — preserving the Section III-B
 //     dirty-cone caching semantics at instruction granularity.
-//   - SetPool runs the round's dirty cone on a worker pool through a
-//     cost-aware scheduler (see DESIGN.md §11): the initial dependency-free
-//     frontier is split into chunks balanced by Span — the instruction's
-//     exact aggregation-op cost — and claimed from a shared cursor, and
-//     every later instruction is released the moment its last dep
-//     finishes, through per-instruction pending counters, instead of
-//     waiting for a per-level barrier. Dirty cones cheaper than the
-//     sequential cutoff run inline, so the cached steady state never pays
-//     a rendezvous. A pooled runner stores every instruction it schedules,
-//     because another worker reads it.
 //
-// A Runner is not safe for concurrent use (the pool only parallelizes work
-// inside one Run call).
+// Both run on the caller's goroutine; a Runner is not safe for concurrent
+// use. An engine is one goroutine, and shards are the unit of parallelism
+// (DESIGN.md §11).
 type Runner struct {
 	prog *Program
 	k    int // run capacity per slot (slots+1 in the engine)
@@ -81,30 +70,6 @@ type Runner struct {
 	// NewRunner from Deps and Leaves.
 	consStart, cons    []int32
 	leafStart, leafIns []int32
-
-	// Per-round frontier state (pool mode). dirty is the round's scheduled
-	// instructions in topological (ascending) order; live stamps them for
-	// the round; pending[i] counts i's not-yet-finished live dep edges;
-	// ready holds the initial pending==0 frontier, cut into cost-balanced
-	// chunks ending at chunkEnd; slots is the release ring late
-	// instructions flow through (holding ins+1, 0 = empty).
-	dirty     []int32
-	live      []uint64
-	pending   []atomic.Int32
-	ready     []int32
-	chunkEnd  []int32
-	slots     []atomic.Int32
-	lateTotal int64
-
-	chunkCursor paddedCounter
-	claimHead   paddedCounter
-	pushTail    paddedCounter
-
-	seqCutoff int
-
-	pool   *Pool
-	scores []float64 // pinned during a parallel pass
-	parFn  func(worker int)
 }
 
 // storeMinLeaves is the subtree size from which a run read twice or more in
@@ -119,17 +84,6 @@ const storeMinLeaves = 32
 // readsQuery marks an occurring query's output in reads: stored whatever
 // its size, since QueryRun serves it from the slab.
 const readsQuery = 1 << 30
-
-// DefaultSequentialCutoff is the dirty-cone cost (in Span units, i.e.
-// aggregation ops) below which a pooled Runner executes inline: the cached
-// steady state's dirty cones are far below it, so the 0-alloc fast path
-// never pays worker rendezvous, while full recomputes on shared plans sit
-// far above it.
-const DefaultSequentialCutoff = 256
-
-// chunksPerWorker over-partitions the initial frontier so an unlucky worker
-// can shed load to idle ones instead of serializing the tail.
-const chunksPerWorker = 4
 
 // csr inverts the CSR adjacency (start, adj) into one over its m targets:
 // the result lists, for each target, the sources naming it, in ascending
@@ -173,13 +127,6 @@ func NewRunner(prog *Program, k int) *Runner {
 		subLeaves: make([]int32, n),
 		minLeaves: storeMinLeaves,
 		cone:      make([]int32, 0, n),
-		dirty:     make([]int32, 0, n),
-		live:      make([]uint64, n),
-		pending:   make([]atomic.Int32, n),
-		ready:     make([]int32, 0, n),
-		chunkEnd:  make([]int32, 0, n),
-		slots:     make([]atomic.Int32, n),
-		seqCutoff: DefaultSequentialCutoff,
 	}
 	for i := 0; i < n; i++ {
 		sub := int64(prog.LeafStart[i+1] - prog.LeafStart[i])
@@ -190,24 +137,11 @@ func NewRunner(prog *Program, k int) *Runner {
 	}
 	r.consStart, r.cons = csr(prog.DepStart, prog.Deps, n)
 	r.leafStart, r.leafIns = csr(prog.LeafStart, prog.Leaves, prog.NumVars)
-	r.parFn = r.parallelWorker
 	return r
 }
 
 // Program returns the compiled program the runner executes.
 func (r *Runner) Program() *Program { return r.prog }
-
-// SetPool attaches (or with nil detaches) a worker pool for cost-aware
-// parallel execution of each round's dirty cone. Results are identical to
-// sequential execution because each instruction still runs exactly once,
-// after all its arguments, from the same inputs.
-func (r *Runner) SetPool(p *Pool) { r.pool = p }
-
-// SetSequentialCutoff overrides the dirty-cone cost (in Span units) below
-// which a pooled runner executes inline. 0 forces every dirty cone through
-// the parallel scheduler — useful in tests; the default is
-// DefaultSequentialCutoff.
-func (r *Runner) SetSequentialCutoff(spans int) { r.seqCutoff = spans }
 
 // seg returns slab slot i's segment (full capacity; r.lens[i] holds the
 // live length).
@@ -309,8 +243,8 @@ func (r *Runner) run(scores []float64, occurring []bool, incremental bool) (reco
 	// level-major order, so one descending sweep from the highest needed
 	// instruction reaches every dependency — and has counted every read of
 	// an instruction by the time it gets there, which settles whether a
-	// sequential full run stores or streams it.
-	stream := !incremental && r.pool == nil
+	// full run stores or streams it.
+	stream := !incremental
 	r.cone = r.cone[:0]
 	for ins := maxI; ins >= 0; ins-- {
 		if r.need[ins] != r.epoch {
@@ -328,17 +262,10 @@ func (r *Runner) run(scores []float64, occurring []bool, incremental bool) (reco
 		}
 	}
 
-	parallel := r.pool != nil
-	if parallel {
-		r.dirty = r.dirty[:0]
-	}
-	dirtySpan := 0
-
-	// Schedule the cone bottom-up (ascending instruction index is a
-	// topological order). Validity is settled here, single-threaded, so the
-	// parallel pass only runs kernels. A streamed instruction has no kernel
-	// of its own — its consumers' folds do the work — but its nodes are in
-	// the cone and count.
+	// Execute the cone bottom-up (ascending instruction index is a
+	// topological order). A streamed instruction has no kernel of its own —
+	// its consumers' folds do the work — but its nodes are in the cone and
+	// count.
 	for j := len(r.cone) - 1; j >= 0; j-- {
 		ins := r.cone[j]
 		span := int(prog.Span[ins])
@@ -350,143 +277,11 @@ func (r *Runner) run(scores []float64, occurring []bool, incremental bool) (reco
 			r.valid[ins] = true
 		}
 		recomputed += span
-		switch {
-		case !r.held[ins]: // streamed
-		case parallel:
-			r.dirty = append(r.dirty, ins)
-			r.live[ins] = r.epoch
-			dirtySpan += span
-		default:
+		if r.held[ins] {
 			r.exec(ins, scores)
 		}
 	}
-	if parallel {
-		if dirtySpan < r.seqCutoff || len(r.dirty) < 2 {
-			// Sequential cutoff: a small dirty cone (the incremental-cache
-			// steady state) is cheaper to run inline than to hand to the
-			// pool. dirty is in topological order, so inline execution is
-			// safe.
-			for _, ins := range r.dirty {
-				r.exec(ins, scores)
-			}
-		} else {
-			r.runParallel(scores)
-		}
-	}
 	return recomputed, cached
-}
-
-// runParallel executes the round's dirty cone on the pool: cost-balanced
-// chunks of the dependency-free frontier first, then dependency-released
-// instructions as they unlock.
-func (r *Runner) runParallel(scores []float64) {
-	prog := r.prog
-
-	// Reset the frontier from this round's cone: pending[i] counts i's deps
-	// among the live (scheduled) instructions; cached deps are already
-	// materialized and count for nothing.
-	r.ready = r.ready[:0]
-	readySpan := 0
-	for _, ins := range r.dirty {
-		n := int32(0)
-		for _, d := range prog.Deps[prog.DepStart[ins]:prog.DepStart[ins+1]] {
-			if r.live[d] == r.epoch {
-				n++
-			}
-		}
-		r.pending[ins].Store(n)
-		if n == 0 {
-			r.ready = append(r.ready, ins)
-			readySpan += int(prog.Span[ins])
-		}
-	}
-
-	// Cut the ready list into chunks balanced by Span — the exact
-	// aggregation-op cost of each instruction — so one fat fold does not
-	// serialize the frontier while count-equal chunks idle.
-	r.chunkEnd = r.chunkEnd[:0]
-	target := readySpan / (r.pool.Workers() * chunksPerWorker)
-	if target < 1 {
-		target = 1
-	}
-	acc := 0
-	for i, ins := range r.ready {
-		acc += int(prog.Span[ins])
-		if acc >= target {
-			r.chunkEnd = append(r.chunkEnd, int32(i+1))
-			acc = 0
-		}
-	}
-	if n := int32(len(r.ready)); len(r.chunkEnd) == 0 || r.chunkEnd[len(r.chunkEnd)-1] != n {
-		r.chunkEnd = append(r.chunkEnd, n)
-	}
-
-	// Ring reset: every instruction that is not initially ready is pushed
-	// exactly once when its last argument finishes, so the ring needs
-	// late-many cleared slots and never wraps.
-	late := len(r.dirty) - len(r.ready)
-	for i := 0; i < late; i++ {
-		r.slots[i].Store(0)
-	}
-	r.lateTotal = int64(late)
-	r.chunkCursor.v.Store(0)
-	r.claimHead.v.Store(0)
-	r.pushTail.v.Store(0)
-
-	r.scores = scores
-	r.pool.Broadcast(r.parFn)
-	r.scores = nil
-}
-
-// parallelWorker is one worker's share of a parallel round: claim
-// cost-balanced frontier chunks while they last, then claim release-ring
-// slots until every late instruction is spoken for.
-func (r *Runner) parallelWorker(int) {
-	scores := r.scores
-	nChunks := int64(len(r.chunkEnd))
-	for {
-		c := r.chunkCursor.v.Add(1) - 1
-		if c >= nChunks {
-			break
-		}
-		lo := int32(0)
-		if c > 0 {
-			lo = r.chunkEnd[c-1]
-		}
-		for _, ins := range r.ready[lo:r.chunkEnd[c]] {
-			r.execUnlock(ins, scores)
-		}
-	}
-	for {
-		idx := r.claimHead.v.Add(1) - 1
-		if idx >= r.lateTotal {
-			return
-		}
-		// The slot's instruction may not be unlocked yet; its producer is
-		// running on another worker, so yield rather than burn the bus
-		// (essential when GOMAXPROCS < pool size).
-		for {
-			if v := r.slots[idx].Load(); v != 0 {
-				r.execUnlock(v-1, scores)
-				break
-			}
-			runtime.Gosched()
-		}
-	}
-}
-
-// execUnlock runs one instruction's kernel, then releases any consumer
-// whose last argument this was into the ring. The atomic decrement chain on
-// pending plus the slot store publish the slab writes to whichever worker
-// claims the consumer.
-func (r *Runner) execUnlock(ins int32, scores []float64) {
-	r.exec(ins, scores)
-	for _, c := range r.cons[r.consStart[ins]:r.consStart[ins+1]] {
-		if r.live[c] == r.epoch && r.pending[c].Add(-1) == 0 {
-			idx := r.pushTail.v.Add(1) - 1
-			r.slots[idx].Store(c + 1)
-		}
-	}
 }
 
 // exec computes one held instruction's run into its slab segment.

@@ -204,12 +204,11 @@ func clampRate(r, floor float64) float64 {
 }
 
 // Build is one finished background rebuild: the re-posed instance, the
-// heuristic's plan, its flat compilation, and the observed rates it was
+// flat compilation of the heuristic's plan, and the observed rates it was
 // optimized for. Install it with core.Engine.InstallPlan at a round
 // boundary.
 type Build struct {
 	Inst  *plan.Instance
-	Plan  *plan.Plan
 	Prog  *plan.Program
 	Rates []float64
 	// Seq numbers builds from 1 in trigger order.
@@ -365,7 +364,7 @@ func (p *Planner) builder() {
 	defer close(p.done)
 	for req := range p.reqCh {
 		start := time.Now()
-		inst, pl, prog, err := sharedagg.BuildCompiledWithRates(req.base, req.rates)
+		inst, _, prog, err := sharedagg.BuildCompiledWithRates(req.base, req.rates)
 		if err != nil {
 			p.failed.Add(1)
 			p.building.Store(false)
@@ -373,7 +372,6 @@ func (p *Planner) builder() {
 		}
 		p.built.Store(&Build{
 			Inst:      inst,
-			Plan:      pl,
 			Prog:      prog,
 			Rates:     req.rates,
 			Seq:       req.seq,

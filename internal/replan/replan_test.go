@@ -113,7 +113,6 @@ func TestPlannerTriggersAndDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	p, err := New(eng.PlanInstance(), aggressive())
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +133,13 @@ func TestPlannerTriggersAndDelivers(t *testing.T) {
 	if build == nil {
 		t.Fatalf("no build delivered under sustained drift; stats %+v", p.Stats())
 	}
-	if build.Seq != 1 || build.Inst == nil || build.Plan == nil || build.Prog == nil {
+	if build.Seq != 1 || build.Inst == nil || build.Prog == nil {
 		t.Fatalf("malformed build: %+v", build)
 	}
 	if build.BuildTime <= 0 {
 		t.Fatalf("delivered build reports build time %v", build.BuildTime)
 	}
-	if err := eng.InstallPlan(build.Inst, build.Plan, build.Prog); err != nil {
+	if err := eng.InstallPlan(build.Inst, build.Prog); err != nil {
 		t.Fatalf("installing delivered build: %v", err)
 	}
 	st := p.Stats()
@@ -175,7 +174,6 @@ func TestPlannerNoFalseTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	p, err := New(eng.PlanInstance(), aggressive())
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +195,6 @@ func TestPlannerCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	p, err := New(eng.PlanInstance(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -228,12 +225,10 @@ func TestSwapEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer engSwap.Close()
 	engNative, err := core.New(wNative, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer engNative.Close()
 
 	// The drifted rate vector: the workload's rates rotated by half the
 	// phrase universe.
@@ -244,11 +239,11 @@ func TestSwapEquivalence(t *testing.T) {
 	}
 
 	// The native engine runs the drifted-rates plan from round zero.
-	inst, p, prog, err := sharedagg.BuildCompiledWithRates(engNative.PlanInstance(), drifted)
+	inst, _, prog, err := sharedagg.BuildCompiledWithRates(engNative.PlanInstance(), drifted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engNative.InstallPlan(inst, p, prog); err != nil {
+	if err := engNative.InstallPlan(inst, prog); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,11 +252,11 @@ func TestSwapEquivalence(t *testing.T) {
 	occ := make([]bool, n)
 	for r := 0; r < rounds; r++ {
 		if r == swapAt {
-			inst, p, prog, err := sharedagg.BuildCompiledWithRates(engSwap.PlanInstance(), drifted)
+			inst, _, prog, err := sharedagg.BuildCompiledWithRates(engSwap.PlanInstance(), drifted)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := engSwap.InstallPlan(inst, p, prog); err != nil {
+			if err := engSwap.InstallPlan(inst, prog); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -324,7 +319,6 @@ func TestRebuiltPlanMatchesNativeBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	n := len(w.Rates)
 	drifted := make([]float64, n)
 	for q := range drifted {

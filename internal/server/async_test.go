@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,6 +105,59 @@ func TestIntakeRingConcurrent(t *testing.T) {
 	}
 	if got := r.length(); got != 0 {
 		t.Fatalf("ring not empty after drain: length %d", got)
+	}
+}
+
+// TestIntakeRingNeverShedsBelowCapacity: a producer whose tail read goes
+// stale while other producers push and the consumer pops past it must retry,
+// not read the negative occupancy as a full ring. Each producer keeps at
+// most one request in the ring, so occupancy never exceeds the producer
+// count and any refusal is spurious.
+func TestIntakeRingNeverShedsBelowCapacity(t *testing.T) {
+	const producers = 16
+	const perProducer = 3000
+	r := newIntakeRing(256)
+
+	var refused atomic.Int64
+	taken := make([]atomic.Int64, producers)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				if !r.push(&request{phrase: p}) {
+					refused.Add(1)
+					return
+				}
+				for taken[p].Load() <= int64(i) {
+					runtime.Gosched()
+				}
+			}
+		}(p)
+	}
+	stop := make(chan struct{})
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for {
+			if req := r.pop(); req != nil {
+				taken[req.phrase].Add(1)
+				continue
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-consumed
+	if n := refused.Load(); n != 0 {
+		t.Fatalf("%d pushes refused with at most %d of %d slots occupied", n, producers, r.capacity())
 	}
 }
 

@@ -62,12 +62,18 @@ func newIntakeRing(depth int) *intakeRing {
 func (r *intakeRing) push(req *request) bool {
 	for {
 		pos := r.tail.Load()
-		if pos-r.head.Load() >= r.cap {
-			// head was loaded after tail and only grows, so this view of
-			// occupancy is an upper bound: a full verdict here is exact
-			// whenever the consumer is not mid-pop. One fresh re-read
-			// settles the race with a concurrent pop.
-			if pos-r.head.Load() >= r.cap {
+		head := r.head.Load()
+		if head > pos {
+			// pos went stale: other producers pushed and the consumer
+			// popped past it between the two loads. Retry with a fresh
+			// tail rather than read the wrapped difference as full.
+			continue
+		}
+		if pos-head >= r.cap {
+			// head was loaded after tail and only grows, so a full verdict
+			// here is exact whenever the consumer is not mid-pop. One fresh
+			// re-read settles the race with a concurrent pop.
+			if h := r.head.Load(); h <= pos && pos-h >= r.cap {
 				return false
 			}
 			continue

@@ -233,8 +233,7 @@ type Server struct {
 
 // New builds the engine for the workload and starts the round loop. The
 // server takes ownership of the workload: the caller must not mutate or
-// step it while the server runs. Close must be called to release the loop
-// (and the engine's worker pool, if any).
+// step it while the server runs. Close must be called to release the loop.
 //
 // When cfg.Pacing is set, New builds the pacing controller over the
 // engine's budget authority — installing a budget.Ledger as Engine.Ledger
@@ -317,8 +316,8 @@ func (s *Server) SubmitAsync(items []AsyncItem) {
 
 // Close stops admission, resolves every in-flight request in a final round,
 // drains the engine's outstanding clicks (so end-of-day budget accounting
-// is complete), stops the engine's worker pool, and waits for the round
-// loop to exit. It is idempotent and safe to call concurrently.
+// is complete), and waits for the round loop to exit. It is idempotent and
+// safe to call concurrently.
 func (s *Server) Close() { s.worker.Close() }
 
 // Metrics returns the server's current observability counters and latency

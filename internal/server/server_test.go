@@ -353,15 +353,13 @@ func TestServerRewrites(t *testing.T) {
 
 // TestServerConcurrentAdmissionAndMetrics is the concurrency-contract
 // test: many goroutines submit (including junk and tight deadlines) while
-// others continuously read Metrics — exercised under -race in CI. The
-// engine runs with a worker pool so pool shutdown is covered too.
+// others continuously read Metrics — exercised under -race in CI.
 func TestServerConcurrentAdmissionAndMetrics(t *testing.T) {
 	w := testWorkload(t)
 	cfg := testConfig()
 	cfg.RoundInterval = time.Millisecond
 	cfg.MaxBatch = 16
 	cfg.BidWalkScale = 0.05
-	cfg.Engine.Workers = 2
 	s, err := New(w, cfg)
 	if err != nil {
 		t.Fatal(err)

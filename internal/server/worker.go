@@ -125,8 +125,7 @@ type latSample struct{ adm, rw, lat float64 }
 
 // NewWorker builds the engine for the workload and starts the round loop.
 // The worker takes ownership of the workload: the caller must not mutate or
-// step it while the worker runs. Close must be called to release the loop
-// (and the engine's worker pool, if any).
+// step it while the worker runs. Close must be called to release the loop.
 func NewWorker(w *workload.Workload, cfg Config) (*Worker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -142,7 +141,6 @@ func NewWorker(w *workload.Workload, cfg Config) (*Worker, error) {
 	if cfg.Replan != nil {
 		planner, err = replan.New(eng.PlanInstance(), *cfg.Replan)
 		if err != nil {
-			eng.Close()
 			return nil, err
 		}
 	}
@@ -236,8 +234,8 @@ func (wk *Worker) complete(req *request, res Result, err error) {
 
 // Close stops admission, resolves every in-flight request in a final round,
 // drains the engine's outstanding clicks (so end-of-day budget accounting
-// is complete), stops the engine's worker pool, and waits for the round
-// loop to exit. It is idempotent and safe to call concurrently.
+// is complete), and waits for the round loop to exit. It is idempotent and
+// safe to call concurrently.
 func (wk *Worker) Close() {
 	wk.closeOnce.Do(func() {
 		wk.admitMu.Lock()
@@ -289,7 +287,6 @@ func (wk *Worker) loop() {
 			wk.mu.Lock()
 			wk.engStats = wk.eng.Stats()
 			wk.mu.Unlock()
-			wk.eng.Close()
 			if wk.planner != nil {
 				wk.planner.Close() // safe: no more Observe calls
 			}
@@ -360,7 +357,7 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 	if wk.planner != nil {
 		if b := wk.planner.Observe(occ); b != nil {
 			swapStart := time.Now()
-			if err := wk.eng.InstallPlan(b.Inst, b.Plan, b.Prog); err != nil {
+			if err := wk.eng.InstallPlan(b.Inst, b.Prog); err != nil {
 				// Builds come from the engine's own instance, so a shape
 				// mismatch is an internal invariant violation, not a
 				// runtime condition to tolerate.

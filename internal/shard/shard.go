@@ -53,14 +53,6 @@ type Config struct {
 	Shards int
 	// Router fixes the phrase → shard assignment; nil means HashRouter.
 	Router Router
-	// TotalWorkers, when > 0, is a core budget split across the shards:
-	// each shard's engine gets TotalWorkers/Shards pool workers (the first
-	// TotalWorkers%Shards shards get one extra; every shard gets at least
-	// one), overriding Worker.Engine.Workers. It makes shards × workers
-	// trade-offs explicit — the same budget can run as many single-worker
-	// shards or as one shard with a wide pool (see BenchmarkParallelScaling).
-	// Zero leaves Worker.Engine.Workers as configured for every shard.
-	TotalWorkers int
 }
 
 // DefaultConfig returns the per-worker DefaultConfig across one shard per
@@ -76,9 +68,6 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: non-positive shard count %d", c.Shards)
-	}
-	if c.TotalWorkers < 0 {
-		return fmt.Errorf("shard: negative total worker budget %d", c.TotalWorkers)
 	}
 	return c.Worker.Validate()
 }
@@ -152,15 +141,6 @@ func New(w *workload.Workload, cfg Config) (*Server, error) {
 		wcfg.Engine.Pacer = pacer
 	}
 	for sh := range s.workers {
-		if cfg.TotalWorkers > 0 {
-			wcfg.Engine.Workers = cfg.TotalWorkers / cfg.Shards
-			if sh < cfg.TotalWorkers%cfg.Shards {
-				wcfg.Engine.Workers++
-			}
-			if wcfg.Engine.Workers < 1 {
-				wcfg.Engine.Workers = 1
-			}
-		}
 		// Each shard's worker reports observed rates under global phrase
 		// IDs, so fleet-wide merges of replanning metrics line up. Each
 		// shard replans independently: its planner sees only its own

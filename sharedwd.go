@@ -543,14 +543,6 @@ func WithBudgetPolicy(p BudgetPolicy) EngineOption { return func(c *EngineConfig
 // WithSharing selects shared-plan vs independent winner determination.
 func WithSharing(m SharingMode) EngineOption { return func(c *EngineConfig) { c.Sharing = m } }
 
-// WithWorkers sets the engine's worker-pool size. With n > 1 each round's
-// leaf scoring and the compiled plan's dirty cone run on a persistent pool
-// through the cost-aware frontier scheduler (Span-balanced chunks plus
-// dependency release; small cones still run inline, so the cached steady
-// state is unaffected). Remember to Close the engine. For a sharded server
-// prefer WithTotalWorkers, which splits one core budget across shards.
-func WithWorkers(n int) EngineOption { return func(c *EngineConfig) { c.Workers = n } }
-
 // WithIncrementalCache toggles cross-round plan-result caching: only the
 // dirty cone of changed bids is re-materialized each round.
 func WithIncrementalCache(on bool) EngineOption {
@@ -574,7 +566,6 @@ func WithClickModel(hazard float64, horizon int) EngineOption {
 //	eng, err := sharedwd.NewEngine(w,
 //	    sharedwd.WithPricing(sharedwd.VCG),
 //	    sharedwd.WithBudgetPolicy(sharedwd.Throttled),
-//	    sharedwd.WithWorkers(4),
 //	    sharedwd.WithIncrementalCache(true))
 //
 // It returns an error for invalid configurations or a per-phrase-quality
@@ -603,13 +594,12 @@ func NewSortEngine(w *Workload, opts ...EngineOption) (*SortEngine, error) {
 // configuration plus the sharding knobs that only the sharded constructor
 // consumes.
 type serveConfig struct {
-	srv          server.Config
-	shards       int
-	router       shard.Router
-	totalWorkers int
-	net          netserve.Config
-	bin          binproto.Config
-	transports   []Transport // nil means HTTP only (the historical default)
+	srv        server.Config
+	shards     int
+	router     shard.Router
+	net        netserve.Config
+	bin        binproto.Config
+	transports []Transport // nil means HTTP only (the historical default)
 }
 
 // serves reports whether the configuration enables transport t.
@@ -754,16 +744,6 @@ func WithLifecycle(lc *Lifecycle) ServerOption {
 	return func(c *serveConfig) { c.srv.Lifecycle = lc }
 }
 
-// WithTotalWorkers sets a total core budget for serving. NewShardedServer
-// splits it across the shards — each shard's engine gets an equal share of
-// pool workers (remainder to the lowest shards, minimum one each) — so the
-// shards × workers trade-off is explicit: the same budget can run as many
-// single-worker shards or one shard with a wide pool, and on overlap-heavy
-// workloads the wide pool wins (see BenchmarkParallelScaling). NewServer
-// gives its single engine the whole budget. Zero (the default) leaves
-// per-engine WithWorkers settings untouched.
-func WithTotalWorkers(n int) ServerOption { return func(c *serveConfig) { c.totalWorkers = n } }
-
 // NewServer builds the engine for the workload and starts the serving
 // round loop:
 //
@@ -782,9 +762,6 @@ func NewServer(w *Workload, opts ...ServerOption) (*Server, error) {
 	cfg := applyServerOptions(opts)
 	if cfg.shards > 1 {
 		return nil, fmt.Errorf("sharedwd: NewServer is single-engine; use NewShardedServer for %d shards", cfg.shards)
-	}
-	if cfg.totalWorkers > 0 {
-		cfg.srv.Engine.Workers = cfg.totalWorkers
 	}
 	return server.New(w, cfg.srv)
 }
@@ -812,7 +789,6 @@ func NewShardedServer(w *Workload, opts ...ServerOption) (*ShardedServer, error)
 		scfg.Shards = cfg.shards
 	}
 	scfg.Router = cfg.router
-	scfg.TotalWorkers = cfg.totalWorkers
 	return shard.New(w, scfg)
 }
 
@@ -1036,7 +1012,6 @@ func NewNetServer(w *Workload, opts ...ServerOption) (*NetServer, error) {
 		scfg.Shards = cfg.shards
 	}
 	scfg.Router = cfg.router
-	scfg.TotalWorkers = cfg.totalWorkers
 	backend, err := shard.New(w, scfg)
 	if err != nil {
 		return nil, err

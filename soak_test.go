@@ -51,9 +51,6 @@ func TestSoakEngine(t *testing.T) {
 		ecfg.Reserve = []float64{0, 0.5}[rng.Intn(2)]
 		ecfg.ClickHazard = 0.05 + rng.Float64()*0.9
 		ecfg.ClickHorizon = 5 + rng.Intn(40)
-		if rng.Intn(3) == 0 {
-			ecfg.Workers = 2 + rng.Intn(3)
-		}
 		eng, err := core.New(w, ecfg)
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +159,7 @@ func TestSoakSortEngine(t *testing.T) {
 // TestSoakServer hammers the round server from many goroutines with the full
 // traffic mix — matched phrases, junk queries, and aggressive deadlines —
 // then shuts it down and verifies no goroutine leaks: everything the server
-// started (round loop, engine worker pool) must be gone after Close.
+// started (the round loop) must be gone after Close.
 func TestSoakServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -175,7 +172,6 @@ func TestSoakServer(t *testing.T) {
 	wcfg.Seed = 31
 	w := workload.Generate(wcfg)
 	cfg := server.DefaultConfig()
-	cfg.Engine.Workers = 2 // exercise the engine pool's shutdown too
 	cfg.RoundInterval = time.Millisecond
 	cfg.MaxBatch = 64
 	cfg.QueueDepth = 512
@@ -232,8 +228,8 @@ func TestSoakServer(t *testing.T) {
 			m.Submitted, m.Answered, m.Unmatched, m.Shed, m.TimedOut, m.Expired)
 	}
 
-	// Goroutine-leak check: after Close returns, the round loop and the
-	// engine's worker pool must have exited. Poll briefly — runtime
+	// Goroutine-leak check: after Close returns, the round loop must have
+	// exited. Poll briefly — runtime
 	// bookkeeping for exiting goroutines is asynchronous.
 	deadline := time.Now().Add(3 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -246,36 +242,13 @@ func TestSoakServer(t *testing.T) {
 	}
 }
 
-// TestSoakParallelClose is the shutdown gauntlet for wide worker pools: a
-// sharded server whose engines split a TotalWorkers core budget is closed
-// from several goroutines at once while submitters are still hammering it —
-// so Close races in-flight rounds whose Steps are running on the engine
-// pools — and afterwards nothing the server or any engine pool started may
-// survive. It also pins engine-level Close idempotence directly.
-func TestSoakParallelClose(t *testing.T) {
+// TestSoakShardedConcurrentClose is the shutdown gauntlet for a fleet: a
+// 2-shard server is closed from several goroutines at once while submitters
+// are still hammering it — so Close races in-flight rounds — and afterwards
+// nothing the server started may survive.
+func TestSoakShardedConcurrentClose(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
-	}
-
-	// Engine-level: repeated Close on a pooled engine is a no-op, and the
-	// engine still reports consistent accounting afterwards.
-	{
-		wcfg := workload.DefaultConfig()
-		wcfg.NumAdvertisers = 80
-		wcfg.NumPhrases = 10
-		wcfg.Seed = 91
-		w := workload.Generate(wcfg)
-		ecfg := core.DefaultConfig()
-		ecfg.Workers = 4
-		eng, err := core.New(w, ecfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 30; i++ {
-			eng.Step(nil)
-		}
-		eng.Close()
-		eng.Close()
 	}
 
 	before := runtime.NumGoroutine()
@@ -287,7 +260,6 @@ func TestSoakParallelClose(t *testing.T) {
 	w := workload.Generate(wcfg)
 	s, err := NewShardedServer(w,
 		WithShards(2),
-		WithTotalWorkers(6), // 3 pool workers per shard engine
 		WithRoundInterval(time.Millisecond),
 		WithMaxBatch(32),
 		WithQueueDepth(256))
@@ -330,7 +302,7 @@ func TestSoakParallelClose(t *testing.T) {
 	wg.Wait()
 
 	if m := s.Metrics(); m.Answered == 0 {
-		t.Fatal("parallel-close soak answered no queries")
+		t.Fatal("concurrent-close soak answered no queries")
 	}
 
 	deadline := time.Now().Add(3 * time.Second)

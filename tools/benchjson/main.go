@@ -7,20 +7,12 @@
 // "aggOps/auction"). Non-benchmark lines (goos/goarch/cpu headers, PASS/ok)
 // are captured as environment metadata or ignored.
 //
-// Benchmarks whose name carries a `workers=N` path segment (N > 1) get a
-// derived `speedup` metric when the same run contains their `workers=1`
-// sibling: speedup = ns/op(workers=1) / ns/op(workers=N). This turns the
-// parallel-execution sweeps (BenchmarkParallelScaling,
-// BenchmarkExecutorRound's compiled/workers=N rows) into a single
-// regressible scalar — on a single-core runner it reads below 1 (pure
-// scheduling overhead), on real cores above 1.
-//
 // With -compare old.json, the fresh run on stdin is instead diffed against
 // the committed baseline: every benchmark present in both gets a per-name
 // ns/op delta line, and the command exits nonzero if any benchmark regressed
-// by more than -threshold (default 0.20 = 20%); recorded `speedup` and
-// `queries/sec` metrics are likewise gated, failing when the fresh value
-// falls more than the threshold below the baseline's. allocs/op is gated in
+// by more than -threshold (default 0.20 = 20%); a recorded `queries/sec`
+// metric is likewise gated, failing when the fresh value falls more than
+// the threshold below the baseline's. allocs/op is gated in
 // absolute terms — allocation counts are near-deterministic, so a fresh
 // count at least one whole allocation AND threshold-fraction above the
 // baseline fails (a 0→1 step on a zero baseline also fails). Benchmarks
@@ -67,7 +59,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	deriveSpeedups(&doc)
 
 	if *comparePath != "" {
 		old, err := loadDoc(*comparePath)
@@ -75,9 +66,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		// Baselines recorded before the speedup metric existed still gate:
-		// derive it from their own ns/op records.
-		deriveSpeedups(&old)
 		if !compare(os.Stdout, old, doc, *threshold) {
 			os.Exit(1)
 		}
@@ -166,15 +154,6 @@ func compare(w io.Writer, old, fresh document, threshold float64) bool {
 		}
 		fmt.Fprintf(w, "  %-5s %-60s %12.0f -> %12.0f ns/op  (%+.1f%%)\n",
 			verdict, name, od.NsPerOp, nw.NsPerOp, 100*delta)
-		if oldS, freshS := od.Metrics["speedup"], nw.Metrics["speedup"]; oldS > 0 && freshS > 0 {
-			verdict := "ok"
-			if 1-freshS/oldS > threshold {
-				verdict = "REGRESSION"
-				ok = false
-			}
-			fmt.Fprintf(w, "  %-5s %-60s %11.2fx -> %11.2fx speedup (%+.1f%%)\n",
-				verdict, name, oldS, freshS, 100*(freshS/oldS-1))
-		}
 		// Throughput is a bigger-is-better metric: gate drops, not rises.
 		if oldQ, freshQ := od.Metrics["queries/sec"], nw.Metrics["queries/sec"]; oldQ > 0 && freshQ > 0 {
 			verdict := "ok"
@@ -210,58 +189,6 @@ func compare(w io.Writer, old, fresh document, threshold float64) bool {
 		fmt.Fprintf(w, "benchjson: regression beyond %.0f%% threshold\n", 100*threshold)
 	}
 	return ok
-}
-
-// deriveSpeedups attaches a derived "speedup" metric to every result whose
-// name has a workers=N path segment with N > 1 and whose workers=1 sibling
-// (same name with that segment rewritten) appears in the same document:
-// speedup = ns/op of the sibling divided by ns/op of the result. Results
-// without a sibling, or already carrying an explicit speedup metric, are
-// left untouched.
-func deriveSpeedups(doc *document) {
-	nsBy := make(map[string]float64, len(doc.Results))
-	for _, r := range doc.Results {
-		nsBy[r.Name] = r.NsPerOp
-	}
-	for i := range doc.Results {
-		r := &doc.Results[i]
-		if r.Metrics["speedup"] > 0 {
-			continue
-		}
-		base, ok := workersBaseline(r.Name)
-		if !ok {
-			continue
-		}
-		baseNs, found := nsBy[base]
-		if !found || baseNs <= 0 || r.NsPerOp <= 0 {
-			continue
-		}
-		if r.Metrics == nil {
-			r.Metrics = map[string]float64{}
-		}
-		r.Metrics["speedup"] = baseNs / r.NsPerOp
-	}
-}
-
-// workersBaseline rewrites every workers=N (N > 1) path segment of a
-// benchmark name to workers=1, reporting false if the name has none.
-func workersBaseline(name string) (string, bool) {
-	segs := strings.Split(name, "/")
-	changed := false
-	for i, seg := range segs {
-		n, isWorkers := strings.CutPrefix(seg, "workers=")
-		if !isWorkers {
-			continue
-		}
-		if v, err := strconv.Atoi(n); err == nil && v > 1 {
-			segs[i] = "workers=1"
-			changed = true
-		}
-	}
-	if !changed {
-		return "", false
-	}
-	return strings.Join(segs, "/"), true
 }
 
 // parseLine parses one benchmark result line of the form

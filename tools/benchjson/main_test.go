@@ -5,74 +5,6 @@ import (
 	"testing"
 )
 
-func TestWorkersBaseline(t *testing.T) {
-	cases := []struct {
-		name, want string
-		ok         bool
-	}{
-		{"BenchmarkParallelScaling/shards=1/workers=8", "BenchmarkParallelScaling/shards=1/workers=1", true},
-		{"BenchmarkExecutorRound/compiled/workers=4", "BenchmarkExecutorRound/compiled/workers=1", true},
-		{"BenchmarkParallelScaling/shards=1/workers=1", "", false},
-		{"BenchmarkExecutorRound/compiled", "", false},
-		{"BenchmarkConcurrentRounds/workers=notanint", "", false},
-	}
-	for _, tc := range cases {
-		got, ok := workersBaseline(tc.name)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("workersBaseline(%q) = %q, %v; want %q, %v", tc.name, got, ok, tc.want, tc.ok)
-		}
-	}
-}
-
-func TestDeriveSpeedups(t *testing.T) {
-	doc := document{Results: []result{
-		{Name: "BenchmarkParallelScaling/shards=1/workers=1", NsPerOp: 800},
-		{Name: "BenchmarkParallelScaling/shards=1/workers=8", NsPerOp: 200},
-		{Name: "BenchmarkParallelScaling/shards=4/workers=2", NsPerOp: 400}, // no shards=4/workers=1 sibling
-		{Name: "BenchmarkParallelScaling/shards=8/workers=1", NsPerOp: 900},
-	}}
-	deriveSpeedups(&doc)
-	if got := doc.Results[1].Metrics["speedup"]; got != 4 {
-		t.Errorf("workers=8 speedup = %v, want 4", got)
-	}
-	if m := doc.Results[2].Metrics; m != nil {
-		t.Errorf("sibling-less result grew metrics %v", m)
-	}
-	if m := doc.Results[0].Metrics; m != nil {
-		t.Errorf("baseline result grew metrics %v", m)
-	}
-	// An explicit speedup (e.g. loaded from a committed baseline) wins over
-	// re-derivation.
-	doc.Results[1].Metrics["speedup"] = 3
-	deriveSpeedups(&doc)
-	if got := doc.Results[1].Metrics["speedup"]; got != 3 {
-		t.Errorf("explicit speedup overwritten to %v", got)
-	}
-}
-
-func TestCompareGatesSpeedupDrop(t *testing.T) {
-	old := document{Results: []result{
-		{Name: "B/workers=1", NsPerOp: 800},
-		{Name: "B/workers=8", NsPerOp: 200},
-	}}
-	// The sequential baseline got faster while the parallel variant stood
-	// still: every ns/op delta is within the gate, but the speedup collapsed
-	// from 4x to 2.5x — exactly the regression shape the metric exists for.
-	fresh := document{Results: []result{
-		{Name: "B/workers=1", NsPerOp: 500},
-		{Name: "B/workers=8", NsPerOp: 200},
-	}}
-	deriveSpeedups(&old)
-	deriveSpeedups(&fresh)
-	var buf strings.Builder
-	if compare(&buf, old, fresh, 0.20) {
-		t.Fatalf("compare accepted a >20%% speedup drop:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Fatalf("no speedup line in report:\n%s", buf.String())
-	}
-}
-
 func TestCompareGatesThroughputDrop(t *testing.T) {
 	old := document{Results: []result{
 		{Name: "BenchmarkBinaryThroughput", NsPerOp: 5000, Metrics: map[string]float64{"queries/sec": 200000}},
