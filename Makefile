@@ -77,13 +77,15 @@ bench-compare:
 # frame round-trip property and malformed-input parser hardening (no panic,
 # no attacker-sized allocation), and the top-k kernels against their
 # reference semantics (MergeRuns and FoldRun against Merge, ScanRun against
-# a PushRun fold). CI runs the same budgets.
+# a PushRun fold), and the compiled plan runner against memo Execute on
+# random instances, plans and fusion thresholds. CI runs the same budgets.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMergeRuns' -fuzztime=10s ./internal/topk
 	$(GO) test -run='^$$' -fuzz='FuzzFoldRun' -fuzztime=10s ./internal/topk
 	$(GO) test -run='^$$' -fuzz='FuzzScanRun' -fuzztime=10s ./internal/topk
+	$(GO) test -run='^$$' -fuzz='FuzzCompiledRun' -fuzztime=10s ./internal/plan
 
 # soak-pacing runs the day-in-the-life budget-pacing soak (EXPERIMENTS.md):
 # calibrate natural spend, verify the unpaced baseline front-loads, then

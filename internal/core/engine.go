@@ -99,7 +99,7 @@ type Config struct {
 	// advertiser scores changed, plus nodes the round's occurrence set
 	// demands for the first time. This generalizes the paper's Section
 	// III-B result caching to the Section-II aggregation DAG; with it on,
-	// Stats.NodesMaterialized counts only recomputed nodes and
+	// Stats.NodesMaterialized counts only recomputed operations and
 	// Stats.NodesCached the cache hits.
 	IncrementalCache bool
 	// ClickHazard and ClickHorizon parameterize the delayed-click model.
@@ -247,15 +247,17 @@ type Stats struct {
 	Rounds           int `json:"rounds"`
 	AuctionsResolved int `json:"auctions_resolved"`
 	// NodesMaterialized counts top-k aggregation operations performed (the
-	// Section-II cost metric). For Independent mode it counts the per-scan
-	// pushes equivalent: one per advertiser scanned beyond the first per
-	// auction, to keep the two modes comparable. With IncrementalCache it
-	// counts only nodes actually recomputed — which is exactly the paper's
-	// expected-materialization cost model — while cache hits accumulate in
-	// NodesCached.
+	// Section-II cost metric). In shared mode that is Σ plan.Program.Span
+	// over each round's cone: the plan nodes the round needs, except that a
+	// small shared node the compiler fuses into several consumers counts once
+	// in each. For Independent mode it counts the per-scan pushes
+	// equivalent: one per advertiser scanned beyond the first per auction,
+	// to keep the two modes comparable. With IncrementalCache it counts only
+	// the operations of recomputed instructions, while cache hits accumulate
+	// in NodesCached.
 	NodesMaterialized int `json:"nodes_materialized"`
-	// NodesCached counts plan nodes served from the cross-round cache
-	// instead of being recomputed (IncrementalCache mode only).
+	// NodesCached counts aggregation operations served from the cross-round
+	// cache instead of being recomputed (IncrementalCache mode only).
 	// NodesMaterialized + NodesCached equals what NodesMaterialized would
 	// be with the cache off — also across rounds the engine resolved on the
 	// full-run fallback, which add their whole cone to NodesMaterialized.
@@ -489,11 +491,12 @@ type RoundReport struct {
 	Auctions map[int][]SlotResult
 	// Clicks that arrived this round (from earlier displays).
 	Clicks []workload.Click
-	// Materialized counts aggregation work performed this round; with
-	// IncrementalCache on, only nodes actually recomputed.
+	// Materialized counts the aggregation operations performed this round
+	// (see Stats.NodesMaterialized); with IncrementalCache on, only those of
+	// recomputed instructions.
 	Materialized int
-	// Cached counts plan nodes served from the cross-round cache this round
-	// (IncrementalCache mode only). Materialized + Cached is what
+	// Cached counts aggregation operations served from the cross-round cache
+	// this round (IncrementalCache mode only). Materialized + Cached is what
 	// Materialized would be with the cache off.
 	Cached int
 }

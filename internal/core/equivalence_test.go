@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sharedwd/internal/plan"
 	"sharedwd/internal/pricing"
 	"sharedwd/internal/sharedagg"
 	"sharedwd/internal/workload"
@@ -24,9 +25,12 @@ import (
 // The cold-steady sub-tests drive the compiled-incremental strategies
 // across the cache governor's fallback in both directions: the bid stream
 // alternates stretches where every bid moves every round with stretches
-// where about 1 % of bids move, each long enough for the engine to drop to
-// full runs and to probe its way back, and every round must still match the
-// two references (which have no cache to leave).
+// where one advertiser re-bids every other round on average, each long
+// enough for the engine to drop to full runs and to probe its way back, and
+// every round must still match the two references (which have no cache to
+// leave). They run on an 800 × 8 universe whose program keeps shared
+// instructions after fusion (asserted), so the cache holds shared runs as
+// well as query outputs.
 func TestEngineStrategyEquivalence(t *testing.T) {
 	scenarios := []equivScenario{
 		{"gsp-naive", pricing.GSP, Naive, 0},
@@ -45,7 +49,7 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 		sc, seed := sc, int64(100+si)
 		t.Run(sc.name, func(t *testing.T) {
 			// Small budgets: many advertisers exhaust mid-run.
-			runEquivalence(t, sc, seed, 2, 20, variants, 60, func(round int, w *workload.Workload, _ *rand.Rand) {
+			runEquivalence(t, sc, equivUniverse(seed, 2, 20), variants, 60, func(round int, w *workload.Workload, _ *rand.Rand) {
 				if round%3 == 2 {
 					w.PerturbBids(0.15)
 				}
@@ -78,14 +82,22 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 			// bypassedAt[i][r]: variant i resolved round r on the fallback.
 			bypassedAt := make([][]bool, len(fallbackVariants))
 			bypassedBefore := make([]int, len(fallbackVariants))
-			engines := runEquivalence(t, sc, seed, minBudget, maxBudget, fallbackVariants, 2*(cold+steady),
+			// An incremental instruction is dirty when any of its leaves
+			// moved, and fusion leaves instructions of hundreds of leaves, so
+			// a steady stretch is a fixed handful of re-bids a round rather
+			// than a share of the universe: 1 % of 800 re-bids dirties
+			// nearly every instruction every round.
+			const steadyRebids = 0.5
+			wcfg := equivUniverse(seed, minBudget, maxBudget)
+			wcfg.NumAdvertisers, wcfg.NumPhrases, wcfg.NumTopics = 800, 8, 2
+			engines := runEquivalence(t, sc, wcfg, fallbackVariants, 2*(cold+steady),
 				func(round int, w *workload.Workload, pick *rand.Rand) {
 					if isCold(round) {
 						w.PerturbBids(0.15)
 						return
 					}
 					for i := range w.Advertisers {
-						if pick.Float64() < 0.01 {
+						if pick.Float64() < steadyRebids/float64(len(w.Advertisers)) {
 							w.Advertisers[i].Bid *= 1 + 0.15*(pick.Float64()*2-1)
 						}
 					}
@@ -124,9 +136,28 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 					t.Errorf("%s: %d bypassed rounds, %d cached nodes — the stream did not exercise both paths",
 						v.name, st.CacheBypassedRounds, st.NodesCached)
 				}
+				if shared := sharedInstructions(engines[i].runner.Program()); shared == 0 {
+					t.Errorf("%s: every shared node fused into its consumers; the fixture must keep some", v.name)
+				}
 			}
 		})
 	}
+}
+
+// sharedInstructions counts the program's instructions that compute no
+// query: shared nodes large enough to survive fusion.
+func sharedInstructions(prog *plan.Program) int {
+	isQuery := make(map[int32]bool, len(prog.QueryNode))
+	for _, id := range prog.QueryNode {
+		isQuery[id] = true
+	}
+	n := 0
+	for _, out := range prog.Out {
+		if !isQuery[out] {
+			n++
+		}
+	}
+	return n
 }
 
 // Every variant list starts with the two references: the Independent engine
@@ -153,6 +184,16 @@ type equivVariant struct {
 	swap bool
 }
 
+// equivUniverse is the 120 × 16 universe the equivalence scenarios run on,
+// with the given seed and budget range.
+func equivUniverse(seed int64, minBudget, maxBudget float64) workload.Config {
+	wcfg := workload.DefaultConfig()
+	wcfg.NumAdvertisers, wcfg.NumPhrases, wcfg.NumTopics = 120, 16, 4
+	wcfg.MinBudget, wcfg.MaxBudget = minBudget, maxBudget
+	wcfg.Seed = seed
+	return wcfg
+}
+
 // runEquivalence steps one engine per variant over the same randomized
 // rounds and fails on the first report or account that differs from
 // variants[resultRef]'s, or aggregation cost that differs from
@@ -160,15 +201,9 @@ type equivVariant struct {
 // called once per variant with an identically seeded rng, so every world
 // sees the same bid stream. after, when non-nil, observes the engines once
 // every variant has stepped the round. The drained engines are returned.
-func runEquivalence(t *testing.T, sc equivScenario, seed int64, minBudget, maxBudget float64, variants []equivVariant,
+func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, variants []equivVariant,
 	rounds int, mutate func(round int, w *workload.Workload, pick *rand.Rand), after func(round int, engines []*Engine)) []*Engine {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers = 120
-	wcfg.NumPhrases = 16
-	wcfg.NumTopics = 4
-	wcfg.MinBudget = minBudget
-	wcfg.MaxBudget = maxBudget
-	wcfg.Seed = seed
+	seed := wcfg.Seed
 
 	base := DefaultConfig()
 	base.Pricing = sc.rule

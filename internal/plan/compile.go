@@ -6,26 +6,28 @@ package plan
 // per-node map lookups, interface dispatch, or closure calls (see
 // DESIGN.md §8). Two lowering steps do the work:
 //
-//   - Fusion. An internal node with exactly one parent that computes no
-//     query exists only to feed that parent, so its value never needs to
-//     be materialized separately: the compiler absorbs such single-use
-//     subtrees into their consumer, producing one n-ary instruction per
-//     materialization point. Fragment chains — the left-deep towers
-//     sharedagg builds over each fragment's leaves — collapse this way
-//     into a single fold over the leaf score slab, which is exactly the
-//     linear top-k scan the independent baseline runs, while shared
-//     interior nodes (multiple parents, or query outputs) remain
-//     individually materialized and cacheable.
+//   - Fusion. A non-query internal node is absorbed into every consumer
+//     instead of getting an instruction of its own when it has exactly one
+//     parent — it exists only to feed that parent — or when its label has
+//     fewer than fuseBelow variables: a small shared subtree costs less to
+//     rescan in each consumer than an instruction costs to dispatch, store
+//     and fold in. Fragment chains — the left-deep towers sharedagg builds
+//     over each fragment's leaves — collapse this way into a single fold
+//     over the leaf score slab, which is exactly the linear top-k scan the
+//     independent baseline runs, while large shared interior nodes and query
+//     outputs remain individually materialized and cacheable.
 //
 //   - Linearization. Instructions are emitted level-major (DAG depth, then
 //     node ID), which is a topological order, so one descending sweep from
 //     the highest needed instruction marks a round's whole cone.
 //
-// The lowering preserves the Plan's cost accounting exactly: a fused
-// instruction spans the internal nodes it absorbed, an instruction is in a
-// round's cone iff all its spanned nodes are, and Σ Span over a cone
-// equals the node count plan.Execute would materialize — invariants the
-// compile property tests assert on random plans.
+// Span counts the ⊕ operations an instruction performs: its output plus the
+// fused nodes it expands, each once per instruction. A node fused into
+// several consumers therefore counts in each of them, so Σ Span over a
+// round's cone can exceed what plan.Execute materializes. With fuseBelow 0
+// (fusion by parent count only) it does not: Σ Span equals the plan's
+// internal node count and Σ Span over a cone equals Execute's count —
+// invariants the compile property tests assert on random plans.
 //
 // An instruction names its inputs in the two forms execution wants: the
 // leaves it scans out of the score slab, and the indices of the earlier
@@ -62,9 +64,10 @@ type Program struct {
 	// outputs instruction i folds in; every one is an index below i.
 	DepStart []int32
 	Deps     []int32
-	// Span[i] counts the internal plan nodes instruction i materializes
-	// (its output plus fused descendants) — the instruction's contribution
-	// to the paper's aggregation-operation cost.
+	// Span[i] counts the ⊕ operations instruction i performs: its output
+	// plus every fused node it expands, each once however many paths reach
+	// it, as its leaves are. A fused node with several consumers counts in
+	// each instruction that absorbs it.
 	Span []int32
 	// Level is the instruction's DAG depth (leaves sit at depth 0, so an
 	// instruction over leaves alone has level 1); instructions are ordered
@@ -86,9 +89,21 @@ type Program struct {
 // NumInstr returns the instruction count.
 func (pr *Program) NumInstr() int { return len(pr.Out) }
 
+// fuseBelow is the label size under which a shared non-query node is fused
+// into each consumer rather than materialized once: below it, the
+// instruction's fixed cost (dispatch, a stored run, a fold per consumer)
+// exceeds the leaves its consumers would rescan. BenchmarkFuseBelow is the
+// sweep behind the value (DESIGN.md §8); it is a property of the kernels,
+// not an option.
+const fuseBelow = 128
+
 // Compile lowers a complete plan into a Program. The plan must not grow
 // afterwards (plans are append-only, so build the full plan first).
-func Compile(p *Plan) *Program {
+func Compile(p *Plan) *Program { return compile(p, fuseBelow) }
+
+// compile is Compile with the fusion threshold as a parameter; 0 fuses by
+// parent count alone.
+func compile(p *Plan, fuseBelow int) *Program {
 	if !p.Complete() {
 		panic("plan: Compile of incomplete plan")
 	}
@@ -104,11 +119,11 @@ func Compile(p *Plan) *Program {
 	for _, id := range p.QueryNode {
 		isQuery[id] = true
 	}
-	// fused[v]: internal node absorbed into its single consumer — never
+	// fused[v]: internal node expanded into each consumer — never
 	// individually materialized, queried, or shared.
 	fused := make([]bool, n)
 	for id := numVars; id < n; id++ {
-		fused[id] = parentCount[id] == 1 && !isQuery[id]
+		fused[id] = !isQuery[id] && (parentCount[id] == 1 || p.Nodes[id].Vars.Count() < fuseBelow)
 	}
 
 	pr := &Program{NumVars: numVars, NumNodes: n}
@@ -116,7 +131,8 @@ func Compile(p *Plan) *Program {
 	// Emit one instruction per materialized internal node, in node order
 	// first; the level-major permutation is applied below. args holds node
 	// IDs, each once: ⊕ is idempotent, so an argument reached twice through
-	// overlapping fused children is read once.
+	// overlapping fused children is read once, and a fused node reached twice
+	// is expanded once.
 	type instr struct {
 		out   int32
 		args  []int32
@@ -125,19 +141,19 @@ func Compile(p *Plan) *Program {
 	}
 	var instrs []instr
 	nodeLevel := make([]int32, n) // level of materialized nodes (leaves 0)
-	argOf := make([]int32, n)     // out+1 of the last instruction taking the node
+	seenBy := make([]int32, n)    // out+1 of the last instruction reaching the node
 	var expand func(ins *instr, c int)
 	expand = func(ins *instr, c int) {
+		if seenBy[c] == ins.out+1 {
+			return
+		}
+		seenBy[c] = ins.out + 1
 		if c >= numVars && fused[c] {
 			ins.span++
 			expand(ins, p.Nodes[c].Left)
 			expand(ins, p.Nodes[c].Right)
 			return
 		}
-		if argOf[c] == ins.out+1 {
-			return
-		}
-		argOf[c] = ins.out + 1
 		ins.args = append(ins.args, int32(c))
 		if nodeLevel[c]+1 > ins.level {
 			ins.level = nodeLevel[c] + 1

@@ -2,7 +2,6 @@ package plan_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -32,7 +31,8 @@ func overlapPlan(inst *plan.Instance) *plan.Plan {
 	return p
 }
 
-// randomPlans yields validated shared, naive and overlapping-children plans
+// randomPlans yields validated shared, naive, overlapping-children and
+// randomly merged plans (fuzzPlan's, whose reused subtrees form diamonds)
 // over random overlap instances (a single-variable query appended, so leaf
 // queries are covered).
 func randomPlans(t *testing.T, seed int64) (*plan.Instance, []*plan.Plan) {
@@ -42,7 +42,9 @@ func randomPlans(t *testing.T, seed int64) (*plan.Instance, []*plan.Plan) {
 	queries := append(inst.Queries[:len(inst.Queries):len(inst.Queries)],
 		plan.Query{Vars: bitset.FromIndices(inst.NumVars, rng.Intn(inst.NumVars)), Rate: 0.5})
 	inst = plan.MustInstance(inst.NumVars, queries)
-	plans := []*plan.Plan{sharedagg.Build(inst), plan.NaivePlan(inst), overlapPlan(inst)}
+	in := make(draws, 4096)
+	rng.Read(in)
+	plans := []*plan.Plan{sharedagg.Build(inst), plan.NaivePlan(inst), overlapPlan(inst), fuzzPlan(inst, &in)}
 	for _, p := range plans {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
@@ -51,204 +53,318 @@ func randomPlans(t *testing.T, seed int64) (*plan.Instance, []*plan.Plan) {
 	return inst, plans
 }
 
-// TestCompileInvariants pins the structural contract of Compile on random
-// plans: Σ Span equals the plan's internal node count (TotalCost), every
-// instruction's leaf and dep lists are duplicate-free and together are
-// exactly the leaves and materialized nodes its fused subtree reaches, every
-// dep precedes its consumer at a strictly lower level, the kind
-// discrimination matches the input shape, and QuerySlot resolves every query
-// to the instruction (or leaf slot) computing its node.
+// namedProgram is one lowering of a plan under test.
+type namedProgram struct {
+	name string
+	fuse int // the fusion threshold it was lowered at
+	pr   *plan.Program
+}
+
+// programs lowers p at the thresholds the tests cover: fusion by parent
+// count alone (every shared node an instruction), a threshold that fuses
+// some shared nodes of these small instances and keeps others, and
+// production Compile, which fuses every non-query node below FuseBelow
+// variables.
+func programs(p *plan.Plan) []namedProgram {
+	return []namedProgram{
+		{"fuse=0", 0, plan.CompileFuseBelow(p, 0)},
+		{"fuse=8", 8, plan.CompileFuseBelow(p, 8)},
+		{"compile", plan.FuseBelow, plan.Compile(p)},
+	}
+}
+
+// instrIndex maps each instruction's output node to the instruction.
+func instrIndex(pr *plan.Program) map[int32]int32 {
+	instrOf := make(map[int32]int32, pr.NumInstr())
+	for ins, out := range pr.Out {
+		instrOf[out] = int32(ins)
+	}
+	return instrOf
+}
+
+// fusedTree walks the plan below instruction ins's output node down to
+// leaves and to other instructions' outputs: every internal node in between
+// is fused into ins. It returns the ⊕ operations ins performs — its output
+// plus each fused node once — the distinct leaves and deps it reaches, and
+// the nodes it reached along more than one path.
+func fusedTree(p *plan.Plan, instrOf map[int32]int32, out int32) (span int, leaves, deps map[int32]bool, twice []int) {
+	leaves, deps = map[int32]bool{}, map[int32]bool{}
+	seen := map[int]bool{}
+	var walk func(c int)
+	walk = func(c int) {
+		if seen[c] {
+			twice = append(twice, c)
+			return
+		}
+		seen[c] = true
+		if c < p.Inst.NumVars {
+			leaves[int32(c)] = true
+		} else if dep, ok := instrOf[int32(c)]; ok {
+			deps[dep] = true
+		} else {
+			span++
+			walk(p.Nodes[c].Left)
+			walk(p.Nodes[c].Right)
+		}
+	}
+	walk(p.Nodes[out].Left)
+	walk(p.Nodes[out].Right)
+	return span + 1, leaves, deps, twice
+}
+
+// cone marks a round's needed instructions on the test side: the occurring
+// queries' instructions and, transitively, their deps.
+func cone(pr *plan.Program, occ []bool) []bool {
+	need := make([]bool, pr.NumInstr())
+	var mark func(ins int32)
+	mark = func(ins int32) {
+		if need[ins] {
+			return
+		}
+		need[ins] = true
+		for _, d := range pr.Deps[pr.DepStart[ins]:pr.DepStart[ins+1]] {
+			mark(d)
+		}
+	}
+	for qi, slot := range pr.QuerySlot {
+		if int(slot) < pr.NumInstr() && (occ == nil || occ[qi]) {
+			mark(slot)
+		}
+	}
+	return need
+}
+
+// coneSpan counts a round's ⊕ operations on the test side: the sizes of the
+// fused trees of the round's cone.
+func coneSpan(p *plan.Plan, pr *plan.Program, occ []bool) int {
+	instrOf := instrIndex(pr)
+	total := 0
+	for ins, needed := range cone(pr, occ) {
+		if needed {
+			span, _, _, _ := fusedTree(p, instrOf, pr.Out[ins])
+			total += span
+		}
+	}
+	return total
+}
+
+// TestCompileInvariants pins the structural contract of the lowering on
+// random plans, at every threshold programs covers: an instruction's Span is
+// its output plus the fused nodes under it, each counted once; its leaf and
+// dep lists are duplicate-free and are exactly the leaves and materialized
+// nodes its fused tree reaches; every dep precedes its consumer at a
+// strictly lower level; the kind discrimination matches the input shape;
+// QuerySlot resolves every query to the instruction (or leaf slot) computing
+// its node; and the instructions are exactly the internal nodes the fusion
+// rule keeps — query outputs, and nodes with other than one parent whose
+// label has at least the threshold's variables. Fused by parent count alone,
+// Σ Span equals the plan's internal node count (TotalCost).
 func TestCompileInvariants(t *testing.T) {
-	deduped := false // some instruction reached one input along two paths
+	deduped := false     // some instruction reached one input along two paths
+	fusedTwice := false  // ... or one fused node, which it must expand once
+	sharedFused := false // some node with two parents was fused
 	for seed := int64(1); seed <= 8; seed++ {
 		inst, plans := randomPlans(t, seed)
 		for _, p := range plans {
-			pr := plan.Compile(p)
-			if pr.NumVars != inst.NumVars || pr.NumNodes != len(p.Nodes) {
-				t.Fatalf("seed %d: program dims %d/%d, plan %d/%d",
-					seed, pr.NumVars, pr.NumNodes, inst.NumVars, len(p.Nodes))
+			parents := make([]int, len(p.Nodes))
+			for _, nd := range p.Nodes[inst.NumVars:] {
+				parents[nd.Left]++
+				parents[nd.Right]++
 			}
-			instrOf := make(map[int32]int32)
-			spanSum := 0
-			for ins := 0; ins < pr.NumInstr(); ins++ {
-				if _, dup := instrOf[pr.Out[ins]]; dup || pr.Out[ins] < int32(pr.NumVars) {
-					t.Fatalf("seed %d ins %d: output node %d repeated or a leaf", seed, ins, pr.Out[ins])
+			isQuery := map[int32]bool{}
+			for _, id := range p.QueryNode {
+				isQuery[int32(id)] = true
+			}
+			for _, np := range programs(p) {
+				pr, fuse := np.pr, np.fuse
+				if pr.NumVars != inst.NumVars || pr.NumNodes != len(p.Nodes) {
+					t.Fatalf("seed %d %s: program dims %d/%d, plan %d/%d",
+						seed, np.name, pr.NumVars, pr.NumNodes, inst.NumVars, len(p.Nodes))
 				}
-				instrOf[pr.Out[ins]] = int32(ins)
-				spanSum += int(pr.Span[ins])
-			}
-			if spanSum != p.TotalCost() || spanSum != pr.NumNodes-pr.NumVars {
-				t.Fatalf("seed %d: Σ span %d, plan TotalCost %d, internal nodes %d",
-					seed, spanSum, p.TotalCost(), pr.NumNodes-pr.NumVars)
-			}
+				instrOf := instrIndex(pr)
+				kept := 0
+				for id := inst.NumVars; id < len(p.Nodes); id++ {
+					if !isQuery[int32(id)] && (parents[id] == 1 || p.Nodes[id].Vars.Count() < fuse) {
+						sharedFused = sharedFused || parents[id] >= 2
+						continue
+					}
+					kept++
+					if _, ok := instrOf[int32(id)]; !ok {
+						t.Fatalf("seed %d %s: node %d (%d parents, %d vars) has no instruction",
+							seed, np.name, id, parents[id], p.Nodes[id].Vars.Count())
+					}
+				}
+				if len(instrOf) != pr.NumInstr() || kept != pr.NumInstr() {
+					t.Fatalf("seed %d %s: %d instructions (%d distinct outputs), fusion rule keeps %d nodes",
+						seed, np.name, pr.NumInstr(), len(instrOf), kept)
+				}
+				spanSum := 0
+				for ins := 0; ins < pr.NumInstr(); ins++ {
+					if pr.Out[ins] < int32(pr.NumVars) {
+						t.Fatalf("seed %d %s ins %d: output node %d is a leaf", seed, np.name, ins, pr.Out[ins])
+					}
+					spanSum += int(pr.Span[ins])
+				}
+				if fuse == 0 && (spanSum != p.TotalCost() || spanSum != pr.NumNodes-pr.NumVars) {
+					t.Fatalf("seed %d: Σ span %d, plan TotalCost %d, internal nodes %d",
+						seed, spanSum, p.TotalCost(), pr.NumNodes-pr.NumVars)
+				}
 
-			for ins := 0; ins < pr.NumInstr(); ins++ {
-				if ins > 0 && pr.Level[ins] < pr.Level[ins-1] {
-					t.Fatalf("seed %d: level order broken at %d", seed, ins)
-				}
-				// Walk the fused subtree under Out: nodes no instruction
-				// outputs are absorbed, everything else is an input.
-				wantLeaves, wantDeps := map[int32]bool{}, map[int32]bool{}
-				span, visits := 0, 0
-				var walk func(c int)
-				walk = func(c int) {
-					visits++
-					if c < pr.NumVars {
-						wantLeaves[int32(c)] = true
-					} else if dep, ok := instrOf[int32(c)]; ok {
-						wantDeps[dep] = true
-					} else {
-						span++
-						walk(p.Nodes[c].Left)
-						walk(p.Nodes[c].Right)
+				for ins := 0; ins < pr.NumInstr(); ins++ {
+					if ins > 0 && pr.Level[ins] < pr.Level[ins-1] {
+						t.Fatalf("seed %d %s: level order broken at %d", seed, np.name, ins)
+					}
+					span, wantLeaves, wantDeps, twice := fusedTree(p, instrOf, pr.Out[ins])
+					for _, c := range twice {
+						_, materialized := instrOf[int32(c)]
+						deduped = true
+						fusedTwice = fusedTwice || (c >= pr.NumVars && !materialized)
+					}
+					if span != int(pr.Span[ins]) {
+						t.Fatalf("seed %d %s ins %d: span %d, fused tree has %d nodes", seed, np.name, ins, pr.Span[ins], span)
+					}
+					leaves := pr.Leaves[pr.LeafStart[ins]:pr.LeafStart[ins+1]]
+					deps := pr.Deps[pr.DepStart[ins]:pr.DepStart[ins+1]]
+					if len(leaves) != len(wantLeaves) || len(deps) != len(wantDeps) {
+						t.Fatalf("seed %d %s ins %d: %d leaves / %d deps, fused tree reaches %d / %d distinct",
+							seed, np.name, ins, len(leaves), len(deps), len(wantLeaves), len(wantDeps))
+					}
+					for _, v := range leaves {
+						if !wantLeaves[v] {
+							t.Fatalf("seed %d %s ins %d: spurious or repeated leaf %d", seed, np.name, ins, v)
+						}
+						delete(wantLeaves, v)
+					}
+					for _, d := range deps {
+						if !wantDeps[d] {
+							t.Fatalf("seed %d %s ins %d: spurious or repeated dep %d", seed, np.name, ins, d)
+						}
+						delete(wantDeps, d)
+						if d >= int32(ins) || pr.Level[d] >= pr.Level[ins] {
+							t.Fatalf("seed %d %s ins %d (level %d): dep %d (level %d) does not precede it",
+								seed, np.name, ins, pr.Level[ins], d, pr.Level[d])
+						}
+					}
+					wantMerge2 := len(leaves) == 0 && len(deps) == 2
+					if (pr.Kind[ins] == plan.OpMerge2) != wantMerge2 {
+						t.Fatalf("seed %d %s ins %d: kind %v for %d leaves, %d deps",
+							seed, np.name, ins, pr.Kind[ins], len(leaves), len(deps))
 					}
 				}
-				out := p.Nodes[pr.Out[ins]]
-				walk(out.Left)
-				walk(out.Right)
-				deduped = deduped || visits > span+len(wantLeaves)+len(wantDeps)
-				if span+1 != int(pr.Span[ins]) {
-					t.Fatalf("seed %d ins %d: span %d, fused subtree has %d nodes", seed, ins, pr.Span[ins], span+1)
-				}
-				leaves := pr.Leaves[pr.LeafStart[ins]:pr.LeafStart[ins+1]]
-				deps := pr.Deps[pr.DepStart[ins]:pr.DepStart[ins+1]]
-				if len(leaves) != len(wantLeaves) || len(deps) != len(wantDeps) {
-					t.Fatalf("seed %d ins %d: %d leaves / %d deps, subtree reaches %d / %d distinct",
-						seed, ins, len(leaves), len(deps), len(wantLeaves), len(wantDeps))
-				}
-				for _, v := range leaves {
-					if !wantLeaves[v] {
-						t.Fatalf("seed %d ins %d: spurious or repeated leaf %d", seed, ins, v)
-					}
-					delete(wantLeaves, v)
-				}
-				for _, d := range deps {
-					if !wantDeps[d] {
-						t.Fatalf("seed %d ins %d: spurious or repeated dep %d", seed, ins, d)
-					}
-					delete(wantDeps, d)
-					if d >= int32(ins) || pr.Level[d] >= pr.Level[ins] {
-						t.Fatalf("seed %d ins %d (level %d): dep %d (level %d) does not precede it",
-							seed, ins, pr.Level[ins], d, pr.Level[d])
-					}
-				}
-				wantMerge2 := len(leaves) == 0 && len(deps) == 2
-				if (pr.Kind[ins] == plan.OpMerge2) != wantMerge2 {
-					t.Fatalf("seed %d ins %d: kind %v for %d leaves, %d deps",
-						seed, ins, pr.Kind[ins], len(leaves), len(deps))
-				}
-			}
 
-			leafSlots := map[int32]int32{}
-			for qi, id := range p.QueryNode {
-				slot := pr.QuerySlot[qi]
-				if pr.QueryNode[qi] != int32(id) {
-					t.Fatalf("seed %d query %d: QueryNode %d, plan %d", seed, qi, pr.QueryNode[qi], id)
-				}
-				if id >= pr.NumVars {
-					if slot != instrOf[int32(id)] {
-						t.Fatalf("seed %d query %d: slot %d, node %d is instruction %d", seed, qi, slot, id, instrOf[int32(id)])
+				leafSlots := map[int32]int32{}
+				for qi, id := range p.QueryNode {
+					slot := pr.QuerySlot[qi]
+					if pr.QueryNode[qi] != int32(id) {
+						t.Fatalf("seed %d query %d: QueryNode %d, plan %d", seed, qi, pr.QueryNode[qi], id)
 					}
-					continue
+					if id >= pr.NumVars {
+						if slot != instrOf[int32(id)] {
+							t.Fatalf("seed %d query %d: slot %d, node %d is instruction %d", seed, qi, slot, id, instrOf[int32(id)])
+						}
+						continue
+					}
+					j := int(slot) - pr.NumInstr()
+					if j < 0 || j >= len(pr.LeafQueries) || pr.LeafQueries[j] != int32(id) {
+						t.Fatalf("seed %d query %d: leaf %d resolved to slot %d", seed, qi, id, slot)
+					}
+					if prev, ok := leafSlots[int32(id)]; ok && prev != slot {
+						t.Fatalf("seed %d: leaf %d has slots %d and %d", seed, id, prev, slot)
+					}
+					leafSlots[int32(id)] = slot
 				}
-				j := int(slot) - pr.NumInstr()
-				if j < 0 || j >= len(pr.LeafQueries) || pr.LeafQueries[j] != int32(id) {
-					t.Fatalf("seed %d query %d: leaf %d resolved to slot %d", seed, qi, id, slot)
+				if len(leafSlots) != len(pr.LeafQueries) || len(leafSlots) == 0 {
+					t.Fatalf("seed %d: %d leaf-query slots for %d distinct leaf queries", seed, len(pr.LeafQueries), len(leafSlots))
 				}
-				if prev, ok := leafSlots[int32(id)]; ok && prev != slot {
-					t.Fatalf("seed %d: leaf %d has slots %d and %d", seed, id, prev, slot)
-				}
-				leafSlots[int32(id)] = slot
-			}
-			if len(leafSlots) != len(pr.LeafQueries) || len(leafSlots) == 0 {
-				t.Fatalf("seed %d: %d leaf-query slots for %d distinct leaf queries", seed, len(pr.LeafQueries), len(leafSlots))
 			}
 		}
 	}
-	if !deduped {
-		t.Fatal("no plan reached an input along two paths: de-duplication was not exercised")
+	if !deduped || !fusedTwice || !sharedFused {
+		t.Fatalf("reached an input along two paths: %v, a fused node: %v; fused a shared node: %v — all must be exercised",
+			deduped, fusedTwice, sharedFused)
 	}
 }
 
 // TestRunnerMatchesExecute is the compiled-path equivalence property: over
-// random plans and rounds of changing leaf scores and occurrence vectors,
-// the flat runner — full and incremental — must reproduce the
-// memo-based Execute's query results entry for entry, and its work counters
-// must tie out against the memo materialization count.
+// random plans, every lowering programs covers, and rounds of changing leaf
+// scores and occurrence vectors, the flat runner — full and incremental —
+// must reproduce the memo-based Execute's query results entry for entry.
+// Its work counters must tie out against the test-side count of the cone's
+// fused trees and, fused by parent count alone, against the memo
+// materialization count.
 func TestRunnerMatchesExecute(t *testing.T) {
 	const k = 5
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed * 31))
 		inst, plans := randomPlans(t, seed)
 		for _, p := range plans {
-			pr := plan.Compile(p)
-			scores := make([]float64, inst.NumVars)
-			for v := range scores {
-				if rng.Intn(4) > 0 {
-					scores[v] = 1 + rng.Float64()*9
-				}
-			}
-			memoLeaf := func(v int) *topk.List {
-				l := topk.New(k)
-				if s := scores[v]; s > 0 {
-					l.Push(topk.Entry{ID: v, Score: s})
-				}
-				return l
-			}
-
-			full := plan.NewRunner(pr, k)
-			incr := plan.NewRunner(pr, k)
-
-			for round := 0; round < 30; round++ {
-				// Sparse score churn, reported to the incremental runner.
-				for i := rng.Intn(6); i > 0; i-- {
-					v := rng.Intn(inst.NumVars)
-					if rng.Intn(5) == 0 {
-						scores[v] = 0 // advertiser drops out entirely
-					} else {
+			for _, np := range programs(p) {
+				pr := np.pr
+				scores := make([]float64, inst.NumVars)
+				for v := range scores {
+					if rng.Intn(4) > 0 {
 						scores[v] = 1 + rng.Float64()*9
 					}
-					incr.Invalidate(v)
 				}
-				occ := make([]bool, len(inst.Queries))
-				for q := range occ {
-					occ[q] = rng.Intn(3) > 0
-				}
-				if round%7 == 0 {
-					occ = nil // the "all occur" convention
+				memoLeaf := func(v int) *topk.List {
+					l := topk.New(k)
+					if s := scores[v]; s > 0 {
+						l.Push(topk.Entry{ID: v, Score: s})
+					}
+					return l
 				}
 
-				want, wantMat := plan.Execute(p, memoLeaf, topk.Merge, occ)
+				full := plan.NewRunner(pr, k)
+				incr := plan.NewRunner(pr, k)
 
-				check := func(name string, r *plan.Runner, recomputed, cached int, expectCache bool) {
-					t.Helper()
-					if recomputed+cached != wantMat {
-						t.Fatalf("seed %d %s round %d: recomputed %d + cached %d != memo materialized %d",
-							seed, name, round, recomputed, cached, wantMat)
-					}
-					if !expectCache && cached != 0 {
-						t.Fatalf("%s: full runner reported %d cached nodes", name, cached)
-					}
-					for qi, l := range want {
-						if occ != nil && !occ[qi] {
-							continue
+				for round := 0; round < 30; round++ {
+					// Sparse score churn, reported to the incremental runner.
+					for i := rng.Intn(6); i > 0; i-- {
+						v := rng.Intn(inst.NumVars)
+						if rng.Intn(5) == 0 {
+							scores[v] = 0 // advertiser drops out entirely
+						} else {
+							scores[v] = 1 + rng.Float64()*9
 						}
-						run := r.QueryRun(qi)
-						if len(run) != l.Len() {
-							t.Fatalf("seed %d %s round %d: query %d has %d entries, want %v",
-								seed, name, round, qi, len(run), l)
+						incr.Invalidate(v)
+					}
+					occ := make([]bool, len(inst.Queries))
+					for q := range occ {
+						occ[q] = rng.Intn(3) > 0
+					}
+					if round%7 == 0 {
+						occ = nil // the "all occur" convention
+					}
+
+					want, wantMat := plan.Execute(p, memoLeaf, topk.Merge, occ)
+					wantSpan := coneSpan(p, pr, occ)
+					if np.fuse == 0 && wantSpan != wantMat {
+						t.Fatalf("seed %d round %d: cone fused trees hold %d nodes, memo materialized %d", seed, round, wantSpan, wantMat)
+					}
+
+					check := func(name string, r *plan.Runner, recomputed, cached int, expectCache bool) {
+						t.Helper()
+						if recomputed+cached != wantSpan {
+							t.Fatalf("seed %d %s %s round %d: recomputed %d + cached %d != cone span %d",
+								seed, np.name, name, round, recomputed, cached, wantSpan)
 						}
-						for i, e := range run {
-							if l.At(i) != e {
-								t.Fatalf("seed %d %s round %d: query %d entry %d = %+v, want %+v",
-									seed, name, round, qi, i, e, l.At(i))
+						if !expectCache && cached != 0 {
+							t.Fatalf("%s: full runner reported %d cached nodes", name, cached)
+						}
+						for qi, l := range want {
+							if occ != nil && !occ[qi] {
+								continue
+							}
+							if run := r.QueryRun(qi); !slices.Equal(run, l.Entries()) {
+								t.Fatalf("seed %d %s %s round %d: query %d = %v, want %v",
+									seed, np.name, name, round, qi, run, l)
 							}
 						}
 					}
+					check("full", full, full.Run(scores, occ), 0, false)
+					r, c := incr.RunIncremental(scores, occ)
+					check("incremental", incr, r, c, true)
 				}
-				check("full", full, full.Run(scores, occ), 0, false)
-				r, c := incr.RunIncremental(scores, occ)
-				check("incremental", incr, r, c, true)
 			}
 		}
 	}
@@ -392,13 +508,14 @@ func sameQueryRuns(t *testing.T, label string, occ []bool, got, want *plan.Runne
 }
 
 // TestRunnerStreamedMatchesStored holds demand-driven storing to the
-// store-everything semantics: a sequential Run — at the production
-// threshold, at 1 (store whatever two instructions read) and at ∞ (store
-// query outputs only) — must give the query runs and the Materialized count
-// of a pass that stores every instruction (InvalidateAll + RunIncremental)
-// and of memo Execute, on random plans, scores and occurrence vectors. It
-// also checks the thresholds do what they say: ∞ holds nothing but occurring
-// query outputs, and 1 holds strictly more than that somewhere.
+// store-everything semantics: on every lowering programs covers, a
+// sequential Run must give the query runs and the count of a pass that
+// stores every instruction (InvalidateAll + RunIncremental), and that pass
+// must give memo Execute's runs, on random plans, scores and occurrence
+// vectors. It also checks the storing rule itself against a test-side count
+// of each needed instruction's needed readers: Run holds an instruction iff
+// it is an occurring query's output or two or more needed instructions read
+// it, and both held shared runs and streamed runs occur.
 func TestRunnerStreamedMatchesStored(t *testing.T) {
 	const k = 5
 	streamed, sharedHeld := 0, 0
@@ -406,61 +523,66 @@ func TestRunnerStreamedMatchesStored(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 77))
 		inst, plans := randomPlans(t, seed)
 		for pi, p := range plans {
-			pr := plan.Compile(p)
-			isOutput := make([]bool, pr.NumInstr())
-			stored := plan.NewRunner(pr, k)
-			runners := map[string]*plan.Runner{
-				"default": plan.NewRunner(pr, k),
-				"min=1":   plan.NewRunner(pr, k),
-				"min=inf": plan.NewRunner(pr, k),
-			}
-			runners["min=1"].SetStoreMinLeaves(1)
-			runners["min=inf"].SetStoreMinLeaves(math.MaxInt32)
-			for round := 0; round < 20; round++ {
-				scores := randomScores(rng, inst.NumVars)
-				occ := randomOcc(rng, len(inst.Queries))
-				memoLeaf := func(v int) *topk.List {
-					l := topk.New(k)
-					if s := scores[v]; s > 0 {
-						l.Push(topk.Entry{ID: v, Score: s})
+			for _, np := range programs(p) {
+				pr := np.pr
+				isOutput := make([]bool, pr.NumInstr())
+				readers := make([]int, pr.NumInstr())
+				stored, r := plan.NewRunner(pr, k), plan.NewRunner(pr, k)
+				for round := 0; round < 20; round++ {
+					label := fmt.Sprintf("seed %d plan %d %s round %d", seed, pi, np.name, round)
+					scores := randomScores(rng, inst.NumVars)
+					occ := randomOcc(rng, len(inst.Queries))
+					memoLeaf := func(v int) *topk.List {
+						l := topk.New(k)
+						if s := scores[v]; s > 0 {
+							l.Push(topk.Entry{ID: v, Score: s})
+						}
+						return l
 					}
-					return l
-				}
-				want, wantMat := plan.Execute(p, memoLeaf, topk.Merge, occ)
-				stored.InvalidateAll()
-				if rec, cached := stored.RunIncremental(scores, occ); rec != wantMat || cached != 0 {
-					t.Fatalf("seed %d plan %d round %d: store-everything pass recomputed %d, cached %d, memo %d",
-						seed, pi, round, rec, cached, wantMat)
-				}
-				for qi, l := range want {
-					if occ != nil && !occ[qi] {
-						continue
+					want, _ := plan.Execute(p, memoLeaf, topk.Merge, occ)
+					stored.InvalidateAll()
+					rec, cached := stored.RunIncremental(scores, occ)
+					if cached != 0 {
+						t.Fatalf("%s: store-everything pass served %d from cache", label, cached)
 					}
-					if run := stored.QueryRun(qi); !slices.Equal(run, l.Entries()) {
-						t.Fatalf("seed %d plan %d round %d: stored query %d = %v, memo %v", seed, pi, round, qi, run, l)
+					for qi, l := range want {
+						if occ != nil && !occ[qi] {
+							continue
+						}
+						if run := stored.QueryRun(qi); !slices.Equal(run, l.Entries()) {
+							t.Fatalf("%s: stored query %d = %v, memo %v", label, qi, run, l)
+						}
 					}
-				}
-				clear(isOutput)
-				for qi, slot := range pr.QuerySlot {
-					if int(slot) < pr.NumInstr() && (occ == nil || occ[qi]) {
-						isOutput[slot] = true
-					}
-				}
-				for name, r := range runners {
-					label := fmt.Sprintf("seed %d plan %d round %d %s", seed, pi, round, name)
-					if mat := r.Run(scores, occ); mat != wantMat {
-						t.Fatalf("%s: materialized %d, memo %d", label, mat, wantMat)
+					if mat := r.Run(scores, occ); mat != rec {
+						t.Fatalf("%s: streamed run counted %d, store-everything pass %d", label, mat, rec)
 					}
 					sameQueryRuns(t, label, occ, r, stored)
-					for ins := 0; ins < pr.NumInstr(); ins++ {
-						switch held := r.Held(ins); {
-						case isOutput[ins] && !held:
-							t.Fatalf("%s: occurring query output %d not stored", label, ins)
-						case held && !isOutput[ins] && name == "min=inf":
-							t.Fatalf("%s: instruction %d stored with the threshold at ∞", label, ins)
-						case held && !isOutput[ins] && name == "min=1":
+
+					clear(isOutput)
+					for qi, slot := range pr.QuerySlot {
+						if int(slot) < pr.NumInstr() && (occ == nil || occ[qi]) {
+							isOutput[slot] = true
+						}
+					}
+					clear(readers)
+					need := cone(pr, occ)
+					for ins, needed := range need {
+						if needed {
+							for _, d := range pr.Deps[pr.DepStart[ins]:pr.DepStart[ins+1]] {
+								readers[d]++
+							}
+						}
+					}
+					for ins, needed := range need {
+						held := r.Held(ins)
+						if wantHeld := needed && (isOutput[ins] || readers[ins] >= 2); held != wantHeld {
+							t.Fatalf("%s: instruction %d held %v, want %v (query output %v, %d needed readers)",
+								label, ins, held, wantHeld, isOutput[ins], readers[ins])
+						}
+						switch {
+						case held && !isOutput[ins]:
 							sharedHeld++
-						case !held && stored.Held(ins):
+						case needed && !held:
 							streamed++
 						}
 					}
@@ -469,7 +591,7 @@ func TestRunnerStreamedMatchesStored(t *testing.T) {
 		}
 	}
 	if streamed == 0 || sharedHeld == 0 {
-		t.Fatalf("streamed %d instruction runs, stored %d shared ones at threshold 1: both must occur", streamed, sharedHeld)
+		t.Fatalf("streamed %d instruction runs, stored %d shared ones: both must occur", streamed, sharedHeld)
 	}
 }
 
@@ -486,33 +608,35 @@ func TestRunnerStreamedNeverCached(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 131))
 		inst, plans := randomPlans(t, seed)
 		for pi, p := range plans {
-			pr := plan.Compile(p)
-			scores := randomScores(rng, inst.NumVars)
-			r := plan.NewRunner(pr, k)
-			ref := plan.NewRunner(pr, k)
+			for _, np := range programs(p) {
+				pr := np.pr
+				scores := randomScores(rng, inst.NumVars)
+				r := plan.NewRunner(pr, k)
+				ref := plan.NewRunner(pr, k)
 
-			mat := r.Run(scores, nil)
-			if rec, cached := r.RunIncremental(scores, nil); cached != 0 || rec != mat {
-				t.Fatalf("seed %d plan %d: after a Run, RunIncremental recomputed %d and served %d from cache (cone %d)",
-					seed, pi, rec, cached, mat)
-			}
-			for round := 0; round < 60; round++ {
-				for i := rng.Intn(4); i > 0; i-- {
-					v := rng.Intn(inst.NumVars)
-					scores[v] = float64(rng.Intn(3)) * (1 + rng.Float64()*9)
-					r.Invalidate(v)
+				mat := r.Run(scores, nil)
+				if rec, cached := r.RunIncremental(scores, nil); cached != 0 || rec != mat {
+					t.Fatalf("seed %d plan %d %s: after a Run, RunIncremental recomputed %d and served %d from cache (cone %d)",
+						seed, pi, np.name, rec, cached, mat)
 				}
-				occ := randomOcc(rng, len(inst.Queries))
-				label := fmt.Sprintf("seed %d plan %d round %d", seed, pi, round)
-				wantMat := ref.Run(scores, occ)
-				if rng.Intn(2) == 0 {
-					if got := r.Run(scores, occ); got != wantMat {
-						t.Fatalf("%s: Run materialized %d, want %d", label, got, wantMat)
+				for round := 0; round < 60; round++ {
+					for i := rng.Intn(4); i > 0; i-- {
+						v := rng.Intn(inst.NumVars)
+						scores[v] = float64(rng.Intn(3)) * (1 + rng.Float64()*9)
+						r.Invalidate(v)
 					}
-				} else if rec, cached := r.RunIncremental(scores, occ); rec+cached != wantMat {
-					t.Fatalf("%s: recomputed %d + cached %d, want %d", label, rec, cached, wantMat)
+					occ := randomOcc(rng, len(inst.Queries))
+					label := fmt.Sprintf("seed %d plan %d %s round %d", seed, pi, np.name, round)
+					wantMat := ref.Run(scores, occ)
+					if rng.Intn(2) == 0 {
+						if got := r.Run(scores, occ); got != wantMat {
+							t.Fatalf("%s: Run materialized %d, want %d", label, got, wantMat)
+						}
+					} else if rec, cached := r.RunIncremental(scores, occ); rec+cached != wantMat {
+						t.Fatalf("%s: recomputed %d + cached %d, want %d", label, rec, cached, wantMat)
+					}
+					sameQueryRuns(t, label, occ, r, ref)
 				}
-				sameQueryRuns(t, label, occ, r, ref)
 			}
 		}
 	}

@@ -1,8 +1,12 @@
 package plan
 
-// SetStoreMinLeaves overrides a runner's storing threshold: 1 stores every
-// run two instructions read, math.MaxInt32 stores query outputs only.
-func (r *Runner) SetStoreMinLeaves(n int32) { r.minLeaves = n }
+// FuseBelow is the production fusion threshold Compile applies.
+const FuseBelow = fuseBelow
+
+// CompileFuseBelow lowers p with the fusion threshold forced: 0 fuses by
+// parent count alone (every shared node stays an instruction), a threshold
+// above NumVars fuses every non-query node.
+func CompileFuseBelow(p *Plan, fuseBelow int) *Program { return compile(p, fuseBelow) }
 
 // SlabEntries is the runner's value-slab size in entries.
 func (r *Runner) SlabEntries() int { return len(r.ents) }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 
 	"sharedwd/internal/topk"
 )
@@ -19,9 +18,10 @@ import (
 //
 //   - Run evaluates the round's needed cone, marked by epoch stamps (a stamp
 //     write per instruction, no clearing pass). It stores an instruction's
-//     run only where the round shares it — an occurring
-//     query's output, or a large enough subtree that two or more of the
-//     round's needed instructions read; every other instruction is streamed:
+//     run only where the round shares it — an occurring query's output, or
+//     an instruction two or more of the round's needed instructions read
+//     (fusion has already folded every shared subtree too small to be worth
+//     storing into its consumers); every other instruction is streamed:
 //     its consumer scans the instruction's leaves and deps straight into its
 //     own run (see fold). A round without overlap therefore costs one linear
 //     scan per auction.
@@ -57,13 +57,6 @@ type Runner struct {
 	valid []bool
 	stack []int32 // invalidation scratch
 
-	// subLeaves[i] is the leaf count of instruction i's whole subtree (its
-	// own leaves plus its deps', shared ones counted per path): what a
-	// consumer would rescan if i were streamed. minLeaves is the storing
-	// threshold, storeMinLeaves outside tests.
-	subLeaves []int32
-	minLeaves int32
-
 	// consStart/cons is the consumer CSR (the instructions reading
 	// instruction i's output, one entry per dep edge) and leafStart/leafIns
 	// the leaf CSR (the instructions scanning leaf v). Built once at
@@ -72,17 +65,8 @@ type Runner struct {
 	leafStart, leafIns []int32
 }
 
-// storeMinLeaves is the subtree size from which a run read twice or more in
-// a round is stored rather than rescanned by each reader. Storing costs
-// about one sorted insert per two leaves while the run fills; rescanning
-// costs one compare per leaf once the reader's run is full, so small shared
-// subtrees are cheaper to rescan. BenchmarkStoreMinLeaves is the sweep
-// behind the value (DESIGN.md §8); it is a property of the two kernels, not
-// an option.
-const storeMinLeaves = 32
-
-// readsQuery marks an occurring query's output in reads: stored whatever
-// its size, since QueryRun serves it from the slab.
+// readsQuery marks an occurring query's output in reads: stored whoever
+// reads it, since QueryRun serves it from the slab.
 const readsQuery = 1 << 30
 
 // csr inverts the CSR adjacency (start, adj) into one over its m targets:
@@ -116,24 +100,15 @@ func NewRunner(prog *Program, k int) *Runner {
 	n := prog.NumInstr()
 	slots := n + len(prog.LeafQueries)
 	r := &Runner{
-		prog:      prog,
-		k:         k,
-		ents:      make([]topk.Entry, slots*k),
-		lens:      make([]int32, slots),
-		need:      make([]uint64, n),
-		reads:     make([]int32, n),
-		held:      make([]bool, n),
-		valid:     make([]bool, n),
-		subLeaves: make([]int32, n),
-		minLeaves: storeMinLeaves,
-		cone:      make([]int32, 0, n),
-	}
-	for i := 0; i < n; i++ {
-		sub := int64(prog.LeafStart[i+1] - prog.LeafStart[i])
-		for _, d := range prog.Deps[prog.DepStart[i]:prog.DepStart[i+1]] {
-			sub += int64(r.subLeaves[d])
-		}
-		r.subLeaves[i] = int32(min(sub, math.MaxInt32))
+		prog:  prog,
+		k:     k,
+		ents:  make([]topk.Entry, slots*k),
+		lens:  make([]int32, slots),
+		need:  make([]uint64, n),
+		reads: make([]int32, n),
+		held:  make([]bool, n),
+		valid: make([]bool, n),
+		cone:  make([]int32, 0, n),
 	}
 	r.consStart, r.cons = csr(prog.DepStart, prog.Deps, n)
 	r.leafStart, r.leafIns = csr(prog.LeafStart, prog.Leaves, prog.NumVars)
@@ -190,9 +165,10 @@ func (r *Runner) InvalidateAll() { clear(r.valid) }
 // Run evaluates the occurring queries (nil means all occur) from the leaf
 // scores alone. scores[v] is leaf v's value for the round (b̂_v·c_v in the
 // engine); entries are emitted only for strictly positive scores. The
-// returned count is the number of internal plan nodes in the round's cone —
-// identical to the memo-based Execute on the same occurrence vector,
-// whether an instruction's run was stored or streamed. Run neither consults
+// returned count is Σ Program.Span over the round's cone, the ⊕ operations
+// the cone's instructions perform, whether an instruction's run was stored
+// or streamed (on a program fused by parent count alone it equals the
+// memo-based Execute on the same occurrence vector). Run neither consults
 // nor updates the cache: cached values stay as valid as they were.
 func (r *Runner) Run(scores []float64, occurring []bool) (materialized int) {
 	materialized, _ = r.run(scores, occurring, false)
@@ -201,12 +177,12 @@ func (r *Runner) Run(scores []float64, occurring []bool) (materialized int) {
 
 // RunIncremental evaluates the occurring queries, reusing every cached
 // instruction output still consistent with the leaf scores (see
-// Invalidate). It returns how many internal plan nodes were recomputed and
-// how many were served from cache; recomputed+cached equals the cone size
-// Run would materialize. Fused chains cache as one unit, so the split is
-// coarser than node-granular — the sum is the invariant. The cache is only as good as the Invalidate calls
-// behind it: after rounds whose score changes were not reported (an engine
-// on plain Run), re-enter through InvalidateAll.
+// Invalidate). It returns the Span recomputed and the Span served from
+// cache; recomputed+cached equals the count Run returns. Fused nodes cache
+// as part of the instruction that expands them, so the split is coarser
+// than node-granular — the sum is the invariant. The cache is only as good
+// as the Invalidate calls behind it: after rounds whose score changes were
+// not reported (an engine on plain Run), re-enter through InvalidateAll.
 func (r *Runner) RunIncremental(scores []float64, occurring []bool) (recomputed, cached int) {
 	return r.run(scores, occurring, true)
 }
@@ -251,8 +227,7 @@ func (r *Runner) run(scores []float64, occurring []bool, incremental bool) (reco
 			continue
 		}
 		r.cone = append(r.cone, ins)
-		r.held[ins] = !stream || r.reads[ins] >= readsQuery ||
-			(r.reads[ins] >= 2 && r.subLeaves[ins] >= r.minLeaves)
+		r.held[ins] = !stream || r.reads[ins] >= 2
 		for _, d := range prog.Deps[prog.DepStart[ins]:prog.DepStart[ins+1]] {
 			if r.need[d] != r.epoch {
 				r.need[d] = r.epoch

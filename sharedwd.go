@@ -205,7 +205,8 @@ func ExecutePlan(p *AggPlan, leaf func(v int) *TopKList, occurring []bool) (map[
 type (
 	// AggProgram is the flat compilation of a complete plan: a
 	// topologically ordered instruction stream over dense arrays, with
-	// single-consumer chains fused into n-ary folds (DESIGN.md §8).
+	// single-consumer chains and small shared nodes fused into n-ary folds
+	// (DESIGN.md §8).
 	AggProgram = plan.Program
 	// AggRunner executes an AggProgram over dense top-k entry slabs with
 	// zero steady-state allocations — the engine's production shared path.
