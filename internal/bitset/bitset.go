@@ -76,6 +76,10 @@ func (s Set) checkSame(t Set) {
 	}
 }
 
+// Words returns the set's words, element i being bit i%64 of word i/64. The
+// slice is a read-only view of the set, not a copy.
+func (s Set) Words() []uint64 { return s.words[:len(s.words):len(s.words)] }
+
 // Add inserts i into the set.
 func (s Set) Add(i int) {
 	s.check(i)

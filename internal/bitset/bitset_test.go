@@ -382,3 +382,24 @@ func BenchmarkIntersectCount(b *testing.B) {
 	}
 	_ = sink
 }
+
+func TestWords(t *testing.T) {
+	s := FromIndices(130, 0, 63, 64, 129)
+	want := []uint64{1 | 1<<63, 1, 1 << 1}
+	if got := s.Words(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Words = %#x, want %#x", got, want)
+	}
+	// A view, not a copy: later writes to the set show through it.
+	w := s.Words()
+	s.Add(65)
+	if w[1] != 1|1<<1 {
+		t.Fatalf("Words view missed Add: word 1 = %#x", w[1])
+	}
+	// Capped at its length, so an append cannot write into the set.
+	if cap(w) != len(w) {
+		t.Fatalf("Words cap %d, len %d", cap(w), len(w))
+	}
+	if got := New(0).Words(); len(got) != 0 {
+		t.Fatalf("empty capacity: Words = %v", got)
+	}
+}

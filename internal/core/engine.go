@@ -3,9 +3,9 @@
 //
 //  1. collects the clicks arriving from earlier rounds and charges budgets
 //     (never above an advertiser's daily budget);
-//  2. computes each advertiser's bid for the round — either the stated bid
-//     (naive policy) or the Section-IV throttled bid b̂ that accounts for
-//     outstanding ads awaiting clicks;
+//  2. computes the bid of each advertiser taking part in the round's
+//     auctions — either the stated bid (naive policy) or the Section-IV
+//     throttled bid b̂ that accounts for outstanding ads awaiting clicks;
 //  3. resolves every occurring bid phrase's auction by executing the shared
 //     top-(k+1) aggregation plan built offline by the Section-II heuristic,
 //     or an unshared per-auction scan for the baseline;
@@ -15,13 +15,15 @@
 // The engine's counters expose exactly the quantities the paper's
 // evaluation cares about: aggregation nodes materialized per round (the
 // shared-plan cost model), revenue, and clicks that had to be forgiven
-// because a naive policy let an advertiser win more than his budget could
+// because a naive policy let an advertiser win more than its budget could
 // pay for (the Section-IV gaming loss).
 package core
 
 import (
 	"fmt"
+	"math/bits"
 
+	"sharedwd/internal/bitset"
 	"sharedwd/internal/budget"
 	"sharedwd/internal/plan"
 	"sharedwd/internal/pricing"
@@ -171,7 +173,8 @@ type Engine struct {
 	w   *workload.Workload
 
 	// interest[q] lists phrase q's interested advertisers in ascending
-	// order: w.Interests[q] unpacked once, for the per-round loops.
+	// order: w.Interests[q] unpacked once, for the per-phrase scans
+	// (Independent engines only; nil otherwise).
 	interest [][]int32
 
 	inst *plan.Instance
@@ -210,8 +213,10 @@ type Engine struct {
 // rounds allocate nothing. RoundReports returned by Step view into these
 // buffers and are valid until the next Step.
 type roundScratch struct {
-	occ      []bool
-	mCount   []int
+	occ []bool
+	// part is the round's participants: the union of the occurring phrases'
+	// interest sets.
+	part     bitset.Set
 	roundBid []float64
 	// score[i] is the round's effective score b̂_i·c_i, computed once per
 	// round; both sharing modes read leaf values from this one slab so they
@@ -337,19 +342,10 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	if cfg.Policy == Throttled {
 		e.out = new(workload.OutstandingBuckets)
 	}
-	e.scr.mCount = make([]int, len(w.Advertisers))
+	e.scr.part = bitset.New(len(w.Advertisers))
 	e.scr.roundBid = make([]float64, len(w.Advertisers))
 	e.scr.score = make([]float64, len(w.Advertisers))
 	e.scr.lastScore = make([]float64, len(w.Advertisers))
-	e.interest = make([][]int32, len(w.Interests))
-	for q, set := range w.Interests {
-		list := make([]int32, 0, set.Count())
-		set.ForEach(func(i int) bool {
-			list = append(list, int32(i))
-			return true
-		})
-		e.interest[q] = list
-	}
 	e.scr.auctions = make(map[int][]SlotResult, len(w.Interests))
 	e.scr.slots = make([][]SlotResult, len(w.Interests))
 	k := len(w.SlotFactors)
@@ -372,6 +368,12 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	} else {
 		e.scr.indep = make([]topk.Entry, len(w.Interests)*(k+1))
 		e.scr.indepLen = make([]int32, len(w.Interests))
+		e.interest = make([][]int32, len(w.Interests))
+		for q, set := range w.Interests {
+			for _, i := range set.Indices() {
+				e.interest[q] = append(e.interest[q], int32(i))
+			}
+		}
 	}
 	return e, nil
 }
@@ -547,41 +549,15 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 		}
 	}
 
-	// 2. Per-advertiser round bids under the budget policy, and the shared
-	// score slab: score[i] = b̂_i·c_i is computed exactly once here, so
-	// both sharing modes read identical leaf values (no per-path float
-	// recomputation to diverge on).
-	mCount := e.auctionCounts(occurring)
-	roundBid := e.scr.roundBid
-	score := e.scr.score
-	for i := range roundBid {
-		roundBid[i] = 0
-		score[i] = 0
-	}
-	if e.out != nil {
-		// Section IV needs every participating advertiser's outstanding
-		// ads: bucket the pending list once, O(pending + advertisers),
-		// rather than scan all of it per advertiser.
-		e.clicks.BucketOutstanding(e.out, len(e.w.Advertisers), e.round)
-	}
-	for i, a := range e.w.Advertisers {
-		if mCount[i] == 0 || !e.active[i] {
-			continue
-		}
-		bid := e.pacedBid(i, a.Bid)
-		if bid <= 0 {
-			continue
-		}
-		roundBid[i] = e.policyBid(i, bid, mCount[i])
-		score[i] = roundBid[i] * a.Quality
-	}
+	// 2. The participants' round bids under the budget policy.
+	part := e.scoreParticipants(occurring)
 
 	// 3. Winner determination across the occurring auctions: one path per
 	// sharing mode.
 	k := len(e.w.SlotFactors)
 	switch e.cfg.Sharing {
 	case SharedAggregation:
-		rep.Materialized, rep.Cached = e.runShared(mCount, occurring)
+		rep.Materialized, rep.Cached = e.runShared(part, occurring)
 	case Independent:
 		rep.Materialized = e.scanIndependent(occurring)
 	}
@@ -601,9 +577,10 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 		} else {
 			run = e.runner.QueryRun(q)
 		}
+		// Pricing sees each entry's advertiser with its round bid and quality.
 		ranked := e.scr.ranked[:0]
 		for _, entry := range run {
-			ranked = append(ranked, e.candidate(entry))
+			ranked = append(ranked, pricing.Ranked{ID: entry.ID, Bid: e.scr.roundBid[entry.ID], Quality: e.w.Advertisers[entry.ID].Quality})
 		}
 		e.scr.ranked = ranked
 		parts, prices := pricing.AppendPricesWithReserve(e.scr.parts[:0], e.scr.prices[:0], e.cfg.Pricing, ranked, e.w.SlotFactors, e.cfg.Reserve)
@@ -638,14 +615,64 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	return rep
 }
 
-// candidate is a result entry as pricing sees it: the advertiser with its
-// round bid and quality.
-func (e *Engine) candidate(entry topk.Entry) pricing.Ranked {
-	return pricing.Ranked{
-		ID:      entry.ID,
-		Bid:     e.scr.roundBid[entry.ID],
-		Quality: e.w.Advertisers[entry.ID].Quality,
+// scoreParticipants computes the round bid and score[i] = b̂_i·c_i of every
+// advertiser in an occurring auction (all others score 0) and returns that
+// set. Both sharing modes read this one slab, so they score bit-identically.
+func (e *Engine) scoreParticipants(occurring []bool) (part bitset.Set) {
+	part = e.scr.part
+	part.Clear()
+	auctions := 0 // M: the round's occurring auctions, an upper bound on every m_i
+	for q, occ := range occurring {
+		if occ {
+			auctions++
+			part.UnionInPlace(e.w.Interests[q])
+		}
 	}
+	roundBid := e.scr.roundBid
+	score := e.scr.score
+	clear(roundBid)
+	clear(score)
+	if e.out != nil {
+		// Section IV needs every participating advertiser's outstanding
+		// ads: bucket the pending list once, O(pending + advertisers),
+		// rather than scan all of it per advertiser.
+		e.clicks.BucketOutstanding(e.out, len(e.w.Advertisers), e.round)
+	}
+	active, advs, spent := e.active, e.w.Advertisers, e.spent
+	pacer, ledger, throttled := e.cfg.Pacer, e.cfg.Ledger, e.out != nil
+	for j, word := range part.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := j<<6 | bits.TrailingZeros64(word)
+			if !active[i] {
+				continue
+			}
+			// Section IV computes b̂ from the paced bid.
+			a := &advs[i]
+			bid := a.Bid
+			if pacer != nil {
+				bid *= pacer.Factor(i)
+			}
+			if bid <= 0 {
+				continue
+			}
+			remaining := a.Budget - spent[i]
+			if ledger != nil {
+				remaining = ledger.Remaining(i)
+			}
+			if remaining <= 0 {
+				continue
+			}
+			rb := bid
+			if throttled {
+				rb = e.throttledBid(i, bid, remaining, auctions, occurring)
+			} else if remaining < bid {
+				rb = remaining // Naive: min(b_i, β_i)
+			}
+			roundBid[i] = rb
+			score[i] = rb * a.Quality
+		}
+	}
+	return part
 }
 
 // Drain advances rounds with no occurring auctions until every pending
@@ -659,7 +686,7 @@ func (e *Engine) Drain() {
 
 // runShared resolves the round's auctions on the flat-compiled shared plan,
 // through the dirty-cone cache unless it is off or has switched itself off.
-func (e *Engine) runShared(mCount []int, occurring []bool) (materialized, cached int) {
+func (e *Engine) runShared(part bitset.Set, occurring []bool) (materialized, cached int) {
 	score := e.scr.score
 	switch {
 	case !e.cfg.IncrementalCache:
@@ -678,7 +705,7 @@ func (e *Engine) runShared(mCount []int, occurring []bool) (materialized, cached
 			clear(e.scr.lastScore)
 		}
 	default:
-		e.invalidateChangedScores(mCount)
+		e.invalidateChangedScores(part)
 		materialized, cached = e.runner.RunIncremental(score, occurring)
 		e.gov.observe(materialized, cached)
 	}
@@ -706,88 +733,55 @@ func (e *Engine) scanIndependent(occurring []bool) (materialized int) {
 
 // invalidateChangedScores drops cached plan values for every leaf whose
 // effective score changed since its cached value was computed
-// (IncrementalCache mode). Advertisers outside this round's auctions are
-// skipped: their leaves are not needed, and their cached values stay tagged
-// with the score they were built from.
-func (e *Engine) invalidateChangedScores(mCount []int) {
+// (IncrementalCache mode). Only the round's participants are visited:
+// other leaves are not needed, and their cached values stay tagged with the
+// score they were built from.
+func (e *Engine) invalidateChangedScores(part bitset.Set) {
 	score := e.scr.score
 	last := e.scr.lastScore
-	for i := range mCount {
-		if mCount[i] == 0 {
-			continue
-		}
-		if s := score[i]; s != last[i] {
-			e.runner.Invalidate(i)
-			last[i] = s
+	for j, word := range part.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := j<<6 | bits.TrailingZeros64(word)
+			if s := score[i]; s != last[i] {
+				e.runner.Invalidate(i)
+				last[i] = s
+			}
 		}
 	}
 }
 
-// auctionCounts computes m_i: the number of occurring auctions each
-// advertiser takes part in this round. The returned slice is the engine's
-// round scratch, overwritten by the next call.
-func (e *Engine) auctionCounts(occurring []bool) []int {
-	m := e.scr.mCount
-	for i := range m {
-		m[i] = 0
+// throttledBid computes advertiser i's Section-IV bid b̂_i for this round
+// from its effective stated bid (already pacing-scaled) and its positive
+// remaining budget. auctions is M, the round's number of occurring auctions.
+func (e *Engine) throttledBid(i int, bid, remaining float64, auctions int, occurring []bool) float64 {
+	prices, ctrs := e.out.Advertiser(i)
+	omega := 0.0
+	for _, p := range prices {
+		omega += p
 	}
-	for q, occ := range occurring {
-		if !occ {
-			continue
-		}
-		for _, i := range e.interest[q] {
-			m[i]++
-		}
-	}
-	return m
-}
-
-// pacedBid scales advertiser i's stated bid by its published pacing factor
-// (1 when no pacer is attached): the controller's throttle applied before
-// the budget policy, so the Section IV machinery computes b̂ from the
-// effective — paced — bid.
-func (e *Engine) pacedBid(i int, bid float64) float64 {
-	if e.cfg.Pacer == nil {
+	// Paper's fast path: even if every outstanding ad is clicked, the
+	// advertiser can still afford m_i full bids — no throttling needed.
+	// M ≥ m_i and rounding is monotone, so the test at M passing implies it
+	// passes at m_i: count the exact m_i only when it fails.
+	if omega <= remaining-float64(auctions)*bid {
 		return bid
 	}
-	return bid * e.cfg.Pacer.Factor(i)
-}
-
-// policyBid computes the advertiser's bid for this round under the
-// configured budget policy, from the effective stated bid (already pacing-
-// scaled).
-func (e *Engine) policyBid(i int, bid float64, m int) float64 {
-	remaining := e.Remaining(i)
-	if remaining <= 0 {
-		return 0
+	m := 0
+	for q, occ := range occurring {
+		if occ && e.w.Interests[q].Contains(i) {
+			m++
+		}
 	}
-	switch e.cfg.Policy {
-	case Naive:
-		if bid < remaining {
-			return bid
-		}
-		return remaining
-	case Throttled:
-		prices, ctrs := e.out.Advertiser(i)
-		omega := 0.0
-		for _, p := range prices {
-			omega += p
-		}
-		// Paper's fast path: even if every outstanding ad is clicked, the
-		// advertiser can still afford m full bids — no throttling needed.
-		if omega <= remaining-float64(m)*bid {
-			return bid
-		}
-		ads := e.tscr.ads[:0]
-		for j := range prices {
-			ads = append(ads, budget.OutstandingAd{Price: prices[j], CTR: ctrs[j]})
-		}
-		e.tscr.ads = ads
-		if len(ads) <= e.cfg.ThrottleEnumLimit {
-			return budget.ExactThrottledBid(bid, remaining, m, ads)
-		}
-		return e.tscr.dp.Bid(bid, remaining, m, ads, e.cfg.ThrottleUnit)
-	default:
-		panic(fmt.Sprintf("core: unknown budget policy %d", e.cfg.Policy))
+	if omega <= remaining-float64(m)*bid {
+		return bid
 	}
+	ads := e.tscr.ads[:0]
+	for j := range prices {
+		ads = append(ads, budget.OutstandingAd{Price: prices[j], CTR: ctrs[j]})
+	}
+	e.tscr.ads = ads
+	if len(ads) <= e.cfg.ThrottleEnumLimit {
+		return budget.ExactThrottledBid(bid, remaining, m, ads)
+	}
+	return e.tscr.dp.Bid(bid, remaining, m, ads, e.cfg.ThrottleUnit)
 }

@@ -68,7 +68,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 				}
 				eng.Step(occ)
 				if tc.throttled {
-					e, d := throttlePaths(eng)
+					e, d := throttlePaths(t, eng, occ)
 					enum, dp = enum+e, dp+d
 				}
 				if tc.cold {
@@ -103,12 +103,22 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 // throttlePaths reports how many of the round Step just resolved's bids
 // Section IV actually throttled, by path: exact enumeration (outstanding
 // ads within ThrottleEnumLimit) and the currency-grid DP (beyond it). It
-// re-derives policyBid's branch from the round's scratch, which Step leaves
-// in place: displays register ads but charge nothing, so every remaining
-// budget is still what scoring saw.
-func throttlePaths(e *Engine) (enum, dp int) {
+// re-derives throttledBid's branch from the round's participant union and
+// each participant's exact auction count: Step leaves its scratch in place,
+// and displays register ads but charge nothing, so every remaining budget
+// is still what scoring saw.
+func throttlePaths(t *testing.T, e *Engine, occurring []bool) (enum, dp int) {
+	t.Helper()
 	for i, a := range e.w.Advertisers {
-		m := e.scr.mCount[i]
+		m := 0
+		for q, occ := range occurring {
+			if occ && e.w.Interests[q].Contains(i) {
+				m++
+			}
+		}
+		if inUnion := e.scr.part.Contains(i); inUnion != (m > 0) {
+			t.Fatalf("advertiser %d: in participant union %v, in %d occurring auctions", i, inUnion, m)
+		}
 		if m == 0 || !e.active[i] || e.Remaining(i) <= 0 {
 			continue
 		}
