@@ -191,13 +191,13 @@ func BenchmarkRoundResolution(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalRounds measures the cross-round incremental cache in
-// the two regimes it targets: sparse occurrence (each round demands a small,
-// rotating subset of phrases, so most of the needed cone was computed in a
-// recent round) and sparse budget change (every phrase occurs but bids are
-// static, so only advertisers whose remaining budget moved below their bid
-// invalidate their cones). Metrics report recomputed vs cached nodes per
-// round; with the cache off, cached/round is zero by construction.
+// BenchmarkIncrementalRounds times full plan runs in the two regimes a
+// cross-round result cache would target (the engine has none; DESIGN.md §5
+// records what one saved): sparse occurrence (each round demands a small,
+// rotating subset of phrases) and sparse budget change (every phrase occurs
+// but bids are static, so only advertisers whose remaining budget moved
+// below their bid change score). The sub-benchmarks keep their cache=false
+// names so their committed baselines keep gating.
 func BenchmarkIncrementalRounds(b *testing.B) {
 	regimes := []struct {
 		name      string
@@ -207,73 +207,69 @@ func BenchmarkIncrementalRounds(b *testing.B) {
 		{"sparseBudgetChange", false},
 	}
 	for _, rg := range regimes {
-		for _, incremental := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/cache=%v", rg.name, incremental), func(b *testing.B) {
-				wcfg := workload.DefaultConfig()
-				wcfg.NumAdvertisers = 1000
-				wcfg.NumPhrases = 32
-				wcfg.NumTopics = 6
-				w := workload.Generate(wcfg)
-				ecfg := core.DefaultConfig()
-				ecfg.Policy = core.Naive
-				ecfg.IncrementalCache = incremental
-				// A shared ledger topped back up every refillEvery rounds
-				// makes the budget-crossing sequence periodic. Without
-				// refills budgets drain monotonically, rounds get cheaper as
-				// bids zero out, and ns/op depends on how many iterations ran
-				// before it — baselines recorded at different -benchtime
-				// would not be comparable.
-				budgets := make([]float64, wcfg.NumAdvertisers)
-				for i := range budgets {
-					budgets[i] = w.Advertisers[i].Budget
-				}
-				ledger := budget.NewLedger(budgets)
-				ecfg.Ledger = ledger
-				const refillEvery = 512
-				eng, err := core.New(w, ecfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var occs [][]bool
-				if rg.sparseOcc {
-					// Eight rotating vectors of 4 phrases each.
-					for s := 0; s < 8; s++ {
-						occ := make([]bool, wcfg.NumPhrases)
-						for j := 0; j < 4; j++ {
-							occ[(s*4+j)%wcfg.NumPhrases] = true
-						}
-						occs = append(occs, occ)
-					}
-				} else {
+		b.Run(rg.name+"/cache=false", func(b *testing.B) {
+			wcfg := workload.DefaultConfig()
+			wcfg.NumAdvertisers = 1000
+			wcfg.NumPhrases = 32
+			wcfg.NumTopics = 6
+			w := workload.Generate(wcfg)
+			ecfg := core.DefaultConfig()
+			ecfg.Policy = core.Naive
+			// A shared ledger topped back up every refillEvery rounds
+			// makes the budget-crossing sequence periodic. Without
+			// refills budgets drain monotonically, rounds get cheaper as
+			// bids zero out, and ns/op depends on how many iterations ran
+			// before it — baselines recorded at different -benchtime
+			// would not be comparable.
+			budgets := make([]float64, wcfg.NumAdvertisers)
+			for i := range budgets {
+				budgets[i] = w.Advertisers[i].Budget
+			}
+			ledger := budget.NewLedger(budgets)
+			ecfg.Ledger = ledger
+			const refillEvery = 512
+			eng, err := core.New(w, ecfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var occs [][]bool
+			if rg.sparseOcc {
+				// Eight rotating vectors of 4 phrases each.
+				for s := 0; s < 8; s++ {
 					occ := make([]bool, wcfg.NumPhrases)
-					for q := range occ {
-						occ[q] = true
+					for j := 0; j < 4; j++ {
+						occ[(s*4+j)%wcfg.NumPhrases] = true
 					}
-					occs = [][]bool{occ}
+					occs = append(occs, occ)
 				}
-				step := func() {
-					if r := eng.Round(); r%refillEvery == 0 && r > 0 {
-						for i := range budgets {
-							ledger.Deposit(i, budgets[i]-ledger.Remaining(i))
-						}
+			} else {
+				occ := make([]bool, wcfg.NumPhrases)
+				for q := range occ {
+					occ[q] = true
+				}
+				occs = [][]bool{occ}
+			}
+			step := func() {
+				if r := eng.Round(); r%refillEvery == 0 && r > 0 {
+					for i := range budgets {
+						ledger.Deposit(i, budgets[i]-ledger.Remaining(i))
 					}
-					eng.Step(occs[eng.Round()%len(occs)])
 				}
-				for i := 0; i < 50; i++ {
-					step()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				start := eng.Stats()
-				for i := 0; i < b.N; i++ {
-					step()
-				}
-				st := eng.Stats()
-				rounds := float64(st.Rounds - start.Rounds)
-				b.ReportMetric(float64(st.NodesMaterialized-start.NodesMaterialized)/rounds, "recomputed/round")
-				b.ReportMetric(float64(st.NodesCached-start.NodesCached)/rounds, "cached/round")
-			})
-		}
+				eng.Step(occs[eng.Round()%len(occs)])
+			}
+			for i := 0; i < 50; i++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := eng.Stats()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			st := eng.Stats()
+			rounds := float64(st.Rounds - start.Rounds)
+			b.ReportMetric(float64(st.NodesMaterialized-start.NodesMaterialized)/rounds, "recomputed/round")
+		})
 	}
 }
 
@@ -389,46 +385,44 @@ func BenchmarkReplanSwap(b *testing.B) {
 }
 
 // BenchmarkSteadyStateStep pins the zero-allocation claim in benchmark form:
-// after warm-up, a shared-mode engine round allocates nothing, with and
-// without the incremental cache (allocs/op must read 0 in both).
+// after warm-up, a shared-mode engine round allocates nothing (allocs/op
+// must read 0). The sub-benchmark keeps its cache=false name so its
+// committed baseline keeps gating.
 func BenchmarkSteadyStateStep(b *testing.B) {
-	for _, incremental := range []bool{false, true} {
-		b.Run(fmt.Sprintf("cache=%v", incremental), func(b *testing.B) {
-			wcfg := workload.DefaultConfig()
-			wcfg.NumAdvertisers = 1000
-			wcfg.NumPhrases = 32
-			wcfg.NumTopics = 6
-			wcfg.MinBudget = 1e6 // never exhausts: steady display load
-			wcfg.MaxBudget = 2e6
-			w := workload.Generate(wcfg)
-			ecfg := core.DefaultConfig()
-			ecfg.Policy = core.Naive
-			ecfg.IncrementalCache = incremental
-			eng, err := core.New(w, ecfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			occ := make([]bool, len(w.Interests))
-			for q := range occ {
-				occ[q] = q%2 == 0
-			}
-			for i := 0; i < 300; i++ {
-				eng.Step(occ)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Step(occ)
-			}
-		})
-	}
+	b.Run("cache=false", func(b *testing.B) {
+		wcfg := workload.DefaultConfig()
+		wcfg.NumAdvertisers = 1000
+		wcfg.NumPhrases = 32
+		wcfg.NumTopics = 6
+		wcfg.MinBudget = 1e6 // never exhausts: steady display load
+		wcfg.MaxBudget = 2e6
+		w := workload.Generate(wcfg)
+		ecfg := core.DefaultConfig()
+		ecfg.Policy = core.Naive
+		eng, err := core.New(w, ecfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		occ := make([]bool, len(w.Interests))
+		for q := range occ {
+			occ[q] = q%2 == 0
+		}
+		for i := 0; i < 300; i++ {
+			eng.Step(occ)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Step(occ)
+		}
+	})
 }
 
 // BenchmarkPacedSteadyStateStep measures the pacing subsystem's per-round
 // overhead on the same steady state as BenchmarkSteadyStateStep: ledger,
 // pacing controller (synced every round) and a live lifecycle refresh
 // schedule attached. allocs/op must still read 0 — the comparison against
-// BenchmarkSteadyStateStep/cache=true is the controller's marginal cost.
+// BenchmarkSteadyStateStep/cache=false is the controller's marginal cost.
 func BenchmarkPacedSteadyStateStep(b *testing.B) {
 	wcfg := workload.DefaultConfig()
 	wcfg.NumAdvertisers = 1000
@@ -464,7 +458,6 @@ func BenchmarkPacedSteadyStateStep(b *testing.B) {
 
 	ecfg := core.DefaultConfig()
 	ecfg.Policy = core.Naive
-	ecfg.IncrementalCache = true
 	ecfg.Ledger = ledger
 	ecfg.Pacer = pacer
 	ecfg.Lifecycle = lc

@@ -31,7 +31,6 @@ func main() {
 	policyName := flag.String("policy", "throttled", "budget policy: naive|throttled")
 	sharingName := flag.String("sharing", "shared", "winner determination: shared|independent")
 	pricingName := flag.String("pricing", "gsp", "pricing rule: first|gsp|vcg")
-	cache := flag.Bool("cache", false, "carry plan results across rounds, re-materializing only dirty nodes")
 	perturb := flag.Float64("perturb", 0.05, "per-round bid random-walk scale (0 = static bids)")
 	csv := flag.Bool("csv", false, "emit per-round CSV instead of a summary")
 	compare := flag.Bool("compare", false, "run every policy × sharing combination and print a comparison table")
@@ -51,7 +50,6 @@ func main() {
 	w := workload.Generate(wcfg)
 
 	ecfg := core.DefaultConfig()
-	ecfg.IncrementalCache = *cache
 	switch *policyName {
 	case "naive":
 		ecfg.Policy = core.Naive
@@ -117,13 +115,6 @@ func main() {
 		fmt.Printf("auctions resolved:       %d\n", st.AuctionsResolved)
 		fmt.Printf("aggregation ops:         %d (%.1f per auction)\n",
 			st.NodesMaterialized, float64(st.NodesMaterialized)/float64(max(1, st.AuctionsResolved)))
-		if ecfg.IncrementalCache {
-			total := st.NodesMaterialized + st.NodesCached
-			fmt.Printf("cache hits:              %d of %d node demands (%.1f%%)\n",
-				st.NodesCached, total, 100*float64(st.NodesCached)/float64(max(1, total)))
-			fmt.Printf("cache bypassed:          %d of %d rounds (cold cache: full plan runs)\n",
-				st.CacheBypassedRounds, st.Rounds)
-		}
 		fmt.Printf("ads displayed:           %d\n", st.AdsDisplayed)
 		fmt.Printf("clicks charged/forgiven: %d / %d\n", st.ClicksCharged, st.ClicksForgiven)
 		fmt.Printf("revenue:                 $%.2f (forgiven $%.2f)\n", st.Revenue, st.ForgivenValue)

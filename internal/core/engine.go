@@ -96,13 +96,10 @@ type Config struct {
 	//
 	// Deprecated: an engine runs on one goroutine; use shards for more cores.
 	Workers int
-	// IncrementalCache carries plan-node results across rounds and
-	// re-materializes only the dirty cone: nodes whose descendant
-	// advertiser scores changed, plus nodes the round's occurrence set
-	// demands for the first time. This generalizes the paper's Section
-	// III-B result caching to the Section-II aggregation DAG; with it on,
-	// Stats.NodesMaterialized counts only recomputed operations and
-	// Stats.NodesCached the cache hits.
+	// IncrementalCache is ignored: every shared round is one full plan run.
+	//
+	// Deprecated: kept only because benchmark/ still sets and reads it;
+	// deleted with the other benchmark shims (ROADMAP item 1(f)).
 	IncrementalCache bool
 	// ClickHazard and ClickHorizon parameterize the delayed-click model.
 	ClickHazard  float64
@@ -184,10 +181,6 @@ type Engine struct {
 	// the Program; the Plan it was compiled from is not kept.
 	runner *plan.Runner
 
-	// gov switches the dirty-cone cache off while it is losing
-	// (IncrementalCache engines only; see cacheGovernor).
-	gov cacheGovernor
-
 	clicks *workload.ClickSim
 	// out is the round's outstanding ads bucketed by advertiser, filled
 	// once per Step before leaf scoring (Throttled engines only; nil
@@ -221,15 +214,12 @@ type roundScratch struct {
 	// score[i] is the round's effective score b̂_i·c_i, computed once per
 	// round; both sharing modes read leaf values from this one slab so they
 	// score bit-identically.
-	score []float64
-	// lastScore[i] is the effective score advertiser i's cached leaf value
-	// was computed from (IncrementalCache mode).
-	lastScore []float64
-	ranked    []pricing.Ranked
-	parts     []pricing.Ranked
-	prices    []float64
-	auctions  map[int][]SlotResult
-	slots     [][]SlotResult // per-phrase slot buffers backing auctions
+	score    []float64
+	ranked   []pricing.Ranked
+	parts    []pricing.Ranked
+	prices   []float64
+	auctions map[int][]SlotResult
+	slots    [][]SlotResult // per-phrase slot buffers backing auctions
 	// indep is the Independent-mode run slab, one stride-(k+1) segment per
 	// phrase holding indepLen[q] entries — the same layout and the same scan
 	// kernel the compiled runner uses, so the two modes differ in plan only.
@@ -257,23 +247,15 @@ type Stats struct {
 	// small shared node the compiler fuses into several consumers counts once
 	// in each. For Independent mode it counts the per-scan pushes
 	// equivalent: one per advertiser scanned beyond the first per auction,
-	// to keep the two modes comparable. With IncrementalCache it counts only
-	// the operations of recomputed instructions, while cache hits accumulate
-	// in NodesCached.
+	// to keep the two modes comparable.
 	NodesMaterialized int `json:"nodes_materialized"`
-	// NodesCached counts aggregation operations served from the cross-round
-	// cache instead of being recomputed (IncrementalCache mode only).
-	// NodesMaterialized + NodesCached equals what NodesMaterialized would
-	// be with the cache off — also across rounds the engine resolved on the
-	// full-run fallback, which add their whole cone to NodesMaterialized.
-	NodesCached int `json:"nodes_cached"`
-	// CacheBypassedRounds counts rounds an IncrementalCache engine resolved
-	// with a full plan run because its dirty-cone cache was cold (hit share
-	// under the break-even; see cacheGovernor). A vanishing share of Rounds
-	// on steady bids, nearly all of them when every bid moves every round.
-	CacheBypassedRounds int     `json:"cache_bypassed_rounds"`
-	Revenue             float64 `json:"revenue"`
-	ClicksCharged       int     `json:"clicks_charged"`
+	// NodesCached is always 0 and is not part of the wire schema.
+	//
+	// Deprecated: kept only because benchmark/ still reads it; deleted with
+	// the other benchmark shims (ROADMAP item 1(f)).
+	NodesCached   int     `json:"-"`
+	Revenue       float64 `json:"revenue"`
+	ClicksCharged int     `json:"clicks_charged"`
 	// ClicksForgiven counts clicks whose price exceeded the advertiser's
 	// remaining budget and could not be charged — the paper's lost revenue.
 	ClicksForgiven int     `json:"clicks_forgiven"`
@@ -287,8 +269,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.Rounds += o.Rounds
 	s.AuctionsResolved += o.AuctionsResolved
 	s.NodesMaterialized += o.NodesMaterialized
-	s.NodesCached += o.NodesCached
-	s.CacheBypassedRounds += o.CacheBypassedRounds
 	s.Revenue += o.Revenue
 	s.ClicksCharged += o.ClicksCharged
 	s.ClicksForgiven += o.ClicksForgiven
@@ -345,7 +325,6 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	e.scr.part = bitset.New(len(w.Advertisers))
 	e.scr.roundBid = make([]float64, len(w.Advertisers))
 	e.scr.score = make([]float64, len(w.Advertisers))
-	e.scr.lastScore = make([]float64, len(w.Advertisers))
 	e.scr.auctions = make(map[int][]SlotResult, len(w.Interests))
 	e.scr.slots = make([][]SlotResult, len(w.Interests))
 	k := len(w.SlotFactors)
@@ -364,7 +343,6 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		e.runner = plan.NewRunner(prog, k+1)
-		e.gov.reset()
 	} else {
 		e.scr.indep = make([]topk.Entry, len(w.Interests)*(k+1))
 		e.scr.indepLen = make([]int32, len(w.Interests))
@@ -387,15 +365,10 @@ func (e *Engine) PlanInstance() *plan.Instance { return e.inst }
 // compiled one over the same queries and universe — the replanner's swap
 // step. Because all complete plans for the same queries are A-equivalent
 // (Lemma 1), swapping changes only the cost of winner determination, never
-// its results; the swap is therefore safe at any round boundary.
-//
-// The swap installs a fresh Runner, which starts a clean incremental-cache
-// epoch: every node of the new plan is invalid until its first
-// materialization, the lastScore tags are zeroed to match the empty cache,
-// and the cache governor starts over on the incremental path (what it
-// learned about the old plan's hit share does not carry). Must be called
-// from the engine's owning goroutine, between Steps — the server's round
-// loop does exactly that.
+// its results; the swap is therefore safe at any round boundary. It installs
+// a fresh Runner over the new program. Must be called from the engine's
+// owning goroutine, between Steps — the server's round loop does exactly
+// that.
 func (e *Engine) InstallPlan(inst *plan.Instance, prog *plan.Program) error {
 	if e.cfg.Sharing != SharedAggregation {
 		return fmt.Errorf("core: InstallPlan on a %v engine", e.cfg.Sharing)
@@ -412,8 +385,6 @@ func (e *Engine) InstallPlan(inst *plan.Instance, prog *plan.Program) error {
 	k := len(e.w.SlotFactors)
 	e.inst = inst
 	e.runner = plan.NewRunner(prog, k+1)
-	clear(e.scr.lastScore)
-	e.gov.reset()
 	return nil
 }
 
@@ -494,13 +465,8 @@ type RoundReport struct {
 	// Clicks that arrived this round (from earlier displays).
 	Clicks []workload.Click
 	// Materialized counts the aggregation operations performed this round
-	// (see Stats.NodesMaterialized); with IncrementalCache on, only those of
-	// recomputed instructions.
+	// (see Stats.NodesMaterialized).
 	Materialized int
-	// Cached counts aggregation operations served from the cross-round cache
-	// this round (IncrementalCache mode only). Materialized + Cached is what
-	// Materialized would be with the cache off.
-	Cached int
 }
 
 // Step advances one round: occurring[q] says whether phrase q's auction
@@ -550,14 +516,14 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	}
 
 	// 2. The participants' round bids under the budget policy.
-	part := e.scoreParticipants(occurring)
+	e.scoreParticipants(occurring)
 
 	// 3. Winner determination across the occurring auctions: one path per
 	// sharing mode.
 	k := len(e.w.SlotFactors)
 	switch e.cfg.Sharing {
 	case SharedAggregation:
-		rep.Materialized, rep.Cached = e.runShared(part, occurring)
+		rep.Materialized = e.runner.Run(e.scr.score, occurring)
 	case Independent:
 		rep.Materialized = e.scanIndependent(occurring)
 	}
@@ -609,17 +575,16 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	}
 
 	e.stats.NodesMaterialized += rep.Materialized
-	e.stats.NodesCached += rep.Cached
 	e.stats.Rounds++
 	e.round++
 	return rep
 }
 
 // scoreParticipants computes the round bid and score[i] = b̂_i·c_i of every
-// advertiser in an occurring auction (all others score 0) and returns that
-// set. Both sharing modes read this one slab, so they score bit-identically.
-func (e *Engine) scoreParticipants(occurring []bool) (part bitset.Set) {
-	part = e.scr.part
+// advertiser in an occurring auction (all others score 0). Both sharing
+// modes read this one slab, so they score bit-identically.
+func (e *Engine) scoreParticipants(occurring []bool) {
+	part := e.scr.part
 	part.Clear()
 	auctions := 0 // M: the round's occurring auctions, an upper bound on every m_i
 	for q, occ := range occurring {
@@ -672,7 +637,6 @@ func (e *Engine) scoreParticipants(occurring []bool) (part bitset.Set) {
 			score[i] = rb * a.Quality
 		}
 	}
-	return part
 }
 
 // Drain advances rounds with no occurring auctions until every pending
@@ -682,34 +646,6 @@ func (e *Engine) Drain() {
 	for e.clicks.PendingCount() > 0 {
 		e.Step(none)
 	}
-}
-
-// runShared resolves the round's auctions on the flat-compiled shared plan,
-// through the dirty-cone cache unless it is off or has switched itself off.
-func (e *Engine) runShared(part bitset.Set, occurring []bool) (materialized, cached int) {
-	score := e.scr.score
-	switch {
-	case !e.cfg.IncrementalCache:
-		materialized = e.runner.Run(score, occurring)
-	case e.gov.bypass > 0:
-		materialized = e.runner.Run(score, occurring)
-		if materialized == 0 {
-			break // nothing aggregated: not a round either path resolved
-		}
-		e.stats.CacheBypassedRounds++
-		if e.gov.endBypassRound() {
-			// Probe next round. Run left the validity flags and the
-			// lastScore tags stale, so re-enter through the clean epoch
-			// InstallPlan uses.
-			e.runner.InvalidateAll()
-			clear(e.scr.lastScore)
-		}
-	default:
-		e.invalidateChangedScores(part)
-		materialized, cached = e.runner.RunIncremental(score, occurring)
-		e.gov.observe(materialized, cached)
-	}
-	return materialized, cached
 }
 
 // scanIndependent resolves each occurring phrase with its own scan over its
@@ -729,25 +665,6 @@ func (e *Engine) scanIndependent(occurring []bool) (materialized int) {
 		}
 	}
 	return materialized
-}
-
-// invalidateChangedScores drops cached plan values for every leaf whose
-// effective score changed since its cached value was computed
-// (IncrementalCache mode). Only the round's participants are visited:
-// other leaves are not needed, and their cached values stay tagged with the
-// score they were built from.
-func (e *Engine) invalidateChangedScores(part bitset.Set) {
-	score := e.scr.score
-	last := e.scr.lastScore
-	for j, word := range part.Words() {
-		for ; word != 0; word &= word - 1 {
-			i := j<<6 | bits.TrailingZeros64(word)
-			if s := score[i]; s != last[i] {
-				e.runner.Invalidate(i)
-				last[i] = s
-			}
-		}
-	}
 }
 
 // throttledBid computes advertiser i's Section-IV bid b̂_i for this round

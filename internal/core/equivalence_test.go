@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sharedwd/internal/plan"
 	"sharedwd/internal/pricing"
 	"sharedwd/internal/sharedagg"
 	"sharedwd/internal/workload"
@@ -13,24 +12,16 @@ import (
 // TestEngineStrategyEquivalence is the engine-level equivalence property:
 // over 4 scenarios × 60 randomized rounds (random occurrence vectors, bid
 // perturbation, budgets that exhaust mid-day, GSP and VCG, naive and
-// throttled policies), every way of running the compiled plan — full runs and
-// the incremental cache, each with and without mid-run plan hot-swaps — must
-// produce RoundReports, Stats, and final per-advertiser accounting identical
-// to the Independent engine's, a naive per-phrase scan that shares no plan
-// code with them. Materialization counters are checked against the cache-off
-// compiled engine: every shared variant's Materialized + Cached must equal
-// its Materialized exactly (Independent counts a different cost and takes no
-// part in that check).
+// throttled policies), every way of running the compiled plan — with and
+// without mid-run plan hot-swaps — must produce RoundReports, Stats, and
+// final per-advertiser accounting identical to the Independent engine's, a
+// naive per-phrase scan that shares no plan code with them. Materialization
+// counters are checked against the plain compiled engine (Independent counts
+// a different cost and takes no part in that check).
 //
-// The cold-steady sub-tests drive the compiled-incremental strategies
-// across the cache governor's fallback in both directions: the bid stream
-// alternates stretches where every bid moves every round with stretches
-// where one advertiser re-bids every other round on average, each long
-// enough for the engine to drop to full runs and to probe its way back, and
-// every round must still match the two references (which have no cache to
-// leave). They run on an 800 × 8 universe whose program keeps shared
-// instructions after fusion (asserted), so the cache holds shared runs as
-// well as query outputs.
+// The inert-cache variant sets the deprecated Config.IncrementalCache, which
+// benchmark workloads still set: its Stats must equal the plain compiled
+// engine's field for field, so those workloads measure the one path.
 func TestEngineStrategyEquivalence(t *testing.T) {
 	scenarios := []equivScenario{
 		{"gsp-naive", pricing.GSP, Naive, 0},
@@ -41,127 +32,25 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 	variants := []equivVariant{
 		resultRef: {name: "independent", independent: true},
 		costRef:   {name: "compiled"},
-		{name: "compiled-incremental", incremental: true},
+		{name: "compiled-inert-cache", inertCache: true},
 		{name: "compiled-swap", swap: true},
-		{name: "compiled-incremental-swap", incremental: true, swap: true},
 	}
 	for si, sc := range scenarios {
 		sc, seed := sc, int64(100+si)
 		t.Run(sc.name, func(t *testing.T) {
+			wcfg := workload.DefaultConfig()
+			wcfg.NumAdvertisers, wcfg.NumPhrases, wcfg.NumTopics = 120, 16, 4
 			// Small budgets: many advertisers exhaust mid-run.
-			runEquivalence(t, sc, equivUniverse(seed, 2, 20), variants, 60, func(round int, w *workload.Workload, _ *rand.Rand) {
-				if round%3 == 2 {
-					w.PerturbBids(0.15)
-				}
-			}, nil)
+			wcfg.MinBudget, wcfg.MaxBudget = 2, 20
+			wcfg.Seed = seed
+			runEquivalence(t, sc, wcfg, variants, 60)
 		})
 	}
-
-	fallbackVariants := []equivVariant{
-		resultRef: variants[resultRef],
-		costRef:   variants[costRef],
-		{name: "compiled-incremental", incremental: true},
-	}
-	const cold, steady = 48, 112 // rounds per stretch; cold, steady, cold, steady
-	for si, sc := range scenarios {
-		if sc.name == "vcg-naive" {
-			continue
-		}
-		sc, seed := sc, int64(200+si)
-		t.Run(sc.name+"/cold-steady", func(t *testing.T) {
-			isCold := func(round int) bool { return round%(cold+steady) < cold }
-			// Naive budgets exhaust through the run. Throttled budgets must
-			// not bind: a constrained advertiser's b̂ moves every round with
-			// its ageing outstanding ads and its m, so a binding throttled
-			// engine is cold whatever the bid stream does (the 60-round
-			// scenarios above cover binding budgets).
-			minBudget, maxBudget := 10.0, 100.0
-			if sc.policy == Throttled {
-				minBudget, maxBudget = 2000, 4000
-			}
-			// bypassedAt[i][r]: variant i resolved round r on the fallback.
-			bypassedAt := make([][]bool, len(fallbackVariants))
-			bypassedBefore := make([]int, len(fallbackVariants))
-			// An incremental instruction is dirty when any of its leaves
-			// moved, and fusion leaves instructions of hundreds of leaves, so
-			// a steady stretch is a fixed handful of re-bids a round rather
-			// than a share of the universe: 1 % of 800 re-bids dirties
-			// nearly every instruction every round.
-			const steadyRebids = 0.5
-			wcfg := equivUniverse(seed, minBudget, maxBudget)
-			wcfg.NumAdvertisers, wcfg.NumPhrases, wcfg.NumTopics = 800, 8, 2
-			engines := runEquivalence(t, sc, wcfg, fallbackVariants, 2*(cold+steady),
-				func(round int, w *workload.Workload, pick *rand.Rand) {
-					if isCold(round) {
-						w.PerturbBids(0.15)
-						return
-					}
-					for i := range w.Advertisers {
-						if pick.Float64() < steadyRebids/float64(len(w.Advertisers)) {
-							w.Advertisers[i].Bid *= 1 + 0.15*(pick.Float64()*2-1)
-						}
-					}
-				},
-				func(round int, engines []*Engine) {
-					for i, e := range engines {
-						bypassedAt[i] = append(bypassedAt[i], e.Stats().CacheBypassedRounds > bypassedBefore[i])
-						bypassedBefore[i] = e.Stats().CacheBypassedRounds
-					}
-				})
-			for i, v := range fallbackVariants {
-				if !v.incremental {
-					continue
-				}
-				at := bypassedAt[i]
-				for start := 0; start < len(at); start += cold + steady {
-					n := 0
-					for _, bypassed := range at[start : start+cold] {
-						if bypassed {
-							n++
-						}
-					}
-					if n < cold/2 {
-						t.Errorf("%s: %d of the %d cold rounds from %d ran on the fallback, want most", v.name, n, cold, start)
-					}
-					// The engine is back on its cache well before the steady
-					// stretch ends, and stays there.
-					for r := start + cold + steady/2; r < start+cold+steady; r++ {
-						if at[r] {
-							t.Errorf("%s: steady round %d still on the fallback", v.name, r)
-							break
-						}
-					}
-				}
-				if st := engines[i].Stats(); st.CacheBypassedRounds == 0 || st.NodesCached == 0 {
-					t.Errorf("%s: %d bypassed rounds, %d cached nodes — the stream did not exercise both paths",
-						v.name, st.CacheBypassedRounds, st.NodesCached)
-				}
-				if shared := sharedInstructions(engines[i].runner.Program()); shared == 0 {
-					t.Errorf("%s: every shared node fused into its consumers; the fixture must keep some", v.name)
-				}
-			}
-		})
-	}
-}
-
-// sharedInstructions counts the program's instructions that compute no
-// query: shared nodes large enough to survive fusion.
-func sharedInstructions(prog *plan.Program) int {
-	isQuery := make(map[int32]bool, len(prog.QueryNode))
-	for _, id := range prog.QueryNode {
-		isQuery[id] = true
-	}
-	n := 0
-	for _, out := range prog.Out {
-		if !isQuery[out] {
-			n++
-		}
-	}
-	return n
 }
 
 // Every variant list starts with the two references: the Independent engine
-// every report is compared with, and the cache-off compiled engine every shared variant's aggregation cost is compared with.
+// every report is compared with, and the plain compiled engine every shared
+// variant's aggregation cost is compared with.
 const (
 	resultRef = iota
 	costRef
@@ -176,35 +65,21 @@ type equivScenario struct {
 
 type equivVariant struct {
 	name        string
-	incremental bool
 	independent bool
+	// inertCache sets the deprecated IncrementalCache field, which must
+	// change nothing.
+	inertCache bool
 	// swap hot-swaps a freshly compiled plan (rotated rates) into the
-	// engine every 20 rounds; results must be unchanged (Lemma 1), and an
-	// incremental engine must start the new runner's cache clean.
+	// engine every 20 rounds; results must be unchanged (Lemma 1).
 	swap bool
-}
-
-// equivUniverse is the 120 × 16 universe the equivalence scenarios run on,
-// with the given seed and budget range.
-func equivUniverse(seed int64, minBudget, maxBudget float64) workload.Config {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers, wcfg.NumPhrases, wcfg.NumTopics = 120, 16, 4
-	wcfg.MinBudget, wcfg.MaxBudget = minBudget, maxBudget
-	wcfg.Seed = seed
-	return wcfg
 }
 
 // runEquivalence steps one engine per variant over the same randomized
 // rounds and fails on the first report or account that differs from
 // variants[resultRef]'s, or aggregation cost that differs from
-// variants[costRef]'s. mutate moves one world's bids after each round; it is
-// called once per variant with an identically seeded rng, so every world
-// sees the same bid stream. after, when non-nil, observes the engines once
-// every variant has stepped the round. The drained engines are returned.
-func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, variants []equivVariant,
-	rounds int, mutate func(round int, w *workload.Workload, pick *rand.Rand), after func(round int, engines []*Engine)) []*Engine {
-	seed := wcfg.Seed
-
+// variants[costRef]'s. Every third round moves every world's bids the same
+// way.
+func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, variants []equivVariant, rounds int) {
 	base := DefaultConfig()
 	base.Pricing = sc.rule
 	base.Policy = sc.policy
@@ -213,17 +88,15 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 
 	engines := make([]*Engine, len(variants))
 	worlds := make([]*workload.Workload, len(variants))
-	picks := make([]*rand.Rand, len(variants))
 	for i, v := range variants {
 		cfg := base
-		cfg.IncrementalCache = v.incremental
+		cfg.IncrementalCache = v.inertCache
 		if v.independent {
 			cfg.Sharing = Independent
 		}
 		// Each engine gets its own same-seed workload so identical
 		// stepping consumes identical random streams.
 		worlds[i] = workload.Generate(wcfg)
-		picks[i] = rand.New(rand.NewSource(seed * 13))
 		eng, err := New(worlds[i], cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -252,23 +125,18 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 			// their aggregation cost legitimately diverges; results
 			// above must still match exactly.
 			exemptCost := variants[i].swap && round >= 20
-			if got := rep.Materialized + rep.Cached; got != refFull && !exemptCost {
-				t.Fatalf("%s round %d: materialized %d + cached %d, want %d total",
-					variants[i].name, round, rep.Materialized, rep.Cached, refFull)
-			}
-			if !variants[i].incremental && rep.Cached != 0 {
-				t.Fatalf("%s round %d: non-incremental engine reported %d cached nodes",
-					variants[i].name, round, rep.Cached)
+			if rep.Materialized != refFull && !exemptCost {
+				t.Fatalf("%s round %d: materialized %d, want %d",
+					variants[i].name, round, rep.Materialized, refFull)
 			}
 			if t.Failed() {
 				t.FailNow()
 			}
 		}
-		if after != nil {
-			after(round, engines)
-		}
-		for i, w := range worlds {
-			mutate(round, w, picks[i])
+		if round%3 == 2 {
+			for _, w := range worlds {
+				w.PerturbBids(0.15)
+			}
 		}
 		// Hot-swap a replan into the swap variants mid-run: a plan
 		// rebuilt under rotated rates has different structure but,
@@ -298,15 +166,18 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 		e.Drain()
 	}
 	refStats := engines[resultRef].Stats()
-	fullCost := engines[costRef].Stats().NodesMaterialized
+	costStats := engines[costRef].Stats()
 	for i := 1; i < len(engines); i++ {
 		es := engines[i].Stats()
-		if es.NodesMaterialized+es.NodesCached != fullCost && !variants[i].swap {
-			t.Errorf("%s: lifetime materialized %d + cached %d, want %d",
-				variants[i].name, es.NodesMaterialized, es.NodesCached, fullCost)
+		if variants[i].inertCache && es != costStats {
+			t.Errorf("%s: final stats %+v, want the compiled engine's %+v", variants[i].name, es, costStats)
 		}
-		// How the aggregation cost splits is the strategy's own business.
-		es.NodesMaterialized, es.NodesCached, es.CacheBypassedRounds = refStats.NodesMaterialized, refStats.NodesCached, refStats.CacheBypassedRounds
+		if es.NodesMaterialized != costStats.NodesMaterialized && !variants[i].swap {
+			t.Errorf("%s: lifetime materialized %d, want %d",
+				variants[i].name, es.NodesMaterialized, costStats.NodesMaterialized)
+		}
+		// Independent counts a different aggregation cost.
+		es.NodesMaterialized = refStats.NodesMaterialized
 		if es != refStats {
 			t.Errorf("%s: final stats %+v, want %+v", variants[i].name, es, refStats)
 		}
@@ -317,7 +188,6 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 			}
 		}
 	}
-	return engines
 }
 
 func compareReports(t *testing.T, name string, round int, want, got RoundReport) {

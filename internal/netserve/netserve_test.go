@@ -89,7 +89,7 @@ func (b *fakeBackend) Metrics() server.Metrics {
 		Submitted: 100, Answered: 80, Unmatched: 10, Shed: 5, TimedOut: 3, Expired: 2,
 		QueueDepth: 4, QueueCap: 64,
 		Rounds: 50, EmptyRounds: 20,
-		Engine:       core.Stats{Rounds: 30, AuctionsResolved: 75, NodesCached: 40, CacheBypassedRounds: 6, Revenue: 12.5},
+		Engine:       core.Stats{Rounds: 30, AuctionsResolved: 75, NodesMaterialized: 40, Revenue: 12.5},
 		ReplanFailed: 1,
 	}
 	m.ReplanBuildLatency.Add(0.25)
@@ -235,8 +235,10 @@ func TestStatsRoundTrip(t *testing.T) {
 		got.Engine != want.Engine {
 		t.Fatalf("decoded metrics differ: got %+v want %+v", got, want)
 	}
-	if got.Engine.CacheBypassedRounds != 6 || !strings.Contains(w.Body.String(), `"cache_bypassed_rounds":6`) {
-		t.Fatalf("cache_bypassed_rounds did not round-trip: %+v in %s", got.Engine, w.Body.String())
+	for _, key := range []string{`"nodes_cached"`, `"cache_bypassed_rounds"`} {
+		if strings.Contains(w.Body.String(), key) {
+			t.Fatalf("/v1/stats still carries the removed key %s: %s", key, w.Body.String())
+		}
 	}
 	if got.TotalLatency.Count() != want.TotalLatency.Count() ||
 		got.TotalLatency.Mean() != want.TotalLatency.Mean() {
@@ -318,9 +320,14 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if got := samples["sharedwd_engine_auctions_resolved_total"]; got != "75" {
 		t.Fatalf("sharedwd_engine_auctions_resolved_total = %q, want 75", got)
 	}
-	if got := samples["sharedwd_engine_cache_bypassed_rounds_total"]; got != "6" || types["sharedwd_engine_cache_bypassed_rounds_total"] != "counter" {
-		t.Fatalf("sharedwd_engine_cache_bypassed_rounds_total = %q (%s), want counter 6",
-			got, types["sharedwd_engine_cache_bypassed_rounds_total"])
+	// The deleted cross-round cache's series must stay unexported.
+	for _, fam := range []string{"sharedwd_engine_nodes_cached_total", "sharedwd_engine_cache_bypassed_rounds_total"} {
+		if _, ok := types[fam]; ok {
+			t.Fatalf("removed family %q is still exported", fam)
+		}
+	}
+	if got := samples["sharedwd_engine_nodes_materialized_total"]; got != "40" {
+		t.Fatalf("sharedwd_engine_nodes_materialized_total = %q, want 40", got)
 	}
 	if got := samples["sharedwd_total_latency_seconds_count"]; got != "100" {
 		t.Fatalf("sharedwd_total_latency_seconds_count = %q, want 100", got)

@@ -15,7 +15,7 @@ package plan
 //     over each fragment's leaves — collapse this way into a single fold
 //     over the leaf score slab, which is exactly the linear top-k scan the
 //     independent baseline runs, while large shared interior nodes and query
-//     outputs remain individually materialized and cacheable.
+//     outputs remain individually materialized.
 //
 //   - Linearization. Instructions are emitted level-major (DAG depth, then
 //     node ID), which is a topological order, so one descending sweep from

@@ -372,8 +372,8 @@ func TestRunnerMatchesExecute(t *testing.T) {
 
 // TestRunnerIncrementalSteadyState pins dirty-cone caching on the compiled
 // layout: unchanged scores and occurrence serve the whole
-// cone from cache, a single dirty leaf recomputes only part of it, and
-// InvalidateAll forces a full recompute.
+// cone from cache, a single dirty leaf recomputes only part of it, and a
+// fresh runner recomputes the whole cone.
 func TestRunnerIncrementalSteadyState(t *testing.T) {
 	const k = 5
 	rng := rand.New(rand.NewSource(42))
@@ -413,10 +413,9 @@ func TestRunnerIncrementalSteadyState(t *testing.T) {
 	if r3 >= r1 {
 		t.Fatalf("one dirty leaf recomputed the whole cone (%d of %d)", r3, r1)
 	}
-	r.InvalidateAll()
-	r4, _ := r.RunIncremental(scores, occ)
+	r4, _ := plan.NewRunner(pr, k).RunIncremental(scores, occ)
 	if r4 != r1 {
-		t.Fatalf("after InvalidateAll recomputed %d, want %d", r4, r1)
+		t.Fatalf("a fresh runner recomputed %d, want %d", r4, r1)
 	}
 }
 
@@ -437,7 +436,9 @@ func TestRunnerValueReuse(t *testing.T) {
 			scores := randomScores(rng, inst.NumVars)
 			occ := randomOcc(rng, len(inst.Queries))
 			full.Run(scores, occ)
-			incr.InvalidateAll()
+			for v := range scores {
+				incr.Invalidate(v) // every score is new this round
+			}
 			incr.RunIncremental(scores, occ)
 			for ri, r := range []*plan.Runner{full, incr} {
 				if slots[ri] == nil {
@@ -510,7 +511,7 @@ func sameQueryRuns(t *testing.T, label string, occ []bool, got, want *plan.Runne
 // TestRunnerStreamedMatchesStored holds demand-driven storing to the
 // store-everything semantics: on every lowering programs covers, a
 // sequential Run must give the query runs and the count of a pass that
-// stores every instruction (InvalidateAll + RunIncremental), and that pass
+// stores every instruction (RunIncremental on a fresh runner), and that pass
 // must give memo Execute's runs, on random plans, scores and occurrence
 // vectors. It also checks the storing rule itself against a test-side count
 // of each needed instruction's needed readers: Run holds an instruction iff
@@ -527,7 +528,7 @@ func TestRunnerStreamedMatchesStored(t *testing.T) {
 				pr := np.pr
 				isOutput := make([]bool, pr.NumInstr())
 				readers := make([]int, pr.NumInstr())
-				stored, r := plan.NewRunner(pr, k), plan.NewRunner(pr, k)
+				r := plan.NewRunner(pr, k)
 				for round := 0; round < 20; round++ {
 					label := fmt.Sprintf("seed %d plan %d %s round %d", seed, pi, np.name, round)
 					scores := randomScores(rng, inst.NumVars)
@@ -540,7 +541,7 @@ func TestRunnerStreamedMatchesStored(t *testing.T) {
 						return l
 					}
 					want, _ := plan.Execute(p, memoLeaf, topk.Merge, occ)
-					stored.InvalidateAll()
+					stored := plan.NewRunner(pr, k)
 					rec, cached := stored.RunIncremental(scores, occ)
 					if cached != 0 {
 						t.Fatalf("%s: store-everything pass served %d from cache", label, cached)

@@ -30,6 +30,11 @@ import (
 //     since it was computed (see Invalidate) — preserving the Section III-B
 //     dirty-cone caching semantics at instruction granularity.
 //
+// The engine resolves every round with Run. RunIncremental and Invalidate
+// are kept only for benchmark/'s plan.run_incremental_us_p50 probe and
+// FuzzCompiledRun, and go with the other benchmark shims (ROADMAP item
+// 1(f)); no other non-test code may call them.
+//
 // Both run on the caller's goroutine; a Runner is not safe for concurrent
 // use. An engine is one goroutine, and shards are the unit of parallelism
 // (DESIGN.md §11).
@@ -159,9 +164,6 @@ func (r *Runner) invalidate(stack, ins []int32) []int32 {
 	return stack
 }
 
-// InvalidateAll drops every cached value.
-func (r *Runner) InvalidateAll() { clear(r.valid) }
-
 // Run evaluates the occurring queries (nil means all occur) from the leaf
 // scores alone. scores[v] is leaf v's value for the round (b̂_v·c_v in the
 // engine); entries are emitted only for strictly positive scores. The
@@ -182,7 +184,7 @@ func (r *Runner) Run(scores []float64, occurring []bool) (materialized int) {
 // as part of the instruction that expands them, so the split is coarser
 // than node-granular — the sum is the invariant. The cache is only as good
 // as the Invalidate calls behind it: after rounds whose score changes were
-// not reported (an engine on plain Run), re-enter through InvalidateAll.
+// not reported, start over on a fresh Runner.
 func (r *Runner) RunIncremental(scores []float64, occurring []bool) (recomputed, cached int) {
 	return r.run(scores, occurring, true)
 }

@@ -23,12 +23,11 @@
 //
 // The round loop polls for a finished Build at each round boundary (one
 // atomic load) and installs it with core.Engine.InstallPlan — an O(plan)
-// pointer swap plus fresh executor state, so admission never pauses and the
-// incremental dirty-cone cache starts a clean epoch. Because every complete
-// plan over the same queries computes identical top-k results (Lemma 1:
-// A-equivalence is variable-set equality), a mid-stream swap changes only
-// the cost of winner determination, never the winners — the equivalence
-// property the tests pin down.
+// pointer swap plus a fresh Runner, so admission never pauses. Because
+// every complete plan over the same queries computes identical top-k
+// results (Lemma 1: A-equivalence is variable-set equality), a mid-stream
+// swap changes only the cost of winner determination, never the winners —
+// the equivalence property the tests pin down.
 //
 // Thread safety: Observe, Stats, ObservedRates*, and Close must be called
 // from one goroutine (the round loop that owns the engine). Only the

@@ -151,13 +151,10 @@ type RoundSummary struct {
 
 // DefaultConfig returns a serving configuration suited to the synthetic
 // workloads: 5 ms rounds, early close at 256 pending, 4096-deep queue, and
-// the engine's default (GSP, throttled, shared) configuration with the
-// cross-round incremental cache on — the setting where batching pays.
+// the engine's default (GSP, throttled, shared) configuration.
 func DefaultConfig() Config {
-	ecfg := core.DefaultConfig()
-	ecfg.IncrementalCache = true
 	return Config{
-		Engine:        ecfg,
+		Engine:        core.DefaultConfig(),
 		RoundInterval: 5 * time.Millisecond,
 		MaxBatch:      256,
 		QueueDepth:    4096,

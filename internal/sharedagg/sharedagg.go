@@ -82,9 +82,9 @@ func Build(inst *plan.Instance) *plan.Plan {
 // have exactly one consumer, so the compiler fuses every fragment into a
 // single fold over its leaves' scores, while stage-2 aggregates — the nodes
 // that actually carry cross-query sharing — stay individually materialized
-// and cacheable where they are large enough to pay for it (the compiler
-// fuses smaller ones into each consumer too). Returning both forms lets
-// callers keep the Plan for cost accounting, serialization, and
+// and stored for their consumers where they are large enough to pay for it
+// (the compiler fuses smaller ones into each consumer too). Returning both
+// forms lets callers keep the Plan for cost accounting, serialization, and
 // visualization while executing the Program.
 func BuildCompiled(inst *plan.Instance) (*plan.Plan, *plan.Program, error) {
 	p := Build(inst)

@@ -505,7 +505,7 @@ func DefaultEngineConfig() EngineConfig { return core.DefaultConfig() }
 
 // DefaultServerConfig returns the default serving configuration: 5 ms
 // rounds, early close at 256 pending queries, a 4096-deep admission queue,
-// and the default engine configuration with the incremental cache on.
+// and the default engine configuration.
 func DefaultServerConfig() ServerConfig { return server.DefaultConfig() }
 
 // DefaultWorkloadConfig returns a mid-sized workload configuration.
@@ -544,12 +544,6 @@ func WithBudgetPolicy(p BudgetPolicy) EngineOption { return func(c *EngineConfig
 // WithSharing selects shared-plan vs independent winner determination.
 func WithSharing(m SharingMode) EngineOption { return func(c *EngineConfig) { c.Sharing = m } }
 
-// WithIncrementalCache toggles cross-round plan-result caching: only the
-// dirty cone of changed bids is re-materialized each round.
-func WithIncrementalCache(on bool) EngineOption {
-	return func(c *EngineConfig) { c.IncrementalCache = on }
-}
-
 // WithReserve sets the per-click reserve price (0 disables it).
 func WithReserve(price float64) EngineOption { return func(c *EngineConfig) { c.Reserve = price } }
 
@@ -566,8 +560,7 @@ func WithClickModel(hazard float64, horizon int) EngineOption {
 //
 //	eng, err := sharedwd.NewEngine(w,
 //	    sharedwd.WithPricing(sharedwd.VCG),
-//	    sharedwd.WithBudgetPolicy(sharedwd.Throttled),
-//	    sharedwd.WithIncrementalCache(true))
+//	    sharedwd.WithBudgetPolicy(sharedwd.Throttled))
 //
 // It returns an error for invalid configurations or a per-phrase-quality
 // workload (use NewSortEngine there).
