@@ -59,7 +59,7 @@ bench-binary:
 # throughput benchmark, the shard sweep, and both network edges (HTTP and
 # binary).
 bench-json:
-	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep|ReplanSwap' -benchmem -benchtime=2s -run='^$$' . \
+	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep' -benchmem -benchtime=2s -run='^$$' . \
 		| $(GO) run ./tools/benchjson > BENCH_core.json
 	@cat BENCH_core.json
 	$(GO) test -bench='ServerThroughput|ShardedThroughput|HTTPThroughput|BinaryThroughput' -benchmem -benchtime=2s -run='^$$' . \
@@ -70,7 +70,7 @@ bench-json:
 # against the committed BENCH_core.json, failing on a >20% ns/op regression
 # (the CI regression gate runs the same comparison).
 bench-compare:
-	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep|ReplanSwap' -benchmem -benchtime=2s -run='^$$' . \
+	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep' -benchmem -benchtime=2s -run='^$$' . \
 		| $(GO) run ./tools/benchjson -compare BENCH_core.json
 
 # fuzz smoke-runs the fuzzers for a few seconds each: the binary protocol's

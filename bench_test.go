@@ -273,117 +273,6 @@ func BenchmarkIncrementalRounds(b *testing.B) {
 	}
 }
 
-// BenchmarkReplanSwap measures the adaptive-replanning claim: after traffic
-// drift (arrival rates rotated by half the phrase universe), hot-swapping a
-// plan rebuilt for the observed rates recovers the per-round cost of a plan
-// built for those rates natively. Three variants run identical drifted
-// traffic: stale keeps the pre-drift plan (pays the mismatch), swapped
-// installs the rebuilt plan via Engine.InstallPlan, native built its plan
-// from the drifted rates in the first place. swapped's ns/op and
-// nodes/round should track native within a few percent (they execute the
-// same deterministic heuristic's output); the install variant measures the
-// round-boundary stall of the swap itself.
-func BenchmarkReplanSwap(b *testing.B) {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers = 1000
-	wcfg.NumPhrases = 48
-	wcfg.NumTopics = 6
-	// Inexhaustible budgets keep rounds identical so ns/op does not depend
-	// on iteration count (same reasoning as BenchmarkRoundResolution).
-	wcfg.MinBudget = 1e6
-	wcfg.MaxBudget = 2e6
-
-	rotated := func(rates []float64) []float64 {
-		n := len(rates)
-		out := make([]float64, n)
-		for q := range out {
-			out[q] = rates[(q+n/2)%n]
-		}
-		return out
-	}
-	// All variants consume the same drifted occurrence vectors.
-	sampleOccs := func(rates []float64) [][]bool {
-		rng := rand.New(rand.NewSource(7))
-		occs := make([][]bool, 64)
-		for i := range occs {
-			occ := make([]bool, len(rates))
-			for q := range occ {
-				occ[q] = rng.Float64() < rates[q]
-			}
-			occs[i] = occ
-		}
-		return occs
-	}
-
-	for _, variant := range []string{"stale", "swapped", "native"} {
-		b.Run(variant, func(b *testing.B) {
-			w := workload.Generate(wcfg)
-			drifted := rotated(w.Rates)
-			if variant == "native" {
-				if err := w.SetRates(drifted); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ecfg := core.DefaultConfig()
-			ecfg.Policy = core.Naive
-			eng, err := core.New(w, ecfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if variant == "swapped" {
-				inst, _, prog, err := sharedagg.BuildCompiledWithRates(eng.PlanInstance(), drifted)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.InstallPlan(inst, prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-			occs := sampleOccs(drifted)
-			for i := 0; i < 50; i++ {
-				eng.Step(occs[eng.Round()%len(occs)])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := eng.Stats()
-			for i := 0; i < b.N; i++ {
-				eng.Step(occs[eng.Round()%len(occs)])
-			}
-			st := eng.Stats()
-			b.ReportMetric(float64(st.NodesMaterialized-start.NodesMaterialized)/float64(b.N), "nodes/round")
-		})
-	}
-
-	b.Run("install", func(b *testing.B) {
-		w := workload.Generate(wcfg)
-		eng, err := core.New(w, core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		original := append([]float64(nil), w.Rates...)
-		type build struct {
-			inst *plan.Instance
-			prog *plan.Program
-		}
-		var builds [2]build
-		for i, rates := range [][]float64{rotated(original), original} {
-			inst, _, prog, err := sharedagg.BuildCompiledWithRates(eng.PlanInstance(), rates)
-			if err != nil {
-				b.Fatal(err)
-			}
-			builds[i] = build{inst, prog}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bd := builds[i%2]
-			if err := eng.InstallPlan(bd.inst, bd.prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSteadyStateStep pins the zero-allocation claim in benchmark form:
 // after warm-up, a shared-mode engine round allocates nothing (allocs/op
 // must read 0). The sub-benchmark keeps its cache=false name so its

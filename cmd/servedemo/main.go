@@ -2,7 +2,8 @@
 // pool of client goroutines draws messy raw queries from a QueryStream
 // (case variants, synonyms, junk) and submits them with per-request
 // deadlines, while the server batches them into rounds and resolves shared
-// winner determination. With -shards > 1 the bid-phrase universe is
+// winner determination over a plan each engine builds once, at start-up,
+// from the workload's search rates. With -shards > 1 the bid-phrase universe is
 // partitioned across that many engine shards — each with its own round
 // loop — and advertiser budgets settle through the central ledger. Live
 // per-second snapshots show throughput, queue depth, shed/timeout
@@ -15,7 +16,6 @@
 //	          [-clients 64] [-duration 10s] [-round 5ms] [-batch 256]
 //	          [-queue 4096] [-deadline 100ms] [-junk 0.05]
 //	          [-shards 1] [-router hash|fragment]
-//	          [-replan] [-drift]
 //	          [-pacing 0] [-churn 0] [-refresh-every 0]
 //	          [-listen :8080] [-listen-binary :8081] [-rate-limit 0]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -32,14 +32,6 @@
 // address against the same backend — point `loadgen -proto binary -addr`
 // at it. Both edges can run at once; on shutdown the binary edge drains
 // first, then the HTTP tier closes the shared backend.
-//
-// -replan turns on online adaptive replanning: each round loop tracks the
-// arrival rates it observes and hot-swaps a freshly compiled shared plan
-// when they drift from the rates the live plan was built for. -drift
-// injects the drift to react to: halfway through the run every client
-// rotates its query stream's rates by half the phrase universe, so popular
-// phrases go quiet and quiet ones go popular while the server keeps
-// serving. The final summary then reports builds, swaps, and swap latency.
 //
 // -pacing N turns on the budget-pacing controller with an N-round horizon:
 // one shared Pacer throttles advertiser bids toward a smooth spend curve
@@ -70,7 +62,6 @@ import (
 	"sharedwd/internal/binproto"
 	"sharedwd/internal/budget"
 	"sharedwd/internal/netserve"
-	"sharedwd/internal/replan"
 	"sharedwd/internal/server"
 	"sharedwd/internal/shard"
 	"sharedwd/internal/workload"
@@ -93,8 +84,6 @@ func main() {
 	junk := flag.Float64("junk", 0.05, "fraction of junk queries matching no phrase")
 	shards := flag.Int("shards", 1, "engine shards (each phrase partition gets its own round loop)")
 	router := flag.String("router", "hash", "phrase-to-shard router: hash or fragment")
-	replanOn := flag.Bool("replan", false, "adaptive replanning: hot-swap the shared plan when observed rates drift")
-	drift := flag.Bool("drift", false, "inject traffic drift halfway through (rotate arrival rates by half the phrases)")
 	pacing := flag.Int("pacing", 0, "budget pacing horizon in rounds (0 disables the pacing controller)")
 	churn := flag.Float64("churn", 0, "fraction of advertisers running sub-day campaign windows (needs -pacing)")
 	refreshEvery := flag.Int("refresh-every", 0, "budget-refresh epoch period in rounds, 0 disables (needs -pacing)")
@@ -144,15 +133,6 @@ func main() {
 	cfg.MaxBatch = *batch
 	cfg.QueueDepth = *queue
 	cfg.BidWalkScale = 0.02
-	if *replanOn {
-		// The demo runs for seconds, not days: tighten the warmup and
-		// hysteresis so a mid-run drift is caught within the run.
-		rc := replan.DefaultConfig()
-		rc.WarmupRounds = 100
-		rc.CheckEvery = 25
-		rc.CooldownRounds = 200
-		cfg.Replan = &rc
-	}
 
 	if *pacing > 0 {
 		pc := budget.DefaultPacerConfig()
@@ -231,23 +211,16 @@ func main() {
 	fmt.Println()
 
 	var stop atomic.Bool
-	driftAt := time.Now().Add(*duration / 2)
 	var wg sync.WaitGroup
 	for c := 0; c < *clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			// Each client owns a private stream; distinct seeds keep the
-			// traffic independent. The stream holds a private rate copy, so
-			// drift injection below never touches the server-owned workload.
+			// traffic independent.
 			qs := workload.NewQueryStream(w, *junk, *seed+int64(c)*7919)
 			rng := rand.New(rand.NewSource(*seed + int64(c)))
-			drifted := false
 			for !stop.Load() {
-				if *drift && !drifted && time.Now().After(driftAt) {
-					qs.RotateRates(*phrases / 2)
-					drifted = true
-				}
 				queries := qs.Round()
 				if len(queries) == 0 {
 					continue
@@ -305,11 +278,6 @@ func main() {
 		m.WinnerDetermination.Mean()*1e3, m.WinnerDetermination.P95()*1e3)
 	fmt.Printf("engine: %d auctions, %d ads displayed, $%.2f revenue\n",
 		m.Engine.AuctionsResolved, m.Engine.AdsDisplayed, m.Engine.Revenue)
-	if *replanOn {
-		fmt.Printf("replan: %d builds (%d failed), %d plan swaps, background build mean %.3gms, swap install mean %.3gms (max %.3gms)\n",
-			m.ReplanBuilds, m.ReplanFailed, m.PlanSwaps, m.ReplanBuildLatency.Mean()*1e3,
-			m.PlanSwapLatency.Mean()*1e3, m.PlanSwapLatency.Max()*1e3)
-	}
 	if m.Pacing.Enabled {
 		meanFactor := 1.0
 		if m.Pacing.Active > 0 {

@@ -174,11 +174,12 @@ type Engine struct {
 	// (Independent engines only; nil otherwise).
 	interest [][]int32
 
-	inst *plan.Instance
-
 	// runner executes the flat-compiled instruction stream over dense entry
-	// slabs — the shared-mode path. It holds the engine's only reference to
-	// the Program; the Plan it was compiled from is not kept.
+	// slabs — the shared-mode path. New builds it once from the workload's
+	// rates and it is never replaced: by Lemma 1 every complete plan over
+	// the same queries picks the same winners, so a rebuilt plan could only
+	// change cost. It holds the engine's only reference to the Program;
+	// neither the Plan nor the Instance it was built from is kept.
 	runner *plan.Runner
 
 	clicks *workload.ClickSim
@@ -337,7 +338,6 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: building plan instance: %w", err)
 		}
-		e.inst = inst
 		_, prog, err := sharedagg.BuildCompiled(inst)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -354,38 +354,6 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// PlanInstance returns the planning instance the engine's live shared plan
-// was built from (nil in Independent mode). The online replanner re-poses
-// it under observed rates; callers must treat it as immutable.
-func (e *Engine) PlanInstance() *plan.Instance { return e.inst }
-
-// InstallPlan hot-swaps the engine's shared aggregation plan for a freshly
-// compiled one over the same queries and universe — the replanner's swap
-// step. Because all complete plans for the same queries are A-equivalent
-// (Lemma 1), swapping changes only the cost of winner determination, never
-// its results; the swap is therefore safe at any round boundary. It installs
-// a fresh Runner over the new program. Must be called from the engine's
-// owning goroutine, between Steps — the server's round loop does exactly
-// that.
-func (e *Engine) InstallPlan(inst *plan.Instance, prog *plan.Program) error {
-	if e.cfg.Sharing != SharedAggregation {
-		return fmt.Errorf("core: InstallPlan on a %v engine", e.cfg.Sharing)
-	}
-	if inst == nil || prog == nil {
-		return fmt.Errorf("core: InstallPlan with nil instance or program")
-	}
-	if inst.NumVars != len(e.w.Advertisers) {
-		return fmt.Errorf("core: plan instance has %d variables, engine %d advertisers", inst.NumVars, len(e.w.Advertisers))
-	}
-	if len(inst.Queries) != len(e.w.Interests) {
-		return fmt.Errorf("core: plan instance has %d queries, engine %d phrases", len(inst.Queries), len(e.w.Interests))
-	}
-	k := len(e.w.SlotFactors)
-	e.inst = inst
-	e.runner = plan.NewRunner(prog, k+1)
-	return nil
 }
 
 // Close is an idempotent no-op: an engine owns no goroutines or other

@@ -145,7 +145,11 @@ func TestSharedMatchesIndependentOutcomes(t *testing.T) {
 		// nodes than Σ(|X_q| − 1). (The engine's compiled program fuses
 		// small shared nodes into each consumer, so its own count can
 		// exceed the plan's.)
-		_, planOps := plan.Execute(sharedagg.Build(engS.PlanInstance()),
+		queries := make([]plan.Query, len(w1.Interests))
+		for q := range queries {
+			queries[q] = plan.Query{Vars: w1.Interests[q], Rate: w1.Rates[q]}
+		}
+		_, planOps := plan.Execute(sharedagg.Build(plan.MustInstance(len(w1.Advertisers), queries)),
 			func(int) struct{} { return struct{}{} },
 			func(struct{}, struct{}) struct{} { return struct{}{} }, occ)
 		if planOps >= repI.Materialized {

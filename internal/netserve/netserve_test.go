@@ -89,11 +89,8 @@ func (b *fakeBackend) Metrics() server.Metrics {
 		Submitted: 100, Answered: 80, Unmatched: 10, Shed: 5, TimedOut: 3, Expired: 2,
 		QueueDepth: 4, QueueCap: 64,
 		Rounds: 50, EmptyRounds: 20,
-		Engine:       core.Stats{Rounds: 30, AuctionsResolved: 75, NodesMaterialized: 40, Revenue: 12.5},
-		ReplanFailed: 1,
+		Engine: core.Stats{Rounds: 30, AuctionsResolved: 75, NodesMaterialized: 40, Revenue: 12.5},
 	}
-	m.ReplanBuildLatency.Add(0.25)
-	m.ReplanBuildLatency.Add(0.5)
 	for i := 0; i < 100; i++ {
 		m.TotalLatency.Summary.Add(float64(i) / 1000)
 	}
@@ -235,7 +232,12 @@ func TestStatsRoundTrip(t *testing.T) {
 		got.Engine != want.Engine {
 		t.Fatalf("decoded metrics differ: got %+v want %+v", got, want)
 	}
-	for _, key := range []string{`"nodes_cached"`, `"cache_bypassed_rounds"`} {
+	// The deleted cross-round cache's and plan replanner's keys.
+	for _, key := range []string{
+		`"nodes_cached"`, `"cache_bypassed_rounds"`,
+		`"observed"`, `"plan_swaps"`, `"replan_builds"`, `"replan_failed"`,
+		`"plan_swap_latency"`, `"replan_build_latency"`,
+	} {
 		if strings.Contains(w.Body.String(), key) {
 			t.Fatalf("/v1/stats still carries the removed key %s: %s", key, w.Body.String())
 		}
@@ -320,8 +322,13 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if got := samples["sharedwd_engine_auctions_resolved_total"]; got != "75" {
 		t.Fatalf("sharedwd_engine_auctions_resolved_total = %q, want 75", got)
 	}
-	// The deleted cross-round cache's series must stay unexported.
-	for _, fam := range []string{"sharedwd_engine_nodes_cached_total", "sharedwd_engine_cache_bypassed_rounds_total"} {
+	// The deleted cross-round cache's and plan replanner's series must stay
+	// unexported.
+	for _, fam := range []string{
+		"sharedwd_engine_nodes_cached_total", "sharedwd_engine_cache_bypassed_rounds_total",
+		"sharedwd_plan_swaps_total", "sharedwd_replan_builds_total", "sharedwd_replan_failed_total",
+		"sharedwd_replan_build_seconds_total", "sharedwd_replan_build_seconds_max",
+	} {
 		if _, ok := types[fam]; ok {
 			t.Fatalf("removed family %q is still exported", fam)
 		}
@@ -331,15 +338,6 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if got := samples["sharedwd_total_latency_seconds_count"]; got != "100" {
 		t.Fatalf("sharedwd_total_latency_seconds_count = %q, want 100", got)
-	}
-	for name, want := range map[string]string{
-		"sharedwd_replan_failed_total":        "1",
-		"sharedwd_replan_build_seconds_total": "0.75",
-		"sharedwd_replan_build_seconds_max":   "0.5",
-	} {
-		if got := samples[name]; got != want {
-			t.Fatalf("%s = %q, want %s", name, got, want)
-		}
 	}
 }
 
@@ -560,6 +558,12 @@ func TestLiveFeedBroadcast(t *testing.T) {
 	}
 	if got != rs {
 		t.Fatalf("round summary = %+v, want %+v", got, rs)
+	}
+	// The deleted plan replanner's keys must stay off the feed.
+	for _, key := range []string{`"plan_swaps"`, `"swapped"`} {
+		if strings.Contains(string(payload), key) {
+			t.Fatalf("round summary still carries the removed key %s: %s", key, payload)
+		}
 	}
 
 	// Ping → pong with the same payload.

@@ -78,12 +78,6 @@ func writeProm(w io.Writer, m server.Metrics, edge edgeStats) {
 	promCounter(w, "sharedwd_engine_forgiven_value_total", "Value of forgiven clicks (the paper's lost revenue).", m.Engine.ForgivenValue)
 	promCounter(w, "sharedwd_engine_ads_displayed_total", "Ads displayed.", float64(m.Engine.AdsDisplayed))
 
-	promCounter(w, "sharedwd_plan_swaps_total", "Plans hot-swapped into engines by the adaptive replanner.", float64(m.PlanSwaps))
-	promCounter(w, "sharedwd_replan_builds_total", "Background plan rebuilds started.", float64(m.ReplanBuilds))
-	promCounter(w, "sharedwd_replan_failed_total", "Background plan rebuilds that ended in an error.", float64(m.ReplanFailed))
-	promCounter(w, "sharedwd_replan_build_seconds_total", "Background build time of the plans swapped in.", m.ReplanBuildLatency.Mean()*float64(m.ReplanBuildLatency.N()))
-	promGauge(w, "sharedwd_replan_build_seconds_max", "Longest background build of a plan swapped in.", m.ReplanBuildLatency.Max())
-
 	if m.Pacing.Enabled {
 		promGauge(w, "sharedwd_pacing_advertisers", "Advertiser universe under pacing control.", float64(m.Pacing.Advertisers))
 		promGauge(w, "sharedwd_pacing_active", "Advertisers currently active (joined, not left).", float64(m.Pacing.Active))

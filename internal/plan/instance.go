@@ -14,7 +14,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"sharedwd/internal/bitset"
@@ -71,26 +70,6 @@ func MustInstance(numVars int, queries []Query) *Instance {
 		panic(err)
 	}
 	return inst
-}
-
-// WithRates returns a copy of the instance with per-query rates replaced by
-// rates (one per query, each a probability). Variable sets are shared with
-// the receiver — they are immutable once an instance is built — so re-posing
-// an instance under observed traffic (the online replanner's job) costs one
-// Query slice. NaN or out-of-range rates are rejected.
-func (in *Instance) WithRates(rates []float64) (*Instance, error) {
-	if len(rates) != len(in.Queries) {
-		return nil, fmt.Errorf("plan: %d rates for %d queries", len(rates), len(in.Queries))
-	}
-	qs := make([]Query, len(in.Queries))
-	for i, q := range in.Queries {
-		r := rates[i]
-		if math.IsNaN(r) || r < 0 || r > 1 {
-			return nil, fmt.Errorf("plan: query %d rate %v outside [0,1]", i, r)
-		}
-		qs[i] = Query{Vars: q.Vars, Rate: r}
-	}
-	return &Instance{NumVars: in.NumVars, Queries: qs}, nil
 }
 
 // UniformRates returns a copy of the instance with every query's rate set to

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"time"
 
 	"sharedwd/internal/budget"
@@ -126,54 +125,12 @@ type Metrics struct {
 	// round on each worker.
 	Engine core.Stats `json:"engine"`
 
-	// Observed is the adaptive replanner's per-phrase arrival-rate
-	// estimate, one sample per phrase keyed by global phrase ID and sorted
-	// by it. Empty when replanning is off. Merging workers concatenates
-	// their samples — a sharded fleet partitions the phrase universe, so
-	// the union is the fleet-wide estimate.
-	Observed []RateSample `json:"observed,omitempty"`
-	// PlanSwaps counts plans hot-swapped into engines; ReplanBuilds counts
-	// background rebuilds started (a build in flight when the server closes
-	// is started but never swapped); ReplanFailed counts those that ended
-	// in an error instead of a plan (none are expected).
-	PlanSwaps    int64 `json:"plan_swaps"`
-	ReplanBuilds int64 `json:"replan_builds"`
-	ReplanFailed int64 `json:"replan_failed"`
-	// PlanSwapLatency is the distribution of in-loop swap installation
-	// times (seconds) — the round-loop stall a hot swap actually costs.
-	PlanSwapLatency stats.Summary `json:"plan_swap_latency"`
-	// ReplanBuildLatency is the distribution of background build times
-	// (seconds; heuristic plus compilation) of the plans swapped in — CPU
-	// the builder goroutine took beside the round loop, not a stall.
-	ReplanBuildLatency stats.Summary `json:"replan_build_latency"`
-
 	// Pacing is the budget-pacing controller's spend-curve view: target vs
 	// realized spend, throttle activity, and the per-round pacing-error
 	// distribution. Zero (Enabled false) when pacing is off. On a sharded
 	// fleet the controller is shared, so the shard server attaches it once
 	// to the fleet view rather than per worker.
 	Pacing budget.PacingMetrics `json:"pacing"`
-}
-
-// RateSample is one phrase's observed arrival-rate estimate.
-type RateSample struct {
-	// Phrase is the global phrase ID.
-	Phrase int `json:"phrase"`
-	// Rate is the exponentially-decayed occurrence-rate estimate in [0,1].
-	Rate float64 `json:"rate"`
-}
-
-// ObservedRates projects the Observed samples onto a dense vector over a
-// global phrase universe of size n: out[id] is phrase id's observed rate, 0
-// for phrases with no sample. Samples outside [0,n) are dropped.
-func (m Metrics) ObservedRates(n int) []float64 {
-	out := make([]float64, n)
-	for _, s := range m.Observed {
-		if s.Phrase >= 0 && s.Phrase < n {
-			out[s.Phrase] = s.Rate
-		}
-	}
-	return out
 }
 
 // Merge returns the aggregate of two metric sets: counters and engine
@@ -200,17 +157,6 @@ func (m Metrics) Merge(o Metrics) Metrics {
 	out.WinnerDetermination = m.WinnerDetermination.Merge(o.WinnerDetermination)
 	out.TotalLatency = m.TotalLatency.Merge(o.TotalLatency)
 	out.Engine = m.Engine.Add(o.Engine)
-	if len(m.Observed)+len(o.Observed) > 0 {
-		out.Observed = make([]RateSample, 0, len(m.Observed)+len(o.Observed))
-		out.Observed = append(out.Observed, m.Observed...)
-		out.Observed = append(out.Observed, o.Observed...)
-		sort.Slice(out.Observed, func(i, j int) bool { return out.Observed[i].Phrase < out.Observed[j].Phrase })
-	}
-	out.PlanSwaps += o.PlanSwaps
-	out.ReplanBuilds += o.ReplanBuilds
-	out.ReplanFailed += o.ReplanFailed
-	out.PlanSwapLatency.Merge(o.PlanSwapLatency)
-	out.ReplanBuildLatency.Merge(o.ReplanBuildLatency)
 	out.Pacing = m.Pacing.Merge(o.Pacing)
 	out.RoundsPerSec, out.QueriesPerSec = 0, 0
 	if sec := out.Uptime.Seconds(); sec > 0 {

@@ -43,7 +43,6 @@ import (
 
 	"sharedwd/internal/budget"
 	"sharedwd/internal/core"
-	"sharedwd/internal/replan"
 	"sharedwd/internal/serr"
 	"sharedwd/internal/workload"
 )
@@ -51,7 +50,9 @@ import (
 // Config parameterizes a round worker (and hence the single-worker Server).
 // The zero value is not valid; start from DefaultConfig.
 type Config struct {
-	// Engine configures the wrapped winner-determination engine.
+	// Engine configures the wrapped winner-determination engine. NewWorker
+	// builds the engine, and with it the shared plan, once; the plan serves
+	// for the worker's whole life.
 	Engine core.Config
 	// RoundInterval is the ticker period at which rounds close regardless of
 	// batch size — the latency/sharing tradeoff knob of the paper's §I.
@@ -80,21 +81,6 @@ type Config struct {
 	// under full queues can be exercised deterministically (see the soak
 	// tests). Leave nil in production configurations.
 	BeforeStep func()
-
-	// Replan, when non-nil, turns on online adaptive replanning: the round
-	// loop tracks observed per-phrase arrival rates, and when they drift far
-	// enough from the rates the live plan was built for, a fresh plan is
-	// compiled on a background goroutine and hot-swapped into the engine at
-	// a round boundary — admission never pauses, and results are unchanged
-	// (all complete plans are A-equivalent). Requires a SharedAggregation
-	// engine. See internal/replan.
-	Replan *replan.Config
-
-	// PhraseIDs maps this worker's local phrase IDs to global ones in the
-	// Observed rate samples it reports (the sharded server sets it to the
-	// shard's partition index row). Nil means the identity mapping; when
-	// non-nil its length must equal the workload's phrase count.
-	PhraseIDs []int
 
 	// ShardID labels the RoundSummary events this worker emits (the sharded
 	// server numbers its workers); it does not affect serving. 0 for a
@@ -139,10 +125,6 @@ type RoundSummary struct {
 	Expired int `json:"expired"`
 	// Shed is the worker's cumulative admission-shed count at round close.
 	Shed int64 `json:"shed"`
-	// PlanSwaps is the worker's cumulative hot-swap count; Swapped reports
-	// whether this round installed one.
-	PlanSwaps int64 `json:"plan_swaps"`
-	Swapped   bool  `json:"swapped"`
 	// P50 and P95 are the worker's lifetime total-latency quantiles
 	// (seconds) as of this round.
 	P50 float64 `json:"p50_seconds"`
@@ -177,14 +159,6 @@ func (c Config) Validate() error {
 	}
 	if c.LatencyRange < 0 {
 		return fmt.Errorf("server: negative latency range %v", c.LatencyRange)
-	}
-	if c.Replan != nil {
-		if err := c.Replan.Validate(); err != nil {
-			return err
-		}
-		if c.Engine.Sharing != core.SharedAggregation {
-			return fmt.Errorf("server: replanning requires a shared-aggregation engine")
-		}
 	}
 	if c.Pacing != nil {
 		if err := c.Pacing.Validate(); err != nil {
@@ -235,7 +209,9 @@ type Server struct {
 // When cfg.Pacing is set, New builds the pacing controller over the
 // engine's budget authority — installing a budget.Ledger as Engine.Ledger
 // first if the caller didn't supply one, since refresh epochs need a
-// depositable authority — and attaches cfg.Lifecycle to both.
+// depositable authority — and attaches cfg.Lifecycle to both. A
+// caller-supplied Engine.Ledger that is not a budget.Authority (it lacks
+// Spent or Deposit) is an error rather than silently replaced.
 func New(w *workload.Workload, cfg Config) (*Server, error) {
 	var pacer *budget.Pacer
 	if cfg.Pacing != nil {
@@ -243,11 +219,16 @@ func New(w *workload.Workload, cfg Config) (*Server, error) {
 		for i, a := range w.Advertisers {
 			budgets[i] = a.Budget
 		}
-		auth, _ := cfg.Engine.Ledger.(budget.Authority)
-		if auth == nil {
+		var auth budget.Authority
+		switch l := cfg.Engine.Ledger.(type) {
+		case nil:
 			ledger := budget.NewLedger(budgets)
 			cfg.Engine.Ledger = ledger
 			auth = ledger
+		case budget.Authority:
+			auth = l
+		default:
+			return nil, fmt.Errorf("server: pacing needs Engine.Ledger to be a budget.Authority, but %T lacks its Spent/Deposit methods", l)
 		}
 		var err error
 		pacer, err = budget.NewPacer(auth, budgets, *cfg.Pacing, cfg.Lifecycle)

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"sharedwd/internal/budget"
+	"sharedwd/internal/core"
 	"sharedwd/internal/serr"
 	"sharedwd/internal/workload"
 )
@@ -488,6 +490,55 @@ func TestServerBudgetAccounting(t *testing.T) {
 	}
 	if m.Engine.Revenue <= 0 {
 		t.Fatalf("revenue = %v", m.Engine.Revenue)
+	}
+}
+
+// chargeOnlyLedger is a core.BudgetLedger without budget.Authority's Spent
+// and Deposit: usable by an engine, not by a pacer.
+type chargeOnlyLedger struct{}
+
+func (chargeOnlyLedger) Remaining(int) float64       { return 1e9 }
+func (chargeOnlyLedger) TryCharge(int, float64) bool { return true }
+
+// TestNewPacingLedger: with pacing on, New keeps a caller's ledger that is
+// a budget.Authority, installs a budget.Ledger when there is none, and
+// rejects a ledger the pacer cannot deposit into instead of silently
+// replacing it (which would leave the caller's ledger never charged).
+func TestNewPacingLedger(t *testing.T) {
+	own := budget.NewLedger(make([]float64, 120))
+	for _, tc := range []struct {
+		name    string
+		ledger  core.BudgetLedger
+		wantErr bool
+	}{
+		{"none", nil, false},
+		{"authority", own, false},
+		{"charge-only", chargeOnlyLedger{}, true},
+	} {
+		cfg := testConfig()
+		pc := budget.DefaultPacerConfig()
+		cfg.Pacing = &pc
+		cfg.Engine.Ledger = tc.ledger
+		s, err := New(testWorkload(t), cfg)
+		if tc.wantErr {
+			if err == nil {
+				s.Close()
+				t.Errorf("%s: New accepted a ledger without Spent/Deposit", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		got := s.worker.cfg.Engine.Ledger
+		s.Close()
+		if _, ok := got.(*budget.Ledger); !ok {
+			t.Errorf("%s: engine ledger is %T, want *budget.Ledger", tc.name, got)
+		}
+		if tc.ledger != nil && got != tc.ledger {
+			t.Errorf("%s: caller's ledger was replaced", tc.name)
+		}
 	}
 }
 

@@ -2,14 +2,11 @@ package server
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sharedwd/internal/core"
-	"sharedwd/internal/replan"
 	"sharedwd/internal/serr"
 	"sharedwd/internal/stats"
 	"sharedwd/internal/workload"
@@ -109,16 +106,6 @@ type Worker struct {
 	// requests can be recycled the moment they are answered, with the
 	// histogram updates following off the scratch copy. Loop-owned.
 	latScratch []latSample
-
-	// Adaptive replanning (nil planner when Config.Replan is nil). The
-	// planner is driven only by the round loop; the mu-guarded copies below
-	// are what Metrics reads.
-	planner     *replan.Planner
-	observed    []float64 // latest per-phrase rate estimate (local IDs)
-	planSwaps   int64
-	swapSum     stats.Summary
-	buildSum    stats.Summary // background build times of the swapped plans
-	replanStats replan.Stats
 }
 
 type latSample struct{ adm, rw, lat float64 }
@@ -130,19 +117,9 @@ func NewWorker(w *workload.Workload, cfg Config) (*Worker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PhraseIDs != nil && len(cfg.PhraseIDs) != len(w.Interests) {
-		return nil, fmt.Errorf("server: %d phrase IDs for %d phrases", len(cfg.PhraseIDs), len(w.Interests))
-	}
 	eng, err := core.New(w, cfg.Engine)
 	if err != nil {
 		return nil, err
-	}
-	var planner *replan.Planner
-	if cfg.Replan != nil {
-		planner, err = replan.New(eng.PlanInstance(), *cfg.Replan)
-		if err != nil {
-			return nil, err
-		}
 	}
 	hi := cfg.LatencyRange
 	if hi <= 0 {
@@ -162,11 +139,6 @@ func NewWorker(w *workload.Workload, cfg Config) (*Worker, error) {
 		roundHist:     stats.NewHistogram(0, hi, 256),
 		wdHist:        stats.NewHistogram(0, hi, 256),
 		latencyHist:   stats.NewHistogram(0, hi, 256),
-
-		planner: planner,
-	}
-	if planner != nil {
-		wk.observed = planner.ObservedRates()
 	}
 	go wk.loop()
 	return wk, nil
@@ -287,9 +259,6 @@ func (wk *Worker) loop() {
 			wk.mu.Lock()
 			wk.engStats = wk.eng.Stats()
 			wk.mu.Unlock()
-			if wk.planner != nil {
-				wk.planner.Close() // safe: no more Observe calls
-			}
 			return
 		}
 	}
@@ -348,26 +317,6 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		wk.w.PerturbBids(wk.cfg.BidWalkScale)
 	}
 
-	// Adaptive replanning: fold this round's occurrence vector into the
-	// rate tracker and, when a background rebuild has finished, hot-swap it
-	// into the engine right here — between Steps, on the loop goroutine, so
-	// the engine's single-owner contract holds and admission never pauses.
-	var swapDur, buildDur time.Duration
-	swapped := false
-	if wk.planner != nil {
-		if b := wk.planner.Observe(occ); b != nil {
-			swapStart := time.Now()
-			if err := wk.eng.InstallPlan(b.Inst, b.Prog); err != nil {
-				// Builds come from the engine's own instance, so a shape
-				// mismatch is an internal invariant violation, not a
-				// runtime condition to tolerate.
-				panic(fmt.Sprintf("server: installing rebuilt plan: %v", err))
-			}
-			swapDur, buildDur = time.Since(swapStart), b.BuildTime
-			swapped = true
-		}
-	}
-
 	// Copy each occurring phrase's slots once; RoundReport views engine
 	// scratch that the next Step overwrites.
 	var slotCopies map[int][]core.SlotResult
@@ -415,28 +364,17 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		wk.latencyHist.Add(s.lat)
 		wk.latencySum.Add(s.lat)
 	}
-	if wk.planner != nil {
-		if swapped {
-			wk.planSwaps++
-			wk.swapSum.Add(swapDur.Seconds())
-			wk.buildSum.Add(buildDur.Seconds())
-		}
-		wk.observed = wk.planner.ObservedRatesInto(wk.observed)
-		wk.replanStats = wk.planner.Stats()
-	}
 	wk.engStats = wk.eng.Stats()
 	var summary RoundSummary
 	if skipped := int(timedOut + expired); wk.cfg.OnRound != nil && nlive+skipped > 0 {
 		summary = RoundSummary{
-			Shard:     wk.cfg.ShardID,
-			Round:     rep.Round,
-			Queries:   nlive,
-			Expired:   skipped,
-			Shed:      wk.shed.Load(),
-			PlanSwaps: wk.planSwaps,
-			Swapped:   swapped,
-			P50:       wk.latencyHist.Quantile(0.5),
-			P95:       wk.latencyHist.Quantile(0.95),
+			Shard:   wk.cfg.ShardID,
+			Round:   rep.Round,
+			Queries: nlive,
+			Expired: skipped,
+			Shed:    wk.shed.Load(),
+			P50:     wk.latencyHist.Quantile(0.5),
+			P95:     wk.latencyHist.Quantile(0.95),
 		}
 	}
 	wk.mu.Unlock()
@@ -478,23 +416,6 @@ func (wk *Worker) Metrics() Metrics {
 		RoundWait:           LatencyDist{Summary: wk.roundSum, Hist: wk.roundHist.Clone()},
 		WinnerDetermination: LatencyDist{Summary: wk.wdSummary, Hist: wk.wdHist.Clone()},
 		TotalLatency:        LatencyDist{Summary: wk.latencySum, Hist: wk.latencyHist.Clone()},
-
-		PlanSwaps:          wk.planSwaps,
-		ReplanBuilds:       int64(wk.replanStats.Builds),
-		ReplanFailed:       int64(wk.replanStats.Failed),
-		PlanSwapLatency:    wk.swapSum,
-		ReplanBuildLatency: wk.buildSum,
-	}
-	if wk.planner != nil {
-		m.Observed = make([]RateSample, len(wk.observed))
-		for q, r := range wk.observed {
-			id := q
-			if wk.cfg.PhraseIDs != nil {
-				id = wk.cfg.PhraseIDs[q]
-			}
-			m.Observed[q] = RateSample{Phrase: id, Rate: r}
-		}
-		sort.Slice(m.Observed, func(i, j int) bool { return m.Observed[i].Phrase < m.Observed[j].Phrase })
 	}
 	if sec := up.Seconds(); sec > 0 {
 		m.RoundsPerSec = float64(wk.rounds) / sec

@@ -141,11 +141,6 @@ func New(w *workload.Workload, cfg Config) (*Server, error) {
 		wcfg.Engine.Pacer = pacer
 	}
 	for sh := range s.workers {
-		// Each shard's worker reports observed rates under global phrase
-		// IDs, so fleet-wide merges of replanning metrics line up. Each
-		// shard replans independently: its planner sees only its own
-		// partition's traffic, which is exactly the plan it owns.
-		wcfg.PhraseIDs = idx.GlobalID[sh]
 		// RoundSummary events (Config.OnRound) carry the shard that closed
 		// the round; every shard shares the one configured hook.
 		wcfg.ShardID = sh

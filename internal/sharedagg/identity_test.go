@@ -48,15 +48,12 @@ func samePlan(t *testing.T, what string, got, want *plan.Plan) {
 // builder's per-variable hash keys.
 func matchesReference(t *testing.T, what string, inst *plan.Instance, rng *rand.Rand, keys func(v int) uint64) {
 	t.Helper()
-	rates := make([]float64, len(inst.Queries))
-	for i := range rates {
+	reposed := &plan.Instance{NumVars: inst.NumVars, Queries: make([]plan.Query, len(inst.Queries))}
+	for i, q := range inst.Queries {
+		reposed.Queries[i] = plan.Query{Vars: q.Vars}
 		if rng.Intn(5) > 0 {
-			rates[i] = rng.Float64()
+			reposed.Queries[i].Rate = rng.Float64()
 		}
-	}
-	reposed, err := inst.WithRates(rates)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, in := range []*plan.Instance{inst, reposed} {
 		for _, bd := range builders {

@@ -94,24 +94,6 @@ func BuildCompiled(inst *plan.Instance) (*plan.Plan, *plan.Program, error) {
 	return p, plan.Compile(p), nil
 }
 
-// BuildCompiledWithRates re-poses the instance under new per-query rates
-// (one per query) and runs BuildCompiled on the result, returning the
-// re-posed instance alongside the plan and program. This is the online
-// replanner's build step: same queries, same universe, new cost model — so
-// by Lemma 1 the resulting plan computes identical top-k answers and only
-// its expected cost differs.
-func BuildCompiledWithRates(inst *plan.Instance, rates []float64) (*plan.Instance, *plan.Plan, *plan.Program, error) {
-	reposed, err := inst.WithRates(rates)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	p, prog, err := BuildCompiled(reposed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return reposed, p, prog, nil
-}
-
 // BuildDisjoint runs the same heuristic constrained so that every
 // aggregation node's children are variable-disjoint: each query's cover
 // stays a *partition* of its variable set, so every variable flows into

@@ -370,7 +370,7 @@ func BenchmarkBuildLarge(b *testing.B) {
 }
 
 // BenchmarkBuildWorkload builds the benchmark's three universes (seed 1):
-// big is what rounds-churn and serve-open pay at set-up and on every replan.
+// big is what rounds-churn and serve-open pay at set-up, once per engine.
 func BenchmarkBuildWorkload(b *testing.B) {
 	for _, u := range benchmarkUniverses() {
 		b.Run(u.name, func(b *testing.B) {

@@ -33,44 +33,12 @@ func NewQueryStream(w *Workload, junkRate float64, seed int64) *QueryStream {
 	return &QueryStream{
 		phrases: w.PhraseNames,
 		// Private copy: the serving stack owns the workload once a server
-		// starts, so a drift-injecting load generator (SetRates/RotateRates)
-		// must not write through to the server-owned rate slice.
+		// starts, so a client's stream must not share its rate slice.
 		rates:    append([]float64(nil), w.Rates...),
 		synonyms: make(map[string]string),
 		junkRate: junkRate,
 		rng:      rand.New(rand.NewSource(seed)),
 	}
-}
-
-// SetRates replaces the stream's per-phrase arrival rates — traffic drift
-// injection for the replanning demo and tests. Like every QueryStream
-// method it must be called from the goroutine that owns the stream.
-func (qs *QueryStream) SetRates(rates []float64) {
-	if len(rates) != len(qs.rates) {
-		panic(fmt.Sprintf("workload: %d rates for %d phrases", len(rates), len(qs.rates)))
-	}
-	copy(qs.rates, rates)
-}
-
-// RotateRates shifts the stream's arrival rates by k phrases (phrase q gets
-// phrase (q+k) mod n's rate) — the canonical drift scenario: the same total
-// traffic, landing on different phrases than the plan was built for.
-func (qs *QueryStream) RotateRates(k int) {
-	qs.rates = rotate(qs.rates, k)
-}
-
-// rotate returns xs shifted left by k (out[i] = xs[(i+k) mod n]), reusing a
-// fresh slice.
-func rotate(xs []float64, k int) []float64 {
-	n := len(xs)
-	if n == 0 {
-		return xs
-	}
-	k = ((k % n) + n) % n
-	out := make([]float64, n)
-	copy(out, xs[k:])
-	copy(out[n-k:], xs[:k])
-	return out
 }
 
 // AddSynonym registers a raw-query synonym for a phrase; the caller should

@@ -289,28 +289,11 @@ func (w *Workload) SampleRoundInto(occ []bool) []bool {
 	return occ
 }
 
-// SetRates replaces the workload's per-phrase search rates — traffic drift
-// injection for replanning benchmarks and tests. Like every workload
-// mutator it must run on the goroutine that owns the workload (the engine's
-// round goroutine); a running server owns its workload, so drive drift
-// through QueryStream.SetRates there instead.
-func (w *Workload) SetRates(rates []float64) error {
-	if len(rates) != len(w.Rates) {
-		return fmt.Errorf("workload: %d rates for %d phrases", len(rates), len(w.Rates))
-	}
-	for q, r := range rates {
-		if math.IsNaN(r) || r < 0 || r > 1 {
-			return fmt.Errorf("workload: rate[%d] = %v outside [0,1]", q, r)
-		}
-	}
-	copy(w.Rates, rates)
-	return nil
-}
-
 // RotateRates shifts the search rates by k phrases (phrase q gets phrase
-// (q+k) mod n's rate): the canonical drift scenario — total traffic volume
-// unchanged, but landing on different phrases than the plan was built for.
-// Same ownership caveat as SetRates.
+// (q+k) mod n's rate): the same total traffic, landing on different
+// phrases. An engine built afterwards plans for the rotated rates. Like
+// every workload mutator it must run on the goroutine that owns the
+// workload.
 func (w *Workload) RotateRates(k int) {
 	n := len(w.Rates)
 	if n == 0 {

@@ -86,7 +86,6 @@ import (
 	"sharedwd/internal/nonsep"
 	"sharedwd/internal/plan"
 	"sharedwd/internal/pricing"
-	"sharedwd/internal/replan"
 	"sharedwd/internal/serr"
 	"sharedwd/internal/server"
 	"sharedwd/internal/shard"
@@ -460,14 +459,6 @@ type (
 	// per-query serving failure; errors.Is still matches the wrapped
 	// sentinel and errors.As recovers the context.
 	QueryError = serr.QueryError
-	// ReplanConfig parameterizes online adaptive replanning: the rate
-	// tracker's decay, the drift triggers (max per-phrase rate ratio,
-	// mean Bernoulli relative entropy), and the warmup/cadence/cooldown
-	// hysteresis. See WithReplanner and internal/replan.
-	ReplanConfig = replan.Config
-	// RateSample is one phrase's observed arrival-rate estimate in a
-	// Metrics.Observed report (global phrase ID + rate in [0,1]).
-	RateSample = server.RateSample
 )
 
 // Serving errors — the package-wide taxonomy every Submit failure reduces
@@ -647,42 +638,6 @@ func WithServerEngine(opts ...EngineOption) ServerOption {
 			opt(&c.srv.Engine)
 		}
 	}
-}
-
-// DefaultReplanConfig returns the conservative replanning configuration:
-// drift checks every 50 rounds after a 200-round warmup, a 3× per-phrase
-// rate ratio or 0.15 nat mean divergence trigger, and a 400-round post-swap
-// cooldown.
-func DefaultReplanConfig() ReplanConfig { return replan.DefaultConfig() }
-
-// WithReplanner turns on online adaptive replanning for NewServer and
-// NewShardedServer: each worker's round loop tracks the arrival rates it
-// actually observes, and when they drift from the rates the live shared
-// plan was optimized for, a fresh plan is compiled on a background
-// goroutine and hot-swapped into the engine at a round boundary. Admission
-// never pauses, and auction results are unchanged — all complete plans over
-// the same queries are A-equivalent — only the per-round aggregation cost
-// recovers. Requires the (default) SharedAggregation engine; under sharding
-// each shard replans independently against its own partition's traffic.
-// Metrics then reports Observed rates, PlanSwaps, ReplanBuilds,
-// ReplanFailed, PlanSwapLatency and ReplanBuildLatency.
-func WithReplanner(cfg ReplanConfig) ServerOption {
-	return func(c *serveConfig) {
-		rc := cfg
-		c.srv.Replan = &rc
-	}
-}
-
-// ObservedRates projects a Metrics' observed arrival-rate samples onto a
-// dense per-phrase vector over a global phrase universe of size numPhrases
-// (phrases with no sample are 0). It returns an error when the metrics
-// carry no samples — the server was not built with WithReplanner, or no
-// round has closed yet.
-func ObservedRates(m Metrics, numPhrases int) ([]float64, error) {
-	if len(m.Observed) == 0 {
-		return nil, fmt.Errorf("sharedwd: metrics carry no observed rates (server not built with WithReplanner?)")
-	}
-	return m.ObservedRates(numPhrases), nil
 }
 
 // WithShards sets the engine-shard count for NewShardedServer (default:
