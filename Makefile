@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-shard bench-server bench-binary bench-json bench-compare fuzz soak-pacing fmt vet staticcheck
+.PHONY: all build test race bench fuzz soak-pacing fmt vet staticcheck
 
 all: build test
 
@@ -30,48 +30,11 @@ vet:
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1 ./...
 
+# bench runs the per-figure benchmarks EXPERIMENTS.md records. Round and
+# serving speed are measured by the pinned benchmark instead:
+# bash benchmark/run.sh --workload <name> (see benchmark/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
-
-# bench-shard runs only the shard-count throughput sweep (1/2/4/8 shards
-# over the same serving load) for quick scaling checks.
-bench-shard:
-	$(GO) test -bench='ShardedThroughput' -benchmem -benchtime=2s -run='^$$' .
-
-# bench-server runs the serving benchmarks: in-process Submit throughput,
-# the shard sweep, and both network edges (BenchmarkHTTPThroughput,
-# BenchmarkBinaryThroughput) — the last two quantify what each wire
-# protocol costs next to in-process numbers. It then diffs the fresh
-# numbers against the committed BENCH_server.json with the same gate
-# bench-compare applies to the core.
-bench-server:
-	$(GO) test -bench='ServerThroughput|ShardedThroughput|HTTPThroughput|BinaryThroughput' -benchmem -benchtime=2s -run='^$$' . \
-		| $(GO) run ./tools/benchjson -compare BENCH_server.json
-
-# bench-binary runs only the binary-tier throughput benchmark — the quick
-# check that the multiplexed frame edge still lands near in-process rates.
-bench-binary:
-	$(GO) test -bench='BinaryThroughput' -benchmem -benchtime=2s -run='^$$' .
-
-# bench-json runs the core round-resolution and serving benchmarks and
-# records them as machine-readable JSON (BENCH_core.json, BENCH_server.json)
-# for cross-PR comparison. The serving file carries the single-server
-# throughput benchmark, the shard sweep, and both network edges (HTTP and
-# binary).
-bench-json:
-	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep' -benchmem -benchtime=2s -run='^$$' . \
-		| $(GO) run ./tools/benchjson > BENCH_core.json
-	@cat BENCH_core.json
-	$(GO) test -bench='ServerThroughput|ShardedThroughput|HTTPThroughput|BinaryThroughput' -benchmem -benchtime=2s -run='^$$' . \
-		| $(GO) run ./tools/benchjson > BENCH_server.json
-	@cat BENCH_server.json
-
-# bench-compare reruns the core round-resolution benchmarks and diffs them
-# against the committed BENCH_core.json, failing on a >20% ns/op regression
-# (the CI regression gate runs the same comparison).
-bench-compare:
-	$(GO) test -bench='RoundResolution|IncrementalRounds|SteadyStateStep' -benchmem -benchtime=2s -run='^$$' . \
-		| $(GO) run ./tools/benchjson -compare BENCH_core.json
 
 # fuzz smoke-runs the fuzzers for a few seconds each: the binary protocol's
 # frame round-trip property and malformed-input parser hardening (no panic,

@@ -3,35 +3,24 @@
 // measures wall-clock cost (testing.B) and reports the paper's own metric
 // (expected plan cost, scans, over-delivery, ...) via b.ReportMetric, so
 // `go test -bench=. -benchmem` regenerates the numbers EXPERIMENTS.md
-// records.
+// records. Round and serving speed are not timed here: the pinned
+// benchmark in benchmark/ is the one instrument for those.
 package sharedwd
 
 import (
-	"bytes"
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"sharedwd/internal/analytics"
-	"sharedwd/internal/binproto"
 	"sharedwd/internal/bitset"
 	"sharedwd/internal/budget"
 	"sharedwd/internal/core"
-	"sharedwd/internal/netserve"
 	"sharedwd/internal/nonsep"
 	"sharedwd/internal/plan"
-	"sharedwd/internal/server"
 	"sharedwd/internal/sharedagg"
 	"sharedwd/internal/sharedsort"
-	"sharedwd/internal/stats"
 	"sharedwd/internal/ta"
 	"sharedwd/internal/topk"
 	"sharedwd/internal/workload"
@@ -132,243 +121,6 @@ func BenchmarkPlanQuality(b *testing.B) {
 			}
 			b.ReportMetric(cost, "expectedE/round")
 		})
-	}
-}
-
-// BenchmarkRoundResolution compares shared-plan winner determination with
-// independent per-auction scans inside the full engine (Section II's point,
-// end to end), reporting both wall-clock and aggregation operations per
-// auction. Two workload presets: the default topic-clustered mix (the
-// original benchmark, whose sub-benchmark names are unchanged so historical
-// BENCH_core.json records stay comparable) and a broad-match-heavy
-// high-overlap preset where the occurring auctions share most of their
-// participants — the fairness case for sharing, where the shared plan must
-// beat the independent scans on wall-clock, not just operator counts.
-func BenchmarkRoundResolution(b *testing.B) {
-	presets := []struct {
-		prefix string
-		wcfg   workload.Config
-	}{
-		{"", workload.DefaultConfig()},
-		{"highOverlap/", workload.HighOverlapConfig()},
-	}
-	for _, preset := range presets {
-		for _, mode := range []core.SharingMode{core.SharedAggregation, core.Independent} {
-			wcfg := preset.wcfg
-			wcfg.NumAdvertisers = 1000
-			wcfg.NumPhrases = 32
-			wcfg.NumTopics = 6
-			// Budgets that never exhaust keep every round identical, so
-			// ns/op is independent of how many iterations ran before it —
-			// without this, longer runs drain budgets, zero out bids, and
-			// measure cheaper rounds, making baselines incomparable.
-			wcfg.MinBudget = 1e6
-			wcfg.MaxBudget = 2e6
-			w := workload.Generate(wcfg)
-			ecfg := core.DefaultConfig()
-			ecfg.Sharing = mode
-			ecfg.Policy = core.Naive
-			eng, err := core.New(w, ecfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			occ := make([]bool, len(w.Interests))
-			for q := range occ {
-				occ[q] = q%2 == 0
-			}
-			b.Run(preset.prefix+mode.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				start := eng.Stats()
-				for i := 0; i < b.N; i++ {
-					eng.Step(occ)
-				}
-				st := eng.Stats()
-				if auctions := st.AuctionsResolved - start.AuctionsResolved; auctions > 0 {
-					b.ReportMetric(float64(st.NodesMaterialized-start.NodesMaterialized)/float64(auctions), "aggOps/auction")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkIncrementalRounds times full plan runs in the two regimes a
-// cross-round result cache would target (the engine has none; DESIGN.md §5
-// records what one saved): sparse occurrence (each round demands a small,
-// rotating subset of phrases) and sparse budget change (every phrase occurs
-// but bids are static, so only advertisers whose remaining budget moved
-// below their bid change score). The sub-benchmarks keep their cache=false
-// names so their committed baselines keep gating.
-func BenchmarkIncrementalRounds(b *testing.B) {
-	regimes := []struct {
-		name      string
-		sparseOcc bool
-	}{
-		{"sparseOccurrence", true},
-		{"sparseBudgetChange", false},
-	}
-	for _, rg := range regimes {
-		b.Run(rg.name+"/cache=false", func(b *testing.B) {
-			wcfg := workload.DefaultConfig()
-			wcfg.NumAdvertisers = 1000
-			wcfg.NumPhrases = 32
-			wcfg.NumTopics = 6
-			w := workload.Generate(wcfg)
-			ecfg := core.DefaultConfig()
-			ecfg.Policy = core.Naive
-			// A shared ledger topped back up every refillEvery rounds
-			// makes the budget-crossing sequence periodic. Without
-			// refills budgets drain monotonically, rounds get cheaper as
-			// bids zero out, and ns/op depends on how many iterations ran
-			// before it — baselines recorded at different -benchtime
-			// would not be comparable.
-			budgets := make([]float64, wcfg.NumAdvertisers)
-			for i := range budgets {
-				budgets[i] = w.Advertisers[i].Budget
-			}
-			ledger := budget.NewLedger(budgets)
-			ecfg.Ledger = ledger
-			const refillEvery = 512
-			eng, err := core.New(w, ecfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var occs [][]bool
-			if rg.sparseOcc {
-				// Eight rotating vectors of 4 phrases each.
-				for s := 0; s < 8; s++ {
-					occ := make([]bool, wcfg.NumPhrases)
-					for j := 0; j < 4; j++ {
-						occ[(s*4+j)%wcfg.NumPhrases] = true
-					}
-					occs = append(occs, occ)
-				}
-			} else {
-				occ := make([]bool, wcfg.NumPhrases)
-				for q := range occ {
-					occ[q] = true
-				}
-				occs = [][]bool{occ}
-			}
-			step := func() {
-				if r := eng.Round(); r%refillEvery == 0 && r > 0 {
-					for i := range budgets {
-						ledger.Deposit(i, budgets[i]-ledger.Remaining(i))
-					}
-				}
-				eng.Step(occs[eng.Round()%len(occs)])
-			}
-			for i := 0; i < 50; i++ {
-				step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := eng.Stats()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
-			st := eng.Stats()
-			rounds := float64(st.Rounds - start.Rounds)
-			b.ReportMetric(float64(st.NodesMaterialized-start.NodesMaterialized)/rounds, "recomputed/round")
-		})
-	}
-}
-
-// BenchmarkSteadyStateStep pins the zero-allocation claim in benchmark form:
-// after warm-up, a shared-mode engine round allocates nothing (allocs/op
-// must read 0). The sub-benchmark keeps its cache=false name so its
-// committed baseline keeps gating.
-func BenchmarkSteadyStateStep(b *testing.B) {
-	b.Run("cache=false", func(b *testing.B) {
-		wcfg := workload.DefaultConfig()
-		wcfg.NumAdvertisers = 1000
-		wcfg.NumPhrases = 32
-		wcfg.NumTopics = 6
-		wcfg.MinBudget = 1e6 // never exhausts: steady display load
-		wcfg.MaxBudget = 2e6
-		w := workload.Generate(wcfg)
-		ecfg := core.DefaultConfig()
-		ecfg.Policy = core.Naive
-		eng, err := core.New(w, ecfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		occ := make([]bool, len(w.Interests))
-		for q := range occ {
-			occ[q] = q%2 == 0
-		}
-		for i := 0; i < 300; i++ {
-			eng.Step(occ)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Step(occ)
-		}
-	})
-}
-
-// BenchmarkPacedSteadyStateStep measures the pacing subsystem's per-round
-// overhead on the same steady state as BenchmarkSteadyStateStep: ledger,
-// pacing controller (synced every round) and a live lifecycle refresh
-// schedule attached. allocs/op must still read 0 — the comparison against
-// BenchmarkSteadyStateStep/cache=false is the controller's marginal cost.
-func BenchmarkPacedSteadyStateStep(b *testing.B) {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers = 1000
-	wcfg.NumPhrases = 32
-	wcfg.NumTopics = 6
-	wcfg.MinBudget = 1e6 // never exhausts: steady display load
-	wcfg.MaxBudget = 2e6
-	w := workload.Generate(wcfg)
-
-	budgets := make([]float64, len(w.Advertisers))
-	for i, a := range w.Advertisers {
-		budgets[i] = a.Budget
-	}
-	ledger := budget.NewLedger(budgets)
-	// Refresh events keep the lifecycle replay path live through the
-	// measured window, as in the zero-alloc test.
-	events := make([]workload.LifecycleEvent, 0, 1<<17)
-	for r := 0; r < 1<<18; r += 2 {
-		events = append(events, workload.LifecycleEvent{
-			Round: r, Kind: workload.LifecycleRefresh, Advertiser: r % len(budgets),
-		})
-	}
-	lc, err := workload.NewLifecycle(len(budgets), events)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pcfg := budget.DefaultPacerConfig()
-	pcfg.Horizon = 1e6 // target curve binds: the controller actively throttles
-	pacer, err := budget.NewPacer(ledger, budgets, pcfg, lc)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	ecfg := core.DefaultConfig()
-	ecfg.Policy = core.Naive
-	ecfg.Ledger = ledger
-	ecfg.Pacer = pacer
-	ecfg.Lifecycle = lc
-	eng, err := core.New(w, ecfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	occ := make([]bool, len(w.Interests))
-	for q := range occ {
-		occ[q] = q%2 == 0
-	}
-	for i := 0; i < 300; i++ {
-		eng.Step(occ)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(occ)
-	}
-	b.StopTimer()
-	if m := pacer.Metrics(); m.Throttled == 0 {
-		b.Fatal("pacing never engaged during the benchmark")
 	}
 }
 
@@ -712,302 +464,6 @@ func BenchmarkTopKMerge(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		topk.Merge(x, y)
-	}
-}
-
-// BenchmarkServerThroughput measures the serving tentpole end to end: many
-// concurrent submitters pushing raw queries through admission, batching, and
-// shared winner determination. Rounds close on the size threshold long before
-// the ticker under this load, so throughput is governed by Step time over the
-// batch — the paper's sharing argument in serving form. Reported metrics:
-// sustained queries/sec over the timed region and the p95 Submit-to-answer
-// latency in milliseconds (which must stay bounded by ~the round interval,
-// far inside the §I interactivity tolerances).
-func BenchmarkServerThroughput(b *testing.B) {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers = 400
-	wcfg.NumPhrases = 24
-	wcfg.MinBudget = 1e6 // steady display load, no budget churn
-	wcfg.MaxBudget = 2e6
-	w := workload.Generate(wcfg)
-	cfg := server.DefaultConfig()
-	cfg.RoundInterval = time.Millisecond
-	cfg.MaxBatch = 1024
-	cfg.QueueDepth = 1 << 14
-	s, err := server.New(w, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-
-	ctx := context.Background()
-	queries := w.PhraseNames
-	// Winner determination is shared per round, so its cost is independent
-	// of batch size; more concurrent submitters amortize each round over
-	// more answered queries. 256×GOMAXPROCS keeps even a single-core runner
-	// well past the acceptance floor.
-	b.SetParallelism(256)
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			// Shed responses are answered requests too; anything else fails.
-			if _, err := s.Submit(ctx, queries[i%len(queries)]); err != nil && !errors.Is(err, ErrOverloaded) {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-	elapsed := time.Since(start)
-	b.StopTimer()
-	m := s.Metrics()
-	if sec := elapsed.Seconds(); sec > 0 {
-		b.ReportMetric(float64(m.Answered)/sec, "queries/sec")
-	}
-	b.ReportMetric(m.TotalLatency.P95()*1e3, "p95ms")
-	b.ReportMetric(float64(m.Shed), "shed")
-}
-
-// BenchmarkHTTPThroughput pushes the identical serving load through the
-// network tier instead of in-process Submit calls: loopback TCP, JSON
-// bodies, keep-alive connections, the full handler path. Held next to
-// BenchmarkServerThroughput it quantifies what the HTTP/JSON edge costs —
-// the answered-rate gap is serialization + kernel round trips, and the
-// client-measured p95 adds the network wait on top of the serving p95.
-func BenchmarkHTTPThroughput(b *testing.B) {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers = 400
-	wcfg.NumPhrases = 24
-	wcfg.MinBudget = 1e6
-	wcfg.MaxBudget = 2e6
-	w := workload.Generate(wcfg)
-	cfg := server.DefaultConfig()
-	cfg.RoundInterval = time.Millisecond
-	cfg.MaxBatch = 1024
-	cfg.QueueDepth = 1 << 14
-	s, err := server.New(w, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ns := netserve.New(s, nil, netserve.Config{DefaultTimeout: 5 * time.Second})
-	if err := ns.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer ns.Close()
-
-	url := "http://" + ns.Addr() + "/v1/query"
-	transport := &http.Transport{
-		MaxIdleConns:        1024,
-		MaxIdleConnsPerHost: 1024,
-	}
-	defer transport.CloseIdleConnections()
-	client := &http.Client{Transport: transport, Timeout: 10 * time.Second}
-
-	// Pre-render the request bodies; the benchmark measures the edge, not
-	// the client's JSON encoder.
-	bodies := make([][]byte, len(w.PhraseNames))
-	for i, name := range w.PhraseNames {
-		bodies[i] = []byte(fmt.Sprintf(`{"query":%q}`, name))
-	}
-
-	// Client-side end-to-end latency, merged from per-goroutine tallies so
-	// the hot loop never shares a histogram.
-	var tallyMu sync.Mutex
-	e2e := stats.NewHistogram(0, 0.25, 256)
-
-	b.SetParallelism(64)
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		local := stats.NewHistogram(0, 0.25, 256)
-		i := 0
-		for pb.Next() {
-			req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(bodies[i%len(bodies)]))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			t0 := time.Now()
-			resp, err := client.Do(req)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			// 429 (shed under pressure) is an answered request; anything
-			// else unexpected fails the benchmark.
-			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
-				b.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			local.Add(time.Since(t0).Seconds())
-			i++
-		}
-		tallyMu.Lock()
-		e2e.Merge(local)
-		tallyMu.Unlock()
-	})
-	elapsed := time.Since(start)
-	b.StopTimer()
-	m := s.Metrics()
-	if sec := elapsed.Seconds(); sec > 0 {
-		b.ReportMetric(float64(m.Answered)/sec, "queries/sec")
-	}
-	b.ReportMetric(e2e.Quantile(0.95)*1e3, "p95ms")
-	b.ReportMetric(m.TotalLatency.P95()*1e3, "srv_p95ms")
-	b.ReportMetric(float64(m.Shed), "shed")
-}
-
-// BenchmarkBinaryThroughput pushes the identical serving load through the
-// binary tier: loopback TCP, length-prefixed frames, request-ID
-// multiplexing over a small pool of connections. Held next to
-// BenchmarkHTTPThroughput it quantifies what dropping HTTP/JSON buys —
-// same backend, same workload, same parallelism; the only variable is the
-// wire protocol. Held next to BenchmarkServerThroughput it shows how close
-// a network edge can get to in-process Submit.
-func BenchmarkBinaryThroughput(b *testing.B) {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers = 400
-	wcfg.NumPhrases = 24
-	wcfg.MinBudget = 1e6
-	wcfg.MaxBudget = 2e6
-	w := workload.Generate(wcfg)
-	cfg := server.DefaultConfig()
-	cfg.RoundInterval = time.Millisecond
-	cfg.MaxBatch = 1024
-	cfg.QueueDepth = 1 << 14
-	s, err := server.New(w, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs := binproto.New(s, binproto.Config{DefaultTimeout: 5 * time.Second, MaxInFlight: 1 << 14})
-	if err := bs.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer bs.Close()
-
-	// A small pool of multiplexed connections: each carries many requests
-	// in flight, mirroring how a real front-end fans onto a backend.
-	const conns = 8
-	pool := make([]*binproto.Client, conns)
-	for i := range pool {
-		c, err := binproto.Dial(bs.Addr())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		pool[i] = c
-	}
-	var nextConn atomic.Uint64
-
-	queries := w.PhraseNames
-	ctx := context.Background()
-
-	// Client-side end-to-end latency, merged from per-goroutine tallies so
-	// the hot loop never shares a histogram.
-	var tallyMu sync.Mutex
-	e2e := stats.NewHistogram(0, 0.25, 256)
-
-	// Deeper parallelism than the HTTP benchmark's 64: multiplexing is the
-	// protocol's whole point — hundreds of requests in flight still cost
-	// eight sockets, and every read/write syscall carries a coalesced run
-	// of frames. HTTP would pay a socket (and its buffers) per request.
-	b.SetParallelism(1024)
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		c := pool[nextConn.Add(1)%conns]
-		local := stats.NewHistogram(0, 0.25, 256)
-		i := 0
-		for pb.Next() {
-			t0 := time.Now()
-			_, err := c.Submit(ctx, queries[i%len(queries)])
-			// Shed under pressure is an answered request; anything else
-			// unexpected fails the benchmark.
-			if err != nil && !errors.Is(err, ErrOverloaded) {
-				b.Error(err)
-				return
-			}
-			local.Add(time.Since(t0).Seconds())
-			i++
-		}
-		tallyMu.Lock()
-		e2e.Merge(local)
-		tallyMu.Unlock()
-	})
-	elapsed := time.Since(start)
-	b.StopTimer()
-	m := s.Metrics()
-	if sec := elapsed.Seconds(); sec > 0 {
-		b.ReportMetric(float64(m.Answered)/sec, "queries/sec")
-	}
-	b.ReportMetric(e2e.Quantile(0.95)*1e3, "p95ms")
-	b.ReportMetric(m.TotalLatency.P95()*1e3, "srv_p95ms")
-	b.ReportMetric(float64(m.Shed), "shed")
-}
-
-// BenchmarkShardedThroughput sweeps the shard count over the same serving
-// load, measuring how partitioning the phrase universe scales winner
-// determination. The workload is sized so the per-round fixed cost — the
-// throttled policy's outstanding-ad scan over every advertiser active in
-// the round — dominates per-query work; each shard pays only its
-// partition's share of that scan, so sharding amortizes the fixed cost
-// into smaller independent rounds and throughput rises even on a single
-// core (and further with real cores). Traffic is shard-local by
-// construction: every query names one phrase, and each phrase lives on
-// exactly one shard.
-func BenchmarkShardedThroughput(b *testing.B) {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers = 2000
-	wcfg.NumPhrases = 64
-	wcfg.MinBudget = 1e6 // steady display load, no budget churn
-	wcfg.MaxBudget = 2e6
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			w := workload.Generate(wcfg)
-			s, err := NewShardedServer(w,
-				WithShards(shards),
-				WithRoundInterval(time.Millisecond),
-				WithMaxBatch(256),
-				WithQueueDepth(1<<14))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			queries := w.PhraseNames
-			// Enough concurrent submitters to keep every shard's queue at
-			// the batch threshold: rounds then close on size, not the
-			// ticker, and each shard's fixed per-round cost amortizes over
-			// full batches.
-			b.SetParallelism(4096)
-			b.ResetTimer()
-			start := time.Now()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					// Shed responses are answered requests too; anything
-					// else fails.
-					if _, err := s.Submit(ctx, queries[i%len(queries)]); err != nil && !errors.Is(err, ErrOverloaded) {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-			elapsed := time.Since(start)
-			b.StopTimer()
-			m := s.Metrics()
-			s.Close()
-			if sec := elapsed.Seconds(); sec > 0 {
-				b.ReportMetric(float64(m.Answered)/sec, "queries/sec")
-			}
-			b.ReportMetric(m.TotalLatency.P95()*1e3, "p95ms")
-			b.ReportMetric(float64(m.Shed), "shed")
-		})
 	}
 }
 

@@ -22,9 +22,8 @@ type Backend = server.Backend
 // backends, and one error taxonomy (errors.Is against ErrNoAuction,
 // ErrOverloaded, ErrServerClosed, and the context errors works the same
 // over a function call, an HTTP round trip, or a multiplexed binary
-// frame). Load generators and applications written against Client switch
-// transports without code changes — cmd/loadgen's -proto flag is exactly
-// that switch.
+// frame). Applications written against Client switch transports without
+// code changes: only the constructor differs.
 //
 // All implementations are safe for concurrent use. Close releases the
 // client's resources; calls after Close return ErrServerClosed. Only the

@@ -29,7 +29,7 @@
 // that many requests per second.
 //
 // -listen-binary serves the multiplexed binary protocol on the given
-// address against the same backend — point `loadgen -proto binary -addr`
+// address against the same backend — point any sharedwd.NewBinaryClient
 // at it. Both edges can run at once; on shutdown the binary edge drains
 // first, then the HTTP tier closes the shared backend.
 //
@@ -88,7 +88,7 @@ func main() {
 	churn := flag.Float64("churn", 0, "fraction of advertisers running sub-day campaign windows (needs -pacing)")
 	refreshEvery := flag.Int("refresh-every", 0, "budget-refresh epoch period in rounds, 0 disables (needs -pacing)")
 	listen := flag.String("listen", "", "also serve HTTP on this address (/v1/query, /v1/stats, /v1/metrics, /v1/live)")
-	listenBinary := flag.String("listen-binary", "", "also serve the binary protocol on this address (loadgen -proto binary)")
+	listenBinary := flag.String("listen-binary", "", "also serve the binary protocol on this address (sharedwd.NewBinaryClient)")
 	rateLimit := flag.Float64("rate-limit", 0, "edge rate limit in requests/sec per client (0 disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -206,7 +206,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("binary:   listening on %s (multiplexed frames; loadgen -proto binary -addr %s)\n", bs.Addr(), bs.Addr())
+		fmt.Printf("binary:   listening on %s (multiplexed frames; sharedwd.NewBinaryClient)\n", bs.Addr())
 	}
 	fmt.Println()
 

@@ -9,48 +9,6 @@ import (
 	"sharedwd/internal/workload"
 )
 
-// BenchmarkExecutorRound compares the flat-compiled runner with the
-// Independent baseline on the same workload BenchmarkRoundResolution uses
-// (1000 advertisers, 32 phrases, half occurring each round, non-exhausting
-// budgets so every round is identical).
-func BenchmarkExecutorRound(b *testing.B) {
-	variants := []struct {
-		name        string
-		independent bool
-	}{
-		{name: "compiled"},
-		{name: "independent", independent: true},
-	}
-	for _, v := range variants {
-		wcfg := workload.DefaultConfig()
-		wcfg.NumAdvertisers = 1000
-		wcfg.NumPhrases = 32
-		wcfg.NumTopics = 6
-		wcfg.MinBudget = 1e6 // never exhausts: every round costs the same
-		wcfg.MaxBudget = 2e6
-		w := workload.Generate(wcfg)
-		cfg := DefaultConfig()
-		cfg.Policy = Naive
-		if v.independent {
-			cfg.Sharing = Independent
-		}
-		eng, err := New(w, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		occ := make([]bool, wcfg.NumPhrases)
-		for q := range occ {
-			occ[q] = q%2 == 0
-		}
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng.Step(occ)
-			}
-		})
-	}
-}
-
 // BenchmarkStepChurn splits the benchmark's rounds-churn round: the same
 // 2000 × 64 × 8 low-overlap universe, Naive, budgets no run exhausts, and
 // every bid moved by PerturbBids(0.05) before each round,

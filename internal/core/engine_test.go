@@ -393,30 +393,3 @@ func TestEngineWithCustomWorkload(t *testing.T) {
 		t.Fatalf("prices = %v, %v", slots[0].PricePaid, slots[1].PricePaid)
 	}
 }
-
-func BenchmarkRoundSharedVsIndependent(b *testing.B) {
-	for _, mode := range []SharingMode{SharedAggregation, Independent} {
-		cfg := workload.DefaultConfig()
-		cfg.NumAdvertisers = 2000
-		cfg.NumPhrases = 64
-		cfg.NumTopics = 8
-		w := workload.Generate(cfg)
-		ecfg := DefaultConfig()
-		ecfg.Sharing = mode
-		ecfg.Policy = Naive
-		eng, err := New(w, ecfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		occ := make([]bool, len(w.Interests))
-		for q := range occ {
-			occ[q] = q%2 == 0
-		}
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng.Step(occ)
-			}
-		})
-	}
-}

@@ -17,23 +17,32 @@ import (
 // its bids, so Section IV binds in every round: the outstanding-ad buckets,
 // the ad buffer and the DP grid all have to reach a high-water mark and stay
 // there, with both the enumeration and the DP path running. The
-// every-bid-moves case re-bids every advertiser after every round.
+// every-bid-moves case re-bids every advertiser after every round. The
+// independent case holds the per-auction baseline to the same guarantee,
+// and high-overlap runs the shared round on the broad-match preset.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
 	}
 	cases := []struct {
-		name      string
-		throttled bool
-		rebid     bool
+		name        string
+		throttled   bool
+		rebid       bool
+		independent bool
+		highOverlap bool
 	}{
 		{name: "naive"},
 		{name: "throttled", throttled: true},
 		{name: "every-bid-moves", rebid: true},
+		{name: "independent", independent: true},
+		{name: "high-overlap", highOverlap: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			wcfg := workload.DefaultConfig()
+			if tc.highOverlap {
+				wcfg = workload.HighOverlapConfig()
+			}
 			wcfg.NumAdvertisers = 300
 			wcfg.NumPhrases = 24
 			wcfg.MinBudget = 1e6 // never exhausts: keeps the display load steady
@@ -47,6 +56,9 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 				cfg.ThrottleEnumLimit = 3 // four outstanding ads already take the DP
 			}
 			cfg.Sharing = SharedAggregation
+			if tc.independent {
+				cfg.Sharing = Independent
+			}
 			eng, err := New(w, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -330,6 +330,41 @@ func TestSubmitAsyncDeadline(t *testing.T) {
 	}
 }
 
+// metricsProbe is a Completion that reads the server's Metrics from inside
+// Complete, as a caller reacting to its outcome would.
+type metricsProbe struct {
+	srv  *Server
+	seen chan Metrics
+}
+
+func (p metricsProbe) Complete(_ int, _ Result, err error) {
+	if err != nil {
+		panic(err)
+	}
+	p.seen <- p.srv.Metrics()
+}
+
+// TestOutcomeCountedBeforeCompletion pins that the round loop counts an
+// outcome before it fires the Completion: a caller that has its answer
+// must see it in Metrics. Sequential one-item submissions make the i-th
+// completion's Answered at least i.
+func TestOutcomeCountedBeforeCompletion(t *testing.T) {
+	w := testWorkload(t)
+	srv, err := New(w, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	probe := metricsProbe{srv: srv, seen: make(chan Metrics, 1)}
+	for i := 1; i <= 5; i++ {
+		srv.SubmitAsync([]AsyncItem{{Query: w.PhraseNames[i], Done: probe}})
+		if m := <-probe.seen; m.Answered < int64(i) {
+			t.Fatalf("completion %d saw Answered = %d", i, m.Answered)
+		}
+	}
+}
+
 // TestSubmitAsyncOverload stalls the round loop with a full ring and
 // checks that the overflowing async item refuses synchronously with the
 // retryable sentinel while admitted items still resolve.

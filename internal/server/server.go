@@ -57,7 +57,10 @@ type Config struct {
 	// RoundInterval is the ticker period at which rounds close regardless of
 	// batch size — the latency/sharing tradeoff knob of the paper's §I.
 	// Longer rounds batch more simultaneous auctions (more sharing) at the
-	// cost of queries waiting longer for their round.
+	// cost of queries waiting longer for their round. It also sets the
+	// latency histograms' upper bound, 10× RoundInterval: slower
+	// observations are clamped into the top bucket, biasing high quantiles
+	// toward the bound.
 	RoundInterval time.Duration
 	// MaxBatch closes the round early once this many requests are pending,
 	// bounding worst-case latency under load. 0 disables the size threshold
@@ -70,10 +73,6 @@ type Config struct {
 	// multiplicative bid random walk after every round, modeling the
 	// automated bidding programs the paper assumes run between rounds.
 	BidWalkScale float64
-	// LatencyRange is the upper bound of the latency histograms (seconds).
-	// 0 defaults to 10× RoundInterval; observations beyond it are clamped
-	// into the top bucket, biasing high quantiles toward the bound.
-	LatencyRange float64
 
 	// BeforeStep, when set, runs on the round loop immediately before each
 	// non-empty Engine.Step. It is test instrumentation: blocking in it
@@ -156,9 +155,6 @@ func (c Config) Validate() error {
 	}
 	if c.BidWalkScale < 0 {
 		return fmt.Errorf("server: negative bid walk scale %v", c.BidWalkScale)
-	}
-	if c.LatencyRange < 0 {
-		return fmt.Errorf("server: negative latency range %v", c.LatencyRange)
 	}
 	if c.Pacing != nil {
 		if err := c.Pacing.Validate(); err != nil {

@@ -39,7 +39,6 @@ func TestConfigValidate(t *testing.T) {
 		"zero queue depth":    func(c *Config) { c.QueueDepth = 0 },
 		"negative max batch":  func(c *Config) { c.MaxBatch = -1 },
 		"negative bid walk":   func(c *Config) { c.BidWalkScale = -0.1 },
-		"negative range":      func(c *Config) { c.LatencyRange = -1 },
 	} {
 		cfg := testConfig()
 		mutate(&cfg)
@@ -104,10 +103,12 @@ func TestServerServesQueries(t *testing.T) {
 			t.Errorf("result %d: negative latency fields %+v", i, res)
 		}
 	}
-	m := s.Metrics()
-	if m.Answered != 8 {
+	if m := s.Metrics(); m.Answered != 8 {
 		t.Errorf("Answered = %d, want 8", m.Answered)
 	}
+	// Latencies are recorded after the round's answers: read them once the
+	// loop has exited.
+	m := closeAndCheckAccounting(t, s)
 	if m.TotalLatency.Count() != 8 {
 		t.Errorf("TotalLatency.Count = %d, want 8", m.TotalLatency.Count())
 	}

@@ -78,20 +78,21 @@ type Worker struct {
 	loopDone  chan struct{}
 	closeOnce sync.Once
 
-	// Counters on the admission fast path (submit-side). Every submitted
-	// request is counted under exactly one outcome: shed here, or answered,
-	// timedOut or expired by the loop below.
+	// Outcome counters. Every submitted request is counted under exactly
+	// one outcome: shed at admission, or answered, timedOut or expired by
+	// the loop. Each is counted before its Completion fires, so a caller
+	// that has its outcome sees it in Metrics.
 	submitted atomic.Int64
 	shed      atomic.Int64
+	answered  atomic.Int64
+	timedOut  atomic.Int64 // dropped at round close: the blocking caller had left
+	expired   atomic.Int64 // dropped at round close: the deadline had passed
 
 	// Loop-owned observability, guarded by mu for Metrics.
 	mu            sync.Mutex
 	start         time.Time
 	rounds        int64
 	emptyRounds   int64
-	answered      int64
-	timedOut      int64 // dropped at round close: the blocking caller had left
-	expired       int64 // dropped at round close: the deadline had passed
 	admissionHist *stats.Histogram
 	roundHist     *stats.Histogram
 	wdHist        *stats.Histogram
@@ -121,10 +122,7 @@ func NewWorker(w *workload.Workload, cfg Config) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	hi := cfg.LatencyRange
-	if hi <= 0 {
-		hi = 10 * cfg.RoundInterval.Seconds()
-	}
+	hi := 10 * cfg.RoundInterval.Seconds() // latency histograms' upper bound
 	wk := &Worker{
 		cfg:      cfg,
 		eng:      eng,
@@ -275,6 +273,11 @@ func (wk *Worker) drainInto(pending []*request) []*request {
 		if now.IsZero() {
 			now = time.Now()
 		}
+		// One clock read per drain. A request stamped after that read was
+		// popped after its stamp, so it cannot have waited less than zero.
+		if req.enqueued.After(now) {
+			now = req.enqueued
+		}
 		req.dequeued = now
 		pending = append(pending, req)
 	}
@@ -296,11 +299,13 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		// A request nobody waits for is skipped, so it forces no auction.
 		switch {
 		case req.callerGone():
-			wk.complete(req, Result{}, context.Canceled)
+			wk.timedOut.Add(1)
 			timedOut++
+			wk.complete(req, Result{}, context.Canceled)
 		case req.expired(closeStart):
-			wk.complete(req, Result{}, context.DeadlineExceeded)
+			wk.expired.Add(1)
 			expired++
+			wk.complete(req, Result{}, context.DeadlineExceeded)
 		default:
 			occ[req.phrase] = true
 			live = append(live, req)
@@ -329,6 +334,7 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 	// Answer first, record latencies after: the samples are captured into
 	// loop-owned scratch before complete, which recycles the request.
 	answerTime := time.Now()
+	wk.answered.Add(int64(len(live)))
 	wk.latScratch = wk.latScratch[:0]
 	for _, req := range live {
 		adm := req.dequeued.Sub(req.enqueued)
@@ -353,9 +359,6 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		wk.wdHist.Add(wdDur.Seconds())
 		wk.wdSummary.Add(wdDur.Seconds())
 	}
-	wk.answered += int64(nlive)
-	wk.timedOut += timedOut
-	wk.expired += expired
 	for _, s := range wk.latScratch {
 		wk.admissionHist.Add(s.adm)
 		wk.admissionSum.Add(s.adm)
@@ -399,13 +402,14 @@ func (wk *Worker) Metrics() Metrics {
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
 	up := time.Since(wk.start)
+	answered := wk.answered.Load()
 	m := Metrics{
 		Uptime:      up,
 		Submitted:   wk.submitted.Load(),
-		Answered:    wk.answered,
+		Answered:    answered,
 		Shed:        wk.shed.Load(),
-		TimedOut:    wk.timedOut,
-		Expired:     wk.expired,
+		TimedOut:    wk.timedOut.Load(),
+		Expired:     wk.expired.Load(),
 		QueueDepth:  wk.intake.length(),
 		QueueCap:    wk.intake.capacity(),
 		Rounds:      wk.rounds,
@@ -419,7 +423,7 @@ func (wk *Worker) Metrics() Metrics {
 	}
 	if sec := up.Seconds(); sec > 0 {
 		m.RoundsPerSec = float64(wk.rounds) / sec
-		m.QueriesPerSec = float64(wk.answered) / sec
+		m.QueriesPerSec = float64(answered) / sec
 	}
 	return m
 }

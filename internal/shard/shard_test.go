@@ -103,14 +103,15 @@ func TestShardedServesQueries(t *testing.T) {
 				}
 			}
 		}
-		m := s.Metrics()
-		if m.Answered != int64(len(w.PhraseNames)) {
+		// Outcomes are counted before their completions fire; latencies are
+		// recorded after the round's answers, so read them once the loops
+		// have exited.
+		if m := s.Metrics(); m.Answered != int64(len(w.PhraseNames)) {
 			t.Errorf("%d shards: Answered = %d, want %d", shards, m.Answered, len(w.PhraseNames))
 		}
-		if m.TotalLatency.Count() != len(w.PhraseNames) {
+		if m := closeAndCheckAccounting(t, s); m.TotalLatency.Count() != len(w.PhraseNames) {
 			t.Errorf("%d shards: latency count = %d", shards, m.TotalLatency.Count())
 		}
-		closeAndCheckAccounting(t, s)
 	}
 }
 
