@@ -40,8 +40,10 @@ bench:
 # frame round-trip property and malformed-input parser hardening (no panic,
 # no attacker-sized allocation), and the top-k kernels against their
 # reference semantics (MergeRuns and FoldRun against Merge, ScanRun against
-# a PushRun fold), and the compiled plan runner against memo Execute on
-# random instances, plans and fusion thresholds. CI runs the same budgets.
+# a PushRun fold), the compiled plan runner against memo Execute on
+# random instances, plans and fusion thresholds, and the engine's shared
+# threshold pass at an arbitrary τ against the pure plan. CI runs the same
+# budgets.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto
@@ -49,6 +51,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFoldRun' -fuzztime=10s ./internal/topk
 	$(GO) test -run='^$$' -fuzz='FuzzScanRun' -fuzztime=10s ./internal/topk
 	$(GO) test -run='^$$' -fuzz='FuzzCompiledRun' -fuzztime=10s ./internal/plan
+	$(GO) test -run='^$$' -fuzz='FuzzThresholdRound' -fuzztime=10s ./internal/core
 
 # soak-pacing runs the day-in-the-life budget-pacing soak (EXPERIMENTS.md):
 # calibrate natural spend, verify the unpaced baseline front-loads, then

@@ -115,6 +115,10 @@ func main() {
 		fmt.Printf("auctions resolved:       %d\n", st.AuctionsResolved)
 		fmt.Printf("aggregation ops:         %d (%.1f per auction)\n",
 			st.NodesMaterialized, float64(st.NodesMaterialized)/float64(max(1, st.AuctionsResolved)))
+		if ecfg.Sharing == core.SharedAggregation {
+			fmt.Printf("threshold candidates:    %d (%.1f per auction, %d auctions short)\n",
+				st.Candidates, float64(st.Candidates)/float64(max(1, st.AuctionsResolved)), st.ShortAuctions)
+		}
 		fmt.Printf("ads displayed:           %d\n", st.AdsDisplayed)
 		fmt.Printf("clicks charged/forgiven: %d / %d\n", st.ClicksCharged, st.ClicksForgiven)
 		fmt.Printf("revenue:                 $%.2f (forgiven $%.2f)\n", st.Revenue, st.ForgivenValue)
@@ -130,11 +134,13 @@ func max(a, b int) int {
 
 // runComparison simulates the same workload under every policy × sharing
 // combination and prints a table of the metrics the paper's evaluation
-// cares about.
+// cares about. In shared mode aggOps/auction counts the plan fallback's
+// operations only; candidates/auction and short % say what the threshold
+// pass did (both 0 for Independent).
 func runComparison(advertisers, phrases, topics, slots, rounds int, seed int64) {
 	fmt.Printf("# %d advertisers, %d phrases, %d slots, %d rounds (seed %d)\n",
 		advertisers, phrases, slots, rounds, seed)
-	fmt.Println("sharing\tpolicy\tms/round\taggOps/auction\trevenue\tforgiven\tclicks")
+	fmt.Println("sharing\tpolicy\tms/round\taggOps/auction\tcandidates/auction\tshort %\trevenue\tforgiven\tclicks")
 	for _, sharing := range []core.SharingMode{core.SharedAggregation, core.Independent} {
 		for _, policy := range []core.BudgetPolicy{core.Naive, core.Throttled} {
 			wcfg := workload.DefaultConfig()
@@ -160,10 +166,13 @@ func runComparison(advertisers, phrases, topics, slots, rounds int, seed int64) 
 			eng.Drain()
 			elapsed := time.Since(start)
 			st := eng.Stats()
-			fmt.Printf("%s\t%s\t%.2f\t%.1f\t$%.0f\t$%.0f\t%d\n",
+			auctions := float64(max(1, st.AuctionsResolved))
+			fmt.Printf("%s\t%s\t%.2f\t%.1f\t%.1f\t%.2f\t$%.0f\t$%.0f\t%d\n",
 				sharing, policy,
 				float64(elapsed.Microseconds())/1000/float64(rounds),
-				float64(st.NodesMaterialized)/float64(max(1, st.AuctionsResolved)),
+				float64(st.NodesMaterialized)/auctions,
+				float64(st.Candidates)/auctions,
+				100*float64(st.ShortAuctions)/auctions,
 				st.Revenue, st.ForgivenValue, st.ClicksCharged)
 		}
 	}

@@ -14,7 +14,10 @@ import (
 // every bid moved by PerturbBids(0.05) before each round,
 // outside the timing. Rounds alternate between timing a whole Step and
 // timing only its leaf-scoring phase (then stepping untimed), so each phase
-// starts from the same state; the benchmark reports both medians.
+// starts from the same state; the benchmark reports both medians. It also
+// reports what the shared threshold pass did over the timed rounds, from
+// Stats deltas: candidates per round, and the share of auctions it left
+// short for the plan fallback.
 //
 //	go test -run '^$' -bench StepChurn -benchtime 5000x ./internal/core
 func BenchmarkStepChurn(b *testing.B) {
@@ -42,6 +45,7 @@ func BenchmarkStepChurn(b *testing.B) {
 	}
 	step := make([]float64, b.N)
 	scoring := make([]float64, b.N)
+	before := eng.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		next()
@@ -55,6 +59,10 @@ func BenchmarkStepChurn(b *testing.B) {
 		scoring[i] = float64(time.Since(t0))
 		eng.Step(occ)
 	}
+	b.StopTimer()
+	d := eng.Stats()
+	b.ReportMetric(float64(d.Candidates-before.Candidates)/float64(d.Rounds-before.Rounds), "candidates/round")
+	b.ReportMetric(float64(d.ShortAuctions-before.ShortAuctions)/float64(max(1, d.AuctionsResolved-before.AuctionsResolved)), "short-share")
 	sort.Float64s(step)
 	sort.Float64s(scoring)
 	b.ReportMetric(step[b.N/2], "step-p50-ns")

@@ -6,9 +6,12 @@
 //  2. computes the bid of each advertiser taking part in the round's
 //     auctions — either the stated bid (naive policy) or the Section-IV
 //     throttled bid b̂ that accounts for outstanding ads awaiting clicks;
-//  3. resolves every occurring bid phrase's auction by executing the shared
-//     top-(k+1) aggregation plan built offline by the Section-II heuristic,
-//     or an unshared per-auction scan for the baseline;
+//  3. resolves every occurring bid phrase's auction. Shared mode sorts the
+//     round's τ-filtered candidates once and walks that one list for every
+//     phrase (a Fagin–Lotem–Naor style threshold shared across auctions,
+//     as in Section III); only a phrase the walk leaves short of k+1
+//     entries runs the shared top-(k+1) aggregation plan built offline by
+//     the Section-II heuristic. The baseline scans each auction on its own;
 //  4. prices the winners (first-price / GSP / laddered VCG) and displays
 //     their ads, registering them with the delayed-click simulator.
 //
@@ -21,7 +24,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"sharedwd/internal/bitset"
 	"sharedwd/internal/budget"
@@ -57,7 +62,12 @@ type SharingMode int
 
 // Sharing modes.
 const (
-	// SharedAggregation executes the Section-II shared top-k plan.
+	// SharedAggregation resolves the round with one shared threshold pass:
+	// every participant scoring at least the round's τ joins one candidate
+	// list, sorted once, and each occurring phrase takes its top-(k+1) from
+	// a walk of that list. A phrase the walk leaves short falls back to the
+	// Section-II shared top-k plan, run over the short phrases only. The
+	// pass is exact for any τ, so τ moves only cost.
 	SharedAggregation SharingMode = iota
 	// Independent scans each occurring phrase's advertisers separately.
 	Independent
@@ -96,7 +106,8 @@ type Config struct {
 	//
 	// Deprecated: an engine runs on one goroutine; use shards for more cores.
 	Workers int
-	// IncrementalCache is ignored: every shared round is one full plan run.
+	// IncrementalCache is ignored: the engine keeps no plan result across
+	// rounds.
 	//
 	// Deprecated: kept only because benchmark/ still sets and reads it;
 	// deleted with the other benchmark shims (ROADMAP item 1(f)).
@@ -175,10 +186,10 @@ type Engine struct {
 	interest [][]int32
 
 	// runner executes the flat-compiled instruction stream over dense entry
-	// slabs — the shared-mode path. New builds it once from the workload's
-	// rates and it is never replaced: by Lemma 1 every complete plan over
-	// the same queries picks the same winners, so a rebuilt plan could only
-	// change cost. It holds the engine's only reference to the Program;
+	// slabs — the shared-mode fallback for short phrases. New builds it once
+	// from the workload's rates and it is never replaced: by Lemma 1 every
+	// complete plan over the same queries picks the same winners, so a
+	// rebuilt plan could only change cost. It holds the engine's only reference to the Program;
 	// neither the Plan nor the Instance it was built from is kept.
 	runner *plan.Runner
 
@@ -197,11 +208,24 @@ type Engine struct {
 	lifeCursor int
 	lifeFn     func(workload.LifecycleEvent)
 
+	// tauQ[q] is phrase q's threshold for its next round: (1 − tauMargin) ×
+	// the score of the last entry of q's run the last time q occurred, +Inf
+	// if that run was empty, 0 before q first occurs. The round's τ is the
+	// minimum over its occurring phrases (shared mode only; nil otherwise).
+	tauQ []float64
+	// tauForced, when non-nil, replaces the round's τ. Only tests set it.
+	tauForced *float64
+
 	scr  roundScratch
 	tscr throttleScratch
 
 	stats Stats
 }
+
+// tauMargin is how far below a phrase's last (k+1)-th score its next τ
+// sits. It trades candidates per round against phrases left short; DESIGN.md
+// §5 records the sweep it was chosen from.
+const tauMargin = 0.10
 
 // roundScratch holds every per-round buffer Step reuses, so steady-state
 // rounds allocate nothing. RoundReports returned by Step view into these
@@ -221,11 +245,20 @@ type roundScratch struct {
 	prices   []float64
 	auctions map[int][]SlotResult
 	slots    [][]SlotResult // per-phrase slot buffers backing auctions
-	// indep is the Independent-mode run slab, one stride-(k+1) segment per
-	// phrase holding indepLen[q] entries — the same layout and the same scan
-	// kernel the compiled runner uses, so the two modes differ in plan only.
-	indep    []topk.Entry
-	indepLen []int32
+	// runs is the round's result slab, one stride-(k+1) segment per phrase
+	// holding runLen[q] entries: the threshold pass's walks in shared mode,
+	// the per-phrase scans in Independent mode — the same layout the
+	// compiled runner uses.
+	runs   []topk.Entry
+	runLen []int32
+	// cand is the shared-mode candidate slab: every participant whose score
+	// is positive and at least the round's tau, sorted once in phase 3. Its
+	// capacity is the advertiser count, so appends never grow it.
+	cand []topk.Entry
+	tau  float64 // the round's τ, as scoreParticipants set it
+	// short[q] marks an occurring phrase whose walk found fewer than k+1
+	// candidates while tau was not ≤ 0: its run comes from the plan fallback.
+	short []bool
 }
 
 // throttleScratch is the buffers for the throttled bid computation: the
@@ -243,18 +276,25 @@ type Stats struct {
 	Rounds           int `json:"rounds"`
 	AuctionsResolved int `json:"auctions_resolved"`
 	// NodesMaterialized counts top-k aggregation operations performed (the
-	// Section-II cost metric). In shared mode that is Σ plan.Program.Span
-	// over each round's cone: the plan nodes the round needs, except that a
-	// small shared node the compiler fuses into several consumers counts once
-	// in each. For Independent mode it counts the per-scan pushes
-	// equivalent: one per advertiser scanned beyond the first per auction,
-	// to keep the two modes comparable.
+	// Section-II cost metric). In shared mode only the plan fallback for
+	// short phrases performs any: Σ plan.Program.Span over the cone of each
+	// round's short phrases, in which a small shared node the compiler fuses
+	// into several consumers counts once in each. The threshold pass itself
+	// is counted by Candidates. For Independent mode it counts the per-scan
+	// pushes equivalent: one per advertiser scanned beyond the first per
+	// auction, to keep the two modes comparable.
 	NodesMaterialized int `json:"nodes_materialized"`
 	// NodesCached is always 0 and is not part of the wire schema.
 	//
 	// Deprecated: kept only because benchmark/ still reads it; deleted with
 	// the other benchmark shims (ROADMAP item 1(f)).
-	NodesCached   int     `json:"-"`
+	NodesCached int `json:"-"`
+	// Candidates counts the shared threshold pass's candidates: participants
+	// whose score cleared their round's τ, summed over rounds.
+	Candidates int `json:"candidates"`
+	// ShortAuctions counts the auctions the threshold pass left short of
+	// k+1 entries, which the plan fallback resolved.
+	ShortAuctions int     `json:"short_auctions"`
 	Revenue       float64 `json:"revenue"`
 	ClicksCharged int     `json:"clicks_charged"`
 	// ClicksForgiven counts clicks whose price exceeded the advertiser's
@@ -270,6 +310,8 @@ func (s Stats) Add(o Stats) Stats {
 	s.Rounds += o.Rounds
 	s.AuctionsResolved += o.AuctionsResolved
 	s.NodesMaterialized += o.NodesMaterialized
+	s.Candidates += o.Candidates
+	s.ShortAuctions += o.ShortAuctions
 	s.Revenue += o.Revenue
 	s.ClicksCharged += o.ClicksCharged
 	s.ClicksForgiven += o.ClicksForgiven
@@ -329,6 +371,9 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	e.scr.auctions = make(map[int][]SlotResult, len(w.Interests))
 	e.scr.slots = make([][]SlotResult, len(w.Interests))
 	k := len(w.SlotFactors)
+	e.scr.runs = make([]topk.Entry, len(w.Interests)*(k+1))
+	e.scr.runLen = make([]int32, len(w.Interests))
+	e.scr.short = make([]bool, len(w.Interests))
 	if cfg.Sharing == SharedAggregation {
 		queries := make([]plan.Query, len(w.Interests))
 		for q := range w.Interests {
@@ -343,9 +388,9 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		e.runner = plan.NewRunner(prog, k+1)
+		e.scr.cand = make([]topk.Entry, 0, len(w.Advertisers))
+		e.tauQ = make([]float64, len(w.Interests))
 	} else {
-		e.scr.indep = make([]topk.Entry, len(w.Interests)*(k+1))
-		e.scr.indepLen = make([]int32, len(w.Interests))
 		e.interest = make([][]int32, len(w.Interests))
 		for q, set := range w.Interests {
 			for _, i := range set.Indices() {
@@ -433,7 +478,8 @@ type RoundReport struct {
 	// Clicks that arrived this round (from earlier displays).
 	Clicks []workload.Click
 	// Materialized counts the aggregation operations performed this round
-	// (see Stats.NodesMaterialized).
+	// (see Stats.NodesMaterialized): in shared mode, the plan fallback's
+	// only, so 0 in a round that left no phrase short.
 	Materialized int
 }
 
@@ -491,7 +537,7 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	k := len(e.w.SlotFactors)
 	switch e.cfg.Sharing {
 	case SharedAggregation:
-		rep.Materialized = e.runner.Run(e.scr.score, occurring)
+		rep.Materialized = e.resolveShared(occurring)
 	case Independent:
 		rep.Materialized = e.scanIndependent(occurring)
 	}
@@ -505,12 +551,7 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 			continue
 		}
 		e.stats.AuctionsResolved++
-		var run []topk.Entry
-		if e.cfg.Sharing == Independent {
-			run = e.scr.indep[q*(k+1):][:e.scr.indepLen[q]]
-		} else {
-			run = e.runner.QueryRun(q)
-		}
+		run := e.run(q)
 		// Pricing sees each entry's advertiser with its round bid and quality.
 		ranked := e.scr.ranked[:0]
 		for _, entry := range run {
@@ -550,17 +591,27 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 
 // scoreParticipants computes the round bid and score[i] = b̂_i·c_i of every
 // advertiser in an occurring auction (all others score 0). Both sharing
-// modes read this one slab, so they score bit-identically.
+// modes read this one slab, so they score bit-identically. In shared mode it
+// also sets the round's τ and collects the candidate slab.
 func (e *Engine) scoreParticipants(occurring []bool) {
 	part := e.scr.part
 	part.Clear()
-	auctions := 0 // M: the round's occurring auctions, an upper bound on every m_i
+	auctions := 0      // M: the round's occurring auctions, an upper bound on every m_i
+	tau := math.Inf(1) // +Inf collects nothing, as Independent mode needs
 	for q, occ := range occurring {
 		if occ {
 			auctions++
 			part.UnionInPlace(e.w.Interests[q])
+			if e.tauQ != nil {
+				tau = min(tau, e.tauQ[q])
+			}
 		}
 	}
+	if e.tauForced != nil {
+		tau = *e.tauForced
+	}
+	e.scr.tau = tau
+	cand := e.scr.cand[:0]
 	roundBid := e.scr.roundBid
 	score := e.scr.score
 	clear(roundBid)
@@ -601,10 +652,88 @@ func (e *Engine) scoreParticipants(occurring []bool) {
 			} else if remaining < bid {
 				rb = remaining // Naive: min(b_i, β_i)
 			}
+			s := rb * a.Quality
 			roundBid[i] = rb
-			score[i] = rb * a.Quality
+			score[i] = s
+			if s > 0 && s >= tau {
+				cand = append(cand, topk.Entry{ID: i, Score: s})
+			}
 		}
 	}
+	e.scr.cand = cand
+}
+
+// resolveShared is shared mode's phase 3: one threshold pass over the
+// round's candidates, then the compiled plan for the phrases it leaves
+// short. It returns the fallback's aggregation count.
+//
+// The pass is exact for any τ. Every member of phrase q that is not a
+// candidate scores below τ (or not above 0), and every candidate scores at
+// least τ. So a walk of the sorted candidates that finds k+1 members of q
+// has found q's exact top-(k+1) in Entry.Less order, ties included. A walk
+// that finds fewer is exact only at τ ≤ 0; otherwise the phrase is short and
+// the plan resolves it. The candidate test is ≥ rather than > so that a
+// member scoring exactly τ — as the entry τ was taken from does when scores
+// hold still — keeps its phrase off the fallback.
+func (e *Engine) resolveShared(occurring []bool) (materialized int) {
+	k1 := len(e.w.SlotFactors) + 1
+	cand := e.scr.cand
+	slices.SortFunc(cand, func(a, b topk.Entry) int {
+		if a.Less(b) {
+			return -1
+		}
+		return 1 // IDs are unique, so no two candidates tie
+	})
+	short := e.scr.short
+	shortCount := 0
+	for q, occ := range occurring {
+		short[q] = false
+		if !occ {
+			continue
+		}
+		set := e.w.Interests[q]
+		run := e.scr.runs[q*k1 : (q+1)*k1]
+		n := 0
+		for _, c := range cand {
+			if set.Contains(c.ID) {
+				run[n] = c
+				if n++; n == k1 {
+					break
+				}
+			}
+		}
+		e.scr.runLen[q] = int32(n)
+		if n < k1 && !(e.scr.tau <= 0) { // a NaN τ is short, too
+			short[q] = true
+			shortCount++
+		}
+	}
+	if shortCount > 0 {
+		materialized = e.runner.Run(e.scr.score, short)
+	}
+	for q, occ := range occurring {
+		if !occ {
+			continue
+		}
+		if run := e.run(q); len(run) > 0 {
+			e.tauQ[q] = (1 - tauMargin) * run[len(run)-1].Score
+		} else {
+			e.tauQ[q] = math.Inf(1)
+		}
+	}
+	e.stats.Candidates += len(cand)
+	e.stats.ShortAuctions += shortCount
+	return materialized
+}
+
+// run returns occurring phrase q's top-(k+1) run for the round in rank
+// order: the plan fallback's for a short phrase, else the run slab's.
+func (e *Engine) run(q int) []topk.Entry {
+	if e.scr.short[q] {
+		return e.runner.QueryRun(q)
+	}
+	k1 := len(e.w.SlotFactors) + 1
+	return e.scr.runs[q*k1:][:e.scr.runLen[q]]
 }
 
 // Drain advances rounds with no occurring auctions until every pending
@@ -626,8 +755,8 @@ func (e *Engine) scanIndependent(occurring []bool) (materialized int) {
 			continue
 		}
 		ids := e.interest[q]
-		run := e.scr.indep[q*(k+1) : (q+1)*(k+1)]
-		e.scr.indepLen[q] = int32(topk.ScanRun(run, 0, k+1, e.scr.score, ids))
+		run := e.scr.runs[q*(k+1) : (q+1)*(k+1)]
+		e.scr.runLen[q] = int32(topk.ScanRun(run, 0, k+1, e.scr.score, ids))
 		if len(ids) > 1 {
 			materialized += len(ids) - 1
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -391,5 +392,37 @@ func TestEngineWithCustomWorkload(t *testing.T) {
 	// GSP prices: slot0 pays next effective bid 4; slot1 pays 3.
 	if math.Abs(slots[0].PricePaid-4) > 1e-9 || math.Abs(slots[1].PricePaid-3) > 1e-9 {
 		t.Fatalf("prices = %v, %v", slots[0].PricePaid, slots[1].PricePaid)
+	}
+}
+
+// TestStatsAddSumsEveryField keeps the shard roll-up complete: Stats.Add must
+// sum every field on the wire schema (json tag other than "-"), so a counter
+// added later cannot silently drop out of the fleet view.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Tag.Get("json") == "-" {
+			continue
+		}
+		var a, b Stats
+		set := func(s *Stats, v int) {
+			fv := reflect.ValueOf(s).Elem().Field(i)
+			switch fv.Kind() {
+			case reflect.Int:
+				fv.SetInt(int64(v))
+			case reflect.Float64:
+				fv.SetFloat(float64(v))
+			default:
+				t.Fatalf("Stats.%s has kind %v; teach this test to sum it", f.Name, fv.Kind())
+			}
+		}
+		set(&a, 2)
+		set(&b, 3)
+		var want Stats
+		set(&want, 5)
+		if got := a.Add(b); got != want {
+			t.Errorf("Stats.Add does not sum %s: got %+v, want %+v", f.Name, got, want)
+		}
 	}
 }
