@@ -16,8 +16,8 @@ import (
 // timing only its leaf-scoring phase (then stepping untimed), so each phase
 // starts from the same state; the benchmark reports both medians. It also
 // reports what the shared threshold pass did over the timed rounds, from
-// Stats deltas: candidates per round, and the share of auctions it left
-// short for the plan fallback.
+// Stats deltas: participants scored and candidates per round, and the share
+// of auctions it left short for the plan fallback.
 //
 //	go test -run '^$' -bench StepChurn -benchtime 5000x ./internal/core
 func BenchmarkStepChurn(b *testing.B) {
@@ -61,7 +61,9 @@ func BenchmarkStepChurn(b *testing.B) {
 	}
 	b.StopTimer()
 	d := eng.Stats()
-	b.ReportMetric(float64(d.Candidates-before.Candidates)/float64(d.Rounds-before.Rounds), "candidates/round")
+	rounds := float64(d.Rounds - before.Rounds)
+	b.ReportMetric(float64(d.Scored-before.Scored)/rounds, "scored/round")
+	b.ReportMetric(float64(d.Candidates-before.Candidates)/rounds, "candidates/round")
 	b.ReportMetric(float64(d.ShortAuctions-before.ShortAuctions)/float64(max(1, d.AuctionsResolved-before.AuctionsResolved)), "short-share")
 	sort.Float64s(step)
 	sort.Float64s(scoring)

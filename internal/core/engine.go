@@ -3,9 +3,13 @@
 //
 //  1. collects the clicks arriving from earlier rounds and charges budgets
 //     (never above an advertiser's daily budget);
-//  2. computes the bid of each advertiser taking part in the round's
+//  2. computes the round bid of the advertisers taking part in the round's
 //     auctions — either the stated bid (naive policy) or the Section-IV
-//     throttled bid b̂ that accounts for outstanding ads awaiting clicks;
+//     throttled bid b̂ that accounts for outstanding ads awaiting clicks.
+//     Independent mode scores every participant. Shared mode scores only
+//     those whose paced bid times quality reaches the round's τ, since no
+//     other can become a candidate, and later the members of any phrase
+//     the threshold pass leaves short;
 //  3. resolves every occurring bid phrase's auction. Shared mode sorts the
 //     round's τ-filtered candidates once and walks that one list for every
 //     phrase (a Fagin–Lotem–Naor style threshold shared across auctions,
@@ -189,8 +193,9 @@ type Engine struct {
 	// slabs — the shared-mode fallback for short phrases. New builds it once
 	// from the workload's rates and it is never replaced: by Lemma 1 every
 	// complete plan over the same queries picks the same winners, so a
-	// rebuilt plan could only change cost. It holds the engine's only reference to the Program;
-	// neither the Plan nor the Instance it was built from is kept.
+	// rebuilt plan could only change cost. It holds the engine's only
+	// reference to the Program; neither the Plan nor the Instance it was
+	// built from is kept.
 	runner *plan.Runner
 
 	clicks *workload.ClickSim
@@ -234,12 +239,22 @@ type roundScratch struct {
 	occ []bool
 	// part is the round's participants: the union of the occurring phrases'
 	// interest sets.
-	part     bitset.Set
+	part bitset.Set
+	// auctionCount is M, the round's number of occurring auctions.
+	auctionCount int
+	// roundBid[i] and score[i] are advertiser i's round bid and effective
+	// score b̂_i·c_i. Both hold this round's values only where
+	// scoredAt[i] == epoch; every other entry is stale and never read. Both
+	// sharing modes read leaf values from this one slab so they score
+	// bit-identically.
 	roundBid []float64
-	// score[i] is the round's effective score b̂_i·c_i, computed once per
-	// round; both sharing modes read leaf values from this one slab so they
-	// score bit-identically.
 	score    []float64
+	// scoredAt[i] is the epoch in which advertiser i was last scored; epoch
+	// advances once per scoring phase, so the stamp replaces clearing the
+	// two slabs. scored counts the round's stamps.
+	scoredAt []uint32
+	epoch    uint32
+	scored   int
 	ranked   []pricing.Ranked
 	parts    []pricing.Ranked
 	prices   []float64
@@ -294,7 +309,12 @@ type Stats struct {
 	Candidates int `json:"candidates"`
 	// ShortAuctions counts the auctions the threshold pass left short of
 	// k+1 entries, which the plan fallback resolved.
-	ShortAuctions int     `json:"short_auctions"`
+	ShortAuctions int `json:"short_auctions"`
+	// Scored counts the participants the engine scored, summed over rounds:
+	// every participant in Independent mode; in shared mode only those whose
+	// paced ceiling reached τ, plus the skipped members of short phrases,
+	// scored for the plan fallback.
+	Scored        int     `json:"scored"`
 	Revenue       float64 `json:"revenue"`
 	ClicksCharged int     `json:"clicks_charged"`
 	// ClicksForgiven counts clicks whose price exceeded the advertiser's
@@ -312,6 +332,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.NodesMaterialized += o.NodesMaterialized
 	s.Candidates += o.Candidates
 	s.ShortAuctions += o.ShortAuctions
+	s.Scored += o.Scored
 	s.Revenue += o.Revenue
 	s.ClicksCharged += o.ClicksCharged
 	s.ClicksForgiven += o.ClicksForgiven
@@ -368,6 +389,7 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	e.scr.part = bitset.New(len(w.Advertisers))
 	e.scr.roundBid = make([]float64, len(w.Advertisers))
 	e.scr.score = make([]float64, len(w.Advertisers))
+	e.scr.scoredAt = make([]uint32, len(w.Advertisers))
 	e.scr.auctions = make(map[int][]SlotResult, len(w.Interests))
 	e.scr.slots = make([][]SlotResult, len(w.Interests))
 	k := len(w.SlotFactors)
@@ -584,20 +606,26 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	}
 
 	e.stats.NodesMaterialized += rep.Materialized
+	e.stats.Scored += e.scr.scored
 	e.stats.Rounds++
 	e.round++
 	return rep
 }
 
-// scoreParticipants computes the round bid and score[i] = b̂_i·c_i of every
-// advertiser in an occurring auction (all others score 0). Both sharing
-// modes read this one slab, so they score bit-identically. In shared mode it
-// also sets the round's τ and collects the candidate slab.
+// scoreParticipants scores the round's participants: the advertisers in an
+// occurring auction. Independent mode scores every one. In shared mode it
+// also sets the round's τ and collects the candidate slab, and it scores a
+// participant only if its paced ceiling Bid·Factor·Quality reaches τ. The
+// test is exact: the pacer factor is in [0, 1], both policies' round bids
+// are at most the paced bid, and IEEE multiplication by a non-negative
+// quality is monotone, so a participant below its ceiling test scores below
+// τ and cannot be a candidate. resolveShared scores the skipped members of
+// short phrases before the plan fallback reads them.
 func (e *Engine) scoreParticipants(occurring []bool) {
 	part := e.scr.part
 	part.Clear()
 	auctions := 0      // M: the round's occurring auctions, an upper bound on every m_i
-	tau := math.Inf(1) // +Inf collects nothing, as Independent mode needs
+	tau := math.Inf(1) // Independent mode's: it runs no threshold pass
 	for q, occ := range occurring {
 		if occ {
 			auctions++
@@ -611,56 +639,97 @@ func (e *Engine) scoreParticipants(occurring []bool) {
 		tau = *e.tauForced
 	}
 	e.scr.tau = tau
-	cand := e.scr.cand[:0]
-	roundBid := e.scr.roundBid
-	score := e.scr.score
-	clear(roundBid)
-	clear(score)
+	e.scr.auctionCount = auctions
+	if e.scr.epoch++; e.scr.epoch == 0 { // wrapped: no stale stamp may match
+		clear(e.scr.scoredAt)
+		e.scr.epoch = 1
+	}
+	e.scr.scored = 0
 	if e.out != nil {
 		// Section IV needs every participating advertiser's outstanding
 		// ads: bucket the pending list once, O(pending + advertisers),
 		// rather than scan all of it per advertiser.
 		e.clicks.BucketOutstanding(e.out, len(e.w.Advertisers), e.round)
 	}
-	active, advs, spent := e.active, e.w.Advertisers, e.spent
-	pacer, ledger, throttled := e.cfg.Pacer, e.cfg.Ledger, e.out != nil
+	if e.tauQ == nil {
+		for j, word := range part.Words() {
+			for ; word != 0; word &= word - 1 {
+				i := j<<6 | bits.TrailingZeros64(word)
+				e.scoreAdvertiser(i, e.pacedBid(i), occurring)
+			}
+		}
+		return
+	}
+	// Shared mode: the ceiling test first, over every participant. The loop
+	// inlines pacedBid over hoisted slices and makes no call, so its state
+	// stays in registers (measured faster than calling pacedBid in it).
+	// The few that pass are scored after it, and those that reach τ are
+	// kept in place as the round's candidates.
+	cand := e.scr.cand[:0]
+	active, advs, pacer := e.active, e.w.Advertisers, e.cfg.Pacer
 	for j, word := range part.Words() {
 		for ; word != 0; word &= word - 1 {
 			i := j<<6 | bits.TrailingZeros64(word)
-			if !active[i] {
-				continue
+			bid := 0.0
+			if active[i] {
+				bid = advs[i].Bid
+				if pacer != nil {
+					bid *= pacer.Factor(i)
+				}
 			}
-			// Section IV computes b̂ from the paced bid.
-			a := &advs[i]
-			bid := a.Bid
-			if pacer != nil {
-				bid *= pacer.Factor(i)
-			}
-			if bid <= 0 {
-				continue
-			}
-			remaining := a.Budget - spent[i]
-			if ledger != nil {
-				remaining = ledger.Remaining(i)
-			}
-			if remaining <= 0 {
-				continue
-			}
-			rb := bid
-			if throttled {
-				rb = e.throttledBid(i, bid, remaining, auctions, occurring)
-			} else if remaining < bid {
-				rb = remaining // Naive: min(b_i, β_i)
-			}
-			s := rb * a.Quality
-			roundBid[i] = rb
-			score[i] = s
-			if s > 0 && s >= tau {
-				cand = append(cand, topk.Entry{ID: i, Score: s})
+			if !(bid*advs[i].Quality < tau) {
+				cand = append(cand, topk.Entry{ID: i})
 			}
 		}
 	}
-	e.scr.cand = cand
+	n := 0
+	for _, c := range cand {
+		if s := e.scoreAdvertiser(c.ID, e.pacedBid(c.ID), occurring); s > 0 && s >= tau {
+			cand[n] = topk.Entry{ID: c.ID, Score: s}
+			n++
+		}
+	}
+	e.scr.cand = cand[:n]
+}
+
+// pacedBid returns advertiser i's stated bid scaled by its pacing factor —
+// the bid Section IV computes b̂ from — or 0 if i is not active.
+func (e *Engine) pacedBid(i int) float64 {
+	if !e.active[i] {
+		return 0
+	}
+	bid := e.w.Advertisers[i].Bid
+	if e.cfg.Pacer != nil {
+		bid *= e.cfg.Pacer.Factor(i)
+	}
+	return bid
+}
+
+// scoreAdvertiser computes participant i's round bid under the budget
+// policy from its paced bid, writes it and its score to the round's slabs,
+// stamps both, and returns the score. A participant with no positive bid or
+// no remaining budget scores 0.
+func (e *Engine) scoreAdvertiser(i int, bid float64, occurring []bool) float64 {
+	rb, s := 0.0, 0.0
+	if bid > 0 {
+		remaining := e.w.Advertisers[i].Budget - e.spent[i]
+		if e.cfg.Ledger != nil {
+			remaining = e.cfg.Ledger.Remaining(i)
+		}
+		if remaining > 0 {
+			rb = bid
+			if e.out != nil {
+				rb = e.throttledBid(i, bid, remaining, occurring)
+			} else if remaining < bid {
+				rb = remaining // Naive: min(b_i, β_i)
+			}
+			s = rb * e.w.Advertisers[i].Quality
+		}
+	}
+	e.scr.roundBid[i], e.scr.score[i] = rb, s
+	e.scr.scoredAt[i] = e.scr.epoch
+	e.scr.scored++
+	return s
 }
 
 // resolveShared is shared mode's phase 3: one threshold pass over the
@@ -709,6 +778,21 @@ func (e *Engine) resolveShared(occurring []bool) (materialized int) {
 		}
 	}
 	if shortCount > 0 {
+		// The plan's cone leaves are members of the short phrases; score
+		// those the ceiling test skipped, so the fallback reads no stale
+		// entry.
+		for q, sh := range short {
+			if !sh {
+				continue
+			}
+			for j, word := range e.w.Interests[q].Words() {
+				for ; word != 0; word &= word - 1 {
+					if i := j<<6 | bits.TrailingZeros64(word); e.scr.scoredAt[i] != e.scr.epoch {
+						e.scoreAdvertiser(i, e.pacedBid(i), occurring)
+					}
+				}
+			}
+		}
 		materialized = e.runner.Run(e.scr.score, short)
 	}
 	for q, occ := range occurring {
@@ -766,8 +850,8 @@ func (e *Engine) scanIndependent(occurring []bool) (materialized int) {
 
 // throttledBid computes advertiser i's Section-IV bid b̂_i for this round
 // from its effective stated bid (already pacing-scaled) and its positive
-// remaining budget. auctions is M, the round's number of occurring auctions.
-func (e *Engine) throttledBid(i int, bid, remaining float64, auctions int, occurring []bool) float64 {
+// remaining budget.
+func (e *Engine) throttledBid(i int, bid, remaining float64, occurring []bool) float64 {
 	prices, ctrs := e.out.Advertiser(i)
 	omega := 0.0
 	for _, p := range prices {
@@ -777,7 +861,7 @@ func (e *Engine) throttledBid(i int, bid, remaining float64, auctions int, occur
 	// advertiser can still afford m_i full bids — no throttling needed.
 	// M ≥ m_i and rounding is monotone, so the test at M passing implies it
 	// passes at m_i: count the exact m_i only when it fails.
-	if omega <= remaining-float64(auctions)*bid {
+	if omega <= remaining-float64(e.scr.auctionCount)*bid {
 		return bid
 	}
 	m := 0
@@ -794,8 +878,14 @@ func (e *Engine) throttledBid(i int, bid, remaining float64, auctions int, occur
 		ads = append(ads, budget.OutstandingAd{Price: prices[j], CTR: ctrs[j]})
 	}
 	e.tscr.ads = ads
+	var b float64
 	if len(ads) <= e.cfg.ThrottleEnumLimit {
-		return budget.ExactThrottledBid(bid, remaining, m, ads)
+		b = budget.ExactThrottledBid(bid, remaining, m, ads)
+	} else {
+		b = e.tscr.dp.Bid(bid, remaining, m, ads, e.cfg.ThrottleUnit)
 	}
-	return e.tscr.dp.Bid(bid, remaining, m, ads, e.cfg.ThrottleUnit)
+	// Both sum probability-weighted terms each ≤ bid, and the rounded
+	// probabilities may sum a few ulps above 1. The clamp keeps b̂ ≤ bid,
+	// which the shared ceiling test needs to be exact.
+	return min(b, bid)
 }

@@ -17,8 +17,8 @@ import (
 // and a plan built for different search rates — must produce RoundReports,
 // Stats, and final per-advertiser accounting identical to the Independent
 // engine's, a naive per-phrase scan that shares no pass or plan code with
-// them. Cost counters (NodesMaterialized, Candidates, ShortAuctions) are
-// left out of that comparison.
+// them. Cost counters (NodesMaterialized, Candidates, ShortAuctions, Scored)
+// are left out of that comparison.
 //
 // The tau-* arms force the round's τ. At +Inf no participant is a
 // candidate, so every occurring phrase is short and the engine runs the pure
@@ -234,9 +234,9 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 				t.Errorf("%s: %d of %d auctions short; the arm never mixed the pass with the fallback", v.name, es.ShortAuctions, es.AuctionsResolved)
 			}
 		}
-		// Independent counts a different aggregation cost and runs no
-		// threshold pass.
-		es.NodesMaterialized, es.Candidates, es.ShortAuctions = refStats.NodesMaterialized, 0, 0
+		// Independent counts a different aggregation cost, runs no
+		// threshold pass and skips no participant's scoring.
+		es.NodesMaterialized, es.Candidates, es.ShortAuctions, es.Scored = refStats.NodesMaterialized, 0, 0, refStats.Scored
 		if es != refStats {
 			t.Errorf("%s: final stats %+v, want %+v", v.name, es, refStats)
 		}
@@ -285,12 +285,15 @@ func slotTau(rng *rand.Rand, twin *Engine, occ []bool, round int) float64 {
 // checkPass pins the threshold pass of the round e just stepped against its
 // definition: the candidates are exactly the participants scoring above 0
 // and at least τ, and an occurring phrase is short exactly when fewer than
-// k+1 of its members are candidates and τ is not ≤ 0.
+// k+1 of its members are candidates and τ is not ≤ 0. Scores come from
+// referenceScores, which scores every participant, because the engine's
+// slab holds this round's score only for the participants it did not skip.
 func checkPass(t *testing.T, name string, round int, e *Engine, occ []bool) {
 	t.Helper()
 	tau, k := e.scr.tau, len(e.w.SlotFactors)
+	_, score := referenceScores(e, occ, new(referencePaths))
 	want := 0
-	for _, s := range e.scr.score {
+	for _, s := range score {
 		if s > 0 && s >= tau {
 			want++
 		}
@@ -305,7 +308,7 @@ func checkPass(t *testing.T, name string, round int, e *Engine, occ []bool) {
 		}
 		members := 0
 		e.w.Interests[q].ForEach(func(i int) bool {
-			if s := e.scr.score[i]; s > 0 && s >= tau {
+			if s := score[i]; s > 0 && s >= tau {
 				members++
 			}
 			return true

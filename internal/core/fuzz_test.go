@@ -8,14 +8,18 @@ import (
 )
 
 // FuzzThresholdRound checks the shared threshold pass at an arbitrary τ
-// against the pure compiled plan. The input picks a small workload (seed),
-// the phrases occurring in each of four rounds (occBits, rotated by seven
-// bits a round), the forced τ — any float64, NaN and ±Inf included — and
-// the scale of the bid perturbation applied before each round. An odd seed
-// also sets every quality to 1 and rounds every bid to a multiple of 0.5,
-// so scores tie often and the (score, ID) order is exercised. The engine at
-// τ and its twin at τ = +Inf, which leaves every phrase short and so runs
-// only the plan, must produce identical rounds.
+// against the pure compiled plan and the Independent scan. The input picks
+// a small workload (seed), the phrases occurring in each of four rounds
+// (occBits, rotated by seven bits a round), the forced τ — any float64, NaN
+// and ±Inf included — and the scale of the bid perturbation applied before
+// each round. An odd seed also sets every quality to 1 and rounds every bid
+// to a multiple of 0.5, so scores tie often and the (score, ID) order is
+// exercised; seed bit 1 selects the Throttled policy, so the ceiling test
+// also skips participants in front of throttledBid. Three engines step the
+// same rounds and must produce identical ones: the engine at τ; its twin at
+// τ = +Inf, which leaves every phrase short, so it skips every participant's
+// scoring and runs only on-demand scoring and the plan; and an Independent
+// twin, which scores every participant and shares neither path.
 //
 //	go test -run '^$' -fuzz FuzzThresholdRound -fuzztime 10s ./internal/core
 func FuzzThresholdRound(f *testing.F) {
@@ -32,20 +36,29 @@ func FuzzThresholdRound(f *testing.F) {
 		}
 		scale = math.Mod(math.Abs(scale), 1)
 		ties := seed%2 == 1
+		throttled := seed&2 != 0
 
 		wcfg := workload.DefaultConfig()
 		wcfg.NumAdvertisers, wcfg.NumPhrases, wcfg.NumTopics = 80, 12, 3
 		wcfg.Seed = int64(seed)
 		cfg := DefaultConfig()
 		cfg.Policy = Naive
-		var worlds [2]*workload.Workload
-		var engines [2]*Engine
+		if throttled {
+			cfg.Policy = Throttled
+		}
+		// engines[2] is the Independent twin.
+		var worlds [3]*workload.Workload
+		var engines [3]*Engine
 		for i := range engines {
 			worlds[i] = workload.Generate(wcfg)
 			if ties {
 				for a := range worlds[i].Advertisers {
 					worlds[i].Advertisers[a].Quality = 1
 				}
+			}
+			cfg.Sharing = SharedAggregation
+			if i == 2 {
+				cfg.Sharing = Independent
 			}
 			eng, err := New(worlds[i], cfg)
 			if err != nil {
@@ -70,9 +83,9 @@ func FuzzThresholdRound(f *testing.F) {
 					}
 				}
 			}
-			want := engines[1].Step(occ)
-			got := engines[0].Step(occ)
-			compareReports(t, "forced τ", round, want, got)
+			want := engines[2].Step(occ)
+			compareReports(t, "τ = +Inf", round, want, engines[1].Step(occ))
+			compareReports(t, "forced τ", round, want, engines[0].Step(occ))
 			if t.Failed() {
 				t.FailNow()
 			}

@@ -15,8 +15,18 @@ import (
 // every advertiser over every occurring phrase, then ask the budget policy
 // for each advertiser with m_i > 0 (referenceScores). Shared and Independent
 // engines read one score slab, so the strategy equivalence test cannot see
-// a scoring bug; this test compares roundBid and score bit for bit after
+// a scoring bug; this test checks the slab against the reference after
 // every round.
+//
+// The engine writes a slab entry only for the advertisers it scores, and
+// stamps them. Every stamped entry must be a participant's and must equal
+// the reference bit for bit. Every participant left unstamped must have a
+// reference score below the round's τ: shared mode may skip only the
+// participants whose ceiling test proves they cannot be candidates.
+// Independent mode must stamp every participant, and so must shared mode
+// at τ forced to 0 (the tau-zero cases), where no score is below τ: there
+// the comparison covers every participant's entry. The shared cases at
+// their own τ must skip someone, or the skip went untested.
 //
 // Budgets are small enough to bind, and throttled engines take the DP beyond
 // three outstanding ads, so the reference must observe the M-bound fast path
@@ -30,12 +40,17 @@ func TestRoundScoresMatchReference(t *testing.T) {
 		paced     bool // ledger and pacer
 		sharing   SharingMode
 		reserve   float64
+		tauZero   bool
 	}{
 		{name: "naive", policy: Naive},
 		{name: "naive-lifecycle", policy: Naive, lifecycle: true},
 		{name: "naive-paced-reserve", policy: Naive, lifecycle: true, paced: true, sharing: Independent, reserve: 0.4},
 		{name: "throttled-reserve", policy: Throttled, reserve: 0.4},
 		{name: "throttled-paced", policy: Throttled, lifecycle: true, paced: true, sharing: Independent},
+		{name: "naive-paced-shared-reserve", policy: Naive, lifecycle: true, paced: true, reserve: 0.4},
+		{name: "throttled-paced-shared", policy: Throttled, lifecycle: true, paced: true},
+		{name: "naive-tau-zero", policy: Naive, lifecycle: true, tauZero: true},
+		{name: "throttled-tau-zero", policy: Throttled, reserve: 0.4, tauZero: true},
 	}
 	const rounds = 240
 	for ci, tc := range cases {
@@ -79,10 +94,14 @@ func TestRoundScoresMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.tauZero {
+				e.tauForced = new(float64)
+			}
 
 			rng := rand.New(rand.NewSource(wcfg.Seed))
 			occ := make([]bool, wcfg.NumPhrases)
 			var paths referencePaths
+			skipped := 0
 			for r := 0; r < rounds; r++ {
 				for q := range occ {
 					occ[q] = rng.Float64() < 0.5
@@ -93,17 +112,33 @@ func TestRoundScoresMatchReference(t *testing.T) {
 				// only at the top of the next Step.
 				wantBid, wantScore := referenceScores(e, occ, &paths)
 				for i := range wantBid {
-					if math.Float64bits(e.scr.roundBid[i]) != math.Float64bits(wantBid[i]) ||
-						math.Float64bits(e.scr.score[i]) != math.Float64bits(wantScore[i]) {
-						t.Fatalf("round %d advertiser %d: roundBid %v score %v, reference %v %v",
-							r, i, e.scr.roundBid[i], e.scr.score[i], wantBid[i], wantScore[i])
+					stamped, part := e.scr.scoredAt[i] == e.scr.epoch, e.scr.part.Contains(i)
+					switch {
+					case stamped && !part:
+						t.Fatalf("round %d advertiser %d: scored, but in no occurring auction", r, i)
+					case stamped:
+						if math.Float64bits(e.scr.roundBid[i]) != math.Float64bits(wantBid[i]) ||
+							math.Float64bits(e.scr.score[i]) != math.Float64bits(wantScore[i]) {
+							t.Fatalf("round %d advertiser %d: roundBid %v score %v, reference %v %v",
+								r, i, e.scr.roundBid[i], e.scr.score[i], wantBid[i], wantScore[i])
+						}
+					case part && tc.sharing == Independent:
+						t.Fatalf("round %d advertiser %d: Independent mode skipped a participant", r, i)
+					case part:
+						if !(wantScore[i] < e.scr.tau) {
+							t.Fatalf("round %d advertiser %d: skipped with reference score %v, not below τ = %v", r, i, wantScore[i], e.scr.tau)
+						}
+						skipped++
 					}
 				}
 				if r%4 == 3 {
 					w.PerturbBids(0.15)
 				}
 			}
-			t.Logf("reference paths %+v", paths)
+			t.Logf("reference paths %+v, %d participants skipped", paths, skipped)
+			if tc.sharing == SharedAggregation && !tc.tauZero && skipped == 0 {
+				t.Fatal("shared mode skipped no participant; the ceiling test went untested")
+			}
 			if paths.scored == 0 {
 				t.Fatal("no advertiser scored above zero")
 			}
@@ -166,7 +201,7 @@ func referenceScores(e *Engine, occurring []bool, paths *referencePaths) (roundB
 
 // referencePolicyBid is the round bid under the budget policy, computed from
 // the exact m_i: min(b_i, β_i) for Naive, the paper's fast path and then
-// exact enumeration or the DP for Throttled.
+// exact enumeration or the DP for Throttled, capped at the paced bid.
 func referencePolicyBid(e *Engine, i int, bid float64, m, auctions int, paths *referencePaths) float64 {
 	remaining := e.Remaining(i)
 	if remaining <= 0 {
@@ -196,8 +231,8 @@ func referencePolicyBid(e *Engine, i int, bid float64, m, auctions int, paths *r
 	}
 	if len(ads) <= e.cfg.ThrottleEnumLimit {
 		paths.enum++
-		return budget.ExactThrottledBid(bid, remaining, m, ads)
+		return min(bid, budget.ExactThrottledBid(bid, remaining, m, ads))
 	}
 	paths.dp++
-	return budget.ExactThrottledBidDP(bid, remaining, m, ads, e.cfg.ThrottleUnit)
+	return min(bid, budget.ExactThrottledBidDP(bid, remaining, m, ads, e.cfg.ThrottleUnit))
 }

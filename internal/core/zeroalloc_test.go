@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"sharedwd/internal/budget"
@@ -19,7 +20,9 @@ import (
 // there, with both the enumeration and the DP path running. The
 // every-bid-moves case re-bids every advertiser after every round. The
 // independent case holds the per-auction baseline to the same guarantee,
-// and high-overlap runs the shared round on the broad-match preset.
+// and high-overlap runs the shared round on the broad-match preset. The
+// tau-inf case forces τ to +Inf: every phrase is short, so every round
+// scores the short phrases' members on demand before the plan fallback.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -30,12 +33,14 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 		rebid       bool
 		independent bool
 		highOverlap bool
+		tauInf      bool
 	}{
 		{name: "naive"},
 		{name: "throttled", throttled: true},
 		{name: "every-bid-moves", rebid: true},
 		{name: "independent", independent: true},
 		{name: "high-overlap", highOverlap: true},
+		{name: "tau-inf", tauInf: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,6 +67,10 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 			eng, err := New(w, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.tauInf {
+				inf := math.Inf(1)
+				eng.tauForced = &inf
 			}
 
 			occ := make([]bool, wcfg.NumPhrases)
@@ -92,8 +101,14 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 				step()
 			}
 			enum, dp = 0, 0
+			before := eng.Stats()
 			if avg := testing.AllocsPerRun(200, step); avg != 0 {
 				t.Fatalf("steady-state Step allocates %v times per round, want 0", avg)
+			}
+			after := eng.Stats()
+			short, auctions := after.ShortAuctions-before.ShortAuctions, after.AuctionsResolved-before.AuctionsResolved
+			if scored := after.Scored - before.Scored; tc.tauInf && (short != auctions || scored == 0) {
+				t.Fatalf("measured rounds left %d of %d auctions short and scored %d participants; want all short and some scored on demand", short, auctions, scored)
 			}
 			if tc.throttled && (enum == 0 || dp == 0) {
 				t.Fatalf("measured rounds throttled %d bids by enumeration and %d by DP; want both paths", enum, dp)
@@ -108,7 +123,8 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 // re-derives throttledBid's branch from the round's participant union and
 // each participant's exact auction count: Step leaves its scratch in place,
 // and displays register ads but charge nothing, so every remaining budget
-// is still what scoring saw.
+// is still what scoring saw. Only the participants the engine scored this
+// round count; shared mode skips those its ceiling test rules out.
 func throttlePaths(t *testing.T, e *Engine, occurring []bool) (enum, dp int) {
 	t.Helper()
 	for i, a := range e.w.Advertisers {
@@ -121,7 +137,7 @@ func throttlePaths(t *testing.T, e *Engine, occurring []bool) (enum, dp int) {
 		if inUnion := e.scr.part.Contains(i); inUnion != (m > 0) {
 			t.Fatalf("advertiser %d: in participant union %v, in %d occurring auctions", i, inUnion, m)
 		}
-		if m == 0 || !e.active[i] || e.Remaining(i) <= 0 {
+		if m == 0 || !e.active[i] || e.Remaining(i) <= 0 || e.scr.scoredAt[i] != e.scr.epoch {
 			continue
 		}
 		prices, _ := e.out.Advertiser(i)

@@ -89,7 +89,7 @@ func (b *fakeBackend) Metrics() server.Metrics {
 		Submitted: 100, Answered: 80, Unmatched: 10, Shed: 5, TimedOut: 3, Expired: 2,
 		QueueDepth: 4, QueueCap: 64,
 		Rounds: 50, EmptyRounds: 20,
-		Engine: core.Stats{Rounds: 30, AuctionsResolved: 75, NodesMaterialized: 40, Candidates: 420, ShortAuctions: 3, Revenue: 12.5},
+		Engine: core.Stats{Rounds: 30, AuctionsResolved: 75, NodesMaterialized: 40, Candidates: 420, ShortAuctions: 3, Scored: 510, Revenue: 12.5},
 	}
 	for i := 0; i < 100; i++ {
 		m.TotalLatency.Summary.Add(float64(i) / 1000)
@@ -338,6 +338,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if got := samples["sharedwd_engine_candidates_total"]; got != "420" {
 		t.Fatalf("sharedwd_engine_candidates_total = %q, want 420", got)
+	}
+	if got := samples["sharedwd_engine_scored_total"]; got != "510" {
+		t.Fatalf("sharedwd_engine_scored_total = %q, want 510", got)
 	}
 	if got := samples["sharedwd_engine_short_auctions_total"]; got != "3" {
 		t.Fatalf("sharedwd_engine_short_auctions_total = %q, want 3", got)

@@ -108,7 +108,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		TotalLatency:        distOf(0, 1, 0.01, 0.02, 0.03, 0.9),
 		Engine: core.Stats{
 			Rounds: 40, AuctionsResolved: 75, NodesMaterialized: 1234,
-			Candidates: 640, ShortAuctions: 2,
+			Candidates: 640, ShortAuctions: 2, Scored: 700,
 			Revenue: 78.25, ClicksCharged: 31, ClicksForgiven: 2,
 			ForgivenValue: 1.5, AdsDisplayed: 200,
 		},
@@ -129,7 +129,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		`"uptime_ns":90000000000`, `"submitted":100`, `"timed_out":3`,
 		`"queue_depth":7`, `"queries_per_sec":0.88`, `"admission_wait"`,
 		`"winner_determination"`, `"total_latency"`, `"auctions_resolved":75`,
-		`"nodes_materialized":1234`, `"candidates":640`, `"short_auctions":2`, `"pacing"`, `"enabled":true`, `"target_spend":55.5`,
+		`"nodes_materialized":1234`, `"candidates":640`, `"short_auctions":2`, `"scored":700`, `"pacing"`, `"enabled":true`, `"target_spend":55.5`,
 		`"actual_spend":54.25`, `"factor_sum":120.5`, `"throttled":33`,
 		`"abs_error"`,
 	} {
