@@ -42,9 +42,9 @@ bench:
 # reference semantics (MergeRuns and FoldRun against Merge, ScanRun against
 # a PushRun fold), the compiled plan runner against memo Execute on
 # random instances, plans and fusion thresholds, and the engine's shared
-# threshold pass at an arbitrary τ against both the pure plan at τ = +Inf
-# and an Independent twin that scores every participant. CI runs the same
-# budgets.
+# threshold pass at an arbitrary τ against both a τ = +Inf twin, which
+# scores on demand and scans every phrase, and an Independent twin that
+# scores every participant. CI runs the same budgets.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto

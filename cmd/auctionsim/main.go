@@ -1,5 +1,5 @@
 // Command auctionsim is the end-to-end round simulator: it generates a
-// synthetic workload, builds the shared winner-determination plan, and
+// synthetic workload, builds the winner-determination engine, and
 // processes rounds of simultaneous auctions with delayed clicks and budget
 // accounting, reporting per-policy / per-mode comparisons as CSV.
 //
@@ -109,7 +109,7 @@ func main() {
 			*advertisers, *phrases, *slots, *seed)
 		fmt.Printf("engine:   %s winner determination, %s budgets, %s pricing\n",
 			ecfg.Sharing, ecfg.Policy, ecfg.Pricing)
-		fmt.Printf("plan build time: %v\n", buildTime)
+		fmt.Printf("engine build time: %v\n", buildTime)
 		fmt.Printf("simulated %d rounds in %v (%.2f ms/round)\n",
 			*rounds, simTime, float64(simTime.Milliseconds())/float64(*rounds))
 		fmt.Printf("auctions resolved:       %d\n", st.AuctionsResolved)
@@ -134,8 +134,8 @@ func max(a, b int) int {
 
 // runComparison simulates the same workload under every policy × sharing
 // combination and prints a table of the metrics the paper's evaluation
-// cares about. In shared mode aggOps/auction counts the plan fallback's
-// operations only; candidates/auction and short % say what the threshold
+// cares about. In shared mode aggOps/auction counts the short phrases'
+// scans only; candidates/auction and short % say what the threshold
 // pass did (both 0 for Independent).
 func runComparison(advertisers, phrases, topics, slots, rounds int, seed int64) {
 	fmt.Printf("# %d advertisers, %d phrases, %d slots, %d rounds (seed %d)\n",

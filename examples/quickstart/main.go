@@ -57,7 +57,7 @@ func main() {
 	eng.Drain()
 	st := eng.Stats()
 	fmt.Printf("  rounds: %d   auctions resolved: %d\n", st.Rounds, st.AuctionsResolved)
-	fmt.Printf("  threshold candidates: %d, auctions left to the shared plan: %d (%d aggregation ops)\n",
+	fmt.Printf("  threshold candidates: %d, auctions left short and scanned: %d (%d aggregation ops)\n",
 		st.Candidates, st.ShortAuctions, st.NodesMaterialized)
 	fmt.Printf("  ads displayed: %d, clicks charged: %d, revenue: %.2f\n",
 		st.AdsDisplayed, st.ClicksCharged, st.Revenue)

@@ -17,7 +17,7 @@ import (
 // starts from the same state; the benchmark reports both medians. It also
 // reports what the shared threshold pass did over the timed rounds, from
 // Stats deltas: participants scored and candidates per round, and the share
-// of auctions it left short for the plan fallback.
+// of auctions it left short for a per-phrase scan.
 //
 //	go test -run '^$' -bench StepChurn -benchtime 5000x ./internal/core
 func BenchmarkStepChurn(b *testing.B) {

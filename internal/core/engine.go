@@ -14,16 +14,14 @@
 //     round's τ-filtered candidates once and walks that one list for every
 //     phrase (a Fagin–Lotem–Naor style threshold shared across auctions,
 //     as in Section III); only a phrase the walk leaves short of k+1
-//     entries runs the shared top-(k+1) aggregation plan built offline by
-//     the Section-II heuristic. The baseline scans each auction on its own;
+//     entries is scanned on its own, as the baseline scans every auction;
 //  4. prices the winners (first-price / GSP / laddered VCG) and displays
 //     their ads, registering them with the delayed-click simulator.
 //
 // The engine's counters expose exactly the quantities the paper's
-// evaluation cares about: aggregation nodes materialized per round (the
-// shared-plan cost model), revenue, and clicks that had to be forgiven
-// because a naive policy let an advertiser win more than its budget could
-// pay for (the Section-IV gaming loss).
+// evaluation cares about: aggregation operations per round, revenue, and
+// clicks that had to be forgiven because a naive policy let an advertiser
+// win more than its budget could pay for (the Section-IV gaming loss).
 package core
 
 import (
@@ -34,9 +32,7 @@ import (
 
 	"sharedwd/internal/bitset"
 	"sharedwd/internal/budget"
-	"sharedwd/internal/plan"
 	"sharedwd/internal/pricing"
-	"sharedwd/internal/sharedagg"
 	"sharedwd/internal/topk"
 	"sharedwd/internal/workload"
 )
@@ -69,9 +65,9 @@ const (
 	// SharedAggregation resolves the round with one shared threshold pass:
 	// every participant scoring at least the round's τ joins one candidate
 	// list, sorted once, and each occurring phrase takes its top-(k+1) from
-	// a walk of that list. A phrase the walk leaves short falls back to the
-	// Section-II shared top-k plan, run over the short phrases only. The
-	// pass is exact for any τ, so τ moves only cost.
+	// a walk of that list. A phrase the walk leaves short is scanned on its
+	// own, as Independent scans every phrase. The pass is exact for any τ,
+	// so τ moves only cost.
 	SharedAggregation SharingMode = iota
 	// Independent scans each occurring phrase's advertisers separately.
 	Independent
@@ -184,20 +180,6 @@ type Engine struct {
 	cfg Config
 	w   *workload.Workload
 
-	// interest[q] lists phrase q's interested advertisers in ascending
-	// order: w.Interests[q] unpacked once, for the per-phrase scans
-	// (Independent engines only; nil otherwise).
-	interest [][]int32
-
-	// runner executes the flat-compiled instruction stream over dense entry
-	// slabs — the shared-mode fallback for short phrases. New builds it once
-	// from the workload's rates and it is never replaced: by Lemma 1 every
-	// complete plan over the same queries picks the same winners, so a
-	// rebuilt plan could only change cost. It holds the engine's only
-	// reference to the Program; neither the Plan nor the Instance it was
-	// built from is kept.
-	runner *plan.Runner
-
 	clicks *workload.ClickSim
 	// out is the round's outstanding ads bucketed by advertiser, filled
 	// once per Step before leaf scoring (Throttled engines only; nil
@@ -261,9 +243,8 @@ type roundScratch struct {
 	auctions map[int][]SlotResult
 	slots    [][]SlotResult // per-phrase slot buffers backing auctions
 	// runs is the round's result slab, one stride-(k+1) segment per phrase
-	// holding runLen[q] entries: the threshold pass's walks in shared mode,
-	// the per-phrase scans in Independent mode — the same layout the
-	// compiled runner uses.
+	// holding runLen[q] entries: the threshold pass's walk or scanPhrase's
+	// scan of the phrase's members.
 	runs   []topk.Entry
 	runLen []int32
 	// cand is the shared-mode candidate slab: every participant whose score
@@ -272,7 +253,7 @@ type roundScratch struct {
 	cand []topk.Entry
 	tau  float64 // the round's τ, as scoreParticipants set it
 	// short[q] marks an occurring phrase whose walk found fewer than k+1
-	// candidates while tau was not ≤ 0: its run comes from the plan fallback.
+	// candidates while tau was not ≤ 0: scanPhrase rewrote its run.
 	short []bool
 }
 
@@ -291,13 +272,10 @@ type Stats struct {
 	Rounds           int `json:"rounds"`
 	AuctionsResolved int `json:"auctions_resolved"`
 	// NodesMaterialized counts top-k aggregation operations performed (the
-	// Section-II cost metric). In shared mode only the plan fallback for
-	// short phrases performs any: Σ plan.Program.Span over the cone of each
-	// round's short phrases, in which a small shared node the compiler fuses
-	// into several consumers counts once in each. The threshold pass itself
-	// is counted by Candidates. For Independent mode it counts the per-scan
-	// pushes equivalent: one per advertiser scanned beyond the first per
-	// auction, to keep the two modes comparable.
+	// Section-II cost metric) by the per-phrase scans: one per member
+	// scanned beyond the first per scanned auction. Independent mode scans
+	// every occurring auction; shared mode scans only the short ones, since
+	// the threshold pass itself is counted by Candidates.
 	NodesMaterialized int `json:"nodes_materialized"`
 	// NodesCached is always 0 and is not part of the wire schema.
 	//
@@ -308,12 +286,12 @@ type Stats struct {
 	// whose score cleared their round's τ, summed over rounds.
 	Candidates int `json:"candidates"`
 	// ShortAuctions counts the auctions the threshold pass left short of
-	// k+1 entries, which the plan fallback resolved.
+	// k+1 entries, which a per-phrase scan resolved.
 	ShortAuctions int `json:"short_auctions"`
 	// Scored counts the participants the engine scored, summed over rounds:
 	// every participant in Independent mode; in shared mode only those whose
 	// paced ceiling reached τ, plus the skipped members of short phrases,
-	// scored for the plan fallback.
+	// scored for their scans.
 	Scored        int     `json:"scored"`
 	Revenue       float64 `json:"revenue"`
 	ClicksCharged int     `json:"clicks_charged"`
@@ -341,11 +319,23 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
-// New builds an engine (and, in shared mode, the offline aggregation plan)
-// for the workload.
+// New builds an engine for the workload. It checks that every interest set
+// spans the workload's advertisers and that every phrase has a search rate
+// in [0, 1].
 func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	if w.Quality != nil {
 		return nil, fmt.Errorf("core: per-phrase quality workloads need the shared-sort pipeline; Engine uses the shared-aggregation regime (global c_i)")
+	}
+	if len(w.Rates) != len(w.Interests) {
+		return nil, fmt.Errorf("core: %d search rates for %d phrases", len(w.Rates), len(w.Interests))
+	}
+	for q, set := range w.Interests {
+		if set.Cap() != len(w.Advertisers) {
+			return nil, fmt.Errorf("core: phrase %d's interest set has capacity %d, workload has %d advertisers", q, set.Cap(), len(w.Advertisers))
+		}
+		if r := w.Rates[q]; !(r >= 0 && r <= 1) {
+			return nil, fmt.Errorf("core: phrase %d has search rate %v outside [0, 1]", q, r)
+		}
 	}
 	if cfg.ClickHazard <= 0 || cfg.ClickHazard > 1 || cfg.ClickHorizon < 1 {
 		return nil, fmt.Errorf("core: invalid click model (hazard %v, horizon %d)", cfg.ClickHazard, cfg.ClickHorizon)
@@ -397,28 +387,8 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	e.scr.runLen = make([]int32, len(w.Interests))
 	e.scr.short = make([]bool, len(w.Interests))
 	if cfg.Sharing == SharedAggregation {
-		queries := make([]plan.Query, len(w.Interests))
-		for q := range w.Interests {
-			queries[q] = plan.Query{Vars: w.Interests[q], Rate: w.Rates[q]}
-		}
-		inst, err := plan.NewInstance(len(w.Advertisers), queries)
-		if err != nil {
-			return nil, fmt.Errorf("core: building plan instance: %w", err)
-		}
-		_, prog, err := sharedagg.BuildCompiled(inst)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		e.runner = plan.NewRunner(prog, k+1)
 		e.scr.cand = make([]topk.Entry, 0, len(w.Advertisers))
 		e.tauQ = make([]float64, len(w.Interests))
-	} else {
-		e.interest = make([][]int32, len(w.Interests))
-		for q, set := range w.Interests {
-			for _, i := range set.Indices() {
-				e.interest[q] = append(e.interest[q], int32(i))
-			}
-		}
 	}
 	return e, nil
 }
@@ -500,8 +470,8 @@ type RoundReport struct {
 	// Clicks that arrived this round (from earlier displays).
 	Clicks []workload.Click
 	// Materialized counts the aggregation operations performed this round
-	// (see Stats.NodesMaterialized): in shared mode, the plan fallback's
-	// only, so 0 in a round that left no phrase short.
+	// (see Stats.NodesMaterialized): in shared mode, the short phrases'
+	// scans only, so 0 in a round that left no phrase short.
 	Materialized int
 }
 
@@ -620,7 +590,7 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 // are at most the paced bid, and IEEE multiplication by a non-negative
 // quality is monotone, so a participant below its ceiling test scores below
 // τ and cannot be a candidate. resolveShared scores the skipped members of
-// short phrases before the plan fallback reads them.
+// short phrases before scanPhrase reads them.
 func (e *Engine) scoreParticipants(occurring []bool) {
 	part := e.scr.part
 	part.Clear()
@@ -733,17 +703,17 @@ func (e *Engine) scoreAdvertiser(i int, bid float64, occurring []bool) float64 {
 }
 
 // resolveShared is shared mode's phase 3: one threshold pass over the
-// round's candidates, then the compiled plan for the phrases it leaves
-// short. It returns the fallback's aggregation count.
+// round's candidates, then scanPhrase for the phrases it leaves short. It
+// returns the scans' aggregation count.
 //
 // The pass is exact for any τ. Every member of phrase q that is not a
 // candidate scores below τ (or not above 0), and every candidate scores at
 // least τ. So a walk of the sorted candidates that finds k+1 members of q
 // has found q's exact top-(k+1) in Entry.Less order, ties included. A walk
 // that finds fewer is exact only at τ ≤ 0; otherwise the phrase is short and
-// the plan resolves it. The candidate test is ≥ rather than > so that a
-// member scoring exactly τ — as the entry τ was taken from does when scores
-// hold still — keeps its phrase off the fallback.
+// a scan of all its members resolves it. The candidate test is ≥ rather
+// than > so that a member scoring exactly τ — as the entry τ was taken from
+// does when scores hold still — keeps its phrase off the scan.
 func (e *Engine) resolveShared(occurring []bool) (materialized int) {
 	k1 := len(e.w.SlotFactors) + 1
 	cand := e.scr.cand
@@ -775,32 +745,19 @@ func (e *Engine) resolveShared(occurring []bool) (materialized int) {
 		if n < k1 && !(e.scr.tau <= 0) { // a NaN τ is short, too
 			short[q] = true
 			shortCount++
-		}
-	}
-	if shortCount > 0 {
-		// The plan's cone leaves are members of the short phrases; score
-		// those the ceiling test skipped, so the fallback reads no stale
-		// entry.
-		for q, sh := range short {
-			if !sh {
-				continue
-			}
-			for j, word := range e.w.Interests[q].Words() {
+			// Score the members the ceiling test skipped, so the scan reads
+			// no stale entry.
+			for j, word := range set.Words() {
 				for ; word != 0; word &= word - 1 {
 					if i := j<<6 | bits.TrailingZeros64(word); e.scr.scoredAt[i] != e.scr.epoch {
 						e.scoreAdvertiser(i, e.pacedBid(i), occurring)
 					}
 				}
 			}
+			materialized += e.scanPhrase(q)
 		}
-		materialized = e.runner.Run(e.scr.score, short)
-	}
-	for q, occ := range occurring {
-		if !occ {
-			continue
-		}
-		if run := e.run(q); len(run) > 0 {
-			e.tauQ[q] = (1 - tauMargin) * run[len(run)-1].Score
+		if last := e.scr.runLen[q] - 1; last >= 0 {
+			e.tauQ[q] = (1 - tauMargin) * run[last].Score
 		} else {
 			e.tauQ[q] = math.Inf(1)
 		}
@@ -811,11 +768,8 @@ func (e *Engine) resolveShared(occurring []bool) (materialized int) {
 }
 
 // run returns occurring phrase q's top-(k+1) run for the round in rank
-// order: the plan fallback's for a short phrase, else the run slab's.
+// order.
 func (e *Engine) run(q int) []topk.Entry {
-	if e.scr.short[q] {
-		return e.runner.QueryRun(q)
-	}
 	k1 := len(e.w.SlotFactors) + 1
 	return e.scr.runs[q*k1:][:e.scr.runLen[q]]
 }
@@ -830,22 +784,38 @@ func (e *Engine) Drain() {
 }
 
 // scanIndependent resolves each occurring phrase with its own scan over its
-// interested advertisers — the unshared baseline. It reports one operation
-// per advertiser scanned beyond the first (see Stats.NodesMaterialized).
+// interested advertisers — the unshared baseline.
 func (e *Engine) scanIndependent(occurring []bool) (materialized int) {
-	k := len(e.w.SlotFactors)
 	for q, occ := range occurring {
-		if !occ {
-			continue
-		}
-		ids := e.interest[q]
-		run := e.scr.runs[q*(k+1) : (q+1)*(k+1)]
-		e.scr.runLen[q] = int32(topk.ScanRun(run, 0, k+1, e.scr.score, ids))
-		if len(ids) > 1 {
-			materialized += len(ids) - 1
+		if occ {
+			materialized += e.scanPhrase(q)
 		}
 	}
 	return materialized
+}
+
+// scanPhrase writes phrase q's top-(k+1) run by folding every member's
+// score into q's run segment, skipping members whose score is not
+// positive; every member must be scored this round. It returns the scan's
+// aggregation count, one per member beyond the first. Members come in
+// ascending ID order, so a member that only ties a full run's last entry
+// ranks below it and is skipped with it.
+func (e *Engine) scanPhrase(q int) (materialized int) {
+	k1 := len(e.w.SlotFactors) + 1
+	run := e.scr.runs[q*k1 : (q+1)*k1]
+	score := e.scr.score
+	n, members := 0, 0
+	for j, word := range e.w.Interests[q].Words() {
+		members += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			i := j<<6 | bits.TrailingZeros64(word)
+			if s := score[i]; s > 0 && (n < k1 || s > run[k1-1].Score) {
+				n = topk.PushRun(run, n, k1, topk.Entry{ID: i, Score: s})
+			}
+		}
+	}
+	e.scr.runLen[q] = int32(n)
+	return max(members-1, 0)
 }
 
 // throttledBid computes advertiser i's Section-IV bid b̂_i for this round

@@ -25,22 +25,71 @@ func smallWorkload(seed int64) *workload.Workload {
 	return workload.Generate(cfg)
 }
 
+// TestNewValidation pins New's input checks, each under both sharing modes.
 func TestNewValidation(t *testing.T) {
-	w := smallWorkload(1)
-	bad := DefaultConfig()
-	bad.ClickHazard = 0
-	if _, err := New(w, bad); err == nil {
-		t.Fatal("zero hazard should be rejected")
-	}
-	bad = DefaultConfig()
-	bad.ThrottleUnit = 0
-	if _, err := New(w, bad); err == nil {
-		t.Fatal("zero throttle unit should be rejected")
+	for _, tc := range []struct {
+		name string
+		// edit makes a valid workload and configuration invalid.
+		edit func(w *workload.Workload, cfg *Config)
+	}{
+		{"zero hazard", func(_ *workload.Workload, cfg *Config) { cfg.ClickHazard = 0 }},
+		{"zero throttle unit", func(_ *workload.Workload, cfg *Config) { cfg.ThrottleUnit = 0 }},
+		{"interest capacity", func(w *workload.Workload, _ *Config) { w.Interests[2] = bitset.New(len(w.Advertisers) + 1) }},
+		{"missing rate", func(w *workload.Workload, _ *Config) { w.Rates = w.Rates[:len(w.Rates)-1] }},
+		{"negative rate", func(w *workload.Workload, _ *Config) { w.Rates[1] = -0.1 }},
+		{"rate above 1", func(w *workload.Workload, _ *Config) { w.Rates[1] = 1.5 }},
+		{"NaN rate", func(w *workload.Workload, _ *Config) { w.Rates[1] = math.NaN() }},
+	} {
+		for _, sharing := range []SharingMode{SharedAggregation, Independent} {
+			w, cfg := smallWorkload(1), DefaultConfig()
+			cfg.Sharing = sharing
+			tc.edit(w, &cfg)
+			if _, err := New(w, cfg); err == nil {
+				t.Errorf("%s, %v: New accepted it", tc.name, sharing)
+			}
+		}
 	}
 	pq := workload.DefaultConfig()
 	pq.PerPhraseQuality = true
 	if _, err := New(workload.Generate(pq), DefaultConfig()); err == nil {
 		t.Fatal("per-phrase-quality workload should be rejected by the aggregation engine")
+	}
+}
+
+// TestEmptyAndEquivalentPhrases: an empty phrase and two A-equivalent
+// phrases (the same interest set) need no special case in either sharing
+// mode, and both modes resolve them identically.
+func TestEmptyAndEquivalentPhrases(t *testing.T) {
+	var engines [2]*Engine
+	for i, sharing := range []SharingMode{SharedAggregation, Independent} {
+		w := smallWorkload(4)
+		w.Interests[1] = bitset.New(len(w.Advertisers))
+		w.Interests[3] = w.Interests[2].Clone()
+		cfg := DefaultConfig()
+		cfg.Sharing = sharing
+		eng, err := New(w, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", sharing, err)
+		}
+		engines[i] = eng
+	}
+	occ := make([]bool, len(engines[0].w.Interests))
+	for q := range occ {
+		occ[q] = true
+	}
+	for round := 0; round < 20; round++ {
+		want := engines[1].Step(occ)
+		got := engines[0].Step(occ)
+		compareReports(t, "shared", round, want, got)
+		if _, ok := want.Auctions[1]; ok {
+			t.Fatalf("round %d: the empty phrase filled slots %v", round, want.Auctions[1])
+		}
+		if len(want.Auctions[2]) == 0 || !reflect.DeepEqual(want.Auctions[2], want.Auctions[3]) {
+			t.Fatalf("round %d: A-equivalent phrases filled %v and %v", round, want.Auctions[2], want.Auctions[3])
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
 	}
 }
 
@@ -101,9 +150,9 @@ func TestStepResolvesOccurringAuctions(t *testing.T) {
 	}
 }
 
-// TestSharedMatchesIndependentOutcomes: shared-plan winner determination
-// must award exactly the same slots at the same prices as per-auction scans
-// under the naive policy with fresh budgets (identical inputs).
+// TestSharedMatchesIndependentOutcomes: shared winner determination must
+// award exactly the same slots at the same prices as per-auction scans under
+// the naive policy with fresh budgets (identical inputs).
 func TestSharedMatchesIndependentOutcomes(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		w1 := smallWorkload(seed)

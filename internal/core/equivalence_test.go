@@ -3,9 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"sharedwd/internal/plan"
 	"sharedwd/internal/pricing"
+	"sharedwd/internal/sharedagg"
 	"sharedwd/internal/workload"
 )
 
@@ -13,29 +16,34 @@ import (
 // over 4 scenarios × 60 randomized rounds (random occurrence vectors, bid
 // perturbation, budgets that exhaust mid-day, GSP and VCG, naive and
 // throttled policies), every way of running the shared engine — the
-// threshold pass at its own τ and at forced ones, the pure compiled plan,
-// and a plan built for different search rates — must produce RoundReports,
-// Stats, and final per-advertiser accounting identical to the Independent
-// engine's, a naive per-phrase scan that shares no pass or plan code with
-// them. Cost counters (NodesMaterialized, Candidates, ShortAuctions, Scored)
-// are left out of that comparison.
+// threshold pass at its own τ and at forced ones — must produce
+// RoundReports, Stats, and final per-advertiser accounting identical to the
+// Independent engine's, which scores every participant and runs no
+// threshold pass. Cost counters (NodesMaterialized, Candidates,
+// ShortAuctions, Scored) are left out of that comparison.
 //
 // The tau-* arms force the round's τ. At +Inf no participant is a
-// candidate, so every occurring phrase is short and the engine runs the pure
-// plan: tau-inf is the cost reference, and materialization counters are
-// compared only between tau-inf variants. tau-zero makes every positive
-// score a candidate and leaves nothing to the plan; tau-random draws a
-// fresh τ each round; tau-at-slot sets τ to exactly the k-th or (k+1)-th
-// score of an occurring phrase, read from the tau-inf twin that round.
-// Every forced arm also has its pass checked against its definition (see
-// checkPass): which participants became candidates, and which phrases fell
-// back.
+// candidate, so every occurring phrase is short: the engine scores every
+// participant on demand and scans every phrase, and is the cost reference,
+// whose lifetime materialization must equal the Independent engine's.
+// tau-zero makes every positive score a candidate and leaves no phrase
+// short; tau-random draws a fresh τ each round; tau-at-slot sets τ to
+// exactly the k-th or (k+1)-th score of an occurring phrase, read from the
+// tau-inf twin that round. Every forced arm also has its pass checked
+// against its definition (see checkPass): which participants became
+// candidates, and which phrases were short.
 //
-// The rotated-rates variant is Lemma 1 pinned at engine level: its workload's
-// search rates are rotated by half the phrase universe before New, so the
-// §II-D heuristic builds a structurally different plan over the same
-// queries. It runs at τ = +Inf and sees the same rounds as every other
-// engine, so it must pick the same winners at a different plan cost.
+// Independent mode and short phrases share scanPhrase, so the Lemma-1
+// oracle (see lemmaOracle) pins it against code that shares nothing with
+// it: after every round, two §II-D plans — one built from the workload's
+// search rates, one from those rates rotated by half the phrase universe —
+// run over the tau-inf engine's score slab, which holds every participant's
+// score this round. Each plan's run for every occurring phrase must equal
+// the engine's, and the two plans' costs must differ in at least one round,
+// or the rotation built the same plan and tests nothing. Rounds 20–29 are
+// dark: fifteen of every sixteen advertisers leave for them, so some phrases
+// have fewer than k+1 positive scores and every scan must skip its inactive
+// members' zeros; the oracle must see such a phrase.
 //
 // The inert-cache variant sets the deprecated Config.IncrementalCache, which
 // benchmark workloads still set: its Stats must equal the tau-inf engine's
@@ -50,9 +58,8 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 	variants := []equivVariant{
 		resultRef: {name: "independent", independent: true},
 		costRef:   {name: "tau-inf", tau: tauInf},
-		{name: "compiled"},
-		{name: "compiled-inert-cache", tau: tauInf, inertCache: true},
-		{name: "compiled-rotated-rates", tau: tauInf, rotated: true},
+		{name: "shared"},
+		{name: "inert-cache", tau: tauInf, inertCache: true},
 		{name: "tau-zero", tau: tauZero},
 		{name: "tau-random", tau: tauRandom},
 		{name: "tau-at-slot", tau: tauAtSlot},
@@ -71,8 +78,9 @@ func TestEngineStrategyEquivalence(t *testing.T) {
 }
 
 // Every variant list starts with the two references: the Independent engine
-// every report is compared with, and the tau-inf engine — the pure compiled
-// plan — every tau-inf variant's aggregation cost is compared with.
+// every report is compared with, and the tau-inf engine — every phrase
+// short, so every phrase scanned — every tau-inf variant's aggregation cost
+// is compared with.
 const (
 	resultRef = iota
 	costRef
@@ -90,7 +98,7 @@ type tauArm int
 
 const (
 	tauDefault tauArm = iota // the engine's own per-phrase rule
-	tauInf                   // +Inf: every phrase short, the pure plan
+	tauInf                   // +Inf: every phrase short and scanned
 	tauZero                  // 0: every positive score is a candidate
 	tauRandom                // a fresh random τ each round
 	tauAtSlot                // exactly the k-th or (k+1)-th score of an occurring phrase
@@ -103,24 +111,92 @@ type equivVariant struct {
 	// inertCache sets the deprecated IncrementalCache field, which must
 	// change nothing.
 	inertCache bool
-	// rotated builds the plan from search rates rotated by half the phrase
-	// universe; results must be unchanged (Lemma 1), cost must not be.
-	rotated bool
+}
+
+// lemmaOracle is Lemma 1 as a test oracle: two compiled §II-D plans over
+// the workload's queries, one built from its search rates and one from
+// those rates rotated by half the phrase universe, so the heuristic builds
+// structurally different plans that must still pick the same top-(k+1).
+type lemmaOracle struct {
+	runners [2]*plan.Runner
+	// differs records whether the two plans' costs ever differed.
+	differs bool
+	// zeros records whether an occurring phrase's run ever held fewer
+	// entries than both k+1 and the phrase's members.
+	zeros bool
+}
+
+func newLemmaOracle(t *testing.T, wcfg workload.Config, k1 int) *lemmaOracle {
+	t.Helper()
+	o := new(lemmaOracle)
+	for i := range o.runners {
+		w := workload.Generate(wcfg)
+		if i == 1 {
+			w.RotateRates(len(w.Rates) / 2)
+		}
+		queries := make([]plan.Query, len(w.Interests))
+		for q := range queries {
+			queries[q] = plan.Query{Vars: w.Interests[q], Rate: w.Rates[q]}
+		}
+		inst, err := plan.NewInstance(len(w.Advertisers), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, prog, err := sharedagg.BuildCompiled(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.runners[i] = plan.NewRunner(prog, k1)
+	}
+	return o
+}
+
+// check runs both plans over e's score slab for the round e just stepped
+// and requires each plan's run for every occurring phrase to equal e's. e
+// must run at τ = +Inf, so that every participant was scored this round.
+func (o *lemmaOracle) check(t *testing.T, round int, e *Engine, occ []bool) {
+	t.Helper()
+	var cost [2]int
+	for i, r := range o.runners {
+		cost[i] = r.Run(e.scr.score, occ)
+		for q, on := range occ {
+			if !on {
+				continue
+			}
+			got, want := e.run(q), r.QueryRun(q)
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d phrase %d: engine run %v, plan %d's run %v", round, q, got, i, want)
+			}
+			o.zeros = o.zeros || len(got) < min(len(e.w.SlotFactors)+1, e.w.Interests[q].Count())
+		}
+	}
+	o.differs = o.differs || cost[0] != cost[1]
 }
 
 // runEquivalence steps one engine per variant over the same randomized
 // rounds and fails on the first report or account that differs from
 // variants[resultRef]'s, or, among tau-inf variants, aggregation cost that
-// differs from variants[costRef]'s (rotated variants are exempt from the
-// cost check, and must differ from the reference's cost in at least one
-// round). variants[costRef] must be a tau-inf arm: forced arms read its
-// runs. Every third round moves every world's bids the same way.
+// differs from variants[costRef]'s. variants[costRef] must be a tau-inf arm:
+// forced arms and the Lemma-1 oracle read its runs. Every third round moves
+// every world's bids the same way.
 func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, variants []equivVariant, rounds int) {
 	base := DefaultConfig()
 	base.Pricing = sc.rule
 	base.Policy = sc.policy
 	base.Reserve = sc.reserve
 	base.Sharing = SharedAggregation
+	var dark []workload.LifecycleEvent
+	for i := 0; i < wcfg.NumAdvertisers; i++ {
+		if i%16 != 0 {
+			dark = append(dark, workload.LifecycleEvent{Round: 20, Kind: workload.LifecycleLeave, Advertiser: i},
+				workload.LifecycleEvent{Round: 30, Kind: workload.LifecycleJoin, Advertiser: i})
+		}
+	}
+	lc, err := workload.NewLifecycle(wcfg.NumAdvertisers, dark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Lifecycle = lc
 
 	engines := make([]*Engine, len(variants))
 	worlds := make([]*workload.Workload, len(variants))
@@ -133,9 +209,6 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 		// Each engine gets its own same-seed workload so identical
 		// stepping consumes identical random streams.
 		worlds[i] = workload.Generate(wcfg)
-		if v.rotated {
-			worlds[i].RotateRates(len(worlds[i].Rates) / 2)
-		}
 		eng, err := New(worlds[i], cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -152,9 +225,7 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 	rng := rand.New(rand.NewSource(wcfg.Seed * 7))
 	tauRng := rand.New(rand.NewSource(wcfg.Seed * 11))
 	occ := make([]bool, wcfg.NumPhrases)
-	// costDiffers[i] records whether variant i's aggregation cost ever
-	// differed from the tau-inf engine's.
-	costDiffers := make([]bool, len(variants))
+	oracle := newLemmaOracle(t, wcfg, len(worlds[costRef].SlotFactors)+1)
 	for round := 0; round < rounds; round++ {
 		for q := range occ {
 			occ[q] = rng.Float64() < 0.6
@@ -179,17 +250,11 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 			}
 			if i == costRef {
 				refFull = rep.Materialized
+				oracle.check(t, round, engines[i], occ)
 			}
-			// Rotated variants run a structurally different (but
-			// A-equivalent) plan, so their aggregation cost
-			// legitimately diverges; results above must still match
-			// exactly.
 			if v.tau == tauInf && rep.Materialized != refFull {
-				if !v.rotated {
-					t.Fatalf("%s round %d: materialized %d, want %d",
-						v.name, round, rep.Materialized, refFull)
-				}
-				costDiffers[i] = true
+				t.Fatalf("%s round %d: materialized %d, want %d",
+					v.name, round, rep.Materialized, refFull)
 			}
 			if t.Failed() {
 				t.FailNow()
@@ -207,15 +272,24 @@ func runEquivalence(t *testing.T, sc equivScenario, wcfg workload.Config, varian
 	}
 	refStats := engines[resultRef].Stats()
 	costStats := engines[costRef].Stats()
+	if !oracle.differs {
+		t.Errorf("Lemma-1 oracle: the plans from rotated and unrotated rates cost the same in every round; the rotation built the same plan and the oracle tests nothing")
+	}
+	if !oracle.zeros {
+		t.Errorf("Lemma-1 oracle: every phrase had k+1 positive scores in every round; no scan had a zero score to skip")
+	}
+	// Both engines scan every occurring phrase and count members − 1 per
+	// auction.
+	if costStats.NodesMaterialized != refStats.NodesMaterialized {
+		t.Errorf("%s: lifetime materialized %d, want the Independent engine's %d",
+			variants[costRef].name, costStats.NodesMaterialized, refStats.NodesMaterialized)
+	}
 	for i := 1; i < len(engines); i++ {
 		v, es := variants[i], engines[i].Stats()
 		if v.inertCache && es != costStats {
 			t.Errorf("%s: final stats %+v, want the tau-inf engine's %+v", v.name, es, costStats)
 		}
-		if v.rotated && !costDiffers[i] {
-			t.Errorf("%s: materialized the same as the tau-inf engine in every round; the rotated rates built the same plan and the variant tests nothing", v.name)
-		}
-		if v.tau == tauInf && !v.rotated && es.NodesMaterialized != costStats.NodesMaterialized {
+		if v.tau == tauInf && es.NodesMaterialized != costStats.NodesMaterialized {
 			t.Errorf("%s: lifetime materialized %d, want %d",
 				v.name, es.NodesMaterialized, costStats.NodesMaterialized)
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzThresholdRound checks the shared threshold pass at an arbitrary τ
-// against the pure compiled plan and the Independent scan. The input picks
+// against its τ = +Inf twin and the Independent scan. The input picks
 // a small workload (seed), the phrases occurring in each of four rounds
 // (occBits, rotated by seven bits a round), the forced τ — any float64, NaN
 // and ±Inf included — and the scale of the bid perturbation applied before
@@ -18,8 +18,10 @@ import (
 // also skips participants in front of throttledBid. Three engines step the
 // same rounds and must produce identical ones: the engine at τ; its twin at
 // τ = +Inf, which leaves every phrase short, so it skips every participant's
-// scoring and runs only on-demand scoring and the plan; and an Independent
-// twin, which scores every participant and shares neither path.
+// scoring and runs only on-demand scoring and scanPhrase; and an Independent
+// twin, which scores every participant up front. Both twins resolve every
+// phrase with scanPhrase, so they cannot catch a bug in it: the Lemma-1
+// oracle of TestEngineStrategyEquivalence does.
 //
 //	go test -run '^$' -fuzz FuzzThresholdRound -fuzztime 10s ./internal/core
 func FuzzThresholdRound(f *testing.F) {

@@ -22,7 +22,7 @@ import (
 // independent case holds the per-auction baseline to the same guarantee,
 // and high-overlap runs the shared round on the broad-match preset. The
 // tau-inf case forces τ to +Inf: every phrase is short, so every round
-// scores the short phrases' members on demand before the plan fallback.
+// scores the short phrases' members on demand and scans each phrase.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")

@@ -71,10 +71,10 @@ func writeProm(w io.Writer, m server.Metrics, edge edgeStats) {
 
 	promCounter(w, "sharedwd_engine_rounds_total", "Engine-lifetime rounds.", float64(m.Engine.Rounds))
 	promCounter(w, "sharedwd_engine_auctions_resolved_total", "Auctions resolved.", float64(m.Engine.AuctionsResolved))
-	promCounter(w, "sharedwd_engine_nodes_materialized_total", "Top-k aggregation operations performed (the plan fallback's, in shared mode).", float64(m.Engine.NodesMaterialized))
+	promCounter(w, "sharedwd_engine_nodes_materialized_total", "Top-k aggregation operations performed (the short auctions' scans, in shared mode).", float64(m.Engine.NodesMaterialized))
 	promCounter(w, "sharedwd_engine_candidates_total", "Participants whose score cleared their round's shared threshold.", float64(m.Engine.Candidates))
 	promCounter(w, "sharedwd_engine_scored_total", "Participants scored (shared mode skips those that cannot clear the threshold).", float64(m.Engine.Scored))
-	promCounter(w, "sharedwd_engine_short_auctions_total", "Auctions the shared threshold pass left short, resolved by the plan fallback.", float64(m.Engine.ShortAuctions))
+	promCounter(w, "sharedwd_engine_short_auctions_total", "Auctions the shared threshold pass left short, resolved by a per-phrase scan.", float64(m.Engine.ShortAuctions))
 	promCounter(w, "sharedwd_engine_revenue_total", "Revenue from charged clicks.", m.Engine.Revenue)
 	promCounter(w, "sharedwd_engine_clicks_charged_total", "Clicks charged against budgets.", float64(m.Engine.ClicksCharged))
 	promCounter(w, "sharedwd_engine_clicks_forgiven_total", "Clicks forgiven because the budget was exhausted.", float64(m.Engine.ClicksForgiven))

@@ -50,9 +50,8 @@ import (
 // Config parameterizes a round worker (and hence the single-worker Server).
 // The zero value is not valid; start from DefaultConfig.
 type Config struct {
-	// Engine configures the wrapped winner-determination engine. NewWorker
-	// builds the engine, and with it the shared plan, once; the plan serves
-	// for the worker's whole life.
+	// Engine configures the wrapped winner-determination engine, which
+	// NewWorker builds once for the worker's whole life.
 	Engine core.Config
 	// RoundInterval is the ticker period at which rounds close regardless of
 	// batch size — the latency/sharing tradeoff knob of the paper's §I.

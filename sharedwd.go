@@ -546,8 +546,8 @@ func WithClickModel(hazard float64, horizon int) EngineOption {
 	}
 }
 
-// NewEngine builds an engine (and its offline shared plan) for a workload,
-// starting from DefaultEngineConfig and applying the options in order:
+// NewEngine builds an engine for a workload, starting from
+// DefaultEngineConfig and applying the options in order:
 //
 //	eng, err := sharedwd.NewEngine(w,
 //	    sharedwd.WithPricing(sharedwd.VCG),
