@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench fuzz soak-pacing fmt vet staticcheck
+.PHONY: all build test race bench fuzz soak-pacing servedemo-smoke fmt vet staticcheck
 
 all: build test
 
@@ -62,3 +62,14 @@ soak-pacing:
 	$(GO) test -run 'TestSoakPacingDay' -count=1 -v .
 	$(GO) test -run 'TestShardedEquivalencePacing' -count=1 ./internal/shard
 	$(GO) test -race -count=1 ./internal/budget
+
+# servedemo-smoke runs the facade's one serving program end to end: a
+# 2-shard fleet behind both network edges (NewNetServer) under synthetic
+# load for 2 s, then the graceful Shutdown. It must exit 0 and report a
+# positive answered count. CI runs this target.
+servedemo-smoke:
+	@out=$$($(GO) run ./cmd/servedemo -duration 2s -clients 4 -shards 2 \
+		-listen 127.0.0.1:0 -listen-binary 127.0.0.1:0) || exit 1; \
+	echo "$$out"; \
+	n=$$(echo "$$out" | sed -nE 's/^submitted [0-9]+, answered ([0-9]+) .*/\1/p'); \
+	[ "$${n:-0}" -gt 0 ] || { echo "servedemo answered no queries"; exit 1; }

@@ -22,15 +22,16 @@ func TestClientConformance(t *testing.T) {
 	wcfg.NumPhrases = 12
 	wcfg.MinBudget, wcfg.MaxBudget = 1e6, 2e6 // budgets never bind
 
-	fleetOpts := []ServerOption{
-		WithShards(2),
-		WithRoundInterval(2 * time.Millisecond),
-	}
+	fleet := DefaultShardedServerConfig()
+	fleet.Shards = 2
+	fleet.Worker.RoundInterval = 2 * time.Millisecond
 
 	w := Must(GenerateWorkload(wcfg))
-	ns, err := NewNetServer(w, append(fleetOpts,
-		WithTransport(TransportHTTP, TransportBinary),
-		WithRateLimit(100_000, 100_000))...)
+	ns, err := NewNetServer(w, NetServerConfig{
+		Fleet:  fleet,
+		HTTP:   &HTTPServerConfig{RateLimit: 100_000, RateBurst: 100_000},
+		Binary: &BinaryServerConfig{},
+	})
 	if err != nil {
 		t.Fatalf("NewNetServer: %v", err)
 	}
@@ -45,7 +46,7 @@ func TestClientConformance(t *testing.T) {
 	// The in-process client gets its own fleet built from an identical
 	// workload (same config, same seed): with the deterministic knobs above,
 	// both fleets produce the same slot assignment for every phrase.
-	inprocFleet, err := NewShardedServer(Must(GenerateWorkload(wcfg)), fleetOpts...)
+	inprocFleet, err := NewShardedServer(Must(GenerateWorkload(wcfg)), fleet)
 	if err != nil {
 		t.Fatalf("NewShardedServer: %v", err)
 	}

@@ -1,14 +1,16 @@
 // Command servedemo runs the online round server under synthetic load: a
 // pool of client goroutines draws messy raw queries from a QueryStream
 // (case variants, synonyms, junk) and submits them with per-request
-// deadlines, while the server batches them into rounds and resolves shared
-// winner determination over a plan each engine builds once, at start-up,
-// from the workload's search rates. With -shards > 1 the bid-phrase universe is
-// partitioned across that many engine shards — each with its own round
+// deadlines, while the server batches them into rounds and resolves each
+// round's auctions with one shared threshold pass. The bid-phrase universe
+// is partitioned across -shards engine shards — each with its own round
 // loop — and advertiser budgets settle through the central ledger. Live
 // per-second snapshots show throughput, queue depth, shed/timeout
 // counters, and the per-stage latency distribution; a final summary
-// reports the lifetime totals and the engines' counters.
+// reports the lifetime totals, the engines' counters, the ledger and each
+// shard's share. The demo is a client of the sharedwd facade only: it
+// serves through NewNetServer when an edge is requested and through
+// NewShardedServer otherwise.
 //
 // Usage:
 //
@@ -30,8 +32,8 @@
 //
 // -listen-binary serves the multiplexed binary protocol on the given
 // address against the same backend — point any sharedwd.NewBinaryClient
-// at it. Both edges can run at once; on shutdown the binary edge drains
-// first, then the HTTP tier closes the shared backend.
+// at it. Both edges can run at once; NetServer.Shutdown drains them and
+// then the fleet.
 //
 // -pacing N turns on the budget-pacing controller with an N-round horizon:
 // one shared Pacer throttles advertiser bids toward a smooth spend curve
@@ -42,9 +44,9 @@
 // spend curve, throttle activity, and epoch count.
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole run (load
-// generation plus serving), for digging into where round time goes — e.g.
-// confirming the flat-compiled plan executor's kernels dominate shared
-// winner determination. Inspect with `go tool pprof`.
+// generation plus serving), for digging into where round time goes — leaf
+// scoring, the threshold pass, the click simulator, or the serving layers
+// around them. Inspect with `go tool pprof`.
 package main
 
 import (
@@ -59,17 +61,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sharedwd/internal/binproto"
-	"sharedwd/internal/budget"
-	"sharedwd/internal/netserve"
-	"sharedwd/internal/server"
-	"sharedwd/internal/shard"
-	"sharedwd/internal/workload"
+	"sharedwd"
 )
-
-// roundServer is what the load loop needs; both the single-engine server
-// and the sharded server satisfy the Backend contract.
-type roundServer = server.Backend
 
 func main() {
 	advertisers := flag.Int("advertisers", 2000, "number of advertisers")
@@ -96,15 +89,9 @@ func main() {
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(pprof.StartCPUProfile(f))
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
@@ -122,91 +109,78 @@ func main() {
 		}()
 	}
 
-	wcfg := workload.DefaultConfig()
+	wcfg := sharedwd.DefaultWorkloadConfig()
 	wcfg.NumAdvertisers = *advertisers
 	wcfg.NumPhrases = *phrases
 	wcfg.Seed = *seed
-	w := workload.Generate(wcfg)
+	w, err := sharedwd.GenerateWorkload(wcfg)
+	exitOn(err)
 
-	cfg := server.DefaultConfig()
-	cfg.RoundInterval = *round
-	cfg.MaxBatch = *batch
-	cfg.QueueDepth = *queue
-	cfg.BidWalkScale = 0.02
+	cfg := sharedwd.DefaultShardedServerConfig()
+	cfg.Shards = *shards
+	cfg.Worker.RoundInterval = *round
+	cfg.Worker.MaxBatch = *batch
+	cfg.Worker.QueueDepth = *queue
+	cfg.Worker.BidWalkScale = 0.02
+	switch *router {
+	case "hash":
+		cfg.Router = sharedwd.HashShardRouter{}
+	case "fragment":
+		cfg.Router = sharedwd.FragmentShardRouter{}
+	default:
+		exitOn(fmt.Errorf("unknown -router %q (want hash or fragment)", *router))
+	}
 
 	if *pacing > 0 {
-		pc := budget.DefaultPacerConfig()
+		pc := sharedwd.DefaultPacerConfig()
 		pc.Horizon = *pacing
-		cfg.Pacing = &pc
+		cfg.Worker.Pacing = &pc
 		if *churn > 0 || *refreshEvery > 0 {
-			lc, err := workload.GenerateLifecycle(w, workload.LifecycleConfig{
+			cfg.Worker.Lifecycle, err = sharedwd.GenerateLifecycle(w, sharedwd.LifecycleConfig{
 				Rounds:        *pacing,
 				ChurnFraction: *churn,
 				RefreshEvery:  *refreshEvery,
 				Seed:          *seed,
 			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			cfg.Lifecycle = lc
+			exitOn(err)
 		}
 	}
 
-	// The live-feed hub must exist before the server: round loops bind
-	// their summary hook at worker construction.
-	var netCfg netserve.Config
-	var hub *netserve.Hub
-	if *listen != "" {
-		netCfg = netserve.Config{Addr: *listen, RateLimit: *rateLimit}
-		hub = netserve.NewHubFor(netCfg)
-		cfg.OnRound = hub.RoundHook()
+	// Each client owns a private stream; distinct seeds keep the traffic
+	// independent.
+	streams := make([]*sharedwd.QueryStream, *clients)
+	for c := range streams {
+		streams[c], err = sharedwd.NewQueryStream(w, *junk, *seed+int64(c)*7919)
+		exitOn(err)
 	}
 
-	var s roundServer
-	var err error
-	if *shards > 1 {
-		scfg := shard.Config{Worker: cfg, Shards: *shards}
-		switch *router {
-		case "hash":
-			scfg.Router = shard.HashRouter{}
-		case "fragment":
-			scfg.Router = shard.FragmentRouter{}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -router %q (want hash or fragment)\n", *router)
-			os.Exit(1)
+	var ns *sharedwd.NetServer
+	var fleet *sharedwd.ShardedServer
+	if *listen != "" || *listenBinary != "" {
+		ncfg := sharedwd.NetServerConfig{Fleet: cfg}
+		if *listen != "" {
+			ncfg.HTTP = &sharedwd.HTTPServerConfig{Addr: *listen, RateLimit: *rateLimit}
 		}
-		s, err = shard.New(w, scfg)
+		if *listenBinary != "" {
+			ncfg.Binary = &sharedwd.BinaryServerConfig{Addr: *listenBinary}
+		}
+		ns, err = sharedwd.NewNetServer(w, ncfg)
+		exitOn(err)
+		fleet = ns.Fleet()
 	} else {
-		s, err = server.New(w, cfg)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fleet, err = sharedwd.NewShardedServer(w, cfg)
+		exitOn(err)
 	}
 
 	fmt.Printf("workload: %d advertisers, %d phrases (seed %d)\n",
 		*advertisers, *phrases, *seed)
 	fmt.Printf("server:   %d shard(s) [%s router], %v rounds, batch %d, queue %d, %d clients, %v deadlines\n",
 		*shards, *router, *round, *batch, *queue, *clients, *deadline)
-
-	var ns *netserve.Server
-	if *listen != "" {
-		ns = netserve.New(s, hub, netCfg)
-		if err := ns.Start(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if ns != nil && ns.Addr() != "" {
 		fmt.Printf("http:     listening on %s (POST /v1/query, GET /v1/stats /v1/metrics /v1/live)\n", ns.Addr())
 	}
-	var bs *binproto.Server
-	if *listenBinary != "" {
-		bs = binproto.New(s, binproto.Config{Addr: *listenBinary})
-		if err := bs.Start(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("binary:   listening on %s (multiplexed frames; sharedwd.NewBinaryClient)\n", bs.Addr())
+	if ns != nil && ns.BinaryAddr() != "" {
+		fmt.Printf("binary:   listening on %s (multiplexed frames; sharedwd.NewBinaryClient)\n", ns.BinaryAddr())
 	}
 	fmt.Println()
 
@@ -216,9 +190,7 @@ func main() {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			// Each client owns a private stream; distinct seeds keep the
-			// traffic independent.
-			qs := workload.NewQueryStream(w, *junk, *seed+int64(c)*7919)
+			qs := streams[c]
 			rng := rand.New(rand.NewSource(*seed + int64(c)))
 			for !stop.Load() {
 				queries := qs.Round()
@@ -227,7 +199,7 @@ func main() {
 				}
 				query := queries[rng.Intn(len(queries))]
 				ctx, cancel := context.WithTimeout(context.Background(), *deadline)
-				server.Submit(ctx, s, query) // shed/unmatched/timeout all show in the snapshot
+				fleet.Submit(ctx, query) // shed/unmatched/timeout all show in the snapshot
 				cancel()
 			}
 		}(c)
@@ -237,7 +209,7 @@ func main() {
 	deadlineAt := time.Now().Add(*duration)
 	fmt.Println("uptime   qps      p50ms   p95ms   queue  shed   timeout unmatched")
 	for now := range ticker.C {
-		m := s.Metrics()
+		m := fleet.Metrics()
 		fmt.Printf("%-8s %-8.0f %-7.2f %-7.2f %-6d %-6d %-7d %d\n",
 			m.Uptime.Round(time.Second), m.QueriesPerSec,
 			m.TotalLatency.P50()*1e3, m.TotalLatency.P95()*1e3,
@@ -250,24 +222,17 @@ func main() {
 
 	stop.Store(true)
 	wg.Wait()
-	if bs != nil {
-		// Drain the binary edge first: it answers its in-flight frames while
-		// the backend is still open, then stops accepting.
-		drCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		bs.Drain(drCtx)
-		cancel()
-	}
 	if ns != nil {
-		// Graceful drain: stop accepting, answer in-flight requests, close
-		// the live feed, then drain the backend (ns owns s from here).
+		// Graceful drain: the edges stop accepting and answer their
+		// in-flight requests, the live feed closes, then the fleet drains.
 		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		ns.Shutdown(shCtx)
 		cancel()
 	} else {
-		s.Close()
+		fleet.Close()
 	}
 
-	m := s.Metrics()
+	m := fleet.Metrics()
 	fmt.Printf("\nsubmitted %d, answered %d (%.0f/sec) over %d rounds (%d empty)\n",
 		m.Submitted, m.Answered, m.QueriesPerSec, m.Rounds, m.EmptyRounds)
 	fmt.Printf("shed %d, timed out %d, unmatched %d\n", m.Shed, m.TimedOut, m.Unmatched)
@@ -287,13 +252,19 @@ func main() {
 			m.Pacing.Active, m.Pacing.Advertisers, m.Pacing.Throttled, meanFactor,
 			m.Pacing.TargetSpend, m.Pacing.ActualSpend, m.Pacing.Rounds, m.Pacing.Epochs)
 	}
-	if sh, ok := s.(*shard.Server); ok {
-		fmt.Printf("ledger:  $%.2f settled across %d shards\n",
-			sh.Ledger().TotalSpent(), sh.Shards())
-		for i := 0; i < sh.Shards(); i++ {
-			sm := sh.ShardMetrics(i)
-			fmt.Printf("  shard %d: answered %d over %d rounds, p95 %.2fms\n",
-				i, sm.Answered, sm.Rounds, sm.TotalLatency.P95()*1e3)
-		}
+	fmt.Printf("ledger:  $%.2f settled across %d shards\n",
+		fleet.Ledger().TotalSpent(), fleet.Shards())
+	for i := 0; i < fleet.Shards(); i++ {
+		sm := fleet.ShardMetrics(i)
+		fmt.Printf("  shard %d: answered %d over %d rounds, p95 %.2fms\n",
+			i, sm.Answered, sm.Rounds, sm.TotalLatency.P95()*1e3)
+	}
+}
+
+// exitOn prints err and exits 1 when err is non-nil.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := sharedwd.NewEngine(w)
+	eng, err := sharedwd.NewEngine(w, sharedwd.DefaultEngineConfig())
 	if err != nil {
 		panic(err)
 	}

@@ -77,7 +77,7 @@ func TestFacadeFullDayBothEngines(t *testing.T) {
 	wcfg.NumPhrases = 12
 	wcfg.Seed = 99
 	w := Must(GenerateWorkload(wcfg))
-	eng, err := NewEngine(w)
+	eng, err := NewEngine(w, DefaultEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFacadeFullDayBothEngines(t *testing.T) {
 	// Per-phrase-quality regime.
 	wcfg.PerPhraseQuality = true
 	wq := Must(GenerateWorkload(wcfg))
-	seng, err := NewSortEngine(wq)
+	seng, err := NewSortEngine(wq, DefaultEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFacadeMatcherToEngine(t *testing.T) {
 	wcfg.NumPhrases = 6
 	w := Must(GenerateWorkload(wcfg))
 	m := NewMatcher(w.PhraseNames)
-	eng, err := NewEngine(w)
+	eng, err := NewEngine(w, DefaultEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestRawQueryStreamToEngine(t *testing.T) {
 	qs.AddSynonym("trail boots", w.PhraseNames[0])
 	m := NewMatcher(w.PhraseNames)
 	m.AddRewrite("trail boots", w.PhraseNames[0])
-	eng, err := NewEngine(w)
+	eng, err := NewEngine(w, DefaultEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAdversarialClickTiming(t *testing.T) {
 			cfg.Policy = policy
 			cfg.ClickHazard = hazard
 			cfg.ClickHorizon = 90
-			eng, err := NewEngine(w, WithConfig(cfg))
+			eng, err := NewEngine(w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +262,7 @@ func TestTraceReplayComparesPolicies(t *testing.T) {
 		cfg.Policy = policy
 		cfg.ClickHazard = 0.15
 		cfg.ClickHorizon = 40
-		eng, err := NewEngine(w, WithConfig(cfg))
+		eng, err := NewEngine(w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestDeterministicReplay(t *testing.T) {
 		wcfg.NumPhrases = 10
 		wcfg.Seed = 1234
 		w := Must(GenerateWorkload(wcfg))
-		eng, err := NewEngine(w)
+		eng, err := NewEngine(w, DefaultEngineConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestCustomWorkloadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(w)
+	eng, err := NewEngine(w, DefaultEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,38 +8,45 @@ import (
 	"testing"
 )
 
-// TestServingImportBoundary keeps the §II plan out of the serving engine:
-// the non-test import closure of this package must contain neither plan nor
-// sharedagg, which stay behind as the paper's offline tier and the test
-// oracle of TestEngineStrategyEquivalence.
+// TestServingImportBoundary keeps the paper's offline tier out of the
+// serving path: the non-test import closures of this package and of the
+// round server must contain neither the §II plan (plan, sharedagg), which
+// stays behind for the figures and as the test oracle of
+// TestEngineStrategyEquivalence, nor the §I batching simulator.
 func TestServingImportBoundary(t *testing.T) {
 	const module = "sharedwd"
-	forbidden := []string{module + "/internal/plan", module + "/internal/sharedagg"}
+	forbidden := []string{
+		module + "/internal/plan",
+		module + "/internal/sharedagg",
+		module + "/internal/batching",
+	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{module + "/internal/core": true}
-	queue := []string{module + "/internal/core"}
-	for len(queue) > 0 {
-		path := queue[0]
-		queue = queue[1:]
-		pkg, err := build.Default.ImportDir(filepath.Join(root, strings.TrimPrefix(path, module)), 0)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		for _, imp := range pkg.Imports {
-			if !strings.HasPrefix(imp, module+"/") {
-				continue // the standard library
+	for _, from := range []string{module + "/internal/core", module + "/internal/server"} {
+		seen := map[string]bool{from: true}
+		queue := []string{from}
+		for len(queue) > 0 {
+			path := queue[0]
+			queue = queue[1:]
+			pkg, err := build.Default.ImportDir(filepath.Join(root, strings.TrimPrefix(path, module)), 0)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
 			}
-			if seen[imp] {
-				continue
+			for _, imp := range pkg.Imports {
+				if !strings.HasPrefix(imp, module+"/") {
+					continue // the standard library
+				}
+				if seen[imp] {
+					continue
+				}
+				seen[imp] = true
+				if slices.Contains(forbidden, imp) {
+					t.Errorf("%s imports %s, so %s does", path, imp, from)
+				}
+				queue = append(queue, imp)
 			}
-			seen[imp] = true
-			if slices.Contains(forbidden, imp) {
-				t.Errorf("%s imports %s, so the serving engine does", path, imp)
-			}
-			queue = append(queue, imp)
 		}
 	}
 }

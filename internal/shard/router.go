@@ -38,12 +38,13 @@ func (HashRouter) Assign(w *workload.Workload, shards int) ([]int, error) {
 }
 
 // FragmentRouter is the sharing-aware partitioner: it groups the
-// workload's phrases so that phrases sharing a Section II plan fragment
+// workload's phrases so that phrases sharing a Section II fragment
 // (advertisers with identical phrase-membership signatures) co-locate on a
 // shard, balanced by expected load. Cross-shard sharing is lost by
-// construction — each shard builds its own plan — so keeping fragment
-// cliques together preserves most of the single-plan sharing the paper's
-// heuristic finds (see sharedagg.PartitionQueries).
+// construction — each shard scores its own participants and runs its own
+// threshold pass — so keeping fragment cliques together lets one shard
+// score an advertiser once per round for all of its phrases instead of
+// once per shard (see sharedagg.PartitionQueries).
 type FragmentRouter struct{}
 
 // Assign partitions phrases by fragment affinity.

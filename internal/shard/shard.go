@@ -10,8 +10,9 @@
 //
 // Queries route by phrase: a Router fixes each phrase's shard at
 // construction (stable name hash by default; FragmentRouter co-locates
-// phrases sharing Section II plan fragments to preserve intra-shard
-// sharing). Winner determination never crosses a shard — each auction's
+// phrases sharing Section II fragments, so that one shard's threshold pass
+// scores their common advertisers once). No shard builds or runs a plan.
+// Winner determination never crosses a shard — each auction's
 // advertisers are evaluated on the shard owning its phrase — but
 // advertiser budgets do: all shards charge clicks against one central
 // budget.Ledger whose combined atomic reserve/settle keeps the Section IV

@@ -10,7 +10,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -25,10 +27,13 @@ func TestNetServerEndToEnd(t *testing.T) {
 	wcfg.NumPhrases = 16
 	w := Must(GenerateWorkload(wcfg))
 
-	ns, err := NewNetServer(w,
-		WithShards(2),
-		WithRoundInterval(2*time.Millisecond),
-		WithRateLimit(10_000, 20_000))
+	fleet := DefaultShardedServerConfig()
+	fleet.Shards = 2
+	fleet.Worker.RoundInterval = 2 * time.Millisecond
+	ns, err := NewNetServer(w, NetServerConfig{
+		Fleet: fleet,
+		HTTP:  &HTTPServerConfig{RateLimit: 10_000, RateBurst: 20_000},
+	})
 	if err != nil {
 		t.Fatalf("NewNetServer: %v", err)
 	}
@@ -144,6 +149,149 @@ func TestNetServerEndToEnd(t *testing.T) {
 			t.Fatalf("close status = %d, want 1001", binary.BigEndian.Uint16(p))
 		}
 		break
+	}
+}
+
+// TestNetServerEdges builds NewNetServer with each combination of edges.
+// An edge serves iff its config is set, an off edge reports "" for its
+// address, a config with no edge is refused, and Shutdown answers a query
+// held mid-round on every serving edge before it returns, leaving no
+// goroutine behind. Close, the immediate teardown, leaks none either.
+func TestNetServerEdges(t *testing.T) {
+	wcfg := DefaultWorkloadConfig()
+	wcfg.NumAdvertisers = 60
+	wcfg.NumPhrases = 8
+	phrase := Must(GenerateWorkload(wcfg)).PhraseNames[0]
+
+	for _, tc := range []struct {
+		name         string
+		http, binary bool
+	}{
+		{"http", true, false},
+		{"binary", false, true},
+		{"both", true, true},
+		{"neither", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The first round to carry a query parks until release, so the
+			// query is still in flight when Shutdown starts.
+			var stalled atomic.Int32
+			release := make(chan struct{})
+			cfg := NetServerConfig{Fleet: DefaultShardedServerConfig()}
+			cfg.Fleet.Shards = 2
+			cfg.Fleet.Worker.RoundInterval = 2 * time.Millisecond
+			cfg.Fleet.Worker.BeforeStep = func() {
+				stalled.Add(1)
+				<-release
+			}
+			if tc.http {
+				cfg.HTTP = &HTTPServerConfig{}
+			}
+			if tc.binary {
+				cfg.Binary = &BinaryServerConfig{}
+			}
+			before := runtime.NumGoroutine()
+			ns, err := NewNetServer(Must(GenerateWorkload(wcfg)), cfg)
+			if !tc.http && !tc.binary {
+				if err == nil {
+					ns.Close()
+					t.Fatal("NewNetServer with no edge returned no error")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("NewNetServer: %v", err)
+			}
+			if got := ns.Addr() != ""; got != tc.http {
+				t.Fatalf("Addr() = %q with HTTP edge %v", ns.Addr(), tc.http)
+			}
+			if got := ns.BinaryAddr() != ""; got != tc.binary {
+				t.Fatalf("BinaryAddr() = %q with binary edge %v", ns.BinaryAddr(), tc.binary)
+			}
+
+			var clients []Client
+			if tc.http {
+				clients = append(clients, NewHTTPClient(ns.Addr()))
+			}
+			if tc.binary {
+				c, err := NewBinaryClient(ns.BinaryAddr())
+				if err != nil {
+					t.Fatalf("NewBinaryClient: %v", err)
+				}
+				clients = append(clients, c)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
+			defer cancel()
+			errs := make(chan error, len(clients))
+			for _, c := range clients {
+				go func(c Client) {
+					_, err := c.Submit(ctx, phrase)
+					errs <- err
+				}(c)
+			}
+			for stalled.Load() == 0 || ns.Fleet().Metrics().Submitted < int64(len(clients)) {
+				if ctx.Err() != nil {
+					t.Fatal("queries were never admitted")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			// Release the round once Shutdown has closed the first edge it
+			// drains (binary before HTTP): the edge refuses new connections.
+			shut := make(chan error, 1)
+			go func() { shut <- ns.Shutdown(ctx) }()
+			first := ns.Addr()
+			if tc.binary {
+				first = ns.BinaryAddr()
+			}
+			for {
+				conn, err := net.Dial("tcp", first)
+				if err != nil {
+					break
+				}
+				conn.Close()
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			if err := <-shut; err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			for range clients {
+				if err := <-errs; err != nil {
+					t.Errorf("query in flight across Shutdown: %v", err)
+				}
+			}
+			if m := ns.Fleet().Metrics(); m.Answered != int64(len(clients)) {
+				t.Errorf("answered %d, want %d", m.Answered, len(clients))
+			}
+			for _, c := range clients {
+				c.Close()
+			}
+			waitGoroutines(t, "Shutdown", before)
+
+			ns, err = NewNetServer(Must(GenerateWorkload(wcfg)), cfg)
+			if err != nil {
+				t.Fatalf("NewNetServer: %v", err)
+			}
+			if err := ns.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			waitGoroutines(t, "Close", before)
+		})
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to at
+// most before within a few seconds.
+func waitGoroutines(t *testing.T, after string, before int) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutine leak after %s: %d before, %d after\n%s", after, before, n, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -78,6 +78,7 @@ import (
 
 	"sharedwd/internal/analytics"
 	"sharedwd/internal/auction"
+	"sharedwd/internal/batching"
 	"sharedwd/internal/binproto"
 	"sharedwd/internal/bitset"
 	"sharedwd/internal/budget"
@@ -208,7 +209,9 @@ type (
 	// (DESIGN.md §8).
 	AggProgram = plan.Program
 	// AggRunner executes an AggProgram over dense top-k entry slabs with
-	// zero steady-state allocations — the engine's production shared path.
+	// zero steady-state allocations. The serving engine runs no plan; the
+	// runner is the §II executor the figures and the engine's Lemma-1 test
+	// oracle use.
 	AggRunner = plan.Runner
 )
 
@@ -364,7 +367,8 @@ type (
 	RoundReport = core.RoundReport
 	// BudgetPolicy selects naive vs throttled bidding.
 	BudgetPolicy = core.BudgetPolicy
-	// SharingMode selects shared-plan vs independent resolution.
+	// SharingMode selects one shared threshold pass over the round's
+	// auctions vs an independent scan per auction.
 	SharingMode = core.SharingMode
 	// SortEngine resolves rounds in the per-phrase-quality regime
 	// (Section III: shared merge-sort + threshold algorithm).
@@ -410,15 +414,16 @@ type (
 	// HashShardRouter is the stable default router (FNV-1a on the
 	// normalized phrase name).
 	HashShardRouter = shard.HashRouter
-	// FragmentShardRouter co-locates phrases sharing Section II plan
-	// fragments to preserve intra-shard sharing.
+	// FragmentShardRouter co-locates phrases sharing Section II fragments,
+	// so that one shard's threshold pass scores their common advertisers
+	// once per round.
 	FragmentShardRouter = shard.FragmentRouter
 	// BudgetLedger is the cross-shard budget authority: per-advertiser
 	// remaining/spent reads and the atomic TryCharge that keeps the
 	// Section IV invariant exact fleet-wide.
 	BudgetLedger = budget.Ledger
 	// PacerConfig tunes the online budget-pacing controller (horizon,
-	// feedback gain, step clamp, factor floor). See WithPacing.
+	// feedback gain, step clamp, factor floor). Set ServerConfig.Pacing.
 	PacerConfig = budget.PacerConfig
 	// Pacer is the shared pacing controller: it adapts one throttle factor
 	// per advertiser each round so budgets exhaust smoothly over the
@@ -429,7 +434,7 @@ type (
 	PacingMetrics = budget.PacingMetrics
 	// Lifecycle is an advertiser lifecycle schedule: join/leave campaign
 	// windows consumed by the engines and budget-refresh epochs consumed
-	// by the pacing controller. See WithLifecycle.
+	// by the pacing controller. Set ServerConfig.Lifecycle.
 	Lifecycle = workload.Lifecycle
 	// LifecycleEvent is one advertiser lifecycle change, effective at the
 	// start of its round.
@@ -516,140 +521,23 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 	return workload.Generate(cfg), nil
 }
 
-// An EngineOption adjusts an EngineConfig at construction. Options are
-// applied in order over DefaultEngineConfig, so later options win; start
-// from an explicit struct with WithConfig.
-type EngineOption func(*EngineConfig)
-
-// WithConfig replaces the whole configuration — the bridge for callers
-// that assemble an EngineConfig struct (DefaultEngineConfig remains the
-// canonical starting point). Options after it apply on top.
-func WithConfig(cfg EngineConfig) EngineOption { return func(c *EngineConfig) { *c = cfg } }
-
-// WithPricing selects the pricing rule (FirstPrice, GSP, VCG).
-func WithPricing(rule PricingRule) EngineOption { return func(c *EngineConfig) { c.Pricing = rule } }
-
-// WithBudgetPolicy selects naive vs throttled bidding (Section IV).
-func WithBudgetPolicy(p BudgetPolicy) EngineOption { return func(c *EngineConfig) { c.Policy = p } }
-
-// WithSharing selects shared-plan vs independent winner determination.
-func WithSharing(m SharingMode) EngineOption { return func(c *EngineConfig) { c.Sharing = m } }
-
-// WithReserve sets the per-click reserve price (0 disables it).
-func WithReserve(price float64) EngineOption { return func(c *EngineConfig) { c.Reserve = price } }
-
-// WithClickModel sets the delayed-click hazard and horizon.
-func WithClickModel(hazard float64, horizon int) EngineOption {
-	return func(c *EngineConfig) {
-		c.ClickHazard = hazard
-		c.ClickHorizon = horizon
-	}
-}
-
-// NewEngine builds an engine for a workload, starting from
-// DefaultEngineConfig and applying the options in order:
+// NewEngine builds an engine for a workload from cfg; start from
+// DefaultEngineConfig and set the fields that differ:
 //
-//	eng, err := sharedwd.NewEngine(w,
-//	    sharedwd.WithPricing(sharedwd.VCG),
-//	    sharedwd.WithBudgetPolicy(sharedwd.Throttled))
+//	cfg := sharedwd.DefaultEngineConfig()
+//	cfg.Pricing = sharedwd.VCG
+//	eng, err := sharedwd.NewEngine(w, cfg)
 //
 // It returns an error for invalid configurations or a per-phrase-quality
 // workload (use NewSortEngine there).
-func NewEngine(w *Workload, opts ...EngineOption) (*Engine, error) {
-	cfg := core.DefaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return core.New(w, cfg)
-}
+func NewEngine(w *Workload, cfg EngineConfig) (*Engine, error) { return core.New(w, cfg) }
 
 // NewSortEngine builds the Section III pipeline (shared merge-sort feeding
-// the threshold algorithm) for a per-phrase-quality workload. Options as
-// for NewEngine; it returns an error for invalid configurations or a
-// global-quality workload.
-func NewSortEngine(w *Workload, opts ...EngineOption) (*SortEngine, error) {
-	cfg := core.DefaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// the threshold algorithm) for a per-phrase-quality workload. It returns an
+// error for invalid configurations or a global-quality workload.
+func NewSortEngine(w *Workload, cfg EngineConfig) (*SortEngine, error) {
 	return core.NewSortEngine(w, cfg)
 }
-
-// serveConfig is the ServerOption target: the per-worker serving
-// configuration plus the sharding knobs that only the sharded constructor
-// consumes.
-type serveConfig struct {
-	srv        server.Config
-	shards     int
-	router     shard.Router
-	net        netserve.Config
-	bin        binproto.Config
-	transports []Transport // nil means HTTP only (the historical default)
-}
-
-// serves reports whether the configuration enables transport t.
-func (c *serveConfig) serves(t Transport) bool {
-	if c.transports == nil {
-		return t == TransportHTTP
-	}
-	for _, have := range c.transports {
-		if have == t {
-			return true
-		}
-	}
-	return false
-}
-
-// A ServerOption adjusts the serving configuration at construction,
-// applied in order over DefaultServerConfig. The same options configure
-// NewServer and NewShardedServer; the sharding options (WithShards,
-// WithShardRouter) are meaningful only to the latter.
-type ServerOption func(*serveConfig)
-
-// WithServerConfig replaces the whole per-worker serving configuration
-// (round interval, batch threshold, queue depth, engine); options after it
-// apply on top. Sharding options are untouched.
-func WithServerConfig(cfg ServerConfig) ServerOption { return func(c *serveConfig) { c.srv = cfg } }
-
-// WithRoundInterval sets the ticker period at which rounds close — the
-// paper's §I latency/sharing tradeoff knob (see TuneRoundInterval).
-func WithRoundInterval(d time.Duration) ServerOption {
-	return func(c *serveConfig) { c.srv.RoundInterval = d }
-}
-
-// WithMaxBatch closes rounds early once n requests are pending (0 disables
-// the size threshold).
-func WithMaxBatch(n int) ServerOption { return func(c *serveConfig) { c.srv.MaxBatch = n } }
-
-// WithQueueDepth bounds the admission queue — each shard gets its own
-// queue of this depth; beyond it Submit sheds with ErrOverloaded.
-func WithQueueDepth(n int) ServerOption { return func(c *serveConfig) { c.srv.QueueDepth = n } }
-
-// WithBidWalk applies one step of the workload's bid random walk after
-// every round (automated bidding programs running between rounds).
-func WithBidWalk(scale float64) ServerOption {
-	return func(c *serveConfig) { c.srv.BidWalkScale = scale }
-}
-
-// WithServerEngine applies engine options to the server's wrapped engine.
-func WithServerEngine(opts ...EngineOption) ServerOption {
-	return func(c *serveConfig) {
-		for _, opt := range opts {
-			opt(&c.srv.Engine)
-		}
-	}
-}
-
-// WithShards sets the engine-shard count for NewShardedServer (default:
-// one shard per available CPU). NewServer rejects n > 1 — build a
-// ShardedServer to scale out.
-func WithShards(n int) ServerOption { return func(c *serveConfig) { c.shards = n } }
-
-// WithShardRouter selects the phrase → shard assignment policy for
-// NewShardedServer: HashShardRouter (default) for stable name-hash
-// routing, FragmentShardRouter to co-locate phrases that share plan
-// fragments.
-func WithShardRouter(r ShardRouter) ServerOption { return func(c *serveConfig) { c.router = r } }
 
 // Advertiser lifecycle event kinds (see Lifecycle).
 const (
@@ -677,102 +565,77 @@ func GenerateLifecycle(w *Workload, cfg LifecycleConfig) (*Lifecycle, error) {
 	return workload.GenerateLifecycle(w, cfg)
 }
 
-// WithPacing turns on the online budget-pacing controller: one shared
-// Pacer over the fleet's budget authority adapts a per-advertiser throttle
-// factor each round so budgets last the configured horizon. Works on both
-// NewServer (a ledger is installed automatically) and NewShardedServer
-// (the controller is shared across shards over the central ledger).
-func WithPacing(cfg PacerConfig) ServerOption {
-	return func(c *serveConfig) { c.srv.Pacing = &cfg }
-}
-
-// WithLifecycle attaches an advertiser lifecycle schedule: engines replay
-// its join/leave events at round boundaries, and the pacing controller
-// (when WithPacing is also given) applies its budget-refresh epochs.
-func WithLifecycle(lc *Lifecycle) ServerOption {
-	return func(c *serveConfig) { c.srv.Lifecycle = lc }
-}
-
 // NewServer builds the engine for the workload and starts the serving
-// round loop:
+// round loop; start from DefaultServerConfig:
 //
-//	srv, err := sharedwd.NewServer(w,
-//	    sharedwd.WithRoundInterval(5*time.Millisecond),
-//	    sharedwd.WithQueueDepth(4096))
+//	cfg := sharedwd.DefaultServerConfig()
+//	cfg.RoundInterval = 5 * time.Millisecond
+//	srv, err := sharedwd.NewServer(w, cfg)
 //	defer srv.Close()
 //	res, err := srv.Submit(ctx, "hiking boots")
 //
 // The server takes ownership of the workload; do not mutate or step it
 // while the server runs. Close resolves in-flight requests, drains
 // outstanding clicks, and stops every goroutine the server started.
-// NewServer is the single-engine constructor; it returns an error if
-// WithShards(n > 1) was given (use NewShardedServer).
-func NewServer(w *Workload, opts ...ServerOption) (*Server, error) {
-	cfg := applyServerOptions(opts)
-	if cfg.shards > 1 {
-		return nil, fmt.Errorf("sharedwd: NewServer is single-engine; use NewShardedServer for %d shards", cfg.shards)
-	}
-	return server.New(w, cfg.srv)
-}
+func NewServer(w *Workload, cfg ServerConfig) (*Server, error) { return server.New(w, cfg) }
+
+// ShardedServerConfig parameterizes NewShardedServer: the per-shard
+// ServerConfig (Worker), the shard count and the phrase → shard router
+// (nil means HashShardRouter).
+type ShardedServerConfig = shard.Config
+
+// DefaultShardedServerConfig returns DefaultServerConfig on every shard,
+// one shard per available CPU, and the hash router.
+func DefaultShardedServerConfig() ShardedServerConfig { return shard.DefaultConfig() }
 
 // NewShardedServer partitions the workload's phrase universe across engine
 // shards — one admission queue + round loop + engine per shard, advertiser
 // budgets shared through a central atomic ledger — and starts serving:
 //
-//	srv, err := sharedwd.NewShardedServer(w,
-//	    sharedwd.WithShards(4),
-//	    sharedwd.WithShardRouter(sharedwd.FragmentShardRouter{}),
-//	    sharedwd.WithRoundInterval(5*time.Millisecond))
+//	cfg := sharedwd.DefaultShardedServerConfig()
+//	cfg.Shards = 4
+//	cfg.Router = sharedwd.FragmentShardRouter{}
+//	srv, err := sharedwd.NewShardedServer(w, cfg)
 //	defer srv.Close()
 //	res, err := srv.Submit(ctx, "hiking boots")
 //
-// Without WithShards it uses one shard per available CPU. Submit, Metrics,
-// and Close mirror Server's; results additionally carry the serving shard,
-// and a shard's refusals (overloaded, closed) wrap shard + phrase context
-// as *QueryError. The server takes ownership of the workload.
-func NewShardedServer(w *Workload, opts ...ServerOption) (*ShardedServer, error) {
-	cfg := applyServerOptions(opts)
-	scfg := shard.DefaultConfig()
-	scfg.Worker = cfg.srv
-	if cfg.shards > 0 {
-		scfg.Shards = cfg.shards
-	}
-	scfg.Router = cfg.router
-	return shard.New(w, scfg)
-}
-
-func applyServerOptions(opts []ServerOption) serveConfig {
-	cfg := serveConfig{srv: server.DefaultConfig()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg
+// Submit, Metrics, and Close mirror Server's; results additionally carry
+// the serving shard, and a shard's refusals (overloaded, closed) wrap
+// shard + phrase context as *QueryError. The server takes ownership of the
+// workload.
+func NewShardedServer(w *Workload, cfg ShardedServerConfig) (*ShardedServer, error) {
+	return shard.New(w, cfg)
 }
 
 // Network serving tier (see internal/netserve, internal/binproto).
 type (
-	// NetServerConfig tunes the HTTP tier (listen address, timeouts,
-	// body bound, rate limit, live-feed queue depth).
-	NetServerConfig = netserve.Config
+	// HTTPServerConfig tunes the HTTP tier (listen address, timeouts, body
+	// bound, rate limit, live-feed queue depth). The zero value serves on a
+	// random loopback port with the documented defaults.
+	HTTPServerConfig = netserve.Config
 	// BinaryServerConfig tunes the binary tier (listen address, frame and
-	// in-flight bounds, timeout clamp).
+	// in-flight bounds, timeout clamp). The zero value serves on a random
+	// loopback port with the documented defaults.
 	BinaryServerConfig = binproto.Config
 )
 
-// Transport selects which network edges a NetServer serves.
-type Transport int
-
-const (
-	// TransportHTTP is the HTTP/JSON tier: POST /v1/query and
+// NetServerConfig parameterizes NewNetServer: the fleet and one optional
+// configuration per network edge. An edge serves iff its configuration is
+// non-nil; at least one must be.
+type NetServerConfig struct {
+	// Fleet configures the sharded fleet every edge serves.
+	Fleet ShardedServerConfig
+	// HTTP, when non-nil, serves the HTTP/JSON tier: POST /v1/query and
 	// /v1/query/batch submit queries, GET /v1/stats and GET /v1/metrics
 	// expose the merged fleet Metrics (JSON and Prometheus text), and
-	// GET /v1/live is a WebSocket pushing per-round summaries.
-	TransportHTTP Transport = iota
-	// TransportBinary is the length-prefixed binary protocol with
+	// GET /v1/live is a WebSocket pushing per-round summaries. The live
+	// feed takes over Fleet.Worker.OnRound.
+	HTTP *HTTPServerConfig
+	// Binary, when non-nil, serves the length-prefixed binary protocol with
 	// connection multiplexing — the high-throughput edge (see
-	// internal/binproto and NewBinaryClient).
-	TransportBinary
-)
+	// NewBinaryClient).
+	Binary *BinaryServerConfig
+}
 
 // NetServer is the network front end over a sharded round server: one
 // fleet (ShardedServer + central budget ledger) behind up to two
@@ -781,10 +644,9 @@ const (
 // BinaryAddr report the bound edges ("" for one not serving); Shutdown
 // drains every edge and then the fleet.
 type NetServer struct {
-	http    *netserve.Server // nil unless TransportHTTP
-	binary  *binproto.Server // nil unless TransportBinary
-	backend server.Backend
-	hub     *netserve.Hub
+	fleet  *ShardedServer
+	http   *netserve.Server // nil unless NetServerConfig.HTTP was set
+	binary *binproto.Server // nil unless NetServerConfig.Binary was set
 }
 
 // Addr returns the HTTP tier's bound listen address, or "" when the HTTP
@@ -805,16 +667,10 @@ func (ns *NetServer) BinaryAddr() string {
 	return ns.binary.Addr()
 }
 
-// Hub returns the live round-feed hub (for tests and embedding).
-func (ns *NetServer) Hub() *netserve.Hub { return ns.hub }
-
-// Err returns the HTTP tier's terminal serve error, if any.
-func (ns *NetServer) Err() error {
-	if ns.http == nil {
-		return nil
-	}
-	return ns.http.Err()
-}
+// Fleet returns the sharded fleet behind the edges, for in-process
+// submission, per-shard metrics and the budget ledger. The NetServer owns
+// it: stop it with Shutdown or Close.
+func (ns *NetServer) Fleet() *ShardedServer { return ns.fleet }
 
 // Shutdown drains the whole front end: both edges stop accepting, every
 // admitted request — HTTP in-flight handlers and binary in-flight frames
@@ -822,21 +678,19 @@ func (ns *NetServer) Err() error {
 // live subscribers get a going-away close frame, and finally the fleet
 // itself drains and settles its budgets. Safe to call once.
 func (ns *NetServer) Shutdown(ctx context.Context) error {
-	// Drain the binary edge first, without closing the shared backend —
-	// its in-flight frames need the workers still serving.
+	// Drain the binary edge first: Drain leaves the fleet open, and the
+	// edge's in-flight frames need the workers still serving.
 	var err error
 	if ns.binary != nil {
 		err = ns.binary.Drain(ctx)
 	}
 	if ns.http != nil {
-		// The HTTP tier's Shutdown closes the hub and then the backend.
+		// The HTTP tier's Shutdown closes the live feed and then the fleet.
 		if herr := ns.http.Shutdown(ctx); err == nil {
 			err = herr
 		}
-	} else {
-		ns.hub.Close()
-		ns.backend.Close()
 	}
+	ns.fleet.Close() // idempotent
 	return err
 }
 
@@ -851,150 +705,67 @@ func (ns *NetServer) Close() error {
 		if herr := ns.http.Close(); err == nil {
 			err = herr
 		}
-	} else {
-		ns.hub.Close()
-		ns.backend.Close()
 	}
+	ns.fleet.Close() // idempotent
 	return err
 }
 
-// WithListenAddr sets the HTTP tier's listen address for NewNetServer
-// (default 127.0.0.1:0 — a random loopback port; use ":8080" to serve
-// externally). Ignored by NewServer and NewShardedServer.
-func WithListenAddr(addr string) ServerOption {
-	return func(c *serveConfig) { c.net.Addr = addr }
-}
-
-// WithTransport selects which network edges NewNetServer serves — any of
-// TransportHTTP and TransportBinary, in any combination. Without it the
-// server speaks HTTP only (the historical default); WithBinaryAddr
-// implies adding TransportBinary without restating the HTTP choice.
-func WithTransport(transports ...Transport) ServerOption {
-	return func(c *serveConfig) {
-		c.transports = append([]Transport(nil), transports...)
-	}
-}
-
-// WithBinaryAddr sets the binary tier's listen address for NewNetServer
-// (default 127.0.0.1:0) and enables TransportBinary alongside whatever
-// transports are already selected. Ignored by NewServer and
-// NewShardedServer.
-func WithBinaryAddr(addr string) ServerOption {
-	return func(c *serveConfig) {
-		c.bin.Addr = addr
-		if !c.serves(TransportBinary) {
-			if c.transports == nil {
-				c.transports = []Transport{TransportHTTP}
-			}
-			c.transports = append(c.transports, TransportBinary)
-		}
-	}
-}
-
-// WithBinaryConfig replaces the whole binary-tier configuration for
-// NewNetServer; WithBinaryAddr after it applies on top. It does not by
-// itself enable the binary transport — combine with WithTransport or
-// WithBinaryAddr.
-func WithBinaryConfig(cfg BinaryServerConfig) ServerOption {
-	return func(c *serveConfig) { c.bin = cfg }
-}
-
-// WithRateLimit enables the network tier's per-client token bucket at rps
-// requests per second with bursts of burst (burst ≤ 0 defaults to 2×rps).
-// Rate-limited requests get 429 before reaching the admission queue.
-// Ignored by NewServer and NewShardedServer.
-func WithRateLimit(rps float64, burst int) ServerOption {
-	return func(c *serveConfig) {
-		c.net.RateLimit = rps
-		c.net.RateBurst = burst
-	}
-}
-
-// WithNetConfig replaces the whole HTTP-tier configuration for
-// NewNetServer.
-//
-// Configuration precedence, for every whole-config/per-field option pair
-// on this facade (WithServerConfig vs the round knobs, WithNetConfig vs
-// WithListenAddr/WithRateLimit, WithBinaryConfig vs WithBinaryAddr):
-// options apply strictly in argument order over the defaults, and later
-// options win. A whole-config option replaces its entire struct — field
-// options given before it are lost; field options given after it apply on
-// top. Transport selection (WithTransport, WithBinaryAddr's implied
-// enable) is tracked separately and survives whole-config replacement.
-func WithNetConfig(cfg NetServerConfig) ServerOption {
-	return func(c *serveConfig) { c.net = cfg }
-}
-
 // NewNetServer builds a ShardedServer for the workload, wires its round
-// loops into the live feed, and starts the selected network transports
-// listening:
+// loops into the live feed, and starts the configured edges listening:
 //
-//	ns, err := sharedwd.NewNetServer(w,
-//	    sharedwd.WithListenAddr(":8080"),
-//	    sharedwd.WithBinaryAddr(":8081"),
-//	    sharedwd.WithRateLimit(1000, 2000),
-//	    sharedwd.WithShards(4))
+//	ns, err := sharedwd.NewNetServer(w, sharedwd.NetServerConfig{
+//	    Fleet:  sharedwd.DefaultShardedServerConfig(),
+//	    HTTP:   &sharedwd.HTTPServerConfig{Addr: ":8080"},
+//	    Binary: &sharedwd.BinaryServerConfig{Addr: ":8081"},
+//	})
 //	defer ns.Shutdown(context.Background())
 //	// POST http://host:8080/v1/query  {"query": "hiking boots"}
 //	// or sharedwd.NewBinaryClient(ns.BinaryAddr())
 //
-// All NewShardedServer options apply; WithTransport and WithBinaryAddr
-// choose the edges (HTTP only without either). Every edge serves the same
-// fleet — identical results, one error taxonomy, shared budget ledger.
-// The tier is serving when NewNetServer returns; Addr and BinaryAddr
-// report the bound addresses. Shutdown drains gracefully — listeners stop
-// accepting, every admitted request is answered, live subscribers get a
-// close frame, then the fleet drains. See WithNetConfig for option
-// precedence.
-func NewNetServer(w *Workload, opts ...ServerOption) (*NetServer, error) {
-	cfg := applyServerOptions(opts)
-	if cfg.transports != nil && !cfg.serves(TransportHTTP) && !cfg.serves(TransportBinary) {
-		return nil, fmt.Errorf("sharedwd: NewNetServer with no transports")
+// Every edge serves the same fleet — identical results, one error
+// taxonomy, shared budget ledger. The edges are serving when NewNetServer
+// returns. It returns an error when neither edge is configured, the fleet
+// configuration is invalid, or an edge cannot listen.
+func NewNetServer(w *Workload, cfg NetServerConfig) (*NetServer, error) {
+	if cfg.HTTP == nil && cfg.Binary == nil {
+		return nil, fmt.Errorf("sharedwd: NewNetServer with neither an HTTP nor a binary edge")
 	}
-	// The hub must exist before the workers start: each round loop's
-	// summary hook is fixed at worker construction.
-	hub := netserve.NewHubFor(cfg.net)
-	cfg.srv.OnRound = hub.RoundHook()
-	scfg := shard.DefaultConfig()
-	scfg.Worker = cfg.srv
-	if cfg.shards > 0 {
-		scfg.Shards = cfg.shards
+	var hub *netserve.Hub
+	if cfg.HTTP != nil {
+		// The hub must exist before the workers start: each round loop's
+		// summary hook is fixed at worker construction.
+		hub = netserve.NewHubFor(*cfg.HTTP)
+		cfg.Fleet.Worker.OnRound = hub.RoundHook()
 	}
-	scfg.Router = cfg.router
-	backend, err := shard.New(w, scfg)
+	fleet, err := shard.New(w, cfg.Fleet)
 	if err != nil {
 		return nil, err
 	}
-	ns := &NetServer{backend: backend, hub: hub}
-	if cfg.serves(TransportHTTP) {
-		ns.http = netserve.New(backend, hub, cfg.net)
+	ns := &NetServer{fleet: fleet}
+	if cfg.HTTP != nil {
+		ns.http = netserve.New(fleet, hub, *cfg.HTTP)
 		if err := ns.http.Start(); err != nil {
-			hub.Close()
-			backend.Close()
+			ns.Close()
 			return nil, fmt.Errorf("sharedwd: net server listen: %w", err)
 		}
 	}
-	if cfg.serves(TransportBinary) {
-		ns.binary = binproto.New(backend, cfg.bin)
-		if err := ns.binary.Start(); err != nil {
-			if ns.http != nil {
-				ns.http.Close() // closes hub and backend
-			} else {
-				hub.Close()
-				backend.Close()
-			}
+	if cfg.Binary != nil {
+		bin := binproto.New(fleet, *cfg.Binary)
+		if err := bin.Start(); err != nil {
+			ns.Close()
 			return nil, fmt.Errorf("sharedwd: binary server listen: %w", err)
 		}
+		ns.binary = bin
 	}
 	return ns, nil
 }
 
 // TuneRoundInterval picks the longest round length whose simulated median
 // query latency stays within the paper's 2.2 s user-tolerance threshold,
-// by replaying the §I batching model (internal/batching) against the
-// workload's shared plan at the given per-phrase Poisson arrival rates.
+// by replaying the §I batching model (internal/batching) over the
+// workload's interest sets at the given per-phrase Poisson arrival rates.
 func TuneRoundInterval(w *Workload, arrivalsPerSecond []float64, wdSecondsPerOp float64, candidates []time.Duration) (time.Duration, error) {
-	return server.TuneRoundInterval(w, arrivalsPerSecond, wdSecondsPerOp, candidates)
+	return batching.TuneRoundInterval(w, arrivalsPerSecond, wdSecondsPerOp, candidates)
 }
 
 // NewMatcher indexes bid phrases for two-stage query matching.

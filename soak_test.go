@@ -258,11 +258,12 @@ func TestSoakShardedConcurrentClose(t *testing.T) {
 	wcfg.NumPhrases = 16
 	wcfg.Seed = 92
 	w := workload.Generate(wcfg)
-	s, err := NewShardedServer(w,
-		WithShards(2),
-		WithRoundInterval(time.Millisecond),
-		WithMaxBatch(32),
-		WithQueueDepth(256))
+	cfg := DefaultShardedServerConfig()
+	cfg.Shards = 2
+	cfg.Worker.RoundInterval = time.Millisecond
+	cfg.Worker.MaxBatch = 32
+	cfg.Worker.QueueDepth = 256
+	s, err := NewShardedServer(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestSoakShardedCloseFullQueues(t *testing.T) {
 		stalled.Add(1)
 		<-release
 	}
-	s, err := NewShardedServer(w, WithServerConfig(scfg), WithShards(shards))
+	s, err := NewShardedServer(w, ShardedServerConfig{Worker: scfg, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
