@@ -13,7 +13,7 @@ build:
 # same kind of gate on the plan build (allocations per sharedagg.Build).
 test:
 	$(GO) test ./...
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core
+	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core ./internal/workload
 	$(GO) test -count=1 -run 'TestBuildAllocBudget' ./internal/sharedagg
 
 race:
@@ -44,7 +44,8 @@ bench:
 # random instances, plans and fusion thresholds, and the engine's shared
 # threshold pass at an arbitrary τ against both a τ = +Inf twin, which
 # scores on demand and scans every phrase, and an Independent twin that
-# scores every participant. CI runs the same budgets.
+# scores every participant, and the click simulator's timing wheel against
+# the pending-slice reference. CI runs the same budgets.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzScanRun' -fuzztime=10s ./internal/topk
 	$(GO) test -run='^$$' -fuzz='FuzzCompiledRun' -fuzztime=10s ./internal/plan
 	$(GO) test -run='^$$' -fuzz='FuzzThresholdRound' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='FuzzClickSim' -fuzztime=10s ./internal/workload
 
 # soak-pacing runs the day-in-the-life budget-pacing soak (EXPERIMENTS.md):
 # calibrate natural spend, verify the unpaced baseline front-loads, then
@@ -65,11 +67,14 @@ soak-pacing:
 
 # servedemo-smoke runs the facade's one serving program end to end: a
 # 2-shard fleet behind both network edges (NewNetServer) under synthetic
-# load for 2 s, then the graceful Shutdown. It must exit 0 and report a
-# positive answered count. CI runs this target.
+# load for 2 s, then the graceful Shutdown. It must exit 0, print exactly
+# two per-second snapshot lines (a run that overruns -duration prints a
+# third), and report a positive answered count. CI runs this target.
 servedemo-smoke:
 	@out=$$($(GO) run ./cmd/servedemo -duration 2s -clients 4 -shards 2 \
 		-listen 127.0.0.1:0 -listen-binary 127.0.0.1:0) || exit 1; \
 	echo "$$out"; \
+	s=$$(echo "$$out" | awk '/^uptime /{on=1; next} on && /^$$/{exit} on{n++} END{print n+0}'); \
+	[ "$$s" -eq 2 ] || { echo "servedemo printed $$s snapshot lines for -duration 2s, want 2"; exit 1; }; \
 	n=$$(echo "$$out" | sed -nE 's/^submitted [0-9]+, answered ([0-9]+) .*/\1/p'); \
 	[ "$${n:-0}" -gt 0 ] || { echo "servedemo answered no queries"; exit 1; }

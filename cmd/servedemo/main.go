@@ -205,20 +205,22 @@ func main() {
 		}(c)
 	}
 
+	// One snapshot per whole second of -duration, then the rest of it on
+	// the deadline timer: the load stops at the deadline, not at the first
+	// tick after it.
+	end := time.NewTimer(*duration)
 	ticker := time.NewTicker(time.Second)
-	deadlineAt := time.Now().Add(*duration)
 	fmt.Println("uptime   qps      p50ms   p95ms   queue  shed   timeout unmatched")
-	for now := range ticker.C {
+	for n := int(*duration / time.Second); n > 0; n-- {
+		<-ticker.C
 		m := fleet.Metrics()
 		fmt.Printf("%-8s %-8.0f %-7.2f %-7.2f %-6d %-6d %-7d %d\n",
 			m.Uptime.Round(time.Second), m.QueriesPerSec,
 			m.TotalLatency.P50()*1e3, m.TotalLatency.P95()*1e3,
 			m.QueueDepth, m.Shed, m.TimedOut, m.Unmatched)
-		if now.After(deadlineAt) {
-			break
-		}
 	}
 	ticker.Stop()
+	<-end.C
 
 	stop.Store(true)
 	wg.Wait()

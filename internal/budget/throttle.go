@@ -19,14 +19,15 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"sharedwd/internal/workload"
 )
 
 // OutstandingAd is a displayed ad awaiting a click: the price a click would
-// cost and the (current) probability that the click eventually happens.
-type OutstandingAd struct {
-	Price float64
-	CTR   float64
-}
+// cost and the (current) probability that the click eventually happens. It
+// is the click simulator's type, so the engine reads an advertiser's ads
+// into the shape this package takes with no copy between the two.
+type OutstandingAd = workload.OutstandingAd
 
 // Interval is a closed interval [Lo, Hi] bounding an uncertain quantity.
 type Interval struct {

@@ -181,12 +181,8 @@ type Engine struct {
 	w   *workload.Workload
 
 	clicks *workload.ClickSim
-	// out is the round's outstanding ads bucketed by advertiser, filled
-	// once per Step before leaf scoring (Throttled engines only; nil
-	// otherwise).
-	out   *workload.OutstandingBuckets
-	spent []float64 // realized payments per advertiser
-	round int
+	spent  []float64 // realized payments per advertiser
+	round  int
 
 	// active[i] is advertiser i's lifecycle participation flag; lifeCursor
 	// tracks schedule consumption and lifeFn is the pinned event-apply
@@ -372,9 +368,6 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	}
 	if cfg.ClickOutcome != nil {
 		e.clicks.SetOutcome(cfg.ClickOutcome)
-	}
-	if cfg.Policy == Throttled {
-		e.out = new(workload.OutstandingBuckets)
 	}
 	e.scr.part = bitset.New(len(w.Advertisers))
 	e.scr.roundBid = make([]float64, len(w.Advertisers))
@@ -615,12 +608,6 @@ func (e *Engine) scoreParticipants(occurring []bool) {
 		e.scr.epoch = 1
 	}
 	e.scr.scored = 0
-	if e.out != nil {
-		// Section IV needs every participating advertiser's outstanding
-		// ads: bucket the pending list once, O(pending + advertisers),
-		// rather than scan all of it per advertiser.
-		e.clicks.BucketOutstanding(e.out, len(e.w.Advertisers), e.round)
-	}
 	if e.tauQ == nil {
 		for j, word := range part.Words() {
 			for ; word != 0; word &= word - 1 {
@@ -688,7 +675,7 @@ func (e *Engine) scoreAdvertiser(i int, bid float64, occurring []bool) float64 {
 		}
 		if remaining > 0 {
 			rb = bid
-			if e.out != nil {
+			if e.cfg.Policy == Throttled {
 				rb = e.throttledBid(i, bid, remaining, occurring)
 			} else if remaining < bid {
 				rb = remaining // Naive: min(b_i, β_i)
@@ -820,12 +807,13 @@ func (e *Engine) scanPhrase(q int) (materialized int) {
 
 // throttledBid computes advertiser i's Section-IV bid b̂_i for this round
 // from its effective stated bid (already pacing-scaled) and its positive
-// remaining budget.
+// remaining budget. It reads only i's outstanding ads, in display order.
 func (e *Engine) throttledBid(i int, bid, remaining float64, occurring []bool) float64 {
-	prices, ctrs := e.out.Advertiser(i)
+	ads := e.clicks.AppendOutstanding(e.tscr.ads[:0], i, e.round)
+	e.tscr.ads = ads
 	omega := 0.0
-	for _, p := range prices {
-		omega += p
+	for _, a := range ads {
+		omega += a.Price
 	}
 	// Paper's fast path: even if every outstanding ad is clicked, the
 	// advertiser can still afford m_i full bids — no throttling needed.
@@ -843,11 +831,6 @@ func (e *Engine) throttledBid(i int, bid, remaining float64, occurring []bool) f
 	if omega <= remaining-float64(m)*bid {
 		return bid
 	}
-	ads := e.tscr.ads[:0]
-	for j := range prices {
-		ads = append(ads, budget.OutstandingAd{Price: prices[j], CTR: ctrs[j]})
-	}
-	e.tscr.ads = ads
 	var b float64
 	if len(ads) <= e.cfg.ThrottleEnumLimit {
 		b = budget.ExactThrottledBid(bid, remaining, m, ads)

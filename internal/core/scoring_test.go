@@ -107,9 +107,9 @@ func TestRoundScoresMatchReference(t *testing.T) {
 					occ[q] = rng.Float64() < 0.5
 				}
 				e.Step(occ)
-				// Step leaves what scoring read in place: displays register
-				// ads but charge nothing, and the pacer and lifecycle move
-				// only at the top of the next Step.
+				// Step leaves what scoring read in place: displays charge
+				// nothing (scoredOutstanding sets their ads aside), and the
+				// pacer and lifecycle move only at the top of the next Step.
 				wantBid, wantScore := referenceScores(e, occ, &paths)
 				for i := range wantBid {
 					stamped, part := e.scr.scoredAt[i] == e.scr.epoch, e.scr.part.Contains(i)
@@ -190,7 +190,7 @@ func referenceScores(e *Engine, occurring []bool, paths *referencePaths) (roundB
 		if bid <= 0 {
 			continue
 		}
-		roundBid[i] = referencePolicyBid(e, i, bid, m[i], auctions, paths)
+		roundBid[i] = referencePolicyBid(e, occurring, i, bid, m[i], auctions, paths)
 		score[i] = roundBid[i] * a.Quality
 		if score[i] > 0 {
 			paths.scored++
@@ -202,7 +202,7 @@ func referenceScores(e *Engine, occurring []bool, paths *referencePaths) (roundB
 // referencePolicyBid is the round bid under the budget policy, computed from
 // the exact m_i: min(b_i, β_i) for Naive, the paper's fast path and then
 // exact enumeration or the DP for Throttled, capped at the paced bid.
-func referencePolicyBid(e *Engine, i int, bid float64, m, auctions int, paths *referencePaths) float64 {
+func referencePolicyBid(e *Engine, occurring []bool, i int, bid float64, m, auctions int, paths *referencePaths) float64 {
 	remaining := e.Remaining(i)
 	if remaining <= 0 {
 		return 0
@@ -214,10 +214,10 @@ func referencePolicyBid(e *Engine, i int, bid float64, m, auctions int, paths *r
 		paths.capped++
 		return remaining
 	}
-	prices, ctrs := e.out.Advertiser(i)
+	ads := scoredOutstanding(nil, e, occurring, i)
 	omega := 0.0
-	for _, p := range prices {
-		omega += p
+	for _, a := range ads {
+		omega += a.Price
 	}
 	if m >= 2 && omega > remaining-float64(auctions)*bid {
 		paths.missM++
@@ -225,14 +225,30 @@ func referencePolicyBid(e *Engine, i int, bid float64, m, auctions int, paths *r
 	if omega <= remaining-float64(m)*bid {
 		return bid
 	}
-	ads := make([]budget.OutstandingAd, len(prices))
-	for j := range prices {
-		ads[j] = budget.OutstandingAd{Price: prices[j], CTR: ctrs[j]}
-	}
 	if len(ads) <= e.cfg.ThrottleEnumLimit {
 		paths.enum++
 		return min(bid, budget.ExactThrottledBid(bid, remaining, m, ads))
 	}
 	paths.dp++
 	return min(bid, budget.ExactThrottledBidDP(bid, remaining, m, ads, e.cfg.ThrottleUnit))
+}
+
+// scoredOutstanding appends to dst advertiser i's outstanding ads as the
+// scoring phase of the round Step just resolved saw them: at that round's
+// age, and without the ads the round itself displayed afterwards. Those are
+// the last of i's ads in display order, and each is outstanding at age 0
+// exactly when its price and ctr are positive.
+func scoredOutstanding(dst []budget.OutstandingAd, e *Engine, occurring []bool, i int) []budget.OutstandingAd {
+	dst = e.clicks.AppendOutstanding(dst, i, e.round-1)
+	for q, occ := range occurring {
+		if !occ {
+			continue
+		}
+		for _, s := range e.scr.slots[q] {
+			if s.Advertiser == i && s.PricePaid > 0 && e.w.Advertisers[i].Quality*e.w.SlotFactors[s.Slot] > 0 {
+				dst = dst[:len(dst)-1]
+			}
+		}
+	}
+	return dst
 }

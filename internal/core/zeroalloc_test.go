@@ -78,6 +78,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 				occ[q] = q%2 == 0
 			}
 			enum, dp := 0, 0
+			ads := make([]budget.OutstandingAd, 0, 1024)
 			step := func() {
 				if tc.throttled {
 					for i := range w.Advertisers {
@@ -87,7 +88,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 				}
 				eng.Step(occ)
 				if tc.throttled {
-					e, d := throttlePaths(t, eng, occ)
+					e, d := throttlePaths(t, eng, occ, &ads)
 					enum, dp = enum+e, dp+d
 				}
 				if tc.rebid {
@@ -122,12 +123,14 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 // ads within ThrottleEnumLimit) and the currency-grid DP (beyond it). It
 // re-derives throttledBid's branch from the round's participant union and
 // each participant's exact auction count: Step leaves its scratch in place,
-// and displays register ads but charge nothing, so every remaining budget
-// is still what scoring saw. Only the participants the engine scored this
-// round count; shared mode skips those its ceiling test rules out.
-func throttlePaths(t *testing.T, e *Engine, occurring []bool) (enum, dp int) {
+// and displays charge nothing, so every remaining budget is still what
+// scoring saw; scoredOutstanding (into buf, so the helper allocates
+// nothing once buf is large enough) sets the displayed ads aside. Only the
+// participants the engine scored this round count; shared mode skips those
+// its ceiling test rules out.
+func throttlePaths(t *testing.T, e *Engine, occurring []bool, buf *[]budget.OutstandingAd) (enum, dp int) {
 	t.Helper()
-	for i, a := range e.w.Advertisers {
+	for i := range e.w.Advertisers {
 		m := 0
 		for q, occ := range occurring {
 			if occ && e.w.Interests[q].Contains(i) {
@@ -140,14 +143,15 @@ func throttlePaths(t *testing.T, e *Engine, occurring []bool) (enum, dp int) {
 		if m == 0 || !e.active[i] || e.Remaining(i) <= 0 || e.scr.scoredAt[i] != e.scr.epoch {
 			continue
 		}
-		prices, _ := e.out.Advertiser(i)
+		*buf = scoredOutstanding((*buf)[:0], e, occurring, i)
+		ads := *buf
 		omega := 0.0
-		for _, p := range prices {
-			omega += p
+		for _, a := range ads {
+			omega += a.Price
 		}
 		switch {
-		case omega <= e.Remaining(i)-float64(m)*a.Bid:
-		case len(prices) <= e.cfg.ThrottleEnumLimit:
+		case omega <= e.Remaining(i)-float64(m)*e.pacedBid(i):
+		case len(ads) <= e.cfg.ThrottleEnumLimit:
 			enum++
 		default:
 			dp++

@@ -77,6 +77,9 @@ type Worker struct {
 	closing   chan struct{}
 	loopDone  chan struct{}
 	closeOnce sync.Once
+	// draining, once set by BeginDrain, makes the loop close a round as
+	// soon as it holds a request instead of waiting for the ticker.
+	draining atomic.Bool
 
 	// Outcome counters. Every submitted request is counted under exactly
 	// one outcome: shed at admission, or answered, timedOut or expired by
@@ -216,8 +219,19 @@ func (wk *Worker) Close() {
 	})
 }
 
+// BeginDrain puts the worker in drain mode for a graceful shutdown: from
+// now on the loop closes a round as soon as it holds a request, so a
+// request in flight is answered at once rather than at the next tick, which
+// may be a whole RoundInterval away. Admission is unchanged; Close still
+// ends the worker. Drain mode cannot be left. Safe for concurrent use.
+func (wk *Worker) BeginDrain() {
+	wk.draining.Store(true)
+	wk.wakeLoop()
+}
+
 // loop is the single goroutine that owns the engine: it batches admitted
-// requests and closes rounds on the ticker or the MaxBatch threshold.
+// requests and closes rounds on the ticker or the MaxBatch threshold, or,
+// in drain mode, whenever it holds a request.
 func (wk *Worker) loop() {
 	defer close(wk.loopDone)
 	ticker := time.NewTicker(wk.cfg.RoundInterval)
@@ -230,7 +244,8 @@ func (wk *Worker) loop() {
 		// batch is full so backpressure propagates (the ring fills, and
 		// submits shed).
 		pending = wk.drainInto(pending)
-		if wk.cfg.MaxBatch > 0 && len(pending) >= wk.cfg.MaxBatch {
+		if wk.cfg.MaxBatch > 0 && len(pending) >= wk.cfg.MaxBatch ||
+			len(pending) > 0 && wk.draining.Load() {
 			pending = wk.closeRound(pending, occ)
 			continue
 		}

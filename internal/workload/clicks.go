@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 )
 
 // Click is a realized click on a previously displayed ad.
@@ -11,16 +13,6 @@ type Click struct {
 	Price      float64 // the per-click price fixed at auction time
 	Displayed  int     // round the ad was shown
 	Round      int     // round the click arrived
-}
-
-// pendingAd is a displayed ad whose click outcome was pre-drawn at display
-// time: clickRound < 0 means it will never be clicked.
-type pendingAd struct {
-	advertiser int
-	price      float64
-	ctr0       float64
-	displayed  int
-	clickRound int
 }
 
 // OutcomeFunc decides a displayed ad's click fate deterministically:
@@ -33,6 +25,14 @@ type pendingAd struct {
 // and the simulator never delivers past its horizon.
 type OutcomeFunc func(advertiser int, price, ctr float64, round int) (clicked bool, delay int)
 
+// OutstandingAd is a displayed ad awaiting a click: the price a click would
+// cost and the (current) probability that the click eventually happens.
+// budget.OutstandingAd is this type.
+type OutstandingAd struct {
+	Price float64
+	CTR   float64
+}
+
 // ClickSim simulates delayed clicks: a displayed ad with click-through rate
 // ctr is eventually clicked with probability ctr; the delay is geometric
 // with per-round continuation (1 − Hazard), conditioned on the observable
@@ -43,19 +43,95 @@ type OutcomeFunc func(advertiser int, price, ctr float64, round int) (clicked bo
 // losing the truncated tail. The probability that an ad of age a is still
 // going to be clicked decays like ctr·(1−Hazard)^a (see RemainingCTR, the
 // Section IV model; exact up to the horizon-truncation correction).
+//
+// Each displayed ad is stored once, in a slab with a free list, until it
+// resolves: at its click round if it will be clicked, else at display +
+// Horizon, when it expires. It is filed in the timing-wheel bucket of its
+// resolve round, so Advance touches only the ads that resolve, and on its
+// advertiser's list in display order, so Outstanding reads only that
+// advertiser's ads. A round costs O(events), not O(pending ads), and the
+// steady state allocates nothing. The advertiser lists are built at the
+// first Outstanding call and kept from then on, so a simulator nobody asks
+// for outstanding ads — a Naive engine's — never pays for them.
 type ClickSim struct {
 	// Hazard is the per-round click probability given the ad will be
-	// clicked and hasn't been yet.
+	// clicked and hasn't been yet. Read-only after NewClickSim.
 	Hazard float64
 	// Horizon is the age (in rounds) beyond which a click never arrives.
+	// Read-only after NewClickSim.
 	Horizon int
 
 	rng     *rand.Rand
 	outcome OutcomeFunc
-	pending []pendingAd
+	// z = 1 − (1−Hazard)^(Horizon−1) and logKeep = ln(1−Hazard) are
+	// drawDelay's constants; decay[a] = (1−Hazard)^a for ages below the
+	// horizon. Each is built from the expression drawDelay and RemainingCTR
+	// would evaluate, so the bits are theirs.
+	z, logKeep float64
+	decay      []float64
+
+	ads []ad // the slab
+	// link[h] is the next ad after slot h in its wheel bucket, or the next
+	// free slot; -1 ends a list. Kept beside the slab, it is dense enough
+	// that walking a bucket stays in cache.
+	link []int32
+	free int32 // first free slot; -1 if none
+	live int   // ads awaiting resolution
+	seq  uint32
+
+	// wheel[(wheelAt + r − next) mod len(wheel)] holds the ads that resolve
+	// at round r, in display order, for r in [next, next+len(wheel)): next
+	// is the first round no Advance has reached. It has Horizon+1 buckets,
+	// so an ad displayed at the last advanced round or the one after always
+	// fits. An ad resolving outside that span — displayed at an earlier
+	// round, or far ahead, or before the first Advance — waits in side, in
+	// display order, which Advance pops from and moves into the wheel as
+	// the span reaches it.
+	wheel   []adList
+	wheelAt int
+	next    int
+	started bool
+	side    []sideAd
+
+	// byAdv[i] is the first of advertiser i's ads in display order, -1 if
+	// it has none; it and the lists are kept only once indexed. Each
+	// advertiser's ads form a circular list through advPrev/advNext, so the
+	// first one's advPrev is the last.
+	byAdv   []int32
+	indexed bool
+
 	// clickBuf backs Advance's result so steady-state rounds do not
-	// allocate; it is overwritten by the next Advance.
+	// allocate; it is overwritten by the next Advance. clickSeq[j] is
+	// clickBuf[j]'s display sequence number, to merge clicks popped from
+	// more than one list into display order.
 	clickBuf []Click
+	clickSeq []uint32
+}
+
+// ad is one displayed ad in the slab; ads link by slab index. Its resolve
+// round is the bucket (or sideAd) that holds it, and it is a click iff it
+// resolves before display + Horizon.
+type ad struct {
+	price, ctr0 float64
+	displayed   int
+	// seq numbers displays in call order, compared modulo 2^32: it merges
+	// clicks popped from different lists back into display order, and
+	// orders the advertiser lists when they are built.
+	seq        uint32
+	advertiser int32
+	// advPrev and advNext link the advertiser's list once indexed.
+	advPrev, advNext int32
+}
+
+// adList is a list of slab slots linked through ClickSim.link.
+type adList struct{ head, tail int32 }
+
+var emptyList = adList{-1, -1}
+
+// sideAd is an ad waiting outside the wheel's span, with its resolve round.
+type sideAd struct {
+	h       int32
+	resolve int
 }
 
 // NewClickSim creates a simulator. hazard must be in (0, 1]; horizon ≥ 1.
@@ -63,7 +139,21 @@ func NewClickSim(rng *rand.Rand, hazard float64, horizon int) *ClickSim {
 	if hazard <= 0 || hazard > 1 || horizon < 1 {
 		panic("workload: invalid click simulator parameters")
 	}
-	return &ClickSim{Hazard: hazard, Horizon: horizon, rng: rng}
+	cs := &ClickSim{
+		Hazard: hazard, Horizon: horizon, rng: rng,
+		z:       1 - math.Pow(1-hazard, float64(horizon-1)),
+		logKeep: math.Log(1 - hazard),
+		decay:   make([]float64, horizon),
+		free:    -1,
+		wheel:   make([]adList, horizon+1),
+	}
+	for a := range cs.decay {
+		cs.decay[a] = math.Pow(1-hazard, float64(a))
+	}
+	for b := range cs.wheel {
+		cs.wheel[b] = emptyList
+	}
+	return cs
 }
 
 // SetOutcome replaces the simulator's random draws with a deterministic
@@ -74,19 +164,77 @@ func (cs *ClickSim) SetOutcome(f OutcomeFunc) { cs.outcome = f }
 // Display registers a shown ad: the advertiser, the price a click will
 // cost, the click-through rate of (advertiser, slot), and the display
 // round. The click outcome and delay are drawn immediately (but revealed
-// only as rounds advance).
+// only as rounds advance). Advertisers are indexed from 0.
 func (cs *ClickSim) Display(advertiser int, price, ctr float64, round int) {
-	p := pendingAd{advertiser: advertiser, price: price, ctr0: ctr, displayed: round, clickRound: -1}
+	resolve := round + cs.Horizon // expiry, unless a click comes first
 	if cs.outcome != nil {
-		if clicked, delay := cs.outcome(advertiser, price, ctr, round); clicked && delay >= 1 && delay < cs.Horizon {
-			p.clickRound = round + delay
+		if clicked, d := cs.outcome(advertiser, price, ctr, round); clicked && d >= 1 && d < cs.Horizon {
+			resolve = round + d
 		}
 	} else if cs.rng.Float64() < ctr {
-		if delay := cs.drawDelay(); delay > 0 {
-			p.clickRound = round + delay
+		if d := cs.drawDelay(); d > 0 {
+			resolve = round + d
 		}
 	}
-	cs.pending = append(cs.pending, p)
+	if resolve < 0 {
+		resolve = round + cs.Horizon // a negative click round counts as no click
+	}
+
+	h := cs.free
+	if h < 0 {
+		h = cs.grow()
+	}
+	cs.free = cs.link[h]
+	a := &cs.ads[h]
+	a.price, a.ctr0, a.displayed = price, ctr, round
+	a.seq, a.advertiser = cs.seq, int32(advertiser)
+	cs.seq++
+	cs.live++
+	if cs.indexed {
+		cs.linkAdvertiser(h)
+	}
+	if cs.started && resolve >= cs.next && resolve-cs.next < len(cs.wheel) {
+		cs.push(&cs.wheel[cs.slot(resolve)], h)
+	} else {
+		cs.side = append(cs.side, sideAd{h, resolve})
+	}
+}
+
+// grow adds slab slots when the free list is empty, an eighth more at a
+// time, so the slab stays within an eighth of its high-water mark; the new
+// slots become the free list, and grow returns its first.
+func (cs *ClickSim) grow() int32 {
+	n := len(cs.ads)
+	size := n + max(16, n/8)
+	ads, link := make([]ad, size), make([]int32, size)
+	copy(ads, cs.ads)
+	copy(link, cs.link)
+	cs.ads, cs.link = ads, link
+	for h := len(ads) - 1; h >= n; h-- {
+		link[h] = cs.free
+		cs.free = int32(h)
+	}
+	return cs.free
+}
+
+// push appends slot h to list l.
+func (cs *ClickSim) push(l *adList, h int32) {
+	cs.link[h] = -1
+	if l.tail >= 0 {
+		cs.link[l.tail] = h
+	} else {
+		l.head = h
+	}
+	l.tail = h
+}
+
+// slot is the wheel bucket of round r, which must be in the wheel's span.
+func (cs *ClickSim) slot(r int) int {
+	b := cs.wheelAt + (r - cs.next)
+	if b >= len(cs.wheel) {
+		b -= len(cs.wheel)
+	}
+	return b
 }
 
 // drawDelay samples a click delay from the geometric hazard distribution
@@ -107,9 +255,8 @@ func (cs *ClickSim) drawDelay() int {
 	}
 	// z = P(1 ≤ delay ≤ Horizon−1) under the unconditioned geometric; the
 	// smallest k with CDF(k)/z > u is 1 + ⌊ln(1−u·z)/ln(1−Hazard)⌋.
-	z := 1 - math.Pow(1-cs.Hazard, float64(cs.Horizon-1))
 	u := cs.rng.Float64()
-	delay := 1 + int(math.Log1p(-u*z)/math.Log(1-cs.Hazard))
+	delay := 1 + int(math.Log1p(-u*cs.z)/cs.logKeep)
 	if delay < 1 {
 		delay = 1
 	}
@@ -124,135 +271,218 @@ func (cs *ClickSim) drawDelay() int {
 // but gaps are allowed: a click whose round falls strictly inside a gap is
 // delivered at the next Advance, with Click.Round reporting the round the
 // click actually arrived (≤ the advanced round), never silently dropped.
-// The returned slice is reused by the next Advance call; callers that
-// retain clicks across rounds must copy them.
+// Clicks come out in display order. The returned slice is reused by the
+// next Advance call; callers that retain clicks across rounds must copy
+// them.
+//
+// Advance pops the wheel buckets from the first round not yet reached up
+// to round (at most the whole wheel), and side when it is not empty; in
+// steady state that is one bucket.
 func (cs *ClickSim) Advance(round int) []Click {
-	clicks := cs.clickBuf[:0]
-	keep := cs.pending[:0]
-	for _, p := range cs.pending {
-		switch {
-		case p.clickRound >= 0 && p.clickRound <= round:
-			clicks = append(clicks, Click{
-				Advertiser: p.advertiser, Price: p.price,
-				Displayed: p.displayed, Round: p.clickRound,
-			})
-		case p.clickRound > round:
-			keep = append(keep, p)
-		case p.clickRound < 0 && round-p.displayed < cs.Horizon:
-			keep = append(keep, p) // still outstanding (will never click,
-			// but the engine cannot know that)
+	clicks, seqs := cs.clickBuf[:0], cs.clickSeq[:0]
+	lists := 0 // lists that gave up a click
+	if cs.started {
+		for r := cs.next; r <= round && r-cs.next < len(cs.wheel); r++ {
+			l := &cs.wheel[cs.slot(r)]
+			n := len(clicks)
+			for h := l.head; h >= 0; {
+				next := cs.link[h]
+				if a := &cs.ads[h]; r-a.displayed < cs.Horizon {
+					clicks = append(clicks, a.click(r))
+					seqs = append(seqs, a.seq)
+				}
+				cs.release(h)
+				h = next
+			}
+			*l = emptyList
+			if len(clicks) > n {
+				lists++
+			}
 		}
 	}
-	cs.pending = keep
-	cs.clickBuf = clicks
-	return clicks
+	cs.clickBuf, cs.clickSeq = clicks, seqs
+	// The wheel's span moves past round, then side gives up what resolves
+	// by round and what the span now covers.
+	if !cs.started || round >= cs.next {
+		if cs.started {
+			cs.wheelAt = (cs.wheelAt + (round+1-cs.next)%len(cs.wheel)) % len(cs.wheel)
+		}
+		cs.next, cs.started = round+1, true
+	}
+	if len(cs.side) > 0 {
+		n := len(cs.clickBuf)
+		cs.drainSide(round)
+		if len(cs.clickBuf) > n {
+			lists++
+		}
+	}
+	if lists > 1 {
+		sort.Sort(clickOrder{cs.clickBuf, cs.clickSeq})
+	}
+	return cs.clickBuf
+}
+
+// click is the ad's click, arriving at round r.
+func (a *ad) click(r int) Click {
+	return Click{Advertiser: int(a.advertiser), Price: a.price, Displayed: a.displayed, Round: r}
+}
+
+// release frees ad h's slab slot, taking it off its advertiser's list.
+func (cs *ClickSim) release(h int32) {
+	if cs.indexed {
+		cs.unlink(h)
+	}
+	cs.link[h] = cs.free
+	cs.free = h
+	cs.live--
+}
+
+// drainSide resolves side's ads that resolve by round — each is a click iff
+// it resolves before display + Horizon — and moves those the wheel's span
+// now covers into their buckets. side is in display order, so each bucket
+// it appends to stays in display order: a bucket cannot yet hold an ad
+// displayed after one that waited in side for it.
+func (cs *ClickSim) drainSide(round int) {
+	keep := cs.side[:0]
+	for _, s := range cs.side {
+		switch {
+		case s.resolve <= round:
+			if a := &cs.ads[s.h]; s.resolve-a.displayed < cs.Horizon {
+				cs.clickBuf = append(cs.clickBuf, a.click(s.resolve))
+				cs.clickSeq = append(cs.clickSeq, a.seq)
+			}
+			cs.release(s.h)
+		case s.resolve >= cs.next && s.resolve-cs.next < len(cs.wheel):
+			cs.push(&cs.wheel[cs.slot(s.resolve)], s.h)
+		default:
+			keep = append(keep, s)
+		}
+	}
+	cs.side = keep
+}
+
+// clickOrder sorts one Advance's clicks into display order.
+type clickOrder struct {
+	clicks []Click
+	seq    []uint32
+}
+
+func (o clickOrder) Len() int           { return len(o.clicks) }
+func (o clickOrder) Less(i, j int) bool { return int32(o.seq[i]-o.seq[j]) < 0 }
+func (o clickOrder) Swap(i, j int) {
+	o.clicks[i], o.clicks[j] = o.clicks[j], o.clicks[i]
+	o.seq[i], o.seq[j] = o.seq[j], o.seq[i]
+}
+
+// index builds the advertiser lists from the ads pending now, each in
+// display order; Display and release keep them from then on.
+func (cs *ClickSim) index() {
+	cs.indexed = true
+	pending := make([]int32, 0, cs.live)
+	for _, l := range cs.wheel {
+		for h := l.head; h >= 0; h = cs.link[h] {
+			pending = append(pending, h)
+		}
+	}
+	for _, s := range cs.side {
+		pending = append(pending, s.h)
+	}
+	slices.SortFunc(pending, func(a, b int32) int { return int(int32(cs.ads[a].seq - cs.ads[b].seq)) })
+	for _, h := range pending {
+		cs.linkAdvertiser(h)
+	}
+}
+
+// linkAdvertiser appends ad h to its advertiser's list.
+func (cs *ClickSim) linkAdvertiser(h int32) {
+	a := &cs.ads[h]
+	adv := int(a.advertiser)
+	if adv >= len(cs.byAdv) { // grow by an eighth at least
+		byAdv := make([]int32, max(adv+1, len(cs.byAdv)+len(cs.byAdv)/8))
+		copy(byAdv, cs.byAdv)
+		for i := len(cs.byAdv); i < len(byAdv); i++ {
+			byAdv[i] = -1
+		}
+		cs.byAdv = byAdv
+	}
+	if first := cs.byAdv[adv]; first < 0 {
+		a.advPrev, a.advNext = h, h
+		cs.byAdv[adv] = h
+	} else {
+		last := cs.ads[first].advPrev
+		a.advPrev, a.advNext = last, first
+		cs.ads[last].advNext = h
+		cs.ads[first].advPrev = h
+	}
+}
+
+// unlink takes ad h off its advertiser's list.
+func (cs *ClickSim) unlink(h int32) {
+	a := &cs.ads[h]
+	if a.advNext == h {
+		cs.byAdv[a.advertiser] = -1
+		return
+	}
+	cs.ads[a.advPrev].advNext = a.advNext
+	cs.ads[a.advNext].advPrev = a.advPrev
+	if cs.byAdv[a.advertiser] == h {
+		cs.byAdv[a.advertiser] = a.advNext
+	}
 }
 
 // Outstanding returns, for budget throttling, every pending ad of the given
-// advertiser as (price, remaining click probability at the current round).
-// It scans the whole pending list; a round that needs every advertiser's
-// ads buckets them once with BucketOutstanding instead.
+// advertiser as (price, remaining click probability at the given round), in
+// display order, skipping those with no price or no remaining probability.
+// It walks only that advertiser's ads.
 func (cs *ClickSim) Outstanding(advertiser, round int) (prices, ctrs []float64) {
-	for _, p := range cs.pending {
-		if p.advertiser != advertiser {
-			continue
-		}
-		rem := RemainingCTR(p.ctr0, round-p.displayed, cs.Hazard, cs.Horizon)
-		if rem <= 0 || p.price <= 0 {
-			continue
-		}
-		prices = append(prices, p.price)
-		ctrs = append(ctrs, rem)
+	for _, a := range cs.AppendOutstanding(nil, advertiser, round) {
+		prices = append(prices, a.Price)
+		ctrs = append(ctrs, a.CTR)
 	}
 	return prices, ctrs
 }
 
-// OutstandingBuckets is one round's outstanding ads grouped by advertiser
-// in CSR form: advertiser i's ads are prices[start[i]:start[i+1]] with the
-// matching remaining click probabilities in ctrs, in pending-list (display)
-// order. The caller owns it and passes it to BucketOutstanding every round,
-// which reuses its storage.
-type OutstandingBuckets struct {
-	start  []int32
-	prices []float64
-	ctrs   []float64
-	// decay[a] = (1−hazard)^a for ages below the horizon, filled with
-	// RemainingCTR's own math.Pow expression so ctr0·decay[a] is bit-for-bit
-	// RemainingCTR(ctr0, a, …); hazard is the value the table was built for.
-	decay  []float64
-	hazard float64
-}
-
-// Advertiser returns advertiser i's bucket: what Outstanding(i, round)
-// returned for the round the buckets were filled at, element for element.
-// The slices view the buckets' storage and are valid until the next fill.
-func (b *OutstandingBuckets) Advertiser(i int) (prices, ctrs []float64) {
-	lo, hi := b.start[i], b.start[i+1]
-	return b.prices[lo:hi], b.ctrs[lo:hi]
-}
-
-// BucketOutstanding fills b with every advertiser's outstanding ads at the
-// given round in one stable counting sort over the pending list —
-// O(pending + advertisers), where asking Outstanding per advertiser is
-// O(pending × advertisers). Every pending advertiser index must be below
-// numAdvertisers.
-func (cs *ClickSim) BucketOutstanding(b *OutstandingBuckets, numAdvertisers, round int) {
-	if len(b.decay) != cs.Horizon || b.hazard != cs.Hazard {
-		b.decay = make([]float64, cs.Horizon)
-		for a := range b.decay {
-			b.decay[a] = math.Pow(1-cs.Hazard, float64(a))
+// AppendOutstanding appends what Outstanding(advertiser, round) returns to
+// dst, one OutstandingAd per ad, and returns the extended slice.
+func (cs *ClickSim) AppendOutstanding(dst []OutstandingAd, advertiser, round int) []OutstandingAd {
+	first := cs.first(advertiser)
+	for h := first; h >= 0; {
+		a := &cs.ads[h]
+		if rem := cs.remainingCTR(a, round); !(rem <= 0) {
+			dst = append(dst, OutstandingAd{Price: a.price, CTR: rem})
 		}
-		b.hazard = cs.Hazard
-	}
-	if cap(b.start) < numAdvertisers+2 {
-		b.start = make([]int32, numAdvertisers+2)
-	}
-	// Counts land two past the advertiser's index, so after the prefix sum
-	// start[i+1] is bucket i's write cursor and, once every ad is placed,
-	// bucket i's end — no separate cursor array.
-	start := b.start[:numAdvertisers+2]
-	clear(start)
-	n := 0
-	for i := range cs.pending {
-		if p := &cs.pending[i]; outstandingCTR(b.decay, p, round) > 0 {
-			start[p.advertiser+2]++
-			n++
+		if h = a.advNext; h == first {
+			break
 		}
 	}
-	for i := 2; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	if cap(b.prices) < n {
-		// Doubling reaches the pending list's high-water mark in a few
-		// rounds and then stays put (the engine's 0-alloc steady state).
-		b.prices = make([]float64, n, 2*n)
-		b.ctrs = make([]float64, n, 2*n)
-	}
-	b.prices, b.ctrs = b.prices[:n], b.ctrs[:n]
-	for i := range cs.pending {
-		p := &cs.pending[i]
-		if rem := outstandingCTR(b.decay, p, round); rem > 0 {
-			at := start[p.advertiser+1]
-			start[p.advertiser+1]++
-			b.prices[at], b.ctrs[at] = p.price, rem
-		}
-	}
+	return dst
 }
 
-// outstandingCTR is Outstanding's filter and RemainingCTR in one, reading
-// the decay table (whose length is the horizon): the ad's remaining click
-// probability, or 0 when Outstanding would skip it — past the horizon,
-// never clickable, or free.
-func outstandingCTR(decay []float64, p *pendingAd, round int) float64 {
-	age := max(round-p.displayed, 0)
-	if age >= len(decay) || p.ctr0 <= 0 || p.price <= 0 {
+// first is the first of the advertiser's ads in display order, or -1. It
+// builds the advertiser lists if nothing has asked for them before.
+func (cs *ClickSim) first(advertiser int) int32 {
+	if !cs.indexed {
+		cs.index()
+	}
+	if advertiser < 0 || advertiser >= len(cs.byAdv) {
+		return -1
+	}
+	return cs.byAdv[advertiser]
+}
+
+// remainingCTR is RemainingCTR(a.ctr0, round − a.displayed, …) read from the
+// decay table, bit for bit, or 0 for an ad Outstanding skips: free, never
+// clickable, or at or past the horizon.
+func (cs *ClickSim) remainingCTR(a *ad, round int) float64 {
+	age := max(round-a.displayed, 0)
+	if age >= len(cs.decay) || a.ctr0 <= 0 || a.price <= 0 {
 		return 0
 	}
-	return p.ctr0 * decay[age]
+	return a.ctr0 * cs.decay[age]
 }
 
 // PendingCount returns how many ads are still awaiting resolution.
-func (cs *ClickSim) PendingCount() int { return len(cs.pending) }
+func (cs *ClickSim) PendingCount() int { return cs.live }
 
 // RemainingCTR is the Section IV model of the probability that an ad
 // displayed with click-through rate ctr0 and now of the given age will

@@ -214,87 +214,31 @@ func TestClickSimEventualClickRate(t *testing.T) {
 	}
 }
 
+// TestClickSimOutstanding pins Outstanding on a fate fixed by SetOutcome:
+// advertiser 7's one ad is never clicked, so at age 2 it is outstanding
+// with its price and ctr0·(1−hazard)², and advertiser 8's clicked ad is not
+// advertiser 7's.
 func TestClickSimOutstanding(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	cs := NewClickSim(rng, 0.3, 10)
+	cs := NewClickSim(rand.New(rand.NewSource(5)), 0.3, 10)
+	cs.SetOutcome(func(adv int, _, _ float64, _ int) (bool, int) { return adv == 8, 1 })
 	cs.Display(7, 2.5, 0.4, 0)
 	cs.Display(8, 1.0, 0.4, 0)
 	cs.Advance(0)
+	if got := cs.Advance(1); len(got) != 1 || got[0].Advertiser != 8 {
+		t.Fatalf("round 1 clicks %+v, want advertiser 8's", got)
+	}
 	prices, ctrs := cs.Outstanding(7, 2)
-	if len(prices) > 1 {
-		t.Fatalf("advertiser 7 has %d outstanding ads", len(prices))
+	if len(prices) != 1 || len(ctrs) != 1 {
+		t.Fatalf("advertiser 7 has %d/%d outstanding ads, want 1", len(prices), len(ctrs))
 	}
-	if len(prices) == 1 {
-		if prices[0] != 2.5 {
-			t.Fatalf("price = %v", prices[0])
-		}
-		want := 0.4 * math.Pow(0.7, 2)
-		if math.Abs(ctrs[0]-want) > 1e-12 {
-			t.Fatalf("remaining ctr = %v, want %v", ctrs[0], want)
-		}
+	if prices[0] != 2.5 {
+		t.Fatalf("price = %v, want 2.5", prices[0])
 	}
-}
-
-// TestQuickBucketOutstandingMatchesOutstanding is the bucketing property:
-// over random display / advance / gap sequences — zero-price ads, zero-ctr
-// ads, ads queried at age Horizon−1 and (after a gap, or one round past the
-// last Advance as Engine.Report asks) at or past the horizon — the bucketed
-// view of every advertiser equals Outstanding(i, round) element for element,
-// bit for bit, with the same buckets reused round after round.
-func TestQuickBucketOutstandingMatchesOutstanding(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		horizon := 1 + rng.Intn(12)
-		cs := NewClickSim(rng, 0.05+0.95*rng.Float64(), horizon)
-		const advertisers = 9 // advertiser 8 never displays: an empty bucket
-		var b OutstandingBuckets
-		check := func(round int) bool {
-			cs.BucketOutstanding(&b, advertisers, round)
-			for i := 0; i < advertisers; i++ {
-				wantP, wantC := cs.Outstanding(i, round)
-				gotP, gotC := b.Advertiser(i)
-				if len(gotP) != len(wantP) || len(gotC) != len(wantC) {
-					t.Logf("seed %d round %d advertiser %d: %d/%d bucketed ads, want %d", seed, round, i, len(gotP), len(gotC), len(wantP))
-					return false
-				}
-				for j := range wantP {
-					if gotP[j] != wantP[j] || gotC[j] != wantC[j] {
-						t.Logf("seed %d round %d advertiser %d ad %d: (%v, %v), want (%v, %v)", seed, round, i, j, gotP[j], gotC[j], wantP[j], wantC[j])
-						return false
-					}
-				}
-			}
-			return true
-		}
-		round := 0
-		for step := 0; step < 60; step++ {
-			cs.Advance(round)
-			// Engine order is Advance, bucket, Display; checking again after
-			// the displays covers age-0 ads, and at round+horizon−1 the
-			// oldest age that still counts.
-			if !check(round) {
-				return false
-			}
-			for n := rng.Intn(6); n > 0; n-- {
-				price := rng.Float64() * 3
-				if rng.Intn(5) == 0 {
-					price = 0
-				}
-				ctr := rng.Float64()
-				if rng.Intn(7) == 0 {
-					ctr = 0
-				}
-				cs.Display(rng.Intn(advertisers-1), price, ctr, round)
-			}
-			if !check(round) || !check(round+horizon-1) || !check(round+horizon) {
-				return false
-			}
-			round += 1 + rng.Intn(3)*rng.Intn(2) // mostly consecutive, sometimes a gap
-		}
-		return true
+	if want := 0.4 * math.Pow(0.7, 2); math.Abs(ctrs[0]-want) > 1e-12 {
+		t.Fatalf("remaining ctr = %v, want %v", ctrs[0], want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	if p, _ := cs.Outstanding(8, 2); len(p) != 0 {
+		t.Fatalf("advertiser 8's clicked ad is still outstanding: %v", p)
 	}
 }
 

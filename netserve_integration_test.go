@@ -166,23 +166,32 @@ func TestNetServerEdges(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		http, binary bool
+		// hourRound sets RoundInterval to an hour and stalls no round: the
+		// query waits in its worker's batch for a tick that never comes in
+		// time, and Shutdown must still answer it and return within 1 s.
+		hourRound bool
 	}{
-		{"http", true, false},
-		{"binary", false, true},
-		{"both", true, true},
-		{"neither", false, false},
+		{"http", true, false, false},
+		{"binary", false, true, false},
+		{"both", true, true, false},
+		{"neither", false, false, false},
+		{"http-hour-round", true, false, true},
+		{"binary-hour-round", false, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The first round to carry a query parks until release, so the
-			// query is still in flight when Shutdown starts.
+			// Otherwise the first round to carry a query parks until
+			// release, so the query is still in flight when Shutdown starts.
 			var stalled atomic.Int32
 			release := make(chan struct{})
 			cfg := NetServerConfig{Fleet: DefaultShardedServerConfig()}
 			cfg.Fleet.Shards = 2
-			cfg.Fleet.Worker.RoundInterval = 2 * time.Millisecond
-			cfg.Fleet.Worker.BeforeStep = func() {
-				stalled.Add(1)
-				<-release
+			cfg.Fleet.Worker.RoundInterval = time.Hour
+			if !tc.hourRound {
+				cfg.Fleet.Worker.RoundInterval = 2 * time.Millisecond
+				cfg.Fleet.Worker.BeforeStep = func() {
+					stalled.Add(1)
+					<-release
+				}
 			}
 			if tc.http {
 				cfg.HTTP = &HTTPServerConfig{}
@@ -229,32 +238,46 @@ func TestNetServerEdges(t *testing.T) {
 					errs <- err
 				}(c)
 			}
-			for stalled.Load() == 0 || ns.Fleet().Metrics().Submitted < int64(len(clients)) {
+			for (!tc.hourRound && stalled.Load() == 0) || ns.Fleet().Metrics().Submitted < int64(len(clients)) {
 				if ctx.Err() != nil {
 					t.Fatal("queries were never admitted")
 				}
 				time.Sleep(time.Millisecond)
 			}
 
-			// Release the round once Shutdown has closed the first edge it
-			// drains (binary before HTTP): the edge refuses new connections.
-			shut := make(chan error, 1)
-			go func() { shut <- ns.Shutdown(ctx) }()
-			first := ns.Addr()
-			if tc.binary {
-				first = ns.BinaryAddr()
-			}
-			for {
-				conn, err := net.Dial("tcp", first)
+			if tc.hourRound {
+				shutCtx, cancelShut := context.WithTimeout(ctx, time.Second)
+				t0 := time.Now()
+				err := ns.Shutdown(shutCtx)
+				cancelShut()
 				if err != nil {
-					break
+					t.Fatalf("Shutdown with an hour-long round: %v after %v", err, time.Since(t0))
 				}
-				conn.Close()
-				time.Sleep(time.Millisecond)
-			}
-			close(release)
-			if err := <-shut; err != nil {
-				t.Fatalf("Shutdown: %v", err)
+				if d := time.Since(t0); d > time.Second {
+					t.Fatalf("Shutdown with an hour-long round took %v, want ≤ 1s", d)
+				}
+			} else {
+				// Release the round once Shutdown has closed the first edge
+				// it drains (binary before HTTP): the edge refuses new
+				// connections.
+				shut := make(chan error, 1)
+				go func() { shut <- ns.Shutdown(ctx) }()
+				first := ns.Addr()
+				if tc.binary {
+					first = ns.BinaryAddr()
+				}
+				for {
+					conn, err := net.Dial("tcp", first)
+					if err != nil {
+						break
+					}
+					conn.Close()
+					time.Sleep(time.Millisecond)
+				}
+				close(release)
+				if err := <-shut; err != nil {
+					t.Fatalf("Shutdown: %v", err)
+				}
 			}
 			for range clients {
 				if err := <-errs; err != nil {

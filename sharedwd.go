@@ -676,8 +676,11 @@ func (ns *NetServer) Fleet() *ShardedServer { return ns.fleet }
 // admitted request — HTTP in-flight handlers and binary in-flight frames
 // alike — is answered through the normal worker drain (bounded by ctx),
 // live subscribers get a going-away close frame, and finally the fleet
-// itself drains and settles its budgets. Safe to call once.
+// itself drains and settles its budgets. The fleet's workers close a round
+// as soon as they hold a request from the moment Shutdown starts, so the
+// drain does not wait for the next round tick. Safe to call once.
 func (ns *NetServer) Shutdown(ctx context.Context) error {
+	ns.fleet.BeginDrain()
 	// Drain the binary edge first: Drain leaves the fleet open, and the
 	// edge's in-flight frames need the workers still serving.
 	var err error
