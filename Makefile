@@ -45,7 +45,7 @@ bench:
 # threshold pass at an arbitrary τ against both a τ = +Inf twin, which
 # scores on demand and scans every phrase, and an Independent twin that
 # scores every participant, and the click simulator's timing wheel against
-# the pending-slice reference. CI runs the same budgets.
+# the pending-slice reference. CI's fuzz smoke leg runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto
@@ -60,6 +60,7 @@ fuzz:
 # calibrate natural spend, verify the unpaced baseline front-loads, then
 # verify pacing spreads every hot advertiser's budget across the day —
 # plus the sharded-vs-single pacing equivalence and the -race pacing suite.
+# CI's budget pacing soak leg runs this target.
 soak-pacing:
 	$(GO) test -run 'TestSoakPacingDay' -count=1 -v .
 	$(GO) test -run 'TestShardedEquivalencePacing' -count=1 ./internal/shard

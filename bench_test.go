@@ -360,33 +360,41 @@ func BenchmarkWinnerDeterminationSeparable(b *testing.B) {
 	}
 }
 
-// BenchmarkSortEngineRound measures the Section III end-to-end pipeline:
-// shared merge-sort + threshold algorithm per occurring phrase, reporting
-// TA sorted accesses per auction.
-func BenchmarkSortEngineRound(b *testing.B) {
-	wcfg := workload.DefaultConfig()
-	wcfg.NumAdvertisers = 1000
-	wcfg.NumPhrases = 24
-	wcfg.PerPhraseQuality = true
-	w := workload.Generate(wcfg)
-	eng, err := core.NewSortEngine(w, core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	occ := make([]bool, len(w.Interests))
-	for q := range occ {
-		occ[q] = true
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := eng.Stats()
-	for i := 0; i < b.N; i++ {
-		eng.Step(occ)
-	}
-	st := eng.Stats()
-	if auctions := st.AuctionsResolved - start.AuctionsResolved; auctions > 0 {
-		b.ReportMetric(float64(st.SortedAccesses-start.SortedAccesses)/float64(auctions), "taAccesses/auction")
-		b.ReportMetric(float64(st.MergePulls-start.MergePulls)/float64(st.Rounds-start.Rounds), "mergePulls/round")
+// BenchmarkPerPhraseRound measures the Section III end-to-end round: the
+// engine on a per-phrase-quality workload, where phase 3 is the shared
+// merge-sort forest feeding the threshold algorithm for every occurring
+// phrase. It reports TA sorted accesses per auction and merge pulls per
+// round, under each budget policy.
+func BenchmarkPerPhraseRound(b *testing.B) {
+	for _, policy := range []core.BudgetPolicy{core.Naive, core.Throttled} {
+		b.Run(policy.String(), func(b *testing.B) {
+			wcfg := workload.DefaultConfig()
+			wcfg.NumAdvertisers = 1000
+			wcfg.NumPhrases = 24
+			wcfg.PerPhraseQuality = true
+			w := workload.Generate(wcfg)
+			cfg := core.DefaultConfig()
+			cfg.Policy = policy
+			eng, err := core.New(w, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			occ := make([]bool, len(w.Interests))
+			for q := range occ {
+				occ[q] = true
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := eng.Stats()
+			for i := 0; i < b.N; i++ {
+				eng.Step(occ)
+			}
+			st := eng.Stats()
+			if auctions := st.AuctionsResolved - start.AuctionsResolved; auctions > 0 {
+				b.ReportMetric(float64(st.SortedAccesses-start.SortedAccesses)/float64(auctions), "taAccesses/auction")
+				b.ReportMetric(float64(st.MergePulls-start.MergePulls)/float64(st.Rounds-start.Rounds), "mergePulls/round")
+			}
+		})
 	}
 }
 

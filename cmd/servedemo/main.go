@@ -136,7 +136,7 @@ func main() {
 		pc.Horizon = *pacing
 		cfg.Worker.Pacing = &pc
 		if *churn > 0 || *refreshEvery > 0 {
-			cfg.Worker.Lifecycle, err = sharedwd.GenerateLifecycle(w, sharedwd.LifecycleConfig{
+			cfg.Worker.Engine.Lifecycle, err = sharedwd.GenerateLifecycle(w, sharedwd.LifecycleConfig{
 				Rounds:        *pacing,
 				ChurnFraction: *churn,
 				RefreshEvery:  *refreshEvery,

@@ -69,51 +69,40 @@ func TestFacadeSharedPlanFlow(t *testing.T) {
 	}
 }
 
-// TestFacadeFullDayBothEngines simulates a "day" of rounds on both engine
-// regimes and checks the cross-cutting invariants a provider cares about.
+// TestFacadeFullDayBothEngines runs a day on the engine in both quality
+// regimes: budgets hold, revenue is the sum of spend, and the per-phrase
+// regime counts the threshold algorithm's sorted accesses.
 func TestFacadeFullDayBothEngines(t *testing.T) {
-	wcfg := DefaultWorkloadConfig()
-	wcfg.NumAdvertisers = 150
-	wcfg.NumPhrases = 12
-	wcfg.Seed = 99
-	w := Must(GenerateWorkload(wcfg))
-	eng, err := NewEngine(w, DefaultEngineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 50; r++ {
-		eng.Step(nil)
-		w.PerturbBids(0.02)
-	}
-	eng.Drain()
-	st := eng.Stats()
-	if st.Rounds < 50 || st.AuctionsResolved == 0 || st.Revenue <= 0 {
-		t.Fatalf("engine stats: %+v", st)
-	}
-	total := 0.0
-	for i := range w.Advertisers {
-		if eng.Spent(i) > w.Advertisers[i].Budget+1e-6 {
-			t.Fatalf("advertiser %d over budget", i)
+	for _, perPhrase := range []bool{false, true} {
+		wcfg := DefaultWorkloadConfig()
+		wcfg.NumAdvertisers = 150
+		wcfg.NumPhrases = 12
+		wcfg.Seed = 99
+		wcfg.PerPhraseQuality = perPhrase
+		w := Must(GenerateWorkload(wcfg))
+		eng, err := NewEngine(w, DefaultEngineConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		total += eng.Spent(i)
-	}
-	if math.Abs(total-st.Revenue) > 1e-6 {
-		t.Fatalf("revenue %v != Σspent %v", st.Revenue, total)
-	}
-
-	// Per-phrase-quality regime.
-	wcfg.PerPhraseQuality = true
-	wq := Must(GenerateWorkload(wcfg))
-	seng, err := NewSortEngine(wq, DefaultEngineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 50; r++ {
-		seng.Step(nil)
-	}
-	sst := seng.Stats()
-	if sst.AuctionsResolved == 0 || sst.SortedAccesses == 0 {
-		t.Fatalf("sort engine stats: %+v", sst)
+		for r := 0; r < 50; r++ {
+			eng.Step(nil)
+			w.PerturbBids(0.02)
+		}
+		eng.Drain()
+		st := eng.Stats()
+		if st.Rounds < 50 || st.AuctionsResolved == 0 || st.Revenue <= 0 || perPhrase != (st.SortedAccesses > 0) {
+			t.Fatalf("per-phrase %v: engine stats: %+v", perPhrase, st)
+		}
+		total := 0.0
+		for i := range w.Advertisers {
+			if eng.Spent(i) > w.Advertisers[i].Budget+1e-6 {
+				t.Fatalf("per-phrase %v: advertiser %d over budget", perPhrase, i)
+			}
+			total += eng.Spent(i)
+		}
+		if math.Abs(total-st.Revenue) > 1e-6 {
+			t.Fatalf("per-phrase %v: revenue %v != Σspent %v", perPhrase, st.Revenue, total)
+		}
 	}
 }
 

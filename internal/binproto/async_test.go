@@ -291,3 +291,65 @@ func TestAsyncConformanceSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainHonoursDeadline: with a round held in BeforeStep, Drain stops
+// waiting when its ctx ends — it aborts the connection still draining and
+// returns DeadlineExceeded — and once the round is released, the held item
+// completes exactly once and every goroutine the edge started exits. The
+// test's own timer makes an edge that ignores ctx fail instead of hang.
+func TestDrainHonoursDeadline(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	hold := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	bs, srv, w := startAsyncServer(t, gatedConfig(16, hold, entered), Config{MaxTimeout: 30 * time.Second})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold) }) }
+	defer release() // never leave the round loop parked
+
+	c := dialClient(t, bs.Addr())
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Second)
+	defer cancel()
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := c.Submit(ctx, w.PhraseNames[0])
+		submitted <- err
+	}()
+	<-entered // the request's round is held
+
+	drained := make(chan error, 1)
+	go func() {
+		dctx, dcancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer dcancel()
+		drained <- bs.Drain(dctx)
+	}()
+	select {
+	case err := <-drained:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Drain = %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Drain still waiting 1 s into a 100 ms deadline with a round held")
+	}
+	select {
+	case err := <-submitted:
+		if err == nil {
+			t.Fatal("Submit succeeded over a connection Drain aborted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client never saw its aborted connection close")
+	}
+
+	release()
+	srv.Close()
+	m := srv.Metrics()
+	if sum := m.Answered + m.Unmatched + m.Shed + m.TimedOut + m.Expired; m.Submitted != 1 || sum != 1 {
+		t.Errorf("submitted %d, outcomes %d (answered %d, timed out %d, expired %d); want one each",
+			m.Submitted, sum, m.Answered, m.TimedOut, m.Expired)
+	}
+	c.Close()
+	waitFor(t, "goroutines to settle", func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= before+2
+	})
+}

@@ -98,10 +98,13 @@ func (s *Server) detach(c *conn) {
 // listener stops accepting, every connection finishes its admitted frames
 // through the normal backend path (in-flight items resolve at their next
 // round close or their deadline, which the still-open backend guarantees),
-// writers flush, sockets close. It waits for all of that whatever ctx says,
-// and reports ctx.Err() if ctx ran out meanwhile. The backend stays open,
-// so a facade serving HTTP and binary off one backend can drain this edge
-// first and let the HTTP tier's Shutdown close the backend.
+// writers flush, sockets close. If ctx ends first, Drain aborts the
+// connections still draining and returns without waiting for them: their
+// sockets close at once, and completions that arrive later are dropped, so
+// every admitted item still completes exactly once. It reports ctx.Err()
+// if ctx ran out. The backend stays open, so a facade serving HTTP and
+// binary off one backend can drain this edge first and let the HTTP tier's
+// Shutdown close the backend.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -120,15 +123,23 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.listener.Close()
 		<-s.acceptDone
 	}
-	var wg sync.WaitGroup
+	drained := make(chan struct{}, len(conns))
 	for _, c := range conns {
-		wg.Add(1)
 		go func(c *conn) {
-			defer wg.Done()
 			c.drain()
+			drained <- struct{}{}
 		}(c)
 	}
-	wg.Wait()
+	for range conns {
+		select {
+		case <-drained:
+		case <-ctx.Done():
+			for _, c := range conns {
+				c.abort()
+			}
+			return ctx.Err()
+		}
+	}
 	return ctx.Err()
 }
 

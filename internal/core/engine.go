@@ -14,7 +14,10 @@
 //     round's τ-filtered candidates once and walks that one list for every
 //     phrase (a Fagin–Lotem–Naor style threshold shared across auctions,
 //     as in Section III); only a phrase the walk leaves short of k+1
-//     entries is scanned on its own, as the baseline scans every auction;
+//     entries is scanned on its own, as the baseline scans every auction.
+//     A per-phrase-quality workload (c_i^q, Section III) shares only the
+//     bid orderings: a shared merge-sort forest feeds the threshold
+//     algorithm for each occurring phrase (sorted.go);
 //  4. prices the winners (first-price / GSP / laddered VCG) and displays
 //     their ads, registering them with the delayed-click simulator.
 //
@@ -69,7 +72,8 @@ const (
 	// own, as Independent scans every phrase. The pass is exact for any τ,
 	// so τ moves only cost.
 	SharedAggregation SharingMode = iota
-	// Independent scans each occurring phrase's advertisers separately.
+	// Independent scans each occurring phrase's advertisers separately. A
+	// per-phrase-quality workload has no unshared path; New rejects it.
 	Independent
 )
 
@@ -203,6 +207,9 @@ type Engine struct {
 	tscr throttleScratch
 
 	stats Stats
+
+	// sorted is phase 3 for a per-phrase-quality workload; nil otherwise.
+	sorted *sortedResolver
 }
 
 // tauMargin is how far below a phrase's last (k+1)-th score its next τ
@@ -285,9 +292,9 @@ type Stats struct {
 	// k+1 entries, which a per-phrase scan resolved.
 	ShortAuctions int `json:"short_auctions"`
 	// Scored counts the participants the engine scored, summed over rounds:
-	// every participant in Independent mode; in shared mode only those whose
-	// paced ceiling reached τ, plus the skipped members of short phrases,
-	// scored for their scans.
+	// every participant in Independent mode and for per-phrase quality; in
+	// shared mode only those whose paced ceiling reached τ, plus the skipped
+	// members of short phrases, scored for their scans.
 	Scored        int     `json:"scored"`
 	Revenue       float64 `json:"revenue"`
 	ClicksCharged int     `json:"clicks_charged"`
@@ -296,6 +303,11 @@ type Stats struct {
 	ClicksForgiven int     `json:"clicks_forgiven"`
 	ForgivenValue  float64 `json:"forgiven_value"`
 	AdsDisplayed   int     `json:"ads_displayed"`
+	// SortedAccesses counts the threshold algorithm's sorted accesses, the
+	// work it minimizes, and MergePulls the shared merge-sort forest's
+	// operator invocations; both only for a per-phrase-quality workload.
+	SortedAccesses int `json:"sorted_accesses"`
+	MergePulls     int `json:"merge_pulls"`
 }
 
 // Add returns the field-wise sum of two stat sets — the aggregation used to
@@ -312,15 +324,22 @@ func (s Stats) Add(o Stats) Stats {
 	s.ClicksForgiven += o.ClicksForgiven
 	s.ForgivenValue += o.ForgivenValue
 	s.AdsDisplayed += o.AdsDisplayed
+	s.SortedAccesses += o.SortedAccesses
+	s.MergePulls += o.MergePulls
 	return s
 }
 
 // New builds an engine for the workload. It checks that every interest set
 // spans the workload's advertisers and that every phrase has a search rate
-// in [0, 1].
+// in [0, 1]. A per-phrase-quality workload (w.Quality != nil) is resolved
+// by the shared merge-sort forest and the threshold algorithm, and needs
+// SharedAggregation.
 func New(w *workload.Workload, cfg Config) (*Engine, error) {
-	if w.Quality != nil {
-		return nil, fmt.Errorf("core: per-phrase quality workloads need the shared-sort pipeline; Engine uses the shared-aggregation regime (global c_i)")
+	if w.Quality != nil && cfg.Sharing == Independent {
+		return nil, fmt.Errorf("core: a per-phrase-quality workload is resolved by the shared sort; Independent sharing does not apply")
+	}
+	if w.Quality != nil && len(w.Quality) != len(w.Interests) {
+		return nil, fmt.Errorf("core: %d per-phrase quality rows for %d phrases", len(w.Quality), len(w.Interests))
 	}
 	if len(w.Rates) != len(w.Interests) {
 		return nil, fmt.Errorf("core: %d search rates for %d phrases", len(w.Rates), len(w.Interests))
@@ -331,6 +350,9 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 		}
 		if r := w.Rates[q]; !(r >= 0 && r <= 1) {
 			return nil, fmt.Errorf("core: phrase %d has search rate %v outside [0, 1]", q, r)
+		}
+		if w.Quality != nil && len(w.Quality[q]) != len(w.Advertisers) {
+			return nil, fmt.Errorf("core: phrase %d has %d quality factors, workload has %d advertisers", q, len(w.Quality[q]), len(w.Advertisers))
 		}
 	}
 	if cfg.ClickHazard <= 0 || cfg.ClickHazard > 1 || cfg.ClickHorizon < 1 {
@@ -379,7 +401,14 @@ func New(w *workload.Workload, cfg Config) (*Engine, error) {
 	e.scr.runs = make([]topk.Entry, len(w.Interests)*(k+1))
 	e.scr.runLen = make([]int32, len(w.Interests))
 	e.scr.short = make([]bool, len(w.Interests))
-	if cfg.Sharing == SharedAggregation {
+	switch {
+	case w.Quality != nil:
+		sorted, err := newSortedResolver(w)
+		if err != nil {
+			return nil, err
+		}
+		e.sorted = sorted
+	case cfg.Sharing == SharedAggregation:
 		e.scr.cand = make([]topk.Entry, 0, len(w.Advertisers))
 		e.tauQ = make([]float64, len(w.Interests))
 	}
@@ -518,12 +547,14 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	e.scoreParticipants(occurring)
 
 	// 3. Winner determination across the occurring auctions: one path per
-	// sharing mode.
+	// sharing mode, and the shared sort for per-phrase quality.
 	k := len(e.w.SlotFactors)
-	switch e.cfg.Sharing {
-	case SharedAggregation:
+	switch {
+	case e.sorted != nil:
+		e.resolveSorted(occurring)
+	case e.cfg.Sharing == SharedAggregation:
 		rep.Materialized = e.resolveShared(occurring)
-	case Independent:
+	case e.cfg.Sharing == Independent:
 		rep.Materialized = e.scanIndependent(occurring)
 	}
 
@@ -540,7 +571,7 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 		// Pricing sees each entry's advertiser with its round bid and quality.
 		ranked := e.scr.ranked[:0]
 		for _, entry := range run {
-			ranked = append(ranked, pricing.Ranked{ID: entry.ID, Bid: e.scr.roundBid[entry.ID], Quality: e.w.Advertisers[entry.ID].Quality})
+			ranked = append(ranked, pricing.Ranked{ID: entry.ID, Bid: e.scr.roundBid[entry.ID], Quality: e.w.QualityFor(q, entry.ID)})
 		}
 		e.scr.ranked = ranked
 		parts, prices := pricing.AppendPricesWithReserve(e.scr.parts[:0], e.scr.prices[:0], e.cfg.Pricing, ranked, e.w.SlotFactors, e.cfg.Reserve)

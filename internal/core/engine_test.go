@@ -39,6 +39,8 @@ func TestNewValidation(t *testing.T) {
 		{"negative rate", func(w *workload.Workload, _ *Config) { w.Rates[1] = -0.1 }},
 		{"rate above 1", func(w *workload.Workload, _ *Config) { w.Rates[1] = 1.5 }},
 		{"NaN rate", func(w *workload.Workload, _ *Config) { w.Rates[1] = math.NaN() }},
+		{"quality rows short of phrases", func(w *workload.Workload, _ *Config) { w.Quality = [][]float64{} }},
+		{"empty quality rows", func(w *workload.Workload, _ *Config) { w.Quality = make([][]float64, len(w.Interests)) }},
 	} {
 		for _, sharing := range []SharingMode{SharedAggregation, Independent} {
 			w, cfg := smallWorkload(1), DefaultConfig()
@@ -51,8 +53,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	pq := workload.DefaultConfig()
 	pq.PerPhraseQuality = true
-	if _, err := New(workload.Generate(pq), DefaultConfig()); err == nil {
-		t.Fatal("per-phrase-quality workload should be rejected by the aggregation engine")
+	cfg := DefaultConfig()
+	cfg.Sharing = Independent
+	if _, err := New(workload.Generate(pq), cfg); err == nil {
+		t.Fatal("per-phrase-quality workload should be rejected under Independent sharing")
 	}
 }
 

@@ -76,35 +76,16 @@ func RunGamingExperiment(seed int64, rounds, reps int, policy BudgetPolicy) (Gam
 // cannot cover. The throttled policy drives b̂ toward zero as his
 // outstanding ads pile up.
 func RunGamingScenario(seed int64, rounds int, policy BudgetPolicy) (GamingResult, error) {
-	const n = 6
-	advertisers := make([]auction.Advertiser, n)
-	// The gamer: top effective bid, tiny budget (≈ one click at GSP price).
-	advertisers[0] = auction.Advertiser{ID: 0, Bid: 4.0, Quality: 1.0, Budget: 4.0}
-	for i := 1; i < n; i++ {
-		advertisers[i] = auction.Advertiser{
-			ID: i, Bid: 3.0 - 0.2*float64(i), Quality: 1.0, Budget: 1e6,
-		}
-	}
-	everyone := bitset.New(n)
-	for i := 0; i < n; i++ {
-		everyone.Add(i)
-	}
-	w, err := workload.NewCustom(advertisers,
-		[]bitset.Set{everyone}, []float64{1}, []float64{0.9, 0.5}, seed)
+	w, cfg, err := gamingSetup(seed, policy)
 	if err != nil {
 		return GamingResult{}, err
 	}
-
-	cfg := DefaultConfig()
-	cfg.Policy = policy
-	cfg.ClickHazard = 0.08 // slow clicks: many auctions before payment is known
-	cfg.ClickHorizon = 60
 	eng, err := New(w, cfg)
 	if err != nil {
 		return GamingResult{}, err
 	}
 
-	res := GamingResult{Policy: policy, GamerBudget: advertisers[0].Budget}
+	res := GamingResult{Policy: policy, GamerBudget: w.Advertisers[0].Budget}
 	occurring := []bool{true}
 	countRound := func(rep RoundReport) {
 		for _, slots := range rep.Auctions {
@@ -135,4 +116,32 @@ func RunGamingScenario(seed int64, rounds int, policy BudgetPolicy) (GamingResul
 		return res, fmt.Errorf("core: charged the gamer %v above budget %v", res.GamerPaid, res.GamerBudget)
 	}
 	return res, nil
+}
+
+// gamingSetup builds RunGamingScenario's market: one phrase that occurs
+// every round, the gamer as advertiser 0, and a slow click model.
+func gamingSetup(seed int64, policy BudgetPolicy) (*workload.Workload, Config, error) {
+	const n = 6
+	advertisers := make([]auction.Advertiser, n)
+	// The gamer: top effective bid, tiny budget (≈ one click at GSP price).
+	advertisers[0] = auction.Advertiser{ID: 0, Bid: 4.0, Quality: 1.0, Budget: 4.0}
+	for i := 1; i < n; i++ {
+		advertisers[i] = auction.Advertiser{
+			ID: i, Bid: 3.0 - 0.2*float64(i), Quality: 1.0, Budget: 1e6,
+		}
+	}
+	everyone := bitset.New(n)
+	for i := 0; i < n; i++ {
+		everyone.Add(i)
+	}
+	w, err := workload.NewCustom(advertisers,
+		[]bitset.Set{everyone}, []float64{1}, []float64{0.9, 0.5}, seed)
+	if err != nil {
+		return nil, Config{}, err
+	}
+	cfg := DefaultConfig()
+	cfg.Policy = policy
+	cfg.ClickHazard = 0.08 // slow clicks: many auctions before payment is known
+	cfg.ClickHorizon = 60
+	return w, cfg, nil
 }

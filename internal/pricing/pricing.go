@@ -140,18 +140,10 @@ func AppendPrices(dst []float64, rule Rule, ranked []Ranked, slotFactors []float
 	return dst
 }
 
-// FilterReserve returns the prefix-preserving sub-ranking of advertisers
-// whose bids meet the reserve price — the participants of an auction with
-// a reserve. The input must already be sorted by effective bid.
-func FilterReserve(ranked []Ranked, reserve float64) []Ranked {
-	if reserve <= 0 {
-		return ranked
-	}
-	return AppendFilterReserve(make([]Ranked, 0, len(ranked)), ranked, reserve)
-}
-
-// AppendFilterReserve is FilterReserve appending into dst, for callers that
-// reuse a participants buffer across auctions.
+// AppendFilterReserve appends to dst the prefix-preserving sub-ranking of
+// advertisers whose bids meet the reserve price — the participants of an
+// auction with a reserve. The input must already be sorted by effective
+// bid.
 func AppendFilterReserve(dst, ranked []Ranked, reserve float64) []Ranked {
 	for _, r := range ranked {
 		if r.Bid >= reserve {
@@ -161,19 +153,13 @@ func AppendFilterReserve(dst, ranked []Ranked, reserve float64) []Ranked {
 	return dst
 }
 
-// PricesWithReserve prices the winners of an auction with a per-click
-// reserve: sub-reserve bidders do not participate (and in particular do
-// not set prices), every winner pays at least the reserve, and no winner
-// ever pays above his bid. The returned prices align with
-// FilterReserve(ranked, reserve).
-func PricesWithReserve(rule Rule, ranked []Ranked, slotFactors []float64, reserve float64) ([]Ranked, []float64) {
-	return AppendPricesWithReserve(nil, nil, rule, ranked, slotFactors, reserve)
-}
-
-// AppendPricesWithReserve is PricesWithReserve appending participants and
-// prices into caller-owned buffers (appending after their lengths; the
-// returned slices are the appended portions, which for length-0 buffers are
-// the grown buffers themselves). When reserve ≤ 0 the returned participants
+// AppendPricesWithReserve prices the winners of an auction with a
+// per-click reserve: sub-reserve bidders do not participate (and in
+// particular do not set prices), every winner pays at least the reserve,
+// and no winner ever pays above his bid. It appends the participants and
+// their prices into caller-owned buffers (after their lengths; the returned
+// slices are the appended portions, which for length-0 buffers are the
+// grown buffers themselves). When reserve ≤ 0 the returned participants
 // slice is `ranked` itself and dstParts is untouched, so the zero-reserve
 // hot path copies nothing.
 func AppendPricesWithReserve(dstParts []Ranked, dstPrices []float64, rule Rule, ranked []Ranked, slotFactors []float64, reserve float64) ([]Ranked, []float64) {

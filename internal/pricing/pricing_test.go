@@ -153,13 +153,13 @@ func TestQuickVCGBelowGSP(t *testing.T) {
 
 func TestFilterReserve(t *testing.T) {
 	r := rankedFixture() // bids 10, 9, 1
-	if got := FilterReserve(r, 5); len(got) != 2 {
+	if got := AppendFilterReserve(nil, r, 5); len(got) != 2 {
 		t.Fatalf("participants = %v", got)
 	}
-	if got := FilterReserve(r, 0); len(got) != 3 {
+	if got := AppendFilterReserve(nil, r, 0); len(got) != 3 {
 		t.Fatal("zero reserve should keep everyone")
 	}
-	if got := FilterReserve(r, 20); len(got) != 0 {
+	if got := AppendFilterReserve(nil, r, 20); len(got) != 0 {
 		t.Fatalf("unattainable reserve should keep no one, got %v", got)
 	}
 }
@@ -169,7 +169,7 @@ func TestPricesWithReserveByHand(t *testing.T) {
 	d := []float64{0.3, 0.2}
 	// Reserve 5 removes advertiser 2: slot 0 pays GSP 8.25; slot 1, with
 	// no competitor below, pays the reserve instead of 0.
-	participants, prices := PricesWithReserve(GSP, r, d, 5)
+	participants, prices := AppendPricesWithReserve(nil, nil, GSP, r, d, 5)
 	if len(participants) != 2 || len(prices) != 2 {
 		t.Fatalf("participants/prices = %v/%v", participants, prices)
 	}
@@ -189,7 +189,7 @@ func TestQuickReserveInvariants(t *testing.T) {
 		r, d := randomRanked(rng)
 		reserve := rng.Float64() * 8
 		for _, rule := range []Rule{FirstPrice, GSP, VCG} {
-			participants, prices := PricesWithReserve(rule, r, d, reserve)
+			participants, prices := AppendPricesWithReserve(nil, nil, rule, r, d, reserve)
 			for j, p := range prices {
 				if participants[j].Bid < reserve {
 					return false

@@ -97,13 +97,10 @@ type Config struct {
 	// the budget authority and attaches it to every engine, so advertiser
 	// bids are throttled toward a smooth spend curve over Pacing.Horizon
 	// rounds instead of exhausting budgets front-loaded. See
-	// internal/budget.PacerConfig.
+	// internal/budget.PacerConfig. The pacer replays the budget-refresh
+	// epochs of Engine.Lifecycle, the one lifecycle schedule, whose
+	// join/leave events the engines replay.
 	Pacing *budget.PacerConfig
-	// Lifecycle, when non-nil, is the advertiser lifecycle schedule the
-	// engines (join/leave) and the pacer (budget-refresh epochs) replay at
-	// round boundaries. Its universe must match the workload's advertiser
-	// count.
-	Lifecycle *workload.Lifecycle
 }
 
 // RoundSummary is the per-round event the round loop publishes through
@@ -204,7 +201,7 @@ type Server struct {
 // When cfg.Pacing is set, New builds the pacing controller over the
 // engine's budget authority — installing a budget.Ledger as Engine.Ledger
 // first if the caller didn't supply one, since refresh epochs need a
-// depositable authority — and attaches cfg.Lifecycle to both. A
+// depositable authority — over cfg.Engine.Lifecycle's refresh epochs. A
 // caller-supplied Engine.Ledger that is not a budget.Authority (it lacks
 // Spent or Deposit) is an error rather than silently replaced.
 func New(w *workload.Workload, cfg Config) (*Server, error) {
@@ -226,13 +223,12 @@ func New(w *workload.Workload, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: pacing needs Engine.Ledger to be a budget.Authority, but %T lacks its Spent/Deposit methods", l)
 		}
 		var err error
-		pacer, err = budget.NewPacer(auth, budgets, *cfg.Pacing, cfg.Lifecycle)
+		pacer, err = budget.NewPacer(auth, budgets, *cfg.Pacing, cfg.Engine.Lifecycle)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Engine.Pacer = pacer
 	}
-	cfg.Engine.Lifecycle = cfg.Lifecycle
 	worker, err := NewWorker(w, cfg)
 	if err != nil {
 		return nil, err

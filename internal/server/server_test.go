@@ -542,3 +542,38 @@ func TestNewPacingLedger(t *testing.T) {
 		}
 	}
 }
+
+// TestServerEngineLifecycle: the schedule set on Engine.Lifecycle is the
+// one the engine and the pacer replay. With every advertiser joining only
+// far in the future, no query finds a bidder.
+func TestServerEngineLifecycle(t *testing.T) {
+	w := testWorkload(t)
+	events := make([]workload.LifecycleEvent, len(w.Advertisers))
+	for i := range events {
+		events[i] = workload.LifecycleEvent{Round: 1 << 30, Kind: workload.LifecycleJoin, Advertiser: i}
+	}
+	lc, err := workload.NewLifecycle(len(w.Advertisers), events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	pc := budget.DefaultPacerConfig()
+	cfg.Pacing = &pc
+	cfg.Engine.Lifecycle = lc
+	s, err := New(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, name := range w.PhraseNames {
+		res, err := s.Submit(ctx, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Slots) != 0 {
+			t.Fatalf("%s: slots %+v although no advertiser has joined", name, res.Slots)
+		}
+	}
+}

@@ -135,23 +135,29 @@ func equivalenceWorkloadConfig(minBudget, maxBudget float64) workload.Config {
 
 // TestShardedEquivalenceUnlimitedBudgets is the exactness half of the
 // property: with budgets that never bind, a sharded fleet (any router,
-// either budget policy, shards stepping concurrently) resolves every
-// auction with exactly the winner sets and prices of one reference engine
-// over the same workload and round sequence.
+// either budget policy, shards stepping concurrently, either quality
+// regime) resolves every auction with exactly the winner sets and prices
+// of one reference engine over the same workload and round sequence. In
+// the per-phrase-quality regime each shard builds its own merge-sort
+// forest over its phrases, and the threshold algorithm is exact on any.
 func TestShardedEquivalenceUnlimitedBudgets(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		policy core.BudgetPolicy
-		router Router
-		shards int
+		name      string
+		policy    core.BudgetPolicy
+		router    Router
+		shards    int
+		perPhrase bool
 	}{
-		{"naive/hash/4", core.Naive, HashRouter{}, 4},
-		{"throttled/hash/4", core.Throttled, HashRouter{}, 4},
-		{"throttled/fragment/3", core.Throttled, FragmentRouter{}, 3},
-		{"naive/fragment/8", core.Naive, FragmentRouter{}, 8},
+		{"naive/hash/4", core.Naive, HashRouter{}, 4, false},
+		{"throttled/hash/4", core.Throttled, HashRouter{}, 4, false},
+		{"throttled/fragment/3", core.Throttled, FragmentRouter{}, 3, false},
+		{"naive/fragment/8", core.Naive, FragmentRouter{}, 8, false},
+		{"per-phrase/throttled/hash/4", core.Throttled, HashRouter{}, 4, true},
+		{"per-phrase/naive/fragment/3", core.Naive, FragmentRouter{}, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wcfg := equivalenceWorkloadConfig(1e9, 1e9)
+			wcfg.PerPhraseQuality = tc.perPhrase
 			ecfg := core.DefaultConfig()
 			ecfg.Policy = tc.policy
 			ecfg.ClickOutcome = detOutcome(ecfg.ClickHorizon)
@@ -190,7 +196,8 @@ func TestShardedEquivalenceUnlimitedBudgets(t *testing.T) {
 			}
 			single.Drain()
 			fleet.drain()
-			if s, f := single.Stats(), totalStats(fleet); s.ClicksCharged != f.ClicksCharged || s.AdsDisplayed != f.AdsDisplayed {
+			if s, f := single.Stats(), totalStats(fleet); s.ClicksCharged != f.ClicksCharged || s.AdsDisplayed != f.AdsDisplayed ||
+				tc.perPhrase != (f.SortedAccesses > 0) {
 				t.Fatalf("click accounting diverged: single %+v, fleet %+v", s, f)
 			}
 			singleSpend := single.Stats().Revenue

@@ -126,7 +126,6 @@ func New(w *workload.Workload, cfg Config) (*Server, error) {
 	}
 	wcfg := cfg.Worker
 	wcfg.Engine.Ledger = s.ledger
-	wcfg.Engine.Lifecycle = wcfg.Lifecycle
 	if wcfg.Pacing != nil {
 		// One pacing controller for the whole fleet, over the central
 		// ledger: every shard's engine syncs it at its round boundary (the
@@ -134,7 +133,7 @@ func New(w *workload.Workload, cfg Config) (*Server, error) {
 		// first performs it) and reads the same published factors. Spend is
 		// globally exact through the ledger, so pacing state survives
 		// sharding without per-shard drift.
-		pacer, err := budget.NewPacer(s.ledger, budgets, *wcfg.Pacing, wcfg.Lifecycle)
+		pacer, err := budget.NewPacer(s.ledger, budgets, *wcfg.Pacing, wcfg.Engine.Lifecycle)
 		if err != nil {
 			return nil, err
 		}

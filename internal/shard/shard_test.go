@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sharedwd/internal/budget"
 	"sharedwd/internal/serr"
 	"sharedwd/internal/server"
 	"sharedwd/internal/workload"
@@ -60,11 +61,22 @@ func TestShardedConfigValidate(t *testing.T) {
 	}
 }
 
-// TestShardedServesQueries: every phrase is servable, results carry global
-// phrase IDs and the serving shard, and winners are advertisers interested
-// in the (global) phrase.
+// TestShardedServesQueries: every phrase is servable, in either quality
+// regime, results carry global phrase IDs and the serving shard, and
+// winners are advertisers interested in the (global) phrase.
 func TestShardedServesQueries(t *testing.T) {
-	w := testWorkload(t, 120, 16, 7)
+	perPhrase := testWorkload(t, 120, 16, 7)
+	perPhrase.Cfg.PerPhraseQuality = true
+	perPhrase = workload.Generate(perPhrase.Cfg)
+	if perPhrase.Quality == nil {
+		t.Fatal("workload has no per-phrase quality")
+	}
+	for _, w := range []*workload.Workload{testWorkload(t, 120, 16, 7), perPhrase} {
+		testServesQueries(t, w)
+	}
+}
+
+func testServesQueries(t *testing.T, w *workload.Workload) {
 	for _, shards := range []int{1, 2, 4} {
 		s, err := New(w, testConfig(shards))
 		if err != nil {
@@ -320,5 +332,40 @@ func TestRebalance(t *testing.T) {
 	}
 	if err := rebalance([]int{0, 0}, []float64{1}, 2); err == nil {
 		t.Fatal("accepted length mismatch")
+	}
+}
+
+// TestShardedEngineLifecycle: every shard's engine and the fleet's pacer
+// replay Worker.Engine.Lifecycle. With every advertiser joining only far in
+// the future, no query finds a bidder.
+func TestShardedEngineLifecycle(t *testing.T) {
+	w := testWorkload(t, 60, 8, 5)
+	events := make([]workload.LifecycleEvent, len(w.Advertisers))
+	for i := range events {
+		events[i] = workload.LifecycleEvent{Round: 1 << 30, Kind: workload.LifecycleJoin, Advertiser: i}
+	}
+	lc, err := workload.NewLifecycle(len(w.Advertisers), events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(2)
+	pc := budget.DefaultPacerConfig()
+	cfg.Worker.Pacing = &pc
+	cfg.Worker.Engine.Lifecycle = lc
+	s, err := New(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, name := range w.PhraseNames {
+		res, err := s.Submit(ctx, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Slots) != 0 {
+			t.Fatalf("%s: slots %+v although no advertiser has joined", name, res.Slots)
+		}
 	}
 }

@@ -33,9 +33,13 @@
 //
 // The Engine ties the pieces into a round-based auction processor with GSP /
 // VCG / first-price pricing, a delayed-click simulator, and strict budget
-// accounting; the Server wraps it in a concurrent online serving layer that
-// admits raw queries, batches them into rounds, and answers each within its
-// deadline; the workload generator produces the topic-structured synthetic
+// accounting. It serves both quality regimes: a global c_i resolves through
+// the shared threshold pass of Section II, a per-phrase c_i^q through the
+// shared merge-sort forest and the threshold algorithm of Section III, and
+// the budget policy, pacing, lifecycle and pricing are the same in both.
+// The Server wraps it in a concurrent online serving layer that admits raw
+// queries, batches them into rounds, and answers each within its deadline;
+// the workload generator produces the topic-structured synthetic
 // traces the benchmark harness (bench_test.go, cmd/fig4, cmd/fig5,
 // cmd/gaming, cmd/auctionsim, cmd/servedemo) runs on. See DESIGN.md for the
 // full system inventory and EXPERIMENTS.md for paper-vs-measured results.
@@ -64,7 +68,7 @@
 // # Thread safety
 //
 // Server and ShardedServer are safe for concurrent use. Everything else —
-// Engine, SortEngine, Workload, plans, lists, throttlers, streams — is
+// Engine, Workload, plans, lists, throttlers, streams — is
 // single-goroutine unless its documentation says otherwise; the servers
 // own the serialization of their engines and workloads. Matcher.Match is
 // safe concurrently after configuration.
@@ -370,12 +374,6 @@ type (
 	// SharingMode selects one shared threshold pass over the round's
 	// auctions vs an independent scan per auction.
 	SharingMode = core.SharingMode
-	// SortEngine resolves rounds in the per-phrase-quality regime
-	// (Section III: shared merge-sort + threshold algorithm).
-	// Single-goroutine, like Engine.
-	SortEngine = core.SortEngine
-	// SortEngineStats holds the sort engine's counters.
-	SortEngineStats = core.SortStats
 	// Workload is a generated auction universe. Not safe for concurrent
 	// use; owned by whichever engine or server steps it.
 	Workload = workload.Workload
@@ -434,7 +432,8 @@ type (
 	PacingMetrics = budget.PacingMetrics
 	// Lifecycle is an advertiser lifecycle schedule: join/leave campaign
 	// windows consumed by the engines and budget-refresh epochs consumed
-	// by the pacing controller. Set ServerConfig.Lifecycle.
+	// by the pacing controller. Set EngineConfig.Lifecycle (in a server,
+	// ServerConfig.Engine.Lifecycle).
 	Lifecycle = workload.Lifecycle
 	// LifecycleEvent is one advertiser lifecycle change, effective at the
 	// start of its round.
@@ -528,16 +527,11 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 //	cfg.Pricing = sharedwd.VCG
 //	eng, err := sharedwd.NewEngine(w, cfg)
 //
-// It returns an error for invalid configurations or a per-phrase-quality
-// workload (use NewSortEngine there).
+// A per-phrase-quality workload (WorkloadConfig.PerPhraseQuality) is
+// resolved by the shared merge-sort forest feeding the threshold algorithm.
+// It returns an error for invalid configurations, and for a
+// per-phrase-quality workload under Independent sharing.
 func NewEngine(w *Workload, cfg EngineConfig) (*Engine, error) { return core.New(w, cfg) }
-
-// NewSortEngine builds the Section III pipeline (shared merge-sort feeding
-// the threshold algorithm) for a per-phrase-quality workload. It returns an
-// error for invalid configurations or a global-quality workload.
-func NewSortEngine(w *Workload, cfg EngineConfig) (*SortEngine, error) {
-	return core.NewSortEngine(w, cfg)
-}
 
 // Advertiser lifecycle event kinds (see Lifecycle).
 const (
@@ -678,7 +672,10 @@ func (ns *NetServer) Fleet() *ShardedServer { return ns.fleet }
 // live subscribers get a going-away close frame, and finally the fleet
 // itself drains and settles its budgets. The fleet's workers close a round
 // as soon as they hold a request from the moment Shutdown starts, so the
-// drain does not wait for the next round tick. Safe to call once.
+// drain does not wait for the next round tick. When ctx ends first, the
+// edges stop waiting: the binary edge aborts its draining connections and
+// Shutdown returns ctx.Err() — but only after the fleet's Close, which
+// still waits for a round that is stalled in progress. Safe to call once.
 func (ns *NetServer) Shutdown(ctx context.Context) error {
 	ns.fleet.BeginDrain()
 	// Drain the binary edge first: Drain leaves the fleet open, and the

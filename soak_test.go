@@ -116,7 +116,8 @@ func checkAccounting(t *testing.T, eng *core.Engine, w *workload.Workload, cfg, 
 	}
 }
 
-// TestSoakSortEngine is the per-phrase-quality counterpart.
+// TestSoakSortEngine is the per-phrase-quality counterpart, under the
+// default throttled policy.
 func TestSoakSortEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -133,7 +134,7 @@ func TestSoakSortEngine(t *testing.T) {
 		w := workload.Generate(wcfg)
 		ecfg := core.DefaultConfig()
 		ecfg.Pricing = []pricing.Rule{pricing.FirstPrice, pricing.GSP, pricing.VCG}[rng.Intn(3)]
-		eng, err := core.NewSortEngine(w, ecfg)
+		eng, err := core.New(w, ecfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,11 +149,8 @@ func TestSoakSortEngine(t *testing.T) {
 			}
 			w.PerturbBids(0.1)
 		}
-		for i := range w.Advertisers {
-			if eng.Spent(i) > w.Advertisers[i].Budget+1e-6 {
-				t.Fatalf("cfg %d: advertiser %d over budget", cfgIdx, i)
-			}
-		}
+		eng.Drain()
+		checkAccounting(t, eng, w, cfgIdx, 100)
 	}
 }
 
