@@ -10,10 +10,12 @@ build:
 # The second line is the 0-allocs-per-round gate: the AllocsPerRun tests
 # skip under the race detector, so they only bind in a non-race run, and
 # -count=1 keeps a cached pass from standing in for one. The third is the
-# same kind of gate on the plan build (allocations per sharedagg.Build).
+# same kind of gate on the HTTP edge's codec, the fourth on the plan build
+# (allocations per sharedagg.Build).
 test:
 	$(GO) test ./...
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core ./internal/workload
+	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core ./internal/workload ./internal/sharedsort
+	$(GO) test -count=1 -run 'TestBatchCodecAllocs' ./internal/netserve
 	$(GO) test -count=1 -run 'TestBuildAllocBudget' ./internal/sharedagg
 
 race:
@@ -44,8 +46,11 @@ bench:
 # random instances, plans and fusion thresholds, and the engine's shared
 # threshold pass at an arbitrary τ against both a τ = +Inf twin, which
 # scores on demand and scans every phrase, and an Independent twin that
-# scores every participant, and the click simulator's timing wheel against
-# the pending-slice reference. CI's fuzz smoke leg runs this target.
+# scores every participant, the click simulator's timing wheel against
+# the pending-slice reference, the HTTP edge's hand JSON codec against
+# encoding/json (request bodies; reply bytes and client decoding), and the
+# live feed's WebSocket frame reader (no panic, masked and bounded frames,
+# round trip). CI's fuzz smoke leg runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto
@@ -55,6 +60,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzCompiledRun' -fuzztime=10s ./internal/plan
 	$(GO) test -run='^$$' -fuzz='FuzzThresholdRound' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzClickSim' -fuzztime=10s ./internal/workload
+	$(GO) test -run='^$$' -fuzz='FuzzHTTPBody' -fuzztime=10s ./internal/netserve
+	$(GO) test -run='^$$' -fuzz='FuzzHTTPReply' -fuzztime=10s ./internal/netserve
+	$(GO) test -run='^$$' -fuzz='FuzzReadFrame' -fuzztime=10s ./internal/netserve
 
 # soak-pacing runs the day-in-the-life budget-pacing soak (EXPERIMENTS.md):
 # calibrate natural spend, verify the unpaced baseline front-loads, then

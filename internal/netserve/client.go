@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -20,16 +21,21 @@ import (
 // against the in-process servers hold over HTTP. It is safe for concurrent
 // use; requests ride the transport's connection pool.
 type Client struct {
-	base   string
-	hc     *http.Client
-	closed atomic.Bool
+	base     string
+	queryURL string
+	batchURL string
+	hc       *http.Client
+	closed   atomic.Bool
 }
 
 // NewClient returns a client for the tier at addr (a host:port, as
 // returned by Server.Addr).
 func NewClient(addr string) *Client {
+	base := "http://" + addr
 	return &Client{
-		base: "http://" + addr,
+		base:     base,
+		queryURL: base + "/v1/query",
+		batchURL: base + "/v1/query/batch",
 		hc: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        256,
@@ -60,100 +66,96 @@ func statusErr(code int, msg string) error {
 	}
 }
 
-// post sends one JSON request and decodes the response into out,
-// translating error bodies through statusErr.
-func (c *Client) post(ctx context.Context, path string, reqBody, out any) error {
-	if c.closed.Load() {
-		return serr.ErrClosed
+// timeoutValue renders the time left before a deadline as an X-Timeout
+// value in whole milliseconds, rounded up and at least 1ms: the server
+// refuses a zero timeout, so a live deadline under half a millisecond
+// must not round down to one.
+func timeoutValue(left time.Duration) string {
+	ms := left / time.Millisecond
+	if left%time.Millisecond > 0 {
+		ms++
 	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(reqBody); err != nil {
-		return err
+	return strconv.FormatInt(int64(max(ms, 1)), 10) + "ms"
+}
+
+// roundTrip sends req and returns the response when its status is 200; an
+// error body becomes statusErr's error.
+func (c *Client) roundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err // *url.Error unwraps to the context error on deadline
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, &buf)
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer closeBody(resp)
+	var eresp errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
+		return nil, statusErr(resp.StatusCode, "")
+	}
+	return nil, statusErr(resp.StatusCode, eresp.Error)
+}
+
+// closeBody drains and closes a response body so the connection can be
+// reused.
+func closeBody(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+// post sends the JSON request in *buf to url and reads a 200 reply back
+// into *buf. The context's deadline, if any, rides as X-Timeout, so the
+// server's clamp applies to the same value the client waits for.
+func (c *Client) post(ctx context.Context, url string, buf *[]byte) error {
+	// The transport may still read a request body after Do returns, and
+	// replays it through GetBody, so the body is a copy of the pooled buffer.
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(bytes.Clone(*buf)))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
-}
-
-func (c *Client) do(req *http.Request, out any) error {
-	resp, err := c.hc.Do(req)
+	if dl, ok := ctx.Deadline(); ok {
+		req.Header.Set("X-Timeout", timeoutValue(time.Until(dl)))
+	}
+	resp, err := c.roundTrip(req)
 	if err != nil {
-		return err // *url.Error unwraps to the context error on deadline
+		return err
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		var eresp errorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
-			return statusErr(resp.StatusCode, "")
-		}
-		return statusErr(resp.StatusCode, eresp.Error)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	defer closeBody(resp)
+	*buf, err = readAll(resp.Body, (*buf)[:0])
+	return err
 }
 
-// Submit submits one query via POST /v1/query. The context's deadline, if
-// any, rides as X-Timeout so the server's clamp applies to the same value
-// the client waits for.
+// Submit submits one query via POST /v1/query.
 func (c *Client) Submit(ctx context.Context, query string) (server.Result, error) {
 	if c.closed.Load() {
 		return server.Result{}, serr.ErrClosed
 	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(queryRequest{Query: query}); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendQueryRequest((*buf)[:0], query)
+	if err := c.post(ctx, c.queryURL, buf); err != nil {
 		return server.Result{}, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/query", &buf)
-	if err != nil {
-		return server.Result{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if dl, ok := ctx.Deadline(); ok {
-		req.Header.Set("X-Timeout", time.Until(dl).Round(time.Millisecond).String())
-	}
-	var qr queryResponse
-	if err := c.do(req, &qr); err != nil {
-		return server.Result{}, err
-	}
-	return server.Result{
-		Phrase:  qr.Phrase,
-		Shard:   qr.Shard,
-		Round:   qr.Round,
-		Slots:   qr.Slots,
-		Latency: time.Duration(qr.LatencyNS),
-	}, nil
+	return decodeQueryReply(*buf, query)
 }
 
 // SubmitBatch submits many queries via POST /v1/query/batch — the Backend
 // batch contract: results always has len(queries), and the error joins one
 // *serr.ItemError per failed query (expand with serr.SplitBatch).
 func (c *Client) SubmitBatch(ctx context.Context, queries []string) ([]server.Result, error) {
-	var br batchResponse
-	if err := c.post(ctx, "/v1/query/batch", batchRequest{Queries: queries}, &br); err != nil {
+	if c.closed.Load() {
+		return nil, serr.ErrClosed
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendBatchRequest((*buf)[:0], queries)
+	if err := c.post(ctx, c.batchURL, buf); err != nil {
 		return nil, err
 	}
-	if len(br.Results) != len(queries) {
-		return nil, fmt.Errorf("netserve: batch reply has %d items, want %d", len(br.Results), len(queries))
-	}
-	results := make([]server.Result, len(queries))
-	errs := make([]error, len(queries))
-	for i, item := range br.Results {
-		if item.Error != "" || item.Code != 0 {
-			errs[i] = statusErr(item.Code, item.Error)
-			continue
-		}
-		results[i] = server.Result{
-			Phrase:  item.Phrase,
-			Shard:   item.Shard,
-			Round:   item.Round,
-			Slots:   item.Slots,
-			Latency: time.Duration(item.LatencyNS),
-		}
+	results, errs, err := decodeBatchReply(*buf, queries)
+	if err != nil {
+		return nil, err
 	}
 	return results, serr.JoinBatch(errs)
 }
@@ -167,8 +169,13 @@ func (c *Client) Stats(ctx context.Context) (server.Metrics, error) {
 	if err != nil {
 		return server.Metrics{}, err
 	}
+	resp, err := c.roundTrip(req)
+	if err != nil {
+		return server.Metrics{}, err
+	}
+	defer closeBody(resp)
 	var m server.Metrics
-	if err := c.do(req, &m); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		return server.Metrics{}, err
 	}
 	return m, nil

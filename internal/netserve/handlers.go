@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -14,6 +14,10 @@ import (
 	"sharedwd/internal/serr"
 	"sharedwd/internal/server"
 )
+
+// The request and response structs below fix the query path's wire
+// schema. The handlers and Client encode and decode it with codec.go's
+// hand codec; the structs are what encoding/json checks that codec against.
 
 // queryRequest is the POST /v1/query body.
 type queryRequest struct {
@@ -127,20 +131,14 @@ func (s *Server) requestTimeout(r *http.Request, body queryRequest) (time.Durati
 //	serr.ErrClosed          → 503 (server draining)
 //	context.DeadlineExceeded → 504 (the request's own deadline)
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), false)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), false)
+	buf := getBuf()
+	defer putBuf(buf)
+	data, rerr := readAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), (*buf)[:0])
+	*buf = data
+	req, err := decodeQueryRequest(data, rerr == nil)
+	if badBody(w, err, rerr) {
 		return
 	}
-	// Drain any trailing bytes so keep-alive connections stay reusable.
-	io.Copy(io.Discard, body)
 	if strings.TrimSpace(req.Query) == "" {
 		writeError(w, http.StatusBadRequest, "empty query", false)
 		return
@@ -174,8 +172,44 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resp.Slots == nil {
 		resp.Slots = []core.SlotResult{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	var ok bool
+	*buf, ok = appendQueryResponse((*buf)[:0], &resp)
+	writeReply(w, *buf, ok)
+}
+
+// badBody answers a request whose body decodeQueryRequest or
+// decodeBatchRequest refused (err) — or that a read error (rerr) cut short
+// — as the handlers did when json.Decoder read the body: 413 when the
+// body bound cut the value short, 400 with the decode error otherwise. It
+// reports whether it answered.
+func badBody(w http.ResponseWriter, err, rerr error) bool {
+	if err == errIncomplete {
+		err = rerr
+	}
+	if err == nil {
+		return false
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), false)
+		return true
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), false)
+	return true
+}
+
+// writeReply writes a query-path reply body in one Write with its
+// Content-Length. ok=false means a price was not finite: json.Encoder
+// wrote nothing then, and so does writeReply.
+func writeReply(w http.ResponseWriter, body []byte, ok bool) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if !ok {
+		return
+	}
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // submitStatus maps one serving error onto its HTTP status and retryable
@@ -209,21 +243,16 @@ func submitStatus(err error) (code int, retryable bool) {
 // accepted; each failed item carries its own error, retryable flag, and
 // the /v1/query status code the same failure would have produced.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
+	buf := getBuf()
+	defer putBuf(buf)
 	// The single-query body bound assumes one phrase; scale it by the
 	// batch width the backend tolerates.
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes*64)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), false)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), false)
+	data, rerr := readAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes*64), (*buf)[:0])
+	*buf = data
+	req, err := decodeBatchRequest(data, rerr == nil)
+	if badBody(w, err, rerr) {
 		return
 	}
-	io.Copy(io.Discard, body)
 	if len(req.Queries) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch", false)
 		return
@@ -237,29 +266,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	results, errs := server.SubmitBatch(ctx, s.backend, req.Queries)
-
-	resp := batchResponse{Results: make([]batchItem, len(req.Queries))}
-	for i, q := range req.Queries {
-		item := &resp.Results[i]
-		item.Query = q
-		if errs[i] != nil {
-			code, retryable := submitStatus(errs[i])
-			item.Error = errs[i].Error()
-			item.Retryable = retryable
-			item.Code = code
-			continue
-		}
-		item.Phrase = results[i].Phrase
-		item.Shard = results[i].Shard
-		item.Round = results[i].Round
-		item.LatencyNS = int64(results[i].Latency)
-		item.Slots = results[i].Slots
-		if item.Slots == nil {
-			item.Slots = []core.SlotResult{}
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	var ok bool
+	*buf, ok = appendBatchReply((*buf)[:0], req.Queries, results, errs)
+	writeReply(w, *buf, ok)
 }
 
 // handleStats renders the merged fleet metrics as JSON — the same stable

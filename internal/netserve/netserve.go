@@ -2,16 +2,25 @@
 // over a round server (single-engine server.Server or sharded
 // shard.Server). It exposes
 //
-//	POST /v1/query    — submit one query, get winners and prices as JSON
-//	GET  /v1/stats    — the merged fleet server.Metrics as JSON
-//	GET  /v1/metrics  — the same metrics in Prometheus text format
-//	GET  /v1/live     — a WebSocket pushing per-round summaries
+//	POST /v1/query        — submit one query, get winners and prices as JSON
+//	POST /v1/query/batch  — submit many queries, resolved in one round per shard
+//	GET  /v1/stats        — the merged fleet server.Metrics as JSON
+//	GET  /v1/metrics      — the same metrics in Prometheus text format
+//	GET  /v1/live         — a WebSocket pushing per-round summaries
 //
-// The package is split along its three concerns: handlers.go maps HTTP to
-// the backend and its error taxonomy, middleware.go holds the per-client
-// token-bucket rate limiter, and ws.go is the hand-rolled RFC 6455 subset
-// behind /v1/live (the repo takes no dependencies; the stdlib has no
-// WebSocket support).
+// The package is split along its concerns: handlers.go maps HTTP to the
+// backend and its error taxonomy, codec.go is the query path's JSON codec,
+// middleware.go holds the per-client token-bucket rate limiter, and ws.go
+// is the hand-rolled RFC 6455 subset behind /v1/live (the repo takes no
+// dependencies; the stdlib has no WebSocket support).
+//
+// The two query endpoints and Client encode and decode their JSON by hand,
+// appending into pooled buffers, because reflection JSON cost more CPU
+// than the auctions it carried. The wire schema is encoding/json's: the
+// encoders write the bytes json.Encoder writes, byte for byte, the request
+// decoders accept exactly what json.Decoder accepts, and the fuzzers hold
+// both to encoding/json. Everything off the query path — /v1/stats,
+// /v1/metrics, error bodies, the live feed — stays on encoding/json.
 //
 // Robustness at the edge: request bodies are bounded, every request gets a
 // deadline (client-chosen, clamped to a server maximum), connections carry

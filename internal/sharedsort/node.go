@@ -44,8 +44,10 @@ type Node struct {
 	Phrases bitset.Set
 
 	left, right *Node
-	// Registers: a pulled-but-unemitted item from each child.
-	leftReg, rightReg   *Item
+	// Registers: a pulled-but-unemitted item from each child, held by value
+	// (a pointer to the pulled item would escape to the heap on every pull).
+	leftReg, rightReg   Item
+	hasLeft, hasRight   bool
 	leftNext, rightNext int // cursor into each child's emitted cache
 
 	leaf     bool
@@ -92,33 +94,31 @@ func (n *Node) produce() {
 		return
 	}
 	// Fill empty registers from the children's cached streams.
-	if n.leftReg == nil {
-		if it, ok := n.left.Get(n.leftNext); ok {
+	if !n.hasLeft {
+		if n.leftReg, n.hasLeft = n.left.Get(n.leftNext); n.hasLeft {
 			n.leftNext++
-			n.leftReg = &it
 		}
 	}
-	if n.rightReg == nil {
-		if it, ok := n.right.Get(n.rightNext); ok {
+	if !n.hasRight {
+		if n.rightReg, n.hasRight = n.right.Get(n.rightNext); n.hasRight {
 			n.rightNext++
-			n.rightReg = &it
 		}
 	}
 	switch {
-	case n.leftReg == nil && n.rightReg == nil:
+	case !n.hasLeft && !n.hasRight:
 		n.exhausted = true
-	case n.rightReg == nil || (n.leftReg != nil && n.leftReg.less(*n.rightReg)):
-		n.emitted = append(n.emitted, *n.leftReg)
-		n.leftReg = nil
+	case !n.hasRight || (n.hasLeft && n.leftReg.less(n.rightReg)):
+		n.emitted = append(n.emitted, n.leftReg)
+		n.hasLeft = false
 	default:
-		n.emitted = append(n.emitted, *n.rightReg)
-		n.rightReg = nil
+		n.emitted = append(n.emitted, n.rightReg)
+		n.hasRight = false
 	}
 }
 
 // reset clears the node's per-round state (registers, cache, counters).
 func (n *Node) reset() {
-	n.leftReg, n.rightReg = nil, nil
+	n.hasLeft, n.hasRight = false, false
 	n.leftNext, n.rightNext = 0, 0
 	n.leafDone = false
 	n.emitted = n.emitted[:0]

@@ -1,6 +1,7 @@
 package sharedsort
 
 import (
+	"math/rand"
 	"testing"
 
 	"sharedwd/internal/bitset"
@@ -168,5 +169,54 @@ func TestNodeString(t *testing.T) {
 	}
 	if s := w.String(); s[:5] != "merge" {
 		t.Fatalf("merge String = %q", s)
+	}
+}
+
+// TestRoundGetsZeroAlloc pins the merge pull as allocation-free: once every
+// node's emitted cache has reached its size in a warm-up round, a full round
+// of Gets — every phrase's stream drained through the shared forest —
+// allocates nothing.
+func TestRoundGetsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	const n, phrases = 120, 10
+	rng := rand.New(rand.NewSource(5))
+	interests := make([]bitset.Set, phrases)
+	rates := make([]float64, phrases)
+	for q := range interests {
+		var ids []int
+		for a := 0; a < n; a++ {
+			if rng.Intn(3) == 0 {
+				ids = append(ids, a)
+			}
+		}
+		interests[q] = bitset.FromIndices(n, ids...)
+		rates[q] = 0.5
+	}
+	p, err := Build(n, interests, rates, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bids := make([]float64, n)
+	round := func() {
+		for a := range bids {
+			bids[a] = rng.Float64()
+		}
+		p.BeginRound(bids)
+		for _, root := range p.Roots {
+			if root == nil {
+				continue
+			}
+			for i := 0; ; i++ {
+				if _, ok := root.Get(i); !ok {
+					break
+				}
+			}
+		}
+	}
+	round() // warm-up: grows every emitted cache to its full stream
+	if got := testing.AllocsPerRun(20, round); got != 0 {
+		t.Fatalf("a round of Gets allocates %.1f times, want 0", got)
 	}
 }
