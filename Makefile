@@ -14,7 +14,7 @@ build:
 # (allocations per sharedagg.Build).
 test:
 	$(GO) test ./...
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core ./internal/workload ./internal/sharedsort
+	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core ./internal/workload ./internal/sharedsort ./internal/budget
 	$(GO) test -count=1 -run 'TestBatchCodecAllocs' ./internal/netserve
 	$(GO) test -count=1 -run 'TestBuildAllocBudget' ./internal/sharedagg
 
@@ -48,9 +48,11 @@ bench:
 # scores on demand and scans every phrase, and an Independent twin that
 # scores every participant, the click simulator's timing wheel against
 # the pending-slice reference, the HTTP edge's hand JSON codec against
-# encoding/json (request bodies; reply bytes and client decoding), and the
+# encoding/json (request bodies; reply bytes and client decoding), the
 # live feed's WebSocket frame reader (no panic, masked and bounded frames,
-# round trip). CI's fuzz smoke leg runs this target.
+# round trip), and the pacer, which updates only the advertisers whose
+# factor can change, against the reference controller that steps every
+# advertiser (factors bit for bit). CI's fuzz smoke leg runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
 	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto
@@ -63,6 +65,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzHTTPBody' -fuzztime=10s ./internal/netserve
 	$(GO) test -run='^$$' -fuzz='FuzzHTTPReply' -fuzztime=10s ./internal/netserve
 	$(GO) test -run='^$$' -fuzz='FuzzReadFrame' -fuzztime=10s ./internal/netserve
+	$(GO) test -run='^$$' -fuzz='FuzzPacer' -fuzztime=10s ./internal/budget
 
 # soak-pacing runs the day-in-the-life budget-pacing soak (EXPERIMENTS.md):
 # calibrate natural spend, verify the unpaced baseline front-loads, then

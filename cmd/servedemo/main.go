@@ -250,9 +250,9 @@ func main() {
 		if m.Pacing.Active > 0 {
 			meanFactor = m.Pacing.FactorSum / float64(m.Pacing.Active)
 		}
-		fmt.Printf("pacing: %d/%d active, %d throttled (mean factor %.3f), target $%.2f vs actual $%.2f over %d steps, %d refresh epochs\n",
+		fmt.Printf("pacing: %d/%d active, %d throttled (mean factor %.3f), target $%.2f vs actual $%.2f over %d steps (%d advertiser updates), %d refresh epochs\n",
 			m.Pacing.Active, m.Pacing.Advertisers, m.Pacing.Throttled, meanFactor,
-			m.Pacing.TargetSpend, m.Pacing.ActualSpend, m.Pacing.Rounds, m.Pacing.Epochs)
+			m.Pacing.TargetSpend, m.Pacing.ActualSpend, m.Pacing.Rounds, m.Pacing.Stepped, m.Pacing.Epochs)
 	}
 	fmt.Printf("ledger:  $%.2f settled across %d shards\n",
 		fleet.Ledger().TotalSpent(), fleet.Shards())

@@ -1,7 +1,9 @@
 package budget
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -25,6 +27,42 @@ type Ledger struct {
 	// remaining budget and cumulative settled spend.
 	remaining []atomic.Uint64
 	spent     []atomic.Uint64
+	// charged is nil until a Pacer attaches; then it holds one bit per
+	// advertiser, set by every charge that moved spend and cleared when the
+	// pacer drains it at its next sync. It is how the pacer finds the
+	// advertisers whose spend changed without reading every one.
+	charged atomic.Pointer[chargedSet]
+}
+
+// chargedSet is the ledger's charged-since-last-drain bitset.
+type chargedSet struct{ words []atomic.Uint64 }
+
+// attachPacer allocates the charged bitset. It fails when another pacer
+// already drains this ledger: each drain clears the bits, so two drainers
+// would each miss the other's charges.
+func (l *Ledger) attachPacer() error {
+	set := &chargedSet{words: make([]atomic.Uint64, (len(l.remaining)+63)/64)}
+	if !l.charged.CompareAndSwap(nil, set) {
+		return fmt.Errorf("budget: ledger already drained by another pacer")
+	}
+	return nil
+}
+
+// drainCharged calls fn for every advertiser charged since the last drain,
+// in ascending ID order, and clears their bits. A charge that lands while
+// the drain runs is either seen now or left set for the next drain. Only
+// the attached pacer calls it.
+func (l *Ledger) drainCharged(fn func(i int)) {
+	set := l.charged.Load()
+	for w := range set.words {
+		word := &set.words[w]
+		if word.Load() == 0 {
+			continue
+		}
+		for b := word.Swap(0); b != 0; b &= b - 1 {
+			fn(w<<6 | bits.TrailingZeros64(b))
+		}
+	}
 }
 
 // NewLedger creates a ledger with the given initial budgets, indexed by
@@ -88,6 +126,11 @@ func (l *Ledger) TryCharge(i int, price float64) bool {
 		}
 		if l.remaining[i].CompareAndSwap(oldBits, math.Float64bits(neu)) {
 			l.atomicAdd(&l.spent[i], price)
+			// The bit goes up after the spend: a drain that sees it also
+			// sees the spend it stands for.
+			if set := l.charged.Load(); set != nil {
+				set.mark(i)
+			}
 			return true
 		}
 	}
@@ -107,6 +150,19 @@ func (*Ledger) atomicAdd(a *atomic.Uint64, x float64) {
 		oldBits := a.Load()
 		neu := math.Float64frombits(oldBits) + x
 		if a.CompareAndSwap(oldBits, math.Float64bits(neu)) {
+			return
+		}
+	}
+}
+
+// mark sets advertiser i's bit. The module's Go version predates
+// atomic.Uint64.Or, so this is a load and a compare-and-swap, which also
+// skips the write when the bit is already set.
+func (c *chargedSet) mark(i int) {
+	w, bit := &c.words[i>>6], uint64(1)<<(i&63)
+	for {
+		old := w.Load()
+		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package budget
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -40,6 +41,17 @@ func TestNewPacerValidation(t *testing.T) {
 	}
 	if _, err := NewPacer(ledger, []float64{10, 10}, DefaultPacerConfig(), lc); err == nil {
 		t.Fatal("mismatched lifecycle universe accepted")
+	}
+	if _, err := NewPacer(ledger, []float64{10, 10, 10}, DefaultPacerConfig(), nil); err == nil {
+		t.Fatal("mismatched ledger universe accepted")
+	}
+	if _, err := NewPacer(ledger, []float64{10, 10}, DefaultPacerConfig(), nil); err != nil {
+		t.Fatalf("first pacer on a ledger: %v", err)
+	}
+	// Draining clears the charged bits, so a second pacer would miss the
+	// first one's charges and the first the second's.
+	if _, err := NewPacer(ledger, []float64{10, 10}, DefaultPacerConfig(), nil); err == nil {
+		t.Fatal("second pacer on one ledger accepted")
 	}
 }
 
@@ -345,15 +357,149 @@ func TestPacerSyncRoundIdempotent(t *testing.T) {
 	}
 }
 
+// TestPacerConcurrentCharges: shards charge the shared ledger while the
+// pacer drains it. A charge's spend is in the ledger before its bit, so no
+// charge goes unseen: once the chargers stop, one more sync leaves every
+// parked advertiser's recorded epoch spend equal to the ledger's. Run
+// under -race.
+func TestPacerConcurrentCharges(t *testing.T) {
+	const (
+		n       = 200
+		shards  = 4
+		charges = 2000
+	)
+	budgets := make([]float64, n)
+	for i := range budgets {
+		budgets[i] = 1e6 // deep enough that everyone stays open
+	}
+	ledger := NewLedger(budgets)
+	cfg := DefaultPacerConfig()
+	cfg.Horizon = 1 << 20
+	pacer, err := NewPacer(ledger, budgets, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pacer.SyncRound(0)
+	var wg sync.WaitGroup
+	for g := 0; g < shards; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for c := 0; c < charges; c++ {
+				ledger.TryCharge(rng.Intn(n), 0.01)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	round := 1
+	for running := true; running; round++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		pacer.SyncRound(round)
+	}
+	pacer.SyncRound(round)
+	pacer.mu.Lock()
+	defer pacer.mu.Unlock()
+	for i := 0; i < n; i++ {
+		if pacer.state[i]&parkedOpen == 0 {
+			t.Fatalf("advertiser %d not parked open (state %#x)", i, pacer.state[i])
+		}
+		if got, want := pacer.parkedActual[i], ledger.Spent(i)-pacer.baseSpend[i]; got != want {
+			t.Fatalf("advertiser %d parked with epoch spend %v, ledger says %v: a charge went unseen", i, got, want)
+		}
+	}
+}
+
 // TestPacingMetricsMerge: field-wise aggregation across fleets.
 func TestPacingMetricsMerge(t *testing.T) {
-	a := PacingMetrics{Enabled: true, Advertisers: 2, Active: 1, Rounds: 10, Epochs: 1,
+	a := PacingMetrics{Enabled: true, Advertisers: 2, Active: 1, Rounds: 10, Epochs: 1, Stepped: 4,
 		TargetSpend: 5, ActualSpend: 4, FactorSum: 0.5, Throttled: 1}
-	b := PacingMetrics{Advertisers: 3, Active: 3, Rounds: 7, TargetSpend: 1, ActualSpend: 2, FactorSum: 3}
+	b := PacingMetrics{Advertisers: 3, Active: 3, Rounds: 7, Stepped: 9, TargetSpend: 1, ActualSpend: 2, FactorSum: 3}
 	got := a.Merge(b)
 	if !got.Enabled || got.Advertisers != 5 || got.Active != 4 || got.Rounds != 17 ||
-		got.Epochs != 1 || got.TargetSpend != 6 || got.ActualSpend != 6 ||
+		got.Epochs != 1 || got.Stepped != 13 || got.TargetSpend != 6 || got.ActualSpend != 6 ||
 		got.FactorSum != 3.5 || got.Throttled != 1 {
 		t.Fatalf("merge = %+v", got)
+	}
+}
+
+// TestPacerSyncZeroAlloc: a steady-state sync allocates nothing, with
+// charges to drain, floor advertisers to wake and interior ones to update
+// in every measured sync. Clicks land with a chance that follows each
+// factor, as on paced bids; refresh epochs restart every curve.
+func TestPacerSyncZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	const (
+		n       = 1024
+		horizon = 400
+	)
+	var events []workload.LifecycleEvent
+	for r := horizon; r < 100*horizon; r += horizon {
+		for i := 0; i < n; i++ {
+			events = append(events, workload.LifecycleEvent{Round: r, Kind: workload.LifecycleRefresh, Advertiser: i})
+		}
+	}
+	lc, err := workload.NewLifecycle(n, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Even advertisers can afford their clicks and stay open; odd ones
+	// would overspend their budget threefold and live at the floor.
+	budgets := make([]float64, n)
+	for i := range budgets {
+		budgets[i] = 100
+		if i%2 == 1 {
+			budgets[i] = 10
+		}
+	}
+	cfg := DefaultPacerConfig()
+	cfg.Horizon = horizon
+	ledger := NewLedger(budgets)
+	p, err := NewPacer(ledger, budgets, cfg, lc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	round := 0
+	var charged, woken, interior int
+	step := func() {
+		for j := 0; j < 256; j++ {
+			i := rng.Intn(n)
+			if rng.Float64() < p.Factor(i) && ledger.TryCharge(i, 0.3+0.6*rng.Float64()) {
+				charged++
+			}
+		}
+		if _, at, ok := p.wake.min(); ok && at <= round {
+			woken++
+		}
+		for _, w := range p.due {
+			if w != 0 {
+				interior++
+				break
+			}
+		}
+		p.SyncRound(round)
+		round++
+	}
+	// Measure between refreshes, once the floor has filled.
+	for round < horizon+50 {
+		step()
+	}
+	charged, woken, interior = 0, 0, 0
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Fatalf("steady-state SyncRound allocated %v times per sync", allocs)
+	}
+	// AllocsPerRun calls step once more to warm up.
+	if charged < runs+1 || woken != runs+1 || interior != runs+1 {
+		t.Fatalf("over %d syncs: %d charges, %d with a wake-up, %d with an interior advertiser; want a charge, a wake-up and an interior advertiser in every sync",
+			runs+1, charged, woken, interior)
 	}
 }

@@ -24,6 +24,11 @@ type sortedResolver struct {
 	// ascending ID; qualVals[q] holds the matching factors.
 	byQuality [][]int
 	qualVals  [][]float64
+	// stream, qual and ta are reused for every phrase of every round, so
+	// the resolver allocates nothing once ta's scratch has grown.
+	stream sharedsort.Stream
+	qual   ta.SliceSource
+	ta     ta.Scratch
 }
 
 // newSortedResolver builds the shared merge-sort plan from the interest
@@ -65,17 +70,18 @@ func (e *Engine) resolveSorted(occurring []bool) {
 			continue
 		}
 		n := 0
-		if stream := s.plan.Stream(q); stream != nil {
+		if s.plan.OpenStream(&s.stream, q) {
+			s.qual.Reset(s.byQuality[q], s.qualVals[q])
 			score := func(id int) float64 { return e.scr.roundBid[id] * e.w.QualityFor(q, id) }
-			top, st := ta.TopK(k1, stream, &ta.SliceSource{IDs: s.byQuality[q], Vals: s.qualVals[q]}, score)
+			top, st := s.ta.TopK(k1, &s.stream, &s.qual, score)
 			e.stats.SortedAccesses += st.SortedAccesses
 			run := e.scr.runs[q*k1 : (q+1)*k1]
-			for _, entry := range top.Entries() {
+			for ; n < top.Len(); n++ {
+				entry := top.At(n)
 				if entry.Score <= 0 {
 					break
 				}
 				run[n] = entry
-				n++
 			}
 		}
 		e.scr.runLen[q] = int32(n)

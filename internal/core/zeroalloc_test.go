@@ -22,7 +22,10 @@ import (
 // independent case holds the per-auction baseline to the same guarantee,
 // and high-overlap runs the shared round on the broad-match preset. The
 // tau-inf case forces τ to +Inf: every phrase is short, so every round
-// scores the short phrases' members on demand and scans each phrase.
+// scores the short phrases' members on demand and scans each phrase. The
+// per-phrase cases run the Section III resolver (per-phrase quality): the
+// merge-sort forest feeding the threshold algorithm, whose cursors, seen
+// set and result list are reused across phrases and rounds.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -34,6 +37,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 		independent bool
 		highOverlap bool
 		tauInf      bool
+		perPhrase   bool
 	}{
 		{name: "naive"},
 		{name: "throttled", throttled: true},
@@ -41,6 +45,8 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 		{name: "independent", independent: true},
 		{name: "high-overlap", highOverlap: true},
 		{name: "tau-inf", tauInf: true},
+		{name: "per-phrase", perPhrase: true},
+		{name: "per-phrase-throttled", perPhrase: true, throttled: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,6 +58,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 			wcfg.NumPhrases = 24
 			wcfg.MinBudget = 1e6 // never exhausts: keeps the display load steady
 			wcfg.MaxBudget = 2e6
+			wcfg.PerPhraseQuality = tc.perPhrase
 			w := workload.Generate(wcfg)
 
 			cfg := DefaultConfig()
@@ -110,6 +117,9 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 			short, auctions := after.ShortAuctions-before.ShortAuctions, after.AuctionsResolved-before.AuctionsResolved
 			if scored := after.Scored - before.Scored; tc.tauInf && (short != auctions || scored == 0) {
 				t.Fatalf("measured rounds left %d of %d auctions short and scored %d participants; want all short and some scored on demand", short, auctions, scored)
+			}
+			if tc.perPhrase && after.SortedAccesses == before.SortedAccesses {
+				t.Fatal("measured rounds made no sorted access: the Section III resolver did not run")
 			}
 			if tc.throttled && (enum == 0 || dp == 0) {
 				t.Fatalf("measured rounds throttled %d bids by enumeration and %d by DP; want both paths", enum, dp)

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"sharedwd/internal/budget"
 	"sharedwd/internal/core"
 	"sharedwd/internal/serr"
 	"sharedwd/internal/server"
@@ -90,6 +91,7 @@ func (b *fakeBackend) Metrics() server.Metrics {
 		QueueDepth: 4, QueueCap: 64,
 		Rounds: 50, EmptyRounds: 20,
 		Engine: core.Stats{Rounds: 30, AuctionsResolved: 75, NodesMaterialized: 40, Candidates: 420, ShortAuctions: 3, Scored: 510, Revenue: 12.5},
+		Pacing: budget.PacingMetrics{Enabled: true, Advertisers: 200, Active: 180, Rounds: 30, Stepped: 108},
 	}
 	for i := 0; i < 100; i++ {
 		m.TotalLatency.Summary.Add(float64(i) / 1000)
@@ -347,6 +349,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if got := samples["sharedwd_total_latency_seconds_count"]; got != "100" {
 		t.Fatalf("sharedwd_total_latency_seconds_count = %q, want 100", got)
+	}
+	if got := samples["sharedwd_pacing_stepped_total"]; got != "108" || types["sharedwd_pacing_stepped_total"] != "counter" {
+		t.Fatalf("sharedwd_pacing_stepped_total = %q (%s), want counter 108", got, types["sharedwd_pacing_stepped_total"])
 	}
 }
 

@@ -86,6 +86,7 @@ func writeProm(w io.Writer, m server.Metrics, edge edgeStats) {
 		promGauge(w, "sharedwd_pacing_active", "Advertisers currently active (joined, not left).", float64(m.Pacing.Active))
 		promCounter(w, "sharedwd_pacing_rounds_total", "Pacing controller steps taken.", float64(m.Pacing.Rounds))
 		promCounter(w, "sharedwd_pacing_epochs_total", "Budget-refresh epochs applied.", float64(m.Pacing.Epochs))
+		promCounter(w, "sharedwd_pacing_stepped_total", "Per-advertiser pacing controller updates (a sync updates only advertisers whose factor can change).", float64(m.Pacing.Stepped))
 		promGauge(w, "sharedwd_pacing_target_spend", "Fleet target-curve spend at the last controller step.", m.Pacing.TargetSpend)
 		promGauge(w, "sharedwd_pacing_actual_spend", "Fleet realized epoch spend at the last controller step.", m.Pacing.ActualSpend)
 		promGauge(w, "sharedwd_pacing_throttled", "Advertisers with pacing factor below 1 at the last step.", float64(m.Pacing.Throttled))

@@ -113,7 +113,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 			ForgivenValue: 1.5, AdsDisplayed: 200,
 		},
 		Pacing: budget.PacingMetrics{
-			Enabled: true, Advertisers: 200, Active: 180, Rounds: 40, Epochs: 2,
+			Enabled: true, Advertisers: 200, Active: 180, Rounds: 40, Epochs: 2, Stepped: 144,
 			TargetSpend: 55.5, ActualSpend: 54.25, FactorSum: 120.5, Throttled: 33,
 		},
 	}
@@ -130,7 +130,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		`"queue_depth":7`, `"queries_per_sec":0.88`, `"admission_wait"`,
 		`"winner_determination"`, `"total_latency"`, `"auctions_resolved":75`,
 		`"nodes_materialized":1234`, `"candidates":640`, `"short_auctions":2`, `"scored":700`, `"pacing"`, `"enabled":true`, `"target_spend":55.5`,
-		`"actual_spend":54.25`, `"factor_sum":120.5`, `"throttled":33`,
+		`"actual_spend":54.25`, `"factor_sum":120.5`, `"throttled":33`, `"stepped":144`,
 		`"abs_error"`,
 	} {
 		if !strings.Contains(string(data), key) {

@@ -199,11 +199,11 @@ type Server struct {
 // step it while the server runs. Close must be called to release the loop.
 //
 // When cfg.Pacing is set, New builds the pacing controller over the
-// engine's budget authority — installing a budget.Ledger as Engine.Ledger
-// first if the caller didn't supply one, since refresh epochs need a
-// depositable authority — over cfg.Engine.Lifecycle's refresh epochs. A
-// caller-supplied Engine.Ledger that is not a budget.Authority (it lacks
-// Spent or Deposit) is an error rather than silently replaced.
+// engine's ledger — installing a budget.Ledger as Engine.Ledger first if
+// the caller didn't supply one, since refresh epochs need a depositable
+// ledger and the pacer reads which advertisers were charged from it — over
+// cfg.Engine.Lifecycle's refresh epochs. A caller-supplied Engine.Ledger
+// that is not a *budget.Ledger is an error rather than silently replaced.
 func New(w *workload.Workload, cfg Config) (*Server, error) {
 	var pacer *budget.Pacer
 	if cfg.Pacing != nil {
@@ -211,19 +211,18 @@ func New(w *workload.Workload, cfg Config) (*Server, error) {
 		for i, a := range w.Advertisers {
 			budgets[i] = a.Budget
 		}
-		var auth budget.Authority
+		var ledger *budget.Ledger
 		switch l := cfg.Engine.Ledger.(type) {
 		case nil:
-			ledger := budget.NewLedger(budgets)
+			ledger = budget.NewLedger(budgets)
 			cfg.Engine.Ledger = ledger
-			auth = ledger
-		case budget.Authority:
-			auth = l
+		case *budget.Ledger:
+			ledger = l
 		default:
-			return nil, fmt.Errorf("server: pacing needs Engine.Ledger to be a budget.Authority, but %T lacks its Spent/Deposit methods", l)
+			return nil, fmt.Errorf("server: pacing needs Engine.Ledger to be a *budget.Ledger, not %T", l)
 		}
 		var err error
-		pacer, err = budget.NewPacer(auth, budgets, *cfg.Pacing, cfg.Engine.Lifecycle)
+		pacer, err = budget.NewPacer(ledger, budgets, *cfg.Pacing, cfg.Engine.Lifecycle)
 		if err != nil {
 			return nil, err
 		}

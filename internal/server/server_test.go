@@ -494,17 +494,17 @@ func TestServerBudgetAccounting(t *testing.T) {
 	}
 }
 
-// chargeOnlyLedger is a core.BudgetLedger without budget.Authority's Spent
-// and Deposit: usable by an engine, not by a pacer.
+// chargeOnlyLedger is a core.BudgetLedger that is not a *budget.Ledger:
+// usable by an engine, not by a pacer.
 type chargeOnlyLedger struct{}
 
 func (chargeOnlyLedger) Remaining(int) float64       { return 1e9 }
 func (chargeOnlyLedger) TryCharge(int, float64) bool { return true }
 
-// TestNewPacingLedger: with pacing on, New keeps a caller's ledger that is
-// a budget.Authority, installs a budget.Ledger when there is none, and
-// rejects a ledger the pacer cannot deposit into instead of silently
-// replacing it (which would leave the caller's ledger never charged).
+// TestNewPacingLedger: with pacing on, New keeps a caller's
+// *budget.Ledger, installs one when there is none, and rejects any other
+// ledger instead of silently replacing it (which would leave the caller's
+// ledger never charged).
 func TestNewPacingLedger(t *testing.T) {
 	own := budget.NewLedger(make([]float64, 120))
 	for _, tc := range []struct {
@@ -513,7 +513,7 @@ func TestNewPacingLedger(t *testing.T) {
 		wantErr bool
 	}{
 		{"none", nil, false},
-		{"authority", own, false},
+		{"ledger", own, false},
 		{"charge-only", chargeOnlyLedger{}, true},
 	} {
 		cfg := testConfig()
@@ -524,7 +524,7 @@ func TestNewPacingLedger(t *testing.T) {
 		if tc.wantErr {
 			if err == nil {
 				s.Close()
-				t.Errorf("%s: New accepted a ledger without Spent/Deposit", tc.name)
+				t.Errorf("%s: New accepted a ledger that is not a *budget.Ledger", tc.name)
 			}
 			continue
 		}

@@ -416,10 +416,22 @@ func (p *Plan) RoundPulls() int {
 // independent position per caller; the underlying nodes cache and share all
 // produced prefixes). It returns nil if no advertiser is interested in q.
 func (p *Plan) Stream(q int) *Stream {
-	if p.Roots[q] == nil {
+	s := new(Stream)
+	if !p.OpenStream(s, q) {
 		return nil
 	}
-	return &Stream{node: p.Roots[q]}
+	return s
+}
+
+// OpenStream points s at the start of phrase q's stream, so one Stream
+// value can serve every phrase of every round. It reports false, leaving s
+// unchanged, if no advertiser is interested in q.
+func (p *Plan) OpenStream(s *Stream, q int) bool {
+	if p.Roots[q] == nil {
+		return false
+	}
+	*s = Stream{node: p.Roots[q]}
+	return true
 }
 
 // Stream is a per-consumer cursor over a phrase's sorted stream. It

@@ -28,6 +28,12 @@ type SliceSource struct {
 	pos  int
 }
 
+// Reset points the source at the start of a new pair of slices, so one
+// SliceSource value can serve many calls.
+func (s *SliceSource) Reset(ids []int, vals []float64) {
+	s.IDs, s.Vals, s.pos = ids, vals, 0
+}
+
 // Next yields the next pair.
 func (s *SliceSource) Next() (int, float64, bool) {
 	if s.pos >= len(s.IDs) {
@@ -53,22 +59,40 @@ type Stats struct {
 // algorithm over the two descending-sorted access paths. byBid must be
 // sorted by descending bid, byQuality by descending quality; score(id) must
 // equal bid(id)·quality(id) for consistency of the threshold bound. Both
-// paths must enumerate the same advertiser set.
+// paths must enumerate the same advertiser set. The returned list is the
+// caller's; Scratch.TopK runs the same algorithm without allocating.
 func TopK(k int, byBid, byQuality Source, score func(id int) float64) (*topk.List, Stats) {
+	var s Scratch
+	return s.TopK(k, byBid, byQuality, score)
+}
+
+// Scratch is reusable state for the threshold algorithm: the set of
+// advertisers already seen, stamped with a per-call epoch so it is never
+// cleared, and the result list. Its zero value is ready to use; once both
+// have grown to the largest ID and k a caller passes, a call allocates
+// nothing. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	seen  []uint32 // seen[id] == epoch: id was seen in the current call
+	epoch uint32
+	best  *topk.List
+}
+
+// TopK is the package-level TopK over the scratch state. The returned list
+// belongs to s and is valid until s's next call.
+func (s *Scratch) TopK(k int, byBid, byQuality Source, score func(id int) float64) (*topk.List, Stats) {
 	var st Stats
-	best := topk.New(k)
-	seen := make(map[int]bool)
+	if s.best == nil || s.best.K() != k {
+		s.best = topk.New(k)
+	}
+	best := s.best
+	best.Reset()
+	if s.epoch++; s.epoch == 0 { // wrapped: old stamps could collide
+		clear(s.seen)
+		s.epoch = 1
+	}
 
 	lastBid, lastQual := 0.0, 0.0
 	bidOK, qualOK := true, true
-	observe := func(id int) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		st.RandomAccesses++
-		best.Push(topk.Entry{ID: id, Score: score(id)})
-	}
 	for bidOK || qualOK {
 		st.Stages++
 		if bidOK {
@@ -76,7 +100,7 @@ func TopK(k int, byBid, byQuality Source, score func(id int) float64) (*topk.Lis
 			if ok {
 				st.SortedAccesses++
 				lastBid = v
-				observe(id)
+				s.observe(id, score, &st)
 			} else {
 				bidOK = false
 			}
@@ -86,7 +110,7 @@ func TopK(k int, byBid, byQuality Source, score func(id int) float64) (*topk.Lis
 			if ok {
 				st.SortedAccesses++
 				lastQual = v
-				observe(id)
+				s.observe(id, score, &st)
 			} else {
 				qualOK = false
 			}
@@ -103,4 +127,18 @@ func TopK(k int, byBid, byQuality Source, score func(id int) float64) (*topk.Lis
 		}
 	}
 	return best, st
+}
+
+// observe completes a newly seen advertiser's score by random access and
+// offers it to the result list.
+func (s *Scratch) observe(id int, score func(id int) float64, st *Stats) {
+	if id >= len(s.seen) {
+		s.seen = append(s.seen, make([]uint32, id+1-len(s.seen))...)
+	}
+	if s.seen[id] == s.epoch {
+		return
+	}
+	s.seen[id] = s.epoch
+	st.RandomAccesses++
+	s.best.Push(topk.Entry{ID: id, Score: score(id)})
 }

@@ -122,6 +122,40 @@ func TestQuickMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestScratchMatchesTopK: one Scratch reused across calls of varying k and
+// universe size, through an epoch wrap, returns what a fresh TopK returns,
+// with the same work counts. Sources are re-aimed with Reset.
+func TestScratchMatchesTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s Scratch
+	var byBid, byQual SliceSource
+	for call := 0; call < 400; call++ {
+		if call == 200 {
+			s.epoch = ^uint32(0) // the next call wraps and must clear stale stamps
+		}
+		n := 1 + rng.Intn(60)
+		k := 1 + rng.Intn(6)
+		bids := make([]float64, n)
+		quals := make([]float64, n)
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+			bids[i] = float64(rng.Intn(5)) // ties exercise the seen set
+			quals[i] = rng.Float64()
+		}
+		score := func(id int) float64 { return bids[id] * quals[id] }
+		bs := sortedSource(ids, func(id int) float64 { return bids[id] })
+		qs := sortedSource(ids, func(id int) float64 { return quals[id] })
+		want, wantSt := TopK(k, &SliceSource{IDs: bs.IDs, Vals: bs.Vals}, &SliceSource{IDs: qs.IDs, Vals: qs.Vals}, score)
+		byBid.Reset(bs.IDs, bs.Vals)
+		byQual.Reset(qs.IDs, qs.Vals)
+		got, gotSt := s.TopK(k, &byBid, &byQual, score)
+		if !got.Equal(want) || gotSt != wantSt {
+			t.Fatalf("call %d (n=%d k=%d): scratch %v %+v, fresh %v %+v", call, n, k, got, gotSt, want, wantSt)
+		}
+	}
+}
+
 // TestInstanceOptimalityShape: with correlated lists (same order), TA stops
 // after about k stages; with anti-correlated lists it may need more — but on
 // correlated inputs sorted accesses must be O(k), independent of n.
