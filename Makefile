@@ -11,11 +11,13 @@ build:
 # skip under the race detector, so they only bind in a non-race run, and
 # -count=1 keeps a cached pass from standing in for one. The third is the
 # same kind of gate on the HTTP edge's codec, the fourth on the plan build
-# (allocations per sharedagg.Build).
+# (allocations per sharedagg.Build), the fifth on the round loop's answer
+# path (less than one allocation per resolve).
 test:
 	$(GO) test ./...
 	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core ./internal/workload ./internal/sharedsort ./internal/budget
 	$(GO) test -count=1 -run 'TestBatchCodecAllocs' ./internal/netserve
+	$(GO) test -count=1 -run 'TestCloseRoundAllocs' ./internal/server
 	$(GO) test -count=1 -run 'TestBuildAllocBudget' ./internal/sharedagg
 
 race:
@@ -46,7 +48,9 @@ bench:
 # random instances, plans and fusion thresholds, and the engine's shared
 # threshold pass at an arbitrary τ against both a τ = +Inf twin, which
 # scores on demand and scans every phrase, and an Independent twin that
-# scores every participant, the click simulator's timing wheel against
+# scores every participant, random interleavings of the engine's Tick and
+# Resolve against a per-phrase sort of each resolve's reference round bids
+# (budgets held, ledger settled), the click simulator's timing wheel against
 # the pending-slice reference, the HTTP edge's hand JSON codec against
 # encoding/json (request bodies; reply bytes and client decoding), the
 # live feed's WebSocket frame reader (no panic, masked and bounded frames,
@@ -61,6 +65,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzScanRun' -fuzztime=10s ./internal/topk
 	$(GO) test -run='^$$' -fuzz='FuzzCompiledRun' -fuzztime=10s ./internal/plan
 	$(GO) test -run='^$$' -fuzz='FuzzThresholdRound' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='FuzzTickResolve' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzClickSim' -fuzztime=10s ./internal/workload
 	$(GO) test -run='^$$' -fuzz='FuzzHTTPBody' -fuzztime=10s ./internal/netserve
 	$(GO) test -run='^$$' -fuzz='FuzzHTTPReply' -fuzztime=10s ./internal/netserve

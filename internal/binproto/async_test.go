@@ -49,7 +49,7 @@ func gatedConfig(depth int, hold <-chan struct{}, entered chan<- struct{}) serve
 	cfg.RoundInterval = time.Hour // only traffic closes rounds
 	cfg.MaxBatch = 1
 	cfg.QueueDepth = depth
-	cfg.BeforeStep = func() {
+	cfg.BeforeResolve = func() {
 		select {
 		case entered <- struct{}{}:
 		default:
@@ -292,7 +292,7 @@ func TestAsyncConformanceSmoke(t *testing.T) {
 	}
 }
 
-// TestDrainHonoursDeadline: with a round held in BeforeStep, Drain stops
+// TestDrainHonoursDeadline: with a round held in BeforeResolve, Drain stops
 // waiting when its ctx ends — it aborts the connection still draining and
 // returns DeadlineExceeded — and once the round is released, the held item
 // completes exactly once and every goroutine the edge started exits. The

@@ -1,8 +1,13 @@
 // Package core is the shared winner-determination engine — the system the
-// paper's techniques compose into. Per round it:
+// paper's techniques compose into. Time and batches are separate calls.
+// Tick opens a round: it syncs the pacer, applies lifecycle events and
 //
 //  1. collects the clicks arriving from earlier rounds and charges budgets
-//     (never above an advertiser's daily budget);
+//     (never above an advertiser's daily budget).
+//
+// Resolve runs one batch of simultaneous auctions in the open round, as
+// often as the caller has a batch; each Resolve
+//
 //  2. computes the round bid of the advertisers taking part in the round's
 //     auctions — either the stated bid (naive policy) or the Section-IV
 //     throttled bid b̂ that accounts for outstanding ads awaiting clicks.
@@ -20,6 +25,8 @@
 //     algorithm for each occurring phrase (sorted.go);
 //  4. prices the winners (first-price / GSP / laddered VCG) and displays
 //     their ads, registering them with the delayed-click simulator.
+//
+// Step is a Tick followed by one Resolve: a round that is one batch.
 //
 // The engine's counters expose exactly the quantities the paper's
 // evaluation cares about: aggregation operations per round, revenue, and
@@ -140,9 +147,9 @@ type Config struct {
 	// pure function see identical click fates, which is what the
 	// equivalence property tests rely on.
 	ClickOutcome workload.OutcomeFunc
-	// Pacer, when non-nil, is the shared online pacing controller: at the
-	// top of every Step the engine syncs it to the round (idempotent across
-	// the shards sharing it), and each advertiser's stated bid is scaled by
+	// Pacer, when non-nil, is the shared online pacing controller: every
+	// Tick syncs it to the round it opens (idempotent across the shards
+	// sharing it), and each advertiser's stated bid is scaled by
 	// its published pacing factor before the budget policy runs — the
 	// throttle knob that makes budgets exhaust smoothly over the configured
 	// horizon instead of front-loading. See budget.Pacer.
@@ -174,19 +181,21 @@ func DefaultConfig() Config {
 // fixed workload.
 //
 // Thread safety: an Engine is single-threaded by contract and does all of a
-// round's work on the calling goroutine. Step, Drain, Stats, Spent, and
-// Close must all be called from one goroutine; more cores serve more shards
-// (package shard), not one engine. A RoundReport's Auctions field views
-// scratch buffers that the next Step overwrites; callers keeping results
-// across rounds must copy them. The server package wraps an Engine in a
-// round loop to provide a concurrent front end.
+// round's work on the calling goroutine. Tick, Resolve, Step, Drain, Stats,
+// Spent, and Close must all be called from one goroutine; more cores serve
+// more shards (package shard), not one engine. A RoundReport's Auctions
+// field views scratch buffers that the next Resolve overwrites; callers
+// keeping results across resolves must copy them. The server package wraps
+// an Engine in a round loop to provide a concurrent front end.
 type Engine struct {
 	cfg Config
 	w   *workload.Workload
 
 	clicks *workload.ClickSim
 	spent  []float64 // realized payments per advertiser
-	round  int
+	// round is the number of Ticks so far: the next round Tick opens. The
+	// open round, the one Resolve runs in, is round − 1.
+	round int
 
 	// active[i] is advertiser i's lifecycle participation flag; lifeCursor
 	// tracks schedule consumption and lifeFn is the pinned event-apply
@@ -195,10 +204,12 @@ type Engine struct {
 	lifeCursor int
 	lifeFn     func(workload.LifecycleEvent)
 
-	// tauQ[q] is phrase q's threshold for its next round: (1 − tauMargin) ×
-	// the score of the last entry of q's run the last time q occurred, +Inf
-	// if that run was empty, 0 before q first occurs. The round's τ is the
-	// minimum over its occurring phrases (shared mode only; nil otherwise).
+	// tauQ[q] is phrase q's threshold for its next resolve: (1 − tauMargin)
+	// × the score of the last entry of q's run the last time q occurred,
+	// +Inf if that run was empty, 0 before q first occurs. A resolve's τ is
+	// the minimum over its occurring phrases (shared mode only; nil
+	// otherwise). It is keyed on nothing but the resolves themselves, so
+	// several resolves in one round each start from the last one's runs.
 	tauQ []float64
 	// tauForced, when non-nil, replaces the round's τ. Only tests set it.
 	tauForced *float64
@@ -217,9 +228,9 @@ type Engine struct {
 // §5 records the sweep it was chosen from.
 const tauMargin = 0.10
 
-// roundScratch holds every per-round buffer Step reuses, so steady-state
-// rounds allocate nothing. RoundReports returned by Step view into these
-// buffers and are valid until the next Step.
+// roundScratch holds every per-resolve buffer Resolve reuses, so
+// steady-state resolves allocate nothing. RoundReports returned by Resolve
+// view into these buffers and are valid until the next Resolve.
 type roundScratch struct {
 	occ []bool
 	// part is the round's participants: the union of the occurring phrases'
@@ -235,8 +246,9 @@ type roundScratch struct {
 	roundBid []float64
 	score    []float64
 	// scoredAt[i] is the epoch in which advertiser i was last scored; epoch
-	// advances once per scoring phase, so the stamp replaces clearing the
-	// two slabs. scored counts the round's stamps.
+	// advances once per resolve's scoring phase, not per round, so the stamp
+	// replaces clearing the two slabs however many resolves a round holds.
+	// scored counts the resolve's stamps.
 	scoredAt []uint32
 	epoch    uint32
 	scored   int
@@ -272,6 +284,7 @@ type throttleScratch struct {
 // wire schema shared by the network tier's /v1/stats endpoint and the
 // WebSocket round feed; renaming one is a breaking API change.
 type Stats struct {
+	// Rounds counts Ticks: rounds of time, however many resolves each held.
 	Rounds           int `json:"rounds"`
 	AuctionsResolved int `json:"auctions_resolved"`
 	// NodesMaterialized counts top-k aggregation operations performed (the
@@ -423,7 +436,8 @@ func (e *Engine) Close() {}
 // Stats returns the accumulated counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Round returns the number of the next round to be stepped.
+// Round returns the number of the next round to be stepped: the number of
+// Ticks so far. Resolve runs in round Round() − 1.
 func (e *Engine) Round() int { return e.round }
 
 // Spent returns how much advertiser i has paid so far through this engine.
@@ -481,25 +495,40 @@ type SlotResult struct {
 	PricePaid  float64 `json:"price_paid"` // per-click price
 }
 
-// RoundReport is the outcome of one engine step. Its Auctions map and
-// Clicks slice view engine-owned scratch buffers that the next Step
-// overwrites; callers that retain a report across rounds must copy what
-// they keep.
+// RoundReport is the outcome of one Step or Resolve. Its Auctions map and
+// Clicks slice view engine-owned scratch buffers that the next Resolve and
+// Tick overwrite; callers that retain a report must copy what they keep.
 type RoundReport struct {
+	// Round is the round the auctions ran in, which several resolves can
+	// share.
 	Round int
 	// Auctions maps occurring phrase → its filled slots.
 	Auctions map[int][]SlotResult
-	// Clicks that arrived this round (from earlier displays).
+	// Clicks that arrived this round (from earlier displays): Step's, from
+	// its Tick. A Resolve's report has none.
 	Clicks []workload.Click
-	// Materialized counts the aggregation operations performed this round
+	// Materialized counts the aggregation operations performed this resolve
 	// (see Stats.NodesMaterialized): in shared mode, the short phrases'
-	// scans only, so 0 in a round that left no phrase short.
+	// scans only, so 0 in a resolve that left no phrase short.
 	Materialized int
 }
 
-// Step advances one round: occurring[q] says whether phrase q's auction
-// runs. Passing nil samples occurrence from the workload's search rates.
+// Step advances one round and resolves its auctions: occurring[q] says
+// whether phrase q's auction runs. Passing nil samples occurrence from the
+// workload's search rates. It is Tick followed by one Resolve, and its
+// report carries both halves: the clicks Tick delivered and the auctions
+// Resolve ran.
 func (e *Engine) Step(occurring []bool) RoundReport {
+	occurring = e.occurrence(occurring)
+	clicks := e.Tick()
+	rep := e.Resolve(occurring)
+	rep.Clicks = clicks
+	return rep
+}
+
+// occurrence returns occurring, or a sample of the workload's search rates
+// when it is nil, and checks its length.
+func (e *Engine) occurrence(occurring []bool) []bool {
 	if occurring == nil {
 		e.scr.occ = e.w.SampleRoundInto(e.scr.occ)
 		occurring = e.scr.occ
@@ -507,9 +536,16 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	if len(occurring) != len(e.w.Interests) {
 		panic(fmt.Sprintf("core: %d occurrence flags for %d phrases", len(occurring), len(e.w.Interests)))
 	}
-	clear(e.scr.auctions)
-	rep := RoundReport{Round: e.round, Auctions: e.scr.auctions}
+	return occurring
+}
 
+// Tick advances time by one round: it opens round Round() and returns the
+// clicks that arrived in it, which view a buffer the next Tick overwrites.
+// Everything that ages with time happens here and nowhere else: the pacer's
+// sync, lifecycle events, click delivery and charging. Resolve runs the
+// round's auctions, as many batches of them as the caller likes; a round
+// with no traffic is a Tick alone.
+func (e *Engine) Tick() []workload.Click {
 	// 0. Round-boundary control plane: sync the shared pacing controller
 	// (first engine to reach this round steps it from spend settled through
 	// the previous round — before any of this round's charges land) and
@@ -525,8 +561,8 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 	// shared ledger the admit/forgive decision is its atomic TryCharge
 	// (reserve and settle in one CAS); e.spent then tracks this engine's
 	// share of the global spend.
-	rep.Clicks = e.clicks.Advance(e.round)
-	for _, c := range rep.Clicks {
+	clicks := e.clicks.Advance(e.round)
+	for _, c := range clicks {
 		var charged bool
 		if e.cfg.Ledger != nil {
 			charged = e.cfg.Ledger.TryCharge(c.Advertiser, c.Price)
@@ -542,6 +578,26 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 			e.stats.ForgivenValue += c.Price
 		}
 	}
+	e.stats.Rounds++
+	e.round++
+	return clicks
+}
+
+// Resolve runs one batch of simultaneous auctions in the round the last
+// Tick opened, Round() − 1: occurring[q] says whether phrase q's auction
+// runs, and nil samples occurrence from the search rates. Any number of
+// Resolves may share a round. Each scores its own participants, so a later
+// batch sees the ads an earlier one displayed as outstanding, and each
+// moves the thresholds the next batch starts from. The report's Clicks is
+// empty: clicks arrive with Tick. Resolve panics before the first Tick.
+func (e *Engine) Resolve(occurring []bool) RoundReport {
+	if e.round == 0 {
+		panic("core: Resolve before the first Tick")
+	}
+	occurring = e.occurrence(occurring)
+	now := e.round - 1
+	clear(e.scr.auctions)
+	rep := RoundReport{Round: now, Auctions: e.scr.auctions}
 
 	// 2. The participants' round bids under the budget policy.
 	e.scoreParticipants(occurring)
@@ -589,7 +645,7 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 			if ctr > 1 {
 				ctr = 1
 			}
-			e.clicks.Display(adv.ID, prices[j], ctr, e.round)
+			e.clicks.Display(adv.ID, prices[j], ctr, now)
 			e.stats.AdsDisplayed++
 			slots = append(slots, SlotResult{Slot: j, Advertiser: adv.ID, PricePaid: prices[j]})
 		}
@@ -601,8 +657,6 @@ func (e *Engine) Step(occurring []bool) RoundReport {
 
 	e.stats.NodesMaterialized += rep.Materialized
 	e.stats.Scored += e.scr.scored
-	e.stats.Rounds++
-	e.round++
 	return rep
 }
 
@@ -792,12 +846,11 @@ func (e *Engine) run(q int) []topk.Entry {
 	return e.scr.runs[q*k1:][:e.scr.runLen[q]]
 }
 
-// Drain advances rounds with no occurring auctions until every pending
-// click has resolved, so end-of-day accounting is complete.
+// Drain ticks rounds with no auctions until every pending click has
+// resolved, so end-of-day accounting is complete.
 func (e *Engine) Drain() {
-	none := make([]bool, len(e.w.Interests))
 	for e.clicks.PendingCount() > 0 {
-		e.Step(none)
+		e.Tick()
 	}
 }
 
@@ -836,11 +889,14 @@ func (e *Engine) scanPhrase(q int) (materialized int) {
 	return max(members-1, 0)
 }
 
-// throttledBid computes advertiser i's Section-IV bid b̂_i for this round
+// throttledBid computes advertiser i's Section-IV bid b̂_i for this resolve
 // from its effective stated bid (already pacing-scaled) and its positive
-// remaining budget. It reads only i's outstanding ads, in display order.
+// remaining budget. It reads only i's outstanding ads, in display order, at
+// the open round, so ads an earlier resolve of the round displayed count at
+// age 0. m_i is i's auctions in this resolve (DESIGN.md, "Time vs
+// batches").
 func (e *Engine) throttledBid(i int, bid, remaining float64, occurring []bool) float64 {
-	ads := e.clicks.AppendOutstanding(e.tscr.ads[:0], i, e.round)
+	ads := e.clicks.AppendOutstanding(e.tscr.ads[:0], i, e.round-1)
 	e.tscr.ads = ads
 	omega := 0.0
 	for _, a := range ads {

@@ -235,3 +235,76 @@ func TestStepSteadyStateZeroAllocPaced(t *testing.T) {
 		t.Fatal("pacing never engaged — the zero-alloc claim did not cover the controller's active path")
 	}
 }
+
+// TestTickResolveSteadyStateZeroAlloc holds the split calls to the same
+// guarantee as Step: with several resolves per round, a steady-state Tick
+// (pacer sync, click delivery and charges) and a steady-state Resolve each
+// allocate nothing, with a ledger and a binding pacer attached, under both
+// policies.
+func TestTickResolveSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	for _, policy := range []BudgetPolicy{Naive, Throttled} {
+		t.Run(policy.String(), func(t *testing.T) {
+			wcfg := workload.DefaultConfig()
+			wcfg.NumAdvertisers = 300
+			wcfg.NumPhrases = 24
+			wcfg.MinBudget = 1e6 // never exhausts: keeps the display load steady
+			wcfg.MaxBudget = 2e6
+			w := workload.Generate(wcfg)
+			budgets := make([]float64, len(w.Advertisers))
+			for i, a := range w.Advertisers {
+				budgets[i] = a.Budget
+			}
+			ledger := budget.NewLedger(budgets)
+			pcfg := budget.DefaultPacerConfig()
+			pcfg.Horizon = 1e6 // target curve binds: the controller actively throttles
+			pacer, err := budget.NewPacer(ledger, budgets, pcfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Policy = policy
+			cfg.ThrottleEnumLimit = 3
+			cfg.Ledger, cfg.Pacer = ledger, pacer
+			eng, err := New(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Three batches per round, each a different third of the phrases.
+			occs := make([][]bool, 3)
+			for b := range occs {
+				occs[b] = make([]bool, wcfg.NumPhrases)
+				for q := range occs[b] {
+					occs[b][q] = q%3 == b
+				}
+			}
+			round := func() {
+				eng.Tick()
+				for _, occ := range occs {
+					eng.Resolve(occ)
+				}
+			}
+			for i := 0; i < 300; i++ {
+				round()
+			}
+			if avg := testing.AllocsPerRun(200, func() { eng.Tick() }); avg != 0 {
+				t.Fatalf("steady-state Tick allocates %v times, want 0", avg)
+			}
+			b := 0
+			if avg := testing.AllocsPerRun(200, func() {
+				if b%3 == 0 {
+					eng.Tick()
+				}
+				eng.Resolve(occs[b%3])
+				b++
+			}); avg != 0 {
+				t.Fatalf("steady-state Resolve allocates %v times, want 0", avg)
+			}
+			if st := eng.Stats(); st.ClicksCharged == 0 || st.AdsDisplayed == 0 {
+				t.Fatalf("stats %+v: the run charged or displayed nothing", st)
+			}
+		})
+	}
+}

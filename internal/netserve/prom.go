@@ -53,15 +53,15 @@ func writeProm(w io.Writer, m server.Metrics, edge edgeStats) {
 	promCounter(w, "sharedwd_answered_total", "Queries answered with an auction outcome.", float64(m.Answered))
 	promCounter(w, "sharedwd_unmatched_total", "Queries matching no bid phrase (no auction ran).", float64(m.Unmatched))
 	promCounter(w, "sharedwd_shed_total", "Queries shed by admission-queue backpressure.", float64(m.Shed))
-	promCounter(w, "sharedwd_timed_out_total", "Queries whose deadline expired before their round closed.", float64(m.TimedOut))
-	promCounter(w, "sharedwd_expired_total", "Admitted queries abandoned by their caller before the round closed.", float64(m.Expired))
+	promCounter(w, "sharedwd_timed_out_total", "Admitted queries whose blocking caller left before their batch closed.", float64(m.TimedOut))
+	promCounter(w, "sharedwd_expired_total", "Admitted queries whose deadline passed before their batch closed.", float64(m.Expired))
 
 	promGauge(w, "sharedwd_queue_depth", "Current admission-queue occupancy summed across workers.", float64(m.QueueDepth))
 	promGauge(w, "sharedwd_queue_cap", "Admission-queue capacity summed across workers.", float64(m.QueueCap))
 
-	promCounter(w, "sharedwd_rounds_total", "Engine rounds closed across workers.", float64(m.Rounds))
-	promCounter(w, "sharedwd_empty_rounds_total", "Rounds closed with no live request (zero-traffic ticks).", float64(m.EmptyRounds))
-	promGauge(w, "sharedwd_rounds_per_sec", "Lifetime round rate.", m.RoundsPerSec)
+	promCounter(w, "sharedwd_rounds_total", "Batches resolved plus ticks with nothing pending, across workers.", float64(m.Rounds))
+	promCounter(w, "sharedwd_empty_rounds_total", "Closes that answered no request (zero-traffic ticks).", float64(m.EmptyRounds))
+	promGauge(w, "sharedwd_rounds_per_sec", "Lifetime close rate (batches resolved plus empty ticks).", m.RoundsPerSec)
 	promGauge(w, "sharedwd_queries_per_sec", "Lifetime answered-query rate.", m.QueriesPerSec)
 
 	promSummary(w, "sharedwd_admission_wait_seconds", "Time spent in the admission queue.", m.AdmissionWait)

@@ -305,28 +305,39 @@ func TestSubmitAsync(t *testing.T) {
 }
 
 // TestSubmitAsyncDeadline pins the async deadline semantics: an admitted
-// item whose deadline passes before its round closes is answered with
-// context.DeadlineExceeded (at the next round close, not never).
+// item whose deadline passes before its batch is resolved is answered with
+// context.DeadlineExceeded at the next close, not never. The gate holds the
+// loop in another request's resolve while the item's deadline passes.
 func TestSubmitAsyncDeadline(t *testing.T) {
 	cfg := testConfig()
-	cfg.RoundInterval = 40 * time.Millisecond
-	cfg.MaxBatch = 0 // only the ticker closes rounds
+	cfg.RoundInterval = time.Hour
+	cfg.MaxBatch = 0
+	entered, release := holdFirstResolve(&cfg)
+	defer release()
 	w := testWorkload(t)
 	s, err := New(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	blocker := submitBlocker(t, s, w.PhraseNames[1], entered)
 
 	cc := newCollectComp(1)
+	deadline := time.Now().Add(time.Millisecond)
 	s.SubmitAsync([]AsyncItem{{
 		Query:    w.PhraseNames[0],
-		Deadline: time.Now().Add(time.Millisecond),
+		Deadline: deadline,
 		Done:     cc,
 	}})
+	time.Sleep(time.Until(deadline) + time.Millisecond)
+	release()
 	cc.wg.Wait()
+	blocker.wg.Wait()
 	if !errors.Is(cc.errs[0], context.DeadlineExceeded) {
 		t.Fatalf("expired async item: %v, want DeadlineExceeded", cc.errs[0])
+	}
+	if blocker.errs[0] != nil {
+		t.Fatalf("blocker: %v", blocker.errs[0])
 	}
 }
 
@@ -375,7 +386,7 @@ func TestSubmitAsyncOverload(t *testing.T) {
 	cfg.RoundInterval = time.Hour
 	cfg.MaxBatch = 1
 	cfg.QueueDepth = 1
-	cfg.BeforeStep = func() {
+	cfg.BeforeResolve = func() {
 		entered <- struct{}{}
 		<-hold
 	}

@@ -60,7 +60,7 @@ type AsyncItem struct {
 	Query string
 	// Deadline bounds how long the item may wait for a round; zero means
 	// no deadline. An expired item is answered with
-	// context.DeadlineExceeded at the next round close.
+	// context.DeadlineExceeded when the batch it waits in closes.
 	Deadline time.Time
 	// Done receives the outcome, exactly once.
 	Done Completion

@@ -11,19 +11,23 @@ import (
 // single lock, and so the loop can drain a burst without a per-element
 // select.
 //
-// The design is a Vyukov bounded queue — per-slot sequence numbers make
-// publish/consume a pair of atomic stores with no spinning on the happy
-// path — plus an explicit occupancy gate so the *logical* capacity is
-// exactly the configured QueueDepth even though the slot array is rounded
-// up to a power of two for cheap masking. The gate can only over-estimate
-// occupancy (head is monotonic), so the ring never admits beyond capacity;
-// with a stalled consumer the shed onset is exact, which the queue-full
-// lifecycle and soak tests depend on.
+// Producers claim a position with one CAS on tail and then publish the
+// request into its slot; the consumer takes the slot at head once it is
+// non-nil, clears it and advances head. An explicit occupancy gate keeps
+// the *logical* capacity exactly the configured QueueDepth even though the
+// slot array is rounded up to a power of two for cheap masking. The gate
+// can only over-estimate occupancy (head is monotonic), so the ring never
+// admits beyond capacity; with a stalled consumer the shed onset is exact,
+// which the queue-full lifecycle and soak tests depend on. The gate is
+// also what makes a slot free when a producer claims it: position pos is
+// claimed only once head > pos − len(slots), and the consumer clears a slot
+// before it advances head past it. So a slot is one pointer, nil when
+// empty, with no sequence word beside it.
 //
 // Thread safety: any number of goroutines may push; exactly one goroutine
 // (the round loop) may pop. length and capacity are safe anywhere.
 type intakeRing struct {
-	slots []intakeSlot
+	slots []atomic.Pointer[request]
 	mask  uint64
 	cap   uint64 // logical capacity: the configured QueueDepth
 
@@ -31,11 +35,6 @@ type intakeRing struct {
 	tail atomic.Uint64
 	_    [64]byte
 	head atomic.Uint64
-}
-
-type intakeSlot struct {
-	seq atomic.Uint64
-	req *request
 }
 
 // newIntakeRing builds a ring with logical capacity depth (≥ 1). The slot
@@ -46,15 +45,11 @@ func newIntakeRing(depth int) *intakeRing {
 	for n < depth {
 		n <<= 1
 	}
-	r := &intakeRing{
-		slots: make([]intakeSlot, n),
+	return &intakeRing{
+		slots: make([]atomic.Pointer[request], n),
 		mask:  uint64(n - 1),
 		cap:   uint64(depth),
 	}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r
 }
 
 // push enqueues req, returning false when the ring already holds cap
@@ -78,20 +73,9 @@ func (r *intakeRing) push(req *request) bool {
 			}
 			continue
 		}
-		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
-		if seq == pos {
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				slot.req = req
-				slot.seq.Store(pos + 1)
-				return true
-			}
-		} else if seq < pos {
-			// The slot still holds an unconsumed request from a previous
-			// lap. The occupancy gate makes this unreachable (physical
-			// slots ≥ logical capacity), but shed rather than spin if an
-			// invariant ever breaks.
-			return false
+		if r.tail.CompareAndSwap(pos, pos+1) {
+			r.slots[pos&r.mask].Store(req)
+			return true
 		}
 		// Another producer claimed pos first; retry with a fresh tail.
 	}
@@ -103,12 +87,11 @@ func (r *intakeRing) push(req *request) bool {
 func (r *intakeRing) pop() *request {
 	pos := r.head.Load()
 	slot := &r.slots[pos&r.mask]
-	if slot.seq.Load() != pos+1 {
+	req := slot.Load()
+	if req == nil {
 		return nil
 	}
-	req := slot.req
-	slot.req = nil
-	slot.seq.Store(pos + uint64(len(r.slots)))
+	slot.Store(nil)
 	r.head.Store(pos + 1)
 	return req
 }

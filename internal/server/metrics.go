@@ -105,17 +105,22 @@ type Metrics struct {
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
 
-	// Rounds counts engine rounds closed across workers; EmptyRounds those
-	// with no live request (zero-traffic ticks). RoundsPerSec and
-	// QueriesPerSec are lifetime rates over Uptime.
+	// Rounds counts closes across workers: every resolved batch, plus every
+	// tick that found nothing pending. EmptyRounds counts the closes that
+	// answered no request: those ticks, and the rare batch whose every
+	// request had expired or been abandoned. With batches resolved as soon
+	// as a loop is idle, one engine round (Engine.Rounds counts those) can
+	// hold many closes. RoundsPerSec and QueriesPerSec are lifetime rates
+	// over Uptime.
 	Rounds        int64   `json:"rounds"`
 	EmptyRounds   int64   `json:"empty_rounds"`
 	RoundsPerSec  float64 `json:"rounds_per_sec"`
 	QueriesPerSec float64 `json:"queries_per_sec"`
 
 	// Per-stage latency (seconds): time in the admission queue, time
-	// waiting for the round to close, winner-determination time per
-	// non-empty round, and total submit-to-answer latency.
+	// waiting for the batch to close, winner-determination time
+	// (Engine.Resolve) per resolved batch, and total submit-to-answer
+	// latency.
 	AdmissionWait       LatencyDist `json:"admission_wait"`
 	RoundWait           LatencyDist `json:"round_wait"`
 	WinnerDetermination LatencyDist `json:"winner_determination"`

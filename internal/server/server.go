@@ -8,15 +8,26 @@
 // The serving unit is Worker: one bounded admission queue feeding one
 // round loop pinned to one single-goroutine core.Engine:
 //
-//	callers ──SubmitAsync──▶ bounded admission queue ──▶ round loop ──▶ Engine.Step
-//	   ▲                          (shed when full)          │
+//	callers ──SubmitAsync──▶ bounded admission queue ──▶ round loop ──▶ Engine.Resolve
+//	   ▲                          (shed when full)          │    ticker ──▶ Engine.Tick
 //	   └──────────── per-item Completion ◀──────────────────┘
+//
+// Time and batches are separate. The RoundInterval ticker is the clock:
+// each tick advances the engine's round (Engine.Tick: pacer sync, lifecycle
+// events, delayed clicks and their charges) and walks the bids. A batch is
+// whatever the loop holds when it falls idle: the loop drains the queue,
+// yields once, and resolves (Engine.Resolve) as soon as a yield brings
+// nothing new, or at once when MaxBatch requests are pending. So a request
+// is answered as soon as the loop is free, not at the next tick, and
+// several batches can share one round. A tick resolves whatever is pending
+// with it, so a loop that never falls idle still answers within one
+// interval.
 //
 // Server is the single-engine front end over one worker: raw query strings
 // are admitted concurrently, mapped to bid phrases with workload.Matcher,
-// and batched until the round closes — on a ticker or when MaxBatch
-// requests are pending, whichever first. The shard package runs one worker
-// per engine shard behind the same contract to scale across cores.
+// and resolved in the batch the loop closes next. The shard package runs
+// one worker per engine shard behind the same contract to scale across
+// cores.
 // Backpressure is ErrOverloaded when the queue is full; per-request
 // deadlines come from context.Context. Close stops admission, resolves
 // in-flight requests in a final round, drains the engine's outstanding
@@ -26,7 +37,7 @@
 // per-stage latency distributions with exact means and histogram quantiles
 // — which merges across workers (Metrics.Merge) into fleet-wide views and
 // carries the stable snake_case JSON schema the network tier serves.
-// Config.OnRound additionally streams one RoundSummary per non-empty round
+// Config.OnRound additionally streams one RoundSummary per non-empty batch
 // to a live feed (the netserve WebSocket hub subscribes through it).
 //
 // Thread safety: Server is safe for concurrent use — any number of
@@ -53,32 +64,36 @@ type Config struct {
 	// Engine configures the wrapped winner-determination engine, which
 	// NewWorker builds once for the worker's whole life.
 	Engine core.Config
-	// RoundInterval is the ticker period at which rounds close regardless of
-	// batch size — the latency/sharing tradeoff knob of the paper's §I.
-	// Longer rounds batch more simultaneous auctions (more sharing) at the
-	// cost of queries waiting longer for their round. It also sets the
-	// latency histograms' upper bound, 10× RoundInterval: slower
-	// observations are clamped into the top bucket, biasing high quantiles
-	// toward the bound.
+	// RoundInterval is the engine's clock: every tick advances its round,
+	// which ages outstanding ads, delivers delayed clicks, syncs the pacer
+	// and applies lifecycle events, and it walks the bids. Batches do not
+	// wait for it — the loop resolves whatever it holds as soon as it is
+	// idle — but a tick also resolves whatever is pending, so it bounds how
+	// long a busy loop can hold a request. It also sets the latency
+	// histograms' upper bound, 10× RoundInterval: slower observations are
+	// clamped into the top bucket, biasing high quantiles toward the bound.
 	RoundInterval time.Duration
-	// MaxBatch closes the round early once this many requests are pending,
-	// bounding worst-case latency under load. 0 disables the size threshold
-	// (rounds close only on the ticker).
+	// MaxBatch closes a batch at once when this many requests are pending,
+	// bounding batch size under load. 0 disables the size threshold
+	// (batches close when the loop is idle, or at the next tick).
 	MaxBatch int
 	// QueueDepth bounds the admission queue; a Submit arriving when the
 	// queue holds QueueDepth requests is shed with ErrOverloaded.
 	QueueDepth int
 	// BidWalkScale, when positive, applies one step of the workload's
-	// multiplicative bid random walk after every round, modeling the
-	// automated bidding programs the paper assumes run between rounds.
+	// multiplicative bid random walk at every tick, modeling the automated
+	// bidding programs the paper assumes run between rounds. Bids drift
+	// with time, not with batches.
 	BidWalkScale float64
 
-	// BeforeStep, when set, runs on the round loop immediately before each
-	// non-empty Engine.Step. It is test instrumentation: blocking in it
-	// makes the loop dwell, so admission-queue backpressure and shutdown
-	// under full queues can be exercised deterministically (see the soak
-	// tests). Leave nil in production configurations.
-	BeforeStep func()
+	// BeforeResolve, when set, runs on the round loop immediately before
+	// each Engine.Resolve, which only a batch with a live request runs. It
+	// is test instrumentation: blocking in it makes the loop dwell, so
+	// admission-queue backpressure, deadlines passing while a request
+	// waits, and shutdown under full queues can be exercised
+	// deterministically (see the soak tests). Leave nil in production
+	// configurations.
+	BeforeResolve func()
 
 	// ShardID labels the RoundSummary events this worker emits (the sharded
 	// server numbers its workers); it does not affect serving. 0 for a
@@ -86,9 +101,9 @@ type Config struct {
 	ShardID int
 
 	// OnRound, when set, is called on the round loop goroutine after every
-	// non-empty round closes, with that round's summary. It feeds live
+	// non-empty batch closes, with that batch's summary. It feeds live
 	// dashboards (the network tier's WebSocket hub subscribes here). The
-	// callback runs between rounds, so it must be fast and must never
+	// callback runs between batches, so it must be fast and must never
 	// block; hand the summary off to a buffered channel or drop it.
 	OnRound func(RoundSummary)
 
@@ -103,22 +118,23 @@ type Config struct {
 	Pacing *budget.PacerConfig
 }
 
-// RoundSummary is the per-round event the round loop publishes through
-// Config.OnRound: which round just closed on which shard, how much traffic
-// it carried, and the worker's running totals a live dashboard wants next
-// to it. The snake_case JSON tags are the WebSocket round feed's wire
+// RoundSummary is the per-batch event the round loop publishes through
+// Config.OnRound: which batch just closed in which round on which shard,
+// how much traffic it carried, and the worker's running totals a live
+// dashboard wants next to it. The snake_case JSON tags are the WebSocket round feed's wire
 // schema. Latency quantiles are in seconds, over the worker's lifetime
 // total-latency distribution (matching Metrics.TotalLatency).
 type RoundSummary struct {
 	// Shard is the emitting worker's Config.ShardID.
 	Shard int `json:"shard"`
-	// Round is the engine round that just closed (shard-local).
+	// Round is the engine round the batch was resolved in (shard-local);
+	// several batches can share one round.
 	Round int `json:"round"`
-	// Queries is the number of live queries answered in this round;
+	// Queries is the number of live queries answered in this batch;
 	// Expired the abandoned ones skipped (context already done).
 	Queries int `json:"queries"`
 	Expired int `json:"expired"`
-	// Shed is the worker's cumulative admission-shed count at round close.
+	// Shed is the worker's cumulative admission-shed count at batch close.
 	Shed int64 `json:"shed"`
 	// P50 and P95 are the worker's lifetime total-latency quantiles
 	// (seconds) as of this round.
@@ -171,14 +187,16 @@ type Result struct {
 	// Shard is the engine shard that served the query; always 0 on the
 	// single-engine Server.
 	Shard int
-	// Round is the engine round that resolved the auction (shard-local
-	// under sharding: each shard counts its own rounds).
+	// Round is the engine round the auction was resolved in: the tick,
+	// which several batches — and so several auctions of one phrase — can
+	// share. It is shard-local under sharding: each shard counts its own
+	// rounds.
 	Round int
 	// Slots is the auction's slot assignment with per-click prices; empty
 	// when no advertiser placed a positive effective bid.
 	Slots []core.SlotResult
 	// AdmissionWait is time spent in the admission queue; RoundWait is time
-	// waiting for the round to close after dequeue; Latency is the total
+	// waiting for the batch to close after dequeue; Latency is the total
 	// Submit-to-answer duration including winner determination.
 	AdmissionWait, RoundWait, Latency time.Duration
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,6 +119,102 @@ func TestServerServesQueries(t *testing.T) {
 	}
 }
 
+// TestIdleWorkerAnswersWithoutTick: with an hour-long round interval and no
+// batch threshold, only the idle loop's resolve can answer a Submit. It
+// must answer at once, with the slots a fresh engine gives when it resolves
+// that phrase alone in its first round.
+func TestIdleWorkerAnswersWithoutTick(t *testing.T) {
+	cfg := testConfig()
+	cfg.RoundInterval = time.Hour
+	cfg.MaxBatch = 0
+	w := testWorkload(t)
+	s, err := New(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	twin, err := core.New(testWorkload(t), cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = 4
+	occ := make([]bool, len(w.PhraseNames))
+	occ[q] = true
+	twin.Tick()
+	want := twin.Resolve(occ).Auctions[q]
+	if len(want) == 0 {
+		t.Fatalf("phrase %d fills no slot", q)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	res, err := s.Submit(ctx, w.PhraseNames[q])
+	if err != nil {
+		t.Fatalf("Submit without a tick: %v", err)
+	}
+	if res.Round != 0 || !slices.Equal(res.Slots, want) {
+		t.Fatalf("round %d slots %v, want round 0 slots %v", res.Round, res.Slots, want)
+	}
+	if m := closeAndCheckAccounting(t, s); m.Answered != 1 || m.Rounds != 1 || m.EmptyRounds != 0 {
+		t.Fatalf("Answered %d, Rounds %d, EmptyRounds %d, want 1, 1 and 0", m.Answered, m.Rounds, m.EmptyRounds)
+	}
+}
+
+// TestIdleTicksSettleClicks: ticks with no traffic still deliver the clicks
+// of ads displayed earlier and charge them, until the ledger has settled
+// every one. Every ad is clicked ClickHorizon − 1 ticks after its display,
+// so no click can arrive while the burst is being answered.
+func TestIdleTicksSettleClicks(t *testing.T) {
+	cfg := testConfig()
+	cfg.RoundInterval = 5 * time.Millisecond
+	cfg.MaxBatch = 0
+	cfg.Engine.ClickHorizon = 8
+	delay := cfg.Engine.ClickHorizon - 1
+	cfg.Engine.ClickOutcome = func(int, float64, float64, int) (bool, int) { return true, delay }
+	w := testWorkload(t)
+	budgets := make([]float64, len(w.Advertisers))
+	for i := range w.Advertisers {
+		w.Advertisers[i].Budget = 1e9
+		budgets[i] = 1e9
+	}
+	ledger := budget.NewLedger(budgets)
+	cfg.Engine.Ledger = ledger
+	s, err := New(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, errs := SubmitBatch(context.Background(), s, w.PhraseNames); errors.Join(errs...) != nil {
+		t.Fatal(errors.Join(errs...))
+	}
+	m0 := s.Metrics()
+	if m0.Engine.AdsDisplayed == 0 {
+		t.Fatal("the burst displayed no ad")
+	}
+	// Wait out the click delay with no traffic: only ticks run.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		m := s.Metrics()
+		if m.Engine.ClicksCharged == m0.Engine.AdsDisplayed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("charged %d of %d clicks after %d rounds", m.Engine.ClicksCharged, m0.Engine.AdsDisplayed, m.Engine.Rounds)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m := s.Metrics()
+	if m.Engine.Rounds < m0.Engine.Rounds+delay || m.EmptyRounds < int64(delay) {
+		t.Fatalf("rounds %d → %d, %d empty: the clicks came without idle ticks", m0.Engine.Rounds, m.Engine.Rounds, m.EmptyRounds)
+	}
+	if m0.Engine.ClicksCharged != 0 {
+		t.Fatalf("%d clicks charged while the burst was answered", m0.Engine.ClicksCharged)
+	}
+	if settled := ledger.TotalSpent(); math.Abs(settled-m.Engine.Revenue) > 1e-9*max(1, settled) || settled == 0 {
+		t.Fatalf("ledger settled %v, revenue %v", settled, m.Engine.Revenue)
+	}
+}
+
 // closeAndCheckAccounting closes the server and asserts the ROADMAP
 // invariant on what it leaves behind: every submitted query was counted
 // under exactly one outcome.
@@ -131,6 +229,38 @@ func closeAndCheckAccounting(t *testing.T, s *Server) Metrics {
 	return m
 }
 
+// holdFirstResolve arms cfg's BeforeResolve as a gate: the first resolve
+// signals entered and then blocks until release, which is idempotent. A
+// request submitted while the loop is held waits in the ring for as long
+// as the test likes, since the loop would otherwise resolve it at once.
+func holdFirstResolve(cfg *Config) (entered <-chan struct{}, release func()) {
+	in := make(chan struct{}, 1)
+	hold := make(chan struct{})
+	var once sync.Once
+	cfg.BeforeResolve = func() {
+		once.Do(func() {
+			in <- struct{}{}
+			<-hold
+		})
+	}
+	return in, sync.OnceFunc(func() { close(hold) })
+}
+
+// submitBlocker submits query asynchronously and waits until the round
+// loop is held in its resolve; the blocker is answered once the gate
+// opens.
+func submitBlocker(t *testing.T, s *Server, query string, entered <-chan struct{}) *collectComp {
+	t.Helper()
+	cc := newCollectComp(1)
+	s.SubmitAsync([]AsyncItem{{Query: query, Done: cc}})
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the round loop never resolved the blocker")
+	}
+	return cc
+}
+
 // TestServerLifecycle covers the failure-mode table: per-request deadlines,
 // queue-full shedding, shutdown with in-flight requests, zero-traffic
 // ticks, unmatched queries, and submission after Close. Every case ends
@@ -138,37 +268,48 @@ func closeAndCheckAccounting(t *testing.T, s *Server) Metrics {
 func TestServerLifecycle(t *testing.T) {
 	t.Run("deadline exceeded", func(t *testing.T) {
 		cfg := testConfig()
-		cfg.RoundInterval = time.Hour // rounds effectively never close
+		cfg.RoundInterval = time.Hour
 		cfg.MaxBatch = 0
-		s, err := New(testWorkload(t), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		defer cancel()
-		_, err = s.Submit(ctx, "topic0/phrase-0")
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("Submit = %v, want DeadlineExceeded", err)
-		}
-		// The outcome is counted where the request is dropped — at the
-		// round the final drain closes — and counted once: the caller had
-		// left, so it timed out; it did not also expire.
-		if m := closeAndCheckAccounting(t, s); m.TimedOut != 1 || m.Expired != 0 {
-			t.Fatalf("TimedOut = %d, Expired = %d, want 1 and 0", m.TimedOut, m.Expired)
-		}
-	})
-
-	t.Run("canceled caller returns before its round", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.RoundInterval = time.Hour // no round closes while the caller waits
-		cfg.MaxBatch = 0
+		entered, release := holdFirstResolve(&cfg)
+		defer release()
 		w := testWorkload(t)
 		s, err := New(w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		blocker := submitBlocker(t, s, w.PhraseNames[1], entered)
+		// The loop dwells in the blocker's resolve: the request waits in
+		// the ring past its deadline, and its caller leaves.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		_, err = s.Submit(ctx, "topic0/phrase-0")
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Submit = %v, want DeadlineExceeded", err)
+		}
+		release()
+		blocker.wg.Wait()
+		// The outcome is counted where the request is dropped — at the
+		// next close, after the gate opens — and counted once: the caller
+		// had left, so it timed out; it did not also expire.
+		if m := closeAndCheckAccounting(t, s); m.TimedOut != 1 || m.Expired != 0 || m.Answered != 1 {
+			t.Fatalf("TimedOut = %d, Expired = %d, Answered = %d, want 1, 0 and 1 (the blocker)", m.TimedOut, m.Expired, m.Answered)
+		}
+	})
+
+	t.Run("canceled caller returns before its round", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.RoundInterval = time.Hour
+		cfg.MaxBatch = 0
+		entered, release := holdFirstResolve(&cfg)
+		defer release()
+		w := testWorkload(t)
+		s, err := New(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		blocker := submitBlocker(t, s, w.PhraseNames[5], entered)
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(5*time.Millisecond, cancel)
 		start := time.Now()
@@ -181,8 +322,10 @@ func TestServerLifecycle(t *testing.T) {
 				t.Fatalf("item %d = %v, want Canceled", i, err)
 			}
 		}
-		if m := closeAndCheckAccounting(t, s); m.TimedOut != 3 || m.Answered != 0 {
-			t.Fatalf("TimedOut = %d, Answered = %d, want 3 and 0", m.TimedOut, m.Answered)
+		release()
+		blocker.wg.Wait()
+		if m := closeAndCheckAccounting(t, s); m.TimedOut != 3 || m.Answered != 1 {
+			t.Fatalf("TimedOut = %d, Answered = %d, want 3 and 1 (the blocker)", m.TimedOut, m.Answered)
 		}
 	})
 
@@ -193,7 +336,7 @@ func TestServerLifecycle(t *testing.T) {
 		cfg.RoundInterval = time.Hour
 		cfg.MaxBatch = 1 // first admitted request closes a round immediately
 		cfg.QueueDepth = 1
-		cfg.BeforeStep = func() {
+		cfg.BeforeResolve = func() {
 			entered <- struct{}{}
 			<-hold
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,9 +78,6 @@ type Worker struct {
 	closing   chan struct{}
 	loopDone  chan struct{}
 	closeOnce sync.Once
-	// draining, once set by BeginDrain, makes the loop close a round as
-	// soon as it holds a request instead of waiting for the ticker.
-	draining atomic.Bool
 
 	// Outcome counters. Every submitted request is counted under exactly
 	// one outcome: shed at admission, or answered, timedOut or expired by
@@ -88,8 +86,8 @@ type Worker struct {
 	submitted atomic.Int64
 	shed      atomic.Int64
 	answered  atomic.Int64
-	timedOut  atomic.Int64 // dropped at round close: the blocking caller had left
-	expired   atomic.Int64 // dropped at round close: the deadline had passed
+	timedOut  atomic.Int64 // dropped at batch close: the blocking caller had left
+	expired   atomic.Int64 // dropped at batch close: the deadline had passed
 
 	// Loop-owned observability, guarded by mu for Metrics.
 	mu            sync.Mutex
@@ -110,14 +108,46 @@ type Worker struct {
 	// requests can be recycled the moment they are answered, with the
 	// histogram updates following off the scratch copy. Loop-owned.
 	latScratch []latSample
+
+	// slab is the slot slab closeRound copies answered phrases' slots
+	// into. Each resolve appends its copies and hands out capped
+	// sub-slices, so a Result's Slots aliases neither engine scratch nor
+	// another phrase's slots, and a new slab is allocated only when the
+	// rest of its capacity cannot hold a resolve: allocations follow slots
+	// answered, not resolves. slotAt[q] is where phrase q's copy sits in
+	// it, valid when its epoch is the resolve's. Loop-owned.
+	slab      []core.SlotResult
+	slotAt    []slotSpan
+	slotEpoch uint32
 }
 
 type latSample struct{ adm, rw, lat float64 }
+
+// slotSpan is slab[lo:hi], phrase q's slots in the resolve numbered epoch.
+type slotSpan struct {
+	epoch  uint32
+	lo, hi int32
+}
+
+// slabSlots is the slot capacity of a fresh slab: the answers of tens of
+// resolves at a handful of slots each, in one allocation. A result a
+// caller keeps pins its slab, so it stays small.
+const slabSlots = 256
 
 // NewWorker builds the engine for the workload and starts the round loop.
 // The worker takes ownership of the workload: the caller must not mutate or
 // step it while the worker runs. Close must be called to release the loop.
 func NewWorker(w *workload.Workload, cfg Config) (*Worker, error) {
+	wk, err := newWorker(w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	go wk.loop()
+	return wk, nil
+}
+
+// newWorker builds a worker without starting its loop.
+func newWorker(w *workload.Workload, cfg Config) (*Worker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,8 +170,9 @@ func NewWorker(w *workload.Workload, cfg Config) (*Worker, error) {
 		roundHist:     stats.NewHistogram(0, hi, 256),
 		wdHist:        stats.NewHistogram(0, hi, 256),
 		latencyHist:   stats.NewHistogram(0, hi, 256),
+
+		slotAt: make([]slotSpan, len(w.Interests)),
 	}
-	go wk.loop()
 	return wk, nil
 }
 
@@ -163,7 +194,7 @@ func (wk *Worker) wakeLoop() {
 // from the round loop when the request was admitted, or synchronously from
 // this call on refusal (serr.ErrOverloaded / serr.ErrClosed). deadline zero
 // means no deadline; an expired request is answered with
-// context.DeadlineExceeded at the next round close. resPhrase is the phrase
+// context.DeadlineExceeded when its batch closes. resPhrase is the phrase
 // ID the outcome reports (the global ID under sharding). enqueued stamps
 // admission time (callers submitting a batch pass one timestamp for the
 // whole batch). Safe for concurrent use.
@@ -219,54 +250,58 @@ func (wk *Worker) Close() {
 	})
 }
 
-// BeginDrain puts the worker in drain mode for a graceful shutdown: from
-// now on the loop closes a round as soon as it holds a request, so a
-// request in flight is answered at once rather than at the next tick, which
-// may be a whole RoundInterval away. Admission is unchanged; Close still
-// ends the worker. Drain mode cannot be left. Safe for concurrent use.
-func (wk *Worker) BeginDrain() {
-	wk.draining.Store(true)
-	wk.wakeLoop()
-}
-
-// loop is the single goroutine that owns the engine: it batches admitted
-// requests and closes rounds on the ticker or the MaxBatch threshold, or,
-// in drain mode, whenever it holds a request.
+// loop is the single goroutine that owns the engine. Time and batches are
+// separate: every RoundInterval tick advances the engine's round (and walks
+// the bids), and a batch is resolved as soon as the loop is idle — the ring
+// stayed empty across one yield after a drain — or holds MaxBatch requests.
+// A tick resolves whatever is pending with it, so a loop that never falls
+// idle still answers within one interval.
 func (wk *Worker) loop() {
 	defer close(wk.loopDone)
 	ticker := time.NewTicker(wk.cfg.RoundInterval)
 	defer ticker.Stop()
 
+	wk.eng.Tick() // open round 0, so requests need not wait for the first tick
 	var pending []*request
 	occ := make([]bool, len(wk.w.Interests))
 	for {
-		// Drain whatever is already queued; close immediately when the
-		// batch is full so backpressure propagates (the ring fills, and
-		// submits shed).
 		pending = wk.drainInto(pending)
-		if wk.cfg.MaxBatch > 0 && len(pending) >= wk.cfg.MaxBatch ||
-			len(pending) > 0 && wk.draining.Load() {
-			pending = wk.closeRound(pending, occ)
+		if len(pending) > 0 {
+			select {
+			case <-ticker.C:
+				pending = wk.tick(pending, occ)
+				continue
+			default:
+			}
+			if wk.cfg.MaxBatch > 0 && len(pending) >= wk.cfg.MaxBatch {
+				// A full batch closes at once, so backpressure propagates
+				// (the ring fills, and submits shed).
+				pending = wk.closeRound(pending, occ)
+				continue
+			}
+			// Give the submitters of a burst in progress one yield to
+			// join the batch. Whatever that drain brings, yield again;
+			// when it brings nothing the loop is idle, and resolves.
+			n := len(pending)
+			runtime.Gosched()
+			if pending = wk.drainInto(pending); len(pending) == n {
+				pending = wk.closeRound(pending, occ)
+			}
 			continue
 		}
 		select {
 		case <-wk.wake:
 			// New arrivals; loop back to drain them into the batch.
 		case <-ticker.C:
-			pending = wk.drainInto(pending)
-			pending = wk.closeRound(pending, occ)
+			pending = wk.tick(pending, occ)
 		case <-wk.closing:
 			// closed was set before closing fired, so the ring can no
 			// longer grow — but it can hold many more requests than one
-			// MaxBatch round. Keep resolving bounded rounds until every
+			// MaxBatch round. Keep resolving bounded batches until every
 			// admitted request has been answered; a single capped drain
 			// here would strand the rest of a full ring forever.
-			for {
-				pending = wk.drainInto(pending)
+			for pending = wk.drainInto(pending); len(pending) > 0; pending = wk.drainInto(pending) {
 				pending = wk.closeRound(pending, occ)
-				if wk.intake.length() == 0 {
-					break
-				}
 			}
 			wk.eng.Drain()
 			wk.mu.Lock()
@@ -275,6 +310,18 @@ func (wk *Worker) loop() {
 			return
 		}
 	}
+}
+
+// tick advances the engine one round of time and walks the bids, then
+// closes whatever is pending. A tick with nothing pending is an empty
+// round: it still delivers delayed clicks and settles budgets, so
+// zero-traffic time is not a stall.
+func (wk *Worker) tick(pending []*request, occ []bool) []*request {
+	wk.eng.Tick()
+	if wk.cfg.BidWalkScale > 0 {
+		wk.w.PerturbBids(wk.cfg.BidWalkScale)
+	}
+	return wk.closeRound(wk.drainInto(pending), occ)
 }
 
 // drainInto moves whatever is queued into the batch, up to MaxBatch.
@@ -299,10 +346,11 @@ func (wk *Worker) drainInto(pending []*request) []*request {
 	return pending
 }
 
-// closeRound resolves one round for the pending batch and wakes every
-// waiter. Empty rounds still step the engine with no occurring auctions so
-// that delayed clicks keep arriving and budgets keep settling in real time
-// (zero-traffic ticks are not a stall). Returns the reusable empty batch.
+// closeRound resolves the pending batch in the engine's open round and
+// answers every request. A request nobody waits for any more is dropped
+// before the resolve, so it forces no auction. A batch with no live
+// request — an empty tick's included — runs no resolve and counts as an
+// empty round. Returns the reusable empty batch.
 func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 	closeStart := time.Now()
 	for i := range occ {
@@ -311,7 +359,6 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 	live := pending[:0]
 	var timedOut, expired int64
 	for _, req := range pending {
-		// A request nobody waits for is skipped, so it forces no auction.
 		switch {
 		case req.callerGone():
 			wk.timedOut.Add(1)
@@ -327,25 +374,19 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		}
 	}
 
-	if len(live) > 0 && wk.cfg.BeforeStep != nil {
-		wk.cfg.BeforeStep()
-	}
-	wdStart := time.Now()
-	rep := wk.eng.Step(occ)
-	wdDur := time.Since(wdStart)
-	if wk.cfg.BidWalkScale > 0 {
-		wk.w.PerturbBids(wk.cfg.BidWalkScale)
+	round := wk.eng.Round() - 1
+	var rep core.RoundReport
+	var wdDur time.Duration
+	if len(live) > 0 {
+		if wk.cfg.BeforeResolve != nil {
+			wk.cfg.BeforeResolve()
+		}
+		wdStart := time.Now()
+		rep = wk.eng.Resolve(occ)
+		wdDur = time.Since(wdStart)
+		wk.copySlots(live, rep)
 	}
 
-	// Copy each occurring phrase's slots once; RoundReport views engine
-	// scratch that the next Step overwrites.
-	var slotCopies map[int][]core.SlotResult
-	if len(live) > 0 && len(rep.Auctions) > 0 {
-		slotCopies = make(map[int][]core.SlotResult, len(rep.Auctions))
-		for q, slots := range rep.Auctions {
-			slotCopies[q] = append([]core.SlotResult(nil), slots...)
-		}
-	}
 	// Answer first, record latencies after: the samples are captured into
 	// loop-owned scratch before complete, which recycles the request.
 	answerTime := time.Now()
@@ -356,9 +397,13 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		rw := closeStart.Sub(req.dequeued)
 		lat := answerTime.Sub(req.enqueued)
 		wk.latScratch = append(wk.latScratch, latSample{adm.Seconds(), rw.Seconds(), lat.Seconds()})
+		var slots []core.SlotResult
+		if sp := wk.slotAt[req.phrase]; sp.lo < sp.hi {
+			slots = wk.slab[sp.lo:sp.hi:sp.hi]
+		}
 		wk.complete(req, Result{
-			Round:         rep.Round,
-			Slots:         slotCopies[req.phrase],
+			Round:         round,
+			Slots:         slots,
 			AdmissionWait: adm,
 			RoundWait:     rw,
 			Latency:       lat,
@@ -387,7 +432,7 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 	if skipped := int(timedOut + expired); wk.cfg.OnRound != nil && nlive+skipped > 0 {
 		summary = RoundSummary{
 			Shard:   wk.cfg.ShardID,
-			Round:   rep.Round,
+			Round:   round,
 			Queries: nlive,
 			Expired: skipped,
 			Shed:    wk.shed.Load(),
@@ -408,6 +453,30 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		pending[i] = nil
 	}
 	return pending[:0]
+}
+
+// copySlots copies the slots of each phrase the live requests asked for
+// out of the resolve's report, which views engine scratch the next Resolve
+// overwrites, into the slab: once per phrase, however many requests share
+// it, and after this call slotAt says where each copy is.
+func (wk *Worker) copySlots(live []*request, rep core.RoundReport) {
+	if wk.slotEpoch++; wk.slotEpoch == 0 { // wrapped: no stale span may match
+		clear(wk.slotAt)
+		wk.slotEpoch = 1
+	}
+	// The resolve fills at most k slots for each phrase it answers.
+	if need := min(len(live), len(rep.Auctions)) * len(wk.w.SlotFactors); cap(wk.slab)-len(wk.slab) < need {
+		wk.slab = make([]core.SlotResult, 0, max(slabSlots, need))
+	}
+	for _, req := range live {
+		q := req.phrase
+		if wk.slotAt[q].epoch == wk.slotEpoch {
+			continue
+		}
+		lo := len(wk.slab)
+		wk.slab = append(wk.slab, rep.Auctions[q]...)
+		wk.slotAt[q] = slotSpan{epoch: wk.slotEpoch, lo: int32(lo), hi: int32(len(wk.slab))}
+	}
 }
 
 // Metrics returns the worker's current observability counters and latency

@@ -259,17 +259,6 @@ func (s *Server) ShardMetrics(shard int) server.Metrics {
 	return s.workers[shard].Metrics()
 }
 
-// BeginDrain puts every shard's worker in drain mode (server.Worker's
-// BeginDrain): each closes a round as soon as it holds a request, so a
-// graceful shutdown answers the requests in flight without waiting out the
-// round interval. Call it before draining the edges in front of the fleet;
-// Close still stops it.
-func (s *Server) BeginDrain() {
-	for _, wk := range s.workers {
-		wk.BeginDrain()
-	}
-}
-
 // Close stops admission on every shard and drains them concurrently: each
 // worker resolves its in-flight requests in a final round and settles its
 // outstanding clicks against the ledger. Close returns when the last

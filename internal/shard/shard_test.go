@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sharedwd/internal/budget"
+	"sharedwd/internal/core"
 	"sharedwd/internal/serr"
 	"sharedwd/internal/server"
 	"sharedwd/internal/workload"
@@ -127,6 +130,51 @@ func testServesQueries(t *testing.T, w *workload.Workload) {
 	}
 }
 
+// TestIdleWorkerAnswersWithoutTick: on a 2-shard fleet with an hour-long
+// round interval and no batch threshold, only a shard loop's idle resolve
+// can answer a Submit. It must answer at once, on the phrase's shard, with
+// the slots a fresh single engine gives when it resolves that phrase alone.
+func TestIdleWorkerAnswersWithoutTick(t *testing.T) {
+	w := testWorkload(t, 120, 16, 7)
+	cfg := testConfig(2)
+	cfg.Worker.RoundInterval = time.Hour
+	cfg.Worker.MaxBatch = 0
+	s, err := New(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for sh := 0; sh < 2; sh++ {
+		q := slices.Index(s.Assignment(), sh)
+		if q < 0 {
+			t.Fatalf("shard %d owns no phrase", sh)
+		}
+		twin, err := core.New(testWorkload(t, 120, 16, 7), cfg.Worker.Engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin.Tick()
+		occ := make([]bool, len(w.PhraseNames))
+		occ[q] = true
+		want := twin.Resolve(occ).Auctions[q]
+		if len(want) == 0 {
+			t.Fatalf("phrase %d fills no slot", q)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		res, err := s.Submit(ctx, w.PhraseNames[q])
+		cancel()
+		if err != nil {
+			t.Fatalf("shard %d: Submit without a tick: %v", sh, err)
+		}
+		if res.Shard != sh || res.Round != 0 || !slices.Equal(res.Slots, want) {
+			t.Fatalf("phrase %d: shard %d round %d slots %v, want shard %d round 0 slots %v", q, res.Shard, res.Round, res.Slots, sh, want)
+		}
+	}
+	if m := closeAndCheckAccounting(t, s); m.Answered != 2 {
+		t.Fatalf("Answered %d, want 2", m.Answered)
+	}
+}
+
 // TestShardedErrorContract: failures carry shard and phrase context through
 // *serr.QueryError while errors.Is still matches the sentinels; unmatched
 // queries return the bare sentinel (no routing context exists).
@@ -163,19 +211,54 @@ func TestShardedErrorContract(t *testing.T) {
 }
 
 // TestShardedDeadlineCountedOnce: a blocking batch spanning both shards
-// whose ctx expires before any round closes comes back DeadlineExceeded per
-// item, and each item is counted once — timed out, not also expired — by the
-// shard that dropped it.
+// whose ctx expires while it waits comes back DeadlineExceeded per item, and
+// each item is counted once — timed out, not also expired — by the shard
+// that dropped it. Each shard's loop is held in a blocker's resolve while
+// the batch waits in its ring.
 func TestShardedDeadlineCountedOnce(t *testing.T) {
 	w := testWorkload(t, 60, 8, 5)
 	cfg := testConfig(2)
-	cfg.Worker.RoundInterval = time.Hour // only Close closes a round
+	cfg.Worker.RoundInterval = time.Hour
 	cfg.Worker.MaxBatch = 0
+	entered := make(chan struct{}, 2)
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	var calls atomic.Int32
+	cfg.Worker.BeforeResolve = func() {
+		if calls.Add(1) <= 2 {
+			entered <- struct{}{}
+			<-hold
+		}
+	}
 	s, err := New(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// One blocker per shard, each held inside its shard's resolve.
+	blockers := newCollectComp(2)
+	var items []server.AsyncItem
+	for sh := 0; sh < 2; sh++ {
+		for q, at := range s.Assignment() {
+			if at == sh {
+				items = append(items, server.AsyncItem{Query: w.PhraseNames[q], Done: blockers, Index: sh})
+				break
+			}
+		}
+	}
+	if len(items) != 2 {
+		t.Fatalf("assignment %v leaves a shard without phrases", s.Assignment())
+	}
+	s.SubmitAsync(items)
+	for range items {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a shard never resolved its blocker")
+		}
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	_, err = s.SubmitBatch(ctx, w.PhraseNames)
@@ -184,8 +267,10 @@ func TestShardedDeadlineCountedOnce(t *testing.T) {
 			t.Fatalf("item %d = %v, want DeadlineExceeded", i, err)
 		}
 	}
-	if m := closeAndCheckAccounting(t, s); m.TimedOut != int64(len(w.PhraseNames)) || m.Expired != 0 {
-		t.Fatalf("TimedOut = %d, Expired = %d, want %d and 0", m.TimedOut, m.Expired, len(w.PhraseNames))
+	release()
+	blockers.wg.Wait()
+	if m := closeAndCheckAccounting(t, s); m.TimedOut != int64(len(w.PhraseNames)) || m.Expired != 0 || m.Answered != 2 {
+		t.Fatalf("TimedOut = %d, Expired = %d, Answered = %d, want %d, 0 and 2 (the blockers)", m.TimedOut, m.Expired, m.Answered, len(w.PhraseNames))
 	}
 }
 

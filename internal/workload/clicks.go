@@ -52,7 +52,10 @@ type OutstandingAd struct {
 // advertiser's ads. A round costs O(events), not O(pending ads), and the
 // steady state allocates nothing. The advertiser lists are built at the
 // first Outstanding call and kept from then on, so a simulator nobody asks
-// for outstanding ads — a Naive engine's — never pays for them.
+// for outstanding ads — a Naive engine's — never pays for them. Until then
+// an ad that will not be clicked, which only has to expire, is kept in a
+// smaller record in a display-order queue instead of the slab (cold), and
+// the first Outstanding call moves those into the slab.
 type ClickSim struct {
 	// Hazard is the per-round click probability given the ad will be
 	// clicked and hasn't been yet. Read-only after NewClickSim.
@@ -93,6 +96,18 @@ type ClickSim struct {
 	started bool
 	side    []sideAd
 
+	// cold holds, in display order, the ads displayed before the simulator
+	// was indexed that will not be clicked: they expire Horizon rounds
+	// after display, which is all they do unless index moves them into the
+	// slab. coldRuns splits cold into its display rounds, oldest first, so
+	// Advance expires a round's worth at a time. An ad displayed at a round
+	// before the newest run's goes to the slab, keeping cold in order. The
+	// slab holds every ad displayed in the last Horizon rounds, so it grows
+	// with the auction rate, and most ads are never clicked: a Naive
+	// engine's cold queue is most of its pending ads.
+	cold     fifo[coldAd]
+	coldRuns fifo[coldRun]
+
 	// byAdv[i] is the first of advertiser i's ads in display order, -1 if
 	// it has none; it and the lists are kept only once indexed. Each
 	// advertiser's ads form a circular list through advPrev/advNext, so the
@@ -121,6 +136,19 @@ type ad struct {
 	advertiser int32
 	// advPrev and advNext link the advertiser's list once indexed.
 	advPrev, advNext int32
+}
+
+// coldAd is an ad in ClickSim.cold: 24 bytes, against 44 for a slab ad
+// and its link. Its display round is its run's.
+type coldAd struct {
+	price, ctr0 float64
+	seq         uint32
+	advertiser  int32
+}
+
+// coldRun is n consecutive ads of ClickSim.cold, all displayed in round.
+type coldRun struct {
+	round, n int
 }
 
 // adList is a list of slab slots linked through ClickSim.link.
@@ -179,20 +207,43 @@ func (cs *ClickSim) Display(advertiser int, price, ctr float64, round int) {
 	if resolve < 0 {
 		resolve = round + cs.Horizon // a negative click round counts as no click
 	}
+	cs.live++
+	if runs := cs.coldRuns.n; !cs.indexed && resolve == round+cs.Horizon &&
+		(runs == 0 || round >= cs.coldRuns.at(runs-1).round) {
+		cs.cold.push(coldAd{price: price, ctr0: ctr, seq: cs.seq, advertiser: int32(advertiser)})
+		if runs > 0 && cs.coldRuns.at(runs-1).round == round {
+			cs.coldRuns.at(runs-1).n++
+		} else {
+			cs.coldRuns.push(coldRun{round: round, n: 1})
+		}
+		cs.seq++
+		return
+	}
 
+	h := cs.alloc()
+	a := &cs.ads[h]
+	a.price, a.ctr0, a.displayed = price, ctr, round
+	a.seq, a.advertiser = cs.seq, int32(advertiser)
+	cs.seq++
+	if cs.indexed {
+		cs.linkAdvertiser(h)
+	}
+	cs.file(h, resolve)
+}
+
+// alloc takes a slot off the free list, growing the slab if it is empty.
+func (cs *ClickSim) alloc() int32 {
 	h := cs.free
 	if h < 0 {
 		h = cs.grow()
 	}
 	cs.free = cs.link[h]
-	a := &cs.ads[h]
-	a.price, a.ctr0, a.displayed = price, ctr, round
-	a.seq, a.advertiser = cs.seq, int32(advertiser)
-	cs.seq++
-	cs.live++
-	if cs.indexed {
-		cs.linkAdvertiser(h)
-	}
+	return h
+}
+
+// file puts slot h in the wheel bucket of its resolve round, or in side
+// when that round is outside the wheel's span.
+func (cs *ClickSim) file(h int32, resolve int) {
 	if cs.started && resolve >= cs.next && resolve-cs.next < len(cs.wheel) {
 		cs.push(&cs.wheel[cs.slot(resolve)], h)
 	} else {
@@ -316,6 +367,15 @@ func (cs *ClickSim) Advance(round int) []Click {
 			lists++
 		}
 	}
+	for cs.coldRuns.n > 0 {
+		run := cs.coldRuns.at(0)
+		if run.round+cs.Horizon > round {
+			break
+		}
+		cs.cold.pop(run.n)
+		cs.live -= run.n
+		cs.coldRuns.pop(1)
+	}
 	if lists > 1 {
 		sort.Sort(clickOrder{cs.clickBuf, cs.clickSeq})
 	}
@@ -375,8 +435,22 @@ func (o clickOrder) Swap(i, j int) {
 }
 
 // index builds the advertiser lists from the ads pending now, each in
-// display order; Display and release keep them from then on.
+// display order; Display and release keep them from then on. The cold ads
+// move into the slab first, filed at their expiry, since Outstanding reads
+// them too.
 func (cs *ClickSim) index() {
+	for cs.coldRuns.n > 0 {
+		run := *cs.coldRuns.at(0)
+		for k := 0; k < run.n; k++ {
+			c := cs.cold.at(k)
+			h := cs.alloc()
+			cs.ads[h] = ad{price: c.price, ctr0: c.ctr0, displayed: run.round, seq: c.seq, advertiser: c.advertiser}
+			cs.file(h, run.round+cs.Horizon)
+		}
+		cs.cold.pop(run.n)
+		cs.coldRuns.pop(1)
+	}
+	cs.cold, cs.coldRuns = fifo[coldAd]{}, fifo[coldRun]{}
 	cs.indexed = true
 	pending := make([]int32, 0, cs.live)
 	for _, l := range cs.wheel {
@@ -497,4 +571,39 @@ func RemainingCTR(ctr0 float64, age int, hazard float64, horizon int) float64 {
 		return 0
 	}
 	return ctr0 * math.Pow(1-hazard, float64(age))
+}
+
+// fifo is a circular queue that allocates only when it is full, growing by
+// an eighth, so a steady state allocates nothing.
+type fifo[T any] struct {
+	buf     []T
+	head, n int
+}
+
+// at is the queue's i-th element from the front, for i < n.
+func (f *fifo[T]) at(i int) *T {
+	if i += f.head; i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	return &f.buf[i]
+}
+
+// push appends v at the back.
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		buf := make([]T, f.n+max(16, f.n/8))
+		k := copy(buf, f.buf[f.head:])
+		copy(buf[k:], f.buf[:f.head])
+		f.buf, f.head = buf, 0
+	}
+	f.n++
+	*f.at(f.n - 1) = v
+}
+
+// pop drops the first k elements, k ≤ n.
+func (f *fifo[T]) pop(k int) {
+	f.n -= k
+	if f.head += k; f.head >= len(f.buf) {
+		f.head -= len(f.buf)
+	}
 }

@@ -188,7 +188,7 @@ func TestNetServerEdges(t *testing.T) {
 			cfg.Fleet.Worker.RoundInterval = time.Hour
 			if !tc.hourRound {
 				cfg.Fleet.Worker.RoundInterval = 2 * time.Millisecond
-				cfg.Fleet.Worker.BeforeStep = func() {
+				cfg.Fleet.Worker.BeforeResolve = func() {
 					stalled.Add(1)
 					<-release
 				}

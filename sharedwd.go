@@ -395,9 +395,9 @@ type (
 // Online serving layer (see internal/server, internal/shard).
 type (
 	// Server is the long-lived concurrent round server: it admits raw
-	// queries through a bounded queue, batches them into engine rounds,
-	// and wakes each caller with its auction's outcome. Safe for
-	// concurrent use.
+	// queries through a bounded queue, resolves them in batches that close
+	// as soon as its round loop is idle, and wakes each caller with its
+	// auction's outcome. Safe for concurrent use.
 	Server = server.Server
 	// ServerConfig parameterizes the server (round interval, batch
 	// threshold, queue depth, wrapped engine configuration).
@@ -670,14 +670,13 @@ func (ns *NetServer) Fleet() *ShardedServer { return ns.fleet }
 // admitted request — HTTP in-flight handlers and binary in-flight frames
 // alike — is answered through the normal worker drain (bounded by ctx),
 // live subscribers get a going-away close frame, and finally the fleet
-// itself drains and settles its budgets. The fleet's workers close a round
-// as soon as they hold a request from the moment Shutdown starts, so the
-// drain does not wait for the next round tick. When ctx ends first, the
-// edges stop waiting: the binary edge aborts its draining connections and
-// Shutdown returns ctx.Err() — but only after the fleet's Close, which
-// still waits for a round that is stalled in progress. Safe to call once.
+// itself drains and settles its budgets. The fleet's workers resolve a
+// request as soon as they are idle, so the drain does not wait for the
+// next round tick. When ctx ends first, the edges stop waiting: the binary
+// edge aborts its draining connections and Shutdown returns ctx.Err() — but
+// only after the fleet's Close, which still waits for a round that is
+// stalled in progress. Safe to call once.
 func (ns *NetServer) Shutdown(ctx context.Context) error {
-	ns.fleet.BeginDrain()
 	// Drain the binary edge first: Drain leaves the fleet open, and the
 	// edge's in-flight frames need the workers still serving.
 	var err error

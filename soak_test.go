@@ -318,8 +318,8 @@ func TestSoakShardedConcurrentClose(t *testing.T) {
 // TestSoakShardedCloseFullQueues is the shutdown regression for the sharded
 // server: Close while every shard's round loop is stalled mid-round and
 // every admission queue is full must resolve all blocked submitters and
-// leak no goroutines. The BeforeStep hook makes the scenario deterministic:
-// each shard's first query enters a round and parks the loop; the next
+// leak no goroutines. The BeforeResolve hook makes the scenario deterministic:
+// each shard's first query enters a resolve and parks the loop; the next
 // QueueDepth queries fill that shard's queue behind it; one more sheds.
 // Only then is Close raced against the release of the stalled rounds.
 func TestSoakShardedCloseFullQueues(t *testing.T) {
@@ -335,10 +335,10 @@ func TestSoakShardedCloseFullQueues(t *testing.T) {
 	var stalled atomic.Int32
 	release := make(chan struct{})
 	scfg := DefaultServerConfig()
-	scfg.RoundInterval = time.Hour // rounds close on MaxBatch only
+	scfg.RoundInterval = time.Hour // no tick: only the loop closes batches
 	scfg.MaxBatch = 1
 	scfg.QueueDepth = queueDepth
-	scfg.BeforeStep = func() {
+	scfg.BeforeResolve = func() {
 		stalled.Add(1)
 		<-release
 	}
