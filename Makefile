@@ -51,9 +51,11 @@ bench:
 # scores every participant, random interleavings of the engine's Tick and
 # Resolve against a per-phrase sort of each resolve's reference round bids
 # (budgets held, ledger settled), the click simulator's timing wheel against
-# the pending-slice reference, the HTTP edge's hand JSON codec against
-# encoding/json (request bodies; reply bytes and client decoding), the
-# live feed's WebSocket frame reader (no panic, masked and bounded frames,
+# the pending-slice reference, the trace CSV reader (no panic; what parses
+# has the header's width and reads back bit for bit after WriteCSV), the
+# HTTP edge's decoders, strict matchers with an encoding/json fallback,
+# against encoding/json (request bodies; reply bytes and client decoding),
+# the live feed's WebSocket frame reader (no panic, masked and bounded frames,
 # round trip), and the pacer, which updates only the advertisers whose
 # factor can change, against the reference controller that steps every
 # advertiser (factors bit for bit). CI's fuzz smoke leg runs this target.
@@ -67,6 +69,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzThresholdRound' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzTickResolve' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzClickSim' -fuzztime=10s ./internal/workload
+	$(GO) test -run='^$$' -fuzz='FuzzReadTraceCSV' -fuzztime=10s ./internal/workload
 	$(GO) test -run='^$$' -fuzz='FuzzHTTPBody' -fuzztime=10s ./internal/netserve
 	$(GO) test -run='^$$' -fuzz='FuzzHTTPReply' -fuzztime=10s ./internal/netserve
 	$(GO) test -run='^$$' -fuzz='FuzzReadFrame' -fuzztime=10s ./internal/netserve

@@ -1,15 +1,16 @@
 package netserve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"sharedwd/internal/core"
@@ -17,17 +18,19 @@ import (
 )
 
 // The query path's JSON codec. /v1/query and /v1/query/batch carry the
-// schema of the request and response structs in handlers.go, but encode
-// and decode it by hand, appending into reused buffers: reflection JSON
-// cost more CPU per batch than the auctions it carried.
+// schema of the request and response structs in handlers.go, but encode it
+// by hand, appending into reused buffers: reflection JSON cost more CPU per
+// batch than the auctions it carried.
 //
-// encoding/json stays the reference. The encoders write exactly the bytes
-// json.NewEncoder(w).Encode writes for the same struct, trailing newline
-// included. The request decoders accept exactly the bodies
-// json.Decoder.Decode accepts, with the values it yields. The client's
-// reply decoders may refuse more (a repeated array key, a query echo that
-// differs), but what they accept encoding/json accepts with equal values.
-// FuzzHTTPBody and FuzzHTTPReply hold all three against encoding/json.
+// The encoders write exactly the bytes json.NewEncoder(w).Encode writes for
+// the same struct, trailing newline included. Each decoder first runs a
+// matcher for exactly what its encoder writes when every string is plain
+// ASCII, the traffic of every client built on this package; any other byte
+// sequence goes to encoding/json. So a request decodes as json.Decoder.Decode
+// decodes it, with the same values and errors. A reply decodes as
+// encoding/json decodes it, and the client then requires one item per query
+// and, in each item, a query key that echoes its query.
+// FuzzHTTPBody and FuzzHTTPReply hold both halves against encoding/json.
 
 // maxPooledBuf caps the buffers the pool keeps; a larger one (a reply to
 // an unusually wide batch) is left to the garbage collector.
@@ -289,859 +292,361 @@ func appendBatchRequest(dst []byte, queries []string) []byte {
 
 // ---- Decoding ----
 
-// maxNestingDepth is encoding/json's bound on nested arrays and objects.
-const maxNestingDepth = 10000
-
-// errIncomplete reports input that ended inside the first value: a
-// decoder reading from a stream would have read on.
-var errIncomplete = errors.New("netserve: JSON value incomplete")
-
-// reader is a validating JSON reader over one buffered body. Every value
-// it consumes is checked against the grammar json.Decoder's scanner
-// enforces, so a caller that decodes field by field and skips the rest
-// accepts exactly the well-formed input.
-type reader struct {
-	data []byte
-	pos  int
-	// err is the first syntax error, or errIncomplete; it ends the read.
-	err error
-	// typeErr is the first value of the wrong type. The value is skipped
-	// and reading goes on, as encoding/json goes on, so that a later
-	// syntax error still wins.
-	typeErr error
-	// scratch holds the last string that needed unquoting.
-	scratch []byte
+// matcher walks bytes that one of the encoders above may have written. Its
+// methods consume one token in the encoder's form; the first token that is
+// not there fails the match for good, and every later call is a no-op.
+type matcher struct {
+	data   []byte
+	pos    int
+	failed bool
 }
 
-func (r *reader) failed() bool { return r.err != nil || r.typeErr != nil }
+func (m *matcher) fail() { m.failed = true }
 
-func (r *reader) incomplete() {
-	if r.err == nil {
-		r.err = errIncomplete
+// next consumes s if it comes next.
+func (m *matcher) next(s string) bool {
+	if m.failed || len(m.data)-m.pos < len(s) || string(m.data[m.pos:m.pos+len(s)]) != s {
+		return false
+	}
+	m.pos += len(s)
+	return true
+}
+
+// expect consumes s, or fails the match.
+func (m *matcher) expect(s string) {
+	if !m.next(s) {
+		m.fail()
 	}
 }
 
-// syntax records malformed input; msg follows encoding/json's wording.
-func (r *reader) syntax(msg string) {
-	if r.err == nil {
-		r.err = errors.New(msg)
+// plain[c] reports whether byte c stands for itself in a plain string: a
+// string that encoding/json reads as the bytes between its quotes, with
+// no escape, no control character, and ASCII only.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
 	}
-}
+	return t
+}()
 
-// invalid reports the byte at r.pos as a syntax error in context.
-func (r *reader) invalid(context string) {
-	r.syntax(fmt.Sprintf("invalid character %q %s", r.data[r.pos], context))
-}
-
-// jsonKind names the kind of JSON value that starts with c.
-func jsonKind(c byte) string {
-	switch c {
-	case '{':
-		return "object"
-	case '[':
-		return "array"
-	case '"':
-		return "string"
-	case 't', 'f':
-		return "bool"
+// str consumes a plain string and returns the bytes between its quotes.
+func (m *matcher) str() []byte {
+	if !m.next(`"`) {
+		m.fail()
+		return nil
 	}
-	return "number"
-}
-
-// wrongType records a type mismatch unless an earlier one is recorded.
-func (r *reader) wrongType(value, field, goType string) {
-	if r.typeErr == nil {
-		r.typeErr = fmt.Errorf("cannot unmarshal %s into %s of type %s", value, field, goType)
-	}
-}
-
-// mismatch skips the value starting with c, which cannot go into field,
-// of goType, and records the mismatch.
-func (r *reader) mismatch(c byte, depth int, field, goType string) {
-	if r.skip(depth) {
-		r.wrongType(jsonKind(c), field, goType)
-	}
-}
-
-// peek skips whitespace and returns the next byte.
-func (r *reader) peek() (byte, bool) {
-	for ; r.pos < len(r.data); r.pos++ {
-		switch c := r.data[r.pos]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return c, true
-		}
-	}
-	r.incomplete()
-	return 0, false
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func isHex(c byte) bool {
-	return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// str reads the string token at r.pos and returns its unquoted bytes: a
-// sub-slice of data when nothing needs rewriting, else r.scratch (valid
-// until the next str).
-func (r *reader) str() ([]byte, bool) {
-	d := r.data
-	start := r.pos + 1
-	plain := true
-	for i := start; ; {
-		if i >= len(d) {
-			r.pos = i
-			r.incomplete()
-			return nil, false
-		}
-		switch c := d[i]; {
-		case c == '"':
-			r.pos = i + 1
-			if plain {
-				return d[start:i], true
-			}
-			return r.unquote(d[start:i]), true
-		case c == '\\':
-			plain = false
-			if i+1 >= len(d) {
-				r.pos = i + 1
-				r.incomplete()
-				return nil, false
-			}
-			switch d[i+1] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i += 2
-			case 'u':
-				for j := i + 2; j < i+6; j++ {
-					if j >= len(d) {
-						r.pos = j
-						r.incomplete()
-						return nil, false
-					}
-					if !isHex(d[j]) {
-						r.pos = j
-						r.invalid("in \\u hexadecimal character escape")
-						return nil, false
-					}
-				}
-				i += 6
-			default:
-				r.pos = i + 1
-				r.invalid("in string escape code")
-				return nil, false
-			}
-		case c < ' ':
-			r.pos = i
-			r.invalid("in string literal")
-			return nil, false
-		case c < utf8.RuneSelf:
-			i++
-		default:
-			ch, size := utf8.DecodeRune(d[i:])
-			if ch == utf8.RuneError && size == 1 {
-				plain = false // coerced to U+FFFD
-			}
-			i += size
-		}
-	}
-}
-
-// hex4 parses the four hex digits of a \u escape at s, or returns -1 if s
-// does not start with one.
-func hex4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range s[2:6] {
-		switch {
-		case isDigit(c):
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c = c - 'a' + 10
-		case 'A' <= c && c <= 'F':
-			c = c - 'A' + 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
-}
-
-// unquote rewrites the (validated) content of a string token as
-// encoding/json's unquoteBytes does: escapes resolved, surrogate pairs
-// joined, lone surrogates and invalid UTF-8 coerced to U+FFFD.
-func (r *reader) unquote(s []byte) []byte {
-	b := r.scratch[:0]
-	for i := 0; i < len(s); {
-		switch c := s[i]; {
-		case c == '\\':
-			switch e := s[i+1]; e {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				rr := hex4(s[i:])
-				i += 6
-				if utf16.IsSurrogate(rr) {
-					if dec := utf16.DecodeRune(rr, hex4(s[i:])); dec != unicode.ReplacementChar {
-						b = utf8.AppendRune(b, dec)
-						i += 6
-						continue
-					}
-					rr = unicode.ReplacementChar
-				}
-				b = utf8.AppendRune(b, rr)
-				continue
-			default: // '"', '\\', '/'
-				b = append(b, e)
-			}
-			i += 2
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			i++
-		default:
-			rr, size := utf8.DecodeRune(s[i:])
-			b = utf8.AppendRune(b, rr)
-			i += size
-		}
-	}
-	r.scratch = b
-	return b
-}
-
-// number reads the number token at r.pos. It ends at the first byte that
-// cannot continue it; the caller judges one that runs to the end of data.
-func (r *reader) number() ([]byte, bool) {
-	d, start, i := r.data, r.pos, r.pos
-	eof := func() ([]byte, bool) {
-		r.pos = i
-		r.incomplete()
-		return nil, false
-	}
-	bad := func(context string) ([]byte, bool) {
-		r.pos = i
-		r.invalid(context)
-		return nil, false
-	}
-	if d[i] == '-' {
+	i := m.pos
+	for i < len(m.data) && plain[m.data[i]] {
 		i++
-		if i >= len(d) {
-			return eof()
-		}
+	}
+	if i == len(m.data) || m.data[i] != '"' {
+		m.fail()
+		return nil
+	}
+	s := m.data[m.pos:i]
+	m.pos = i + 1
+	return s
+}
+
+func skipDigits(d []byte, i int) int {
+	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// number consumes a token of JSON's number grammar.
+func (m *matcher) number() []byte {
+	if m.failed {
+		return nil
+	}
+	d, i := m.data, m.pos
+	if i < len(d) && d[i] == '-' {
+		i++
 	}
 	switch {
-	case d[i] == '0':
+	case i < len(d) && d[i] == '0':
 		i++
-	case isDigit(d[i]):
-		for i++; i < len(d) && isDigit(d[i]); i++ {
-		}
+	case i < len(d) && '1' <= d[i] && d[i] <= '9':
+		i = skipDigits(d, i+1)
 	default:
-		return bad("in numeric literal")
+		m.fail()
+		return nil
 	}
 	if i < len(d) && d[i] == '.' {
-		if i++; i >= len(d) {
-			return eof()
+		j := skipDigits(d, i+1)
+		if j == i+1 {
+			m.fail()
+			return nil
 		}
-		if !isDigit(d[i]) {
-			return bad("after decimal point in numeric literal")
-		}
-		for i++; i < len(d) && isDigit(d[i]); i++ {
-		}
+		i = j
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
 			i++
 		}
-		if i >= len(d) {
-			return eof()
+		j := skipDigits(d, i)
+		if j == i {
+			m.fail()
+			return nil
 		}
-		if !isDigit(d[i]) {
-			return bad("in exponent of numeric literal")
-		}
-		for i++; i < len(d) && isDigit(d[i]); i++ {
-		}
+		i = j
 	}
-	r.pos = i
-	return d[start:i], true
+	tok := d[m.pos:i]
+	m.pos = i
+	return tok
 }
 
-// literal reads the literal word (true, false or null) at r.pos.
-func (r *reader) literal(word string) bool {
-	for k := 0; k < len(word); k++ {
-		i := r.pos + k
-		if i >= len(r.data) {
-			r.pos = i
-			r.incomplete()
-			return false
-		}
-		if r.data[i] != word[k] {
-			r.pos = i
-			r.invalid(fmt.Sprintf("in literal %s (expecting %q)", word, word[k]))
-			return false
-		}
+// int consumes a number that is an integer of the given bit size.
+func (m *matcher) int(bits int) int64 {
+	tok := m.number()
+	if m.failed {
+		return 0
 	}
-	r.pos += len(word)
-	return true
+	n, err := strconv.ParseInt(string(tok), 10, bits)
+	if err != nil {
+		m.fail()
+	}
+	return n
 }
 
-// key reads an object key and the colon after it.
-func (r *reader) key() ([]byte, bool) {
-	c, ok := r.peek()
-	if !ok {
-		return nil, false
+// optInt consumes key and the integer after it when key comes next; an
+// absent key reads as 0, the field's zero value.
+func (m *matcher) optInt(key string, bits int) int64 {
+	if !m.next(key) {
+		return 0
 	}
-	if c != '"' {
-		r.invalid("looking for beginning of object key string")
-		return nil, false
-	}
-	k, ok := r.str()
-	if !ok {
-		return nil, false
-	}
-	if c, ok = r.peek(); !ok {
-		return nil, false
-	}
-	if c != ':' {
-		r.invalid("after object key")
-		return nil, false
-	}
-	r.pos++
-	return k, true
+	return m.int(bits)
 }
 
-// member steps to the next member of an object whose '{' is consumed
-// (first: the first call for it). It returns the member's key with the
-// colon consumed, or false at the closing brace or on error.
-func (r *reader) member(first bool) ([]byte, bool) {
-	c, ok := r.peek()
-	switch {
-	case !ok:
-		return nil, false
-	case c == '}':
-		r.pos++
-		return nil, false
-	case first:
-		return r.key()
-	case c == ',':
-		r.pos++
-		return r.key()
+// float consumes a number that is a finite float64.
+func (m *matcher) float() float64 {
+	tok := m.number()
+	if m.failed {
+		return 0
 	}
-	r.invalid("after object key:value pair")
-	return nil, false
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		m.fail()
+	}
+	return f
 }
 
-// element steps to the next element of an array whose '[' is consumed; it
-// returns false at the closing bracket or on error.
-func (r *reader) element(first bool) bool {
-	c, ok := r.peek()
-	switch {
-	case !ok:
-		return false
-	case c == ']':
-		r.pos++
-		return false
-	case first:
-		return true
-	case c == ',':
-		r.pos++
-		return true
+// decodeJSON decodes data into v as json.Decoder.Decode decodes a body it
+// reads itself, data being what was read and rerr the read error that ended
+// it (nil: the body ended). A value that rerr cut short fails with rerr,
+// so the body bound's *http.MaxBytesError comes back where it stopped one.
+func decodeJSON(data []byte, rerr error, v any) error {
+	var r io.Reader = bytes.NewReader(data)
+	if rerr != nil {
+		r = io.MultiReader(r, errReader{rerr})
 	}
-	r.invalid("after array element")
-	return false
+	return json.NewDecoder(r).Decode(v)
 }
 
-// skip reads and validates one value of any type, nested in depth
-// containers already; nesting past maxNestingDepth is an error.
-func (r *reader) skip(depth int) bool {
-	var objs [maxNestingDepth/64 + 1]uint64 // bit k: container base+k+1 is an object
-	base := depth
-	inObject := func() bool {
-		k := depth - base - 1
-		return objs[k/64]&(1<<(k%64)) != 0
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// matchQueryRequest matches appendQueryRequest's bytes for a plain query.
+func matchQueryRequest(data []byte) (queryRequest, bool) {
+	m := matcher{data: data}
+	m.expect(`{"query":`)
+	q := m.str()
+	m.expect("}")
+	if m.failed {
+		return queryRequest{}, false
 	}
-	for {
-		// A value starts here.
-		c, ok := r.peek()
-		if !ok {
-			return false
-		}
-		switch {
-		case c == '{' || c == '[':
-			if depth >= maxNestingDepth {
-				r.syntax("exceeded max depth")
-				return false
-			}
-			k := depth - base
-			if c == '{' {
-				objs[k/64] |= 1 << (k % 64)
-			} else {
-				objs[k/64] &^= 1 << (k % 64)
-			}
-			depth++
-			r.pos++
-			end := byte(']')
-			if c == '{' {
-				end = '}'
-			}
-			if c, ok = r.peek(); !ok {
-				return false
-			}
-			if c != end {
-				if end == '}' {
-					if _, ok := r.key(); !ok {
-						return false
-					}
-				}
-				continue
-			}
-			r.pos++
-			depth--
-		case c == '"':
-			if _, ok := r.str(); !ok {
-				return false
-			}
-		case c == 't':
-			if !r.literal("true") {
-				return false
-			}
-		case c == 'f':
-			if !r.literal("false") {
-				return false
-			}
-		case c == 'n':
-			if !r.literal("null") {
-				return false
-			}
-		case c == '-' || isDigit(c):
-			if _, ok := r.number(); !ok {
-				return false
-			}
-		default:
-			r.invalid("looking for beginning of value")
-			return false
-		}
-		// After a value: close what ends here, or step to the next value.
-		for {
-			if depth == base {
-				return true
-			}
-			obj := inObject()
-			c, ok := r.peek()
-			if !ok {
-				return false
-			}
-			if c == ',' {
-				r.pos++
-				if obj {
-					if _, ok := r.key(); !ok {
-						return false
-					}
-				}
-				break
-			}
-			if obj && c == '}' || !obj && c == ']' {
-				r.pos++
-				depth--
-				continue
-			}
-			if obj {
-				r.invalid("after object key:value pair")
-			} else {
-				r.invalid("after array element")
-			}
-			return false
-		}
-	}
+	return queryRequest{Query: string(q)}, true
 }
 
-// stringValue reads a value bound for a string field. A string is
-// returned unquoted with set=true; null leaves the field as it is; any
-// other value is a type mismatch.
-func (r *reader) stringValue(depth int, field string) (s []byte, set bool) {
-	c, ok := r.peek()
-	switch {
-	case !ok:
-	case c == '"':
-		return r.str()
-	case c == 'n':
-		r.literal("null")
-	default:
-		r.mismatch(c, depth, field, "string")
+// matchBatchRequest matches appendBatchRequest's bytes for a non-nil slice
+// of plain queries. The queries share one string copied out of data.
+func matchBatchRequest(data []byte) (batchRequest, bool) {
+	m := matcher{data: data}
+	m.expect(`{"queries":[`)
+	if m.next("]}") {
+		return batchRequest{Queries: []string{}}, true
 	}
-	return nil, false
+	lo := m.pos
+	for m.str(); m.next(","); {
+		m.str()
+	}
+	hi := m.pos
+	m.expect("]}")
+	if m.failed {
+		return batchRequest{}, false
+	}
+	// A plain string holds no quote, so `","` occurs only between two.
+	return batchRequest{Queries: strings.Split(string(data[lo+1:hi-1]), `","`)}, true
 }
-
-// intValue reads a value bound for an integer field of the given bit
-// size: an integral number in range, or null (set=false).
-func (r *reader) intValue(depth int, field, goType string, bits int) (n int64, set bool) {
-	c, ok := r.peek()
-	switch {
-	case !ok:
-	case c == '-' || isDigit(c):
-		num, ok := r.number()
-		if !ok {
-			return 0, false
-		}
-		n, err := strconv.ParseInt(string(num), 10, bits)
-		if err != nil {
-			r.wrongType("number "+string(num), field, goType)
-			return 0, false
-		}
-		return n, true
-	case c == 'n':
-		r.literal("null")
-	default:
-		r.mismatch(c, depth, field, goType)
-	}
-	return 0, false
-}
-
-// floatValue reads a value bound for a float64 field: a number in range,
-// or null (set=false).
-func (r *reader) floatValue(depth int, field string) (f float64, set bool) {
-	c, ok := r.peek()
-	switch {
-	case !ok:
-	case c == '-' || isDigit(c):
-		num, ok := r.number()
-		if !ok {
-			return 0, false
-		}
-		f, err := strconv.ParseFloat(string(num), 64)
-		if err != nil {
-			r.wrongType("number "+string(num), field, "float64")
-			return 0, false
-		}
-		return f, true
-	case c == 'n':
-		r.literal("null")
-	default:
-		r.mismatch(c, depth, field, "float64")
-	}
-	return 0, false
-}
-
-// boolValue reads a value bound for a bool field: true, false or null;
-// anything else is a type mismatch.
-func (r *reader) boolValue(depth int, field string) {
-	c, ok := r.peek()
-	switch {
-	case !ok:
-	case c == 't':
-		r.literal("true")
-	case c == 'f':
-		r.literal("false")
-	case c == 'n':
-		r.literal("null")
-	default:
-		r.mismatch(c, depth, field, "bool")
-	}
-}
-
-// top starts the first value of the body, which decodes into a struct of
-// goType. It returns true with the '{' consumed when an object starts.
-// Otherwise it reads the whole value: null decodes to nothing, anything
-// else is a type mismatch. atEnd says whether data holds the whole body: a
-// scalar at the top ends only at the byte after it, so without one the
-// value is incomplete unless nothing follows.
-func (r *reader) top(atEnd bool, goType string) bool {
-	c, ok := r.peek()
-	if !ok {
-		return false
-	}
-	switch {
-	case c == '{':
-		r.pos++
-		return true
-	case c == '[':
-		r.mismatch(c, 0, "body", goType)
-		return false
-	}
-	if !r.skip(0) {
-		return false
-	}
-	if r.pos >= len(r.data) && !atEnd {
-		r.incomplete()
-		return false
-	}
-	if c != 'n' {
-		r.wrongType(jsonKind(c), "body", goType)
-	}
-	return false
-}
-
-// requestErr is the outcome of a request decode in json.Decoder's terms.
-// atEnd: data is the whole body, so running out of it is io.EOF (nothing
-// but whitespace came) or io.ErrUnexpectedEOF. Otherwise running out is
-// errIncomplete, and the caller reports the read error that cut the body.
-func (r *reader) requestErr(atEnd bool) error {
-	if r.err == errIncomplete && atEnd {
-		for _, c := range r.data {
-			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-				return io.ErrUnexpectedEOF
-			}
-		}
-		return io.EOF
-	}
-	if r.err != nil {
-		return r.err
-	}
-	return r.typeErr
-}
-
-// fieldSet is a struct's JSON keys. A key picks its field as in
-// encoding/json: by exact name first, then by case-folded name.
-type fieldSet struct{ names, folded []string }
-
-func newFieldSet(names ...string) fieldSet {
-	fs := fieldSet{names: names}
-	for _, n := range names {
-		fs.folded = append(fs.folded, string(foldName([]byte(n))))
-	}
-	return fs
-}
-
-// index returns the field key names, or -1 for an unknown key.
-func (fs *fieldSet) index(key []byte) int {
-	for i, n := range fs.names {
-		if string(key) == n {
-			return i
-		}
-	}
-	folded := foldName(key)
-	for i, n := range fs.folded {
-		if string(folded) == n {
-			return i
-		}
-	}
-	return -1
-}
-
-// foldName is encoding/json's key fold: ASCII letters to upper case, any
-// other rune to the smallest rune of its case-fold orbit (so ſ matches s
-// and the Kelvin sign matches k).
-func foldName(in []byte) []byte {
-	var arr [32]byte
-	out := arr[:0]
-	for i := 0; i < len(in); {
-		if c := in[i]; c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			out = append(out, c)
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(in[i:])
-		out = utf8.AppendRune(out, foldRune(r))
-		i += n
-	}
-	return out
-}
-
-func foldRune(r rune) rune {
-	for {
-		r2 := unicode.SimpleFold(r)
-		if r2 <= r {
-			return r2
-		}
-		r = r2
-	}
-}
-
-var (
-	queryRequestFields = newFieldSet("query", "timeout")
-	batchRequestFields = newFieldSet("queries", "timeout")
-)
 
 // decodeQueryRequest decodes a POST /v1/query body as json.Decoder.Decode
-// would into a zero queryRequest. atEnd: data is the whole body (see
-// requestErr).
-func decodeQueryRequest(data []byte, atEnd bool) (queryRequest, error) {
+// decodes it into a zero queryRequest; data and rerr as for decodeJSON.
+func decodeQueryRequest(data []byte, rerr error) (queryRequest, error) {
+	if req, ok := matchQueryRequest(data); ok {
+		return req, nil
+	}
 	var req queryRequest
-	r := reader{data: data}
-	if r.top(atEnd, "netserve.queryRequest") {
-		for first := true; ; first = false {
-			key, ok := r.member(first)
-			if !ok {
-				break
-			}
-			switch queryRequestFields.index(key) {
-			case 0:
-				if s, set := r.stringValue(1, "queryRequest.query"); set {
-					req.Query = string(s)
-				}
-			case 1:
-				if s, set := r.stringValue(1, "queryRequest.timeout"); set {
-					req.Timeout = string(s)
-				}
-			default:
-				r.skip(1)
-			}
-			if r.err != nil {
-				break
-			}
-		}
-	}
-	if err := r.requestErr(atEnd); err != nil {
-		return queryRequest{}, err
-	}
-	return req, nil
+	err := decodeJSON(data, rerr, &req)
+	return req, err
 }
 
-// span locates one decoded query in the arena of decodeBatchRequest.
-type span struct{ lo, hi int }
-
 // decodeBatchRequest decodes a POST /v1/query/batch body as
-// json.Decoder.Decode would into a zero batchRequest; atEnd as for
-// decodeQueryRequest. The queries share one backing string.
-//
-// The queries array follows reflect's slice decoding to the letter, which
-// shows when the key repeats: null sets the slice to nil and [] to a new
-// empty one; a longer array reuses the slots a shorter one left behind,
-// and a null element keeps whatever its slot held.
-func decodeBatchRequest(data []byte, atEnd bool) (batchRequest, error) {
+// json.Decoder.Decode decodes it into a zero batchRequest; data and rerr as
+// for decodeJSON.
+func decodeBatchRequest(data []byte, rerr error) (batchRequest, error) {
+	if req, ok := matchBatchRequest(data); ok {
+		return req, nil
+	}
 	var req batchRequest
-	arena := make([]byte, 0, len(data)) // the unquoted queries, back to back
-	var spans []span
-	isNil := true
-	r := reader{data: data}
-	if r.top(atEnd, "netserve.batchRequest") {
-		for first := true; ; first = false {
-			key, ok := r.member(first)
-			if !ok {
-				break
-			}
-			switch batchRequestFields.index(key) {
-			case 0:
-				c, ok := r.peek()
-				switch {
-				case !ok:
-				case c == 'n':
-					if r.literal("null") {
-						spans, isNil = nil, true
-					}
-				case c == '[':
-					r.pos++
-					i := 0
-					for first := true; r.element(first); first = false {
-						if i == len(spans) {
-							if i < cap(spans) {
-								spans = spans[:i+1]
-							} else {
-								spans = append(spans, span{})
-							}
-						}
-						if s, set := r.stringValue(2, "batchRequest.queries"); set {
-							lo := len(arena)
-							arena = append(arena, s...)
-							spans[i] = span{lo, len(arena)}
-						}
-						if r.err != nil {
-							break
-						}
-						i++
-					}
-					if i == 0 {
-						spans = nil
-					}
-					spans, isNil = spans[:i], false
-				default:
-					r.mismatch(c, 1, "batchRequest.queries", "[]string")
-				}
-			case 1:
-				if s, set := r.stringValue(1, "batchRequest.timeout"); set {
-					req.Timeout = string(s)
-				}
-			default:
-				r.skip(1)
-			}
-			if r.err != nil {
-				break
-			}
-		}
-	}
-	if err := r.requestErr(atEnd); err != nil {
-		return batchRequest{}, err
-	}
-	if !isNil {
-		all := string(arena)
-		req.Queries = make([]string, len(spans))
-		for i, sp := range spans {
-			req.Queries[i] = all[sp.lo:sp.hi]
-		}
-	}
-	return req, nil
+	err := decodeJSON(data, rerr, &req)
+	return req, err
 }
 
 // ---- Client-side reply decoding ----
 
-var (
-	batchReplyFields = newFieldSet("results")
-	// The first six are queryResponse's keys, all nine batchItem's.
-	itemFields = newFieldSet("query", "phrase", "shard", "round", "slots", "latency_ns", "error", "retryable", "code")
-	slotFields = newFieldSet("slot", "advertiser", "price_paid")
-)
+// slotPool holds the scratch arrays the reply matchers collect slots in.
+var slotPool = sync.Pool{New: func() any { return new([]core.SlotResult) }}
 
-// slotRange locates one item's slots in replyDecoder.slots; set=false is
-// a nil slice (no slots key, or null).
-type slotRange struct {
-	lo, hi int
-	set    bool
-}
-
-// replyItem is one decoded reply item before its slots move out of the
-// scratch.
-type replyItem struct {
-	phrase, shard, round int
-	latency              int64
-	slots                slotRange
-	err                  string
-	code                 int
-}
-
-// failed is the client's rule for a failed batch item.
-func (it *replyItem) failed() bool { return it.err != "" || it.code != 0 }
-
-// replyDecoder decodes the client's view of query-path replies. The
-// scratch slices are reused across replies through replyPool.
-type replyDecoder struct {
-	r     reader
-	slots []core.SlotResult
-	items []replyItem
-}
-
-var replyPool = sync.Pool{New: func() any { return new(replyDecoder) }}
-
-func getReplyDecoder(data []byte) *replyDecoder {
-	d := replyPool.Get().(*replyDecoder)
-	d.r = reader{data: data, scratch: d.r.scratch[:0]}
-	d.slots, d.items = d.slots[:0], d.items[:0]
-	return d
-}
-
-func putReplyDecoder(d *replyDecoder) {
-	d.r.data = nil
-	clear(d.items) // drop the error strings
-	if cap(d.slots) <= maxPooledBuf/24 && cap(d.items) <= maxPooledBuf/64 && cap(d.r.scratch) <= maxPooledBuf {
-		replyPool.Put(d)
+func putSlots(s *[]core.SlotResult) {
+	if cap(*s) <= maxPooledBuf/24 {
+		*s = (*s)[:0]
+		slotPool.Put(s)
 	}
 }
 
-// echoes reports whether s, an unquoted query echo, is q after a JSON
+// item matches one reply item that echoes q: appendBatchItem's bytes when
+// batch is set, else appendQueryResponse's (newline aside). The item's
+// slots are appended to *scratch, and res.Slots aliases them until relink.
+// A failed batch item returns its code and message.
+func (m *matcher) item(q string, batch bool, res *server.Result, scratch *[]core.SlotResult) (code int, msg []byte) {
+	m.expect(`{"query":`)
+	if string(m.str()) != q {
+		m.fail()
+	}
+	res.Phrase = int(m.optInt(`,"phrase":`, strconv.IntSize))
+	res.Shard = int(m.optInt(`,"shard":`, strconv.IntSize))
+	res.Round = int(m.optInt(`,"round":`, strconv.IntSize))
+	if m.next(`,"slots":`) {
+		res.Slots = m.slots(scratch)
+	}
+	res.Latency = time.Duration(m.optInt(`,"latency_ns":`, 64))
+	if batch {
+		if m.next(`,"error":`) {
+			msg = m.str()
+		}
+		m.next(`,"retryable":true`) // the client retries by error, not by this flag
+		code = int(m.optInt(`,"code":`, strconv.IntSize))
+	}
+	m.expect("}")
+	return code, msg
+}
+
+// slots matches a slot array, appending its slots to *scratch.
+func (m *matcher) slots(scratch *[]core.SlotResult) []core.SlotResult {
+	lo := len(*scratch)
+	m.expect("[")
+	if m.next("]") {
+		return []core.SlotResult{} // [] decodes to an empty slice, not nil
+	}
+	for {
+		m.expect(`{"slot":`)
+		s := core.SlotResult{Slot: int(m.int(strconv.IntSize))}
+		m.expect(`,"advertiser":`)
+		s.Advertiser = int(m.int(strconv.IntSize))
+		m.expect(`,"price_paid":`)
+		s.PricePaid = m.float()
+		m.expect("}")
+		*scratch = append(*scratch, s)
+		if !m.next(",") {
+			break
+		}
+	}
+	m.expect("]")
+	return (*scratch)[lo:]
+}
+
+// relink moves the slots of results, which alias scratch in order, into
+// one array of their own. Each item's slice is capped, so an append by the
+// caller cannot run into the next item's.
+func relink(results []server.Result, scratch []core.SlotResult) {
+	backing := make([]core.SlotResult, len(scratch))
+	copy(backing, scratch)
+	off := 0
+	for i := range results {
+		if s := results[i].Slots; s != nil {
+			n := len(s)
+			results[i].Slots = backing[off : off+n : off+n]
+			off += n
+		}
+	}
+}
+
+// matchQueryReply matches appendQueryResponse's bytes for a reply to query.
+func matchQueryReply(data []byte, query string, scratch *[]core.SlotResult) (server.Result, bool) {
+	m := matcher{data: data}
+	var res [1]server.Result
+	m.item(query, false, &res[0], scratch)
+	if m.failed {
+		return server.Result{}, false
+	}
+	relink(res[:], *scratch)
+	return res[0], true
+}
+
+// matchBatchReply matches appendBatchReply's bytes for a reply to queries.
+func matchBatchReply(data []byte, queries []string, scratch *[]core.SlotResult) (results []server.Result, errs []error, ok bool) {
+	m := matcher{data: data}
+	m.expect(`{"results":[`)
+	results = make([]server.Result, len(queries))
+	for i, q := range queries {
+		if i > 0 {
+			m.expect(",")
+		}
+		lo := len(*scratch)
+		code, msg := m.item(q, true, &results[i], scratch)
+		if m.failed {
+			return nil, nil, false
+		}
+		if code != 0 || len(msg) != 0 {
+			results[i] = server.Result{}
+			*scratch = (*scratch)[:lo]
+			if errs == nil {
+				errs = make([]error, len(queries))
+			}
+			errs[i] = statusErr(code, string(msg))
+		}
+	}
+	m.expect("]}")
+	if m.failed {
+		return nil, nil, false
+	}
+	relink(results, *scratch)
+	return results, errs, true
+}
+
+// The reply fallback decodes into the wire structs with the query echo as
+// a pointer, so that a missing echo is told from an empty one.
+type (
+	queryResponseEcho struct {
+		queryResponse
+		Query *string `json:"query"`
+	}
+	batchItemEcho struct {
+		batchItem
+		Query *string `json:"query"`
+	}
+)
+
+// echoes reports whether echo, the decoded query echo, is q after a JSON
 // round trip, which turns each byte of invalid UTF-8 into U+FFFD.
-func echoes(s []byte, q string) bool {
-	if string(s) == q {
+func echoes(echo *string, q string) bool {
+	if echo == nil {
+		return false
+	}
+	s := *echo
+	if s == q {
 		return true
 	}
 	j := 0
@@ -1151,7 +656,7 @@ func echoes(s []byte, q string) bool {
 		if c == utf8.RuneError && size == 1 {
 			want = "\uFFFD"
 		}
-		if len(s)-j < len(want) || string(s[j:j+len(want)]) != want {
+		if len(s)-j < len(want) || s[j:j+len(want)] != want {
 			return false
 		}
 		i, j = i+size, j+len(want)
@@ -1159,280 +664,74 @@ func echoes(s []byte, q string) bool {
 	return j == len(s)
 }
 
-// item decodes the members of a reply item object (its '{' consumed) at
-// nesting depth depth. want is the query it must echo, when check is set;
-// batch enables batchItem's error, retryable and code keys.
-func (d *replyDecoder) item(depth int, want string, check, batch bool, it *replyItem) {
-	r := &d.r
-	slotsSeen := false
-	for first := true; ; first = false {
-		key, ok := r.member(first)
-		if !ok {
-			return
-		}
-		idx := itemFields.index(key)
-		if !batch && idx >= 6 {
-			idx = -1
-		}
-		switch idx {
-		case 0:
-			if s, set := r.stringValue(depth, "query"); set && check && !echoes(s, want) {
-				r.syntax("reply item echoes another query")
-			}
-		case 1:
-			if n, set := r.intValue(depth, "phrase", "int", strconv.IntSize); set {
-				it.phrase = int(n)
-			}
-		case 2:
-			if n, set := r.intValue(depth, "shard", "int", strconv.IntSize); set {
-				it.shard = int(n)
-			}
-		case 3:
-			if n, set := r.intValue(depth, "round", "int", strconv.IntSize); set {
-				it.round = int(n)
-			}
-		case 4:
-			if slotsSeen {
-				r.syntax("repeated slots key")
-				return
-			}
-			slotsSeen = true
-			d.slotArray(depth, &it.slots)
-		case 5:
-			if n, set := r.intValue(depth, "latency_ns", "int64", 64); set {
-				it.latency = n
-			}
-		case 6:
-			if s, set := r.stringValue(depth, "error"); set {
-				it.err = string(s)
-			}
-		case 7: // the client retries by error, not by this flag
-			r.boolValue(depth, "retryable")
-		case 8:
-			if n, set := r.intValue(depth, "code", "int", strconv.IntSize); set {
-				it.code = int(n)
-			}
-		default:
-			r.skip(depth)
-		}
-		if r.failed() {
-			return
-		}
-	}
-}
-
-// slotArray decodes the value of an item's slots key (the item at depth).
-func (d *replyDecoder) slotArray(depth int, rg *slotRange) {
-	r := &d.r
-	c, ok := r.peek()
-	switch {
-	case !ok:
-	case c == 'n':
-		if r.literal("null") {
-			*rg = slotRange{}
-		}
-	case c == '[':
-		r.pos++
-		lo := len(d.slots)
-		for first := true; r.element(first); first = false {
-			var s core.SlotResult
-			switch c, ok := r.peek(); {
-			case !ok:
-			case c == '{':
-				r.pos++
-				d.slot(depth+2, &s)
-			case c == 'n':
-				r.literal("null")
-			default:
-				r.mismatch(c, depth+1, "slots", "core.SlotResult")
-			}
-			if r.failed() {
-				return
-			}
-			d.slots = append(d.slots, s)
-		}
-		*rg = slotRange{lo: lo, hi: len(d.slots), set: true}
-	default:
-		r.mismatch(c, depth, "slots", "[]core.SlotResult")
-	}
-}
-
-// slot decodes the members of one slot object (its '{' consumed).
-func (d *replyDecoder) slot(depth int, s *core.SlotResult) {
-	r := &d.r
-	for first := true; ; first = false {
-		key, ok := r.member(first)
-		if !ok {
-			return
-		}
-		switch slotFields.index(key) {
-		case 0:
-			if n, set := r.intValue(depth, "slot", "int", strconv.IntSize); set {
-				s.Slot = int(n)
-			}
-		case 1:
-			if n, set := r.intValue(depth, "advertiser", "int", strconv.IntSize); set {
-				s.Advertiser = int(n)
-			}
-		case 2:
-			if f, set := r.floatValue(depth, "price_paid"); set {
-				s.PricePaid = f
-			}
-		default:
-			r.skip(depth)
-		}
-		if r.failed() {
-			return
-		}
-	}
-}
-
-// object consumes the '{' that must open a reply.
-func (d *replyDecoder) object() bool {
-	c, ok := d.r.peek()
-	if ok && c != '{' {
-		d.r.invalid("looking for beginning of reply object")
-		return false
-	}
-	d.r.pos++
-	return ok
-}
-
-// replyErr is the decode's outcome as a client error.
-func (d *replyDecoder) replyErr() error {
-	err := d.r.err
-	if err == errIncomplete {
-		err = io.ErrUnexpectedEOF
-	}
-	if err == nil {
-		err = d.r.typeErr
-	}
-	if err != nil {
-		return fmt.Errorf("netserve: bad reply: %w", err)
-	}
-	return nil
-}
-
-// decodeQueryReply decodes a POST /v1/query reply to query. The slots
-// get one array of their own.
-func decodeQueryReply(data []byte, query string) (server.Result, error) {
-	d := getReplyDecoder(data)
-	defer putReplyDecoder(d)
-	var it replyItem
-	if d.object() {
-		d.item(1, query, true, false, &it)
-	}
-	if err := d.replyErr(); err != nil {
-		return server.Result{}, err
-	}
-	backing := make([]core.SlotResult, len(d.slots))
-	copy(backing, d.slots)
+// result is the client's view of one answered reply item.
+func result(phrase, shard, round int, slots []core.SlotResult, latencyNS int64) server.Result {
 	return server.Result{
-		Phrase:  it.phrase,
-		Shard:   it.shard,
-		Round:   it.round,
-		Slots:   it.slots.of(backing),
-		Latency: time.Duration(it.latency),
-	}, nil
-}
-
-// of returns the range's slots in backing, capped so an append by the
-// caller cannot run into the next item's.
-func (rg slotRange) of(backing []core.SlotResult) []core.SlotResult {
-	if !rg.set {
-		return nil
+		Phrase:  phrase,
+		Shard:   shard,
+		Round:   round,
+		Slots:   slots[:len(slots):len(slots)],
+		Latency: time.Duration(latencyNS),
 	}
-	return backing[rg.lo:rg.hi:rg.hi]
 }
 
-// decodeBatchReply decodes a POST /v1/query/batch reply to queries: one
-// result per query, and errs[i] set for each item that failed (errs is
-// nil when none did). All items' slots share one array.
+func badReply(err error) error { return fmt.Errorf("netserve: bad reply: %w", err) }
+
+var errEcho = errors.New("reply item does not echo its query")
+
+// decodeQueryReply decodes a POST /v1/query reply to query as
+// encoding/json decodes it, and requires the reply to echo query.
+func decodeQueryReply(data []byte, query string) (server.Result, error) {
+	scratch := slotPool.Get().(*[]core.SlotResult)
+	res, ok := matchQueryReply(data, query, scratch)
+	putSlots(scratch)
+	if ok {
+		return res, nil
+	}
+	var qr queryResponseEcho
+	if err := decodeJSON(data, nil, &qr); err != nil {
+		return server.Result{}, badReply(err)
+	}
+	if !echoes(qr.Query, query) {
+		return server.Result{}, badReply(errEcho)
+	}
+	return result(qr.Phrase, qr.Shard, qr.Round, qr.Slots, qr.LatencyNS), nil
+}
+
+// decodeBatchReply decodes a POST /v1/query/batch reply to queries as
+// encoding/json decodes it, and requires one item per query, each echoing
+// its query. It returns one result per query, and errs[i] set for each
+// item that failed (errs is nil when none did).
 func decodeBatchReply(data []byte, queries []string) (results []server.Result, errs []error, err error) {
-	d := getReplyDecoder(data)
-	defer putReplyDecoder(d)
-	r := &d.r
-	n := 0 // items in the reply
-	if d.object() {
-		resultsSeen := false
-		for first := true; ; first = false {
-			key, ok := r.member(first)
-			if !ok {
-				break
-			}
-			if batchReplyFields.index(key) != 0 {
-				r.skip(1)
-				continue
-			}
-			if resultsSeen {
-				r.syntax("repeated results key")
-				break
-			}
-			resultsSeen = true
-			c, ok := r.peek()
-			switch {
-			case !ok:
-			case c == 'n':
-				r.literal("null")
-			case c == '[':
-				r.pos++
-				for first := true; r.element(first); first = false {
-					var it replyItem
-					switch c, ok := r.peek(); {
-					case !ok:
-					case c == '{':
-						r.pos++
-						var want string
-						if n < len(queries) {
-							want = queries[n]
-						}
-						d.item(3, want, n < len(queries), true, &it)
-					case c == 'n':
-						r.literal("null")
-					default:
-						r.mismatch(c, 2, "results", "netserve.batchItem")
-					}
-					if r.failed() {
-						break
-					}
-					if n < len(queries) {
-						d.items = append(d.items, it)
-					}
-					n++
-				}
-			default:
-				r.mismatch(c, 1, "results", "[]netserve.batchItem")
-			}
-			if r.failed() {
-				break
-			}
-		}
+	scratch := slotPool.Get().(*[]core.SlotResult)
+	results, errs, ok := matchBatchReply(data, queries, scratch)
+	putSlots(scratch)
+	if ok {
+		return results, errs, nil
 	}
-	if err := d.replyErr(); err != nil {
-		return nil, nil, err
+	var br struct {
+		Results []batchItemEcho `json:"results"`
 	}
-	if n != len(queries) {
-		return nil, nil, fmt.Errorf("netserve: batch reply has %d items, want %d", n, len(queries))
+	if err := decodeJSON(data, nil, &br); err != nil {
+		return nil, nil, badReply(err)
+	}
+	if len(br.Results) != len(queries) {
+		return nil, nil, fmt.Errorf("netserve: batch reply has %d items, want %d", len(br.Results), len(queries))
 	}
 	results = make([]server.Result, len(queries))
-	backing := make([]core.SlotResult, len(d.slots))
-	copy(backing, d.slots)
-	for i := range d.items {
-		it := &d.items[i]
-		if it.failed() {
+	for i := range br.Results {
+		it := &br.Results[i]
+		if !echoes(it.Query, queries[i]) {
+			return nil, nil, badReply(errEcho)
+		}
+		if it.Error != "" || it.Code != 0 {
 			if errs == nil {
 				errs = make([]error, len(queries))
 			}
-			errs[i] = statusErr(it.code, it.err)
+			errs[i] = statusErr(it.Code, it.Error)
 			continue
 		}
-		results[i] = server.Result{
-			Phrase:  it.phrase,
-			Shard:   it.shard,
-			Round:   it.round,
-			Slots:   it.slots.of(backing),
-			Latency: time.Duration(it.latency),
-		}
+		results[i] = result(it.Phrase, it.Shard, it.Round, it.Slots, it.LatencyNS)
 	}
 	return results, errs, nil
 }

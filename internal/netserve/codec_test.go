@@ -2,11 +2,13 @@ package netserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"sharedwd/internal/core"
 	"sharedwd/internal/serr"
 	"sharedwd/internal/server"
+	"sharedwd/internal/workload"
 )
 
 // encodeJSON is the reference encoder: what the handlers wrote when they
@@ -122,18 +125,17 @@ func decodeRef[T any](body []byte, limit int64) (T, error) {
 }
 
 // decodeOwn runs a hand decoder the way the handlers run it.
-func decodeOwn[T any](body []byte, limit int64, decode func([]byte, bool) (T, error)) (T, error) {
+func decodeOwn[T any](body []byte, limit int64, decode func([]byte, error) (T, error)) (T, error) {
 	var rd io.Reader = bytes.NewReader(body)
 	if limit >= 0 {
 		rd = http.MaxBytesReader(nil, io.NopCloser(rd), limit)
 	}
 	data, rerr := readAll(rd, nil)
-	v, err := decode(data, rerr == nil)
-	if err == errIncomplete {
-		err = rerr
-	}
-	return v, err
+	return decode(data, rerr)
 }
+
+// maxNestingDepth is encoding/json's bound on nested arrays and objects.
+const maxNestingDepth = 10000
 
 // outcome classes a decode error the way the handlers answer it.
 func outcome(err error) string {
@@ -273,6 +275,14 @@ func TestBatchCodecAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Fatalf("appendBatchRequest allocates %.1f/op, want 0", n)
 		}
+		body := appendBatchRequest(nil, queries)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := decodeBatchRequest(body, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 2 {
+			t.Fatalf("decodeBatchRequest allocates %.1f/op, want ≤ 2 (the queries' string and slice)", n)
+		}
 		reply, _ := appendBatchReply(nil, queries, results, errs)
 		want := 2.0
 		if failing {
@@ -289,9 +299,11 @@ func TestBatchCodecAllocs(t *testing.T) {
 }
 
 // TestReplyDecodeRefuses pins what the client's reply decoders refuse
-// beyond encoding/json: a reply to other queries, a repeated array key, an
-// item count that is not the batch's. An echo of invalid UTF-8 is the
-// query as the server read it, with U+FFFD for each bad byte.
+// beyond encoding/json: an item with no query echo or an echo of another
+// query, and an item count that is not the batch's. A repeated key is
+// read last-wins, as encoding/json reads it, and then fails the echo rule
+// here. An echo of invalid UTF-8 is the query as the server read it, with
+// U+FFFD for each bad byte.
 func TestReplyDecodeRefuses(t *testing.T) {
 	queries := []string{"a", "b\xff"}
 	for _, tc := range []struct {
@@ -308,6 +320,7 @@ func TestReplyDecodeRefuses(t *testing.T) {
 		{`{"results":[{"slots":[],"slots":[]},{}]}`, false},
 		{`[]`, false},
 		{`null`, false},
+		{`{"results":[{"phrase":3},{}]}`, false},
 	} {
 		_, _, err := decodeBatchReply([]byte(tc.reply), queries)
 		if (err == nil) != tc.ok {
@@ -316,6 +329,9 @@ func TestReplyDecodeRefuses(t *testing.T) {
 	}
 	if _, err := decodeQueryReply([]byte(`{"query":"x","phrase":1}`), "y"); err == nil {
 		t.Error("decodeQueryReply accepted a reply to another query")
+	}
+	if _, err := decodeQueryReply([]byte(`{"phrase":5}`), "q"); err == nil {
+		t.Error("decodeQueryReply accepted a reply with no query echo")
 	}
 }
 
@@ -455,4 +471,81 @@ func FuzzHTTPReply(f *testing.F) {
 		checkReplyDecode(t, batch, queries)
 		checkReplyDecode(t, single, queries)
 	})
+}
+
+// TestBenchmarkTrafficTakesFastPath runs the matchers alone, with no
+// encoding/json to fall back on, over traffic shaped like the
+// serve-http-batch benchmark's: QueryStream's phrase variants mixed with
+// "zzz no such phrase N" junk in 64-query batches, each item answered with
+// 0–5 slots or failed as the server fails items. Every request and reply
+// must match and read back its values.
+func TestBenchmarkTrafficTakesFastPath(t *testing.T) {
+	wcfg := workload.DefaultConfig()
+	wcfg.NumAdvertisers, wcfg.NumPhrases = 500, 48
+	qs := workload.NewQueryStream(workload.Generate(wcfg), 0, 1)
+	rng := rand.New(rand.NewSource(2))
+	var queries []string
+	for len(queries) < 64*16 {
+		for _, q := range qs.Round() {
+			if rng.Float64() < 0.05 {
+				queries = append(queries, fmt.Sprintf("zzz no such phrase %d", rng.Intn(1<<20)))
+			}
+			queries = append(queries, q)
+		}
+	}
+	failures := []error{serr.ErrNoAuction, serr.ErrOverloaded, context.DeadlineExceeded}
+	scratch := new([]core.SlotResult)
+	for lo := 0; lo+64 <= len(queries); lo += 64 {
+		batch := queries[lo : lo+64]
+		if req, ok := matchBatchRequest(appendBatchRequest(nil, batch)); !ok || !reflect.DeepEqual(req.Queries, batch) {
+			t.Fatalf("batch request %q: matched %v, read %q", batch, ok, req.Queries)
+		}
+		results := make([]server.Result, len(batch))
+		errs := make([]error, len(batch))
+		for i := range batch {
+			if rng.Intn(4) == 0 {
+				errs[i] = failures[rng.Intn(len(failures))]
+				continue
+			}
+			var slots []core.SlotResult
+			for s := rng.Intn(6); s > 0; s-- {
+				slots = append(slots, core.SlotResult{Slot: len(slots), Advertiser: rng.Intn(wcfg.NumAdvertisers), PricePaid: rng.ExpFloat64()})
+			}
+			results[i] = server.Result{Phrase: rng.Intn(wcfg.NumPhrases), Shard: rng.Intn(2), Round: 1e6 + lo, Slots: slots, Latency: time.Duration(rng.Int63n(1e8))}
+		}
+		reply, _ := appendBatchReply(nil, batch, results, errs)
+		gotRes, gotErrs, ok := matchBatchReply(reply, batch, scratch)
+		if !ok {
+			t.Fatalf("batch reply not matched: %s", reply)
+		}
+		for i := range batch {
+			var e error
+			if gotErrs != nil {
+				e = gotErrs[i]
+			}
+			if e != errs[i] || !reflect.DeepEqual(gotRes[i], results[i]) {
+				t.Fatalf("batch reply item %d = %+v, %v; want %+v, %v", i, gotRes[i], e, results[i], errs[i])
+			}
+		}
+		*scratch = (*scratch)[:0]
+
+		for i, q := range batch {
+			if req, ok := matchQueryRequest(appendQueryRequest(nil, q)); !ok || req.Query != q {
+				t.Fatalf("query request %q: matched %v, read %q", q, ok, req.Query)
+			}
+			if errs[i] != nil {
+				continue // a failed query is answered by writeError, not the codec
+			}
+			want := results[i]
+			if want.Slots == nil {
+				want.Slots = []core.SlotResult{} // as handleQuery writes it
+			}
+			qr := queryResponse{Query: q, Phrase: want.Phrase, Shard: want.Shard, Round: want.Round, Slots: want.Slots, LatencyNS: int64(want.Latency)}
+			body, _ := appendQueryResponse(nil, &qr)
+			if res, ok := matchQueryReply(body, q, scratch); !ok || !reflect.DeepEqual(res, want) {
+				t.Fatalf("query reply %s: matched %v, read %+v", body, ok, res)
+			}
+			*scratch = (*scratch)[:0]
+		}
+	}
 }

@@ -16,8 +16,9 @@ import (
 )
 
 // The request and response structs below fix the query path's wire
-// schema. The handlers and Client encode and decode it with codec.go's
-// hand codec; the structs are what encoding/json checks that codec against.
+// schema. The handlers and Client encode it with codec.go's hand encoders
+// and decode it with its matchers, falling back on encoding/json into these
+// structs; encoding/json is also what the tests check the codec against.
 
 // queryRequest is the POST /v1/query body.
 type queryRequest struct {
@@ -135,8 +136,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer putBuf(buf)
 	data, rerr := readAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), (*buf)[:0])
 	*buf = data
-	req, err := decodeQueryRequest(data, rerr == nil)
-	if badBody(w, err, rerr) {
+	req, err := decodeQueryRequest(data, rerr)
+	if badBody(w, err) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -178,14 +179,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // badBody answers a request whose body decodeQueryRequest or
-// decodeBatchRequest refused (err) — or that a read error (rerr) cut short
-// — as the handlers did when json.Decoder read the body: 413 when the
-// body bound cut the value short, 400 with the decode error otherwise. It
-// reports whether it answered.
-func badBody(w http.ResponseWriter, err, rerr error) bool {
-	if err == errIncomplete {
-		err = rerr
-	}
+// decodeBatchRequest refused with err: json.Decoder's error, which is the
+// read error itself when one cut the value short. That is 413 when the body
+// bound did, 400 with the decode error otherwise. It reports whether it
+// answered.
+func badBody(w http.ResponseWriter, err error) bool {
 	if err == nil {
 		return false
 	}
@@ -249,8 +247,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// batch width the backend tolerates.
 	data, rerr := readAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes*64), (*buf)[:0])
 	*buf = data
-	req, err := decodeBatchRequest(data, rerr == nil)
-	if badBody(w, err, rerr) {
+	req, err := decodeBatchRequest(data, rerr)
+	if badBody(w, err) {
 		return
 	}
 	if len(req.Queries) == 0 {

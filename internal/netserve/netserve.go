@@ -81,8 +81,12 @@ type Config struct {
 	RateBurst int
 
 	// LiveQueue is each /v1/live subscriber's send-queue depth (0 means
-	// 16); a subscriber that falls this many round summaries behind is
-	// dropped rather than ever stalling the round loop.
+	// 256); a subscriber that falls this many round summaries behind is
+	// dropped rather than ever stalling the round loop. A summary goes out
+	// per resolved batch, thousands a second under load, so the default
+	// covers a few milliseconds in which the subscriber's writer goroutine
+	// is not scheduled: with 16, a healthy subscriber on a busy 2-core box
+	// was dropped after a few dozen sequential queries.
 	LiveQueue int
 }
 
@@ -114,7 +118,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.RateBurst = int(2*cfg.RateLimit + 0.999)
 	}
 	if cfg.LiveQueue <= 0 {
-		cfg.LiveQueue = 16
+		cfg.LiveQueue = 256
 	}
 	return cfg
 }

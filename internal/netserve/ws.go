@@ -257,8 +257,8 @@ type Hub struct {
 }
 
 // NewHub returns an empty hub whose per-connection send queues hold queue
-// messages (minimum 1; 16 is a sane default) and whose frame writes time
-// out after writeTimeout (0 means 10 s).
+// messages (minimum 1; Config.LiveQueue has the default) and whose frame
+// writes time out after writeTimeout (0 means 10 s).
 func NewHub(queue int, writeTimeout time.Duration) *Hub {
 	if queue < 1 {
 		queue = 1

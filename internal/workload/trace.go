@@ -100,8 +100,9 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 		if len(row) != len(header) {
 			return nil, fmt.Errorf("workload: row has %d fields, want %d", len(row), len(header))
 		}
+		// The first row fixes the occurrence width, zero included.
 		occStr := row[1]
-		if tr.NumPhrases == 0 {
+		if len(tr.Rounds) == 0 {
 			tr.NumPhrases = len(occStr)
 		} else if len(occStr) != tr.NumPhrases {
 			return nil, fmt.Errorf("workload: occurrence width %d, want %d", len(occStr), tr.NumPhrases)

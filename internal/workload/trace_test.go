@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 	"sharedwd/internal/bitset"
 )
 
-func traceFixture(t *testing.T) (*Workload, *Trace) {
+func traceFixture(t testing.TB) (*Workload, *Trace) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NumAdvertisers = 12
@@ -78,6 +79,7 @@ func TestReadTraceCSVRejectsCorruption(t *testing.T) {
 		"round,occurring,bid0\n0,10,x\n", // bad bid
 		"round,occurring,bid0\n0,10\n",   // short row
 		"round,occurring,bid0\n0,10,1\n1,100,1\n", // width change
+		"round,occurring,bid0\n0,,1\n1,01,2\n",    // width change from zero
 	}
 	for i, c := range cases {
 		if _, err := ReadTraceCSV(strings.NewReader(c)); err == nil {
@@ -115,4 +117,54 @@ func TestApplyInstallsBids(t *testing.T) {
 	if !tr.Rounds[0].Occurring[0] {
 		t.Fatal("Apply aliased the trace's occurrence slice")
 	}
+}
+
+// FuzzReadTraceCSV feeds ReadTraceCSV arbitrary bytes. It must not panic,
+// and whatever it parses must have every round of the header's width and
+// survive WriteCSV and a second ReadTraceCSV with the same occurrences and
+// bit-equal bids.
+func FuzzReadTraceCSV(f *testing.F) {
+	_, tr := traceFixture(f)
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("round,occurring,bid0\n0,,1\n1,01,2\n"))
+	f.Add([]byte("round,occurring,bid0,bid1\n0,1,-0, NaN\n1,0,+Inf,0x1p-2\n"))
+	f.Add([]byte("round,occurring,bid0\n\"0\",\"10\",\"1e400\"\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTraceCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for r, round := range tr.Rounds {
+			if len(round.Occurring) != tr.NumPhrases || len(round.Bids) != tr.NumAdvertisers {
+				t.Fatalf("round %d has width %d×%d, trace %d×%d", r, len(round.Occurring), len(round.Bids), tr.NumPhrases, tr.NumAdvertisers)
+			}
+		}
+		var out bytes.Buffer
+		if err := tr.WriteCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTraceCSV(&out)
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v\n%s", err, out.Bytes())
+		}
+		if back.NumPhrases != tr.NumPhrases || back.NumAdvertisers != tr.NumAdvertisers || len(back.Rounds) != len(tr.Rounds) {
+			t.Fatalf("read back %d×%d with %d rounds, want %d×%d with %d", back.NumPhrases, back.NumAdvertisers, len(back.Rounds), tr.NumPhrases, tr.NumAdvertisers, len(tr.Rounds))
+		}
+		for r, round := range tr.Rounds {
+			for q, o := range round.Occurring {
+				if back.Rounds[r].Occurring[q] != o {
+					t.Fatalf("round %d occurrence %d changed", r, q)
+				}
+			}
+			for i, b := range round.Bids {
+				if got := back.Rounds[r].Bids[i]; math.Float64bits(got) != math.Float64bits(b) {
+					t.Fatalf("round %d bid %d read back as %v, want %v", r, i, got, b)
+				}
+			}
+		}
+	})
 }
