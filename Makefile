@@ -1,20 +1,25 @@
 GO ?= go
 
-.PHONY: all build test race bench fuzz soak-pacing servedemo-smoke fmt vet staticcheck
+.PHONY: all build test allocs race bench fuzz soak-pacing servedemo-smoke fmt vet staticcheck
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# The second line is the 0-allocs-per-round gate: the AllocsPerRun tests
-# skip under the race detector, so they only bind in a non-race run, and
-# -count=1 keeps a cached pass from standing in for one. The third is the
-# same kind of gate on the HTTP edge's codec, the fourth on the plan build
-# (allocations per sharedagg.Build), the fifth on the round loop's answer
-# path (less than one allocation per resolve).
 test:
 	$(GO) test ./...
+	$(MAKE) --no-print-directory allocs
+
+# allocs runs the allocation gates, the one list that make test and CI's
+# zero-alloc leg both run. The AllocsPerRun tests skip under the race
+# detector, so they only bind in a non-race run, and -count=1 keeps a
+# cached pass from standing in for one. The first line is the
+# 0-allocs-per-round gate, the second the same kind of gate on the HTTP
+# edge's codec, the third on the round loop's answer path (less than one
+# allocation per resolve), the fourth on the plan build (allocations per
+# sharedagg.Build).
+allocs:
 	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/core ./internal/workload ./internal/sharedsort ./internal/budget
 	$(GO) test -count=1 -run 'TestBatchCodecAllocs' ./internal/netserve
 	$(GO) test -count=1 -run 'TestCloseRoundAllocs' ./internal/server
@@ -52,7 +57,8 @@ bench:
 # Resolve against a per-phrase sort of each resolve's reference round bids
 # (budgets held, ledger settled), the click simulator's timing wheel against
 # the pending-slice reference, the trace CSV reader (no panic; what parses
-# has the header's width and reads back bit for bit after WriteCSV), the
+# has the header's width and finite non-negative bids, and reads back bit
+# for bit after WriteCSV), the
 # HTTP edge's decoders, strict matchers with an encoding/json fallback,
 # against encoding/json (request bodies; reply bytes and client decoding),
 # the live feed's WebSocket frame reader (no panic, masked and bounded frames,

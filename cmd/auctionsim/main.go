@@ -7,7 +7,7 @@
 //
 //	auctionsim [-advertisers 2000] [-phrases 64] [-topics 8] [-slots 4]
 //	           [-rounds 200] [-seed 1] [-policy throttled] [-sharing shared]
-//	           [-pricing gsp] [-csv]
+//	           [-pricing gsp] [-perturb 0.05] [-csv] [-compare]
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 	flag.Parse()
 
 	if *compare {
-		runComparison(*advertisers, *phrases, *topics, *slots, *rounds, *seed)
+		runComparison(*advertisers, *phrases, *topics, *slots, *rounds, *seed, *perturb)
 		return
 	}
 
@@ -137,9 +137,9 @@ func max(a, b int) int {
 // cares about. In shared mode aggOps/auction counts the short phrases'
 // scans only; candidates/auction and short % say what the threshold
 // pass did (both 0 for Independent).
-func runComparison(advertisers, phrases, topics, slots, rounds int, seed int64) {
-	fmt.Printf("# %d advertisers, %d phrases, %d slots, %d rounds (seed %d)\n",
-		advertisers, phrases, slots, rounds, seed)
+func runComparison(advertisers, phrases, topics, slots, rounds int, seed int64, perturb float64) {
+	fmt.Printf("# %d advertisers, %d phrases, %d slots, %d rounds (seed %d, perturb %g)\n",
+		advertisers, phrases, slots, rounds, seed, perturb)
 	fmt.Println("sharing\tpolicy\tms/round\taggOps/auction\tcandidates/auction\tshort %\trevenue\tforgiven\tclicks")
 	for _, sharing := range []core.SharingMode{core.SharedAggregation, core.Independent} {
 		for _, policy := range []core.BudgetPolicy{core.Naive, core.Throttled} {
@@ -161,7 +161,7 @@ func runComparison(advertisers, phrases, topics, slots, rounds int, seed int64) 
 			start := time.Now()
 			for r := 0; r < rounds; r++ {
 				eng.Step(nil)
-				w.PerturbBids(0.05)
+				w.PerturbBids(perturb)
 			}
 			eng.Drain()
 			elapsed := time.Since(start)

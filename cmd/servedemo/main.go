@@ -4,7 +4,8 @@
 // deadlines, while the server batches them into rounds and resolves each
 // round's auctions with one shared threshold pass. The bid-phrase universe
 // is partitioned across -shards engine shards — each with its own round
-// loop — and advertiser budgets settle through the central ledger. Live
+// loop, phrases sharing Section II fragments placed together — and
+// advertiser budgets settle through the central ledger. Live
 // per-second snapshots show throughput, queue depth, shed/timeout
 // counters, and the per-stage latency distribution; a final summary
 // reports the lifetime totals, the engines' counters, the ledger and each
@@ -17,7 +18,7 @@
 //	servedemo [-advertisers 2000] [-phrases 64] [-seed 1]
 //	          [-clients 64] [-duration 10s] [-round 5ms] [-batch 256]
 //	          [-queue 4096] [-deadline 100ms] [-junk 0.05]
-//	          [-shards 1] [-router hash|fragment]
+//	          [-shards 1]
 //	          [-pacing 0] [-churn 0] [-refresh-every 0]
 //	          [-listen :8080] [-listen-binary :8081] [-rate-limit 0]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -76,7 +77,6 @@ func main() {
 	deadline := flag.Duration("deadline", 100*time.Millisecond, "per-request deadline")
 	junk := flag.Float64("junk", 0.05, "fraction of junk queries matching no phrase")
 	shards := flag.Int("shards", 1, "engine shards (each phrase partition gets its own round loop)")
-	router := flag.String("router", "hash", "phrase-to-shard router: hash or fragment")
 	pacing := flag.Int("pacing", 0, "budget pacing horizon in rounds (0 disables the pacing controller)")
 	churn := flag.Float64("churn", 0, "fraction of advertisers running sub-day campaign windows (needs -pacing)")
 	refreshEvery := flag.Int("refresh-every", 0, "budget-refresh epoch period in rounds, 0 disables (needs -pacing)")
@@ -122,14 +122,6 @@ func main() {
 	cfg.Worker.MaxBatch = *batch
 	cfg.Worker.QueueDepth = *queue
 	cfg.Worker.BidWalkScale = 0.02
-	switch *router {
-	case "hash":
-		cfg.Router = sharedwd.HashShardRouter{}
-	case "fragment":
-		cfg.Router = sharedwd.FragmentShardRouter{}
-	default:
-		exitOn(fmt.Errorf("unknown -router %q (want hash or fragment)", *router))
-	}
 
 	if *pacing > 0 {
 		pc := sharedwd.DefaultPacerConfig()
@@ -174,8 +166,8 @@ func main() {
 
 	fmt.Printf("workload: %d advertisers, %d phrases (seed %d)\n",
 		*advertisers, *phrases, *seed)
-	fmt.Printf("server:   %d shard(s) [%s router], %v rounds, batch %d, queue %d, %d clients, %v deadlines\n",
-		*shards, *router, *round, *batch, *queue, *clients, *deadline)
+	fmt.Printf("server:   %d shard(s), %v rounds, batch %d, queue %d, %d clients, %v deadlines\n",
+		*shards, *round, *batch, *queue, *clients, *deadline)
 	if ns != nil && ns.Addr() != "" {
 		fmt.Printf("http:     listening on %s (POST /v1/query, GET /v1/stats /v1/metrics /v1/live)\n", ns.Addr())
 	}

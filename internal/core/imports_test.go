@@ -9,22 +9,28 @@ import (
 )
 
 // TestServingImportBoundary keeps the paper's offline tier out of the
-// serving path: the non-test import closures of this package and of the
-// round server must contain neither the §II plan (plan, sharedagg), which
-// stays behind for the figures and as the test oracle of
-// TestEngineStrategyEquivalence, nor the §I batching simulator.
+// serving path: the non-test import closures of this package, the round
+// server, the shard fleet and both network edges must contain neither the
+// §II plan (plan, sharedagg), which stays behind for the figures and as
+// the test oracle of TestEngineStrategyEquivalence, nor the §I batching
+// simulator, the non-separable auction solver, the offline analytics or
+// the Bloom filter.
 func TestServingImportBoundary(t *testing.T) {
 	const module = "sharedwd"
 	forbidden := []string{
 		module + "/internal/plan",
 		module + "/internal/sharedagg",
 		module + "/internal/batching",
+		module + "/internal/nonsep",
+		module + "/internal/analytics",
+		module + "/internal/bloom",
 	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, from := range []string{module + "/internal/core", module + "/internal/server"} {
+	for _, pkg := range []string{"core", "server", "shard", "binproto", "netserve"} {
+		from := module + "/internal/" + pkg
 		seen := map[string]bool{from: true}
 		queue := []string{from}
 		for len(queue) > 0 {

@@ -235,11 +235,18 @@ func submitStatus(err error) (code int, retryable bool) {
 	}
 }
 
+// maxBatchQueries bounds the queries in one /v1/query/batch request, as
+// binproto's default MaxBatchItems bounds a batch frame: the body bound
+// alone admits some 65,000 one-byte queries and a reply 40× the request.
+const maxBatchQueries = 256
+
 // handleBatch submits many queries in one request via the backend's batch
 // path — grouped per shard, resolved in at most one round each — and
 // renders per-item outcomes. The response is 200 whenever the batch was
 // accepted; each failed item carries its own error, retryable flag, and
-// the /v1/query status code the same failure would have produced.
+// the /v1/query status code the same failure would have produced. A batch
+// of more than maxBatchQueries is refused with 400 before any of it
+// reaches the backend.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	buf := getBuf()
 	defer putBuf(buf)
@@ -253,6 +260,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Queries) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch", false)
+		return
+	}
+	if len(req.Queries) > maxBatchQueries {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch of %d queries exceeds %d", len(req.Queries), maxBatchQueries), false)
 		return
 	}
 	timeout, err := s.requestTimeout(r, queryRequest{Timeout: req.Timeout})

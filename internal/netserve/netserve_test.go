@@ -123,6 +123,27 @@ func postQuery(t *testing.T, h http.Handler, body string, hdr map[string]string)
 	return w
 }
 
+// TestBatchItemCap: /v1/query/batch serves maxBatchQueries queries and
+// refuses one more with 400 before any query reaches the backend.
+func TestBatchItemCap(t *testing.T) {
+	for _, tc := range []struct {
+		n, want     int
+		wantSubmits int64
+	}{
+		{maxBatchQueries, http.StatusOK, maxBatchQueries},
+		{maxBatchQueries + 1, http.StatusBadRequest, 0},
+	} {
+		s, b := newTestServer(t, Config{})
+		body := `{"queries":["a"` + strings.Repeat(`,"a"`, tc.n-1) + `]}`
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/batch", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != tc.want || b.submits.Load() != tc.wantSubmits {
+			t.Errorf("%d queries: status %d with %d submits, want %d with %d (%s)", tc.n, w.Code, b.submits.Load(), tc.want, tc.wantSubmits, w.Body)
+		}
+	}
+}
+
 func TestQueryHandler(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()

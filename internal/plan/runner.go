@@ -30,10 +30,13 @@ import (
 //     since it was computed (see Invalidate) — preserving the Section III-B
 //     dirty-cone caching semantics at instruction granularity.
 //
-// The engine resolves every round with Run. RunIncremental and Invalidate
-// are kept only for benchmark/'s plan.run_incremental_us_p50 probe and
-// FuzzCompiledRun, and go with the other benchmark shims (ROADMAP item
-// 1(f)); no other non-test code may call them.
+// No serving engine runs a plan: core resolves rounds with its threshold
+// pass. Run serves the facade's NewPlanRunner, benchmark/'s plan probes
+// and the tests that hold the engine to the §II plan (Lemma 1).
+// RunIncremental and Invalidate are kept only for benchmark/'s
+// plan.run_incremental_us_p50 probe and FuzzCompiledRun, and go with the
+// other benchmark shims (ROADMAP item 1(f)); no other non-test code may
+// call them.
 //
 // Both run on the caller's goroutine; a Runner is not safe for concurrent
 // use. An engine is one goroutine, and shards are the unit of parallelism

@@ -44,19 +44,13 @@ type shardedFleet struct {
 	pacer   *budget.Pacer
 }
 
-// newFleet builds the fleet; pcfg, when non-nil, attaches one shared
-// pacing controller over the central ledger (plus ecfg.Lifecycle, if set)
-// to every shard's engine — the production shard.New wiring.
-func newFleet(t *testing.T, w *workload.Workload, shards int, router Router, ecfg core.Config, pcfg *budget.PacerConfig) *shardedFleet {
+// newFleet builds the fleet over the phrase → shard assignment shardOf;
+// pcfg, when non-nil, attaches one shared pacing controller over the
+// central ledger (plus ecfg.Lifecycle, if set) to every shard's engine —
+// the production shard.New wiring.
+func newFleet(t *testing.T, w *workload.Workload, shardOf []int, shards int, ecfg core.Config, pcfg *budget.PacerConfig) *shardedFleet {
 	t.Helper()
-	assign, err := router.Assign(w, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rebalance(assign, w.Rates, shards); err != nil {
-		t.Fatal(err)
-	}
-	parts, idx, err := workload.Partition(w, assign, shards)
+	parts, idx, err := workload.Partition(w, shardOf, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,27 +127,39 @@ func equivalenceWorkloadConfig(minBudget, maxBudget float64) workload.Config {
 	return wcfg
 }
 
+// randomAssignment is an arbitrary placement that ignores sharing and load
+// and leaves no shard empty: phrase q goes to shard perm[q] mod shards for
+// a seeded permutation perm.
+func randomAssignment(phrases, shards int, seed int64) []int {
+	shardOf := rand.New(rand.NewSource(seed)).Perm(phrases)
+	for q := range shardOf {
+		shardOf[q] %= shards
+	}
+	return shardOf
+}
+
 // TestShardedEquivalenceUnlimitedBudgets is the exactness half of the
-// property: with budgets that never bind, a sharded fleet (any router,
-// either budget policy, shards stepping concurrently, either quality
-// regime) resolves every auction with exactly the winner sets and prices
-// of one reference engine over the same workload and round sequence. In
-// the per-phrase-quality regime each shard builds its own merge-sort
-// forest over its phrases, and the threshold algorithm is exact on any.
+// property: with budgets that never bind, a sharded fleet (the fragment
+// partition or an arbitrary one, either budget policy, shards stepping
+// concurrently, either quality regime) resolves every auction with exactly
+// the winner sets and prices of one reference engine over the same workload
+// and round sequence. In the per-phrase-quality regime each shard builds
+// its own merge-sort forest over its phrases, and the threshold algorithm
+// is exact on any.
 func TestShardedEquivalenceUnlimitedBudgets(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		policy    core.BudgetPolicy
-		router    Router
+		random    bool // randomAssignment instead of assign
 		shards    int
 		perPhrase bool
 	}{
-		{"naive/hash/4", core.Naive, HashRouter{}, 4, false},
-		{"throttled/hash/4", core.Throttled, HashRouter{}, 4, false},
-		{"throttled/fragment/3", core.Throttled, FragmentRouter{}, 3, false},
-		{"naive/fragment/8", core.Naive, FragmentRouter{}, 8, false},
-		{"per-phrase/throttled/hash/4", core.Throttled, HashRouter{}, 4, true},
-		{"per-phrase/naive/fragment/3", core.Naive, FragmentRouter{}, 3, true},
+		{"naive/random/4", core.Naive, true, 4, false},
+		{"throttled/random/4", core.Throttled, true, 4, false},
+		{"throttled/fragment/3", core.Throttled, false, 3, false},
+		{"naive/fragment/8", core.Naive, false, 8, false},
+		{"per-phrase/throttled/random/4", core.Throttled, true, 4, true},
+		{"per-phrase/naive/fragment/3", core.Naive, false, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wcfg := equivalenceWorkloadConfig(1e9, 1e9)
@@ -167,7 +173,11 @@ func TestShardedEquivalenceUnlimitedBudgets(t *testing.T) {
 				t.Fatal(err)
 			}
 			wFleet := workload.Generate(wcfg)
-			fleet := newFleet(t, wFleet, tc.shards, tc.router, ecfg, nil)
+			shardOf := assign(wFleet, tc.shards)
+			if tc.random {
+				shardOf = randomAssignment(wcfg.NumPhrases, tc.shards, 31)
+			}
+			fleet := newFleet(t, wFleet, shardOf, tc.shards, ecfg, nil)
 
 			occRng := rand.New(rand.NewSource(99))
 			occ := make([]bool, wcfg.NumPhrases)
@@ -237,7 +247,7 @@ func TestShardedEquivalenceBindingBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	wFleet := workload.Generate(wcfg)
-	fleet := newFleet(t, wFleet, 4, HashRouter{}, ecfg, nil)
+	fleet := newFleet(t, wFleet, assign(wFleet, 4), 4, ecfg, nil)
 
 	occRng := rand.New(rand.NewSource(99))
 	occ := make([]bool, wcfg.NumPhrases)
@@ -320,7 +330,7 @@ func TestShardedEquivalencePacing(t *testing.T) {
 	}
 
 	wFleet := workload.Generate(wcfg)
-	fleet := newFleet(t, wFleet, 4, HashRouter{}, ecfg, &pcfg)
+	fleet := newFleet(t, wFleet, assign(wFleet, 4), 4, ecfg, &pcfg)
 
 	occRng := rand.New(rand.NewSource(99))
 	occ := make([]bool, wcfg.NumPhrases)

@@ -8,10 +8,11 @@
 //	Submit ─┼─▶ worker 1: queue ─▶ round loop ─▶ Engine (phrases of shard 1) ─┼─▶ budget.Ledger
 //	        └─▶ worker N: queue ─▶ round loop ─▶ Engine (phrases of shard N) ─┘   (atomic TryCharge)
 //
-// Queries route by phrase: a Router fixes each phrase's shard at
-// construction (stable name hash by default; FragmentRouter co-locates
-// phrases sharing Section II fragments, so that one shard's threshold pass
-// scores their common advertisers once). No shard builds or runs a plan.
+// Queries route by phrase. Each phrase's shard is fixed at construction by
+// the Section II fragment partition: phrases sharing fragments co-locate,
+// so that one shard's threshold pass scores their common advertisers once,
+// under a cap that keeps the shards' expected loads within one average
+// phrase of each other. No shard builds or runs a plan.
 // Winner determination never crosses a shard — each auction's
 // advertisers are evaluated on the shard owning its phrase — but
 // advertiser budgets do: all shards charge clicks against one central
@@ -52,8 +53,6 @@ type Config struct {
 	Worker server.Config
 	// Shards is the number of engine shards (≥ 1).
 	Shards int
-	// Router fixes the phrase → shard assignment; nil means HashRouter.
-	Router Router
 }
 
 // DefaultConfig returns the per-worker DefaultConfig across one shard per
@@ -91,25 +90,25 @@ type Server struct {
 // The sharded server implements the fleet-facing contract.
 var _ server.Backend = (*Server)(nil)
 
-// New partitions the workload, builds one engine + round loop per shard,
-// and starts serving. The server takes ownership of the workload. Close
-// must be called to release the loops.
+// New partitions the workload by fragments (see assign), builds one
+// engine + round loop per shard, and starts serving. It fails when there
+// are fewer phrases than shards. The server takes ownership of the
+// workload. Close must be called to release the loops.
 func New(w *workload.Workload, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	router := cfg.Router
-	if router == nil {
-		router = HashRouter{}
+	// assign reads every rate and intersects every interest set with the
+	// shards' advertiser unions: refuse up front what core.New refuses.
+	if len(w.Rates) != len(w.Interests) {
+		return nil, fmt.Errorf("shard: %d search rates for %d phrases", len(w.Rates), len(w.Interests))
 	}
-	assign, err := router.Assign(w, cfg.Shards)
-	if err != nil {
-		return nil, err
+	for q, set := range w.Interests {
+		if r := w.Rates[q]; set.Cap() != len(w.Advertisers) || !(r >= 0 && r <= 1) {
+			return nil, fmt.Errorf("shard: phrase %d has interest capacity %d for %d advertisers and search rate %v", q, set.Cap(), len(w.Advertisers), r)
+		}
 	}
-	if err := rebalance(assign, w.Rates, cfg.Shards); err != nil {
-		return nil, err
-	}
-	parts, idx, err := workload.Partition(w, assign, cfg.Shards)
+	parts, idx, err := workload.Partition(w, assign(w, cfg.Shards), cfg.Shards)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sharedwd/internal/bitset"
 	"sharedwd/internal/budget"
 	"sharedwd/internal/core"
 	"sharedwd/internal/serr"
@@ -61,6 +62,22 @@ func TestShardedConfigValidate(t *testing.T) {
 	}
 	if _, err := New(testWorkload(t, 60, 8, 3), cfg); err == nil {
 		t.Fatal("New accepted invalid config")
+	}
+	if _, err := New(testWorkload(t, 60, 2, 3), testConfig(3)); err == nil {
+		t.Fatal("New accepted fewer phrases than shards")
+	}
+	// The placement reads every interest set and rate before any engine
+	// checks them: malformed ones are refused, not a panic.
+	for name, spoil := range map[string]func(w *workload.Workload){
+		"interest capacity": func(w *workload.Workload) { w.Interests[0] = bitset.New(59) },
+		"negative rate":     func(w *workload.Workload) { w.Rates[1] = -1 },
+		"short rates":       func(w *workload.Workload) { w.Rates = w.Rates[:4] },
+	} {
+		w := testWorkload(t, 60, 8, 3)
+		spoil(w)
+		if _, err := New(w, testConfig(2)); err == nil {
+			t.Errorf("New accepted a workload with a bad %s", name)
+		}
 	}
 }
 
@@ -274,28 +291,27 @@ func TestShardedDeadlineCountedOnce(t *testing.T) {
 	}
 }
 
-// TestShardedRouters: both routers produce full-range, deterministic,
-// non-empty assignments, and the fragment router serves traffic end to end.
+// TestShardedRouters: the fragment partition is deterministic, in range
+// and leaves no shard empty, and the fleet it routes serves traffic end to
+// end.
 func TestShardedRouters(t *testing.T) {
 	w := testWorkload(t, 80, 12, 9)
-	for name, r := range map[string]Router{"hash": HashRouter{}, "fragment": FragmentRouter{}} {
-		a1, err := r.Assign(w, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	a1, a2 := assign(w, 4), assign(w, 4)
+	count := make([]int, 4)
+	for q := range a1 {
+		if a1[q] != a2[q] {
+			t.Fatalf("non-deterministic assignment at phrase %d", q)
 		}
-		a2, _ := r.Assign(w, 4)
-		for q := range a1 {
-			if a1[q] != a2[q] {
-				t.Fatalf("%s: non-deterministic assignment at phrase %d", name, q)
-			}
-			if a1[q] < 0 || a1[q] >= 4 {
-				t.Fatalf("%s: phrase %d out of range: %d", name, q, a1[q])
-			}
+		if a1[q] < 0 || a1[q] >= 4 {
+			t.Fatalf("phrase %d out of range: %d", q, a1[q])
 		}
+		count[a1[q]]++
+	}
+	if slices.Contains(count, 0) {
+		t.Fatalf("assignment left a shard empty: %v", a1)
 	}
 
 	cfg := testConfig(3)
-	cfg.Router = FragmentRouter{}
 	s, err := New(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -386,38 +402,6 @@ func TestShardedCloseIdempotent(t *testing.T) {
 	}
 	wg.Wait()
 	closeAndCheckAccounting(t, s)
-}
-
-// TestRebalance: empty shards are filled by moving the lowest-rate phrases
-// off multi-phrase shards; impossible configurations are rejected.
-func TestRebalance(t *testing.T) {
-	assign := []int{0, 0, 0, 0}
-	rates := []float64{0.9, 0.1, 0.5, 0.7}
-	if err := rebalance(assign, rates, 3); err != nil {
-		t.Fatal(err)
-	}
-	count := make([]int, 3)
-	for _, s := range assign {
-		count[s]++
-	}
-	for s, c := range count {
-		if c == 0 {
-			t.Fatalf("shard %d still empty: %v", s, assign)
-		}
-	}
-	if assign[0] != 0 {
-		t.Fatalf("highest-rate phrase moved: %v", assign)
-	}
-
-	if err := rebalance([]int{0}, []float64{1}, 2); err == nil {
-		t.Fatal("accepted fewer phrases than shards")
-	}
-	if err := rebalance([]int{5}, []float64{1}, 2); err == nil {
-		t.Fatal("accepted out-of-range assignment")
-	}
-	if err := rebalance([]int{0, 0}, []float64{1}, 2); err == nil {
-		t.Fatal("accepted length mismatch")
-	}
 }
 
 // TestShardedEngineLifecycle: every shard's engine and the fleet's pacer

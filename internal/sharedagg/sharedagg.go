@@ -47,6 +47,13 @@
 // The plan is a function of the instance alone — hash keys are fixed, and
 // TestBuildMatchesReference holds every entry point, node for node, to the
 // builder this one replaced (reference_test.go).
+//
+// The package is offline: the figures, the facade's plan builder and the
+// tests that hold the engine to the plan use it, and no serving package
+// imports it (TestServingImportBoundary). The shard fleet places phrases by
+// the same stage-1 fragments without it: a fragment lies on a shard exactly
+// when its advertisers do, so internal/shard reads fragment affinity off
+// per-shard advertiser unions.
 package sharedagg
 
 import (

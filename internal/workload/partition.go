@@ -56,7 +56,7 @@ func Partition(w *Workload, assign []int, shards int) ([]*Workload, *PartitionIn
 	for s := 0; s < shards; s++ {
 		globals := idx.GlobalID[s]
 		if len(globals) == 0 {
-			return nil, nil, fmt.Errorf("workload: shard %d of %d received no phrases (fewer phrases than shards, or a skewed router)", s, shards)
+			return nil, nil, fmt.Errorf("workload: shard %d of %d received no phrases (fewer phrases than shards)", s, shards)
 		}
 		sub := &Workload{
 			Cfg:         w.Cfg,

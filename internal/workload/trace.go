@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -78,7 +79,9 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadTraceCSV parses a trace written by WriteCSV, validating shape.
+// ReadTraceCSV parses a trace written by WriteCSV, validating shape: every
+// row is numbered with its index, as WriteCSV numbers it, and every bid is
+// finite and non-negative.
 func ReadTraceCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -99,6 +102,9 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 		}
 		if len(row) != len(header) {
 			return nil, fmt.Errorf("workload: row has %d fields, want %d", len(row), len(header))
+		}
+		if want := strconv.Itoa(len(tr.Rounds)); row[0] != want {
+			return nil, fmt.Errorf("workload: row numbered %q, want %s", row[0], want)
 		}
 		// The first row fixes the occurrence width, zero included.
 		occStr := row[1]
@@ -124,6 +130,9 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 			b, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
 				return nil, fmt.Errorf("workload: bid %d: %w", i, err)
+			}
+			if !(b >= 0) || math.IsInf(b, 1) {
+				return nil, fmt.Errorf("workload: bid %d is %v, want finite and ≥ 0", i, b)
 			}
 			round.Bids[i] = b
 		}

@@ -80,6 +80,12 @@ func TestReadTraceCSVRejectsCorruption(t *testing.T) {
 		"round,occurring,bid0\n0,10\n",   // short row
 		"round,occurring,bid0\n0,10,1\n1,100,1\n", // width change
 		"round,occurring,bid0\n0,,1\n1,01,2\n",    // width change from zero
+		"round,occurring,bid0\nxyz,10,1\n",        // round not a number
+		"round,occurring,bid0\n-5,10,1\n",         // negative round
+		"round,occurring,bid0\n1,10,1\n",          // first row numbered 1
+		"round,occurring,bid0\n0,10,NaN\n",        // NaN bid
+		"round,occurring,bid0\n0,10,+Inf\n",       // infinite bid
+		"round,occurring,bid0\n0,10,-1\n",         // negative bid
 	}
 	for i, c := range cases {
 		if _, err := ReadTraceCSV(strings.NewReader(c)); err == nil {
@@ -141,6 +147,11 @@ func FuzzReadTraceCSV(f *testing.F) {
 		for r, round := range tr.Rounds {
 			if len(round.Occurring) != tr.NumPhrases || len(round.Bids) != tr.NumAdvertisers {
 				t.Fatalf("round %d has width %d×%d, trace %d×%d", r, len(round.Occurring), len(round.Bids), tr.NumPhrases, tr.NumAdvertisers)
+			}
+			for i, b := range round.Bids {
+				if !(b >= 0) || math.IsInf(b, 1) {
+					t.Fatalf("round %d bid %d parsed as %v, want finite and ≥ 0", r, i, b)
+				}
 			}
 		}
 		var out bytes.Buffer

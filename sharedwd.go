@@ -407,15 +407,6 @@ type (
 	// cross-shard advertiser budgets held exact by a central atomic
 	// ledger. Safe for concurrent use.
 	ShardedServer = shard.Server
-	// ShardRouter fixes the phrase → shard assignment at construction.
-	ShardRouter = shard.Router
-	// HashShardRouter is the stable default router (FNV-1a on the
-	// normalized phrase name).
-	HashShardRouter = shard.HashRouter
-	// FragmentShardRouter co-locates phrases sharing Section II fragments,
-	// so that one shard's threshold pass scores their common advertisers
-	// once per round.
-	FragmentShardRouter = shard.FragmentRouter
 	// BudgetLedger is the cross-shard budget authority: per-advertiser
 	// remaining/spent reads and the atomic TryCharge that keeps the
 	// Section IV invariant exact fleet-wide.
@@ -574,21 +565,22 @@ func GenerateLifecycle(w *Workload, cfg LifecycleConfig) (*Lifecycle, error) {
 func NewServer(w *Workload, cfg ServerConfig) (*Server, error) { return server.New(w, cfg) }
 
 // ShardedServerConfig parameterizes NewShardedServer: the per-shard
-// ServerConfig (Worker), the shard count and the phrase → shard router
-// (nil means HashShardRouter).
+// ServerConfig (Worker) and the shard count.
 type ShardedServerConfig = shard.Config
 
-// DefaultShardedServerConfig returns DefaultServerConfig on every shard,
-// one shard per available CPU, and the hash router.
+// DefaultShardedServerConfig returns DefaultServerConfig on every shard and
+// one shard per available CPU.
 func DefaultShardedServerConfig() ShardedServerConfig { return shard.DefaultConfig() }
 
 // NewShardedServer partitions the workload's phrase universe across engine
 // shards — one admission queue + round loop + engine per shard, advertiser
-// budgets shared through a central atomic ledger — and starts serving:
+// budgets shared through a central atomic ledger — and starts serving.
+// Phrases sharing Section II fragments co-locate, balanced by expected
+// load, so one shard's threshold pass scores their common advertisers once
+// per round; it fails when there are fewer phrases than shards:
 //
 //	cfg := sharedwd.DefaultShardedServerConfig()
 //	cfg.Shards = 4
-//	cfg.Router = sharedwd.FragmentShardRouter{}
 //	srv, err := sharedwd.NewShardedServer(w, cfg)
 //	defer srv.Close()
 //	res, err := srv.Submit(ctx, "hiking boots")
