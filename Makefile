@@ -65,21 +65,23 @@ bench:
 # round trip), and the pacer, which updates only the advertisers whose
 # factor can change, against the reference controller that steps every
 # advertiser (factors bit for bit). CI's fuzz smoke leg runs this target.
+# -fuzzminimizetime bounds how long a fuzzer may minimize a new input, which
+# otherwise can take its whole -fuzztime.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s ./internal/binproto
-	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s ./internal/binproto
-	$(GO) test -run='^$$' -fuzz='FuzzMergeRuns' -fuzztime=10s ./internal/topk
-	$(GO) test -run='^$$' -fuzz='FuzzFoldRun' -fuzztime=10s ./internal/topk
-	$(GO) test -run='^$$' -fuzz='FuzzScanRun' -fuzztime=10s ./internal/topk
-	$(GO) test -run='^$$' -fuzz='FuzzCompiledRun' -fuzztime=10s ./internal/plan
-	$(GO) test -run='^$$' -fuzz='FuzzThresholdRound' -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz='FuzzTickResolve' -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz='FuzzClickSim' -fuzztime=10s ./internal/workload
-	$(GO) test -run='^$$' -fuzz='FuzzReadTraceCSV' -fuzztime=10s ./internal/workload
-	$(GO) test -run='^$$' -fuzz='FuzzHTTPBody' -fuzztime=10s ./internal/netserve
-	$(GO) test -run='^$$' -fuzz='FuzzHTTPReply' -fuzztime=10s ./internal/netserve
-	$(GO) test -run='^$$' -fuzz='FuzzReadFrame' -fuzztime=10s ./internal/netserve
-	$(GO) test -run='^$$' -fuzz='FuzzPacer' -fuzztime=10s ./internal/budget
+	$(GO) test -run='^$$' -fuzz='FuzzFrameRoundTrip' -fuzztime=10s -fuzzminimizetime=5s ./internal/binproto
+	$(GO) test -run='^$$' -fuzz='FuzzMalformedFrame' -fuzztime=10s -fuzzminimizetime=5s ./internal/binproto
+	$(GO) test -run='^$$' -fuzz='FuzzMergeRuns' -fuzztime=10s -fuzzminimizetime=5s ./internal/topk
+	$(GO) test -run='^$$' -fuzz='FuzzFoldRun' -fuzztime=10s -fuzzminimizetime=5s ./internal/topk
+	$(GO) test -run='^$$' -fuzz='FuzzScanRun' -fuzztime=10s -fuzzminimizetime=5s ./internal/topk
+	$(GO) test -run='^$$' -fuzz='FuzzCompiledRun' -fuzztime=10s -fuzzminimizetime=5s ./internal/plan
+	$(GO) test -run='^$$' -fuzz='FuzzThresholdRound' -fuzztime=10s -fuzzminimizetime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz='FuzzTickResolve' -fuzztime=10s -fuzzminimizetime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz='FuzzClickSim' -fuzztime=10s -fuzzminimizetime=5s ./internal/workload
+	$(GO) test -run='^$$' -fuzz='FuzzReadTraceCSV' -fuzztime=10s -fuzzminimizetime=5s ./internal/workload
+	$(GO) test -run='^$$' -fuzz='FuzzHTTPBody' -fuzztime=10s -fuzzminimizetime=5s ./internal/netserve
+	$(GO) test -run='^$$' -fuzz='FuzzHTTPReply' -fuzztime=10s -fuzzminimizetime=5s ./internal/netserve
+	$(GO) test -run='^$$' -fuzz='FuzzReadFrame' -fuzztime=10s -fuzzminimizetime=5s ./internal/netserve
+	$(GO) test -run='^$$' -fuzz='FuzzPacer' -fuzztime=10s -fuzzminimizetime=5s ./internal/budget
 
 # soak-pacing runs the day-in-the-life budget-pacing soak (EXPERIMENTS.md):
 # calibrate natural spend, verify the unpaced baseline front-loads, then

@@ -54,22 +54,23 @@
 // reader parses frames from a reused read buffer and admits each into a
 // bounded in-flight table (MaxInFlight per connection; overflow is
 // answered immediately with the retryable StatusOverflow, and a reused
-// in-flight ID is a protocol error) before dispatching it to the backend
-// on its own goroutine. Completions flow through one channel to the writer,
-// which encodes into a reused write buffer and coalesces flushes — the
-// codec allocates nothing on the hot path. Shutdown follows the netserve
-// drain contract: the listener stops accepting, every admitted frame is
-// answered through the normal backend drain, the writer flushes, and only
-// then do sockets close.
+// in-flight ID is a protocol error), and submits every frame buffered in
+// one read window to the backend with one SubmitAsync call. Completions
+// append to a queue that the writer swaps out, encodes into a reused write
+// buffer and flushes whole — the codec allocates nothing on the hot path.
+// Shutdown follows the netserve drain contract: the listener stops
+// accepting, every admitted frame is answered through the normal backend
+// drain, the writer flushes, and only then do sockets close.
 //
 // # Client
 //
 // Client is the multiplexing dial-side: concurrent Submit/SubmitBatch
 // calls share one socket, each tagged with a fresh request ID and parked
 // on its own reply channel; a reader goroutine routes responses back by
-// ID. Statuses map back onto the serr sentinels, so errors.Is retry
-// policies written against the in-process servers work unchanged over the
-// wire.
+// ID. Its writer yields once before it takes the shared write buffer, so
+// concurrent callers' frames share one write. Statuses map back onto the
+// serr sentinels, so errors.Is retry policies written against the
+// in-process servers work unchanged over the wire.
 package binproto
 
 import (

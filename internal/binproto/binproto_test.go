@@ -89,7 +89,7 @@ func (b *fakeBackend) Close() { b.closed.Store(true) }
 
 // startServer runs a binary tier over a fresh fake backend and tears it
 // down with the test.
-func startServer(t *testing.T, cfg Config) (*Server, *fakeBackend) {
+func startServer(t testing.TB, cfg Config) (*Server, *fakeBackend) {
 	t.Helper()
 	b := newFakeBackend()
 	s := New(b, cfg)
@@ -100,7 +100,7 @@ func startServer(t *testing.T, cfg Config) (*Server, *fakeBackend) {
 	return s, b
 }
 
-func dialClient(t *testing.T, addr string) *Client {
+func dialClient(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,12 +47,13 @@ var callPool = sync.Pool{New: func() any { return &call{ch: make(chan wireResp, 
 // of goroutines may Submit, SubmitBatch, and Stats concurrently over the
 // one socket. Each call registers a pooled rendezvous under a fresh
 // request ID in a striped pending table, encodes its frame directly into
-// the shared write buffer (so a burst of submitters coalesces into one
-// writer syscall with no per-request buffer), and parks on its reusable
-// reply channel until the reader routes the response back by ID — so a
-// slow query never blocks a fast one behind it. Close fails all
-// outstanding calls with serr.ErrClosed; so do calls made after Close,
-// matching the in-process servers' post-Close contract.
+// the shared write buffer (no per-request buffer), and parks on its
+// reusable reply channel until the reader routes the response back by ID —
+// so a slow query never blocks a fast one behind it. The writer yields once
+// before it takes the buffer, so the callers the reader has just woken
+// append their next frames first and share one write (see writer). Close
+// fails all outstanding calls with serr.ErrClosed; so do calls made after
+// Close, matching the in-process servers' post-Close contract.
 type Client struct {
 	netc net.Conn
 
@@ -67,10 +69,15 @@ type Client struct {
 
 	// The write path: posters append encoded frames to wbuf under wmu and
 	// nudge the writer, which swaps the buffer out and writes it whole.
-	wmu   sync.Mutex
-	wbuf  []byte
-	wdead bool
-	wwake chan struct{} // cap 1
+	// wframes counts the frames in wbuf; the writer moves it into frames
+	// when it swaps.
+	wmu     sync.Mutex
+	wbuf    []byte
+	wframes int64
+	wdead   bool
+	wwake   chan struct{} // cap 1
+
+	writes, frames atomic.Int64 // see WriteCounts
 
 	readerDone chan struct{}
 	writerDone chan struct{}
@@ -100,7 +107,7 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		netc:       netc,
-		wbuf:       make([]byte, 0, 32<<10),
+		wbuf:       make([]byte, 0, writeBufSize),
 		wwake:      make(chan struct{}, 1),
 		readerDone: make(chan struct{}),
 		writerDone: make(chan struct{}),
@@ -111,6 +118,25 @@ func Dial(addr string) (*Client, error) {
 	go c.reader()
 	go c.writer()
 	return c, nil
+}
+
+// writeBufSize is the starting capacity of each of the client's two write
+// buffers. One yield's worth of frames from 64 callers is ≈ 3 KiB; a larger
+// run grows the buffer by append.
+const writeBufSize = 4 << 10
+
+// WriteCounts is what a binary endpoint has written to its sockets: Writes
+// socket writes carrying Frames frames in all. Frames/Writes is how many
+// frames one write coalesced.
+type WriteCounts struct {
+	Writes, Frames int64
+}
+
+// WriteCounts reports the socket writes and frames this client's writer
+// has issued. A frame is counted when the writer takes it, just before the
+// write that carries it.
+func (c *Client) WriteCounts() WriteCounts {
+	return WriteCounts{Writes: c.writes.Load(), Frames: c.frames.Load()}
 }
 
 func (c *Client) shard(id uint64) *pendingShard {
@@ -168,8 +194,13 @@ func timeoutMS(ctx context.Context) uint32 {
 	return uint32(ms)
 }
 
-// post encodes-and-sends via fn and waits for the routed response.
+// post encodes-and-sends via fn and waits for the routed response. A ctx
+// that is already done sends nothing: timeoutMS would floor its past
+// deadline to 1 ms, and the server would answer a request nobody waits for.
 func (c *Client) post(ctx context.Context, fn func(b []byte, id uint64) []byte) (wireResp, error) {
+	if err := ctx.Err(); err != nil {
+		return wireResp{}, err
+	}
 	id, ca, err := c.register()
 	if err != nil {
 		return wireResp{}, c.closedErr()
@@ -187,6 +218,7 @@ func (c *Client) post(ctx context.Context, fn func(b []byte, id uint64) []byte) 
 		return r, nil
 	}
 	c.wbuf = fn(c.wbuf, id)
+	c.wframes++
 	c.wmu.Unlock()
 	select {
 	case c.wwake <- struct{}{}:
@@ -379,11 +411,17 @@ out:
 }
 
 // writer swaps the shared encode buffer out under the lock and writes it
-// whole: a burst of posters costs one syscall and zero per-request
-// buffers. Posters never block on the socket — they append and move on.
+// whole. Posters never block on the socket — they append and move on.
+//
+// Before each swap the writer yields once. A reply batch wakes many parked
+// callers at once, and each appends its next frame moments after it runs;
+// without the yield the writer takes the buffer as soon as the first frame
+// lands and pays one syscall per frame. With it, the woken callers run
+// first and one write carries their frames. A lone caller does not wait:
+// with nothing else runnable, Gosched returns at once.
 func (c *Client) writer() {
 	defer close(c.writerDone)
-	spare := make([]byte, 0, 32<<10)
+	spare := make([]byte, 0, writeBufSize)
 	for {
 		select {
 		case <-c.wwake:
@@ -391,14 +429,17 @@ func (c *Client) writer() {
 			return
 		}
 		for {
+			runtime.Gosched()
 			c.wmu.Lock()
-			buf := c.wbuf
-			c.wbuf = spare[:0]
+			buf, n := c.wbuf, c.wframes
+			c.wbuf, c.wframes = spare[:0], 0
 			c.wmu.Unlock()
 			if len(buf) == 0 {
 				spare = buf
 				break
 			}
+			c.writes.Add(1)
+			c.frames.Add(n)
 			_, err := c.netc.Write(buf)
 			spare = buf[:0]
 			if err != nil {

@@ -34,6 +34,8 @@ type Server struct {
 	conns    map[*conn]struct{}
 	draining bool
 
+	writes, frames atomic.Int64 // see WriteCounts
+
 	acceptDone chan struct{} // closed when the accept loop exits
 }
 
@@ -66,6 +68,26 @@ func (s *Server) Addr() string {
 		return ""
 	}
 	return s.listener.Addr().String()
+}
+
+// WriteCounts reports the socket writes and reply frames the tier's
+// connection writers have issued, summed over every connection it served.
+// A write is counted as it is issued, so it precedes the client's read of
+// any frame it carries.
+func (s *Server) WriteCounts() WriteCounts {
+	return WriteCounts{Writes: s.writes.Load(), Frames: s.frames.Load()}
+}
+
+// countingWriter counts every socket write the connection writer's
+// bufio.Writer issues.
+type countingWriter struct {
+	w io.Writer
+	n *atomic.Int64
+}
+
+func (cw countingWriter) Write(p []byte) (int, error) {
+	cw.n.Add(1)
+	return cw.w.Write(p)
 }
 
 func (s *Server) acceptLoop() {
@@ -552,7 +574,7 @@ func (c *conn) discardQueue() {
 // completions included) never wait on the socket.
 func (c *conn) writer() {
 	defer close(c.writerDone)
-	bw := bufio.NewWriterSize(c.netc, 32<<10)
+	bw := bufio.NewWriterSize(countingWriter{c.netc, &c.srv.writes}, 32<<10)
 	buf := make([]byte, 0, 4096)
 	spare := make([]wireMsg, 0, 64)
 	encode := func(m *wireMsg) {
@@ -584,6 +606,7 @@ func (c *conn) writer() {
 				spare = batch
 				return true
 			}
+			c.srv.frames.Add(int64(len(batch)))
 			for i := range batch {
 				encode(&batch[i])
 				batch[i] = wireMsg{} // release refs (results, errors, stats)

@@ -356,9 +356,10 @@ func (p metricsProbe) Complete(_ int, _ Result, err error) {
 }
 
 // TestOutcomeCountedBeforeCompletion pins that the round loop counts an
-// outcome before it fires the Completion: a caller that has its answer
-// must see it in Metrics. Sequential one-item submissions make the i-th
-// completion's Answered at least i.
+// outcome, and samples its latency, before it fires the Completion: a
+// caller that has its answer must see it in Metrics. Sequential one-item
+// submissions make the i-th completion's Answered and latency samples at
+// least i.
 func TestOutcomeCountedBeforeCompletion(t *testing.T) {
 	w := testWorkload(t)
 	srv, err := New(w, testConfig())
@@ -370,8 +371,12 @@ func TestOutcomeCountedBeforeCompletion(t *testing.T) {
 	probe := metricsProbe{srv: srv, seen: make(chan Metrics, 1)}
 	for i := 1; i <= 5; i++ {
 		srv.SubmitAsync([]AsyncItem{{Query: w.PhraseNames[i], Done: probe}})
-		if m := <-probe.seen; m.Answered < int64(i) {
+		m := <-probe.seen
+		if m.Answered < int64(i) {
 			t.Fatalf("completion %d saw Answered = %d", i, m.Answered)
+		}
+		if n := m.TotalLatency.Count(); n < i {
+			t.Fatalf("completion %d saw %d latency samples", i, n)
 		}
 	}
 }

@@ -42,6 +42,12 @@ func (req *request) callerGone() bool {
 	return ok && w.gone.Load()
 }
 
+// waits splits the request's latency at a resolve that started at
+// closeStart and answered at answerTime: admission wait, round wait, total.
+func (req *request) waits(closeStart, answerTime time.Time) (adm, rw, lat time.Duration) {
+	return req.dequeued.Sub(req.enqueued), closeStart.Sub(req.dequeued), answerTime.Sub(req.enqueued)
+}
+
 // expired reports whether the request's deadline has passed.
 func (req *request) expired(now time.Time) bool {
 	return !req.deadline.IsZero() && now.After(req.deadline)
@@ -104,11 +110,6 @@ type Worker struct {
 	latencySum    stats.Summary
 	engStats      core.Stats
 
-	// latScratch collects per-request latency samples inside closeRound so
-	// requests can be recycled the moment they are answered, with the
-	// histogram updates following off the scratch copy. Loop-owned.
-	latScratch []latSample
-
 	// slab is the slot slab closeRound copies answered phrases' slots
 	// into. Each resolve appends its copies and hands out capped
 	// sub-slices, so a Result's Slots aliases neither engine scratch nor
@@ -120,8 +121,6 @@ type Worker struct {
 	slotAt    []slotSpan
 	slotEpoch uint32
 }
-
-type latSample struct{ adm, rw, lat float64 }
 
 // slotSpan is slab[lo:hi], phrase q's slots in the resolve numbered epoch.
 type slotSpan struct {
@@ -387,31 +386,12 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		wk.copySlots(live, rep)
 	}
 
-	// Answer first, record latencies after: the samples are captured into
-	// loop-owned scratch before complete, which recycles the request.
+	// Record first, answer after: a caller that holds its reply finds the
+	// request counted and its latency sampled in Metrics.
 	answerTime := time.Now()
-	wk.answered.Add(int64(len(live)))
-	wk.latScratch = wk.latScratch[:0]
-	for _, req := range live {
-		adm := req.dequeued.Sub(req.enqueued)
-		rw := closeStart.Sub(req.dequeued)
-		lat := answerTime.Sub(req.enqueued)
-		wk.latScratch = append(wk.latScratch, latSample{adm.Seconds(), rw.Seconds(), lat.Seconds()})
-		var slots []core.SlotResult
-		if sp := wk.slotAt[req.phrase]; sp.lo < sp.hi {
-			slots = wk.slab[sp.lo:sp.hi:sp.hi]
-		}
-		wk.complete(req, Result{
-			Round:         round,
-			Slots:         slots,
-			AdmissionWait: adm,
-			RoundWait:     rw,
-			Latency:       lat,
-		}, nil)
-	}
 	nlive := len(live)
-
 	wk.mu.Lock()
+	wk.answered.Add(int64(nlive))
 	wk.rounds++
 	if nlive == 0 {
 		wk.emptyRounds++
@@ -419,13 +399,14 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		wk.wdHist.Add(wdDur.Seconds())
 		wk.wdSummary.Add(wdDur.Seconds())
 	}
-	for _, s := range wk.latScratch {
-		wk.admissionHist.Add(s.adm)
-		wk.admissionSum.Add(s.adm)
-		wk.roundHist.Add(s.rw)
-		wk.roundSum.Add(s.rw)
-		wk.latencyHist.Add(s.lat)
-		wk.latencySum.Add(s.lat)
+	for _, req := range live {
+		adm, rw, lat := req.waits(closeStart, answerTime)
+		wk.admissionHist.Add(adm.Seconds())
+		wk.admissionSum.Add(adm.Seconds())
+		wk.roundHist.Add(rw.Seconds())
+		wk.roundSum.Add(rw.Seconds())
+		wk.latencyHist.Add(lat.Seconds())
+		wk.latencySum.Add(lat.Seconds())
 	}
 	wk.engStats = wk.eng.Stats()
 	var summary RoundSummary
@@ -441,6 +422,21 @@ func (wk *Worker) closeRound(pending []*request, occ []bool) []*request {
 		}
 	}
 	wk.mu.Unlock()
+
+	for _, req := range live {
+		adm, rw, lat := req.waits(closeStart, answerTime)
+		var slots []core.SlotResult
+		if sp := wk.slotAt[req.phrase]; sp.lo < sp.hi {
+			slots = wk.slab[sp.lo:sp.hi:sp.hi]
+		}
+		wk.complete(req, Result{
+			Round:         round,
+			Slots:         slots,
+			AdmissionWait: adm,
+			RoundWait:     rw,
+			Latency:       lat,
+		}, nil)
+	}
 
 	// Publish outside the metrics lock: the hook must not block, but even a
 	// fast hook has no business extending the Metrics critical section.
