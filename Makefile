@@ -15,8 +15,8 @@ test:
 # zero-alloc leg both run. The AllocsPerRun tests skip under the race
 # detector, so they only bind in a non-race run, and -count=1 keeps a
 # cached pass from standing in for one. The first line is the
-# 0-allocs-per-round gate, the second the same kind of gate on the HTTP
-# edge's codec, the third on the round loop's answer path (less than one
+# 0-allocs-per-round gate (and the query matcher's 0 per query), the second
+# the same kind of gate on the HTTP edge's codec, the third on the round loop's answer path (less than one
 # allocation per resolve), the fourth on the plan build (allocations per
 # sharedagg.Build).
 allocs:
@@ -56,11 +56,13 @@ bench:
 # scores every participant, random interleavings of the engine's Tick and
 # Resolve against a per-phrase sort of each resolve's reference round bids
 # (budgets held, ledger settled), the click simulator's timing wheel against
-# the pending-slice reference, the trace CSV reader (no panic; what parses
+# the pending-slice reference, the query matcher's allocation-free
+# normalization against Normalize, the trace CSV reader (no panic; what parses
 # has the header's width and finite non-negative bids, and reads back bit
 # for bit after WriteCSV), the
 # HTTP edge's decoders, strict matchers with an encoding/json fallback,
-# against encoding/json (request bodies; reply bytes and client decoding),
+# against encoding/json (request bodies; reply bytes and client decoding,
+# slot arrays repeated within a reply included),
 # the live feed's WebSocket frame reader (no panic, masked and bounded frames,
 # round trip), and the pacer, which updates only the advertisers whose
 # factor can change, against the reference controller that steps every
@@ -77,6 +79,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzThresholdRound' -fuzztime=10s -fuzzminimizetime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzTickResolve' -fuzztime=10s -fuzzminimizetime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzClickSim' -fuzztime=10s -fuzzminimizetime=5s ./internal/workload
+	$(GO) test -run='^$$' -fuzz='FuzzNormalize' -fuzztime=10s -fuzzminimizetime=5s ./internal/workload
 	$(GO) test -run='^$$' -fuzz='FuzzReadTraceCSV' -fuzztime=10s -fuzzminimizetime=5s ./internal/workload
 	$(GO) test -run='^$$' -fuzz='FuzzHTTPBody' -fuzztime=10s -fuzzminimizetime=5s ./internal/netserve
 	$(GO) test -run='^$$' -fuzz='FuzzHTTPReply' -fuzztime=10s -fuzzminimizetime=5s ./internal/netserve

@@ -31,6 +31,13 @@ import (
 // encoding/json decodes it, and the client then requires one item per query
 // and, in each item, a query key that echoes its query.
 // FuzzHTTPBody and FuzzHTTPReply hold both halves against encoding/json.
+//
+// Queries that match the same phrase in one resolve share one slot list,
+// so a batch reply carries each list several times. The batch encoder
+// writes each distinct list once per reply and copies its bytes for the
+// repeats (slotMemo), and the reply matcher parses each distinct array
+// once and copies its slots (matcher.seen). Bytes and decoded values are
+// what they would be without either.
 
 // maxPooledBuf caps the buffers the pool keeps; a larger one (a reply to
 // an unusually wide batch) is left to the garbage collector.
@@ -200,9 +207,29 @@ func appendQueryResponse(dst []byte, r *queryResponse) ([]byte, bool) {
 	return append(dst, "}\n"...), true
 }
 
-// appendBatchItem appends encoding/json's bytes for one batchItem,
-// omitempty fields left out when zero.
-func appendBatchItem(dst []byte, it *batchItem) ([]byte, bool) {
+// slotMemoSize bounds the distinct slot lists one reply remembers, on the
+// encoder's stack and in the client's matcher; the lists past it are
+// encoded and parsed as if it were not there.
+const slotMemoSize = 32
+
+// slotMemo remembers where in one reply each distinct slot list's array
+// was written, so that a repeat copies those bytes instead of formatting
+// the prices again. A list is known by its memory: the span copySlots
+// handed out for a phrase is shared by every query that matched it and
+// never written again, so the same element 0 and length mean the same
+// bytes, whatever the prices are (NaN, -0 and near-equal ones included).
+type slotMemo struct {
+	n    int
+	span [slotMemoSize]struct {
+		first  *core.SlotResult
+		len    int
+		lo, hi int // dst[lo:hi] is the array's bytes
+	}
+}
+
+// appendItem appends encoding/json's bytes for one batchItem, omitempty
+// fields left out when zero, and its slot array through m.
+func (m *slotMemo) appendItem(dst []byte, it *batchItem) ([]byte, bool) {
 	dst = appendString(append(dst, `{"query":`...), it.Query)
 	if it.Phrase != 0 {
 		dst = appendInt(dst, `,"phrase":`, int64(it.Phrase))
@@ -215,7 +242,7 @@ func appendBatchItem(dst []byte, it *batchItem) ([]byte, bool) {
 	}
 	if len(it.Slots) != 0 {
 		var ok bool
-		if dst, ok = appendSlots(append(dst, `,"slots":`...), it.Slots); !ok {
+		if dst, ok = m.appendSlots(append(dst, `,"slots":`...), it.Slots); !ok {
 			return dst, false
 		}
 	}
@@ -232,6 +259,26 @@ func appendBatchItem(dst []byte, it *batchItem) ([]byte, bool) {
 		dst = appendInt(dst, `,"code":`, int64(it.Code))
 	}
 	return append(dst, '}'), true
+}
+
+// appendSlots appends the non-empty slots: a copy of the bytes written for
+// the same list earlier in dst, or appendSlots's. A list appendSlots
+// refuses fails the whole reply, so its entry is never read.
+func (m *slotMemo) appendSlots(dst []byte, slots []core.SlotResult) ([]byte, bool) {
+	first := &slots[0]
+	for _, sp := range m.span[:m.n] {
+		if sp.first == first && sp.len == len(slots) {
+			return append(dst, dst[sp.lo:sp.hi]...), true
+		}
+	}
+	lo := len(dst)
+	dst, ok := appendSlots(dst, slots)
+	if m.n < len(m.span) {
+		sp := &m.span[m.n]
+		sp.first, sp.len, sp.lo, sp.hi = first, len(slots), lo, len(dst)
+		m.n++
+	}
+	return dst, ok
 }
 
 // batchItemFor is the reply item for query q, answered with res or failed
@@ -252,8 +299,10 @@ func batchItemFor(q string, res *server.Result, err error) batchItem {
 }
 
 // appendBatchReply appends json.Encoder's bytes for the batchResponse that
-// answers queries with results and errs, item by item.
+// answers queries with results and errs, item by item, each distinct slot
+// list formatted once.
 func appendBatchReply(dst []byte, queries []string, results []server.Result, errs []error) ([]byte, bool) {
+	var memo slotMemo
 	dst = append(dst, `{"results":[`...)
 	for i, q := range queries {
 		if i > 0 {
@@ -261,7 +310,7 @@ func appendBatchReply(dst []byte, queries []string, results []server.Result, err
 		}
 		item := batchItemFor(q, &results[i], errs[i])
 		var ok bool
-		if dst, ok = appendBatchItem(dst, &item); !ok {
+		if dst, ok = memo.appendItem(dst, &item); !ok {
 			return dst, false
 		}
 	}
@@ -299,6 +348,19 @@ type matcher struct {
 	data   []byte
 	pos    int
 	failed bool
+
+	// seen[:nSeen] are the slot arrays item has parsed, the latest one
+	// per (phrase, shard, round). An entry a failed match leaves is never
+	// read: the matcher is discarded.
+	nSeen int
+	seen  [slotMemoSize]parsedSlots
+}
+
+// parsedSlots is a slot array a reply matcher parsed: data[lo:hi], in an
+// item with this phrase, shard and round, decoded into scratch[slo:shi].
+type parsedSlots struct {
+	phrase, shard, round int
+	lo, hi, slo, shi     int
 }
 
 func (m *matcher) fail() { m.failed = true }
@@ -529,7 +591,7 @@ func (m *matcher) item(q string, batch bool, res *server.Result, scratch *[]core
 	res.Shard = int(m.optInt(`,"shard":`, strconv.IntSize))
 	res.Round = int(m.optInt(`,"round":`, strconv.IntSize))
 	if m.next(`,"slots":`) {
-		res.Slots = m.slots(scratch)
+		res.Slots = m.slots(res, scratch)
 	}
 	res.Latency = time.Duration(m.optInt(`,"latency_ns":`, 64))
 	if batch {
@@ -543,9 +605,26 @@ func (m *matcher) item(q string, batch bool, res *server.Result, scratch *[]core
 	return code, msg
 }
 
-// slots matches a slot array, appending its slots to *scratch.
-func (m *matcher) slots(scratch *[]core.SlotResult) []core.SlotResult {
+// slots matches the slot array of the item that res has read so far,
+// appending its slots to *scratch. An array whose bytes an earlier item
+// with the same phrase, shard and round carried is not parsed again: its
+// slots are copied from that item's. A slot array holds no inner ], so
+// equal bytes are the same array.
+func (m *matcher) slots(res *server.Result, scratch *[]core.SlotResult) []core.SlotResult {
 	lo := len(*scratch)
+	var prev *parsedSlots
+	for i := range m.seen[:m.nSeen] {
+		if p := &m.seen[i]; p.phrase == res.Phrase && p.shard == res.Shard && p.round == res.Round {
+			prev = p
+			break
+		}
+	}
+	if prev != nil && !m.failed && bytes.HasPrefix(m.data[m.pos:], m.data[prev.lo:prev.hi]) {
+		m.pos += prev.hi - prev.lo
+		*scratch = append(*scratch, (*scratch)[prev.slo:prev.shi]...)
+		return (*scratch)[lo:]
+	}
+	start := m.pos
 	m.expect("[")
 	if m.next("]") {
 		return []core.SlotResult{} // [] decodes to an empty slice, not nil
@@ -564,7 +643,27 @@ func (m *matcher) slots(scratch *[]core.SlotResult) []core.SlotResult {
 		}
 	}
 	m.expect("]")
+	if prev == nil && m.nSeen < len(m.seen) {
+		prev = &m.seen[m.nSeen]
+		m.nSeen++
+	}
+	if prev != nil {
+		*prev = parsedSlots{res.Phrase, res.Shard, res.Round, start, m.pos, lo, len(*scratch)}
+	}
 	return (*scratch)[lo:]
+}
+
+// forget drops the parsed arrays whose slots lie past scratch[:lo], which
+// a failed item has just cut from scratch.
+func (m *matcher) forget(lo int) {
+	n := 0
+	for _, p := range m.seen[:m.nSeen] {
+		if p.shi <= lo {
+			m.seen[n] = p
+			n++
+		}
+	}
+	m.nSeen = n
 }
 
 // relink moves the slots of results, which alias scratch in order, into
@@ -612,6 +711,7 @@ func matchBatchReply(data []byte, queries []string, scratch *[]core.SlotResult) 
 		if code != 0 || len(msg) != 0 {
 			results[i] = server.Result{}
 			*scratch = (*scratch)[:lo]
+			m.forget(lo)
 			if errs == nil {
 				errs = make([]error, len(queries))
 			}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +107,13 @@ func TestBatchReplyMatchesOldHandler(t *testing.T) {
 	if want := encodeJSON(t, resp); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("batch reply:\n got %s\nwant %s", got, want)
 	}
+}
+
+// appendBatchItem appends encoding/json's bytes for one batchItem alone:
+// with a memo of its own, its slot array is always formatted.
+func appendBatchItem(dst []byte, it *batchItem) ([]byte, bool) {
+	var memo slotMemo
+	return memo.appendItem(dst, it)
 }
 
 // unclassifiedErr is an error submitStatus does not classify.
@@ -414,6 +422,20 @@ func FuzzHTTPReply(f *testing.F) {
 	f.Add("\xff<\u2028\u2029>", -1, -2, math.MaxInt, int64(math.MinInt64), -3, -4, math.Float64bits(-1e21), "\x00", 1, 500,
 		[]byte(`{"Results":[{"QUERY":"a","Slots":null},null],"results":null}`))
 	f.Add("q", 1, 1, 1, int64(1), 1, 1, uint64(1), "e", 2, 503, []byte(`{"results":[{"query":"a","slots":[null,{"Price_Paid":1e400}]},{}]}`))
+	// Repeated slot arrays, which the client's slot memo copies instead of
+	// parsing: under one key, under one key with the second array longer or
+	// one ulp apart, under two keys, and in a failed item whose slots are
+	// cut from the scratch (and from the memo) before its key repeats.
+	const arr = `[{"slot":0,"advertiser":2,"price_paid":0.5},{"slot":1,"advertiser":3,"price_paid":0.25}]`
+	for _, raw := range []string{
+		`{"results":[{"query":"a","phrase":1,"round":2,"slots":` + arr + `,"latency_ns":7},{"query":"b","phrase":1,"round":2,"slots":` + arr + `,"latency_ns":8}]}`,
+		`{"results":[{"query":"a","phrase":1,"slots":[{"slot":0,"advertiser":2,"price_paid":0.5}]},{"query":"b","phrase":1,"slots":` + arr + `}]}`,
+		`{"results":[{"query":"a","shard":1,"slots":` + arr + `},{"query":"b","shard":1,"slots":[{"slot":0,"advertiser":2,"price_paid":0.5},{"slot":1,"advertiser":3,"price_paid":0.25000000000000006}]}]}`,
+		`{"results":[{"query":"a","phrase":1,"slots":` + arr + `},{"query":"b","phrase":2,"slots":` + arr + `}]}`,
+		`{"results":[{"query":"a","phrase":1,"round":2,"slots":` + arr + `,"error":"x","code":404},{"query":"b","phrase":1,"round":2,"slots":` + arr + `,"latency_ns":3}]}`,
+	} {
+		f.Add("q", 1, 0, 2, int64(3), 0, 2, math.Float64bits(0.5), "x", 0, 404, []byte(raw))
+	}
 	f.Fuzz(func(t *testing.T, query string, phrase, shard, round int, latency int64, slot, adv int, priceBits uint64, msg string, retry, code int, raw []byte) {
 		price := math.Float64frombits(priceBits)
 		if math.IsNaN(price) || math.IsInf(price, 0) {
@@ -547,5 +569,278 @@ func TestBenchmarkTrafficTakesFastPath(t *testing.T) {
 			}
 			*scratch = (*scratch)[:0]
 		}
+	}
+}
+
+// sharedBatch builds a 64-item batch reply's inputs shaped like
+// serve-http-batch's: 64 queries over 19 phrases, each phrase answered with
+// four slots in one slab span that every query matching it shares, as
+// copySlots hands them out, and one shard and round per phrase.
+func sharedBatch() ([]string, []server.Result, []error) {
+	const phrases, k = 19, 4
+	slab := make([]core.SlotResult, 0, phrases*k)
+	for p := 0; p < phrases; p++ {
+		for s := 0; s < k; s++ {
+			slab = append(slab, core.SlotResult{Slot: s, Advertiser: 37*p + s, PricePaid: 0.0123 * float64(p+s+1)})
+		}
+	}
+	queries := make([]string, 64)
+	results := make([]server.Result, 64)
+	for i := range queries {
+		p := i * 7 % phrases
+		queries[i] = fmt.Sprintf("Hiking  Boots %d", i)
+		results[i] = server.Result{Phrase: p, Shard: p % 2, Round: 100000 + p%3, Slots: slab[k*p : k*p+k : k*p+k], Latency: time.Duration(1234567 + i)}
+	}
+	return queries, results, make([]error, 64)
+}
+
+// TestBatchCodecAllocsSharedSlots pins the slot memo's hit path: a reply
+// whose items share slot spans encodes with no allocation and decodes with
+// the results slice and the one slot array, every item's slots its own.
+func TestBatchCodecAllocsSharedSlots(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	queries, results, errs := sharedBatch()
+	buf := make([]byte, 0, 64<<10)
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = appendBatchReply(buf[:0], queries, results, errs)
+	}); n != 0 {
+		t.Fatalf("appendBatchReply allocates %.1f/op, want 0", n)
+	}
+	reply, _ := appendBatchReply(nil, queries, results, errs)
+	if want, _ := itemsReply(batchItems(queries, results, errs)); !bytes.Equal(reply, want) {
+		t.Fatalf("memoized reply:\n%s\nplain:\n%s", reply, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := decodeBatchReply(reply, queries); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("decodeBatchReply allocates %.1f/op, want ≤ 2", n)
+	}
+	got, gotErrs, err := decodeBatchReply(reply, queries)
+	if err != nil || gotErrs != nil || !reflect.DeepEqual(got, results) {
+		t.Fatalf("decodeBatchReply = %+v, %v, %v; want %+v", got, gotErrs, err, results)
+	}
+}
+
+// BenchmarkBatchReply times the batch reply codec on sharedBatch's reply:
+// the server's encode into a warm buffer and the client's decode.
+func BenchmarkBatchReply(b *testing.B) {
+	queries, results, errs := sharedBatch()
+	reply, _ := appendBatchReply(nil, queries, results, errs)
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, 2*len(reply))
+		b.SetBytes(int64(len(reply)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, _ = appendBatchReply(buf[:0], queries, results, errs)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(reply)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := decodeBatchReply(reply, queries); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// batchItems is the items appendBatchReply writes for queries, results
+// and errs.
+func batchItems(queries []string, results []server.Result, errs []error) []batchItem {
+	items := make([]batchItem, len(queries))
+	for i, q := range queries {
+		items[i] = batchItemFor(q, &results[i], errs[i])
+	}
+	return items
+}
+
+// itemsReply is the batch reply that carries items, each encoded alone by
+// appendBatchItem: what appendBatchReply writes without its memo, or, for
+// failed items given slots, what it never writes.
+func itemsReply(items []batchItem) ([]byte, bool) {
+	dst := []byte(`{"results":[`)
+	for i := range items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var ok bool
+		if dst, ok = appendBatchItem(dst, &items[i]); !ok {
+			return dst, false
+		}
+	}
+	return append(dst, "]}\n"...), true
+}
+
+// randomReply builds a batch reply's inputs whose items draw their slot
+// lists from a small pool: sub-slices of one shared backing, value-equal
+// copies in other backings, near-equal copies one ulp or one advertiser
+// apart, and, rarely, -0, NaN and ±Inf prices. Keys repeat too: a list's
+// items mostly share its phrase, shard and round, but some take another
+// list's. About one item in six fails.
+func randomReply(rng *rand.Rand) ([]string, []server.Result, []error) {
+	type list struct {
+		slots                []core.SlotResult
+		phrase, shard, round int
+	}
+	price := func() float64 {
+		switch rng.Intn(200) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1 - 2*rng.Intn(2))
+		case 2, 3, 4:
+			return math.Copysign(0, -1)
+		}
+		return oddFloats[rng.Intn(len(oddFloats))] + rng.ExpFloat64()*float64(rng.Intn(2))
+	}
+	backing := make([]core.SlotResult, 5)
+	for s := range backing {
+		backing[s] = core.SlotResult{Slot: s, Advertiser: rng.Intn(50), PricePaid: price()}
+	}
+	var pool []list
+	for n := 1 + rng.Intn(45); len(pool) < n; {
+		l := list{phrase: rng.Intn(6), shard: rng.Intn(2), round: rng.Intn(3)}
+		kind := rng.Intn(5)
+		if kind == 1 && len(pool) == 0 {
+			kind = 3
+		}
+		switch kind {
+		case 0: // a span of the shared backing
+			lo := rng.Intn(3)
+			l.slots = backing[lo : lo+1+rng.Intn(len(backing)-lo)]
+		case 1: // a value-equal copy of another list
+			l.slots = append([]core.SlotResult(nil), pool[rng.Intn(len(pool))].slots...)
+		case 2: // a near-equal copy
+			l.slots = append([]core.SlotResult(nil), backing[:1+rng.Intn(len(backing))]...)
+			s := &l.slots[rng.Intn(len(l.slots))]
+			if rng.Intn(2) == 0 {
+				s.PricePaid = math.Nextafter(s.PricePaid, math.Inf(1))
+			} else {
+				s.Advertiser++
+			}
+		default: // a list of its own
+			for s := rng.Intn(6); s >= 0; s-- {
+				l.slots = append(l.slots, core.SlotResult{Slot: len(l.slots), Advertiser: rng.Intn(50), PricePaid: price()})
+			}
+		}
+		if len(pool) > 0 && rng.Intn(4) == 0 { // another list's key
+			o := pool[rng.Intn(len(pool))]
+			l.phrase, l.shard, l.round = o.phrase, o.shard, o.round
+		}
+		pool = append(pool, l)
+	}
+	n := 1 + rng.Intn(100)
+	queries := make([]string, n)
+	results := make([]server.Result, n)
+	errs := make([]error, n)
+	failures := []error{serr.ErrNoAuction, serr.ErrOverloaded, context.DeadlineExceeded}
+	for i := range queries {
+		queries[i] = fmt.Sprintf("q %d", i)
+		if rng.Intn(6) == 0 {
+			errs[i] = failures[rng.Intn(len(failures))]
+			continue
+		}
+		l := pool[rng.Intn(len(pool))]
+		results[i] = server.Result{Phrase: l.phrase, Shard: l.shard, Round: l.round, Slots: l.slots, Latency: time.Duration(rng.Intn(3))}
+	}
+	return queries, results, errs
+}
+
+// TestSlotMemoMatchesPlainCodec holds the reply codec's slot memo to the
+// codec without it over random replies (randomReply). The memoized encoder
+// writes the plain item-by-item encoder's bytes and refuses the same
+// replies. The memoized client decoder reads, item for item, what a
+// matcher that meets each item alone reads, and what encoding/json reads,
+// also where failed items carry slots under repeated keys, and no item's
+// slots alias another's.
+func TestSlotMemoMatchesPlainCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	refused := 0
+	for iter := 0; iter < 800; iter++ {
+		queries, results, errs := randomReply(rng)
+		items := batchItems(queries, results, errs)
+		got, ok := appendBatchReply(nil, queries, results, errs)
+		want, wantOK := itemsReply(items)
+		if ok != wantOK || !bytes.Equal(got, want) {
+			t.Fatalf("reply %d: memoized ok=%v\n%s\nplain ok=%v\n%s", iter, ok, got, wantOK, want)
+		}
+		if !ok {
+			refused++
+			continue
+		}
+		checkMemoDecode(t, items)
+		// Failed items that carry slots, under the key of an answered item
+		// or of their own, as a server other than ours might write them.
+		for i := range items {
+			if errs[i] == nil || rng.Intn(2) == 0 {
+				continue
+			}
+			o := results[rng.Intn(len(results))]
+			items[i].Phrase, items[i].Shard, items[i].Round, items[i].Slots = o.Phrase, o.Shard, o.Round, o.Slots
+			if rng.Intn(3) == 0 {
+				items[i].Phrase = 6 + rng.Intn(2)
+			}
+		}
+		checkMemoDecode(t, items)
+	}
+	if refused == 0 || refused > 400 {
+		t.Fatalf("%d of 800 replies refused for NaN or Inf prices; the generator should refuse some but not most", refused)
+	}
+}
+
+// checkMemoDecode decodes the reply carrying items and holds it to each
+// item decoded alone and to encoding/json, then writes into every item's
+// slots and checks that no other item's change.
+func checkMemoDecode(t *testing.T, items []batchItem) {
+	t.Helper()
+	queries := make([]string, len(items))
+	for i := range items {
+		queries[i] = items[i].Query
+	}
+	raw, _ := itemsReply(items)
+	results, errs, ok := matchBatchReply(raw, queries, new([]core.SlotResult))
+	if !ok {
+		t.Fatalf("reply not matched: %s", raw)
+	}
+	for i := range items {
+		alone, _ := itemsReply(items[i : i+1])
+		want, wantErrs, ok := matchBatchReply(alone, queries[i:i+1], new([]core.SlotResult))
+		if !ok {
+			t.Fatalf("item not matched alone: %s", alone)
+		}
+		var e, wantErr error
+		if errs != nil {
+			e = errs[i]
+		}
+		if wantErrs != nil {
+			wantErr = wantErrs[0]
+		}
+		if !reflect.DeepEqual(results[i], want[0]) || !reflect.DeepEqual(e, wantErr) {
+			t.Fatalf("reply %s item %d:\n got %+v, %v\nalone %+v, %v", raw, i, results[i], e, want[0], wantErr)
+		}
+	}
+	checkReplyDecode(t, raw, queries)
+	before := make([][]core.SlotResult, len(results))
+	for j := range results {
+		before[j] = slices.Clone(results[j].Slots)
+	}
+	for i := range results {
+		if len(results[i].Slots) == 0 {
+			continue
+		}
+		results[i].Slots[0].Advertiser = -1
+		grown := append(results[i].Slots, core.SlotResult{Slot: -1})
+		grown[0].Slot = -2
+		for j := range results {
+			if j != i && !slices.Equal(results[j].Slots, before[j]) {
+				t.Fatalf("reply %s: writing item %d's slots changed item %d's", raw, i, j)
+			}
+		}
+		results[i].Slots[0] = before[i][0]
 	}
 }
